@@ -199,20 +199,36 @@ impl Check for CsrCheck<'_> {
         if !monotone || rowptr.last().copied().unwrap_or(0) > a.colind().len() {
             return; // per-row slicing below would be out of bounds
         }
-        // Per-row duplicate / sortedness scan.
+        // Per-row duplicate / sortedness scan. A strictly ascending row
+        // cannot hold a duplicate; any other row is screened against a
+        // table stamped with the row index, and only a row that fails the
+        // screen (repeated or out-of-range column) pays for the sort that
+        // names the duplicated column.
+        let mut stamp = vec![usize::MAX; a.ncols()];
         let mut seen: Vec<u32> = Vec::new();
         for i in 0..a.nrows() {
             let cols = &a.colind()[rowptr[i]..rowptr[i + 1]];
+            let Some(j) = cols.windows(2).position(|w| w[0] >= w[1]) else {
+                continue;
+            };
             if self.require_sorted_columns {
-                if let Some(j) = cols.windows(2).position(|w| w[0] >= w[1]) {
-                    report.violation(
-                        name,
-                        Invariant::ColumnSorted,
-                        format!("row {i}"),
-                        format!("columns {} then {} at slot {j}", cols[j], cols[j + 1]),
-                        "sort row entries by column",
-                    );
+                report.violation(
+                    name,
+                    Invariant::ColumnSorted,
+                    format!("row {i}"),
+                    format!("columns {} then {} at slot {j}", cols[j], cols[j + 1]),
+                    "sort row entries by column",
+                );
+            }
+            let distinct = cols.iter().all(|&c| match stamp.get_mut(c as usize) {
+                Some(s) if *s != i => {
+                    *s = i;
+                    true
                 }
+                _ => false,
+            });
+            if distinct {
+                continue;
             }
             seen.clear();
             seen.extend_from_slice(cols);
@@ -295,6 +311,28 @@ impl Check for TransposeCheck<'_> {
                 ),
                 "rebuild At with CsrMatrix::transpose_scan",
             );
+            return;
+        }
+        // Fast path: walk A once with a cursor per At row. The k-th entry
+        // of column c met in A must be the k-th entry of At's row c (same
+        // source row, `==` value — the comparison `CsrMatrix: PartialEq`
+        // makes), and every cursor must end on its row's end; together
+        // that is exactly `at == a.transpose_scan()`. Only a mismatch
+        // pays for materialising the transpose to name the row.
+        let mut cursor = at.rowptr()[..at.nrows()].to_vec();
+        let row_ends = &at.rowptr()[1..];
+        let in_order = (0..a.nrows()).all(|i| {
+            a.row(i).all(|(c, v)| {
+                let c = c as usize;
+                let Some(k) = cursor.get_mut(c).filter(|k| **k < row_ends[c]) else {
+                    return false;
+                };
+                let same = at.colind()[*k] as usize == i && at.values()[*k] == v;
+                *k += 1;
+                same
+            })
+        });
+        if in_order && cursor.iter().eq(row_ends) {
             return;
         }
         let expected = a.transpose_scan();
@@ -638,10 +676,50 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
             return;
         }
         if let Some(src) = self.source.filter(|s| csr_traversable(s)) {
+            let (ps, map, ind, val) = (b.partsize(), b.stage_map(), b.entry_ind(), b.entry_val());
+            // Fast path: stamp the source row's columns (and value bits)
+            // into dense tables, then tick each layout entry off its
+            // column. With no surprise — repeated or out-of-range source
+            // column, a layout column the row lacks or already ticked,
+            // different value bits, different counts — the two rows are
+            // equal as multisets. Any surprise proves nothing: that row
+            // falls through to the sorted comparison below, which alone
+            // decides the verdict and its text.
+            const SPENT: usize = usize::MAX;
+            let mut stamp = vec![SPENT; b.ncols()];
+            let mut bits = vec![0u32; b.ncols()];
+            let mut ticks_off = |p: usize, j: usize| -> bool {
+                let row = p * ps + j;
+                let mut want = 0usize;
+                for (c, v) in src.row(row) {
+                    match stamp.get_mut(c as usize) {
+                        Some(s) if *s != row => *s = row,
+                        _ => return false,
+                    }
+                    bits[c as usize] = v.to_bits();
+                    want += 1;
+                }
+                let mut got = 0usize;
+                for s in partdispl[p] as usize..partdispl[p + 1] as usize {
+                    let stage_map = &map[stagedispl[s]..stagedispl[s + 1]];
+                    for k in displ[s * ps + j]..displ[s * ps + j + 1] {
+                        let col = stage_map[ind[k].to_usize()] as usize;
+                        if stamp[col] != row || bits[col] != val[k].to_bits() {
+                            return false;
+                        }
+                        stamp[col] = SPENT;
+                        got += 1;
+                    }
+                }
+                got == want
+            };
             for p in 0..nparts {
                 let base = p * b.partsize();
                 let rows = b.partsize().min(b.nrows().saturating_sub(base));
                 for j in 0..rows {
+                    if ticks_off(p, j) {
+                        continue;
+                    }
                     let mut got: Vec<(u32, u32)> = Vec::new();
                     for s in partdispl[p] as usize..partdispl[p + 1] as usize {
                         for k in displ[s * b.partsize() + j]..displ[s * b.partsize() + j + 1] {

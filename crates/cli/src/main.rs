@@ -85,7 +85,8 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
                  sirt with --ranks): KIND@rank:index with KIND one of
                  crash, drop, delay, bitflip — e.g. crash@1:3
   --corrupt KIND inject one fault before checking (check only):
-                 rowptr | nan | transpose | permutation | stage-oversize
+                 rowptr | nan | transpose | permutation | stage-oversize |
+                 duplicate-column | buffered-entry
   --jobs FILE    serve: job file, one job per line (# comments allowed):
                    NAME DATASET SCALE cg|sirt ITERS PRIORITY
                         [batch=K] [preempt@N] [pool]
@@ -804,11 +805,33 @@ fn serve(opts: &Options) {
     }
 }
 
+/// `b` with its buffer capacity and stored weights swapped out, nothing
+/// re-derived or validated.
+fn rebuilt_buffered(
+    b: &xct_sparse::BufferedCsr,
+    buffsize: usize,
+    val: Vec<f32>,
+) -> xct_sparse::BufferedCsr {
+    xct_sparse::BufferedCsrImpl::from_raw_parts_unchecked(
+        b.nrows(),
+        b.ncols(),
+        b.partsize(),
+        buffsize,
+        b.nnz(),
+        b.partdispl().to_vec(),
+        b.stagedispl().to_vec(),
+        b.stage_map().to_vec(),
+        b.entry_displ().to_vec(),
+        b.entry_ind().to_vec(),
+        val,
+    )
+}
+
 /// Inject one deliberate fault into the memoized structures so the check
 /// sweep (and CI) can prove corruption is caught, not silently computed
 /// with. Each kind corrupts exactly one field.
 fn inject_corruption(ops: &mut Operators, kind: &str) {
-    use xct_sparse::{BufferedCsrImpl, CsrMatrix};
+    use xct_sparse::CsrMatrix;
     match kind {
         "rowptr" => {
             // Raise one interior row pointer above its successor.
@@ -866,23 +889,46 @@ fn inject_corruption(ops: &mut Operators, kind: &str) {
                 eprintln!("stage-oversize needs buffered layouts");
                 exit(2);
             };
-            ops.a_buf = Some(BufferedCsrImpl::from_raw_parts_unchecked(
-                b.nrows(),
-                b.ncols(),
-                b.partsize(),
-                u16::MAX as usize + 2,
-                b.nnz(),
-                b.partdispl().to_vec(),
-                b.stagedispl().to_vec(),
-                b.stage_map().to_vec(),
-                b.entry_displ().to_vec(),
-                b.entry_ind().to_vec(),
-                b.entry_val().to_vec(),
-            ));
+            let val = b.entry_val().to_vec();
+            ops.a_buf = Some(rebuilt_buffered(&b, u16::MAX as usize + 2, val));
+        }
+        "duplicate-column" => {
+            // Repeat a column inside one unsorted row of A (ray-traversal
+            // order leaves most rows unsorted).
+            let rowptr = ops.a.rowptr();
+            let mut colind = ops.a.colind().to_vec();
+            let Some(row) = (0..ops.a.nrows()).find(|&i| {
+                let cols = &colind[rowptr[i]..rowptr[i + 1]];
+                cols.len() >= 3 && cols.windows(2).any(|w| w[0] > w[1])
+            }) else {
+                eprintln!("duplicate-column needs an unsorted row of at least 3 entries");
+                exit(2);
+            };
+            colind[rowptr[row] + 2] = colind[rowptr[row]];
+            ops.a = CsrMatrix::from_raw_unchecked(
+                ops.a.nrows(),
+                ops.a.ncols(),
+                rowptr.to_vec(),
+                colind,
+                ops.a.values().to_vec(),
+            );
+        }
+        "buffered-entry" => {
+            // Flip one mantissa bit of one stored weight of the buffered
+            // forward layout: it no longer reproduces A.
+            let Some(b) = ops.a_buf.take() else {
+                eprintln!("buffered-entry needs buffered layouts");
+                exit(2);
+            };
+            let mut val = b.entry_val().to_vec();
+            let mid = val.len() / 2;
+            val[mid] = f32::from_bits(val[mid].to_bits() ^ 1);
+            ops.a_buf = Some(rebuilt_buffered(&b, b.buffsize(), val));
         }
         other => {
             eprintln!(
-                "unknown corruption `{other}`; kinds: rowptr nan transpose permutation stage-oversize"
+                "unknown corruption `{other}`; kinds: rowptr nan transpose permutation \
+                 stage-oversize duplicate-column buffered-entry"
             );
             exit(2);
         }

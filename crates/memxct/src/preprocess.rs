@@ -266,6 +266,26 @@ pub fn try_preprocess(
     try_preprocess_with_metrics(grid, scan, config, &Metrics::noop())
 }
 
+/// Trace the ray stored at sinogram rank `rank`, calling
+/// `emit(pixel, length)` per crossed pixel in traversal order.
+#[inline]
+fn trace_rank<F: FnMut(u32, f32)>(
+    grid: &Grid,
+    scan: &ScanGeometry,
+    sino_ord: &Ordering2D,
+    projector: Projector,
+    rank: usize,
+    emit: F,
+) {
+    // in-range: ray count is bounded by the u32 scan geometry
+    let (chan, proj) = sino_ord.cell(rank as u32);
+    let ray = scan.ray(proj, chan);
+    match projector {
+        Projector::Siddon => trace_ray(grid, &ray, emit),
+        Projector::Joseph => trace_ray_joseph(grid, &ray, emit),
+    }
+}
+
 /// [`try_preprocess`] with observability: each pipeline phase records its
 /// wall-clock into the timers `preprocess/ordering`, `preprocess/tracing`,
 /// `preprocess/transpose`, and `preprocess/buffers` (plus a `preprocess`
@@ -293,27 +313,58 @@ pub fn try_preprocess_with_metrics(
     // A is the sinogram entry stored at rank r; its columns are tomogram
     // ranks. Parallel over sinogram ranks (each row independent).
     let t = Instant::now();
+    // Two passes, so no per-ray vector is ever grown or copied: the first
+    // only counts each ray's crossings (giving `rowptr`), the second
+    // traces again straight into the final arrays, one disjoint slice per
+    // block of rays.
     let num_rays = scan.num_rays();
-    // in-range: ray count is bounded by the u32 scan geometry
-    let rows: Vec<Vec<(u32, f32)>> = (0..num_rays as u32)
+    let lens: Vec<usize> = (0..num_rays)
         .into_par_iter()
         .map(|rank| {
-            let (chan, proj) = sino_ord.cell(rank);
-            let ray = scan.ray(proj, chan);
-            let mut row = Vec::new();
-            let mut emit = |pixel: u32, len: f32| {
-                let (i, j) = grid.pixel_coords(pixel);
-                row.push((tomo_ord.rank(i, j), len));
-            };
-            match config.projector {
-                Projector::Siddon => trace_ray(&grid, &ray, &mut emit),
-                Projector::Joseph => trace_ray_joseph(&grid, &ray, &mut emit),
-            }
-            row
+            let mut n = 0;
+            trace_rank(&grid, &scan, &sino_ord, config.projector, rank, |_, _| {
+                n += 1
+            });
+            n
         })
         .collect();
-    let a = CsrMatrix::from_rows(grid.num_pixels(), &rows);
-    drop(rows);
+    let mut rowptr = Vec::with_capacity(num_rays + 1);
+    rowptr.push(0usize);
+    for len in lens {
+        rowptr.push(rowptr[rowptr.len() - 1] + len);
+    }
+    let nnz = rowptr[num_rays];
+    let (mut colind, mut values) = (vec![0u32; nnz], vec![0f32; nnz]);
+    const RAY_BLOCK: usize = 256;
+    let mut blocks = Vec::with_capacity(num_rays.div_ceil(RAY_BLOCK));
+    let (mut cols_rest, mut vals_rest) = (&mut colind[..], &mut values[..]);
+    for lo in (0..num_rays).step_by(RAY_BLOCK) {
+        let hi = num_rays.min(lo + RAY_BLOCK);
+        let len = rowptr[hi] - rowptr[lo];
+        let (cols, c) = cols_rest.split_at_mut(len);
+        let (vals, v) = vals_rest.split_at_mut(len);
+        (cols_rest, vals_rest) = (c, v);
+        blocks.push((lo..hi, cols, vals));
+    }
+    blocks.into_par_iter().for_each(|(rays, cols, vals)| {
+        let mut k = 0;
+        for rank in rays {
+            trace_rank(
+                &grid,
+                &scan,
+                &sino_ord,
+                config.projector,
+                rank,
+                |pixel, len| {
+                    let (i, j) = grid.pixel_coords(pixel);
+                    cols[k] = tomo_ord.rank(i, j);
+                    vals[k] = len;
+                    k += 1;
+                },
+            );
+        }
+    });
+    let a = CsrMatrix::from_raw(num_rays, grid.num_pixels(), rowptr, colind, values);
     timings.tracing_s = t.elapsed().as_secs_f64();
     metrics.timer_observe("preprocess/tracing", timings.tracing_s);
     metrics.counter_add("preprocess/rows", a.nrows() as u64);

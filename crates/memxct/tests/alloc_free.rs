@@ -8,6 +8,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use memxct::{
     preprocess, run_engine_batched_in, CgRule, Config, Constraint, Kernel, PooledOperator,
@@ -45,8 +46,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// `ALLOCATIONS` is process-wide and the test harness runs tests on
+/// parallel threads, so each test holds this lock for its whole body —
+/// otherwise one test's set-up lands inside the other's measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serialised() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its verdict is its own.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn steady_state_cg_solve_allocates_nothing_and_spawns_nothing() {
+    let _serial = serialised();
     let n = 24u32;
     let grid = Grid::new(n);
     let scan = ScanGeometry::new(36, n);
@@ -100,6 +112,7 @@ fn steady_state_cg_solve_allocates_nothing_and_spawns_nothing() {
 
 #[test]
 fn steady_state_batched_cg_solve_allocates_nothing() {
+    let _serial = serialised();
     let n = 24u32;
     let batch = 4usize;
     let grid = Grid::new(n);

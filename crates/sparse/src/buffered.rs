@@ -69,6 +69,15 @@ pub enum LayoutError {
         /// Largest representable index.
         max: usize,
     },
+    /// The source matrix stores a column outside `0..ncols` — only
+    /// possible for a matrix assembled with
+    /// [`CsrMatrix::from_raw_unchecked`].
+    ColumnOutOfRange {
+        /// The offending column index.
+        column: u32,
+        /// The source matrix's column count.
+        ncols: usize,
+    },
 }
 
 impl fmt::Display for LayoutError {
@@ -83,6 +92,9 @@ impl fmt::Display for LayoutError {
                 f,
                 "buffer-local index {value} exceeds the index type's maximum {max}"
             ),
+            LayoutError::ColumnOutOfRange { column, ncols } => {
+                write!(f, "source column {column} out of 0..{ncols}")
+            }
         }
     }
 }
@@ -189,7 +201,9 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// # Panics
     /// Panics if `buffsize` is 0 or exceeds `u16::MAX + 1` (the 16-bit
     /// addressing limit: "16-bit addressing can address buffer sizes up to
-    /// 256 KB" of f32 data), or if `partsize` is 0.
+    /// 256 KB" of f32 data), if `partsize` is 0, or if `a` (assembled
+    /// with [`CsrMatrix::from_raw_unchecked`]) stores a column outside
+    /// `0..ncols`.
     ///
     /// ```
     /// use xct_sparse::{BufferedCsr, CsrMatrix, spmv};
@@ -217,6 +231,9 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// on the plan-build path is checked, returning a typed
     /// [`LayoutError`] instead of panicking (or, in release mode,
     /// silently truncating buffer-local indices).
+    ///
+    /// Linear in the source: `O(nnz)` table lookups plus one sort of each
+    /// partition's *distinct* column set.
     pub fn try_from_csr(
         a: &CsrMatrix,
         partsize: usize,
@@ -231,76 +248,105 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                 max: I::MAX_BUFFER,
             });
         }
+        let (rowptr, colind, values) = (a.rowptr(), a.colind(), a.values());
         let nparts = a.nrows().div_ceil(partsize).max(1);
         let mut partdispl = Vec::with_capacity(nparts + 1);
         partdispl.push(0u32);
         let mut stagedispl = vec![0usize];
         let mut map: Vec<u32> = Vec::new();
         let mut displ = vec![0usize];
-        let mut ind: Vec<I> = Vec::new();
-        let mut val: Vec<f32> = Vec::new();
+        let mut ind: Vec<I> = Vec::with_capacity(a.nnz());
+        let mut val: Vec<f32> = Vec::with_capacity(a.nnz());
 
+        // Dense per-column lookup of the current partition's (stage,
+        // buffer-local index), so the count and scatter passes below are
+        // O(1) per nonzero. Only the partition's footprint is ever live;
+        // it is reset by walking the footprint, never the whole table.
+        const UNSEEN: u32 = u32::MAX;
+        let mut stage_of = vec![UNSEEN; a.ncols()];
+        let mut local_of = vec![I::default(); a.ncols()];
         let mut footprint: Vec<u32> = Vec::new();
+        // Per (stage, local row) entry counts, then turned in place into
+        // the scatter cursors.
+        let mut cursor: Vec<usize> = Vec::new();
         for base in (0..a.nrows().max(1)).step_by(partsize) {
             let rows = partsize.min(a.nrows().saturating_sub(base));
             // Distinct columns touched by this partition, ascending —
-            // ascending rank order *is* Hilbert traversal order.
+            // ascending rank order *is* Hilbert traversal order. Collected
+            // by first touch, so only the distinct set is sorted.
             footprint.clear();
             for i in base..base + rows {
-                footprint.extend(a.row(i).map(|(c, _)| c));
-            }
-            footprint.sort_unstable();
-            footprint.dedup();
-            let nstages_here = footprint.len().div_ceil(buffsize);
-
-            // Per-entry stage and buffer-local index, via rank in the
-            // sorted footprint.
-            let stage_of = |col: u32| -> (usize, usize) {
-                let rank = footprint.binary_search(&col).expect("col in footprint");
-                ((rank / buffsize), rank % buffsize)
-            };
-
-            // Counting sort of the partition's entries by (stage, row).
-            let mut counts = vec![0usize; nstages_here * partsize];
-            for i in base..base + rows {
-                for (c, _) in a.row(i) {
-                    let (s, _) = stage_of(c);
-                    counts[s * partsize + (i - base)] += 1;
+                for &c in &colind[rowptr[i]..rowptr[i + 1]] {
+                    let Some(seen) = stage_of.get_mut(c as usize) else {
+                        return Err(LayoutError::ColumnOutOfRange {
+                            column: c,
+                            ncols: a.ncols(),
+                        });
+                    };
+                    if *seen == UNSEEN {
+                        *seen = 0; // placeholder until the footprint is sorted
+                        footprint.push(c);
+                    }
                 }
             }
-            let entry_base = ind.len();
-            let mut offsets = Vec::with_capacity(counts.len() + 1);
-            offsets.push(entry_base);
-            for &c in &counts {
-                offsets.push(offsets.last().unwrap() + c);
-            }
-            let total: usize = counts.iter().sum();
-            ind.resize(entry_base + total, I::default());
-            val.resize(entry_base + total, 0.0);
-            let mut cursor = offsets.clone();
-            for i in base..base + rows {
-                for (c, v) in a.row(i) {
-                    let (s, local) = stage_of(c);
-                    let slot = s * partsize + (i - base);
-                    let dst = cursor[slot];
-                    cursor[slot] += 1;
+            footprint.sort_unstable();
+            let nstages_here = footprint.len().div_ceil(buffsize);
+
+            // Stage buffer maps, and each footprint column's stage and
+            // buffer-local index (its rank in the sorted footprint).
+            for (s, chunk) in footprint.chunks(buffsize).enumerate() {
+                // in-range: s < footprint.len(), a count of distinct u32 columns
+                let s = s as u32;
+                for (local, &c) in chunk.iter().enumerate() {
+                    stage_of[c as usize] = s;
                     // Checked narrowing: `local < buffsize <= MAX_BUFFER`
                     // holds by construction, but the plan-build path never
                     // trusts that silently (satellite of ISSUE 3).
-                    ind[dst] = I::try_from_usize(local)?;
+                    local_of[c as usize] = I::try_from_usize(local)?;
+                }
+                map.extend_from_slice(chunk);
+                stagedispl.push(map.len());
+            }
+
+            // Counting sort of the partition's entries by (stage, row).
+            cursor.clear();
+            cursor.resize(nstages_here * partsize, 0);
+            for j in 0..rows {
+                for &c in &colind[rowptr[base + j]..rowptr[base + j + 1]] {
+                    cursor[stage_of[c as usize] as usize * partsize + j] += 1;
+                }
+            }
+            let mut next = ind.len();
+            for slot in &mut cursor {
+                let count = *slot;
+                *slot = next;
+                next += count;
+                displ.push(next);
+            }
+            ind.resize(next, I::default());
+            val.resize(next, 0.0);
+            for j in 0..rows {
+                let (lo, hi) = (rowptr[base + j], rowptr[base + j + 1]);
+                for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
+                    let slot = stage_of[c as usize] as usize * partsize + j;
+                    let dst = cursor[slot];
+                    cursor[slot] += 1;
+                    ind[dst] = local_of[c as usize];
                     val[dst] = v;
                 }
             }
-            displ.extend_from_slice(&offsets[1..]);
 
-            // Stage buffer maps.
-            for chunk in footprint.chunks(buffsize) {
-                map.extend_from_slice(chunk);
-                stagedispl.push(map.len());
+            for &c in &footprint {
+                stage_of[c as usize] = UNSEEN;
             }
             // in-range: stage counts are bounded by nnz, which fits u32
             partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
         }
+        // The plan keeps these arrays for its lifetime: drop the growth
+        // slack (`ind`/`val` were reserved at exactly nnz).
+        stagedispl.shrink_to_fit();
+        map.shrink_to_fit();
+        displ.shrink_to_fit();
 
         Ok(BufferedCsrImpl {
             nrows: a.nrows(),
@@ -628,6 +674,8 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
 mod tests {
     use super::*;
     use crate::spmv::spmv;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> CsrMatrix {
         CsrMatrix::from_rows(
@@ -645,6 +693,229 @@ mod tests {
 
     fn x8() -> Vec<f32> {
         (1..=8).map(|i| i as f32).collect()
+    }
+
+    /// The pre-dense-table builder, kept verbatim as the reference the
+    /// production builder must match array for array: it sorts every
+    /// nonzero of a partition for the footprint and finds each entry's
+    /// stage by binary search.
+    fn reference_from_csr<I: BufferIndex>(
+        a: &CsrMatrix,
+        partsize: usize,
+        buffsize: usize,
+    ) -> Result<BufferedCsrImpl<I>, LayoutError> {
+        let nparts = a.nrows().div_ceil(partsize).max(1);
+        let mut partdispl = Vec::with_capacity(nparts + 1);
+        partdispl.push(0u32);
+        let mut stagedispl = vec![0usize];
+        let mut map: Vec<u32> = Vec::new();
+        let mut displ = vec![0usize];
+        let mut ind: Vec<I> = Vec::new();
+        let mut val: Vec<f32> = Vec::new();
+
+        let mut footprint: Vec<u32> = Vec::new();
+        for base in (0..a.nrows().max(1)).step_by(partsize) {
+            let rows = partsize.min(a.nrows().saturating_sub(base));
+            // Distinct columns touched by this partition, ascending —
+            // ascending rank order *is* Hilbert traversal order.
+            footprint.clear();
+            for i in base..base + rows {
+                footprint.extend(a.row(i).map(|(c, _)| c));
+            }
+            footprint.sort_unstable();
+            footprint.dedup();
+            let nstages_here = footprint.len().div_ceil(buffsize);
+
+            // Per-entry stage and buffer-local index, via rank in the
+            // sorted footprint.
+            let stage_of = |col: u32| -> (usize, usize) {
+                let rank = footprint.binary_search(&col).expect("col in footprint");
+                ((rank / buffsize), rank % buffsize)
+            };
+
+            // Counting sort of the partition's entries by (stage, row).
+            let mut counts = vec![0usize; nstages_here * partsize];
+            for i in base..base + rows {
+                for (c, _) in a.row(i) {
+                    let (s, _) = stage_of(c);
+                    counts[s * partsize + (i - base)] += 1;
+                }
+            }
+            let entry_base = ind.len();
+            let mut offsets = Vec::with_capacity(counts.len() + 1);
+            offsets.push(entry_base);
+            for &c in &counts {
+                offsets.push(offsets.last().unwrap() + c);
+            }
+            let total: usize = counts.iter().sum();
+            ind.resize(entry_base + total, I::default());
+            val.resize(entry_base + total, 0.0);
+            let mut cursor = offsets.clone();
+            for i in base..base + rows {
+                for (c, v) in a.row(i) {
+                    let (s, local) = stage_of(c);
+                    let slot = s * partsize + (i - base);
+                    let dst = cursor[slot];
+                    cursor[slot] += 1;
+                    // Checked narrowing: `local < buffsize <= MAX_BUFFER`
+                    // holds by construction, but the plan-build path never
+                    // trusts that silently (satellite of ISSUE 3).
+                    ind[dst] = I::try_from_usize(local)?;
+                    val[dst] = v;
+                }
+            }
+            displ.extend_from_slice(&offsets[1..]);
+
+            // Stage buffer maps.
+            for chunk in footprint.chunks(buffsize) {
+                map.extend_from_slice(chunk);
+                stagedispl.push(map.len());
+            }
+            // in-range: stage counts are bounded by nnz, which fits u32
+            partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
+        }
+
+        Ok(BufferedCsrImpl {
+            nrows: a.nrows(),
+            ncols: a.ncols(),
+            partsize,
+            buffsize,
+            nnz: a.nnz(),
+            partdispl,
+            stagedispl,
+            map,
+            displ,
+            ind,
+            val,
+        })
+    }
+
+    /// A random matrix in traversal (unsorted) column order without
+    /// duplicates; roughly one row in four is empty.
+    fn random_csr(seed: u64, nrows: usize, ncols: usize, max_row: usize) -> CsrMatrix {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rows: Vec<Vec<(u32, f32)>> = (0..nrows)
+            .map(|_| {
+                if rng.gen_range(0..4) == 0 {
+                    return Vec::new();
+                }
+                let len = rng.gen_range(0..max_row.min(ncols) + 1);
+                let mut cols: Vec<u32> = Vec::new();
+                while cols.len() < len {
+                    let c = rng.gen_range(0..ncols) as u32;
+                    if !cols.contains(&c) {
+                        cols.push(c);
+                    }
+                }
+                cols.into_iter()
+                    .map(|c| (c, rng.gen_range(-1.0f32..1.0)))
+                    .collect()
+            })
+            .collect();
+        CsrMatrix::from_rows(ncols, &rows)
+    }
+
+    fn assert_same_layout<I: BufferIndex>(a: &CsrMatrix, partsize: usize, buffsize: usize) {
+        let got = BufferedCsrImpl::<I>::try_from_csr(a, partsize, buffsize).unwrap();
+        let want = reference_from_csr::<I>(a, partsize, buffsize).unwrap();
+        let ctx = format!(
+            "{}x{} nnz {} partsize {partsize} buffsize {buffsize}",
+            a.nrows(),
+            a.ncols(),
+            a.nnz()
+        );
+        assert_eq!(got.partdispl, want.partdispl, "partdispl: {ctx}");
+        assert_eq!(got.stagedispl, want.stagedispl, "stagedispl: {ctx}");
+        assert_eq!(got.map, want.map, "map: {ctx}");
+        assert_eq!(got.displ, want.displ, "displ: {ctx}");
+        let usizes = |v: &[I]| v.iter().map(|i| i.to_usize()).collect::<Vec<_>>();
+        assert_eq!(usizes(&got.ind), usizes(&want.ind), "ind: {ctx}");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.val), bits(&want.val), "val: {ctx}");
+        assert_eq!(
+            (got.nrows, got.ncols, got.nnz, got.partsize, got.buffsize),
+            (
+                want.nrows,
+                want.ncols,
+                want.nnz,
+                want.partsize,
+                want.buffsize
+            ),
+            "shape: {ctx}"
+        );
+    }
+
+    #[test]
+    fn builder_matches_binary_search_reference() {
+        // Shapes cover: the empty matrix, all-empty rows, a partial last
+        // partition (nrows not a multiple of any partsize > 1), and — at
+        // buffsize 1 and 5 against up to 300 columns — footprints spanning
+        // hundreds of stages.
+        let shapes = [
+            (0usize, 4usize, 0usize),
+            (5, 3, 0),
+            (1, 1, 1),
+            (7, 9, 4),
+            (37, 300, 24),
+            (131, 70, 70),
+        ];
+        for (k, &(nrows, ncols, max_row)) in shapes.iter().enumerate() {
+            for seed in 0..3u64 {
+                let a = random_csr(seed * 31 + k as u64, nrows, ncols, max_row);
+                for partsize in [1, 3, 16, 128] {
+                    for buffsize in [1, 5, 64, 2048] {
+                        assert_same_layout::<u16>(&a, partsize, buffsize);
+                        assert_same_layout::<u32>(&a, partsize, buffsize);
+                    }
+                }
+            }
+        }
+        assert_same_layout::<u16>(&sample(), 2, 2);
+        // A column repeated inside a row (only from_raw_unchecked makes
+        // one) is touched once for the footprint and stored twice.
+        let dup = CsrMatrix::from_raw_unchecked(
+            2,
+            4,
+            vec![0, 3, 4],
+            vec![3, 1, 3, 1],
+            vec![1.0, 2.0, 3.0, 4.0],
+        );
+        assert_same_layout::<u16>(&dup, 2, 1);
+    }
+
+    #[test]
+    fn nnz_sized_arrays_carry_no_growth_slack() {
+        let a = random_csr(7, 200, 150, 40);
+        for (partsize, buffsize) in [(1, 1), (16, 8), (128, 2048)] {
+            let b = BufferedCsr::from_csr(&a, partsize, buffsize);
+            assert_eq!(b.ind.len(), a.nnz());
+            assert_eq!(b.ind.capacity(), b.ind.len(), "ind slack");
+            assert_eq!(b.val.capacity(), b.val.len(), "val slack");
+        }
+    }
+
+    #[test]
+    fn out_of_range_column_is_a_typed_error() {
+        // Column 9 of a 4-column matrix: only from_raw_unchecked can make
+        // this; the dense tables must not be indexed with it.
+        let a =
+            CsrMatrix::from_raw_unchecked(2, 4, vec![0, 2, 3], vec![1, 9, 0], vec![1.0, 2.0, 3.0]);
+        let err = BufferedCsr::try_from_csr(&a, 2, 4).unwrap_err();
+        assert_eq!(
+            err,
+            LayoutError::ColumnOutOfRange {
+                column: 9,
+                ncols: 4
+            }
+        );
+        assert_eq!(err.to_string(), "source column 9 out of 0..4");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid buffered layout: source column 9 out of 0..4")]
+    fn from_csr_panics_on_out_of_range_column() {
+        let a = CsrMatrix::from_raw_unchecked(1, 4, vec![0, 1], vec![9], vec![1.0]);
+        BufferedCsr::from_csr(&a, 2, 4);
     }
 
     #[test]
