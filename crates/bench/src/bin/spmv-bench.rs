@@ -36,11 +36,14 @@
 //!     padding excluded here) over the median time; `fraction_of_peak` is
 //!     that rate over the triad ceiling, clamped to 1.0 (cache-resident
 //!     matrices can stream faster than DRAM).
-//!   - `spmm_results`: the batched sweep, batch ∈ 1/4/16/64:
+//!   - `spmm_results`: the batched sweep, batch ∈ 1/4/8/16/64, with
+//!     `variant` ∈ `serial | pooled_nnz` (CSR) and `buffered |
+//!     pooled_buf` (the production layout, serial and pooled):
 //!     `{variant, threads, batch, median_seconds, gflops,
 //!     bytes_per_second, fraction_of_peak, matrix_bytes_per_slice}` —
 //!     the matrix is streamed once per call regardless of batch width, so
-//!     `matrix_bytes_per_slice` falls as 1/batch.
+//!     `matrix_bytes_per_slice` falls as 1/batch. Every column of every
+//!     row is checked bitwise against its layout's serial SpMV.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -53,7 +56,7 @@ use xct_sparse::{
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-const BATCHES: [usize; 4] = [1, 4, 16, 64];
+const BATCHES: [usize; 5] = [1, 4, 8, 16, 64];
 /// STREAM array length: 16 Mi f32 = 64 MB per array, 3 arrays — far past
 /// any cache, so the triad measures DRAM, not LLC.
 const STREAM_ELEMS: usize = 16 << 20;
@@ -236,6 +239,16 @@ struct DatasetBlock {
 /// One SpMM kernel under test: fills the slice-major output slab from
 /// the slice-major input slab.
 type SpmmKernel<'a> = Box<dyn FnMut(&[f32], &mut [f32]) + 'a>;
+
+/// One row of the SpMM sweep: the kernel, the regular bytes one call
+/// streams, and the serial SpMV every output column must equal bitwise.
+struct SpmmRun<'a> {
+    name: &'static str,
+    threads: usize,
+    bytes: u64,
+    kernel: SpmmKernel<'a>,
+    column_ref: &'a dyn Fn(&[f32], &mut [f32]),
+}
 
 fn bits_match(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -449,6 +462,9 @@ fn run_dataset(
     let spmm_threads = *THREAD_COUNTS.last().unwrap();
     let spmm_pool = pools.last().unwrap();
     let spmm_plan = csr_plan(a, spmm_threads);
+    let buf_plan = buf.exec_plan(spmm_threads);
+    let csr_ref = |xj: &[f32], yj: &mut [f32]| spmv_into(a, xj, yj);
+    let buf_ref = |xj: &[f32], yj: &mut [f32]| buf.spmv_into(xj, yj);
     let mut spmm_rows: Vec<SpmmRow> = Vec::new();
     let mut spmm_identical = true;
     println!(
@@ -463,54 +479,78 @@ fn run_dataset(
         }
         let mut yk = vec![0f32; a.nrows() * k];
         let mut yj = vec![0f32; a.nrows()];
-        let runs: [(&'static str, usize, SpmmKernel); 2] = [
-            ("serial", 1, Box::new(|xk, yk| spmm_into(a, xk, yk, k))),
-            (
-                "pooled_nnz",
-                spmm_threads,
-                Box::new(|xk, yk| spmm_pooled_into(a, xk, yk, k, &spmm_plan, spmm_pool)),
-            ),
+        let runs = [
+            SpmmRun {
+                name: "serial",
+                threads: 1,
+                bytes: a.regular_bytes(),
+                kernel: Box::new(|xk, yk| spmm_into(a, xk, yk, k)),
+                column_ref: &csr_ref,
+            },
+            SpmmRun {
+                name: "pooled_nnz",
+                threads: spmm_threads,
+                bytes: a.regular_bytes(),
+                kernel: Box::new(|xk, yk| spmm_pooled_into(a, xk, yk, k, &spmm_plan, spmm_pool)),
+                column_ref: &csr_ref,
+            },
+            // The production layout: the slice-interleaved buffered
+            // kernel, whose per-nonzero work is shared by a slice block.
+            SpmmRun {
+                name: "buffered",
+                threads: 1,
+                bytes: buf.regular_bytes(),
+                kernel: Box::new(|xk, yk| buf.spmm_into(xk, yk, k)),
+                column_ref: &buf_ref,
+            },
+            SpmmRun {
+                name: "pooled_buf",
+                threads: spmm_threads,
+                bytes: buf.regular_bytes(),
+                kernel: Box::new(|xk, yk| buf.spmm_pooled_into(xk, yk, k, &buf_plan, spmm_pool)),
+                column_ref: &buf_ref,
+            },
         ];
-        for (name, threads, mut f) in runs {
-            f(&xk, &mut yk); // warmup
+        for mut run in runs {
+            (run.kernel)(&xk, &mut yk); // warmup
             let mut times = Vec::with_capacity(reps);
             for _ in 0..reps {
                 let t = Instant::now();
-                f(&xk, &mut yk);
+                (run.kernel)(&xk, &mut yk);
                 times.push(t.elapsed().as_secs_f64());
             }
             // Every column must be bit-identical to its own serial SpMV.
             for j in 0..k {
-                spmv_into(a, &xk[j * a.ncols()..(j + 1) * a.ncols()], &mut yj);
+                (run.column_ref)(&xk[j * a.ncols()..(j + 1) * a.ncols()], &mut yj);
                 spmm_identical &= bits_match(&yk[j * a.nrows()..(j + 1) * a.nrows()], &yj);
             }
             let seconds = median(&mut times);
-            let bps = bandwidth_gbs(a.regular_bytes(), seconds) * 1e9;
+            let bps = bandwidth_gbs(run.bytes, seconds) * 1e9;
             println!(
                 "{:<14} {:>8} {:>6} {:>9.1} us {:>8.2} {:>8.2} {:>12.1}",
-                name,
-                threads,
+                run.name,
+                run.threads,
                 k,
                 seconds * 1e6,
                 gflops(a.nnz() * k, seconds),
                 bps / 1e9,
-                a.regular_bytes() as f64 / k as f64 / 1e3
+                run.bytes as f64 / k as f64 / 1e3
             );
             spmm_rows.push(SpmmRow {
-                variant: name,
-                threads,
+                variant: run.name,
+                threads: run.threads,
                 batch: k,
                 seconds,
                 gflops: gflops(a.nnz() * k, seconds),
                 bytes_per_second: bps,
                 fraction_of_peak: frac(bps, peak_gbs),
-                bytes_per_slice: a.regular_bytes() as f64 / k as f64,
+                bytes_per_slice: run.bytes as f64 / k as f64,
             });
         }
     }
     assert!(
         spmm_identical,
-        "an SpMM column diverged from the serial SpMV kernel"
+        "an SpMM column diverged from its layout's serial SpMV"
     );
 
     DatasetBlock {

@@ -112,9 +112,19 @@ fn steady_state_cg_solve_allocates_nothing_and_spawns_nothing() {
 
 #[test]
 fn steady_state_batched_cg_solve_allocates_nothing() {
+    batched_cg_solve_allocates_nothing(4);
+}
+
+/// Batch 8 runs the buffered kernel's widest slice block, the one that
+/// sizes the workers' scratch.
+#[test]
+fn steady_state_batch8_cg_solve_allocates_nothing() {
+    batched_cg_solve_allocates_nothing(8);
+}
+
+fn batched_cg_solve_allocates_nothing(batch: usize) {
     let _serial = serialised();
     let n = 24u32;
-    let batch = 4usize;
     let grid = Grid::new(n);
     let scan = ScanGeometry::new(36, n);
     let img = disk(0.6, 1.0).rasterize(n);

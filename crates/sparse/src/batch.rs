@@ -6,14 +6,30 @@
 //! arithmetic-intensity lever of the "Petascale XCT" follow-up work.
 //!
 //! Layout is **slice-major**: slice `j` of an `n`-element domain occupies
-//! `data[j * n .. (j + 1) * n]`. Every SpMM kernel in this crate runs its
-//! slice loop *inside* a cache-resident matrix tile (a fixed row tile for
-//! CSR, one partition for the buffered and ELL layouts), so the tile's
-//! matrix data is read from cache for slices 2..k while each slice's
-//! per-row accumulation order is exactly the single-slice kernel's order.
-//! Column `j` of the batched product is therefore **bit-identical** to
-//! `A · xⱼ` for every batch width — k = 1 is the existing SpMV, not a
-//! parallel code path.
+//! `data[j * n .. (j + 1) * n]`, everywhere outside a kernel. Column `j`
+//! of every batched product is **bit-identical** to `A · xⱼ` for every
+//! batch width — k = 1 is the existing SpMV, not a parallel code path.
+//!
+//! The CSR kernels here (and the ELL methods) get there by running the
+//! single-slice row kernel once per slice *inside* a cache-resident
+//! matrix tile (a fixed row tile for CSR, one partition for ELL): the
+//! tile's matrix data is read from cache for slices 2..k, but each
+//! nonzero's index load, bounds check and gather are still paid per
+//! slice, so these kernels gain little from batching.
+//!
+//! The buffered layout — the production kernel, in `buffered.rs` — does
+//! not loop over slices at all. Its kernel is generic over a slice-block
+//! width `W` (a batch is cut into blocks of 8, then 4, then 1; `W = 1` is
+//! its SpMV): the staging gather writes each stage's footprint
+//! slice-interleaved, `input[slot * W + s] = xₛ[map[slot]]`, so the
+//! accumulation loads one contiguous `W`-vector per nonzero and the
+//! index, value and bounds check are shared by the block. `W` decides
+//! which slices share a register, never the order in which one slice is
+//! summed (lane `k % 8`, the fixed reduction tree, sequential tail,
+//! stages in order), which is why the bits hold. The cost is scratch:
+//! `(buffsize + partsize) · W` floats per worker — 64 KiB of interleaved
+//! staging plus a 4 KiB output tile at the defaults and `W = 8` — sized
+//! on first use.
 
 use crate::csr::CsrMatrix;
 use crate::lanes::row_dot;

@@ -11,37 +11,19 @@
 //! Because both domains are Hilbert-ordered, consecutive entries of the
 //! sorted footprint are spatially close, so stages inherit data locality
 //! ("stages are determined with respect to Hilbert ordering").
+//!
+//! One kernel serves SpMV and SpMM: it is generic over a slice-block
+//! width `W` and stages the footprint *slice-interleaved*, so the gather
+//! stays the only irregular read for any number of slices and everything
+//! per nonzero (index, value, bounds check) is paid once per block of `W`
+//! slices. `W = 1` is the SpMV.
 
 use crate::csr::CsrMatrix;
 use crate::lanes::{reduce_lanes, LANES};
 use rayon::prelude::*;
+use std::array::from_fn;
 use std::fmt;
-
-/// Lane-split accumulation stage of Listing 3: `Σ buf[ind[k]] * vals[k]`
-/// over one `(stage, row)` entry run, in the deterministic lane order of
-/// [`crate::lanes`] (generic twin of [`crate::lanes::row_dot_u16`] so the
-/// u32 ablation layout shares the kernel).
-#[inline]
-fn row_dot_buf<I: BufferIndex>(ind: &[I], vals: &[f32], buf: &[f32]) -> f32 {
-    let mut acc = [0f32; LANES];
-    let mut gat = [0f32; LANES];
-    let ci = ind.chunks_exact(LANES);
-    let vi = vals.chunks_exact(LANES);
-    let (ct, vt) = (ci.remainder(), vi.remainder());
-    for (c8, v8) in ci.zip(vi) {
-        for l in 0..LANES {
-            gat[l] = buf[c8[l].to_usize()];
-        }
-        for l in 0..LANES {
-            acc[l] += gat[l] * v8[l];
-        }
-    }
-    let mut s = reduce_lanes(&acc);
-    for (c, v) in ct.iter().zip(vt) {
-        s += buf[c.to_usize()] * v;
-    }
-    s
-}
+use std::ops::Range;
 
 /// Why a buffered layout could not be constructed from a CSR source.
 ///
@@ -493,16 +475,10 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         y
     }
 
-    /// Sequential buffered SpMV into a caller-provided output.
+    /// Sequential buffered SpMV into a caller-provided output: the
+    /// one-slice case of [`BufferedCsrImpl::spmm_into`].
     pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.ncols, "x length");
-        assert_eq!(y.len(), self.nrows, "y length");
-        let mut input = vec![0f32; self.buffsize];
-        for p in 0..self.num_partitions() {
-            let base = p * self.partsize;
-            let rows = self.partsize.min(self.nrows - base);
-            self.process_partition(p, x, &mut input, &mut y[base..base + rows]);
-        }
+        self.spmm_into(x, y, 1);
     }
 
     /// `y = A·x` with the buffered kernel, partitions in parallel
@@ -517,12 +493,12 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     pub fn spmv_parallel_into(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.ncols, "x length");
         assert_eq!(y.len(), self.nrows, "y length");
-        y.par_chunks_mut(self.partsize).enumerate().for_each_init(
-            || vec![0f32; self.buffsize],
-            |input, (p, out)| {
-                self.process_partition(p, x, input, out);
-            },
-        );
+        y.par_chunks_mut(self.partsize)
+            .enumerate()
+            .for_each_init(Vec::new, |scratch, (p, out)| {
+                let sink = Sink::new(out, p * self.partsize, |o, _| o);
+                self.run_partitions(p..p + 1, x, 1, scratch, sink);
+            });
     }
 
     /// An nnz-balanced [`xct_runtime::ExecPlan`] over this layout's row partitions:
@@ -548,10 +524,9 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
 
     /// Pooled buffered SpMV into a caller-provided output: each worker
     /// processes the contiguous partition run `plan` assigns it, staging
-    /// into its persistent pool scratch (sized to `buffsize` on first
-    /// use, then reused — steady-state calls allocate nothing).
-    /// Bit-identical to [`BufferedCsrImpl::spmv_into`] for every worker
-    /// count.
+    /// into its persistent pool scratch (sized on first use, then reused
+    /// — steady-state calls allocate nothing). Bit-identical to
+    /// [`BufferedCsrImpl::spmv_into`] for every worker count.
     pub fn spmv_pooled_into(
         &self,
         x: &[f32],
@@ -563,48 +538,35 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         assert_eq!(y.len(), self.nrows, "y length");
         assert_eq!(plan.rows(), self.nrows, "plan rows");
         assert_eq!(plan.num_partitions(), self.num_partitions(), "plan blocks");
-        pool.run_with_scratch(plan, y, |parts, rows, out, input| {
-            if input.len() < self.buffsize {
-                input.resize(self.buffsize, 0.0);
-            }
-            for p in parts {
-                let base = p * self.partsize - rows.start;
-                let prows = self.partsize.min(self.nrows - p * self.partsize);
-                self.process_partition(p, x, input, &mut out[base..base + prows]);
-            }
+        pool.run_with_scratch(plan, y, |parts, rows, out, scratch| {
+            let sink = Sink::new(out, rows.start, |o, _| o);
+            self.run_partitions(parts, x, 1, scratch, sink);
         });
     }
 
     /// Sequential buffered SpMM into a caller-provided slice-major output:
-    /// `y = A · [x₁ … xₖ]`. The slice loop runs inside each partition, so
-    /// the partition's map/index/value arrays are streamed once and
-    /// re-read from cache for the remaining k-1 slices; each slice's
-    /// per-row accumulation order is exactly the single-slice kernel's,
-    /// so column `j` is bit-identical to [`BufferedCsrImpl::spmv_into`]
-    /// on slice `j`. The staging buffer stays `buffsize` elements —
-    /// batching does not grow the footprint.
+    /// `y = A · [x₁ … xₖ]`. Slices go through the kernel in blocks of
+    /// [`LANES`], then 4, then single slices; a block of `W` slices pays
+    /// each nonzero's index, value and bounds check once (see
+    /// [`BufferedCsrImpl::process_partition`]). Each slice's per-row
+    /// accumulation order does not depend on the block it lands in, so
+    /// column `j` is bit-identical to [`BufferedCsrImpl::spmv_into`] on
+    /// slice `j` for every batch width.
     pub fn spmm_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
         assert!(batch > 0, "batch width must be positive");
         assert_eq!(x.len(), self.ncols * batch, "x length");
         assert_eq!(y.len(), self.nrows * batch, "y length");
-        let mut input = vec![0f32; self.buffsize];
-        for p in 0..self.num_partitions() {
-            let base = p * self.partsize;
-            let rows = self.partsize.min(self.nrows - base);
-            for j in 0..batch {
-                let xs = &x[j * self.ncols..(j + 1) * self.ncols];
-                let ys = &mut y[j * self.nrows + base..j * self.nrows + base + rows];
-                self.process_partition(p, xs, &mut input, ys);
-            }
-        }
+        let nrows = self.nrows;
+        let sink = Sink::new(y, 0, |y, s| &mut y[s * nrows..(s + 1) * nrows]);
+        self.run_partitions(0..self.num_partitions(), x, batch, &mut Vec::new(), sink);
     }
 
     /// Pooled buffered SpMM into a caller-provided slice-major output:
-    /// one dispatch computes all k columns, each worker streaming its
-    /// partition run once (slice loop inside each partition) and staging
-    /// through its persistent `buffsize` scratch. Column `j` is
-    /// bit-identical to [`BufferedCsrImpl::spmv_pooled_into`] (and hence
-    /// to [`BufferedCsrImpl::spmv_into`]) on slice `j`.
+    /// one dispatch computes all k columns, each worker running its
+    /// partition run through the same slice-block kernel as
+    /// [`BufferedCsrImpl::spmm_into`] on its persistent scratch. Column
+    /// `j` is bit-identical to [`BufferedCsrImpl::spmv_into`] on slice
+    /// `j` for every worker count.
     pub fn spmm_pooled_into(
         &self,
         x: &[f32],
@@ -618,55 +580,160 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         assert_eq!(y.len(), self.nrows * batch, "y length");
         assert_eq!(plan.rows(), self.nrows, "plan rows");
         assert_eq!(plan.num_partitions(), self.num_partitions(), "plan blocks");
-        pool.run_batched_with_scratch(plan, y, batch, |parts, rows, mut out, input| {
-            if input.len() < self.buffsize {
-                input.resize(self.buffsize, 0.0);
-            }
-            for p in parts {
-                let base = p * self.partsize - rows.start;
-                let prows = self.partsize.min(self.nrows - p * self.partsize);
-                for j in 0..batch {
-                    let xs = &x[j * self.ncols..(j + 1) * self.ncols];
-                    let block = out.block(j);
-                    self.process_partition(p, xs, input, &mut block[base..base + prows]);
-                }
-            }
+        pool.run_batched_with_scratch(plan, y, batch, |parts, rows, mut out, scratch| {
+            let sink = Sink::new(&mut out, rows.start, xct_runtime::BatchOut::block);
+            self.run_partitions(parts, x, batch, scratch, sink);
         });
     }
 
-    /// Run all stages of partition `p`: gather each stage's footprint into
-    /// the buffer, then accumulate the stage's FMAs into `out`.
-    #[inline]
-    fn process_partition(&self, p: usize, x: &[f32], input: &mut [f32], out: &mut [f32]) {
-        out.fill(0.0);
-        for stage in self.partdispl[p] as usize..self.partdispl[p + 1] as usize {
-            let mlo = self.stagedispl[stage];
-            let mhi = self.stagedispl[stage + 1];
-            // Staging: the only irregular reads in the kernel. The gather
-            // is lane-structured (8 slots per step) so the regular buffer
-            // writes vectorize; order is irrelevant here — each slot is a
-            // pure write.
-            let stage_map = &self.map[mlo..mhi];
-            let dst = &mut input[..stage_map.len()];
-            let full = stage_map.len() / LANES * LANES;
-            for (m8, d8) in stage_map[..full]
-                .chunks_exact(LANES)
-                .zip(dst[..full].chunks_exact_mut(LANES))
-            {
-                for l in 0..LANES {
-                    d8[l] = x[m8[l] as usize];
+    /// The driver behind every entry point: partitions `parts` × all
+    /// `batch` slices of the slice-major `x`, results into `sink`. Slice
+    /// blocks are the inner loop, so a partition's matrix data is re-read
+    /// from cache.
+    ///
+    /// `scratch` holds the interleaved staging buffer and one partition's
+    /// interleaved output rows, `(buffsize + partsize) · W` floats for
+    /// the widest block this batch uses; it only ever grows.
+    fn run_partitions<O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]>(
+        &self,
+        parts: Range<usize>,
+        x: &[f32],
+        batch: usize,
+        scratch: &mut Vec<f32>,
+        mut sink: Sink<'_, O, F>,
+    ) {
+        let widest = block_width(batch);
+        let need = (self.buffsize + self.partsize) * widest;
+        if scratch.len() < need {
+            scratch.resize(need, 0.0);
+        }
+        let (input, tile) = scratch.split_at_mut(self.buffsize * widest);
+        for p in parts {
+            let mut s = 0;
+            while s < batch {
+                let w = block_width(batch - s);
+                match w {
+                    LANES => self.process_partition::<LANES, O, F>(p, x, s, input, tile, &mut sink),
+                    4 => self.process_partition::<4, O, F>(p, x, s, input, tile, &mut sink),
+                    _ => self.process_partition::<1, O, F>(p, x, s, input, tile, &mut sink),
                 }
-            }
-            for (d, &g) in dst[full..].iter_mut().zip(&stage_map[full..]) {
-                *d = x[g as usize];
-            }
-            let dbase = stage * self.partsize;
-            for (j, acc) in out.iter_mut().enumerate() {
-                let d0 = self.displ[dbase + j];
-                let d1 = self.displ[dbase + j + 1];
-                *acc += row_dot_buf(&self.ind[d0..d1], &self.val[d0..d1], input);
+                s += w;
             }
         }
+    }
+
+    /// Run all stages of partition `p` for slices `s0..s0 + W` of the
+    /// slice-major `x` and store the partition's rows of each in `sink`.
+    ///
+    /// Each stage's footprint is gathered *slice-interleaved*
+    /// (`input[slot * W + s] = x[s][map[slot]]`), so the accumulation
+    /// loads one contiguous `W`-vector per nonzero and the index, value
+    /// and bounds check are paid once for all `W` slices; row `j`'s `W`
+    /// sums accumulate at `tile[j * W..][..W]` and are de-interleaved at
+    /// the end. Per slice the order is exactly [`crate::lanes`]'s — entry
+    /// `k` of a `(stage, row)` run into lane `k % LANES`,
+    /// [`reduce_lanes`], sequential tail, stages added to the row in
+    /// ascending order — whatever `W` is, which is what makes every
+    /// column bit-identical to its SpMV.
+    ///
+    /// Kept out of line: inlined, the three widths share one register
+    /// allocation in `run_partitions` and the `W = 1` loop spills
+    /// (measured 10 % slower).
+    #[inline(never)]
+    fn process_partition<const W: usize, O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]>(
+        &self,
+        p: usize,
+        x: &[f32],
+        s0: usize,
+        input: &mut [f32],
+        tile: &mut [f32],
+        sink: &mut Sink<'_, O, F>,
+    ) {
+        let row0 = p * self.partsize;
+        let prows = self.partsize.min(self.nrows - row0);
+        let (input, _) = input.as_chunks_mut::<W>();
+        let (tile, _) = tile[..prows * W].as_chunks_mut::<W>();
+        tile.fill([0.0; W]);
+        // One bounds-checked view per slice: a map entry outside
+        // `0..ncols` panics instead of reading a neighbouring slice.
+        let xs: [&[f32]; W] = from_fn(|s| &x[(s0 + s) * self.ncols..][..self.ncols]);
+        for stage in self.partdispl[p] as usize..self.partdispl[p + 1] as usize {
+            // Staging: the only irregular reads in the kernel, eight
+            // slots a step so the regular buffer writes vectorize (each
+            // slot is a pure write, so order is irrelevant here).
+            let stage_map = &self.map[self.stagedispl[stage]..self.stagedispl[stage + 1]];
+            let (m8, mt) = stage_map.as_chunks::<LANES>();
+            let (d8, dt) = input[..stage_map.len()].as_chunks_mut::<LANES>();
+            for (d, g) in d8.iter_mut().zip(m8) {
+                *d = from_fn(|l| from_fn(|s| xs[s][g[l] as usize]));
+            }
+            for (slot, &g) in dt.iter_mut().zip(mt) {
+                *slot = from_fn(|s| xs[s][g as usize]);
+            }
+            let dbase = stage * self.partsize;
+            for (j, row) in tile.iter_mut().enumerate() {
+                let (d0, d1) = (self.displ[dbase + j], self.displ[dbase + j + 1]);
+                let (c8s, ct) = self.ind[d0..d1].as_chunks::<LANES>();
+                let (v8s, vt) = self.val[d0..d1].as_chunks::<LANES>();
+                let mut acc = [[0f32; W]; LANES];
+                for (c8, v8) in c8s.iter().zip(v8s) {
+                    // Gather first, multiply-add second: the bounds-checked
+                    // loads then don't serialize the accumulator chains.
+                    let gat: [[f32; W]; LANES] = from_fn(|l| input[c8[l].to_usize()]);
+                    for l in 0..LANES {
+                        for s in 0..W {
+                            acc[l][s] += gat[l][s] * v8[l];
+                        }
+                    }
+                }
+                let mut sum: [f32; W] = from_fn(|s| reduce_lanes(&from_fn(|l| acc[l][s])));
+                for (c, v) in ct.iter().zip(vt) {
+                    let xv = input[c.to_usize()];
+                    for s in 0..W {
+                        sum[s] += xv[s] * v;
+                    }
+                }
+                for s in 0..W {
+                    row[s] += sum[s];
+                }
+            }
+        }
+        for s in 0..W {
+            let dst = sink.rows(s0 + s, row0..row0 + prows);
+            for (d, row) in dst.iter_mut().zip(tile.iter()) {
+                *d = row[s];
+            }
+        }
+    }
+}
+
+/// Where a kernel call's results go: `block(out, s)` is slice `s`'s
+/// output rows from global row `row0` on — the whole slice-major output
+/// for the serial entry points, a worker's share of it for the pooled.
+struct Sink<'a, O: ?Sized, F> {
+    out: &'a mut O,
+    row0: usize,
+    block: F,
+}
+
+impl<'a, O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]> Sink<'a, O, F> {
+    fn new(out: &'a mut O, row0: usize, block: F) -> Self {
+        Sink { out, row0, block }
+    }
+
+    /// Global rows `rows` of slice `s`.
+    fn rows(&mut self, s: usize, rows: Range<usize>) -> &mut [f32] {
+        &mut (self.block)(self.out, s)[rows.start - self.row0..rows.end - self.row0]
+    }
+}
+
+/// Slices the next kernel call takes out of `remaining`: a batch is cut
+/// into blocks of [`LANES`], then 4, then single slices.
+fn block_width(remaining: usize) -> usize {
+    match remaining {
+        LANES.. => LANES,
+        4.. => 4,
+        _ => 1,
     }
 }
 

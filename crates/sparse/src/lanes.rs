@@ -56,31 +56,6 @@ pub fn row_dot(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
     s
 }
 
-/// Lane-split dot product with `u16` in-buffer indices (the Listing 3
-/// accumulation stage): `Σ buf[ind[k]] * vals[k]` in the same
-/// deterministic lane order as [`row_dot`].
-#[inline]
-pub fn row_dot_u16(ind: &[u16], vals: &[f32], buf: &[f32]) -> f32 {
-    let mut acc = [0f32; LANES];
-    let mut gat = [0f32; LANES];
-    let ci = ind.chunks_exact(LANES);
-    let vi = vals.chunks_exact(LANES);
-    let (ct, vt) = (ci.remainder(), vi.remainder());
-    for (c8, v8) in ci.zip(vi) {
-        for l in 0..LANES {
-            gat[l] = buf[c8[l] as usize];
-        }
-        for l in 0..LANES {
-            acc[l] += gat[l] * v8[l];
-        }
-    }
-    let mut s = reduce_lanes(&acc);
-    for (c, v) in ct.iter().zip(vt) {
-        s += buf[*c as usize] * v;
-    }
-    s
-}
-
 /// The fixed lane-combination tree. Exposed so reference implementations
 /// (tests, benches) can reproduce the exact order without duplicating it.
 #[inline]
@@ -125,17 +100,6 @@ mod tests {
             let a = row_dot(&cols, &vals, &x);
             let b = row_dot_ref(&cols, &vals, &x);
             assert_eq!(a.to_bits(), b.to_bits(), "len {n}: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn row_dot_u16_matches_reference_bitwise() {
-        for n in [0, 3, 8, 23, 64, 129] {
-            let (cols, vals, x) = row(n);
-            let ind: Vec<u16> = cols.iter().map(|&c| c as u16).collect();
-            let a = row_dot_u16(&ind, &vals, &x);
-            let b = row_dot_ref(&cols, &vals, &x);
-            assert_eq!(a.to_bits(), b.to_bits(), "len {n}");
         }
     }
 

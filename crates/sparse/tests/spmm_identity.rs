@@ -1,15 +1,21 @@
 //! Batched vs. looped-single-slice bit-identity: column `j` of
 //! `A · [x₁ … xₖ]` must equal `A · xⱼ` bitwise for all three kernel
-//! families (CSR, buffered-u16, ELL), serial and pooled, at 1/2/4
-//! worker threads.
+//! families (CSR, buffered u16/u32, ELL), serial and pooled, at 1/2/4
+//! worker threads. The buffered kernel cuts a batch into slice blocks of
+//! 8, 4 and 1, so its widths cover every decomposition up to two full
+//! blocks, and its columns are also pinned to a plainly-written staged
+//! reference — its SpMV is the same kernel at width 1.
 
 use xct_runtime::WorkerPool;
+use xct_sparse::lanes::row_dot_ref;
 use xct_sparse::{
-    csr_plan, spmm_into, spmm_pooled_into, spmv_into, BufferedCsr, CsrMatrix, EllMatrix,
+    csr_plan, spmm_into, spmm_pooled_into, spmv_into, BufferIndex, BufferedCsrImpl, CsrMatrix,
+    EllMatrix,
 };
 
-/// A matrix with skewed row lengths, empty rows, and enough rows to span
-/// several partitions and at least one CSR SpMM row tile.
+/// A matrix with skewed row lengths (rows shorter and longer than the 8
+/// lanes), empty rows, and enough rows to span several partitions — the
+/// last one partial at partition size 32 — and a CSR SpMM row tile.
 fn matrix() -> CsrMatrix {
     let ncols = 96u32;
     let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
@@ -18,6 +24,7 @@ fn matrix() -> CsrMatrix {
             0 => 0,
             1 => 13,
             2 => 1,
+            3 => 37,
             _ => 4,
         };
         // BTreeMap dedups and sorts the columns, as CSR rows require.
@@ -71,31 +78,151 @@ fn csr_spmm_columns_equal_spmv_serial_and_pooled() {
     }
 }
 
-#[test]
-fn buffered_spmm_columns_equal_spmv_serial_and_pooled() {
+/// Every slice-block decomposition up to two full blocks: 1s only, 4+1s,
+/// 8, 8+1, 8+4, 8+4+1, 8+8.
+const BUFFERED_BATCHES: [usize; 11] = [1, 2, 3, 4, 5, 7, 8, 9, 12, 13, 16];
+
+/// The buffered layout under test: 32-row partitions (the 400-row
+/// matrix leaves a partial last one) staged through 16 slots, so a
+/// partition's footprint of up to 96 columns takes several stages and
+/// most `(stage, row)` runs are short or empty.
+fn buffered<I: BufferIndex>(a: &CsrMatrix) -> BufferedCsrImpl<I> {
+    let b = BufferedCsrImpl::<I>::from_csr(a, 32, 16);
+    assert!(b.num_stages() >= 3 * b.num_partitions(), "want multi-stage");
+    assert!(
+        !b.nrows().is_multiple_of(b.partsize()),
+        "want a partial last partition"
+    );
+    let runs = b.entry_displ().windows(2);
+    assert!(runs.clone().any(|d| d[0] == d[1]), "want an empty run");
+    assert!(
+        runs.clone().any(|d| d[1] - d[0] >= 8),
+        "want a full lane group"
+    );
+    b
+}
+
+/// Plainly-written model of the buffered kernel's order, through the
+/// public accessors: per row, stages ascending, each `(stage, row)` run
+/// reduced in lane order and added to the row.
+fn staged_ref<I: BufferIndex>(b: &BufferedCsrImpl<I>, x: &[f32]) -> Vec<f32> {
+    let partsize = b.partsize();
+    (0..b.nrows())
+        .map(|i| {
+            let (p, j) = (i / partsize, i % partsize);
+            let stages = b.partdispl()[p] as usize..b.partdispl()[p + 1] as usize;
+            stages.fold(0f32, |acc, stage| {
+                let d0 = b.entry_displ()[stage * partsize + j];
+                let d1 = b.entry_displ()[stage * partsize + j + 1];
+                let cols: Vec<u32> = b.entry_ind()[d0..d1]
+                    .iter()
+                    .map(|ix| b.stage_map()[b.stagedispl()[stage] + ix.to_usize()])
+                    .collect();
+                acc + row_dot_ref(&cols, &b.entry_val()[d0..d1], x)
+            })
+        })
+        .collect()
+}
+
+/// Slice `j`'s SpMV for each slice of the slice-major `x`, back to back.
+fn looped_spmv<I: BufferIndex>(b: &BufferedCsrImpl<I>, x: &[f32], batch: usize) -> Vec<f32> {
+    let mut want = vec![0f32; b.nrows() * batch];
+    for (xs, ys) in x.chunks(b.ncols()).zip(want.chunks_mut(b.nrows())) {
+        b.spmv_into(xs, ys);
+    }
+    want
+}
+
+fn buffered_columns_equal_spmv<I: BufferIndex>(tag: &str) {
     let a = matrix();
-    let b = BufferedCsr::from_csr(&a, 32, 64);
-    for batch in [1usize, 2, 4] {
+    let b = buffered::<I>(&a);
+    for batch in BUFFERED_BATCHES {
         let x = rhs(a.ncols(), batch);
-        let mut want = vec![0f32; a.nrows() * batch];
-        for j in 0..batch {
-            b.spmv_into(
-                &x[j * a.ncols()..(j + 1) * a.ncols()],
-                &mut want[j * a.nrows()..(j + 1) * a.nrows()],
-            );
+        let want = looped_spmv(&b, &x, batch);
+        for (j, (xs, ws)) in x.chunks(a.ncols()).zip(want.chunks(a.nrows())).enumerate() {
+            assert_bitwise(ws, &staged_ref(&b, xs), &format!("{tag} spmv vs ref s{j}"));
         }
-        // The buffered kernel itself is bit-identical to plain CSR per
-        // row, so the families agree bitwise too — but the invariant
-        // under test here is batched-vs-looped within the family.
         let mut y = vec![0f32; a.nrows() * batch];
         b.spmm_into(&x, &mut y, batch);
-        assert_bitwise(&y, &want, &format!("buffered serial k={batch}"));
+        assert_bitwise(&y, &want, &format!("{tag} serial k={batch}"));
         for workers in [1usize, 2, 4] {
             let pool = WorkerPool::new(workers);
             let plan = b.exec_plan(workers);
             let mut y = vec![0f32; a.nrows() * batch];
             b.spmm_pooled_into(&x, &mut y, batch, &plan, &pool);
-            assert_bitwise(&y, &want, &format!("buffered pooled k={batch} w={workers}"));
+            assert_bitwise(&y, &want, &format!("{tag} pooled k={batch} w={workers}"));
+        }
+    }
+}
+
+#[test]
+fn buffered_spmm_columns_equal_spmv_serial_and_pooled() {
+    buffered_columns_equal_spmv::<u16>("buffered-u16");
+    buffered_columns_equal_spmv::<u32>("buffered-u32");
+}
+
+/// A slice full of NaN and ±Inf shares staging slots and accumulator
+/// registers with its block neighbours; none of it may leak into them.
+#[test]
+fn buffered_spmm_isolates_a_poisoned_slice() {
+    let a = matrix();
+    let b = buffered::<u16>(&a);
+    let pool = WorkerPool::new(2);
+    let plan = b.exec_plan(2);
+    for batch in [8usize, 13] {
+        for poisoned in 0..batch {
+            let mut x = rhs(a.ncols(), batch);
+            for (i, v) in x[poisoned * a.ncols()..][..a.ncols()]
+                .iter_mut()
+                .enumerate()
+            {
+                *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+            }
+            let want = looped_spmv(&b, &x, batch);
+            let mut serial = vec![0f32; a.nrows() * batch];
+            b.spmm_into(&x, &mut serial, batch);
+            let mut pooled = vec![0f32; a.nrows() * batch];
+            b.spmm_pooled_into(&x, &mut pooled, batch, &plan, &pool);
+            for j in 0..batch {
+                let col = j * a.nrows()..(j + 1) * a.nrows();
+                let tag = format!("k={batch} poisoned={poisoned} column {j}");
+                if j == poisoned {
+                    // NaN payloads are not pinned; NaN-ness per row is.
+                    let nan = |v: &[f32]| v.iter().map(|f| f.is_nan()).collect::<Vec<_>>();
+                    assert!(nan(&want[col.clone()]).contains(&true), "{tag}: no NaN");
+                    assert_eq!(nan(&serial[col.clone()]), nan(&want[col.clone()]), "{tag}");
+                    assert_eq!(nan(&pooled[col.clone()]), nan(&want[col]), "{tag}");
+                } else {
+                    assert!(want[col.clone()].iter().all(|f| f.is_finite()), "{tag}");
+                    assert_bitwise(&serial[col.clone()], &want[col.clone()], &tag);
+                    assert_bitwise(&pooled[col.clone()], &want[col], &tag);
+                }
+            }
+        }
+    }
+}
+
+/// The pool's per-worker scratch is sized by the widest block it has
+/// seen and never shrinks: narrower calls afterwards must not read what
+/// a wider one left behind.
+#[test]
+fn buffered_spmm_reuses_pool_scratch_across_widths() {
+    let a = matrix();
+    let b = buffered::<u16>(&a);
+    for workers in [1usize, 2, 4] {
+        let plan = b.exec_plan(workers);
+        let used = WorkerPool::new(workers);
+        let x8 = rhs(a.ncols(), 8);
+        b.spmm_pooled_into(&x8, &mut vec![0f32; a.nrows() * 8], 8, &plan, &used);
+        for batch in [1usize, 5] {
+            // A right-hand side unlike the one the scratch last held.
+            let x: Vec<f32> = rhs(a.ncols(), batch).iter().map(|v| 1.5 - v).collect();
+            let mut fresh = vec![0f32; a.nrows() * batch];
+            b.spmm_pooled_into(&x, &mut fresh, batch, &plan, &WorkerPool::new(workers));
+            let mut reused = vec![0f32; a.nrows() * batch];
+            b.spmm_pooled_into(&x, &mut reused, batch, &plan, &used);
+            assert_bitwise(&reused, &fresh, &format!("k={batch} w={workers} after k=8"));
+            assert_bitwise(&reused, &looped_spmv(&b, &x, batch), "vs spmv");
         }
     }
 }
