@@ -51,18 +51,17 @@ struct Entries {
     val: Vec<f32>,
 }
 
-/// Report of the specimen's layout (partsize 2, buffsize 2: partition 0
-/// spans two stages) against the specimen, after `mutate`.
-fn buffered_lines(mutate: impl FnOnce(&mut Entries)) -> Vec<String> {
-    let a = specimen();
-    let b = BufferedCsr::from_csr(&a, 2, 2);
+/// The specimen's layout (partsize 2, buffsize 2: partition 0 spans two
+/// stages) after `mutate`.
+fn corrupted_layout(mutate: impl FnOnce(&mut Entries)) -> BufferedCsr {
+    let b = BufferedCsr::from_csr(&specimen(), 2, 2);
     let mut e = Entries {
         displ: b.entry_displ().to_vec(),
         ind: b.entry_ind().to_vec(),
         val: b.entry_val().to_vec(),
     };
     mutate(&mut e);
-    let corrupted: BufferedCsr = BufferedCsrImpl::from_raw_parts_unchecked(
+    BufferedCsrImpl::from_raw_parts_unchecked(
         b.nrows(),
         b.ncols(),
         b.partsize(),
@@ -74,8 +73,13 @@ fn buffered_lines(mutate: impl FnOnce(&mut Entries)) -> Vec<String> {
         e.displ,
         e.ind,
         e.val,
-    );
-    lines(BufferedCheck::new("buffered(A)", &corrupted).with_source(&a))
+    )
+}
+
+/// Report of [`corrupted_layout`] against the specimen.
+fn buffered_lines(mutate: impl FnOnce(&mut Entries)) -> Vec<String> {
+    let corrupted = corrupted_layout(mutate);
+    lines(BufferedCheck::new("buffered(A)", &corrupted).with_source(&specimen()))
 }
 
 #[test]
@@ -172,6 +176,30 @@ fn flipped_value_bit_in_entry_val() {
           (fix: rebuild with BufferedCsrImpl::try_from_csr)"
         ]
     );
+}
+
+#[test]
+fn buffer_local_index_outside_its_footprint() {
+    // Entry 5 lives in stage 2, whose footprint is two slots; 9 is
+    // outside the footprint and outside the two-slot buffer.
+    let corrupt = |e: &mut Entries| e.ind[5] = 9;
+    assert_eq!(
+        buffered_lines(corrupt),
+        [
+            "CheckViolation[BufferLocalBounds] buffered(A) at stage 2, entry 5: \
+          buffer-local index 9 outside footprint 2 \
+          (fix: rebuild; indices must address the gathered stage window)"
+        ]
+    );
+    // The kernel masks staging reads into the buffer instead of checking
+    // them per nonzero: memory-safe, result unspecified — the report
+    // above is what stands between this layout and a solve.
+    let b = corrupted_layout(corrupt);
+    for batch in [1usize, 4, 8] {
+        let mut y = vec![0f32; b.nrows() * batch];
+        b.spmm_into(&vec![1.0; b.ncols() * batch], &mut y, batch);
+        assert!(y.iter().all(|v| v.is_finite()), "finite in, finite out");
+    }
 }
 
 #[test]

@@ -23,13 +23,13 @@
 //! its SpMV): the staging gather writes each stage's footprint
 //! slice-interleaved, `input[slot * W + s] = xₛ[map[slot]]`, so the
 //! accumulation loads one contiguous `W`-vector per nonzero and the
-//! index, value and bounds check are shared by the block. `W` decides
+//! index, value and index mask are shared by the block. `W` decides
 //! which slices share a register, never the order in which one slice is
 //! summed (lane `k % 8`, the fixed reduction tree, sequential tail,
 //! stages in order), which is why the bits hold. The cost is scratch:
-//! `(buffsize + partsize) · W` floats per worker — 64 KiB of interleaved
-//! staging plus a 4 KiB output tile at the defaults and `W = 8` — sized
-//! on first use.
+//! `(buffsize.next_power_of_two() + partsize) · W` floats per worker —
+//! 64 KiB of interleaved staging plus a 4 KiB output tile at the defaults
+//! and `W = 8` — sized on first use.
 
 use crate::csr::CsrMatrix;
 use crate::lanes::row_dot;

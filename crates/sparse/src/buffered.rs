@@ -15,8 +15,8 @@
 //! One kernel serves SpMV and SpMM: it is generic over a slice-block
 //! width `W` and stages the footprint *slice-interleaved*, so the gather
 //! stays the only irregular read for any number of slices and everything
-//! per nonzero (index, value, bounds check) is paid once per block of `W`
-//! slices. `W = 1` is the SpMV.
+//! per nonzero (index, value, mask) is paid once per block of `W` slices.
+//! `W = 1` is the SpMV.
 
 use crate::csr::CsrMatrix;
 use crate::lanes::{reduce_lanes, LANES};
@@ -170,9 +170,10 @@ pub struct BufferedCsrImpl<I: BufferIndex> {
     /// Entry ranges per `(stage, local row)`: entries of local row `j`
     /// during stage `s` are `displ[s * partsize + j] .. displ[s * partsize + j + 1]`.
     displ: Vec<usize>,
-    /// Buffer-local column indices.
+    /// Buffer-local column indices, then [`TAIL`] pad entries so the
+    /// kernel's fixed-length tail window of the last run stays in range.
     ind: Vec<I>,
-    /// Values, grouped to match `ind`.
+    /// Values, grouped to match `ind` (pad included).
     val: Vec<f32>,
 }
 
@@ -237,8 +238,8 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         let mut stagedispl = vec![0usize];
         let mut map: Vec<u32> = Vec::new();
         let mut displ = vec![0usize];
-        let mut ind: Vec<I> = Vec::with_capacity(a.nnz());
-        let mut val: Vec<f32> = Vec::with_capacity(a.nnz());
+        let mut ind: Vec<I> = Vec::with_capacity(a.nnz() + TAIL);
+        let mut val: Vec<f32> = Vec::with_capacity(a.nnz() + TAIL);
 
         // Dense per-column lookup of the current partition's (stage,
         // buffer-local index), so the count and scatter passes below are
@@ -324,8 +325,9 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             // in-range: stage counts are bounded by nnz, which fits u32
             partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
         }
+        pad_tail(&mut ind, &mut val);
         // The plan keeps these arrays for its lifetime: drop the growth
-        // slack (`ind`/`val` were reserved at exactly nnz).
+        // slack (`ind`/`val` were reserved at exactly nnz + the pad).
         stagedispl.shrink_to_fit();
         map.shrink_to_fit();
         displ.shrink_to_fit();
@@ -350,6 +352,12 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// (`xct-check`) can be tested against deliberately corrupted layouts;
     /// production code should always go through
     /// [`BufferedCsrImpl::try_from_csr`].
+    ///
+    /// `ind`/`val` are the entries alone (the kernel's pad is appended
+    /// here). The kernel is memory-safe on any layout, but an
+    /// out-of-footprint buffer-local index reads some other staging slot
+    /// unreported (result unspecified): `xct-check`'s `BufferedCheck`
+    /// is what catches it.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts_unchecked(
         nrows: usize,
@@ -361,9 +369,10 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         stagedispl: Vec<usize>,
         map: Vec<u32>,
         displ: Vec<usize>,
-        ind: Vec<I>,
-        val: Vec<f32>,
+        mut ind: Vec<I>,
+        mut val: Vec<f32>,
     ) -> Self {
+        pad_tail(&mut ind, &mut val);
         BufferedCsrImpl {
             nrows,
             ncols,
@@ -452,13 +461,13 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// Raw buffer-local column indices. Read-only view for static
     /// analysis.
     pub fn entry_ind(&self) -> &[I] {
-        &self.ind
+        &self.ind[..self.ind.len() - TAIL]
     }
 
     /// Raw values, grouped to match [`BufferedCsrImpl::entry_ind`].
     /// Read-only view for static analysis.
     pub fn entry_val(&self) -> &[f32] {
-        &self.val
+        &self.val[..self.val.len() - TAIL]
     }
 
     /// Bytes of regular data streamed per SpMV: index + f32 value per
@@ -547,7 +556,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// Sequential buffered SpMM into a caller-provided slice-major output:
     /// `y = A · [x₁ … xₖ]`. Slices go through the kernel in blocks of
     /// [`LANES`], then 4, then single slices; a block of `W` slices pays
-    /// each nonzero's index, value and bounds check once (see
+    /// each nonzero's index, value and index mask once (see
     /// [`BufferedCsrImpl::process_partition`]). Each slice's per-row
     /// accumulation order does not depend on the block it lands in, so
     /// column `j` is bit-identical to [`BufferedCsrImpl::spmv_into`] on
@@ -591,9 +600,11 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// blocks are the inner loop, so a partition's matrix data is re-read
     /// from cache.
     ///
-    /// `scratch` holds the interleaved staging buffer and one partition's
-    /// interleaved output rows, `(buffsize + partsize) · W` floats for
-    /// the widest block this batch uses; it only ever grows.
+    /// `scratch` holds the interleaved staging buffer — `buffsize`
+    /// rounded up to a power of two slots, so the kernel can mask its
+    /// indices instead of checking them — and one partition's interleaved
+    /// output rows, `(buffsize.next_power_of_two() + partsize) · W` floats
+    /// for the widest block this batch uses; it only ever grows.
     fn run_partitions<O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]>(
         &self,
         parts: Range<usize>,
@@ -603,11 +614,12 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         mut sink: Sink<'_, O, F>,
     ) {
         let widest = block_width(batch);
-        let need = (self.buffsize + self.partsize) * widest;
+        let slots = self.buffsize.next_power_of_two();
+        let need = (slots + self.partsize) * widest;
         if scratch.len() < need {
             scratch.resize(need, 0.0);
         }
-        let (input, tile) = scratch.split_at_mut(self.buffsize * widest);
+        let (input, tile) = scratch.split_at_mut(slots * widest);
         for p in parts {
             let mut s = 0;
             while s < batch {
@@ -627,14 +639,27 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     ///
     /// Each stage's footprint is gathered *slice-interleaved*
     /// (`input[slot * W + s] = x[s][map[slot]]`), so the accumulation
-    /// loads one contiguous `W`-vector per nonzero and the index, value
-    /// and bounds check are paid once for all `W` slices; row `j`'s `W`
-    /// sums accumulate at `tile[j * W..][..W]` and are de-interleaved at
-    /// the end. Per slice the order is exactly [`crate::lanes`]'s — entry
-    /// `k` of a `(stage, row)` run into lane `k % LANES`,
-    /// [`reduce_lanes`], sequential tail, stages added to the row in
-    /// ascending order — whatever `W` is, which is what makes every
-    /// column bit-identical to its SpMV.
+    /// loads one contiguous `W`-vector per nonzero and the index and value
+    /// are paid once for all `W` slices; row `j`'s `W` sums accumulate at
+    /// `tile[j * W..][..W]` and are de-interleaved at the end. Per slice
+    /// the order is exactly [`crate::lanes`]'s — entry `k` of a
+    /// `(stage, row)` run into lane `k % LANES`, [`reduce_lanes`],
+    /// sequential tail, stages added to the row in ascending order —
+    /// whatever `W` is, which is what makes every column bit-identical to
+    /// its SpMV.
+    ///
+    /// Nothing between a run's first and last nonzero branches on data.
+    /// Staging reads are *masked*, not checked: the buffer is sliced to a
+    /// power-of-two slot count and each index ANDed with `slots - 1` —
+    /// provably in range, and the identity on a valid layout. On a
+    /// corrupted one ([`BufferedCsrImpl::from_raw_parts_unchecked`]) an
+    /// out-of-footprint index therefore does not panic: the kernel stays
+    /// inside the staging buffer (memory-safe, result unspecified) and
+    /// `xct-check`'s `BufferedCheck` is what reports it. The tail is
+    /// always [`TAIL`] steps, each product ANDed with its [`TAIL_LIVE`]
+    /// word: a dead step reads the next run's entry (or the pad) and adds
+    /// `+0.0`, which is exact because the sum, grown from `+0.0` lanes,
+    /// is never `-0.0`.
     ///
     /// Kept out of line: inlined, the three widths share one register
     /// allocation in `run_partitions` and the `W = 1` loop spills
@@ -652,6 +677,8 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         let row0 = p * self.partsize;
         let prows = self.partsize.min(self.nrows - row0);
         let (input, _) = input.as_chunks_mut::<W>();
+        let mask = self.buffsize.next_power_of_two() - 1;
+        let input = &mut input[..=mask];
         let (tile, _) = tile[..prows * W].as_chunks_mut::<W>();
         tile.fill([0.0; W]);
         // One bounds-checked view per slice: a map entry outside
@@ -673,24 +700,31 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             let dbase = stage * self.partsize;
             for (j, row) in tile.iter_mut().enumerate() {
                 let (d0, d1) = (self.displ[dbase + j], self.displ[dbase + j + 1]);
-                let (c8s, ct) = self.ind[d0..d1].as_chunks::<LANES>();
-                let (v8s, vt) = self.val[d0..d1].as_chunks::<LANES>();
+                let (c8s, left) = self.ind[d0..d1].as_chunks::<LANES>();
+                let (v8s, _) = self.val[d0..d1].as_chunks::<LANES>();
                 let mut acc = [[0f32; W]; LANES];
                 for (c8, v8) in c8s.iter().zip(v8s) {
-                    // Gather first, multiply-add second: the bounds-checked
-                    // loads then don't serialize the accumulator chains.
-                    let gat: [[f32; W]; LANES] = from_fn(|l| input[c8[l].to_usize()]);
                     for l in 0..LANES {
+                        let xv = input[c8[l].to_usize() & mask];
                         for s in 0..W {
-                            acc[l][s] += gat[l][s] * v8[l];
+                            acc[l][s] += xv[s] * v8[l];
                         }
                     }
                 }
+                // At `W = 1` LLVM's SLP pass, seeing the tree below, pairs
+                // the loop's accumulators as the tree does: half-filled
+                // vectors, a shuffle per nonzero. Handed over opaquely, the
+                // loop keeps two full registers.
+                if W == 1 {
+                    acc = std::hint::black_box(acc);
+                }
                 let mut sum: [f32; W] = from_fn(|s| reduce_lanes(&from_fn(|l| acc[l][s])));
-                for (c, v) in ct.iter().zip(vt) {
-                    let xv = input[c.to_usize()];
+                let (d8, live) = (d1 - left.len(), &TAIL_LIVE[TAIL - left.len()..][..TAIL]);
+                let (ct, vt) = (&self.ind[d8..d8 + TAIL], &self.val[d8..d8 + TAIL]);
+                for t in 0..TAIL {
+                    let xv = input[ct[t].to_usize() & mask];
                     for s in 0..W {
-                        sum[s] += xv[s] * v;
+                        sum[s] += f32::from_bits((xv[s] * vt[t]).to_bits() & live[t]);
                     }
                 }
                 for s in 0..W {
@@ -725,6 +759,20 @@ impl<'a, O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]> Sink<'a, O, F> {
     fn rows(&mut self, s: usize, rows: Range<usize>) -> &mut [f32] {
         &mut (self.block)(self.out, s)[rows.start - self.row0..rows.end - self.row0]
     }
+}
+
+/// Steps of the kernel's fixed-length run tail, and pad entries that keep
+/// the last run's tail window inside `ind`/`val`.
+const TAIL: usize = LANES - 1;
+
+/// `TAIL_LIVE[TAIL - n..][t]` is all ones when `t < n` — tail step `t` is
+/// inside a run with `n` leftover entries — and zero past the run's end.
+const TAIL_LIVE: [u32; 2 * TAIL] = [!0, !0, !0, !0, !0, !0, !0, 0, 0, 0, 0, 0, 0, 0];
+
+/// Append the [`TAIL`] `(0, 0.0)` pad entries to a layout's entry arrays.
+fn pad_tail<I: BufferIndex>(ind: &mut Vec<I>, val: &mut Vec<f32>) {
+    ind.resize(ind.len() + TAIL, I::default());
+    val.resize(val.len() + TAIL, 0.0);
 }
 
 /// Slices the next kernel call takes out of `remaining`: a batch is cut
@@ -841,6 +889,7 @@ mod tests {
             // in-range: stage counts are bounded by nnz, which fits u32
             partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
         }
+        pad_tail(&mut ind, &mut val);
 
         Ok(BufferedCsrImpl {
             nrows: a.nrows(),
@@ -955,7 +1004,9 @@ mod tests {
         let a = random_csr(7, 200, 150, 40);
         for (partsize, buffsize) in [(1, 1), (16, 8), (128, 2048)] {
             let b = BufferedCsr::from_csr(&a, partsize, buffsize);
-            assert_eq!(b.ind.len(), a.nnz());
+            assert_eq!(b.ind.len(), a.nnz() + TAIL, "entries + the kernel's pad");
+            assert_eq!(b.entry_ind().len(), a.nnz(), "accessors hide the pad");
+            assert_eq!(b.entry_val().len(), a.nnz(), "accessors hide the pad");
             assert_eq!(b.ind.capacity(), b.ind.len(), "ind slack");
             assert_eq!(b.val.capacity(), b.val.len(), "val slack");
         }

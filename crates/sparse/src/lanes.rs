@@ -10,8 +10,8 @@
 //!
 //! - entries of a row are processed in groups of [`LANES`] (= 8) via
 //!   `chunks_exact`, one independent f32 accumulator per lane — the
-//!   dependence chains are independent, so rustc/LLVM reliably emits
-//!   packed SIMD under `#![forbid(unsafe_code)]` (no intrinsics);
+//!   dependence chains are independent, so LLVM can emit packed SIMD
+//!   under `#![forbid(unsafe_code)]` (no intrinsics);
 //! - the 8 lane accumulators are combined by a fixed tree:
 //!   `((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7))`;
 //! - the `len % 8` tail entries are added sequentially onto that sum.
@@ -20,8 +20,18 @@
 //! thread count, partition plan, or batch width — so pooled, parallel,
 //! batched, and serial kernels built on these helpers are bit-identical
 //! to one another by construction.
+//!
+//! On the shipped build (no `target-cpu`: baseline x86-64, SSE2) 8 lanes
+//! are *two* 128-bit registers, and the packing is not reliable: the
+//! reduction tree, visible from the accumulation loop, steers LLVM's SLP
+//! pass into pairing lanes (0,4)(1,5)(2,6)(3,7) — four half-filled
+//! multiply/adds and eight shuffles per 8 entries. The buffered kernel
+//! hides the tree from its loop; [`row_dot`], the CSR oracle, compiles
+//! the same way and is deliberately left alone (no benchmarked workload
+//! runs it; ROADMAP item 2 decides whether it survives).
 
-/// Lane width of the vectorized kernels: 8 × f32 = one 256-bit register.
+/// Lane width of the vectorized kernels: 8 × f32, two 128-bit registers
+/// on the baseline x86-64 build, one 256-bit register under AVX2.
 ///
 /// 8 was chosen by measurement: 16 lanes spill on AVX2-class cores and
 /// measured slower; 8 is also wide enough that AVX-512 hardware can fuse

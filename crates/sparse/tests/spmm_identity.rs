@@ -124,6 +124,13 @@ fn staged_ref<I: BufferIndex>(b: &BufferedCsrImpl<I>, x: &[f32]) -> Vec<f32> {
         .collect()
 }
 
+/// [`staged_ref`] of each slice of the slice-major `x`, back to back.
+fn staged_ref_slices<I: BufferIndex>(b: &BufferedCsrImpl<I>, x: &[f32]) -> Vec<f32> {
+    x.chunks(b.ncols())
+        .flat_map(|xs| staged_ref(b, xs))
+        .collect()
+}
+
 /// Slice `j`'s SpMV for each slice of the slice-major `x`, back to back.
 fn looped_spmv<I: BufferIndex>(b: &BufferedCsrImpl<I>, x: &[f32], batch: usize) -> Vec<f32> {
     let mut want = vec![0f32; b.nrows() * batch];
@@ -199,6 +206,124 @@ fn buffered_spmm_isolates_a_poisoned_slice() {
                 }
             }
         }
+    }
+}
+
+/// Columns only [`boundary_matrix`]'s poisoned rows touch; `x` holds NaN
+/// and ±Inf there.
+const POISON_COLS: std::ops::Range<usize> = 40..64;
+
+/// Run-boundary specimen: clean rows of every length `0..=24` (each tail
+/// length × 0–3 full lane groups), rotated so the *last* one — whose run
+/// ends exactly at the end of `ind`/`val` — has length `last`, each pair
+/// separated by a seven-entry poisoned row. The kernel's tail always
+/// takes seven steps, so a clean run's dead steps land on the
+/// neighbouring poisoned run: NaN, ±Inf and −0.0 values times staging
+/// slots that hold NaN and ±Inf. The first run starts at offset 0.
+fn boundary_matrix(last: usize) -> CsrMatrix {
+    let poison = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        1.0,
+        f32::NAN,
+        -0.0,
+    ];
+    let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
+    for i in 0..25usize {
+        if i > 0 {
+            let at = POISON_COLS.start + i % 17;
+            rows.push((0..7).map(|k| ((at + k) as u32, poison[k])).collect());
+        }
+        let len = (last + 1 + i) % 25;
+        rows.push(
+            (0..len)
+                .map(|k| (((i + k) % 40) as u32, ((i * 29 + k) as f32 * 0.37).sin()))
+                .collect(),
+        );
+    }
+    assert_eq!(rows.last().map(Vec::len), Some(last));
+    CsrMatrix::from_rows(POISON_COLS.end, &rows)
+}
+
+fn boundary_rhs(ncols: usize, batch: usize) -> Vec<f32> {
+    let mut x = rhs(ncols, batch);
+    for (i, v) in x.iter_mut().enumerate() {
+        if POISON_COLS.contains(&(i % ncols)) {
+            *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][i % 3];
+        }
+    }
+    x
+}
+
+/// Bitwise on the clean (even) rows; the poisoned (odd) rows must be NaN
+/// on both sides — payloads are not pinned.
+fn assert_boundary_rows(got: &[f32], want: &[f32], nrows: usize, tag: &str) {
+    assert_eq!(got.len(), want.len(), "{tag}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if (i % nrows).is_multiple_of(2) {
+            assert!(w.is_finite(), "{tag}: clean row {i} poisoned: {w}");
+            assert_eq!(g.to_bits(), w.to_bits(), "{tag}: element {i}: {g} vs {w}");
+        } else {
+            assert!(g.is_nan() && w.is_nan(), "{tag}: element {i}: {g} vs {w}");
+        }
+    }
+}
+
+fn buffered_run_boundaries<I: BufferIndex>(tag: &str) {
+    for last in 0..25usize {
+        let a = boundary_matrix(last);
+        // One stage a partition, so a row is one run; 13 partitions, the
+        // last of one row.
+        let b = BufferedCsrImpl::<I>::from_csr(&a, 4, 64);
+        assert!(b.num_stages() <= b.num_partitions(), "want one run a row");
+        for batch in [1usize, 4, 8, 13] {
+            let tag = format!("{tag} last={last} k={batch}");
+            let x = boundary_rhs(a.ncols(), batch);
+            let want = staged_ref_slices(&b, &x);
+            let mut y = vec![0f32; a.nrows() * batch];
+            b.spmm_into(&x, &mut y, batch);
+            assert_boundary_rows(&y, &want, a.nrows(), &format!("{tag} serial"));
+            for workers in [1usize, 2, 4] {
+                let pool = WorkerPool::new(workers);
+                let plan = b.exec_plan(workers);
+                let mut y = vec![0f32; a.nrows() * batch];
+                // Twice: the second call's dead steps read slots the
+                // first one left behind.
+                for _ in 0..2 {
+                    b.spmm_pooled_into(&x, &mut y, batch, &plan, &pool);
+                    assert_boundary_rows(&y, &want, a.nrows(), &format!("{tag} w={workers}"));
+                }
+            }
+        }
+    }
+}
+
+/// Every run length, every neighbour: a dead tail step must not poison
+/// its row, whatever it reads.
+#[test]
+fn buffered_runs_of_every_length_ignore_their_neighbours() {
+    buffered_run_boundaries::<u16>("boundary-u16");
+    buffered_run_boundaries::<u32>("boundary-u32");
+}
+
+/// A run whose products are all −0.0 sums to +0.0 (the lanes start at
+/// +0.0), whatever its length and however many tail steps are dead.
+#[test]
+fn buffered_rows_of_negative_zero_products_stay_positive_zero() {
+    let rows: Vec<Vec<(u32, f32)>> = (0..25usize)
+        .map(|len| (0..len).map(|k| (k as u32, -0.0)).collect())
+        .collect();
+    let a = CsrMatrix::from_rows(24, &rows);
+    let b = BufferedCsrImpl::<u16>::from_csr(&a, 4, 64);
+    for batch in [1usize, 4, 8] {
+        let x = vec![1.5f32; a.ncols() * batch];
+        let want = staged_ref_slices(&b, &x);
+        assert!(want.iter().all(|w| w.to_bits() == 0), "reference: +0.0");
+        let mut y = vec![f32::NAN; a.nrows() * batch];
+        b.spmm_into(&x, &mut y, batch);
+        assert_bitwise(&y, &want, &format!("negative zeros k={batch}"));
     }
 }
 
