@@ -103,41 +103,13 @@ pub(crate) struct SolveState {
     pub(crate) scalars: Vec<f64>,
 }
 
-/// Build the snapshot for a batch-1 solve paused before `next_iter` (the
-/// distributed driver's entry point — thin wrapper over
-/// [`encode_state_batched`]).
+/// Build the snapshot for a solve of `batch` slices paused before
+/// `next_iter` (shared-memory drivers pass their workspace's state, the
+/// distributed driver its gathered global vectors). The carried slabs are
+/// slice-major; the per-slice record lists are concatenated into the
+/// `records/*` arrays with their lengths in [`SECTION_REC_COUNTS`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn encode_state(
-    plan_hash: u64,
-    next_iter: usize,
-    prev_res: f64,
-    x: &[f32],
-    resid: &[f32],
-    dir: &[f32],
-    records: &[IterationRecord],
-    rule_scalars: &[f64],
-) -> Snapshot {
-    let slice_records = [records.to_vec()];
-    encode_state_batched(
-        plan_hash,
-        next_iter,
-        1,
-        &[prev_res],
-        x,
-        resid,
-        dir,
-        &[true],
-        &slice_records,
-        rule_scalars,
-    )
-}
-
-/// Build the snapshot for a batched solve paused before `next_iter`. The
-/// carried slabs are slice-major; the per-slice record lists are
-/// concatenated into the `records/*` arrays with their lengths in
-/// [`SECTION_REC_COUNTS`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_state_batched(
     plan_hash: u64,
     next_iter: usize,
     batch: usize,
@@ -361,16 +333,35 @@ mod tests {
             .collect()
     }
 
+    /// A zeroed batch-1 snapshot of a 3 × 2 plan with `nrecs` records.
+    fn one_slice(plan_hash: u64, next_iter: usize, nrecs: usize) -> Snapshot {
+        let (x, resid, recs) = ([0.0; 2], [0.0; 3], [records(nrecs)]);
+        encode_state(
+            plan_hash,
+            next_iter,
+            1,
+            &[1.0],
+            &x,
+            &resid,
+            &x,
+            &[true],
+            &recs,
+            &[],
+        )
+    }
+
     #[test]
     fn encode_decode_round_trips_the_state() {
-        let recs = records(3);
+        let recs = [records(3)];
         let snap = encode_state(
             0xFEED,
             3,
-            10.0 / 3.0,
+            1,
+            &[10.0 / 3.0],
             &[1.0, 2.0],
             &[3.0, 4.0, 5.0],
             &[6.0, 7.0],
+            &[true],
             &recs,
             &[0.125],
         );
@@ -384,14 +375,14 @@ mod tests {
         assert_eq!(st.dir, vec![6.0, 7.0]);
         assert_eq!(st.active, vec![true]);
         assert_eq!(st.scalars, vec![0.125]);
-        assert_eq!(st.slice_records, vec![recs]);
+        assert_eq!(st.slice_records, recs);
     }
 
     #[test]
     fn batched_encode_decode_round_trips_per_slice_state() {
         // Slice 0 ran 3 iterations, slice 1 retired after 2.
         let slice_records = vec![records(3), records(2)];
-        let snap = encode_state_batched(
+        let snap = encode_state(
             0xFEED,
             3,
             2,
@@ -415,16 +406,7 @@ mod tests {
 
     #[test]
     fn validation_pinpoints_each_mismatch() {
-        let snap = encode_state(
-            0xFEED,
-            3,
-            1.0,
-            &[0.0; 2],
-            &[0.0; 3],
-            &[0.0; 2],
-            &records(3),
-            &[],
-        );
+        let snap = one_slice(0xFEED, 3, 3);
         // Wrong plan hash.
         let r = validate_snapshot(&snap, 0xBEEF, 10, 3, 2, 1);
         assert!(r.has(Invariant::CheckpointHash), "{r}");
@@ -439,7 +421,7 @@ mod tests {
     #[test]
     fn batch_width_mismatch_is_a_typed_violation() {
         let slice_records = vec![records(1), records(1)];
-        let snap = encode_state_batched(
+        let snap = encode_state(
             7,
             1,
             2,
@@ -462,7 +444,7 @@ mod tests {
 
     #[test]
     fn records_disagreeing_with_iteration_are_rejected() {
-        let snap = encode_state(1, 5, 1.0, &[0.0; 2], &[0.0; 3], &[0.0; 2], &records(3), &[]);
+        let snap = one_slice(1, 5, 3);
         let r = validate_snapshot(&snap, 1, 10, 3, 2, 1);
         assert!(r.has(Invariant::CheckpointMonotone), "{r}");
     }
@@ -479,7 +461,7 @@ mod tests {
             Err(BuildError::Checkpoint(_))
         ));
         // Intact container, mismatched plan: invariant report.
-        let snap = encode_state(2, 1, 1.0, &[0.0; 2], &[0.0; 3], &[0.0; 2], &records(1), &[]);
+        let snap = one_slice(2, 1, 1);
         sink.save(0, &snap.encode()).unwrap();
         match load_state(&sink, 0, 1, 10, 3, 2, 1) {
             Err(BuildError::PlanCheck(r)) => assert!(r.has(Invariant::CheckpointHash)),

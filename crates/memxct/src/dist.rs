@@ -705,7 +705,8 @@ impl ProjectionOperator for DistOperator<'_> {
 /// collective deadline, bounded delivery retries) with no chaos, no
 /// checkpointing, and one degraded restart; [`FaultTolerance::disabled`]
 /// reproduces the historical fail-fast behaviour (unbounded waits, zero
-/// restarts) and is what the legacy entry points use.
+/// restarts) and is what [`try_reconstruct_distributed`] and the builder
+/// default use.
 #[derive(Clone)]
 pub struct FaultTolerance {
     /// Deadline/retry/backoff configuration for every collective.
@@ -765,14 +766,12 @@ enum SaveError {
 /// in global ordered coordinates makes the snapshot rank-count
 /// independent: a degraded restart over fewer ranks — or a serial resume
 /// — reads the same file.
-#[allow(clippy::too_many_arguments)]
 fn save_global_checkpoint(
     comm: &Communicator,
     plans: &[RankPlan],
     sink: &dyn CheckpointSink,
     plan_hash: u64,
     next_iter: usize,
-    prev_res: f64,
     ws: &SolverWorkspace,
     rule: &dyn UpdateRule,
 ) -> Result<(), SaveError> {
@@ -812,15 +811,19 @@ fn save_global_checkpoint(
         gresid[slo..shi].copy_from_slice(&payload[tn..tn + sn]);
         gdir[tlo..thi].copy_from_slice(&payload[tn + sn..]);
     }
+    // The per-slice state (records, residual reference, allreduced γ) is
+    // identical on every rank, so rank 0's workspace speaks for all.
     let snap = checkpoint::encode_state(
         plan_hash,
         next_iter,
-        prev_res,
+        ws.batch(),
+        ws.prev_res(),
         &gx,
         &gresid,
         &gdir,
-        ws.records(),
-        &rule.carried_scalars(),
+        ws.active(),
+        ws.slice_records(),
+        &rule.carried_scalars(ws),
     );
     sink.save(0, &snap.encode()).map_err(SaveError::Checkpoint)
 }
@@ -860,10 +863,11 @@ fn solve_rank(
             &st.x[tlo..thi],
             &st.resid[slo..shi],
             &st.dir[tlo..thi],
-            st.slice_records.first().cloned().unwrap_or_default(),
-            st.prev_res.first().copied().unwrap_or(f64::INFINITY),
+            &st.slice_records,
+            &st.prev_res,
+            &st.active,
         );
-        rule.restore_scalars(&st.scalars);
+        rule.restore_scalars(&st.scalars, &mut ws);
         st.iteration
     });
     let every = if ft.sink.is_some() {
@@ -890,17 +894,8 @@ fn solve_rank(
             let Some(sink) = &ft.sink else {
                 return Ok(EngineSignal::Continue);
             };
-            let prev_res = ws.prev_res().first().copied().unwrap_or(f64::INFINITY);
-            match save_global_checkpoint(
-                comm,
-                plans,
-                sink.as_ref(),
-                plan_hash,
-                next_iter,
-                prev_res,
-                ws,
-                rule,
-            ) {
+            match save_global_checkpoint(comm, plans, sink.as_ref(), plan_hash, next_iter, ws, rule)
+            {
                 Ok(()) => Ok(EngineSignal::Continue),
                 // A comm failure during the gather poisons the solve like
                 // any other collective failure — recoverable by restart.

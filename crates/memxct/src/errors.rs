@@ -1,8 +1,9 @@
-//! Structured errors for the fallible construction entry points
+//! Structured errors for the fallible construction and solve entry points
 //! ([`crate::preprocess::try_preprocess`], `ReconstructorBuilder::build`,
-//! and the `try_reconstruct_*` methods), replacing the panicking asserts
-//! the original entry points used. The panicking entry points remain as
-//! thin shims for callers that prefer crashing on misconfiguration.
+//! `Reconstructor::run` — wrapped in `ReconError::Build` — and the
+//! `try_reconstruct_distributed*` functions). The panicking free
+//! functions remain as thin shims for callers that prefer crashing on
+//! misconfiguration.
 
 use std::fmt;
 

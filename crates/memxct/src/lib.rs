@@ -20,10 +20,15 @@
 //! Every projection path — serial/parallel/buffered/ELL CSR, the
 //! distributed `R·C·A_p` factorization, and the CompXCT baseline —
 //! implements the [`ProjectionOperator`] trait ([`operator`]), and every
-//! solver is the single generic engine [`run_engine`] parameterized by an
-//! [`UpdateRule`] (CG, SIRT, OS-SIRT) plus optional constraints.
+//! solver is the single generic engine [`run_engine_in`] parameterized by
+//! an [`UpdateRule`] (CG, SIRT, OS-SIRT) plus optional constraints. Batch
+//! width is a property of the [`SolverWorkspace`] the engine runs in —
+//! one loop and one [`UpdateRule::step`] per rule serve one slice or
+//! many; [`run_engine`] is the allocating single-slice convenience.
 //!
-//! Use [`Reconstructor`] for the high-level single-call API.
+//! Use [`Reconstructor`] for the high-level API: build once per geometry,
+//! then describe each job as a [`ReconRequest`] and hand it to
+//! [`Reconstructor::run`] — the one front door.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,18 +65,19 @@ pub use preprocess::{
     preprocess, try_preprocess, try_preprocess_with_metrics, Config, DomainOrdering, Kernel,
     Operators, PreprocessTimings, Projector,
 };
-pub use reconstructor::{
-    BatchOutput, ReconOutput, Reconstructor, ReconstructorBuilder, VolumeOutput,
-};
+pub use reconstructor::{BatchOutput, Reconstructor, ReconstructorBuilder};
 pub use regularize::{cgls_smooth, gradient_operator};
 pub use request::{
     CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,
     RunControl, RunOutcome, Solver,
 };
+// `recon-bench` still spells batched solves this way; drop the alias when
+// `benchmark/` calls `run_engine_in`.
+#[doc(hidden)]
+pub use solvers::run_engine_in as run_engine_batched_in;
 pub use solvers::{
-    cgls, cgls_regularized, run_engine, run_engine_batched, run_engine_batched_in, run_engine_in,
-    run_engine_with_metrics, sirt, sirt_nonneg, CgRule, Constraint, IterationRecord, SirtRule,
-    SolverWorkspace, StopRule, UpdateRule,
+    cgls, cgls_regularized, run_engine, run_engine_in, sirt, sirt_nonneg, CgRule, Constraint,
+    IterationRecord, SirtRule, SolverWorkspace, StopRule, UpdateRule,
 };
 pub use subsets::{OrderedSubsets, OsRule};
 pub use xct_check::{CheckViolation, Invariant, Report as CheckReport};

@@ -25,17 +25,14 @@ pub use crate::plan_check::{dist_checker, plan_checker, validate_plan};
 pub use crate::preprocess::{
     preprocess, try_preprocess, Config, DomainOrdering, Kernel, Operators, Projector,
 };
-pub use crate::reconstructor::{
-    BatchOutput, ReconOutput, Reconstructor, ReconstructorBuilder, VolumeOutput,
-};
+pub use crate::reconstructor::{BatchOutput, Reconstructor, ReconstructorBuilder};
 pub use crate::request::{
     CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,
     RunControl, RunOutcome, Solver,
 };
 pub use crate::solvers::{
-    cgls, cgls_regularized, run_engine, run_engine_batched, run_engine_batched_in,
-    run_engine_with_metrics, sirt, sirt_nonneg, CgRule, Constraint, IterationRecord, SirtRule,
-    StopRule, UpdateRule,
+    cgls, cgls_regularized, run_engine, sirt, sirt_nonneg, CgRule, Constraint, IterationRecord,
+    SirtRule, StopRule, UpdateRule,
 };
 pub use crate::subsets::{OrderedSubsets, OsRule};
 pub use xct_obs::{Metrics, MetricsSnapshot, TimerSummary};

@@ -5,9 +5,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::checkpoint;
-use crate::dist::{
-    try_reconstruct_distributed_ft, DistConfig, DistOutput, DistSolver, FaultTolerance,
-};
+use crate::dist::{try_reconstruct_distributed_ft, DistConfig, DistSolver, FaultTolerance};
 use crate::errors::BuildError;
 use crate::operator::{
     KernelBreakdown, PooledOperator, PooledPlans, ProjectionOperator, POOL_IMBALANCE_BACK,
@@ -38,20 +36,6 @@ pub struct BatchOutput {
     pub slice_records: Vec<Vec<IterationRecord>>,
     /// Per-kernel time spent inside the projection operator, shared
     /// across the whole batch (the matrix is streamed once per SpMM).
-    pub breakdown: KernelBreakdown,
-}
-
-/// Result of a reconstruction: the image plus convergence records.
-pub struct ReconOutput {
-    /// Reconstructed tomogram, row-major `n × n`.
-    pub image: Vec<f32>,
-    /// Per-iteration records (residual/solution norms, timings).
-    pub records: Vec<IterationRecord>,
-    /// Per-kernel time spent inside the projection operator. Shared-memory
-    /// kernels attribute all SpMV time to `ap_s`; the distributed path
-    /// splits it across `ap_s`/`c_s`/`r_s` (same schema as [`DistOutput`]).
-    /// A view over the reconstructor's metrics registry — it accumulates
-    /// across every solve the reconstructor runs.
     pub breakdown: KernelBreakdown,
 }
 
@@ -193,11 +177,10 @@ impl ReconstructorBuilder {
     /// Solve `batch` slices per engine run (default 1). Each SpMV becomes
     /// an SpMM that streams the matrix once for all `batch` right-hand
     /// sides, amortizing the memory traffic that dominates the kernels.
-    /// Batched reconstructors solve through
-    /// [`Reconstructor::try_reconstruct_cg_batch`] /
-    /// [`Reconstructor::try_reconstruct_sirt_batch`] (the single-slice
-    /// entry points return [`BuildError::BatchWidth`]); column `j` of a
-    /// batched solve is bit-identical to solving slice `j` alone.
+    /// A batched reconstructor takes [`ReconInput::Batch`] of exactly
+    /// `batch` sinograms or a [`ReconInput::Volume`] of any length (a
+    /// [`ReconInput::Slice`] returns [`BuildError::BatchWidth`]); column
+    /// `j` of a batched solve is bit-identical to solving slice `j` alone.
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch;
         self
@@ -380,7 +363,7 @@ pub struct Reconstructor {
     metrics: Metrics,
     /// Persistent pool + static plans when built with `use_pool(true)`.
     exec: Option<ExecContext>,
-    /// Slices per engine run (SpMM width); 1 = the single-slice paths.
+    /// Slices per engine run (the workspace's batch width).
     batch: usize,
     /// Fault-tolerance policy: checkpoint cadence/sink, resume, chaos
     /// plan, collective deadlines, restart budget.
@@ -480,23 +463,6 @@ impl Reconstructor {
         Ok(())
     }
 
-    /// Reconstruct one slice with CG and the given stopping rule.
-    ///
-    /// # Panics
-    /// Panics if the sinogram length does not match the geometry; use
-    /// [`Reconstructor::run`] for a typed error.
-    #[deprecated(
-        note = "build `ReconRequest::cg(ReconInput::Slice(..), stop)` and call `Reconstructor::run`"
-    )]
-    #[allow(deprecated)]
-    pub fn reconstruct_cg(&self, sino: &Sinogram, stop: StopRule) -> ReconOutput {
-        match self.try_reconstruct_cg(sino, stop) {
-            Ok(out) => out,
-            // lint: allow(no-panic) documented panicking shim over the try_ API
-            Err(e) => panic!("invalid reconstruction input: {e}"),
-        }
-    }
-
     /// Run one solve through the engine: pooled operator when `pooled`
     /// (the caller has verified the pool exists), plain kernel operator
     /// otherwise, always inside the persistent workspace. The
@@ -543,18 +509,18 @@ impl Reconstructor {
             .map(|st| {
                 // validate_snapshot already rejected any width mismatch.
                 debug_assert_eq!(st.batch, self.batch);
-                ws.resume_batched(
+                ws.resume(
                     nrows,
                     ncols,
                     stop.max_iters(),
                     &st.x,
                     &st.resid,
                     &st.dir,
-                    st.slice_records,
+                    &st.slice_records,
                     &st.prev_res,
                     &st.active,
                 );
-                rule.restore_scalars(&st.scalars);
+                rule.restore_scalars(&st.scalars, &mut ws);
                 st.iteration
             }),
             _ => None,
@@ -575,7 +541,7 @@ impl Reconstructor {
                 let (Some(p), true) = (ckpt, preempt || cadence) else {
                     return Ok(EngineSignal::Continue);
                 };
-                let snap = checkpoint::encode_state_batched(
+                let snap = checkpoint::encode_state(
                     plan_hash,
                     next_iter,
                     ws.batch(),
@@ -585,7 +551,7 @@ impl Reconstructor {
                     ws.dir(),
                     ws.active(),
                     ws.slice_records(),
-                    &rule.carried_scalars_in(ws),
+                    &rule.carried_scalars(ws),
                 );
                 p.sink.save(0, &snap.encode())?;
                 Ok(if preempt {
@@ -623,16 +589,6 @@ impl Reconstructor {
         })
     }
 
-    /// The mode the legacy entry points implicitly ran in: pooled when
-    /// the reconstructor was built with a pool, serial otherwise.
-    fn native_mode(&self) -> ExecMode {
-        if self.exec.is_some() {
-            ExecMode::Pooled
-        } else {
-            ExecMode::Serial
-        }
-    }
-
     fn make_rule(&self, solver: Solver) -> Box<dyn UpdateRule> {
         match solver {
             Solver::Cg => Box::new(CgRule::new()),
@@ -640,10 +596,9 @@ impl Reconstructor {
         }
     }
 
-    /// Execute one [`ReconRequest`]. The single front door: every legacy
-    /// entry point is a deprecated shim over this, and the `xct-serve`
-    /// job runtime submits exactly these requests. See [`ReconRequest`]
-    /// for the request model.
+    /// Execute one [`ReconRequest`]. The single front door: the CLI, the
+    /// examples and the `xct-serve` job runtime all submit exactly these
+    /// requests. See [`ReconRequest`] for the request model.
     pub fn run(&self, req: &ReconRequest) -> Result<ReconResponse, ReconError> {
         match self.run_controlled(req, &RunControl::new())? {
             RunOutcome::Completed(resp) => Ok(resp),
@@ -882,267 +837,29 @@ impl Reconstructor {
         Ok(y)
     }
 
-    /// Fallible [`Reconstructor::reconstruct_cg`].
-    #[deprecated(
-        note = "build `ReconRequest::cg(ReconInput::Slice(..), stop)` and call `Reconstructor::run`"
-    )]
-    pub fn try_reconstruct_cg(
-        &self,
-        sino: &Sinogram,
-        stop: StopRule,
-    ) -> Result<ReconOutput, BuildError> {
-        let req = ReconRequest::cg(ReconInput::Slice(sino.clone()), stop).mode(self.native_mode());
-        self.run(&req)
-            .map(single_output)
-            .map_err(ReconError::into_build)
-    }
-
-    /// Reconstruct `batch` slices in one engine run with CG. Requires the
-    /// reconstructor to have been built with
-    /// [`ReconstructorBuilder::batch`] matching `sinos.len()`; every SpMV
-    /// becomes an SpMM streaming the matrix once for the whole batch.
-    /// Column `j` of the result is bit-identical to reconstructing
-    /// `sinos[j]` alone, and per-slice stopping rules retire converged
-    /// slices while the rest keep iterating.
-    #[deprecated(
-        note = "build `ReconRequest::cg(ReconInput::Batch(..), stop)` and call `Reconstructor::run`"
-    )]
-    pub fn try_reconstruct_cg_batch(
-        &self,
-        sinos: &[Sinogram],
-        stop: StopRule,
-    ) -> Result<BatchOutput, BuildError> {
-        let req =
-            ReconRequest::cg(ReconInput::Batch(sinos.to_vec()), stop).mode(self.native_mode());
-        self.run(&req)
-            .map(batch_output)
-            .map_err(ReconError::into_build)
-    }
-
-    /// Batched [`Reconstructor::try_reconstruct_sirt`]; see
-    /// [`Reconstructor::try_reconstruct_cg_batch`] for the batch
-    /// semantics.
-    #[deprecated(
-        note = "build `ReconRequest::sirt(ReconInput::Batch(..), iters)` and call `Reconstructor::run`"
-    )]
-    pub fn try_reconstruct_sirt_batch(
-        &self,
-        sinos: &[Sinogram],
-        iters: usize,
-    ) -> Result<BatchOutput, BuildError> {
-        let req =
-            ReconRequest::sirt(ReconInput::Batch(sinos.to_vec()), iters).mode(self.native_mode());
-        self.run(&req)
-            .map(batch_output)
-            .map_err(ReconError::into_build)
-    }
-
-    /// Reconstruct one slice with SIRT (for baseline comparisons).
-    ///
-    /// # Panics
-    /// Panics if the sinogram length does not match the geometry; use
-    /// [`Reconstructor::run`] for a typed error.
-    #[deprecated(
-        note = "build `ReconRequest::sirt(ReconInput::Slice(..), iters)` and call `Reconstructor::run`"
-    )]
-    #[allow(deprecated)]
-    pub fn reconstruct_sirt(&self, sino: &Sinogram, iters: usize) -> ReconOutput {
-        match self.try_reconstruct_sirt(sino, iters) {
-            Ok(out) => out,
-            // lint: allow(no-panic) documented panicking shim over the try_ API
-            Err(e) => panic!("invalid reconstruction input: {e}"),
-        }
-    }
-
-    /// Fallible [`Reconstructor::reconstruct_sirt`].
-    #[deprecated(
-        note = "build `ReconRequest::sirt(ReconInput::Slice(..), iters)` and call `Reconstructor::run`"
-    )]
-    pub fn try_reconstruct_sirt(
-        &self,
-        sino: &Sinogram,
-        iters: usize,
-    ) -> Result<ReconOutput, BuildError> {
-        let req =
-            ReconRequest::sirt(ReconInput::Slice(sino.clone()), iters).mode(self.native_mode());
-        self.run(&req)
-            .map(single_output)
-            .map_err(ReconError::into_build)
-    }
-
-    /// Reconstruct one slice with the distributed (threads-as-ranks) CG
-    /// path.
-    ///
-    /// # Panics
-    /// Panics on a zero rank count or mismatched sinogram; use
-    /// [`Reconstructor::run`] with [`ExecMode::Distributed`] for a typed
-    /// error.
-    #[deprecated(
-        note = "build a `ReconRequest` with `ExecMode::Distributed` and call `Reconstructor::run`"
-    )]
-    #[allow(deprecated)]
-    pub fn reconstruct_distributed(&self, sino: &Sinogram, config: &DistConfig) -> DistOutput {
-        match self.try_reconstruct_distributed(sino, config) {
-            Ok(out) => out,
-            // lint: allow(no-panic) documented panicking shim over the try_ API
-            Err(e) => panic!("invalid distributed run: {e}"),
-        }
-    }
-
-    /// Fallible [`Reconstructor::reconstruct_distributed`]. The run's
-    /// kernel breakdown, convergence series, and communication matrix are
-    /// recorded into this reconstructor's metrics registry. Runs under the
-    /// builder's fault-tolerance policy — with the default
-    /// ([`FaultTolerance::disabled`]) this is the historical fail-fast
-    /// path, bit-identically.
-    #[deprecated(
-        note = "build a `ReconRequest` with `ExecMode::Distributed` and call `Reconstructor::run`"
-    )]
-    #[allow(deprecated)]
-    pub fn try_reconstruct_distributed(
-        &self,
-        sino: &Sinogram,
-        config: &DistConfig,
-    ) -> Result<DistOutput, BuildError> {
-        self.try_reconstruct_distributed_ft(sino, config, &self.ft)
-    }
-
-    /// [`Reconstructor::try_reconstruct_distributed`] under an explicit
-    /// fault-tolerance policy (overriding the builder's).
-    #[deprecated(
-        note = "build a `ReconRequest` with `ExecMode::Distributed { ft: Some(..) }` and call `Reconstructor::run`"
-    )]
-    pub fn try_reconstruct_distributed_ft(
-        &self,
-        sino: &Sinogram,
-        config: &DistConfig,
-        ft: &FaultTolerance,
-    ) -> Result<DistOutput, BuildError> {
-        let req = ReconRequest {
-            solver: match config.solver {
-                DistSolver::Cg => Solver::Cg,
-                DistSolver::Sirt => Solver::Sirt { relax: 1.0 },
-            },
-            stop: config.stop,
-            input: ReconInput::Slice(sino.clone()),
-            mode: ExecMode::Distributed {
-                config: *config,
-                ft: Some(ft.clone()),
-            },
-            checkpoint: None,
-        };
-        let mut resp = self.run(&req).map_err(ReconError::into_build)?;
-        let image = if resp.images.is_empty() {
-            Vec::new()
-        } else {
-            resp.images.swap_remove(0)
-        };
-        let records = if resp.slice_records.is_empty() {
-            Vec::new()
-        } else {
-            resp.slice_records.swap_remove(0)
-        };
-        match resp.dist {
-            Some(d) => Ok(DistOutput {
-                image,
-                records,
-                breakdown: d.breakdowns,
-                ledger: d.ledger,
-                volumes: d.volumes,
-            }),
-            // Defensive: a distributed run always carries its detail.
-            None => Err(BuildError::LayoutNotBuilt {
-                layout: "distributed detail",
-            }),
-        }
-    }
-
     /// The fault-tolerance policy this reconstructor runs under.
     pub fn fault_tolerance(&self) -> &FaultTolerance {
         &self.ft
-    }
-
-    /// Reconstruct a whole slice stack with CG, reusing the preprocessed
-    /// operators for every slice — the amortization that makes Table 5's
-    /// "All Slices" economics work ("the preprocessing cost is paid only
-    /// once for the first slice"). A reconstructor built with
-    /// [`ReconstructorBuilder::batch`] `> 1` solves the stack in groups
-    /// of `batch` slices per engine run (SpMM), padding a short tail
-    /// group with clones of its last sinogram and discarding the padded
-    /// outputs; each slice in a group is attributed an equal share of the
-    /// group's wall-clock time.
-    #[deprecated(
-        note = "build `ReconRequest::cg(ReconInput::Volume(..), stop)` and call `Reconstructor::run`"
-    )]
-    pub fn reconstruct_volume(&self, sinos: &[Sinogram], stop: StopRule) -> VolumeOutput {
-        let req =
-            ReconRequest::cg(ReconInput::Volume(sinos.to_vec()), stop).mode(self.native_mode());
-        match self.run(&req) {
-            Ok(resp) => VolumeOutput {
-                images: resp.images,
-                per_slice_seconds: resp.per_slice_seconds,
-                preprocess_seconds: resp.preprocess_seconds,
-            },
-            // lint: allow(no-panic) documented panicking shim over the run API
-            Err(e) => panic!("invalid reconstruction input: {e}"),
-        }
-    }
-}
-
-/// Unwrap a single-slice response into the legacy [`ReconOutput`].
-fn single_output(mut resp: ReconResponse) -> ReconOutput {
-    ReconOutput {
-        image: if resp.images.is_empty() {
-            Vec::new()
-        } else {
-            resp.images.swap_remove(0)
-        },
-        records: if resp.slice_records.is_empty() {
-            Vec::new()
-        } else {
-            resp.slice_records.swap_remove(0)
-        },
-        breakdown: resp.breakdown,
-    }
-}
-
-/// Repackage a batched response into the legacy [`BatchOutput`].
-fn batch_output(resp: ReconResponse) -> BatchOutput {
-    BatchOutput {
-        images: resp.images,
-        slice_records: resp.slice_records,
-        breakdown: resp.breakdown,
-    }
-}
-
-/// Result of a multi-slice reconstruction.
-pub struct VolumeOutput {
-    /// One row-major image per input sinogram.
-    pub images: Vec<Vec<f32>>,
-    /// Wall-clock seconds per slice (preprocessing excluded).
-    pub per_slice_seconds: Vec<f64>,
-    /// One-time preprocessing cost being amortized.
-    pub preprocess_seconds: f64,
-}
-
-impl VolumeOutput {
-    /// Mean per-slice reconstruction time.
-    pub fn mean_slice_seconds(&self) -> f64 {
-        if self.per_slice_seconds.is_empty() {
-            0.0
-        } else {
-            self.per_slice_seconds.iter().sum::<f64>() / self.per_slice_seconds.len() as f64
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // The legacy entry points stay covered until they are removed.
-    #![allow(deprecated)]
-
     use super::*;
     use xct_geometry::{disk, shepp_logan, simulate_sinogram, NoiseModel};
+
+    fn cg(sino: &Sinogram, stop: StopRule) -> ReconRequest {
+        ReconRequest::cg(ReconInput::Slice(sino.clone()), stop)
+    }
+
+    fn over_ranks(req: ReconRequest, ranks: usize, use_buffered: bool) -> ReconRequest {
+        let config = DistConfig {
+            ranks,
+            use_buffered,
+            ..DistConfig::default()
+        };
+        req.mode(ExecMode::Distributed { config, ft: None })
+    }
 
     fn rel_err(a: &[f32], b: &[f32]) -> f64 {
         let num: f64 = a
@@ -1163,11 +880,11 @@ mod tests {
         let img = disk(0.6, 1.0).rasterize(n);
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
         let rec = Reconstructor::new(grid, scan);
-        let out = rec.reconstruct_cg(&sino, StopRule::Fixed(30));
+        let out = rec.run(&cg(&sino, StopRule::Fixed(30))).unwrap();
         assert!(
-            rel_err(&out.image, &img) < 0.15,
+            rel_err(&out.images[0], &img) < 0.15,
             "err {}",
-            rel_err(&out.image, &img)
+            rel_err(&out.images[0], &img)
         );
     }
 
@@ -1188,17 +905,15 @@ mod tests {
             7,
         );
         let rec = Reconstructor::new(grid, scan);
-        let out = rec.reconstruct_cg(
-            &sino,
-            StopRule::EarlyTermination {
-                max_iters: 60,
-                min_decrease: 1e-3,
-            },
-        );
+        let stop = StopRule::EarlyTermination {
+            max_iters: 60,
+            min_decrease: 1e-3,
+        };
+        let out = rec.run(&cg(&sino, stop)).unwrap();
         assert!(
-            rel_err(&out.image, &img) < 0.35,
+            rel_err(&out.images[0], &img) < 0.35,
             "err {}",
-            rel_err(&out.image, &img)
+            rel_err(&out.images[0], &img)
         );
     }
 
@@ -1210,20 +925,13 @@ mod tests {
         let img = disk(0.5, 2.0).rasterize(n);
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
         let rec = Reconstructor::new(grid, scan);
-        let single = rec.reconstruct_cg(&sino, StopRule::Fixed(10));
-        let dist = rec.reconstruct_distributed(
-            &sino,
-            &crate::dist::DistConfig {
-                ranks: 4,
-                use_buffered: true,
-                stop: StopRule::Fixed(10),
-                solver: crate::dist::DistSolver::Cg,
-            },
-        );
+        let req = cg(&sino, StopRule::Fixed(10));
+        let single = rec.run(&req).unwrap();
+        let dist = rec.run(&over_ranks(req, 4, true)).unwrap();
         assert!(
-            rel_err(&dist.image, &single.image) < 5e-3,
+            rel_err(&dist.images[0], &single.images[0]) < 5e-3,
             "err {}",
-            rel_err(&dist.image, &single.image)
+            rel_err(&dist.images[0], &single.images[0])
         );
     }
 
@@ -1277,19 +985,17 @@ mod tests {
         let scan = ScanGeometry::new(12, 16);
         let rec = Reconstructor::new(grid, scan);
         let short = Sinogram::new(ScanGeometry::new(6, 16), vec![0.0; 6 * 16]);
-        assert!(matches!(
-            rec.try_reconstruct_cg(&short, StopRule::Fixed(2)).err(),
-            Some(BuildError::SinogramLength { .. })
-        ));
-        assert!(matches!(
-            rec.try_reconstruct_sirt(&short, 2).err(),
-            Some(BuildError::SinogramLength { .. })
-        ));
-        assert!(matches!(
-            rec.try_reconstruct_distributed(&short, &DistConfig::default())
-                .err(),
-            Some(BuildError::SinogramLength { .. })
-        ));
+        let req = cg(&short, StopRule::Fixed(2));
+        for req in [
+            req.clone(),
+            ReconRequest::sirt(ReconInput::Slice(short), 2),
+            over_ranks(req, 4, true),
+        ] {
+            assert!(matches!(
+                rec.run(&req).err(),
+                Some(ReconError::Build(BuildError::SinogramLength { .. }))
+            ));
+        }
     }
 
     #[test]
@@ -1300,16 +1006,9 @@ mod tests {
         let img = disk(0.5, 1.0).rasterize(n);
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
         let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
-        rec.reconstruct_cg(&sino, StopRule::Fixed(5));
-        rec.reconstruct_distributed(
-            &sino,
-            &DistConfig {
-                ranks: 2,
-                use_buffered: false,
-                stop: StopRule::Fixed(3),
-                solver: crate::dist::DistSolver::Cg,
-            },
-        );
+        rec.run(&cg(&sino, StopRule::Fixed(5))).unwrap();
+        rec.run(&over_ranks(cg(&sino, StopRule::Fixed(3)), 2, false))
+            .unwrap();
         let snap = rec.metrics();
         // Preprocessing phases.
         assert!(snap.timers.contains_key("preprocess/tracing"));
@@ -1333,9 +1032,9 @@ mod tests {
             .metrics(Metrics::noop())
             .build()
             .unwrap();
-        let out = rec.reconstruct_cg(&sino, StopRule::Fixed(3));
+        let out = rec.run(&cg(&sino, StopRule::Fixed(3))).unwrap();
         assert!(rec.metrics().is_empty(), "noop records nothing");
         assert_eq!(out.breakdown, KernelBreakdown::default());
-        assert_eq!(out.records.len(), 3, "solve itself unaffected");
+        assert_eq!(out.slice_records[0].len(), 3, "solve itself unaffected");
     }
 }

@@ -5,9 +5,8 @@
 //! geometry and amortized over every subsequent solve (Table 5's "All
 //! Slices"). Lifting that from "per process" to "per fleet" needs a
 //! front door that is *one* request type a service can queue, schedule,
-//! checkpoint, and replay, instead of the historical method matrix
-//! (`reconstruct_cg`, `try_reconstruct_sirt_batch`,
-//! `try_reconstruct_distributed_ft`, …). A [`ReconRequest`] names:
+//! checkpoint, and replay, instead of a method per solver × input ×
+//! execution mode. A [`ReconRequest`] names:
 //!
 //! - **what** to solve: [`Solver`] (CG or relaxed SIRT) under a
 //!   [`StopRule`],
@@ -20,9 +19,9 @@
 //! - **with what durability**: an optional [`CheckpointPolicy`]
 //!   overriding the builder's checkpoint/resume configuration.
 //!
-//! [`Reconstructor::run`] is the single entry point; every legacy method
-//! is a thin deprecated shim over it. [`Reconstructor::run_controlled`]
-//! adds cooperative preemption on top: a scheduler hands in a
+//! [`Reconstructor::run`] is the single entry point.
+//! [`Reconstructor::run_controlled`] adds cooperative preemption on top:
+//! a scheduler hands in a
 //! [`RunControl`], and when preemption is requested the solve checkpoints
 //! at the next iteration boundary and returns
 //! [`RunOutcome::Preempted`] — resuming the same request later produces
@@ -53,7 +52,7 @@ pub enum Solver {
     /// SIRT with row/column-sum normalization.
     Sirt {
         /// Relaxation factor (must be positive; 1.0 is the classical
-        /// scheme and what the legacy entry points used).
+        /// scheme).
         relax: f32,
     },
 }
@@ -98,8 +97,12 @@ impl ReconInput {
 /// Where and how a request executes.
 #[derive(Clone)]
 pub enum ExecMode {
-    /// In-process kernels without the worker pool (single-threaded
-    /// dispatch; the kernel itself may still be the buffered/ELL layout).
+    /// In-process kernels without the worker pool — which is not the
+    /// same as one thread: the single-slice SpMV of every kernel but
+    /// `Kernel::Serial` (`BufferedOperator::forward_into` calls
+    /// `spmv_parallel_into`) splits its row partitions across scoped
+    /// threads spawned per call when `RAYON_NUM_THREADS` > 1. The batched
+    /// SpMMs and `Kernel::Serial` run on the calling thread.
     Serial,
     /// The persistent worker pool over static nnz-balanced partitions.
     /// Requires a reconstructor built with
@@ -188,8 +191,8 @@ impl fmt::Debug for CheckpointPolicy {
 pub struct ReconRequest {
     /// Update rule.
     pub solver: Solver,
-    /// Termination policy (for SIRT, [`StopRule::Fixed`] reproduces the
-    /// legacy `iters` parameter).
+    /// Termination policy (for SIRT, [`StopRule::Fixed`] is the classical
+    /// fixed iteration count).
     pub stop: StopRule,
     /// Measurement data.
     pub input: ReconInput,
@@ -311,22 +314,6 @@ pub enum ReconError {
 impl From<BuildError> for ReconError {
     fn from(e: BuildError) -> Self {
         ReconError::Build(e)
-    }
-}
-
-impl ReconError {
-    /// Collapse into the legacy [`BuildError`] for the deprecated shim
-    /// entry points (which predate `ReconError`). The request-level
-    /// variants cannot arise from the shims; they map onto the nearest
-    /// legacy meaning defensively.
-    pub(crate) fn into_build(self) -> BuildError {
-        match self {
-            ReconError::Build(e) => e,
-            ReconError::PoolNotBuilt => BuildError::LayoutNotBuilt {
-                layout: "worker pool",
-            },
-            ReconError::InvalidRelaxation { .. } => BuildError::ZeroBatch,
-        }
     }
 }
 

@@ -1,13 +1,15 @@
 //! The iterative solver engine (§3.5.2): one iteration loop
-//! ([`run_engine`]) parameterized by an update rule (CG on the
+//! ([`run_engine_in`]) parameterized by an update rule (CG on the
 //! least-squares normal equations, or SIRT with row/column-sum
-//! normalization), an optional constraint projection, and a
-//! [`ProjectionOperator`] backend.
+//! normalization), an optional constraint projection, a
+//! [`ProjectionOperator`] backend, and a [`SolverWorkspace`] whose batch
+//! width says how many slices advance together.
 //!
 //! Every projection path — serial, parallel, buffered, ELL, distributed,
-//! and the compute-centric baseline — runs through this single loop; the
-//! operator's `reduce_dot` hook is the only place the shared-memory and
-//! distributed worlds differ. Each iteration records `‖y − A·x‖` and
+//! and the compute-centric baseline — and every batch width, 1 included,
+//! runs through this single loop and one [`UpdateRule::step`] per rule;
+//! the operator's `reduce_dot` hook is the only place the shared-memory
+//! and distributed worlds differ. Each iteration records `‖y − A·x‖` and
 //! `‖x‖`, the two axes of the L-curve (Fig 8), and CG supports the
 //! paper's heuristic early termination ("practically considered as a
 //! regularization method").
@@ -118,15 +120,15 @@ pub struct SolverWorkspace {
     prev_res: Vec<f64>,
     /// Per-slice activity flags; a retired slice is never updated again.
     active: Vec<bool>,
-    /// Per-slice residual returns of the current batched step
-    /// (`NaN` = numerical breakdown). Taken/restored by the engine around
-    /// each `step_batch` call so the rule can borrow the workspace too.
+    /// Per-slice residual returns of the current step (`NaN` = numerical
+    /// breakdown). Taken/restored by the engine around each
+    /// [`UpdateRule::step`] call so the rule can borrow the workspace too.
     step_res: Vec<f64>,
     /// `3·k` slots of per-slice f64 scratch: `[..k]` is shared by the
     /// engine (solution norms) and the update rules (step-size
     /// reductions), `[k..2k]` is rule auxiliary space, and `[2k..3k]`
-    /// holds CG's carried per-slice `γ` so a steady-state batched solve
-    /// never touches the allocator.
+    /// holds CG's carried per-slice `γ` so a steady-state solve never
+    /// touches the allocator.
     scratch: Vec<f64>,
 }
 
@@ -219,10 +221,11 @@ impl SolverWorkspace {
 
     /// Restore the workspace to a mid-solve state loaded from a
     /// checkpoint: size every buffer like [`begin`](Self::begin), then
-    /// overwrite the carried vectors (`x`, `resid`, `dir`), the record
-    /// list, and the early-termination reference. `proj`/`back` are
-    /// scratch — both update rules overwrite them before reading — so
-    /// zeroing them preserves bit-identity.
+    /// overwrite the carried slice-major slabs (`x`, `resid`, `dir`), the
+    /// per-slice record lists, reference residuals, and activity flags.
+    /// `proj`/`back` are scratch — both update rules overwrite them
+    /// before reading — so zeroing them preserves bit-identity. Slices
+    /// beyond the supplied lists stay at their `begin` defaults.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn resume(
         &mut self,
@@ -232,36 +235,7 @@ impl SolverWorkspace {
         x: &[f32],
         resid: &[f32],
         dir: &[f32],
-        records: Vec<IterationRecord>,
-        prev_res: f64,
-    ) {
-        self.resume_batched(
-            nrows,
-            ncols,
-            cap,
-            x,
-            resid,
-            dir,
-            vec![records],
-            &[prev_res],
-            &[true],
-        );
-    }
-
-    /// Batched [`resume`](Self::resume): restore the slice-major slabs
-    /// plus the per-slice record lists, reference residuals, and activity
-    /// flags. Slices beyond the supplied lists stay at their `begin`
-    /// defaults.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn resume_batched(
-        &mut self,
-        nrows: usize,
-        ncols: usize,
-        cap: usize,
-        x: &[f32],
-        resid: &[f32],
-        dir: &[f32],
-        slice_records: Vec<Vec<IterationRecord>>,
+        slice_records: &[Vec<IterationRecord>],
         prev_res: &[f64],
         active: &[bool],
     ) {
@@ -269,12 +243,8 @@ impl SolverWorkspace {
         self.x.copy_from_slice(x);
         self.resid.copy_from_slice(resid);
         self.dir.copy_from_slice(dir);
-        for (j, recs) in slice_records.into_iter().enumerate().take(self.batch) {
-            self.slice_records[j] = recs;
-            if self.slice_records[j].capacity() < cap {
-                let extra = cap - self.slice_records[j].capacity();
-                self.slice_records[j].reserve(extra);
-            }
+        for (dst, src) in self.slice_records.iter_mut().zip(slice_records) {
+            dst.extend_from_slice(src);
         }
         for (dst, &src) in self.prev_res.iter_mut().zip(prev_res) {
             *dst = src;
@@ -318,88 +288,56 @@ impl SolverWorkspace {
     }
 }
 
-/// One iteration of an iterative reconstruction scheme.
+/// One iteration of an iterative reconstruction scheme, over every slice
+/// of the workspace at once.
 ///
-/// A rule owns its scalar solver state (step scalars, normalization
-/// weights, …), lazily initialized on the first
+/// A rule owns its solver state that is a function of the operator alone
+/// (SIRT's normalization weights), lazily initialized on the first
 /// [`step`](UpdateRule::step) so construction stays trivially cheap; all
-/// iteration vectors live in the shared [`SolverWorkspace`]. Because
-/// initialization is lazy, **one rule instance drives one solve** — use
-/// a fresh rule per solve. All scalar reductions must go through the
-/// operator's `reduce_dot` hook so the rule works unchanged on
-/// distributed operators.
+/// iteration vectors — and CG's carried per-slice `γ` — live in the
+/// shared [`SolverWorkspace`]. Because initialization is lazy, **one rule
+/// instance drives one solve** — use a fresh rule per solve. All scalar
+/// reductions must go through the operator's `reduce_dot` hook so the
+/// rule works unchanged on distributed operators.
+///
+/// Batch width is a property of the workspace, not of the rule: a
+/// single-slice solve is the `ws.batch() == 1` case of the same method.
 pub trait UpdateRule {
-    /// Advance `ws.x` by one iteration against measurements `y`. Returns
-    /// the residual norm `‖y − A·x‖` to record, or `None` on numerical
-    /// breakdown (the solve ends without recording the iteration).
+    /// Advance every active slice of `ws` by one iteration against the
+    /// slice-major measurement slab `y` (`ws.batch() × nrows`). `res` has
+    /// `ws.batch()` slots pre-filled with NaN; the rule writes the
+    /// residual norm `‖y − A·x‖` of each slice it advanced and leaves NaN
+    /// where a slice broke down numerically (the engine retires that
+    /// slice without recording the iteration). Retired slices
+    /// (`ws.active()[j] == false`) must not be advanced. A rule that does
+    /// not support the workspace's width leaves every slot NaN.
     fn step(
         &mut self,
         op: &dyn ProjectionOperator,
         y: &[f32],
         ws: &mut SolverWorkspace,
-    ) -> Option<f64>;
+        res: &mut [f64],
+    );
 
-    /// Scalar state carried between iterations, for checkpointing. Rules
-    /// whose carried state is either empty or recomputable from the
-    /// operator (SIRT's weights are a pure function of `A`) keep the
-    /// default empty vector; CG returns `γ`.
-    fn carried_scalars(&self) -> Vec<f64> {
+    /// Per-slice scalar state carried between iterations, for
+    /// checkpointing. Rules whose carried state is either empty or
+    /// recomputable from the operator (SIRT's weights are a pure function
+    /// of `A`) keep the default empty vector; CG returns its `γ`s, which
+    /// live in `ws`.
+    fn carried_scalars(&self, _ws: &SolverWorkspace) -> Vec<f64> {
         Vec::new()
     }
 
-    /// [`carried_scalars`](Self::carried_scalars) with access to the
-    /// workspace, for rules whose batched carried state lives in the
-    /// workspace scratch rather than in the rule (keeping the batched
-    /// steady state allocation-free). Checkpoint writers call this
-    /// variant; the default ignores the workspace.
-    fn carried_scalars_in(&self, ws: &SolverWorkspace) -> Vec<f64> {
-        let _ = ws;
-        self.carried_scalars()
-    }
-
-    /// Advance every active slice of a batched workspace by one
-    /// iteration against the slice-major measurement slab `y`
-    /// (`ws.batch() × nrows`). `res` has `ws.batch()` slots pre-filled
-    /// with NaN; the rule writes the residual norm of each slice it
-    /// successfully advanced and leaves NaN where a slice broke down
-    /// numerically (the engine retires that slice without recording the
-    /// iteration). Retired slices (`ws.active()[j] == false`) must not be
-    /// advanced.
-    ///
-    /// The default implementation only supports batch width 1, where it
-    /// delegates to [`step`](UpdateRule::step); rules that support wider
-    /// batches override it. The engine only calls this for workspaces
-    /// with `batch() > 1`.
-    fn step_batch(
-        &mut self,
-        op: &dyn ProjectionOperator,
-        y: &[f32],
-        ws: &mut SolverWorkspace,
-        res: &mut [f64],
-    ) {
-        if res.len() != 1 {
-            return; // unsupported width: every slot stays NaN → all retire
-        }
-        if let (Some(r), Some(slot)) = (self.step(op, y, ws), res.first_mut()) {
-            *slot = r;
-        }
-    }
-
     /// Restore the scalars of [`carried_scalars`](Self::carried_scalars)
-    /// when resuming from a checkpoint. An empty slice means the snapshot
-    /// was taken before the rule's lazy initialization ran (or the rule
-    /// carries nothing) — the rule stays fresh.
-    fn restore_scalars(&mut self, _scalars: &[f64]) {}
+    /// into a workspace just restored by a checkpoint resume. An empty
+    /// slice means the rule carries nothing — it stays fresh.
+    fn restore_scalars(&mut self, _scalars: &[f64], _ws: &mut SolverWorkspace) {}
 }
 
-/// Run `rule` against `op` until `stop` says otherwise, from `x = 0`.
-///
-/// The engine owns the shared skeleton every solver loop previously
-/// duplicated: iteration timing, the L-curve record
-/// (`residual_norm`/`solution_norm`), constraint projection, and
-/// early-termination bookkeeping. On distributed operators all
-/// participating ranks observe identical (allreduced) residuals, so they
-/// take the same early-termination branch and collectives stay aligned.
+/// Run `rule` against `op` on one slice until `stop` says otherwise, from
+/// `x = 0`, in a freshly allocated workspace; returns the solution and its
+/// records. [`run_engine_in`] is the entry point for everything else — a
+/// reused workspace, a batch, metrics.
 pub fn run_engine<R: UpdateRule + ?Sized>(
     op: &dyn ProjectionOperator,
     y: &[f32],
@@ -407,45 +345,41 @@ pub fn run_engine<R: UpdateRule + ?Sized>(
     constraint: Constraint,
     stop: StopRule,
 ) -> (Vec<f32>, Vec<IterationRecord>) {
-    run_engine_with_metrics(op, y, rule, constraint, stop, &Metrics::noop())
-}
-
-/// [`run_engine`] with observability: per-iteration residual/solution
-/// norms and wall-clock go into the series `solver/residual_norm`,
-/// `solver/solution_norm`, and `solver/iter_seconds`; the solution-norm
-/// allreduce is timed into `solver/dot_s`; the iteration count lands in
-/// the counter `solver/iterations` and the early-termination decision in
-/// the gauge `solver/early_terminated` (1 = stopped before the cap).
-///
-/// Instrumentation only *observes* — the iterate trajectory is
-/// bit-identical to the uninstrumented engine (the golden tests pin this).
-pub fn run_engine_with_metrics<R: UpdateRule + ?Sized>(
-    op: &dyn ProjectionOperator,
-    y: &[f32],
-    rule: &mut R,
-    constraint: Constraint,
-    stop: StopRule,
-    metrics: &Metrics,
-) -> (Vec<f32>, Vec<IterationRecord>) {
     let mut ws = SolverWorkspace::for_operator(op);
-    run_engine_in(op, y, rule, constraint, stop, metrics, &mut ws);
+    run_engine_in(op, y, rule, constraint, stop, &Metrics::noop(), &mut ws);
     let records = ws.slice_records.pop().unwrap_or_default();
     (ws.x, records)
 }
 
-/// The allocation-free engine entry point: run a solve inside a
-/// caller-owned [`SolverWorkspace`]. The solution and records are left
-/// in the workspace ([`SolverWorkspace::x`],
-/// [`SolverWorkspace::records`]).
+/// The engine entry point: solve the `ws.batch()` right-hand sides of the
+/// slice-major slab `y` (`ws.batch() × nrows`) together inside a
+/// caller-owned [`SolverWorkspace`]. The solutions and per-slice records
+/// are left in the workspace ([`SolverWorkspace::x`],
+/// [`SolverWorkspace::slice_records`]).
 ///
-/// After the workspace has been warmed at the operator's dimensions
-/// (one prior solve, or construction via
-/// [`SolverWorkspace::for_operator`] plus a first iteration), the whole
-/// loop performs zero heap allocations: update rules write into
-/// workspace buffers via `*_into` kernels, and records land in reserved
-/// capacity. Combined with a pooled operator (whose workers are spawned
-/// once at plan time) a steady-state iteration also performs zero thread
-/// spawns.
+/// The engine owns the skeleton every solver shares: iteration timing,
+/// the L-curve record (`residual_norm`/`solution_norm`), constraint
+/// projection, and per-slice early-termination bookkeeping — a slice that
+/// terminates early (or breaks down) retires without stopping the rest of
+/// the batch. On distributed operators all participating ranks observe
+/// identical (allreduced) residuals, so they take the same branches and
+/// collectives stay aligned.
+///
+/// Observability: per-slice per-iteration residual/solution norms and
+/// wall-clock go into the series `solver/residual_norm`,
+/// `solver/solution_norm`, and `solver/iter_seconds`; the solution-norm
+/// dot is timed into `solver/dot_s`; iterations that advanced at least
+/// one slice are counted in `solver/iterations`, and the number of
+/// early-terminated slices lands in the gauge `solver/early_terminated`.
+/// Instrumentation only *observes* — the iterate trajectory is
+/// bit-identical with [`Metrics::noop`] (the golden tests pin this).
+///
+/// After the workspace has been warmed at the operator's dimensions (one
+/// prior solve), the whole loop performs zero heap allocations: update
+/// rules write into workspace buffers via `*_into` kernels, and records
+/// land in reserved capacity. Combined with a pooled operator (whose
+/// workers are spawned once at plan time) a steady-state iteration also
+/// performs zero thread spawns.
 pub fn run_engine_in<R: UpdateRule + ?Sized>(
     op: &dyn ProjectionOperator,
     y: &[f32],
@@ -467,44 +401,6 @@ pub fn run_engine_in<R: UpdateRule + ?Sized>(
         None,
         |_, _, _| Ok(EngineSignal::Continue),
     );
-}
-
-/// Batched [`run_engine_in`]: the workspace's batch width picks the
-/// batched loop, `y` is the slice-major measurement slab
-/// (`ws.batch() × nrows`). Identical to [`run_engine_in`] — the alias
-/// exists so batched call sites say what they mean.
-pub fn run_engine_batched_in<R: UpdateRule + ?Sized>(
-    op: &dyn ProjectionOperator,
-    y: &[f32],
-    rule: &mut R,
-    constraint: Constraint,
-    stop: StopRule,
-    metrics: &Metrics,
-    ws: &mut SolverWorkspace,
-) {
-    run_engine_in(op, y, rule, constraint, stop, metrics, ws);
-}
-
-/// Allocating convenience over [`run_engine_batched_in`]: solve `batch`
-/// right-hand sides together (slice-major slab `y`) and return per-slice
-/// images and convergence records. A slice that terminates early (or
-/// breaks down) retires without stopping the rest of the batch, so its
-/// record list may be shorter than the others.
-pub fn run_engine_batched<R: UpdateRule + ?Sized>(
-    op: &dyn ProjectionOperator,
-    y: &[f32],
-    rule: &mut R,
-    constraint: Constraint,
-    stop: StopRule,
-    batch: usize,
-) -> (Vec<Vec<f32>>, Vec<Vec<IterationRecord>>) {
-    let mut ws = SolverWorkspace::new_batched(op.nrows(), op.ncols(), batch);
-    run_engine_batched_in(op, y, rule, constraint, stop, &Metrics::noop(), &mut ws);
-    let n = op.ncols();
-    let images = (0..batch)
-        .map(|j| ws.x[j * n..(j + 1) * n].to_vec())
-        .collect();
-    (images, ws.slice_records)
 }
 
 /// What the between-iterations hook tells the engine to do next.
@@ -531,22 +427,19 @@ pub(crate) enum EngineExit {
     },
 }
 
-/// The engine loop shared by the plain and the checkpointing entry
-/// points. `resume` carries the start iteration when the caller
+/// The one engine loop behind [`run_engine_in`] and the checkpointing
+/// drivers. `resume` carries the start iteration when the caller
 /// pre-restored the workspace (including per-slice `prev_res`/activity)
 /// and the rule from a snapshot; `after` runs between iterations (after
 /// iteration `next_iter − 1` committed its records) and is where
 /// checkpoints are taken — its error aborts the solve, and returning
 /// [`EngineSignal::Stop`] ends it cleanly at the boundary (cooperative
-/// preemption). With `resume = None` and a no-op observer the batch-1
-/// branch is bit-identical to the historical scalar loop.
+/// preemption).
 ///
-/// The batched branch (`ws.batch() > 1`) advances all active slices per
-/// iteration via [`UpdateRule::step_batch`], retires slices individually
-/// on early termination (record kept) or numerical breakdown (NaN
-/// residual, no record), and stops when every slice has retired or the
-/// cap is reached. The gauge `solver/early_terminated` then carries the
-/// *count* of early-terminated slices.
+/// Each iteration advances all active slices via [`UpdateRule::step`],
+/// retires slices individually on numerical breakdown (NaN residual, no
+/// record) or early termination (record kept), and the loop stops when
+/// every slice has retired or the cap is reached.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine_core<R, F>(
     op: &dyn ProjectionOperator,
@@ -571,53 +464,10 @@ where
             0
         }
     };
-    if ws.batch == 1 {
-        let mut early = false;
-        for iter in start..stop.max_iters() {
-            let t0 = std::time::Instant::now();
-            let Some(res) = rule.step(op, y, ws) else {
-                break; // numerical breakdown (exact solution reached)
-            };
-            if constraint == Constraint::NonNegative {
-                for xi in ws.x.iter_mut() {
-                    *xi = xi.max(0.0);
-                }
-            }
-            let t_dot = metrics.enabled().then(std::time::Instant::now);
-            let sol = op.reduce_dot(op.local_dot(&ws.x, &ws.x)).sqrt();
-            if let Some(t) = t_dot {
-                metrics.timer_observe("solver/dot_s", t.elapsed().as_secs_f64());
-            }
-            let seconds = t0.elapsed().as_secs_f64();
-            metrics.series_push("solver/residual_norm", res);
-            metrics.series_push("solver/solution_norm", sol);
-            metrics.series_push("solver/iter_seconds", seconds);
-            metrics.counter_add("solver/iterations", 1);
-            ws.slice_records[0].push(IterationRecord {
-                iter,
-                residual_norm: res,
-                solution_norm: sol,
-                seconds,
-            });
-            if stop.should_stop(ws.prev_res[0], res) {
-                early = true;
-                break;
-            }
-            ws.prev_res[0] = res;
-            if after(iter + 1, ws, &*rule)? == EngineSignal::Stop {
-                metrics.gauge_set("solver/early_terminated", early as u64 as f64);
-                return Ok(EngineExit::Stopped {
-                    next_iter: iter + 1,
-                });
-            }
-        }
-        metrics.gauge_set("solver/early_terminated", early as u64 as f64);
-        return Ok(EngineExit::Completed);
-    }
-
     let k = ws.batch;
     let n = op.ncols();
     let mut early_slices = 0usize;
+    let mut exit = EngineExit::Completed;
     for iter in start..stop.max_iters() {
         if !ws.active.iter().any(|&a| a) {
             break; // every slice retired (e.g. resumed a finished batch)
@@ -626,16 +476,18 @@ where
         // Take `step_res` out so the rule can borrow the workspace; NaN
         // marks per-slice numerical breakdown.
         let mut res = std::mem::take(&mut ws.step_res);
-        for r in res.iter_mut() {
-            *r = f64::NAN;
-        }
-        rule.step_batch(op, y, ws, &mut res);
+        res.fill(f64::NAN);
+        rule.step(op, y, ws, &mut res);
         ws.step_res = res;
+        // Breakdown (exact solution reached): retire without a record.
+        for (active, r) in ws.active.iter_mut().zip(&ws.step_res) {
+            *active &= !r.is_nan();
+        }
+        if !ws.active.iter().any(|&a| a) {
+            break; // nothing advanced: the iteration is neither timed nor counted
+        }
         if constraint == Constraint::NonNegative {
-            for j in 0..k {
-                if !ws.active[j] || ws.step_res[j].is_nan() {
-                    continue;
-                }
+            for j in (0..k).filter(|&j| ws.active[j]) {
                 for xi in ws.x[j * n..(j + 1) * n].iter_mut() {
                     *xi = xi.max(0.0);
                 }
@@ -649,18 +501,11 @@ where
         }
         let seconds = t0.elapsed().as_secs_f64();
         metrics.counter_add("solver/iterations", 1);
-        let mut any_active = false;
         for (j, &s2) in sol2.iter().enumerate() {
             if !ws.active[j] {
                 continue;
             }
             let res = ws.step_res[j];
-            if res.is_nan() {
-                // Breakdown: exact solution reached; retire without a
-                // record, matching the scalar loop's break-before-record.
-                ws.active[j] = false;
-                continue;
-            }
             let sol = op.reduce_dot(s2).sqrt();
             metrics.series_push("solver/residual_norm", res);
             metrics.series_push("solver/solution_norm", sol);
@@ -674,23 +519,22 @@ where
             if stop.should_stop(ws.prev_res[j], res) {
                 ws.active[j] = false;
                 early_slices += 1;
-                continue;
+            } else {
+                ws.prev_res[j] = res;
             }
-            ws.prev_res[j] = res;
-            any_active = true;
         }
-        if !any_active {
-            break; // matches the scalar loop: no checkpoint after the end
+        if !ws.active.iter().any(|&a| a) {
+            break; // no checkpoint after the end
         }
         if after(iter + 1, ws, &*rule)? == EngineSignal::Stop {
-            metrics.gauge_set("solver/early_terminated", early_slices as f64);
-            return Ok(EngineExit::Stopped {
+            exit = EngineExit::Stopped {
                 next_iter: iter + 1,
-            });
+            };
+            break;
         }
     }
     metrics.gauge_set("solver/early_terminated", early_slices as f64);
-    Ok(EngineExit::Completed)
+    Ok(exit)
 }
 
 /// CGLS: minimize `‖y − A·x‖₂²` (plus `λ‖x‖₂²` when regularized).
@@ -703,29 +547,18 @@ where
 /// the curvature term to `‖q‖² + λ‖p‖²`.
 pub struct CgRule {
     lambda: f32,
-    /// `γ = ⟨s, s⟩` carried between iterations; `None` until the first
-    /// step initializes the residual/direction vectors in the workspace.
-    gamma: Option<f64>,
-    /// Per-slice `γ` restored from a checkpoint, staged here until the
-    /// first [`step_batch`](UpdateRule::step_batch) moves it into the
-    /// workspace scratch (`[2k..3k]`), where the live values stay so the
-    /// batched steady state never allocates. A scalar solve uses `gamma`.
-    gammas: Vec<f64>,
-    /// Whether the batched `γ` slots in the workspace scratch are live
-    /// (set by the first `step_batch`). A fresh rule must not trust the
-    /// stale scratch of a previously used workspace.
-    batched_started: bool,
+    /// Whether the per-slice `γ = ⟨s, s⟩` slots in the workspace scratch
+    /// (`[2k..3k]`, so a steady-state solve never touches the allocator)
+    /// are live: set by the first [`step`](UpdateRule::step) or by a
+    /// checkpoint restore. A fresh rule must not trust the stale scratch
+    /// of a previously used workspace.
+    started: bool,
 }
 
 impl CgRule {
     /// Plain CGLS.
     pub fn new() -> Self {
-        CgRule {
-            lambda: 0.0,
-            gamma: None,
-            gammas: Vec::new(),
-            batched_started: false,
-        }
+        CgRule::regularized(0.0)
     }
 
     /// Tikhonov-regularized CGLS with weight `lambda ≥ 0` (the
@@ -735,9 +568,7 @@ impl CgRule {
         assert!(lambda >= 0.0);
         CgRule {
             lambda,
-            gamma: None,
-            gammas: Vec::new(),
-            batched_started: false,
+            started: false,
         }
     }
 }
@@ -754,94 +585,35 @@ impl UpdateRule for CgRule {
         op: &dyn ProjectionOperator,
         y: &[f32],
         ws: &mut SolverWorkspace,
-    ) -> Option<f64> {
-        // Workspace roles: resid = r, back = s, dir = p, proj = q.
-        let gamma = match self.gamma {
-            Some(g) => g,
-            None => {
-                // x = 0: residual is y, and the − λ·x term vanishes.
-                ws.resid.copy_from_slice(y);
-                op.back_into(&ws.resid, &mut ws.back);
-                let g = op.reduce_dot(op.local_dot(&ws.back, &ws.back));
-                ws.dir.copy_from_slice(&ws.back);
-                self.gamma = Some(g);
-                g
-            }
-        };
-        if gamma == 0.0 {
-            return None; // exact solution reached
-        }
-        op.forward_into(&ws.dir, &mut ws.proj);
-        let mut qq = op.reduce_dot(op.local_dot(&ws.proj, &ws.proj));
-        if self.lambda != 0.0 {
-            qq += self.lambda as f64 * op.reduce_dot(op.local_dot(&ws.dir, &ws.dir));
-        }
-        if qq == 0.0 {
-            return None;
-        }
-        let alpha = (gamma / qq) as f32;
-        for (xi, &pi) in ws.x.iter_mut().zip(&ws.dir) {
-            *xi += alpha * pi;
-        }
-        for (ri, &qi) in ws.resid.iter_mut().zip(&ws.proj) {
-            *ri -= alpha * qi;
-        }
-        op.back_into(&ws.resid, &mut ws.back);
-        if self.lambda != 0.0 {
-            for (si, &xi) in ws.back.iter_mut().zip(ws.x.iter()) {
-                *si -= self.lambda * xi;
-            }
-        }
-        let gamma_new = op.reduce_dot(op.local_dot(&ws.back, &ws.back));
-        let beta = (gamma_new / gamma) as f32;
-        self.gamma = Some(gamma_new);
-        for (pi, &si) in ws.dir.iter_mut().zip(&ws.back) {
-            *pi = si + beta * *pi;
-        }
-        Some(op.reduce_dot(op.local_dot(&ws.resid, &ws.resid)).sqrt())
-    }
-
-    fn step_batch(
-        &mut self,
-        op: &dyn ProjectionOperator,
-        y: &[f32],
-        ws: &mut SolverWorkspace,
         res: &mut [f64],
     ) {
-        // Workspace roles match the scalar step: resid = r, back = s,
-        // dir = p, proj = q — each a slice-major slab. Retired and
-        // broken-down slices keep their vectors frozen; the matrix passes
-        // still cover their blocks (the SpMM streams the matrix once for
-        // the whole slab either way) and their results are ignored.
+        // Workspace roles: resid = r, back = s, dir = p, proj = q — each
+        // a slice-major slab. Retired and broken-down slices keep their
+        // vectors frozen; the matrix passes still cover their blocks (the
+        // SpMM streams the matrix once for the whole slab either way) and
+        // their results are ignored.
         let k = ws.batch;
-        if res.len() != k {
-            return;
-        }
         let n = op.ncols();
         let m = op.nrows();
-        // Live per-slice state splits out of the workspace scratch:
         // `qq`/`aux` are per-step temporaries, `gammas` persists across
-        // iterations (no rule-owned heap buffer → no steady-state
-        // allocation).
+        // iterations.
         let (qq, rest) = ws.scratch.split_at_mut(k);
         let (aux, gammas) = rest.split_at_mut(k);
-        if !self.batched_started {
-            if self.gammas.is_empty() {
-                // x = 0: residual is y, and the − λ·x term vanishes.
-                ws.resid.copy_from_slice(y);
-                op.back_batch_into(&ws.resid, &mut ws.back, k);
-                op.local_dot_batch(&ws.back, &ws.back, gammas);
-                for g in gammas.iter_mut() {
-                    *g = op.reduce_dot(*g);
-                }
-                ws.dir.copy_from_slice(&ws.back);
-            } else {
-                // Resuming: move the checkpointed γ into the live slots.
-                for (dst, &src) in gammas.iter_mut().zip(self.gammas.iter()) {
-                    *dst = src;
-                }
+        if !self.started {
+            // x = 0: residual is y, and the − λ·x term vanishes.
+            ws.resid.copy_from_slice(y);
+            op.back_batch_into(&ws.resid, &mut ws.back, k);
+            op.local_dot_batch(&ws.back, &ws.back, gammas);
+            for g in gammas.iter_mut() {
+                *g = op.reduce_dot(*g);
             }
-            self.batched_started = true;
+            ws.dir.copy_from_slice(&ws.back);
+            self.started = true;
+        }
+        // γ = 0: exact solution reached. With no live slice left the
+        // matrix passes below would be pure waste.
+        if !(0..k).any(|j| ws.active[j] && gammas[j] != 0.0) {
+            return;
         }
         op.forward_batch_into(&ws.dir, &mut ws.proj, k);
         op.local_dot_batch(&ws.proj, &ws.proj, qq);
@@ -853,7 +625,7 @@ impl UpdateRule for CgRule {
         // marker the remaining loops use to skip them.
         for j in 0..k {
             if !ws.active[j] || gammas[j] == 0.0 {
-                qq[j] = 0.0; // γ = 0: exact solution reached
+                qq[j] = 0.0;
                 continue;
             }
             let mut qqj = op.reduce_dot(qq[j]);
@@ -881,7 +653,7 @@ impl UpdateRule for CgRule {
         op.back_batch_into(&ws.resid, &mut ws.back, k);
         if self.lambda != 0.0 {
             for (j, &qqj) in qq.iter().enumerate() {
-                if !ws.active[j] || qqj == 0.0 {
+                if qqj == 0.0 {
                     continue;
                 }
                 for (si, &xi) in ws.back[j * n..(j + 1) * n]
@@ -894,7 +666,7 @@ impl UpdateRule for CgRule {
         }
         op.local_dot_batch(&ws.back, &ws.back, aux);
         for j in 0..k {
-            if !ws.active[j] || qq[j] == 0.0 {
+            if qq[j] == 0.0 {
                 continue;
             }
             let gamma_new = op.reduce_dot(aux[j]);
@@ -909,39 +681,28 @@ impl UpdateRule for CgRule {
         }
         op.local_dot_batch(&ws.resid, &ws.resid, aux);
         for j in 0..k {
-            if !ws.active[j] || qq[j] == 0.0 {
-                continue;
+            if qq[j] != 0.0 {
+                res[j] = op.reduce_dot(aux[j]).sqrt();
             }
-            res[j] = op.reduce_dot(aux[j]).sqrt();
         }
     }
 
-    fn carried_scalars(&self) -> Vec<f64> {
-        // γ is the one scalar CG carries across iterations (per slice in
-        // a batched solve); it is allreduced, so every distributed rank
-        // holds the same value.
-        if !self.gammas.is_empty() {
-            return self.gammas.clone();
+    fn carried_scalars(&self, ws: &SolverWorkspace) -> Vec<f64> {
+        // γ is the one scalar CG carries across iterations, per slice; it
+        // is allreduced, so every distributed rank holds the same value.
+        // Empty before the first step: the scratch slots are not live.
+        if self.started {
+            ws.scratch[2 * ws.batch..].to_vec()
+        } else {
+            Vec::new()
         }
-        self.gamma.map(|g| vec![g]).unwrap_or_default()
     }
 
-    fn carried_scalars_in(&self, ws: &SolverWorkspace) -> Vec<f64> {
-        // A batched solve keeps the live γ slots in the workspace
-        // scratch; `batched_started` guards against reading the stale
-        // scratch of a workspace this rule never stepped.
-        if self.batched_started {
-            let k = ws.batch;
-            return ws.scratch[2 * k..3 * k].to_vec();
-        }
-        self.carried_scalars()
-    }
-
-    fn restore_scalars(&mut self, scalars: &[f64]) {
-        match scalars {
-            [] => {}
-            [g] => self.gamma = Some(*g),
-            gs => self.gammas = gs.to_vec(),
+    fn restore_scalars(&mut self, scalars: &[f64], ws: &mut SolverWorkspace) {
+        let k = ws.batch;
+        if scalars.len() == k {
+            ws.scratch[2 * k..].copy_from_slice(scalars);
+            self.started = true;
         }
     }
 }
@@ -974,61 +735,18 @@ impl UpdateRule for SirtRule {
         op: &dyn ProjectionOperator,
         y: &[f32],
         ws: &mut SolverWorkspace,
-    ) -> Option<f64> {
-        // Workspace roles: resid = weighted residual, back = Aᵀ·R·r.
-        if self.weights.is_none() {
-            // Weight setup borrows ws.dir/ws.resid as the all-ones probe
-            // vectors, so the only allocations live in the one-time
-            // weights themselves (steady-state steps are allocation-free).
-            let inv = |v: f32| if v > 0.0 { 1.0 / v } else { 0.0 };
-            let mut row_w = vec![0f32; op.nrows()];
-            ws.dir.fill(1.0);
-            op.forward_into(&ws.dir, &mut row_w);
-            for v in row_w.iter_mut() {
-                *v = inv(*v);
-            }
-            let mut col_w = vec![0f32; op.ncols()];
-            ws.resid.fill(1.0);
-            op.back_into(&ws.resid, &mut col_w);
-            for v in col_w.iter_mut() {
-                *v = inv(*v);
-            }
-            self.weights = Some((row_w, col_w));
-        }
-        // lint: allow(no-panic) weights are initialized earlier in this method
-        let (row_w, col_w) = self.weights.as_ref().expect("initialized above");
-        op.forward_into(&ws.x, &mut ws.resid);
-        for (ri, &yi) in ws.resid.iter_mut().zip(y) {
-            *ri = yi - *ri;
-        }
-        let res = op.reduce_dot(op.local_dot(&ws.resid, &ws.resid)).sqrt();
-        for (ri, &w) in ws.resid.iter_mut().zip(row_w) {
-            *ri *= w;
-        }
-        op.back_into(&ws.resid, &mut ws.back);
-        for ((xi, &ui), &w) in ws.x.iter_mut().zip(&ws.back).zip(col_w) {
-            *xi += self.relaxation * ui * w;
-        }
-        Some(res)
-    }
-
-    fn step_batch(
-        &mut self,
-        op: &dyn ProjectionOperator,
-        y: &[f32],
-        ws: &mut SolverWorkspace,
         res: &mut [f64],
     ) {
+        // Workspace roles: resid = weighted residual, back = Aᵀ·R·r.
         let k = ws.batch;
-        if res.len() != k {
-            return;
-        }
         let n = op.ncols();
         let m = op.nrows();
-        if self.weights.is_none() {
+        let (row_w, col_w) = self.weights.get_or_insert_with(|| {
             // The weights are a pure function of `A`, shared by every
-            // slice; probe them once with slice 0's blocks as the
-            // all-ones vectors — bit-identical to the scalar setup.
+            // slice. The probe borrows slice 0's blocks of ws.dir/ws.resid
+            // as the all-ones vectors, so the only allocations live in
+            // the one-time weights themselves (steady-state steps are
+            // allocation-free).
             let inv = |v: f32| if v > 0.0 { 1.0 / v } else { 0.0 };
             let mut row_w = vec![0f32; m];
             ws.dir[..n].fill(1.0);
@@ -1042,18 +760,13 @@ impl UpdateRule for SirtRule {
             for v in col_w.iter_mut() {
                 *v = inv(*v);
             }
-            self.weights = Some((row_w, col_w));
-        }
-        // lint: allow(no-panic) weights are initialized earlier in this method
-        let (row_w, col_w) = self.weights.as_ref().expect("initialized above");
+            (row_w, col_w)
+        });
         // The forward pass covers every slice (the SpMM streams the
         // matrix once for the slab); retired slices' residual blocks
         // receive A·x but are never read again this step.
         op.forward_batch_into(&ws.x, &mut ws.resid, k);
-        for j in 0..k {
-            if !ws.active[j] {
-                continue;
-            }
+        for j in (0..k).filter(|&j| ws.active[j]) {
             for (ri, &yi) in ws.resid[j * m..(j + 1) * m]
                 .iter_mut()
                 .zip(&y[j * m..(j + 1) * m])
@@ -1061,28 +774,21 @@ impl UpdateRule for SirtRule {
                 *ri = yi - *ri;
             }
         }
-        // Residual norms are taken before row-weighting, as in the
-        // scalar step.
+        // Residual norms are taken before row-weighting.
         let (rr, _) = ws.scratch.split_at_mut(k);
         op.local_dot_batch(&ws.resid, &ws.resid, rr);
-        for j in 0..k {
-            if !ws.active[j] {
-                continue;
-            }
+        for j in (0..k).filter(|&j| ws.active[j]) {
             res[j] = op.reduce_dot(rr[j]).sqrt();
-            for (ri, &w) in ws.resid[j * m..(j + 1) * m].iter_mut().zip(row_w) {
+            for (ri, &w) in ws.resid[j * m..(j + 1) * m].iter_mut().zip(row_w.iter()) {
                 *ri *= w;
             }
         }
         op.back_batch_into(&ws.resid, &mut ws.back, k);
-        for j in 0..k {
-            if !ws.active[j] {
-                continue;
-            }
+        for j in (0..k).filter(|&j| ws.active[j]) {
             for ((xi, &ui), &w) in ws.x[j * n..(j + 1) * n]
                 .iter_mut()
                 .zip(&ws.back[j * n..(j + 1) * n])
-                .zip(col_w)
+                .zip(col_w.iter())
             {
                 *xi += self.relaxation * ui * w;
             }
@@ -1356,16 +1062,12 @@ mod tests {
         );
         let m = Metrics::collecting();
         let inst_op = crate::operator::SerialOperator::new(&ops).with_metrics(m.clone());
-        let (x_inst, recs_inst) = run_engine_with_metrics(
-            &inst_op,
-            &y,
-            &mut CgRule::new(),
-            Constraint::None,
-            StopRule::Fixed(6),
-            &m,
-        );
-        assert_eq!(x_plain, x_inst, "instrumentation must not perturb x");
-        for (a, b) in recs_plain.iter().zip(&recs_inst) {
+        let mut ws = SolverWorkspace::for_operator(&inst_op);
+        let (rule, stop) = (&mut CgRule::new(), StopRule::Fixed(6));
+        run_engine_in(&inst_op, &y, rule, Constraint::None, stop, &m, &mut ws);
+        let recs_inst = ws.records();
+        assert_eq!(x_plain, ws.x(), "instrumentation must not perturb x");
+        for (a, b) in recs_plain.iter().zip(recs_inst) {
             assert_eq!(a.residual_norm.to_bits(), b.residual_norm.to_bits());
             assert_eq!(a.solution_norm.to_bits(), b.solution_norm.to_bits());
         }
@@ -1387,18 +1089,21 @@ mod tests {
         let (ops, y, _) = setup(16, 24);
         let m = Metrics::collecting();
         let op = crate::operator::SerialOperator::new(&ops);
-        let (_, recs) = run_engine_with_metrics(
+        let stop = StopRule::EarlyTermination {
+            max_iters: 500,
+            min_decrease: 1e-3,
+        };
+        let mut ws = SolverWorkspace::for_operator(&op);
+        run_engine_in(
             &op,
             &y,
             &mut CgRule::new(),
             Constraint::None,
-            StopRule::EarlyTermination {
-                max_iters: 500,
-                min_decrease: 1e-3,
-            },
+            stop,
             &m,
+            &mut ws,
         );
-        assert!(recs.len() < 500);
+        assert!(ws.records().len() < 500);
         assert_eq!(m.snapshot().gauges["solver/early_terminated"], 1.0);
     }
 

@@ -180,7 +180,11 @@ impl UpdateRule for OsRule<'_> {
         _op: &dyn ProjectionOperator,
         y: &[f32],
         ws: &mut SolverWorkspace,
-    ) -> Option<f64> {
+        res: &mut [f64],
+    ) {
+        let [res] = res else {
+            return; // single-slice only: every slot stays NaN → all retire
+        };
         let x = ws.x_mut();
         for (sub, view) in self.subsets.iter().zip(&self.views) {
             // Residual restricted to the subset's rays.
@@ -208,7 +212,7 @@ impl UpdateRule for OsRule<'_> {
                 res_sq += d * d;
             }
         }
-        Some(res_sq.sqrt())
+        *res = res_sq.sqrt();
     }
 }
 

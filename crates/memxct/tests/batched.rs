@@ -4,14 +4,12 @@
 //! per-slice early termination and mid-batch checkpoint/resume — and the
 //! batch-width misuses must surface as typed errors.
 
-// Golden-pin suite: the deprecated entry points stay covered (as shims
-// over `Reconstructor::run`) until they are removed.
-#![allow(deprecated)]
-
 use std::sync::Arc;
 
 use memxct::prelude::*;
-use memxct::Invariant;
+use memxct::ExecMode::{Pooled, Serial};
+use memxct::ReconInput::{Batch, Slice, Volume};
+use memxct::{run_engine_in, Invariant, SolverWorkspace};
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 
 fn geometry(n: u32, m: u32) -> (Grid, ScanGeometry) {
@@ -29,13 +27,19 @@ fn sinos(grid: Grid, scan: ScanGeometry, n: u32, k: usize) -> Vec<Sinogram> {
         .collect()
 }
 
-fn assert_slice_matches(out: &BatchOutput, j: usize, single: &ReconOutput, ctx: &str) {
+/// Run `req` in the mode `rec` was built for (pooled iff it has a pool).
+fn run(rec: &Reconstructor, req: ReconRequest) -> Result<ReconResponse, ReconError> {
+    let pooled = rec.pool_threads().is_some();
+    rec.run(&req.mode(if pooled { Pooled } else { Serial }))
+}
+
+fn assert_slice_matches(out: &ReconResponse, j: usize, single: &ReconResponse, ctx: &str) {
     assert_eq!(
         out.slice_records[j].len(),
-        single.records.len(),
+        single.slice_records[0].len(),
         "{ctx}: slice {j} iteration count"
     );
-    for (a, b) in out.slice_records[j].iter().zip(&single.records) {
+    for (a, b) in out.slice_records[j].iter().zip(&single.slice_records[0]) {
         assert_eq!(a.iter, b.iter, "{ctx}: slice {j}");
         assert_eq!(
             a.residual_norm.to_bits(),
@@ -51,7 +55,7 @@ fn assert_slice_matches(out: &BatchOutput, j: usize, single: &ReconOutput, ctx: 
         );
     }
     let got: Vec<u32> = out.images[j].iter().map(|v| v.to_bits()).collect();
-    let want: Vec<u32> = single.image.iter().map(|v| v.to_bits()).collect();
+    let want: Vec<u32> = single.images[0].iter().map(|v| v.to_bits()).collect();
     assert_eq!(got, want, "{ctx}: slice {j} image bits");
 }
 
@@ -65,6 +69,14 @@ fn engine_batched_columns_equal_looped_single_slice() {
         y.extend_from_slice(&ops.order_sinogram(s));
     }
     let op = ops.operator(Kernel::Serial);
+    // All three slices together in one batch-3 workspace.
+    let solve3 = |rule: &mut dyn UpdateRule, stop| {
+        let mut ws = SolverWorkspace::new_batched(op.nrows(), op.ncols(), 3);
+        let (free, noop) = (Constraint::None, Metrics::noop());
+        run_engine_in(op.as_ref(), &y, rule, free, stop, &noop, &mut ws);
+        let images: Vec<Vec<f32>> = ws.x().chunks(op.ncols()).map(<[f32]>::to_vec).collect();
+        (images, ws.slice_records().to_vec())
+    };
     for stop in [
         StopRule::Fixed(8),
         StopRule::EarlyTermination {
@@ -73,14 +85,7 @@ fn engine_batched_columns_equal_looped_single_slice() {
         },
     ] {
         // CG.
-        let (images, records) = run_engine_batched(
-            op.as_ref(),
-            &y,
-            &mut CgRule::new(),
-            Constraint::None,
-            stop,
-            3,
-        );
+        let (images, records) = solve3(&mut CgRule::new(), stop);
         for (j, s) in slices.iter().enumerate() {
             let yj = ops.order_sinogram(s);
             let (x, recs) =
@@ -95,14 +100,7 @@ fn engine_batched_columns_equal_looped_single_slice() {
             assert_eq!(got, want, "cg slice {j} image ({stop:?})");
         }
         // SIRT.
-        let (images, records) = run_engine_batched(
-            op.as_ref(),
-            &y,
-            &mut SirtRule::new(1.0),
-            Constraint::None,
-            stop,
-            3,
-        );
+        let (images, records) = solve3(&mut SirtRule::new(1.0), stop);
         for (j, s) in slices.iter().enumerate() {
             let yj = ops.order_sinogram(s);
             let (x, recs) = run_engine(
@@ -143,11 +141,11 @@ fn reconstructor_batched_columns_equal_single_slice_runs() {
         let single = single_b.build().unwrap();
         let ctx = format!("pool={threads:?}");
 
-        let out = batched.try_reconstruct_cg_batch(&slices, stop).unwrap();
+        let out = run(&batched, ReconRequest::cg(Batch(slices.clone()), stop)).unwrap();
         let mut lens = Vec::new();
         for (j, s) in slices.iter().enumerate() {
-            let want = single.try_reconstruct_cg(s, stop).unwrap();
-            lens.push(want.records.len());
+            let want = run(&single, ReconRequest::cg(Slice(s.clone()), stop)).unwrap();
+            lens.push(want.slice_records[0].len());
             assert_slice_matches(&out, j, &want, &format!("cg {ctx}"));
         }
         // The phantoms differ enough that at least two retirement points
@@ -155,9 +153,9 @@ fn reconstructor_batched_columns_equal_single_slice_runs() {
         lens.dedup();
         assert!(lens.len() > 1, "slices all stopped together: {lens:?}");
 
-        let out = batched.try_reconstruct_sirt_batch(&slices, 10).unwrap();
+        let out = run(&batched, ReconRequest::sirt(Batch(slices.clone()), 10)).unwrap();
         for (j, s) in slices.iter().enumerate() {
-            let want = single.try_reconstruct_sirt(s, 10).unwrap();
+            let want = run(&single, ReconRequest::sirt(Slice(s.clone()), 10)).unwrap();
             assert_slice_matches(&out, j, &want, &format!("sirt {ctx}"));
         }
     }
@@ -168,13 +166,49 @@ fn batch_of_one_is_bit_identical_to_single_path() {
     let (grid, scan) = geometry(24, 36);
     let slices = sinos(grid, scan, 24, 1);
     let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
-    let single = rec
-        .try_reconstruct_cg(&slices[0], StopRule::Fixed(8))
-        .unwrap();
-    let batched = rec
-        .try_reconstruct_cg_batch(&slices, StopRule::Fixed(8))
-        .unwrap();
+    let stop = StopRule::Fixed(8);
+    let single = run(&rec, ReconRequest::cg(Slice(slices[0].clone()), stop)).unwrap();
+    let batched = run(&rec, ReconRequest::cg(Batch(slices), stop)).unwrap();
     assert_slice_matches(&batched, 0, &single, "k=1");
+}
+
+/// γ = 0 (an all-zero sinogram) is a breakdown before the first iteration:
+/// the slice retires with no record, and a solve with no live slice left
+/// pays for the γ probe's backprojection and nothing else.
+#[test]
+fn zero_sinograms_retire_without_records_or_extra_matrix_passes() {
+    let (grid, scan) = geometry(24, 36);
+    let live = sinos(grid, scan, 24, 2);
+    let zero = Sinogram::new(scan, vec![0.0; live[0].data().len()]);
+    let stop = StopRule::Fixed(5);
+    let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let out = run(&rec, ReconRequest::cg(Slice(zero.clone()), stop)).unwrap();
+    assert!(out.slice_records[0].is_empty());
+    assert!(out.images[0].iter().all(|&v| v == 0.0));
+    let snap = rec.metrics();
+    assert_eq!(snap.counters["spmv/buffered/calls"], 1, "the γ probe only");
+    assert!(!snap.counters.contains_key("solver/iterations"));
+    // A dead middle column in a batch of three: its neighbours run their
+    // five iterations (1 + 2·5 SpMMs) and match their single-slice solves.
+    for (threads, kernel) in [(None, "buffered"), (Some(2), "pooled")] {
+        let mut b3 = ReconstructorBuilder::new(grid, scan).batch(3);
+        let mut b1 = ReconstructorBuilder::new(grid, scan);
+        if let Some(t) = threads {
+            b3 = b3.use_pool(true).pool_threads(t);
+            b1 = b1.use_pool(true).pool_threads(t);
+        }
+        let (batched, single) = (b3.build().unwrap(), b1.build().unwrap());
+        let slab = vec![live[0].clone(), zero.clone(), live[1].clone()];
+        let out = run(&batched, ReconRequest::cg(Batch(slab), stop)).unwrap();
+        assert!(out.slice_records[1].is_empty(), "{kernel}: dead slice");
+        for (j, s) in [(0, &live[0]), (2, &live[1])] {
+            let want = run(&single, ReconRequest::cg(Slice(s.clone()), stop)).unwrap();
+            assert_slice_matches(&out, j, &want, kernel);
+        }
+        let snap = batched.metrics();
+        assert_eq!(snap.counters[&format!("spmm/{kernel}/calls")], 11);
+        assert!(!snap.counters.contains_key(&format!("spmv/{kernel}/calls")));
+    }
 }
 
 #[test]
@@ -190,43 +224,31 @@ fn batch_width_misuse_is_a_typed_error() {
         .build()
         .unwrap();
     assert_eq!(rec.batch(), 3);
-    // Single-slice entry points on a batched reconstructor.
-    assert!(matches!(
-        rec.try_reconstruct_cg(&slices[0], StopRule::Fixed(2)).err(),
-        Some(BuildError::BatchWidth {
-            expected: 3,
-            got: 1
-        })
-    ));
-    assert!(matches!(
-        rec.try_reconstruct_sirt(&slices[0], 2).err(),
-        Some(BuildError::BatchWidth {
-            expected: 3,
-            got: 1
-        })
-    ));
+    let stop = StopRule::Fixed(2);
+    let err = |req: ReconRequest| match rec.run(&req) {
+        Err(ReconError::Build(e)) => e,
+        other => panic!("expected a BuildError, got {:?}", other.map(|_| ())),
+    };
+    let width = |got| BuildError::BatchWidth { expected: 3, got };
+    // A single slice into a batched reconstructor.
+    let one = Slice(slices[0].clone());
+    assert_eq!(err(ReconRequest::cg(one.clone(), stop)), width(1));
+    assert_eq!(err(ReconRequest::sirt(one.clone(), 2)), width(1));
     // The distributed path is single-slice only, and says so.
-    assert!(matches!(
-        rec.try_reconstruct_distributed(&slices[0], &DistConfig::default())
-            .err(),
-        Some(BuildError::DistributedBatchUnsupported { batch: 3 })
-    ));
-    // Wrong slice count on the batched entry points.
-    assert!(matches!(
-        rec.try_reconstruct_cg_batch(&slices[..2], StopRule::Fixed(2))
-            .err(),
-        Some(BuildError::BatchWidth {
-            expected: 3,
-            got: 2
-        })
-    ));
-    assert!(matches!(
-        rec.try_reconstruct_sirt_batch(&slices[..1], 2).err(),
-        Some(BuildError::BatchWidth {
-            expected: 3,
-            got: 1
-        })
-    ));
+    let config = DistConfig::default();
+    assert_eq!(
+        err(ReconRequest::cg(one, stop).mode(ExecMode::Distributed { config, ft: None })),
+        BuildError::DistributedBatchUnsupported { batch: 3 }
+    );
+    // Wrong slice count in a batch.
+    assert_eq!(
+        err(ReconRequest::cg(Batch(slices[..2].to_vec()), stop)),
+        width(2)
+    );
+    assert_eq!(
+        err(ReconRequest::sirt(Batch(slices[..1].to_vec()), 2)),
+        width(1)
+    );
 }
 
 #[test]
@@ -239,39 +261,26 @@ fn batched_checkpoint_resume_is_bit_identical() {
         max_iters: 12,
         min_decrease: 5e-3,
     };
-    let golden = ReconstructorBuilder::new(grid, scan)
-        .batch(3)
-        .build()
-        .unwrap()
-        .try_reconstruct_cg_batch(&slices, stop)
-        .unwrap();
+    let batch3 = |b: ReconstructorBuilder, stop| {
+        let rec = b.batch(3).build().unwrap();
+        run(&rec, ReconRequest::cg(Batch(slices.clone()), stop)).unwrap()
+    };
+    let golden = batch3(ReconstructorBuilder::new(grid, scan), stop);
 
     // Interrupt after 4 iterations, snapshotting every boundary…
     let sink = Arc::new(MemoryCheckpointSink::new());
-    ReconstructorBuilder::new(grid, scan)
-        .batch(3)
-        .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .build()
-        .unwrap()
-        .try_reconstruct_cg_batch(
-            &slices,
-            StopRule::EarlyTermination {
-                max_iters: 4,
-                min_decrease: 5e-3,
-            },
-        )
-        .unwrap();
+    let checkpointing = |sink: &Arc<MemoryCheckpointSink>| {
+        ReconstructorBuilder::new(grid, scan)
+            .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
+            .checkpoint_every(1)
+    };
+    let first4 = StopRule::EarlyTermination {
+        max_iters: 4,
+        min_decrease: 5e-3,
+    };
+    batch3(checkpointing(&sink), first4);
     // …then resume to the full budget.
-    let resumed = ReconstructorBuilder::new(grid, scan)
-        .batch(3)
-        .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .resume(true)
-        .build()
-        .unwrap()
-        .try_reconstruct_cg_batch(&slices, stop)
-        .unwrap();
+    let resumed = batch3(checkpointing(&sink).resume(true), stop);
     for j in 0..3 {
         assert_eq!(
             golden.slice_records[j].len(),
@@ -296,14 +305,17 @@ fn resuming_across_batch_widths_is_a_typed_error() {
     let (grid, scan) = geometry(16, 12);
     let slices = sinos(grid, scan, 16, 2);
     let sink = Arc::new(MemoryCheckpointSink::new());
-    ReconstructorBuilder::new(grid, scan)
+    let rec = ReconstructorBuilder::new(grid, scan)
         .batch(2)
         .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
         .checkpoint_every(1)
         .build()
-        .unwrap()
-        .try_reconstruct_cg_batch(&slices, StopRule::Fixed(3))
         .unwrap();
+    run(
+        &rec,
+        ReconRequest::cg(Batch(slices.clone()), StopRule::Fixed(3)),
+    )
+    .unwrap();
     // A batch-1 reconstructor must refuse the batch-2 snapshot with the
     // batch invariant, not a shape cascade or a silent partial resume.
     let rec = ReconstructorBuilder::new(grid, scan)
@@ -312,8 +324,11 @@ fn resuming_across_batch_widths_is_a_typed_error() {
         .resume(true)
         .build()
         .unwrap();
-    match rec.try_reconstruct_cg(&slices[0], StopRule::Fixed(6)) {
-        Err(BuildError::PlanCheck(report)) => {
+    match run(
+        &rec,
+        ReconRequest::cg(Slice(slices[0].clone()), StopRule::Fixed(6)),
+    ) {
+        Err(ReconError::Build(BuildError::PlanCheck(report))) => {
             assert!(report.has(Invariant::CheckpointBatch), "{report}");
             assert!(
                 !report.has(Invariant::CheckpointShape),
@@ -335,13 +350,14 @@ fn batched_volume_matches_slice_by_slice() {
         .batch(2)
         .build()
         .unwrap();
-    let vol = batched.reconstruct_volume(&slices, StopRule::Fixed(6));
+    let stop = StopRule::Fixed(6);
+    let vol = run(&batched, ReconRequest::cg(Volume(slices.clone()), stop)).unwrap();
     assert_eq!(vol.images.len(), 5);
     assert_eq!(vol.per_slice_seconds.len(), 5);
     for (j, s) in slices.iter().enumerate() {
-        let want = single.reconstruct_cg(s, StopRule::Fixed(6));
+        let want = run(&single, ReconRequest::cg(Slice(s.clone()), stop)).unwrap();
         let got: Vec<u32> = vol.images[j].iter().map(|v| v.to_bits()).collect();
-        let bits: Vec<u32> = want.image.iter().map(|v| v.to_bits()).collect();
+        let bits: Vec<u32> = want.images[0].iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, bits, "volume slice {j}");
     }
 }
@@ -356,8 +372,7 @@ fn pooled_batched_solve_records_spmm_counters() {
         .pool_threads(2)
         .build()
         .unwrap();
-    rec.try_reconstruct_cg_batch(&slices, StopRule::Fixed(5))
-        .unwrap();
+    run(&rec, ReconRequest::cg(Batch(slices), StopRule::Fixed(5))).unwrap();
     let snap = rec.metrics();
     let calls = snap.counters["spmm/pooled/calls"];
     assert!(calls > 0, "batched solve must go through the SpMM path");

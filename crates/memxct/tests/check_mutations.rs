@@ -3,10 +3,6 @@
 //! the plan-level sweep pinpoints the corrupted invariant class — plus the
 //! golden guarantee that enabling validation changes no bits.
 
-// Golden-pin suite: the deprecated entry points stay covered (as shims
-// over `Reconstructor::run`) until they are removed.
-#![allow(deprecated)]
-
 use memxct::prelude::*;
 use memxct::{dist_checker, Invariant};
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
@@ -32,10 +28,10 @@ fn validated_build_is_bit_identical_to_unvalidated() {
         .validate_plan(true)
         .build()
         .unwrap();
-    let a = plain.reconstruct_cg(&sino, StopRule::Fixed(8));
-    let b = validated.reconstruct_cg(&sino, StopRule::Fixed(8));
-    assert_eq!(a.image, b.image, "validation must not perturb the solve");
-    for (ra, rb) in a.records.iter().zip(&b.records) {
+    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(8));
+    let (a, b) = (plain.run(&req).unwrap(), validated.run(&req).unwrap());
+    assert_eq!(a.images, b.images, "validation must not perturb the solve");
+    for (ra, rb) in a.slice_records[0].iter().zip(&b.slice_records[0]) {
         assert_eq!(ra.residual_norm.to_bits(), rb.residual_norm.to_bits());
         assert_eq!(ra.solution_norm.to_bits(), rb.solution_norm.to_bits());
     }

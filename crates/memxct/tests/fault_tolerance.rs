@@ -5,10 +5,6 @@
 //! a mid-solve rank crash ends in a completed restarted solve or a typed
 //! `CommError` — never a hang.
 
-// Golden-pin suite: the deprecated entry points stay covered (as shims
-// over `Reconstructor::run`) until they are removed.
-#![allow(deprecated)]
-
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,14 +19,27 @@ fn geometry(n: u32, m: u32) -> (Grid, ScanGeometry, Sinogram) {
     (grid, scan, sino)
 }
 
-fn assert_bits_equal(a: &ReconOutput, b: &ReconOutput) {
-    assert_eq!(a.records.len(), b.records.len(), "iteration counts differ");
-    for (ra, rb) in a.records.iter().zip(&b.records) {
+/// One CG slice for `iters` iterations through the front door.
+fn cg(rec: &Reconstructor, sino: &Sinogram, iters: usize) -> Result<ReconResponse, ReconError> {
+    rec.run(&ReconRequest::cg(
+        ReconInput::Slice(sino.clone()),
+        StopRule::Fixed(iters),
+    ))
+}
+
+fn sirt(rec: &Reconstructor, sino: &Sinogram, iters: usize) -> Result<ReconResponse, ReconError> {
+    rec.run(&ReconRequest::sirt(ReconInput::Slice(sino.clone()), iters))
+}
+
+fn assert_bits_equal(a: &ReconResponse, b: &ReconResponse) {
+    let (ra, rb) = (&a.slice_records[0], &b.slice_records[0]);
+    assert_eq!(ra.len(), rb.len(), "iteration counts differ");
+    for (ra, rb) in ra.iter().zip(rb) {
         assert_eq!(ra.residual_norm.to_bits(), rb.residual_norm.to_bits());
         assert_eq!(ra.solution_norm.to_bits(), rb.solution_norm.to_bits());
     }
-    let ia: Vec<u32> = a.image.iter().map(|v| v.to_bits()).collect();
-    let ib: Vec<u32> = b.image.iter().map(|v| v.to_bits()).collect();
+    let ia: Vec<u32> = a.images[0].iter().map(|v| v.to_bits()).collect();
+    let ib: Vec<u32> = b.images[0].iter().map(|v| v.to_bits()).collect();
     assert_eq!(ia, ib, "images differ in bits");
 }
 
@@ -81,10 +90,8 @@ fn checkpointing_is_bit_transparent_serial() {
         .checkpoint_every(2)
         .build()
         .unwrap();
-    let a = plain.try_reconstruct_cg(&sino, StopRule::Fixed(8)).unwrap();
-    let b = checkpointed
-        .try_reconstruct_cg(&sino, StopRule::Fixed(8))
-        .unwrap();
+    let a = cg(&plain, &sino, 8).unwrap();
+    let b = cg(&checkpointed, &sino, 8).unwrap();
     assert_bits_equal(&a, &b);
     // …and snapshots were actually taken.
     assert!(sink.load(0).unwrap().is_some(), "no snapshot was saved");
@@ -93,61 +100,51 @@ fn checkpointing_is_bit_transparent_serial() {
 #[test]
 fn serial_cg_resume_is_bit_identical() {
     let (grid, scan, sino) = geometry(24, 36);
-    let golden = ReconstructorBuilder::new(grid, scan)
-        .build()
-        .unwrap()
-        .try_reconstruct_cg(&sino, StopRule::Fixed(10))
-        .unwrap();
+    let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let golden = cg(&rec, &sino, 10).unwrap();
 
     // Interrupt after 4 iterations, snapshotting every boundary…
     let sink = Arc::new(MemoryCheckpointSink::new());
-    ReconstructorBuilder::new(grid, scan)
+    let rec = ReconstructorBuilder::new(grid, scan)
         .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
         .checkpoint_every(1)
         .build()
-        .unwrap()
-        .try_reconstruct_cg(&sino, StopRule::Fixed(4))
         .unwrap();
+    cg(&rec, &sino, 4).unwrap();
     // …then resume to the full budget: the restored loop state (x, resid,
     // dir, carried γ, prev_res) must reproduce the golden bits exactly.
-    let resumed = ReconstructorBuilder::new(grid, scan)
+    let rec = ReconstructorBuilder::new(grid, scan)
         .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
         .checkpoint_every(1)
         .resume(true)
         .build()
-        .unwrap()
-        .try_reconstruct_cg(&sino, StopRule::Fixed(10))
         .unwrap();
+    let resumed = cg(&rec, &sino, 10).unwrap();
     assert_bits_equal(&golden, &resumed);
 }
 
 #[test]
 fn serial_sirt_resume_is_bit_identical() {
     let (grid, scan, sino) = geometry(24, 36);
-    let golden = ReconstructorBuilder::new(grid, scan)
-        .build()
-        .unwrap()
-        .try_reconstruct_sirt(&sino, 10)
-        .unwrap();
+    let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let golden = sirt(&rec, &sino, 10).unwrap();
 
     let sink = Arc::new(MemoryCheckpointSink::new());
-    ReconstructorBuilder::new(grid, scan)
+    let rec = ReconstructorBuilder::new(grid, scan)
         .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
         .checkpoint_every(1)
         .build()
-        .unwrap()
-        .try_reconstruct_sirt(&sino, 4)
         .unwrap();
+    sirt(&rec, &sino, 4).unwrap();
     // SIRT's weights are not stored in the snapshot — they are recomputed
     // from the operator on resume, bit-identically.
-    let resumed = ReconstructorBuilder::new(grid, scan)
+    let rec = ReconstructorBuilder::new(grid, scan)
         .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
         .checkpoint_every(1)
         .resume(true)
         .build()
-        .unwrap()
-        .try_reconstruct_sirt(&sino, 10)
         .unwrap();
+    let resumed = sirt(&rec, &sino, 10).unwrap();
     assert_bits_equal(&golden, &resumed);
 }
 
@@ -180,6 +177,39 @@ fn distributed_resume_is_bit_identical() {
     let resumed =
         try_reconstruct_distributed_ft(&ops, &y, &config(8), &ft_resume, &Metrics::noop()).unwrap();
     assert_dist_bits_equal(&golden, &resumed);
+}
+
+/// Every driver snapshots CG's γ through the one `carried_scalars`
+/// accessor: a shared-memory solve and a one-rank distributed solve of the
+/// same slice, checkpointed at the same boundary, carry bit-equal rule
+/// sections, and a batch-1 snapshot holds exactly one γ at any rank count.
+#[test]
+fn rule_section_is_the_same_for_every_driver() {
+    let (grid, scan, sino) = geometry(24, 36);
+    let rule_section = |mode: ExecMode| {
+        let sink = Arc::new(MemoryCheckpointSink::new());
+        let policy = CheckpointPolicy::new(sink.clone() as Arc<dyn CheckpointSink>, 1);
+        let req = ReconRequest::cg(ReconInput::Slice(sino.clone()), StopRule::Fixed(3))
+            .mode(mode)
+            .checkpoint(policy);
+        let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+        rec.run(&req).unwrap();
+        let snap = Snapshot::decode(&sink.load(0).unwrap().unwrap()).unwrap();
+        assert_eq!(snap.iteration(), 3);
+        let gammas = snap.f64s(memxct::checkpoint::SECTION_RULE).unwrap();
+        gammas.iter().map(|g| g.to_bits()).collect::<Vec<u64>>()
+    };
+    let over = |ranks| {
+        let config = DistConfig {
+            ranks,
+            ..DistConfig::default()
+        };
+        ExecMode::Distributed { config, ft: None }
+    };
+    let shared = rule_section(ExecMode::Serial);
+    assert_eq!(shared.len(), 1, "a batch-1 snapshot holds exactly one γ");
+    assert_eq!(rule_section(over(1)), shared);
+    assert_eq!(rule_section(over(3)).len(), 1);
 }
 
 #[test]
@@ -232,20 +262,19 @@ fn corrupted_and_truncated_snapshots_are_rejected_typed() {
         .build()
         .unwrap();
     assert!(matches!(
-        rec.try_reconstruct_cg(&sino, StopRule::Fixed(4)).err(),
-        Some(BuildError::Checkpoint(_))
+        cg(&rec, &sino, 4).err(),
+        Some(ReconError::Build(BuildError::Checkpoint(_)))
     ));
 
     // Truncation: a valid snapshot cut short fails the checksum/length
     // checks, again typed — never deserialized garbage.
     let sink = Arc::new(MemoryCheckpointSink::new());
-    ReconstructorBuilder::new(grid, scan)
+    let rec = ReconstructorBuilder::new(grid, scan)
         .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
         .checkpoint_every(1)
         .build()
-        .unwrap()
-        .try_reconstruct_cg(&sino, StopRule::Fixed(3))
         .unwrap();
+    cg(&rec, &sino, 3).unwrap();
     let bytes = sink.load(0).unwrap().unwrap();
     sink.save(0, &bytes[..bytes.len() / 2]).unwrap();
     let rec = ReconstructorBuilder::new(grid, scan)
@@ -254,29 +283,28 @@ fn corrupted_and_truncated_snapshots_are_rejected_typed() {
         .build()
         .unwrap();
     assert!(matches!(
-        rec.try_reconstruct_cg(&sino, StopRule::Fixed(4)).err(),
-        Some(BuildError::Checkpoint(_))
+        cg(&rec, &sino, 4).err(),
+        Some(ReconError::Build(BuildError::Checkpoint(_)))
     ));
 
     // A snapshot from a different geometry: decodes fine but fails the
     // CheckpointHash invariant, surfaced as a PlanCheck report.
     let (grid2, scan2, sino2) = geometry(16, 24);
     let foreign = Arc::new(MemoryCheckpointSink::new());
-    ReconstructorBuilder::new(grid2, scan2)
+    let rec = ReconstructorBuilder::new(grid2, scan2)
         .checkpoint_sink(foreign.clone() as Arc<dyn CheckpointSink>)
         .checkpoint_every(1)
         .build()
-        .unwrap()
-        .try_reconstruct_cg(&sino2, StopRule::Fixed(2))
         .unwrap();
+    cg(&rec, &sino2, 2).unwrap();
     let rec = ReconstructorBuilder::new(grid, scan)
         .checkpoint_sink(foreign as Arc<dyn CheckpointSink>)
         .resume(true)
         .build()
         .unwrap();
     assert!(matches!(
-        rec.try_reconstruct_cg(&sino, StopRule::Fixed(4)).err(),
-        Some(BuildError::PlanCheck(_))
+        cg(&rec, &sino, 4).err(),
+        Some(ReconError::Build(BuildError::PlanCheck(_)))
     ));
 }
 

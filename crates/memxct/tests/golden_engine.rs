@@ -8,14 +8,10 @@
 //! bits), plus the distributed-equals-serial checks for both CG and SIRT
 //! with early termination.
 
-// Golden-pin suite: the deprecated entry points stay covered (as shims
-// over `Reconstructor::run`) until they are removed.
-#![allow(deprecated)]
-
 use memxct::{
     cgls, cgls_regularized, cgls_smooth, gradient_operator, preprocess, run_engine, sirt,
-    sirt_nonneg, Config, Constraint, DistConfig, DistSolver, IterationRecord, Kernel, Operators,
-    OrderedSubsets, Reconstructor, SirtRule, StopRule,
+    sirt_nonneg, Config, Constraint, DistConfig, ExecMode, IterationRecord, Kernel, Operators,
+    OrderedSubsets, ReconInput, ReconRequest, Reconstructor, SirtRule, Solver, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_sparse::{spmv, CsrMatrix};
@@ -498,6 +494,16 @@ fn dist_setup(n: u32, m: u32) -> (Reconstructor, Sinogram) {
     (Reconstructor::new(grid, scan), sino)
 }
 
+/// `req` over `ranks` thread-ranks with buffered local kernels (the
+/// request's solver and stop rule override the config's).
+fn over_ranks(req: &ReconRequest, ranks: usize) -> ReconRequest {
+    let config = DistConfig {
+        ranks,
+        ..DistConfig::default()
+    };
+    req.clone().mode(ExecMode::Distributed { config, ft: None })
+}
+
 /// Acceptance: the distributed path is the same engine — for both CG and
 /// SIRT, with early termination, the distributed reconstruction must stop
 /// at the same iteration as the serial one and produce the same image (up
@@ -512,28 +518,21 @@ fn distributed_equals_serial_cg_with_early_termination() {
         max_iters: 40,
         min_decrease: 0.2,
     };
-    let serial = rec.reconstruct_cg(&sino, stop);
+    let req = ReconRequest::cg(ReconInput::Slice(sino), stop);
+    let serial = rec.run(&req).unwrap();
     assert!(
-        serial.records.len() < 40,
+        serial.iterations() < 40,
         "early termination should trigger, ran {}",
-        serial.records.len()
+        serial.iterations()
     );
     for ranks in [1usize, 3, 4] {
-        let dist = rec.reconstruct_distributed(
-            &sino,
-            &DistConfig {
-                ranks,
-                use_buffered: true,
-                stop,
-                solver: DistSolver::Cg,
-            },
-        );
+        let dist = rec.run(&over_ranks(&req, ranks)).unwrap();
         assert_eq!(
-            dist.records.len(),
-            serial.records.len(),
+            dist.iterations(),
+            serial.iterations(),
             "ranks {ranks}: stopped at a different iteration"
         );
-        let err = rel_err(&dist.image, &serial.image);
+        let err = rel_err(&dist.images[0], &serial.images[0]);
         assert!(err < 5e-3, "ranks {ranks}: err {err}");
     }
 }
@@ -563,22 +562,15 @@ fn distributed_equals_serial_sirt_with_early_termination() {
         "early termination should trigger, ran {}",
         serial_records.len()
     );
+    let req = ReconRequest::cg(ReconInput::Slice(sino), stop).solver(Solver::Sirt { relax: 1.0 });
     for ranks in [1usize, 3, 4] {
-        let dist = rec.reconstruct_distributed(
-            &sino,
-            &DistConfig {
-                ranks,
-                use_buffered: true,
-                stop,
-                solver: DistSolver::Sirt,
-            },
-        );
+        let dist = rec.run(&over_ranks(&req, ranks)).unwrap();
         assert_eq!(
-            dist.records.len(),
+            dist.iterations(),
             serial_records.len(),
             "ranks {ranks}: stopped at a different iteration"
         );
-        let err = rel_err(&dist.image, &serial_image);
+        let err = rel_err(&dist.images[0], &serial_image);
         assert!(err < 5e-3, "ranks {ranks}: err {err}");
     }
 }

@@ -4,10 +4,6 @@
 //! communication matrix), the no-op handle must record nothing, and the
 //! exported matrix must agree with the runtime's per-pair ledger.
 
-// Golden-pin suite: the deprecated entry points stay covered (as shims
-// over `Reconstructor::run`) until they are removed.
-#![allow(deprecated)]
-
 use memxct::prelude::*;
 use memxct::reconstruct_distributed_with_metrics;
 use xct_geometry::{simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
@@ -28,17 +24,13 @@ fn small_sinogram(n: u32) -> (Grid, ScanGeometry, Sinogram) {
 fn one_run_exports_all_required_metric_families() {
     let (grid, scan, sino) = small_sinogram(24);
     let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
-    let _ = rec
-        .try_reconstruct_distributed(
-            &sino,
-            &DistConfig {
-                ranks: 3,
-                use_buffered: true,
-                stop: StopRule::Fixed(6),
-                solver: DistSolver::Cg,
-            },
-        )
-        .unwrap();
+    let config = DistConfig {
+        ranks: 3,
+        ..DistConfig::default()
+    };
+    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(6))
+        .mode(ExecMode::Distributed { config, ft: None });
+    rec.run(&req).unwrap();
 
     let snap = rec.metrics();
     // Preprocessing phases.
@@ -89,7 +81,8 @@ fn noop_metrics_collect_nothing_end_to_end() {
         .metrics(Metrics::noop())
         .build()
         .unwrap();
-    let _ = rec.try_reconstruct_cg(&sino, StopRule::Fixed(4)).unwrap();
+    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(4));
+    rec.run(&req).unwrap();
 
     let snap = rec.metrics();
     assert!(snap.is_empty());
@@ -161,8 +154,9 @@ fn builder_surfaces_typed_build_errors() {
     // And the sinogram-length check on the built reconstructor.
     let rec = mk().build().unwrap();
     let wrong = Sinogram::new(ScanGeometry::new(7, 16), vec![0.0; 7 * 16]);
+    let req = ReconRequest::cg(ReconInput::Slice(wrong), StopRule::Fixed(2));
     assert!(matches!(
-        rec.try_reconstruct_cg(&wrong, StopRule::Fixed(2)),
-        Err(BuildError::SinogramLength { .. })
+        rec.run(&req),
+        Err(ReconError::Build(BuildError::SinogramLength { .. }))
     ));
 }

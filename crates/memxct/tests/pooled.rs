@@ -4,11 +4,7 @@
 //! depend on how many workers the rows are split across), and must agree
 //! with the unpooled path to reduction-reordering tolerance.
 
-// Golden-pin suite: the deprecated entry points stay covered (as shims
-// over `Reconstructor::run`) until they are removed.
-#![allow(deprecated)]
-
-use memxct::{Kernel, ReconstructorBuilder, StopRule};
+use memxct::{ExecMode, Kernel, ReconInput, ReconRequest, ReconstructorBuilder, StopRule};
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 
 fn problem(n: u32, m: u32) -> (Grid, ScanGeometry, Sinogram) {
@@ -17,6 +13,15 @@ fn problem(n: u32, m: u32) -> (Grid, ScanGeometry, Sinogram) {
     let img = disk(0.6, 1.0).rasterize(n);
     let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
     (grid, scan, sino)
+}
+
+/// `req` on the worker pool.
+fn pooled(req: ReconRequest) -> ReconRequest {
+    req.mode(ExecMode::Pooled)
+}
+
+fn cg(sino: &Sinogram, iters: usize) -> ReconRequest {
+    ReconRequest::cg(ReconInput::Slice(sino.clone()), StopRule::Fixed(iters))
 }
 
 fn pooled_image(
@@ -34,7 +39,7 @@ fn pooled_image(
         .build()
         .unwrap();
     assert_eq!(rec.pool_threads(), Some(threads));
-    rec.reconstruct_cg(sino, StopRule::Fixed(12)).image
+    rec.run(&pooled(cg(sino, 12))).unwrap().images.remove(0)
 }
 
 #[test]
@@ -72,11 +77,8 @@ fn pooled_kernels_agree_with_each_other_bitwise() {
 #[test]
 fn pooled_matches_unpooled_to_reduction_tolerance() {
     let (grid, scan, sino) = problem(24, 36);
-    let unpooled = ReconstructorBuilder::new(grid, scan)
-        .build()
-        .unwrap()
-        .reconstruct_cg(&sino, StopRule::Fixed(12))
-        .image;
+    let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let unpooled = rec.run(&cg(&sino, 12)).unwrap().images.remove(0);
     let pooled = pooled_image(grid, scan, &sino, Kernel::Buffered, 2);
     // The pooled f64 dot sums chunk partials instead of a single running
     // sum, so the trajectory differs in the last bits only.
@@ -103,7 +105,7 @@ fn pooled_reconstructor_reports_pool_metrics_and_validates_plans() {
         .validate_plan(true)
         .build()
         .unwrap();
-    rec.reconstruct_cg(&sino, StopRule::Fixed(4));
+    rec.run(&pooled(cg(&sino, 4))).unwrap();
     let snap = rec.metrics();
     // Pool instrumentation: dispatch latency, utilization, worker count.
     assert!(snap.counters[xct_runtime::POOL_DISPATCHES] > 0);
@@ -128,13 +130,13 @@ fn pooled_reconstructor_reports_pool_metrics_and_validates_plans() {
 fn pooled_sirt_is_bit_identical_across_thread_counts() {
     let (grid, scan, sino) = problem(24, 36);
     let image = |threads: usize| {
-        ReconstructorBuilder::new(grid, scan)
+        let rec = ReconstructorBuilder::new(grid, scan)
             .use_pool(true)
             .pool_threads(threads)
             .build()
-            .unwrap()
-            .reconstruct_sirt(&sino, 8)
-            .image
+            .unwrap();
+        let req = ReconRequest::sirt(ReconInput::Slice(sino.clone()), 8);
+        rec.run(&pooled(req)).unwrap().images.remove(0)
     };
     let want = image(1);
     for threads in [2, 8] {

@@ -3,10 +3,6 @@
 //! with the monolithic one, and permutations round-trip — for arbitrary
 //! geometries and rank counts.
 
-// Golden-pin suite: the deprecated entry points stay covered (as shims
-// over `Reconstructor::run`) until they are removed.
-#![allow(deprecated)]
-
 use memxct::{preprocess, Config, Kernel};
 use proptest::prelude::*;
 use xct_geometry::{disk, Sinogram};
@@ -93,21 +89,18 @@ proptest! {
             stop,
         );
         let serial_image = ops.unorder_tomogram(&x);
-        let dist = rec.reconstruct_distributed(
-            &sino,
-            &memxct::DistConfig {
-                ranks,
-                use_buffered: true,
-                stop,
-                solver: memxct::DistSolver::Sirt,
-            },
-        );
+        let config = memxct::DistConfig { ranks, ..memxct::DistConfig::default() };
+        let req = memxct::ReconRequest::cg(memxct::ReconInput::Slice(sino), stop)
+            .solver(memxct::Solver::Sirt { relax: 1.0 })
+            .mode(memxct::ExecMode::Distributed { config, ft: None });
+        let dist = rec.run(&req).unwrap();
+        let (dist_image, dist_iters) = (&dist.images[0], dist.iterations());
         // The allreduced residual is identical on every rank, so the
         // early-termination decision must branch the same way as serial
         // (up to fp reassociation right at the threshold).
-        let d = dist.records.len() as i64 - serial_records.len() as i64;
-        prop_assert!(d.abs() <= 1, "stopped at {} vs serial {}", dist.records.len(), serial_records.len());
-        let num: f64 = dist.image.iter().zip(&serial_image)
+        let d = dist_iters as i64 - serial_records.len() as i64;
+        prop_assert!(d.abs() <= 1, "stopped at {} vs serial {}", dist_iters, serial_records.len());
+        let num: f64 = dist_image.iter().zip(&serial_image)
             .map(|(&a, &b)| ((a - b) as f64).powi(2)).sum::<f64>().sqrt();
         let den: f64 = serial_image.iter().map(|&v| (v as f64).powi(2)).sum::<f64>().sqrt();
         prop_assert!(num / den.max(1e-12) < 2e-2, "rel err {}", num / den.max(1e-12));

@@ -40,7 +40,6 @@ mod batch;
 mod buffered;
 mod csr;
 mod ell;
-mod kernel;
 pub mod lanes;
 mod pooled;
 mod reduce;
@@ -55,7 +54,6 @@ pub use batch::{
 pub use buffered::{BufferIndex, BufferedCsr, BufferedCsr32, BufferedCsrImpl, LayoutError};
 pub use csr::CsrMatrix;
 pub use ell::{EllMatrix, EllPartitionView};
-pub use kernel::{ParCsr, SpmvKernel};
 pub use pooled::{
     csr_plan, csr_plan_equal, dot_chunks, dot_f64_pooled, dot_plan, spmv_pooled_into, DOT_CHUNK,
 };
