@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use memxct::{preprocess, Config, DomainOrdering};
 use xct_geometry::ADS1;
-use xct_sparse::{spmv_parallel, BufferedCsr, EllMatrix};
+use xct_runtime::WorkerPool;
+use xct_sparse::{csr_plan_equal, spmv_pooled_into, BufferedCsr, EllMatrix};
 
 fn bench_spmv(c: &mut Criterion) {
     let ds = ADS1.scaled(2); // 180x128: small enough for quick criterion runs
@@ -29,21 +30,28 @@ fn bench_spmv(c: &mut Criterion) {
     let x: Vec<f32> = (0..rm.a.ncols()).map(|i| (i % 13) as f32 * 0.3).collect();
     let nnz = rm.a.nnz() as u64;
 
+    // Every variant runs on the one threaded path: the worker pool.
+    let pool = WorkerPool::from_env();
+    let threads = pool.num_threads();
+    let mut y = vec![0f32; rm.a.nrows()];
+
     let mut g = c.benchmark_group("forward_spmv");
     g.throughput(Throughput::Elements(nnz));
-    g.bench_with_input(BenchmarkId::new("csr", "row-major"), &rm.a, |b, a| {
-        b.iter(|| spmv_parallel(a, &x, 128))
-    });
-    g.bench_with_input(BenchmarkId::new("csr", "hilbert"), &hl.a, |b, a| {
-        b.iter(|| spmv_parallel(a, &x, 128))
-    });
+    for (order, a) in [("row-major", &rm.a), ("hilbert", &hl.a)] {
+        let plan = csr_plan_equal(a, threads);
+        g.bench_function(BenchmarkId::new("csr", order), |b| {
+            b.iter(|| spmv_pooled_into(a, &x, &mut y, &plan, &pool))
+        });
+    }
     let ell = EllMatrix::from_csr(&hl.a, 128);
+    let plan = ell.exec_plan(threads);
     g.bench_function(BenchmarkId::new("ell", "hilbert"), |b| {
-        b.iter(|| ell.spmv(&x))
+        b.iter(|| ell.spmv_pooled_into(&x, &mut y, &plan, &pool))
     });
     let buf = BufferedCsr::from_csr(&hl.a, 128, 2048);
+    let plan = buf.exec_plan(threads);
     g.bench_function(BenchmarkId::new("buffered", "hilbert"), |b| {
-        b.iter(|| buf.spmv_parallel(&x))
+        b.iter(|| buf.spmv_pooled_into(&x, &mut y, &plan, &pool))
     });
     g.finish();
 }

@@ -12,8 +12,9 @@
 //! ```
 
 use memxct::{preprocess, Config};
-use xct_bench::{bandwidth_gbs, gflops, scale_from_args, time_median};
+use xct_bench::{bandwidth_gbs, gflops, scale_from_args, time_buffered_spmv};
 use xct_geometry::ADS2;
+use xct_runtime::WorkerPool;
 use xct_sparse::{BufferedCsr, BufferedCsr32};
 
 fn main() {
@@ -42,18 +43,9 @@ fn main() {
     assert_eq!(m16.num_stages(), m32.num_stages());
     assert_eq!(m16.map_len(), m32.map_len());
 
-    let t16 = time_median(
-        || {
-            std::hint::black_box(m16.spmv_parallel(&x));
-        },
-        reps,
-    );
-    let t32 = time_median(
-        || {
-            std::hint::black_box(m32.spmv_parallel(&x));
-        },
-        reps,
-    );
+    let pool = WorkerPool::from_env();
+    let t16 = time_buffered_spmv(&m16, &x, &pool, reps);
+    let t32 = time_buffered_spmv(&m32, &x, &pool, reps);
 
     println!(
         "{:<16} {:>14} {:>10} {:>10} {:>12}",

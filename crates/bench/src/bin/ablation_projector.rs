@@ -8,8 +8,9 @@
 //! ```
 
 use memxct::{cgls, preprocess, Config, Kernel, Projector, StopRule};
-use xct_bench::{gflops, scale_from_args, time_median};
+use xct_bench::{gflops, scale_from_args, time_buffered_spmv};
 use xct_geometry::{simulate_sinogram, NoiseModel, ADS2};
+use xct_runtime::WorkerPool;
 
 fn rel_err(a: &[f32], b: &[f32]) -> f64 {
     let num: f64 = a
@@ -32,6 +33,7 @@ fn main() {
     let truth = ds.phantom().rasterize(ds.channels);
     let sino = simulate_sinogram(&truth, &ds.grid(), &ds.scan(), NoiseModel::None, 7);
 
+    let pool = WorkerPool::from_env();
     println!(
         "{:<10} {:>10} {:>12} {:>12} {:>10} {:>12}",
         "projector", "nnz (M)", "nnz/row", "preproc ms", "GFLOPS", "recon err"
@@ -50,12 +52,7 @@ fn main() {
 
         let x: Vec<f32> = (0..ops.a.ncols()).map(|i| (i % 9) as f32 * 0.25).collect();
         let buf = ops.a_buf.as_ref().unwrap();
-        let t = time_median(
-            || {
-                std::hint::black_box(buf.spmv_parallel(&x));
-            },
-            3,
-        );
+        let t = time_buffered_spmv(buf, &x, &pool, 3);
 
         let y = ops.order_sinogram(&sino);
         let (rec, _) = cgls(

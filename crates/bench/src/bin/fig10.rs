@@ -10,8 +10,9 @@
 //! ```
 
 use memxct::{preprocess, Config};
-use xct_bench::{gflops, scale_from_args, time_median};
+use xct_bench::{gflops, scale_from_args, time_buffered_spmv};
 use xct_geometry::ADS2;
+use xct_runtime::WorkerPool;
 use xct_sparse::BufferedCsr;
 
 fn main() {
@@ -32,6 +33,7 @@ fn main() {
     );
     let x: Vec<f32> = (0..ops.a.ncols()).map(|i| (i % 13) as f32 * 0.3).collect();
     let nnz = ops.a.nnz();
+    let pool = WorkerPool::from_env();
 
     let partsizes = [16usize, 32, 64, 128, 256, 512, 1024];
     let buffsizes_kb = [1usize, 2, 4, 8, 16, 32, 64];
@@ -48,12 +50,7 @@ fn main() {
         for kb in buffsizes_kb {
             let buff = kb * 1024 / 4;
             let m = BufferedCsr::from_csr(&ops.a, ps, buff);
-            let t = time_median(
-                || {
-                    std::hint::black_box(m.spmv_parallel(&x));
-                },
-                3,
-            );
+            let t = time_buffered_spmv(&m, &x, &pool, 3);
             let g = gflops(nnz, t);
             if g > best.0 {
                 best = (g, ps, kb);

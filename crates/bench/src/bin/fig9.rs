@@ -17,12 +17,13 @@
 //! ```
 
 use memxct::{
-    preprocess, BufferedOperator, Config, DomainOrdering, Operators, ParallelOperator,
+    preprocess, Config, DomainOrdering, Kernel, KernelOperator, Operators, PooledPlans,
     ProjectionOperator,
 };
 use xct_bench::{bandwidth_gbs, gflops};
 use xct_cachesim::{spmv_irregular_miss_rate, CacheConfig};
 use xct_geometry::{Dataset, ADS1, ADS2, ADS3, ADS4};
+use xct_runtime::WorkerPool;
 use xct_sparse::BufferedCsr;
 
 struct Variant {
@@ -51,39 +52,29 @@ fn median_kernel_time(
 }
 
 /// Forward+backprojection GFLOPS/bandwidth of one configuration, timed
-/// through the [`ProjectionOperator`] layer.
-fn run(ops: &Operators, buffered: bool, reps: usize) -> (f64, f64) {
-    let partsize = 128;
-    let buffsize = 2048; // 8 KB, the paper's tuned KNL value
+/// through the [`ProjectionOperator`] layer on the worker pool (threads
+/// from `RAYON_NUM_THREADS`, as before).
+fn run(ops: &Operators, kernel: Kernel, reps: usize) -> (f64, f64) {
     let x: Vec<f32> = (0..ops.a.ncols()).map(|i| (i % 13) as f32 * 0.3).collect();
     let y: Vec<f32> = (0..ops.a.nrows()).map(|i| (i % 11) as f32 * 0.2).collect();
     let mut yo = vec![0f32; ops.a.nrows()];
     let mut xo = vec![0f32; ops.a.ncols()];
     let nnz = ops.a.nnz();
-    if buffered {
-        let fa = BufferedCsr::from_csr(&ops.a, partsize, buffsize);
-        let fb = BufferedCsr::from_csr(&ops.at, partsize, buffsize);
-        let op = BufferedOperator::from_parts(&fa, &fb);
-        let t_f = median_kernel_time(&op, reps, |o| {
-            o.forward_into(&x, std::hint::black_box(&mut yo))
-        });
-        let t_b = median_kernel_time(&op, reps, |o| {
-            o.back_into(&y, std::hint::black_box(&mut xo))
-        });
-        let t = (t_f + t_b) / 2.0;
-        let bytes = (fa.regular_bytes() + fb.regular_bytes()) / 2;
-        (gflops(nnz, t), bandwidth_gbs(bytes, t))
-    } else {
-        let op = ParallelOperator::from_parts(&ops.a, &ops.at, partsize);
-        let t_f = median_kernel_time(&op, reps, |o| {
-            o.forward_into(&x, std::hint::black_box(&mut yo))
-        });
-        let t_b = median_kernel_time(&op, reps, |o| {
-            o.back_into(&y, std::hint::black_box(&mut xo))
-        });
-        let t = (t_f + t_b) / 2.0;
-        (gflops(nnz, t), bandwidth_gbs(ops.a.regular_bytes(), t))
-    }
+    let pool = WorkerPool::from_env();
+    let plans = PooledPlans::new_batched(ops, kernel, pool.num_threads(), 1);
+    let op = KernelOperator::pooled(ops, kernel, &plans, &pool);
+    let t_f = median_kernel_time(&op, reps, |o| {
+        o.forward_into(&x, std::hint::black_box(&mut yo))
+    });
+    let t_b = median_kernel_time(&op, reps, |o| {
+        o.back_into(&y, std::hint::black_box(&mut xo))
+    });
+    let t = (t_f + t_b) / 2.0;
+    let bytes = match (&ops.a_buf, &ops.at_buf, kernel) {
+        (Some(fa), Some(fb), Kernel::Buffered) => (fa.regular_bytes() + fb.regular_bytes()) / 2,
+        _ => ops.a.regular_bytes(),
+    };
+    (gflops(nnz, t), bandwidth_gbs(bytes, t))
 }
 
 fn measure(ds: &Dataset, reps: usize) -> Vec<Variant> {
@@ -102,7 +93,7 @@ fn measure(ds: &Dataset, reps: usize) -> Vec<Variant> {
                 ..Config::default()
             },
         );
-        let (g, b) = run(&base, false, reps);
+        let (g, b) = run(&base, Kernel::Serial, reps);
         let m = spmv_irregular_miss_rate(base.a.colind(), l2).miss_rate();
         out.push(Variant {
             name: "baseline",
@@ -112,7 +103,7 @@ fn measure(ds: &Dataset, reps: usize) -> Vec<Variant> {
         });
     }
     {
-        let hil = preprocess(
+        let mut hil = preprocess(
             ds.grid(),
             ds.scan(),
             &Config {
@@ -120,7 +111,7 @@ fn measure(ds: &Dataset, reps: usize) -> Vec<Variant> {
                 ..Config::default()
             },
         );
-        let (g, b) = run(&hil, false, reps);
+        let (g, b) = run(&hil, Kernel::Serial, reps);
         let m = spmv_irregular_miss_rate(hil.a.colind(), l2).miss_rate();
         out.push(Variant {
             name: "+hilbert",
@@ -128,7 +119,10 @@ fn measure(ds: &Dataset, reps: usize) -> Vec<Variant> {
             miss_rate: m,
             bandwidth: b,
         });
-        let (g, b) = run(&hil, true, reps);
+        // Partition size 128, 8 KB buffer: the paper's tuned KNL values.
+        hil.a_buf = Some(BufferedCsr::from_csr(&hil.a, 128, 2048));
+        hil.at_buf = Some(BufferedCsr::from_csr(&hil.at, 128, 2048));
+        let (g, b) = run(&hil, Kernel::Buffered, reps);
         out.push(Variant {
             name: "+buffering",
             gflops: g,

@@ -21,17 +21,19 @@
 //!   thread counts.
 //! - `retired`: variants dropped from the schema and why (`scoped`: per-
 //!   call thread spawns, strictly dominated by `pooled_*` in every
-//!   committed measurement — kept only as prose in DESIGN.md).
+//!   committed measurement; `pooled_tiled`: the cache-blocked tiled-CSR
+//!   layout, slower than `pooled_nnz` in 11 of its 12 committed cells —
+//!   both kept only as prose in DESIGN.md).
 //! - `datasets`: one block per swept dataset:
 //!   - `matrix`: `{dataset, scale, nrows, ncols, nnz}`
 //!   - `bit_identical`: every variant matched its family's serial kernel
-//!     bitwise (CSR-lane, buffered, tiled are distinct deterministic
+//!     bitwise (CSR-lane and buffered are distinct deterministic
 //!     orders; `serial` — the scalar Listing 2 chain — is the roofline
 //!     baseline and is only checked to tolerance)
 //!   - `results`: `{variant, threads, median_seconds, gflops,
 //!     bytes_per_second, fraction_of_peak, speedup_vs_serial, imbalance}`
 //!     with `variant` ∈ `serial | vector | pooled_equal | pooled_nnz |
-//!     pooled_buf | pooled_tiled`. `bytes_per_second` is the variant's
+//!     pooled_buf`. `bytes_per_second` is the variant's
 //!     regular-data stream (8 B/nnz CSR, 6 B/nnz + 4 B/slot buffered, ELL
 //!     padding excluded here) over the median time; `fraction_of_peak` is
 //!     that rate over the triad ceiling, clamped to 1.0 (cache-resident
@@ -52,7 +54,7 @@ use xct_geometry::{Dataset, ADS1, ADS2, ADS3, ADS4};
 use xct_runtime::{ExecPlan, WorkerPool};
 use xct_sparse::{
     csr_plan, csr_plan_equal, spmm_into, spmm_pooled_into, spmv_into, spmv_pooled_into,
-    spmv_scalar_into, BufferedCsr, CsrMatrix, TiledCsr,
+    spmv_scalar_into, BufferedCsr, CsrMatrix,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -64,6 +66,12 @@ const STREAM_ELEMS: usize = 16 << 20;
 /// 128 rows staged through a 2048-element / 8 KB buffer).
 const BUF_PARTSIZE: usize = 128;
 const BUF_BUFFSIZE: usize = 2048;
+
+/// Why the `scoped` variant left the schema.
+const RETIRED_SCOPED: &str =
+    "per-call thread spawns; strictly dominated by pooled_* in every committed measurement";
+/// Why `pooled_tiled` left it, with the last medians it recorded.
+const RETIRED_TILED: &str = "cache-blocked tiled-CSR layout, deleted: slower than pooled_nnz in 11 of its 12 committed cells; last medians in ms at 1/2/4 threads (pooled_nnz in parentheses): ADS1 0.311/0.269/0.237 (0.277/0.229/0.239), ADS2 4.034/2.296/2.312 (2.155/1.556/1.482), ADS3 4.768/2.675/2.810 (2.911/1.878/1.783), ADS4 4.110/2.111/2.190 (2.483/1.370/1.328)";
 
 /// Default sweep: every ADS dataset, scaled so the per-dataset nonzero
 /// count stays laptop-tractable while the footprints still span
@@ -282,7 +290,6 @@ fn run_dataset(
     let x: &[f32] = &x;
 
     let buf = BufferedCsr::from_csr(a, BUF_PARTSIZE, BUF_BUFFSIZE);
-    let tiled = TiledCsr::from_csr(a);
 
     println!(
         "\n=== {} (scale 1/{div}): {} rows x {} cols, {} nnz ===",
@@ -302,7 +309,6 @@ fn run_dataset(
     let mut want_scalar = vec![0f32; a.nrows()];
     spmv_scalar_into(a, x, &mut want_scalar);
     let want_buf = buf.spmv(x);
-    let want_tiled = tiled.spmv(x);
     // The scalar baseline sums in a different order — same values to
     // tolerance, rarely the same bits.
     for (s, v) in want_scalar.iter().zip(&want_vec) {
@@ -365,21 +371,6 @@ fn run_dataset(
                 imbalance,
                 times: Vec::new(),
                 f: Box::new(move || b.spmv_pooled_into(x, &mut y, &plan, pool)),
-            });
-        }
-        // Cache-blocked gathers over the Hilbert tile structure.
-        {
-            let plan = tiled.exec_plan(threads);
-            let imbalance = plan.imbalance();
-            let mut y = vec![0f32; a.nrows()];
-            let t = &tiled;
-            variants.push(Variant {
-                name: "pooled_tiled",
-                threads,
-                bytes: a.regular_bytes(),
-                imbalance,
-                times: Vec::new(),
-                f: Box::new(move || t.spmv_pooled_into(x, &mut y, &plan, pool)),
             });
         }
     }
@@ -449,9 +440,6 @@ fn run_dataset(
         y.fill(0.0);
         buf.spmv_pooled_into(x, &mut y, &buf.exec_plan(threads), &pools[i]);
         bit_identical &= bits_match(&y, &want_buf);
-        y.fill(0.0);
-        tiled.spmv_pooled_into(x, &mut y, &tiled.exec_plan(threads), &pools[i]);
-        bit_identical &= bits_match(&y, &want_tiled);
     }
     assert!(bit_identical, "a variant diverged from its serial kernel");
     println!("bit-identical within every kernel family: {bit_identical}");
@@ -644,8 +632,9 @@ fn render_json(
             .join(", "),
         STREAM_ELEMS * 4 / (1 << 20)
     );
-    s.push_str(
-        "  \"retired\": {\"scoped\": \"per-call thread spawns; strictly dominated by pooled_* in every committed measurement\"},\n",
+    let _ = writeln!(
+        s,
+        "  \"retired\": {{\"scoped\": \"{RETIRED_SCOPED}\", \"pooled_tiled\": \"{RETIRED_TILED}\"}},"
     );
     s.push_str("  \"datasets\": [\n");
     for (bi, b) in blocks.iter().enumerate() {

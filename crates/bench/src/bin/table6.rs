@@ -13,9 +13,12 @@
 //! ```
 
 use memxct::{preprocess, Config, DomainOrdering};
-use xct_bench::{gflops, scale_from_args, spmv_library, time_median};
+use xct_bench::{
+    gflops, scale_from_args, spmv_library, time_buffered_spmv, time_csr_spmv, time_median,
+};
 use xct_geometry::ADS2;
-use xct_sparse::{spmv_parallel, BufferedCsr};
+use xct_runtime::WorkerPool;
+use xct_sparse::BufferedCsr;
 
 fn main() {
     let div = scale_from_args();
@@ -47,19 +50,11 @@ fn main() {
         || std::hint::black_box(spmv_library(&rm.a, &x_rm)).truncate(0),
         reps,
     );
-    let t_base = time_median(
-        || std::hint::black_box(spmv_parallel(&rm.a, &x_rm, 128)).truncate(0),
-        reps,
-    );
-    let t_hil = time_median(
-        || std::hint::black_box(spmv_parallel(&hl.a, &x_hl, 128)).truncate(0),
-        reps,
-    );
+    let pool = WorkerPool::from_env();
+    let t_base = time_csr_spmv(&rm.a, &x_rm, &pool, reps);
+    let t_hil = time_csr_spmv(&hl.a, &x_hl, &pool, reps);
     let buf = BufferedCsr::from_csr(&hl.a, 128, 2048);
-    let t_buf = time_median(
-        || std::hint::black_box(buf.spmv_parallel(&x_hl)).truncate(0),
-        reps,
-    );
+    let t_buf = time_buffered_spmv(&buf, &x_hl, &pool, reps);
 
     println!(
         "{:<26} {:>10} {:>10} {:>9} {:>20}",

@@ -17,7 +17,8 @@
 
 use std::time::Instant;
 use xct_geometry::{simulate_sinogram, Dataset, NoiseModel, Sinogram};
-use xct_runtime::KernelVolumes;
+use xct_runtime::{KernelVolumes, WorkerPool};
+use xct_sparse::{BufferIndex, BufferedCsrImpl, CsrMatrix};
 
 pub use memxct::{preprocess, Config, Kernel, Operators};
 
@@ -67,6 +68,30 @@ pub fn time_median<F: FnMut()>(mut f: F, reps: usize) -> f64 {
         .collect();
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// Median seconds of one CSR SpMV on `pool` over the static equal-rows
+/// split — Listing 2's baseline schedule, with the workers parked between
+/// calls instead of spawned per call.
+pub fn time_csr_spmv(a: &CsrMatrix, x: &[f32], pool: &WorkerPool, reps: usize) -> f64 {
+    let plan = xct_sparse::csr_plan_equal(a, pool.num_threads());
+    let mut y = vec![0f32; a.nrows()];
+    let spmv = || xct_sparse::spmv_pooled_into(a, x, std::hint::black_box(&mut y), &plan, pool);
+    time_median(spmv, reps)
+}
+
+/// Median seconds of one buffered SpMV (Listing 3) on `pool` over the
+/// layout's own partition plan.
+pub fn time_buffered_spmv<I: BufferIndex>(
+    m: &BufferedCsrImpl<I>,
+    x: &[f32],
+    pool: &WorkerPool,
+    reps: usize,
+) -> f64 {
+    let plan = m.exec_plan(pool.num_threads());
+    let mut y = vec![0f32; m.nrows()];
+    let spmv = || m.spmv_pooled_into(x, std::hint::black_box(&mut y), &plan, pool);
+    time_median(spmv, reps)
 }
 
 /// GFLOPS of one projection: two FLOPs (one FMA) per nonzero (§4.2).

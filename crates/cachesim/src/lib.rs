@@ -16,6 +16,4 @@ mod cache;
 mod trace;
 
 pub use cache::{CacheConfig, CacheSim, CacheStats};
-pub use trace::{
-    spmv_irregular_miss_rate, spmv_irregular_trace, spmv_tiled_miss_rate, spmv_tiled_trace,
-};
+pub use trace::{spmv_irregular_miss_rate, spmv_irregular_trace};

@@ -25,57 +25,6 @@ pub fn spmv_irregular_miss_rate(colind: &[u32], config: CacheConfig) -> CacheSta
     sim.stats()
 }
 
-/// Byte addresses of the irregular (`x`) accesses of the **tile-blocked**
-/// SpMV: rows are processed in blocks of `row_block`, and within a block
-/// the entries are regrouped by column tile (`col / col_tile`, ascending,
-/// original order within a `(row, tile)` pair — exactly the execution
-/// order of `xct-sparse`'s `TiledCsr`). Each tile's `x` range is at most
-/// `col_tile * 4` bytes, so consecutive gathers stay inside one
-/// cache-sized window instead of sweeping the whole domain per row.
-pub fn spmv_tiled_trace(
-    rowptr: &[usize],
-    colind: &[u32],
-    row_block: usize,
-    col_tile: usize,
-) -> Vec<u64> {
-    assert!(row_block > 0, "row block must be positive");
-    assert!(col_tile > 0, "column tile must be positive");
-    let nrows = rowptr.len().saturating_sub(1);
-    let mut trace = Vec::with_capacity(colind.len());
-    let mut bucket: Vec<(usize, u32)> = Vec::new();
-    for b0 in (0..nrows).step_by(row_block) {
-        let b1 = (b0 + row_block).min(nrows);
-        bucket.clear();
-        for i in b0..b1 {
-            for &c in &colind[rowptr[i]..rowptr[i + 1]] {
-                bucket.push((c as usize / col_tile, c));
-            }
-        }
-        // Stable regrouping by tile: entries were pushed in (row, entry)
-        // order, so a stable sort by tile keeps that order within a tile.
-        bucket.sort_by_key(|&(t, _)| t);
-        trace.extend(bucket.iter().map(|&(_, c)| c as u64 * 4));
-    }
-    trace
-}
-
-/// Miss rate of the tile-blocked irregular stream over a cold cache; the
-/// companion of [`spmv_irregular_miss_rate`] for before/after blocking
-/// comparisons.
-pub fn spmv_tiled_miss_rate(
-    rowptr: &[usize],
-    colind: &[u32],
-    row_block: usize,
-    col_tile: usize,
-    config: CacheConfig,
-) -> CacheStats {
-    let mut sim = CacheSim::new(config);
-    for addr in spmv_tiled_trace(rowptr, colind, row_block, col_tile) {
-        sim.access(addr);
-    }
-    sim.stats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,55 +50,6 @@ mod tests {
         let cols: Vec<u32> = (0..65536u32).step_by(16).collect();
         let stats = spmv_irregular_miss_rate(&cols, CacheConfig::new(64, 4096, 4));
         assert_eq!(stats.miss_rate(), 1.0);
-    }
-
-    #[test]
-    fn tiled_trace_regroups_by_tile_and_preserves_row_order() {
-        // Two rows in one block, columns spanning two tiles of 4.
-        let rowptr = [0usize, 3, 5];
-        let colind = [6u32, 1, 2, 5, 0];
-        let trace = spmv_tiled_trace(&rowptr, &colind, 2, 4);
-        // Tile 0 first (row 0's 1, 2 then row 1's 0), then tile 1 (6, 5).
-        assert_eq!(trace, vec![4, 8, 0, 24, 20]);
-        // A block boundary between the rows keeps each row's order intact.
-        let per_row = spmv_tiled_trace(&rowptr, &colind, 1, 4);
-        assert_eq!(per_row, vec![4, 8, 24, 0, 20]);
-    }
-    #[test]
-    fn tiled_trace_is_a_permutation_of_the_plain_trace() {
-        let rowptr: Vec<usize> = (0..=40).map(|i| i * 7).collect();
-        let colind: Vec<u32> = (0..280u32).map(|k| (k * 97) % 1024).collect();
-        let mut plain: Vec<u64> = spmv_irregular_trace(&colind).collect();
-        let mut tiled = spmv_tiled_trace(&rowptr, &colind, 8, 64);
-        plain.sort_unstable();
-        tiled.sort_unstable();
-        assert_eq!(plain, tiled);
-    }
-
-    #[test]
-    fn tile_blocking_reduces_misses_on_scattered_rows() {
-        // Each row sweeps the whole domain with a large stride: the plain
-        // row-order trace thrashes a small cache, while regrouping by tile
-        // turns it into per-tile sequential sweeps.
-        let nrows = 64usize;
-        let per_row = 128usize;
-        let mut rowptr = vec![0usize];
-        let mut colind = Vec::new();
-        for i in 0..nrows {
-            for e in 0..per_row {
-                colind.push(((e * 512 + i * 16) % 65536) as u32);
-            }
-            rowptr.push(colind.len());
-        }
-        let config = CacheConfig::new(64, 16 * 1024, 8);
-        let plain = spmv_irregular_miss_rate(&colind, config);
-        let tiled = spmv_tiled_miss_rate(&rowptr, &colind, nrows, 2048, config);
-        assert!(
-            tiled.miss_rate() < plain.miss_rate(),
-            "tiled {} vs plain {}",
-            tiled.miss_rate(),
-            plain.miss_rate()
-        );
     }
 
     #[test]

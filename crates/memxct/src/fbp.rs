@@ -27,7 +27,7 @@ impl Default for FbpConfig {
     fn default() -> Self {
         FbpConfig {
             filter: FilterKind::SheppLogan,
-            kernel: Kernel::Parallel,
+            kernel: Kernel::Serial,
         }
     }
 }
@@ -120,8 +120,8 @@ mod tests {
         let (x_cg, _) = cgls(
             &y,
             ops.a.ncols(),
-            |p| ops.forward(Kernel::Parallel, p),
-            |r| ops.back(Kernel::Parallel, r),
+            |p| ops.forward(Kernel::Serial, p),
+            |r| ops.back(Kernel::Serial, r),
             StopRule::EarlyTermination {
                 max_iters: 30,
                 min_decrease: 0.02,

@@ -17,7 +17,8 @@
 //!    overlap reduction) and backprojection is its transpose — no domain
 //!    duplication, no atomics.
 //!
-//! Every projection path — serial/parallel/buffered/ELL CSR, the
+//! Every projection path — the memoized CSR / buffered / ELL layouts
+//! (one [`KernelOperator`], inline or on the worker pool), the
 //! distributed `R·C·A_p` factorization, and the CompXCT baseline —
 //! implements the [`ProjectionOperator`] trait ([`operator`]), and every
 //! solver is the single generic engine [`run_engine_in`] parameterized by
@@ -56,9 +57,9 @@ pub use dist::{
 pub use errors::BuildError;
 pub use fbp::{fbp, FbpConfig};
 pub use operator::{
-    BufferedOperator, ClosureOperator, CompOperator, EllOperator, KernelBreakdown,
-    ParallelOperator, PooledOperator, PooledPlans, ProjectionOperator, RowSubsetOperator,
-    SerialOperator, StackedOperator, POOL_IMBALANCE_BACK, POOL_IMBALANCE_FORWARD,
+    ClosureOperator, CompOperator, KernelBreakdown, KernelOperator, PooledOperator, PooledPlans,
+    ProjectionOperator, RowSubsetOperator, StackedOperator, POOL_IMBALANCE_BACK,
+    POOL_IMBALANCE_FORWARD,
 };
 pub use plan_check::{dist_checker, exec_checker, ledger_check, plan_checker, validate_plan};
 pub use preprocess::{

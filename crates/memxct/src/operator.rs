@@ -1,8 +1,16 @@
-//! The operator layer: every projection path — serial CSR, parallel CSR,
-//! multi-stage buffered (16- and 32-bit addressing), ELL, the distributed
-//! `RankPlan`/`Communicator` factorization, and the compute-centric
-//! CompXCT baseline — behind one [`ProjectionOperator`] trait, so the
-//! solver engine in [`crate::solvers`] is written exactly once.
+//! The operator layer: every projection path — the memoized layouts (CSR,
+//! multi-stage buffered, ELL; on the calling thread or through the worker
+//! pool), the distributed `RankPlan`/`Communicator` factorization, and
+//! the compute-centric CompXCT baseline — behind one
+//! [`ProjectionOperator`] trait, so the solver engine in
+//! [`crate::solvers`] is written exactly once.
+//!
+//! The memoized layouts share **one** implementation,
+//! [`KernelOperator`]: a layout (what [`Kernel`] names) × an executor
+//! (inline, or a [`WorkerPool`] over precomputed [`PooledPlans`]) with a
+//! single `apply` body. It always calls the layout's SpMM entry point —
+//! `batch = 1` *is* the SpMV — and the pool is the only way it goes
+//! parallel: the inline form runs on the calling thread at every width.
 //!
 //! The trait contract:
 //!
@@ -29,9 +37,7 @@ use std::time::Instant;
 use xct_compxct::CompXct;
 use xct_obs::{Metrics, KERNEL_AP_SECONDS, KERNEL_C_SECONDS, KERNEL_R_SECONDS};
 use xct_runtime::{ExecPlan, WorkerPool};
-use xct_sparse::{
-    spmv_into, spmv_parallel_into, BufferIndex, BufferedCsr, BufferedCsrImpl, CsrMatrix, EllMatrix,
-};
+use xct_sparse::{spmv_into, BufferedCsr, CsrMatrix, EllMatrix};
 
 use crate::preprocess::{Kernel, Operators};
 
@@ -89,26 +95,18 @@ impl KernelBreakdown {
 /// precomputed so the hot path never allocates.
 struct SpmvMeter {
     metrics: Metrics,
-    calls: String,
-    nnz: String,
-    bytes: String,
-    spmm_calls: String,
-    spmm_nnz: String,
-    spmm_bytes: String,
-    spmm_slices: String,
+    /// `calls`, `nnz`, `bytes` under `spmv/<kernel>/`.
+    spmv: [String; 3],
+    /// `calls`, `nnz`, `bytes`, `slices` under `spmm/<kernel>/`.
+    spmm: [String; 4],
 }
 
 impl SpmvMeter {
     fn new(metrics: Metrics, kernel: &str) -> Self {
         SpmvMeter {
             metrics,
-            calls: format!("spmv/{kernel}/calls"),
-            nnz: format!("spmv/{kernel}/nnz"),
-            bytes: format!("spmv/{kernel}/bytes"),
-            spmm_calls: format!("spmm/{kernel}/calls"),
-            spmm_nnz: format!("spmm/{kernel}/nnz"),
-            spmm_bytes: format!("spmm/{kernel}/bytes"),
-            spmm_slices: format!("spmm/{kernel}/slices"),
+            spmv: ["calls", "nnz", "bytes"].map(|c| format!("spmv/{kernel}/{c}")),
+            spmm: ["calls", "nnz", "bytes", "slices"].map(|c| format!("spmm/{kernel}/{c}")),
         }
     }
 
@@ -118,31 +116,24 @@ impl SpmvMeter {
         self.metrics.enabled().then(Instant::now)
     }
 
+    /// Record one application over `batch` right-hand sides: under
+    /// `spmv/*` when `batch == 1`, under `spmm/*` (plus `slices`)
+    /// otherwise. `nnz`/`bytes` are counted **once per call**, not per
+    /// slice — the kernel streams the matrix once for the whole slab,
+    /// which is the point of batching; `spmm/<kernel>/bytes ÷
+    /// spmm/<kernel>/slices` is therefore the matrix traffic amortized
+    /// per slice.
     #[inline]
-    fn record(&self, started: Option<Instant>, nnz: u64, bytes: u64) {
-        if let Some(t) = started {
-            self.metrics
-                .timer_observe(KERNEL_AP_SECONDS, t.elapsed().as_secs_f64());
-            self.metrics.counter_add(&self.calls, 1);
-            self.metrics.counter_add(&self.nnz, nnz);
-            self.metrics.counter_add(&self.bytes, bytes);
-        }
-    }
-
-    /// Record one batched (SpMM) application over `slices` right-hand
-    /// sides. `nnz`/`bytes` are counted **once per call**, not per slice
-    /// — the kernel streams the matrix once for the whole slab, which is
-    /// the point of batching; `spmm/<kernel>/bytes ÷ spmm/<kernel>/slices`
-    /// is therefore the matrix traffic amortized per slice.
-    #[inline]
-    fn record_spmm(&self, started: Option<Instant>, nnz: u64, bytes: u64, slices: usize) {
-        if let Some(t) = started {
-            self.metrics
-                .timer_observe(KERNEL_AP_SECONDS, t.elapsed().as_secs_f64());
-            self.metrics.counter_add(&self.spmm_calls, 1);
-            self.metrics.counter_add(&self.spmm_nnz, nnz);
-            self.metrics.counter_add(&self.spmm_bytes, bytes);
-            self.metrics.counter_add(&self.spmm_slices, slices as u64);
+    fn record(&self, started: Option<Instant>, nnz: u64, bytes: u64, batch: usize) {
+        let Some(t) = started else { return };
+        self.metrics
+            .timer_observe(KERNEL_AP_SECONDS, t.elapsed().as_secs_f64());
+        let names: &[String] = if batch == 1 { &self.spmv } else { &self.spmm };
+        self.metrics.counter_add(&names[0], 1);
+        self.metrics.counter_add(&names[1], nnz);
+        self.metrics.counter_add(&names[2], bytes);
+        if let Some(slices) = names.get(3) {
+            self.metrics.counter_add(slices, batch as u64);
         }
     }
 
@@ -242,340 +233,78 @@ pub trait ProjectionOperator {
     }
 }
 
-/// Sequential CSR operator (the reference kernel).
-pub struct SerialOperator<'a> {
-    a: &'a CsrMatrix,
-    at: &'a CsrMatrix,
-    meter: SpmvMeter,
+/// One memoized matrix in the layout a [`Kernel`] names.
+#[derive(Clone, Copy)]
+enum Layout<'a> {
+    Csr(&'a CsrMatrix),
+    Buffered(&'a BufferedCsr),
+    Ell(&'a EllMatrix),
 }
 
-impl<'a> SerialOperator<'a> {
-    /// Wrap the memoized matrices of `ops`.
-    pub fn new(ops: &'a Operators) -> Self {
-        Self::from_parts(&ops.a, &ops.at)
-    }
-
-    /// Wrap an explicit forward/transpose pair.
-    pub fn from_parts(a: &'a CsrMatrix, at: &'a CsrMatrix) -> Self {
-        SerialOperator {
-            a,
-            at,
-            meter: SpmvMeter::new(Metrics::collecting(), "serial"),
-        }
-    }
-
-    /// Record into `metrics` instead of a private registry.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.meter.metrics = metrics;
-        self
-    }
-}
-
-impl ProjectionOperator for SerialOperator<'_> {
-    fn nrows(&self) -> usize {
-        self.a.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.a.ncols()
-    }
-    fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        let t = self.meter.start();
-        spmv_into(self.a, x, y);
-        self.meter
-            .record(t, self.a.nnz() as u64, self.a.regular_bytes());
-    }
-    fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        let t = self.meter.start();
-        spmv_into(self.at, y, x);
-        self.meter
-            .record(t, self.at.nnz() as u64, self.at.regular_bytes());
-    }
-    fn forward_batch_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.forward_into(x, y); // keep spmv/* counter parity
-        }
-        let t = self.meter.start();
-        xct_sparse::spmm_into(self.a, x, y, batch);
-        self.meter
-            .record_spmm(t, self.a.nnz() as u64, self.a.regular_bytes(), batch);
-    }
-    fn back_batch_into(&self, y: &[f32], x: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.back_into(y, x);
-        }
-        let t = self.meter.start();
-        xct_sparse::spmm_into(self.at, y, x, batch);
-        self.meter
-            .record_spmm(t, self.at.nnz() as u64, self.at.regular_bytes(), batch);
-    }
-    fn breakdown(&self) -> Option<KernelBreakdown> {
-        self.meter.breakdown()
-    }
-}
-
-/// Parallel CSR operator with dynamically-scheduled row partitions
-/// (Listing 2).
-pub struct ParallelOperator<'a> {
-    a: &'a CsrMatrix,
-    at: &'a CsrMatrix,
-    partsize: usize,
-    meter: SpmvMeter,
-}
-
-impl<'a> ParallelOperator<'a> {
-    /// Wrap the memoized matrices of `ops` using its partition size.
-    pub fn new(ops: &'a Operators) -> Self {
-        Self::from_parts(&ops.a, &ops.at, ops.partsize)
-    }
-
-    /// Wrap an explicit pair with a given partition size.
-    pub fn from_parts(a: &'a CsrMatrix, at: &'a CsrMatrix, partsize: usize) -> Self {
-        ParallelOperator {
-            a,
-            at,
-            partsize,
-            meter: SpmvMeter::new(Metrics::collecting(), "parallel"),
-        }
-    }
-
-    /// Record into `metrics` instead of a private registry.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.meter.metrics = metrics;
-        self
-    }
-}
-
-impl ProjectionOperator for ParallelOperator<'_> {
-    fn nrows(&self) -> usize {
-        self.a.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.a.ncols()
-    }
-    fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        let t = self.meter.start();
-        spmv_parallel_into(self.a, x, y, self.partsize);
-        self.meter
-            .record(t, self.a.nnz() as u64, self.a.regular_bytes());
-    }
-    fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        let t = self.meter.start();
-        spmv_parallel_into(self.at, y, x, self.partsize);
-        self.meter
-            .record(t, self.at.nnz() as u64, self.at.regular_bytes());
-    }
-    fn breakdown(&self) -> Option<KernelBreakdown> {
-        self.meter.breakdown()
-    }
-}
-
-/// Multi-stage buffered operator (Listing 3), generic over the in-buffer
-/// index width: `u16` is the paper's kernel, `u32` the addressing
-/// ablation.
-pub struct BufferedOperator<'a, I: BufferIndex> {
-    a: &'a BufferedCsrImpl<I>,
-    at: &'a BufferedCsrImpl<I>,
-    meter: SpmvMeter,
-}
-
-impl<'a, I: BufferIndex> BufferedOperator<'a, I> {
-    /// Wrap a buffered forward/transpose pair.
-    pub fn from_parts(a: &'a BufferedCsrImpl<I>, at: &'a BufferedCsrImpl<I>) -> Self {
-        BufferedOperator {
-            a,
-            at,
-            meter: SpmvMeter::new(Metrics::collecting(), "buffered"),
-        }
-    }
-
-    /// Record into `metrics` instead of a private registry.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.meter.metrics = metrics;
-        self
-    }
-}
-
-impl<'a> BufferedOperator<'a, u16> {
-    /// Wrap the buffered layouts of `ops`.
+impl<'a> Layout<'a> {
+    /// The forward/transpose pair `kernel` selects from `ops` — the one
+    /// place a kernel choice meets the optional layouts.
     ///
     /// # Panics
-    /// Panics if the buffered layouts were not built
-    /// (`Config::build_buffered`).
-    pub fn new(ops: &'a Operators) -> Self {
-        Self::from_parts(
-            ops.a_buf
-                .as_ref()
-                // lint: allow(no-panic) documented panic; the try_ path returns LayoutNotBuilt
-                .expect("buffered layout not built; set Config::build_buffered"),
-            ops.at_buf
-                .as_ref()
-                // lint: allow(no-panic) documented panic; the try_ path returns LayoutNotBuilt
-                .expect("buffered layout not built; set Config::build_buffered"),
-        )
+    /// Panics if the requested layout was not built (see `Config`).
+    fn pair(ops: &'a Operators, kernel: Kernel) -> (Self, Self) {
+        fn built<'b, T>(layout: &'b Option<T>, missing: &str) -> &'b T {
+            // lint: allow(no-panic) documented panic; the builder returns LayoutNotBuilt
+            layout.as_ref().expect(missing)
+        }
+        const BUF: &str = "buffered layout not built; set Config::build_buffered";
+        const ELL: &str = "ELL layout not built; set Config::build_ell";
+        match kernel {
+            Kernel::Serial => (Layout::Csr(&ops.a), Layout::Csr(&ops.at)),
+            Kernel::Buffered => (
+                Layout::Buffered(built(&ops.a_buf, BUF)),
+                Layout::Buffered(built(&ops.at_buf, BUF)),
+            ),
+            Kernel::Ell => (
+                Layout::Ell(built(&ops.a_ell, ELL)),
+                Layout::Ell(built(&ops.at_ell, ELL)),
+            ),
+        }
+    }
+
+    /// Stored nonzeroes and the regular bytes one pass streams.
+    fn traffic(self) -> (u64, u64) {
+        match self {
+            Layout::Csr(m) => (m.nnz() as u64, m.regular_bytes()),
+            Layout::Buffered(m) => (m.nnz() as u64, m.regular_bytes()),
+            Layout::Ell(m) => (m.nnz() as u64, m.regular_bytes()),
+        }
+    }
+
+    /// The layout's balanced row plan for `workers` pool threads.
+    fn exec_plan(self, workers: usize) -> ExecPlan {
+        match self {
+            Layout::Csr(m) => xct_sparse::csr_plan(m, workers),
+            Layout::Buffered(m) => m.exec_plan(workers),
+            Layout::Ell(m) => m.exec_plan(workers),
+        }
+    }
+
+    /// `y = M · [x₁ … x_batch]` through the layout's SpMM entry point
+    /// (`batch = 1` is its SpMV): on the calling thread, or on `pool`
+    /// over `plan`.
+    fn spmm(self, x: &[f32], y: &mut [f32], batch: usize, exec: Option<(&ExecPlan, &WorkerPool)>) {
+        match (self, exec) {
+            (Layout::Csr(m), None) => xct_sparse::spmm_into(m, x, y, batch),
+            (Layout::Csr(m), Some((plan, pool))) => {
+                xct_sparse::spmm_pooled_into(m, x, y, batch, plan, pool)
+            }
+            (Layout::Buffered(m), None) => m.spmm_into(x, y, batch),
+            (Layout::Buffered(m), Some((plan, pool))) => {
+                m.spmm_pooled_into(x, y, batch, plan, pool)
+            }
+            (Layout::Ell(m), None) => m.spmm_into(x, y, batch),
+            (Layout::Ell(m), Some((plan, pool))) => m.spmm_pooled_into(x, y, batch, plan, pool),
+        }
     }
 }
 
-impl<I: BufferIndex> ProjectionOperator for BufferedOperator<'_, I> {
-    fn nrows(&self) -> usize {
-        self.a.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.a.ncols()
-    }
-    fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        let t = self.meter.start();
-        self.a.spmv_parallel_into(x, y);
-        if t.is_some() {
-            self.meter
-                .metrics
-                .counter_add("spmv/buffered/stages", self.a.num_stages() as u64);
-        }
-        self.meter
-            .record(t, self.a.nnz() as u64, self.a.regular_bytes());
-    }
-    fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        let t = self.meter.start();
-        self.at.spmv_parallel_into(y, x);
-        if t.is_some() {
-            self.meter
-                .metrics
-                .counter_add("spmv/buffered/stages", self.at.num_stages() as u64);
-        }
-        self.meter
-            .record(t, self.at.nnz() as u64, self.at.regular_bytes());
-    }
-    fn forward_batch_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.forward_into(x, y); // keep spmv/* counter parity
-        }
-        let t = self.meter.start();
-        self.a.spmm_into(x, y, batch);
-        self.meter
-            .record_spmm(t, self.a.nnz() as u64, self.a.regular_bytes(), batch);
-    }
-    fn back_batch_into(&self, y: &[f32], x: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.back_into(y, x);
-        }
-        let t = self.meter.start();
-        self.at.spmm_into(y, x, batch);
-        self.meter
-            .record_spmm(t, self.at.nnz() as u64, self.at.regular_bytes(), batch);
-    }
-    fn breakdown(&self) -> Option<KernelBreakdown> {
-        self.meter.breakdown()
-    }
-}
-
-/// Column-major ELL operator (the GPU-analog kernel, §3.1.4).
-pub struct EllOperator<'a> {
-    a: &'a EllMatrix,
-    at: &'a EllMatrix,
-    meter: SpmvMeter,
-}
-
-impl<'a> EllOperator<'a> {
-    /// Wrap the ELL layouts of `ops`.
-    ///
-    /// # Panics
-    /// Panics if the ELL layouts were not built (`Config::build_ell`).
-    pub fn new(ops: &'a Operators) -> Self {
-        Self::from_parts(
-            ops.a_ell
-                .as_ref()
-                // lint: allow(no-panic) documented panic; the try_ path returns LayoutNotBuilt
-                .expect("ELL layout not built; set Config::build_ell"),
-            ops.at_ell
-                .as_ref()
-                // lint: allow(no-panic) documented panic; the try_ path returns LayoutNotBuilt
-                .expect("ELL layout not built; set Config::build_ell"),
-        )
-    }
-
-    /// Wrap an explicit ELL pair.
-    pub fn from_parts(a: &'a EllMatrix, at: &'a EllMatrix) -> Self {
-        EllOperator {
-            a,
-            at,
-            meter: SpmvMeter::new(Metrics::collecting(), "ell"),
-        }
-    }
-
-    /// Record into `metrics` instead of a private registry.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.meter.metrics = metrics;
-        self
-    }
-}
-
-impl ProjectionOperator for EllOperator<'_> {
-    fn nrows(&self) -> usize {
-        self.a.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.a.ncols()
-    }
-    fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        let t = self.meter.start();
-        self.a.spmv_into(x, y);
-        self.meter
-            .record(t, self.a.nnz() as u64, self.a.regular_bytes());
-    }
-    fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        let t = self.meter.start();
-        self.at.spmv_into(y, x);
-        self.meter
-            .record(t, self.at.nnz() as u64, self.at.regular_bytes());
-    }
-    fn forward_batch_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.forward_into(x, y); // keep spmv/* counter parity
-        }
-        let t = self.meter.start();
-        self.a.spmm_into(x, y, batch);
-        self.meter
-            .record_spmm(t, self.a.nnz() as u64, self.a.regular_bytes(), batch);
-    }
-    fn back_batch_into(&self, y: &[f32], x: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.back_into(y, x);
-        }
-        let t = self.meter.start();
-        self.at.spmm_into(y, x, batch);
-        self.meter
-            .record_spmm(t, self.at.nnz() as u64, self.at.regular_bytes(), batch);
-    }
-    fn breakdown(&self) -> Option<KernelBreakdown> {
-        self.meter.breakdown()
-    }
-}
-
-/// Which memoized layout a [`PooledOperator`] drives through the pool.
-enum PooledBackend<'a> {
-    /// Plain CSR pair (serves both the serial and parallel kernels).
-    Csr {
-        /// Forward matrix.
-        a: &'a CsrMatrix,
-        /// Transpose.
-        at: &'a CsrMatrix,
-    },
-    /// Multi-stage buffered pair (16-bit addressing).
-    Buffered {
-        /// Forward layout.
-        a: &'a BufferedCsr,
-        /// Transpose layout.
-        at: &'a BufferedCsr,
-    },
-    /// Column-major ELL pair.
-    Ell {
-        /// Forward layout.
-        a: &'a EllMatrix,
-        /// Transpose layout.
-        at: &'a EllMatrix,
-    },
-}
-
-/// The static execution plans one [`PooledOperator`] reuses every
+/// The static execution plans one pooled [`KernelOperator`] reuses every
 /// iteration: nnz-balanced row partitions for the forward and
 /// backprojection SpMVs plus fixed-chunk reduction plans for both vector
 /// lengths. Built **once** at plan time (preprocessing / reconstructor
@@ -597,51 +326,15 @@ pub struct PooledPlans {
 
 impl PooledPlans {
     /// Build the plans for `kernel` over the memoized layouts of `ops`,
-    /// splitting work across `workers` pool threads.
-    ///
-    /// # Panics
-    /// Panics if the requested layout was not built (see `Config`).
-    pub fn new(ops: &Operators, kernel: Kernel, workers: usize) -> Self {
-        Self::new_batched(ops, kernel, workers, 1)
-    }
-
-    /// [`new`](Self::new) plus batched dot plans for `batch`-wide solves.
-    /// The row plans (`forward`/`back`) serve both SpMV and SpMM, so only
-    /// the fixed-chunk reduction plans gain batched variants.
+    /// splitting work across `workers` pool threads, plus batched dot
+    /// plans for `batch`-wide solves. The row plans (`forward`/`back`)
+    /// serve both SpMV and SpMM, so only the fixed-chunk reduction plans
+    /// gain batched variants.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
     pub fn new_batched(ops: &Operators, kernel: Kernel, workers: usize, batch: usize) -> Self {
-        let (forward, back) = match kernel {
-            Kernel::Serial | Kernel::Parallel => (
-                xct_sparse::csr_plan(&ops.a, workers),
-                xct_sparse::csr_plan(&ops.at, workers),
-            ),
-            Kernel::Buffered => (
-                ops.a_buf
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as BufferedOperator::new
-                    .expect("buffered layout not built; set Config::build_buffered")
-                    .exec_plan(workers),
-                ops.at_buf
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as BufferedOperator::new
-                    .expect("buffered layout not built; set Config::build_buffered")
-                    .exec_plan(workers),
-            ),
-            Kernel::Ell => (
-                ops.a_ell
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as EllOperator::new
-                    .expect("ELL layout not built; set Config::build_ell")
-                    .exec_plan(workers),
-                ops.at_ell
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as EllOperator::new
-                    .expect("ELL layout not built; set Config::build_ell")
-                    .exec_plan(workers),
-            ),
-        };
+        let (a, at) = Layout::pair(ops, kernel);
         let (dot_rows_batch, dot_cols_batch) = if batch > 1 {
             (
                 Some(xct_sparse::dot_batch_plan(ops.a.nrows(), batch, workers)),
@@ -651,8 +344,8 @@ impl PooledPlans {
             (None, None)
         };
         PooledPlans {
-            forward,
-            back,
+            forward: a.exec_plan(workers),
+            back: at.exec_plan(workers),
             dot_rows: xct_sparse::dot_plan(ops.a.nrows(), workers),
             dot_cols: xct_sparse::dot_plan(ops.a.ncols(), workers),
             batch,
@@ -694,97 +387,128 @@ impl PooledPlans {
     }
 }
 
-/// A [`ProjectionOperator`] that drives the memoized layouts through the
-/// persistent [`WorkerPool`] over precomputed [`PooledPlans`] — no thread
-/// spawns and no partitioning decisions inside the solve loop, and (after
-/// construction) no heap allocation per application.
-///
-/// `local_dot` is overridden with the deterministic fixed-chunk pooled
-/// reduction, so reconstructions are bit-identical across worker counts
-/// (though the dot's summation order — and hence the trajectory — differs
-/// from the sequential default in the last bits).
-pub struct PooledOperator<'a> {
-    backend: PooledBackend<'a>,
-    pool: &'a WorkerPool,
+/// The pool half of a pooled [`KernelOperator`].
+struct PoolExec<'a> {
     plans: &'a PooledPlans,
+    pool: &'a WorkerPool,
+    /// Per-chunk dot partials, sized for the widest dot the plans cover.
+    dot_scratch: RefCell<Vec<f64>>,
+}
+
+/// The [`ProjectionOperator`] over the memoized layouts: the matrices
+/// [`Kernel`] selects from an [`Operators`], applied either **inline**
+/// (on the calling thread, at every batch width) or **pooled** — driven
+/// through the persistent [`WorkerPool`] over precomputed
+/// [`PooledPlans`], with no thread spawns and no partitioning decisions
+/// inside the solve loop and (after construction) no heap allocation per
+/// application. Every column of every product is bit-identical to the
+/// inline single-slice product of the same kernel.
+///
+/// The pooled form also overrides `local_dot` with the deterministic
+/// fixed-chunk pooled reduction, so reconstructions are bit-identical
+/// across worker counts (though the dot's summation order — and hence
+/// the trajectory — differs from the inline form's sequential sum in the
+/// last bits).
+///
+/// Counters land under `spmv/<name>/…` (`batch = 1`) or `spmm/<name>/…`,
+/// `<name>` = `serial` / `buffered` / `ell` inline and `pooled` on the
+/// pool.
+pub struct KernelOperator<'a> {
+    a: Layout<'a>,
+    at: Layout<'a>,
     nrows: usize,
     ncols: usize,
-    /// Per-chunk dot partials, sized for the longer vector length.
-    dot_scratch: RefCell<Vec<f64>>,
+    exec: Option<PoolExec<'a>>,
     meter: SpmvMeter,
 }
 
-impl<'a> PooledOperator<'a> {
-    /// Wrap the `kernel` layouts of `ops`, executing on `pool` over
-    /// `plans`. The pool's thread count must match the plans' worker
-    /// count.
+/// `A` or `Aᵀ`.
+#[derive(Clone, Copy)]
+pub(crate) enum Direction {
+    Forward,
+    Back,
+}
+
+impl<'a> KernelOperator<'a> {
+    /// The inline operator over the `kernel` layouts of `ops`.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
-    pub fn new(
+    pub fn new(ops: &'a Operators, kernel: Kernel) -> Self {
+        let name = match kernel {
+            Kernel::Serial => "serial",
+            Kernel::Buffered => "buffered",
+            Kernel::Ell => "ell",
+        };
+        Self::build(ops, kernel, None, name)
+    }
+
+    /// The `kernel` layouts of `ops` executing on `pool` over `plans`.
+    /// The pool's thread count must match the plans' worker count.
+    ///
+    /// # Panics
+    /// Panics if the requested layout was not built (see `Config`).
+    pub fn pooled(
         ops: &'a Operators,
         kernel: Kernel,
         plans: &'a PooledPlans,
         pool: &'a WorkerPool,
     ) -> Self {
-        let backend = match kernel {
-            Kernel::Serial | Kernel::Parallel => PooledBackend::Csr {
-                a: &ops.a,
-                at: &ops.at,
-            },
-            Kernel::Buffered => PooledBackend::Buffered {
-                a: ops
-                    .a_buf
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as BufferedOperator::new
-                    .expect("buffered layout not built; set Config::build_buffered"),
-                at: ops
-                    .at_buf
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as BufferedOperator::new
-                    .expect("buffered layout not built; set Config::build_buffered"),
-            },
-            Kernel::Ell => PooledBackend::Ell {
-                a: ops
-                    .a_ell
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as EllOperator::new
-                    .expect("ELL layout not built; set Config::build_ell"),
-                at: ops
-                    .at_ell
-                    .as_ref()
-                    // lint: allow(no-panic) documented panic, same contract as EllOperator::new
-                    .expect("ELL layout not built; set Config::build_ell"),
-            },
-        };
-        let nrows = ops.a.nrows();
-        let ncols = ops.a.ncols();
         // Scratch sized for the widest dot this operator can run: the
         // batched plans (when present) need `chunks × batch` partials.
+        let (rows, cols) = (ops.a.nrows(), ops.a.ncols());
         let slots =
-            xct_sparse::dot_chunks(nrows).max(xct_sparse::dot_chunks(ncols)) * plans.batch.max(1);
-        PooledOperator {
-            backend,
-            pool,
+            xct_sparse::dot_chunks(rows).max(xct_sparse::dot_chunks(cols)) * plans.batch.max(1);
+        let exec = PoolExec {
             plans,
-            nrows,
-            ncols,
+            pool,
             dot_scratch: RefCell::new(vec![0f64; slots]),
-            meter: SpmvMeter::new(Metrics::collecting(), "pooled"),
+        };
+        Self::build(ops, kernel, Some(exec), "pooled")
+    }
+
+    fn build(ops: &'a Operators, kernel: Kernel, exec: Option<PoolExec<'a>>, name: &str) -> Self {
+        let (a, at) = Layout::pair(ops, kernel);
+        KernelOperator {
+            a,
+            at,
+            nrows: ops.a.nrows(),
+            ncols: ops.a.ncols(),
+            exec,
+            meter: SpmvMeter::new(Metrics::collecting(), name),
         }
     }
 
-    /// Record into `metrics` instead of a private registry, and publish
-    /// the plan imbalance gauges.
+    /// Record into `metrics` instead of a private registry.
     pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        metrics.gauge_set(POOL_IMBALANCE_FORWARD, self.plans.forward.imbalance());
-        metrics.gauge_set(POOL_IMBALANCE_BACK, self.plans.back.imbalance());
         self.meter.metrics = metrics;
         self
     }
+
+    /// The one body behind all four projection methods.
+    fn apply(&self, direction: Direction, x: &[f32], y: &mut [f32], batch: usize) {
+        let t = self.meter.start();
+        let layout = match direction {
+            Direction::Forward => self.a,
+            Direction::Back => self.at,
+        };
+        let exec = self.exec.as_ref().map(|e| match direction {
+            Direction::Forward => (&e.plans.forward, e.pool),
+            Direction::Back => (&e.plans.back, e.pool),
+        });
+        layout.spmm(x, y, batch, exec);
+        if let (Some(_), Layout::Buffered(m), None, 1) = (t, layout, exec, batch) {
+            let stages = m.num_stages() as u64;
+            self.meter
+                .metrics
+                .counter_add("spmv/buffered/stages", stages);
+        }
+        let (nnz, bytes) = layout.traffic();
+        self.meter.record(t, nnz, bytes, batch);
+    }
 }
 
-impl ProjectionOperator for PooledOperator<'_> {
+impl ProjectionOperator for KernelOperator<'_> {
     fn nrows(&self) -> usize {
         self.nrows
     }
@@ -792,129 +516,88 @@ impl ProjectionOperator for PooledOperator<'_> {
         self.ncols
     }
     fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        let t = self.meter.start();
-        let (nnz, bytes) = match self.backend {
-            PooledBackend::Csr { a, .. } => {
-                xct_sparse::spmv_pooled_into(a, x, y, &self.plans.forward, self.pool);
-                (a.nnz() as u64, a.regular_bytes())
-            }
-            PooledBackend::Buffered { a, .. } => {
-                a.spmv_pooled_into(x, y, &self.plans.forward, self.pool);
-                (a.nnz() as u64, a.regular_bytes())
-            }
-            PooledBackend::Ell { a, .. } => {
-                a.spmv_pooled_into(x, y, &self.plans.forward, self.pool);
-                (a.nnz() as u64, a.regular_bytes())
-            }
-        };
-        self.meter.record(t, nnz, bytes);
+        self.apply(Direction::Forward, x, y, 1);
     }
     fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        let t = self.meter.start();
-        let (nnz, bytes) = match self.backend {
-            PooledBackend::Csr { at, .. } => {
-                xct_sparse::spmv_pooled_into(at, y, x, &self.plans.back, self.pool);
-                (at.nnz() as u64, at.regular_bytes())
-            }
-            PooledBackend::Buffered { at, .. } => {
-                at.spmv_pooled_into(y, x, &self.plans.back, self.pool);
-                (at.nnz() as u64, at.regular_bytes())
-            }
-            PooledBackend::Ell { at, .. } => {
-                at.spmv_pooled_into(y, x, &self.plans.back, self.pool);
-                (at.nnz() as u64, at.regular_bytes())
-            }
-        };
-        self.meter.record(t, nnz, bytes);
+        self.apply(Direction::Back, y, x, 1);
     }
     fn forward_batch_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.forward_into(x, y); // keep spmv/* counter parity
-        }
-        let t = self.meter.start();
-        let (nnz, bytes) = match self.backend {
-            PooledBackend::Csr { a, .. } => {
-                xct_sparse::spmm_pooled_into(a, x, y, batch, &self.plans.forward, self.pool);
-                (a.nnz() as u64, a.regular_bytes())
-            }
-            PooledBackend::Buffered { a, .. } => {
-                a.spmm_pooled_into(x, y, batch, &self.plans.forward, self.pool);
-                (a.nnz() as u64, a.regular_bytes())
-            }
-            PooledBackend::Ell { a, .. } => {
-                a.spmm_pooled_into(x, y, batch, &self.plans.forward, self.pool);
-                (a.nnz() as u64, a.regular_bytes())
-            }
-        };
-        self.meter.record_spmm(t, nnz, bytes, batch);
+        self.apply(Direction::Forward, x, y, batch);
     }
     fn back_batch_into(&self, y: &[f32], x: &mut [f32], batch: usize) {
-        if batch == 1 {
-            return self.back_into(y, x);
-        }
-        let t = self.meter.start();
-        let (nnz, bytes) = match self.backend {
-            PooledBackend::Csr { at, .. } => {
-                xct_sparse::spmm_pooled_into(at, y, x, batch, &self.plans.back, self.pool);
-                (at.nnz() as u64, at.regular_bytes())
-            }
-            PooledBackend::Buffered { at, .. } => {
-                at.spmm_pooled_into(y, x, batch, &self.plans.back, self.pool);
-                (at.nnz() as u64, at.regular_bytes())
-            }
-            PooledBackend::Ell { at, .. } => {
-                at.spmm_pooled_into(y, x, batch, &self.plans.back, self.pool);
-                (at.nnz() as u64, at.regular_bytes())
-            }
-        };
-        self.meter.record_spmm(t, nnz, bytes, batch);
+        self.apply(Direction::Back, y, x, batch);
     }
     fn local_dot(&self, a: &[f32], b: &[f32]) -> f64 {
-        let plan = if a.len() == self.nrows {
-            &self.plans.dot_rows
-        } else if a.len() == self.ncols {
-            &self.plans.dot_cols
-        } else {
-            // No precomputed plan at this length (only reachable from
-            // custom callers) — the sequential sum is still deterministic.
+        let plan = self.exec.as_ref().and_then(|e| {
+            if a.len() == self.nrows {
+                Some((e, &e.plans.dot_rows))
+            } else if a.len() == self.ncols {
+                Some((e, &e.plans.dot_cols))
+            } else {
+                None
+            }
+        });
+        // Inline, or no precomputed plan at this length (only reachable
+        // from custom callers): the sequential sum, deterministic too.
+        let Some((exec, plan)) = plan else {
             return xct_sparse::dot_f64(a, b);
         };
-        let mut scratch = self.dot_scratch.borrow_mut();
+        let mut scratch = exec.dot_scratch.borrow_mut();
         let slots = xct_sparse::dot_chunks(a.len());
-        xct_sparse::dot_f64_pooled(self.pool, plan, a, b, &mut scratch[..slots])
+        xct_sparse::dot_f64_pooled(exec.pool, plan, a, b, &mut scratch[..slots])
     }
     fn local_dot_batch(&self, a: &[f32], b: &[f32], out: &mut [f64]) {
         let k = out.len();
         if k == 0 || !a.len().is_multiple_of(k) {
             return;
         }
-        if k == 1 {
-            out[0] = self.local_dot(a, b);
-            return;
-        }
         let len = a.len() / k;
-        let plan = if k == self.plans.batch && len == self.nrows {
-            self.plans.dot_rows_batch.as_ref()
-        } else if k == self.plans.batch && len == self.ncols {
-            self.plans.dot_cols_batch.as_ref()
-        } else {
-            None
-        };
-        let Some(plan) = plan else {
-            // No precomputed batched plan at this width/length — fall
-            // back to the per-slice pooled dots (still deterministic and
+        let plan = self.exec.as_ref().and_then(|e| {
+            let plan = if k != e.plans.batch {
+                None
+            } else if len == self.nrows {
+                e.plans.dot_rows_batch.as_ref()
+            } else if len == self.ncols {
+                e.plans.dot_cols_batch.as_ref()
+            } else {
+                None
+            };
+            plan.map(|p| (e, p))
+        });
+        let Some((exec, plan)) = plan else {
+            // Inline, a single slice, or no precomputed batched plan at
+            // this width/length: per-slice dots (still deterministic and
             // bit-identical per slice).
             for (j, o) in out.iter_mut().enumerate() {
                 *o = self.local_dot(&a[j * len..(j + 1) * len], &b[j * len..(j + 1) * len]);
             }
             return;
         };
-        let mut scratch = self.dot_scratch.borrow_mut();
+        let mut scratch = exec.dot_scratch.borrow_mut();
         let slots = xct_sparse::dot_chunks(len) * k;
-        xct_sparse::dot_f64_batched_pooled(self.pool, plan, a, b, k, &mut scratch[..slots], out);
+        xct_sparse::dot_f64_batched_pooled(exec.pool, plan, a, b, k, &mut scratch[..slots], out);
     }
     fn breakdown(&self) -> Option<KernelBreakdown> {
         self.meter.breakdown()
+    }
+}
+
+/// The pooled constructor's old name: `PooledOperator::new(..)` is
+/// [`KernelOperator::pooled`]. `recon-bench` still spells it this way;
+/// delete once `benchmark/` calls the new name.
+#[doc(hidden)]
+pub struct PooledOperator;
+
+impl PooledOperator {
+    /// [`KernelOperator::pooled`].
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a>(
+        ops: &'a Operators,
+        kernel: Kernel,
+        plans: &'a PooledPlans,
+        pool: &'a WorkerPool,
+    ) -> KernelOperator<'a> {
+        KernelOperator::pooled(ops, kernel, plans, pool)
     }
 }
 
@@ -952,12 +635,12 @@ impl ProjectionOperator for CompOperator<'_> {
         let t = self.meter.start();
         y.copy_from_slice(&self.cx.forward(x));
         // Compute-centric: no memoized matrix, so no nnz/bytes to stream.
-        self.meter.record(t, 0, 0);
+        self.meter.record(t, 0, 0, 1);
     }
     fn back_into(&self, y: &[f32], x: &mut [f32]) {
         let t = self.meter.start();
         x.copy_from_slice(&self.cx.backproject(y));
-        self.meter.record(t, 0, 0);
+        self.meter.record(t, 0, 0, 1);
     }
     fn breakdown(&self) -> Option<KernelBreakdown> {
         self.meter.breakdown()
@@ -1135,13 +818,13 @@ impl ProjectionOperator for RowSubsetOperator<'_> {
         let t = self.meter.start();
         spmv_into(self.block, x, y);
         self.meter
-            .record(t, self.block.nnz() as u64, self.block.regular_bytes());
+            .record(t, self.block.nnz() as u64, self.block.regular_bytes(), 1);
     }
     fn back_into(&self, y: &[f32], x: &mut [f32]) {
         let t = self.meter.start();
         spmv_into(self.block_t, y, x);
-        self.meter
-            .record(t, self.block_t.nnz() as u64, self.block_t.regular_bytes());
+        let (nnz, bytes) = (self.block_t.nnz() as u64, self.block_t.regular_bytes());
+        self.meter.record(t, nnz, bytes, 1);
     }
     fn breakdown(&self) -> Option<KernelBreakdown> {
         self.meter.breakdown()
@@ -1149,8 +832,29 @@ impl ProjectionOperator for RowSubsetOperator<'_> {
 }
 
 impl Operators {
-    /// Build the [`ProjectionOperator`] for the chosen kernel over these
-    /// memoized matrices.
+    /// Forward projection `y = A·x` (ordered coordinates) with the chosen
+    /// kernel, on the calling thread, unmetered.
+    ///
+    /// # Panics
+    /// Panics if the requested layout was not built (see `Config`).
+    pub fn forward(&self, kernel: Kernel, x: &[f32]) -> Vec<f32> {
+        let mut y = vec![0f32; self.a.nrows()];
+        Layout::pair(self, kernel).0.spmm(x, &mut y, 1, None);
+        y
+    }
+
+    /// Backprojection `x = Aᵀ·y` (ordered coordinates).
+    ///
+    /// # Panics
+    /// Panics if the requested layout was not built (see `Config`).
+    pub fn back(&self, kernel: Kernel, y: &[f32]) -> Vec<f32> {
+        let mut x = vec![0f32; self.a.ncols()];
+        Layout::pair(self, kernel).1.spmm(y, &mut x, 1, None);
+        x
+    }
+
+    /// Build the inline [`ProjectionOperator`] for the chosen kernel over
+    /// these memoized matrices.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
@@ -1169,12 +873,7 @@ impl Operators {
         kernel: Kernel,
         metrics: Metrics,
     ) -> Box<dyn ProjectionOperator + '_> {
-        match kernel {
-            Kernel::Serial => Box::new(SerialOperator::new(self).with_metrics(metrics)),
-            Kernel::Parallel => Box::new(ParallelOperator::new(self).with_metrics(metrics)),
-            Kernel::Ell => Box::new(EllOperator::new(self).with_metrics(metrics)),
-            Kernel::Buffered => Box::new(BufferedOperator::new(self).with_metrics(metrics)),
-        }
+        Box::new(KernelOperator::new(self, kernel).with_metrics(metrics))
     }
 }
 
@@ -1182,8 +881,9 @@ impl Operators {
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, Config};
+    use std::collections::BTreeMap;
     use xct_geometry::{Grid, ScanGeometry};
-    use xct_sparse::{dot_f64, BufferedCsr32};
+    use xct_sparse::dot_f64;
 
     fn ops(n: u32, m: u32) -> Operators {
         preprocess(
@@ -1196,43 +896,138 @@ mod tests {
         )
     }
 
+    /// The one operator over its whole matrix: kernel × executor × batch
+    /// × direction. Every column must carry the bits of the layout's own
+    /// single-slice kernel (called below the operator layer) — for CSR
+    /// that *is* inline `Kernel::Serial` — and stay within rounding of the
+    /// CSR reference; the counters must be the ones the five per-kernel
+    /// operators this type replaced recorded for the same calls.
     #[test]
-    fn all_backends_match_serial() {
-        let ops = ops(8, 6);
-        let x: Vec<f32> = (0..ops.a.ncols()).map(|i| (i % 7) as f32 * 0.25).collect();
-        let y: Vec<f32> = (0..ops.a.nrows()).map(|i| (i % 5) as f32 * 0.5).collect();
-
-        let serial = SerialOperator::new(&ops);
-        let mut want_f = vec![0f32; serial.nrows()];
-        let mut want_b = vec![0f32; serial.ncols()];
-        serial.forward_into(&x, &mut want_f);
-        serial.back_into(&y, &mut want_b);
-
-        let a32 = BufferedCsr32::from_csr(&ops.a, ops.partsize, 2048);
-        let at32 = BufferedCsr32::from_csr(&ops.at, ops.partsize, 2048);
-        let backends: Vec<Box<dyn ProjectionOperator>> = vec![
-            Box::new(ParallelOperator::new(&ops)),
-            Box::new(BufferedOperator::new(&ops)),
-            Box::new(BufferedOperator::from_parts(&a32, &at32)),
-            Box::new(EllOperator::new(&ops)),
-        ];
-        for op in backends {
-            assert_eq!(op.nrows(), serial.nrows());
-            assert_eq!(op.ncols(), serial.ncols());
-            let mut f = vec![1f32; op.nrows()];
-            let mut b = vec![1f32; op.ncols()];
-            op.forward_into(&x, &mut f);
-            op.back_into(&y, &mut b);
-            for (g, w) in f.iter().zip(&want_f) {
-                assert!((g - w).abs() < 1e-4, "forward mismatch");
+    fn kernel_operator_matrix_matches_layout_kernels_and_legacy_counters() {
+        // 352 rows / 256 columns: several partitions, so pooled plans split.
+        let ops = ops(16, 22);
+        let (m, n) = (ops.a.nrows(), ops.a.ncols());
+        let (a_buf, at_buf) = (ops.a_buf.as_ref().unwrap(), ops.at_buf.as_ref().unwrap());
+        let (a_ell, at_ell) = (ops.a_ell.as_ref().unwrap(), ops.at_ell.as_ref().unwrap());
+        let slab = |len: usize, batch: usize, salt: usize| -> Vec<f32> {
+            (0..len * batch)
+                .map(|i| ((i * 7 + salt) as f32 * 0.37).sin())
+                .collect()
+        };
+        for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
+            // (name, nnz + bytes of A and Aᵀ, stages) as the parent metered them.
+            let (name, traffic, stages) = match kernel {
+                Kernel::Serial => (
+                    "serial",
+                    [
+                        ops.a.nnz() as u64 + ops.at.nnz() as u64,
+                        ops.a.regular_bytes() + ops.at.regular_bytes(),
+                    ],
+                    None,
+                ),
+                Kernel::Ell => (
+                    "ell",
+                    [
+                        a_ell.nnz() as u64 + at_ell.nnz() as u64,
+                        a_ell.regular_bytes() + at_ell.regular_bytes(),
+                    ],
+                    None,
+                ),
+                Kernel::Buffered => (
+                    "buffered",
+                    [
+                        a_buf.nnz() as u64 + at_buf.nnz() as u64,
+                        a_buf.regular_bytes() + at_buf.regular_bytes(),
+                    ],
+                    Some((a_buf.num_stages() + at_buf.num_stages()) as u64),
+                ),
+            };
+            let single = |fwd: bool, v: &[f32]| -> Vec<f32> {
+                let mut out = vec![f32::NAN; if fwd { m } else { n }];
+                match (kernel, fwd) {
+                    (Kernel::Serial, true) => spmv_into(&ops.a, v, &mut out),
+                    (Kernel::Serial, false) => spmv_into(&ops.at, v, &mut out),
+                    (Kernel::Ell, true) => a_ell.spmv_into(v, &mut out),
+                    (Kernel::Ell, false) => at_ell.spmv_into(v, &mut out),
+                    (Kernel::Buffered, true) => a_buf.spmv_into(v, &mut out),
+                    (Kernel::Buffered, false) => at_buf.spmv_into(v, &mut out),
+                }
+                out
+            };
+            for workers in [0usize, 1, 2, 4] {
+                for batch in [1usize, 3, 8] {
+                    let tag = format!("{kernel:?} workers {workers} batch {batch}");
+                    let pool = WorkerPool::new(workers.max(1));
+                    let plans = PooledPlans::new_batched(&ops, kernel, workers.max(1), batch);
+                    let metrics = Metrics::collecting();
+                    let op = match workers {
+                        0 => KernelOperator::new(&ops, kernel),
+                        _ => PooledOperator::new(&ops, kernel, &plans, &pool),
+                    }
+                    .with_metrics(metrics.clone());
+                    assert_eq!((op.nrows(), op.ncols()), (m, n));
+                    let (x, y) = (slab(n, batch, 1), slab(m, batch, 2));
+                    let (mut ax, mut aty) = (vec![f32::NAN; m * batch], vec![f32::NAN; n * batch]);
+                    op.forward_batch_into(&x, &mut ax, batch);
+                    op.back_batch_into(&y, &mut aty, batch);
+                    for j in 0..batch {
+                        for (fwd, len_in, len_out, input, got) in
+                            [(true, n, m, &x, &ax), (false, m, n, &y, &aty)]
+                        {
+                            let v = &input[j * len_in..(j + 1) * len_in];
+                            let got = &got[j * len_out..(j + 1) * len_out];
+                            let want = single(fwd, v);
+                            assert!(
+                                got.iter()
+                                    .zip(&want)
+                                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                                "{tag} slice {j} fwd {fwd}: bits"
+                            );
+                            let csr = if fwd { &ops.a } else { &ops.at };
+                            for (g, w) in got.iter().zip(xct_sparse::spmv(csr, v)) {
+                                assert!((g - w).abs() < 1e-4, "{tag} slice {j}: {g} vs {w}");
+                            }
+                        }
+                    }
+                    // batch = 1 through the batch entry points *is* the
+                    // single-slice call: same bits, same `spmv/*` counters.
+                    let mut calls = 2u64;
+                    if batch == 1 {
+                        let (mut f1, mut b1) = (vec![0f32; m], vec![0f32; n]);
+                        op.forward_into(&x, &mut f1);
+                        op.back_into(&y, &mut b1);
+                        assert_eq!((f1, b1), (ax, aty), "{tag}");
+                        calls = 4;
+                    }
+                    let name = if workers == 0 { name } else { "pooled" };
+                    let family = if batch == 1 { "spmv" } else { "spmm" };
+                    let mut want: BTreeMap<String, u64> = [
+                        ("calls", calls),
+                        ("nnz", calls / 2 * traffic[0]),
+                        ("bytes", calls / 2 * traffic[1]),
+                    ]
+                    .into_iter()
+                    .map(|(c, v)| (format!("{family}/{name}/{c}"), v))
+                    .collect();
+                    if batch > 1 {
+                        want.insert(format!("spmm/{name}/slices"), calls * batch as u64);
+                    } else if let (0, Some(stages)) = (workers, stages) {
+                        want.insert("spmv/buffered/stages".into(), calls / 2 * stages);
+                    }
+                    let snap = metrics.snapshot();
+                    assert_eq!(snap.counters, want, "{tag}");
+                    assert_eq!(snap.timers["kernel/ap_s"].count, calls, "{tag}");
+                    // breakdown() is a view over the same registry.
+                    let kb = op.breakdown().expect("collecting");
+                    assert_eq!(kb.ap_s, snap.timers["kernel/ap_s"].total_s);
+                    assert!(kb.ap_s > 0.0 && kb.c_s == 0.0 && kb.r_s == 0.0);
+                    assert_eq!(op.reduce_dot(3.25), 3.25);
+                }
             }
-            for (g, w) in b.iter().zip(&want_b) {
-                assert!((g - w).abs() < 1e-4, "back mismatch");
-            }
-            // Identity reduction and timing hook.
-            assert_eq!(op.reduce_dot(3.25), 3.25);
-            let kb = op.breakdown().expect("timed backend");
-            assert!(kb.ap_s > 0.0 && kb.c_s == 0.0 && kb.r_s == 0.0);
+            // A no-op handle records nothing and has no timings to report.
+            let quiet = ops.operator_with_metrics(kernel, Metrics::noop());
+            quiet.forward_into(&slab(n, 1, 3), &mut vec![0f32; m]);
+            assert!(quiet.breakdown().is_none());
         }
     }
 
@@ -1256,7 +1051,7 @@ mod tests {
     #[test]
     fn stacked_operator_appends_scaled_rows() {
         let ops = ops(6, 4);
-        let primary = SerialOperator::new(&ops);
+        let primary = KernelOperator::new(&ops, Kernel::Serial);
         let d = crate::regularize::gradient_operator(&ops.tomo_ord);
         let dt = d.transpose_scan();
         let s = 0.5f32;
@@ -1301,59 +1096,5 @@ mod tests {
         let mut part = vec![0f32; sub.nrows()];
         sub.forward_into(&x, &mut part);
         assert_eq!(part, sub.gather(&full));
-    }
-
-    #[test]
-    fn shared_registry_collects_spmv_counters() {
-        let ops = ops(8, 6);
-        let m = Metrics::collecting();
-        let op = ops.operator_with_metrics(Kernel::Buffered, m.clone());
-        let x = vec![1f32; op.ncols()];
-        let mut y = vec![0f32; op.nrows()];
-        op.forward_into(&x, &mut y);
-        op.forward_into(&x, &mut y);
-        let snap = m.snapshot();
-        assert_eq!(snap.counters["spmv/buffered/calls"], 2);
-        assert_eq!(
-            snap.counters["spmv/buffered/nnz"],
-            2 * ops.a.nnz() as u64,
-            "nnz per call"
-        );
-        assert!(snap.counters["spmv/buffered/bytes"] > 0);
-        assert!(snap.counters["spmv/buffered/stages"] >= 2);
-        assert_eq!(snap.timers["kernel/ap_s"].count, 2);
-        // breakdown() is a view over the same registry.
-        let kb = op.breakdown().expect("collecting");
-        assert_eq!(kb.ap_s, snap.timers["kernel/ap_s"].total_s);
-    }
-
-    #[test]
-    fn noop_metrics_record_nothing_and_hide_breakdown() {
-        let ops = ops(8, 6);
-        let op = ops.operator_with_metrics(Kernel::Serial, Metrics::noop());
-        let x = vec![1f32; op.ncols()];
-        let mut y = vec![0f32; op.nrows()];
-        op.forward_into(&x, &mut y);
-        assert!(op.breakdown().is_none(), "noop has no timings to report");
-    }
-
-    #[test]
-    fn operators_factory_covers_all_kernels() {
-        let ops = ops(6, 4);
-        let x: Vec<f32> = (0..ops.a.ncols()).map(|i| (i % 3) as f32).collect();
-        let want = ops.forward(Kernel::Serial, &x);
-        for kernel in [
-            Kernel::Serial,
-            Kernel::Parallel,
-            Kernel::Ell,
-            Kernel::Buffered,
-        ] {
-            let op = ops.operator(kernel);
-            let mut y = vec![0f32; op.nrows()];
-            op.forward_into(&x, &mut y);
-            for (g, w) in y.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-4, "{kernel:?}");
-            }
-        }
     }
 }

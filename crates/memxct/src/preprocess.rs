@@ -10,7 +10,7 @@ use std::time::Instant;
 use xct_geometry::{trace_ray, trace_ray_joseph, Grid, ScanGeometry, Sinogram};
 use xct_hilbert::{Ordering2D, TwoLevelOrdering};
 use xct_obs::Metrics;
-use xct_sparse::{spmv, spmv_parallel, BufferIndex, BufferedCsr, CsrMatrix, EllMatrix};
+use xct_sparse::{BufferIndex, BufferedCsr, CsrMatrix, EllMatrix};
 
 use crate::errors::BuildError;
 
@@ -76,10 +76,9 @@ impl Default for Config {
 /// Which SpMV kernel executes the projections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Sequential CSR (reference).
+    /// Plain CSR (Listing 2; the reference every other layout is pinned
+    /// to).
     Serial,
-    /// Parallel CSR with dynamically-scheduled row partitions (Listing 2).
-    Parallel,
     /// Column-major ELL with partition-level padding (GPU analog).
     Ell,
     /// Multi-stage input-buffered kernel (Listing 3).
@@ -141,45 +140,6 @@ pub struct Operators {
 }
 
 impl Operators {
-    /// Forward projection `y = A·x` (ordered coordinates) with the chosen
-    /// kernel.
-    pub fn forward(&self, kernel: Kernel, x: &[f32]) -> Vec<f32> {
-        self.apply(kernel, &self.a, self.a_buf.as_ref(), self.a_ell.as_ref(), x)
-    }
-
-    /// Backprojection `x = Aᵀ·y` (ordered coordinates).
-    pub fn back(&self, kernel: Kernel, y: &[f32]) -> Vec<f32> {
-        self.apply(
-            kernel,
-            &self.at,
-            self.at_buf.as_ref(),
-            self.at_ell.as_ref(),
-            y,
-        )
-    }
-
-    fn apply(
-        &self,
-        kernel: Kernel,
-        csr: &CsrMatrix,
-        buf: Option<&BufferedCsr>,
-        ell: Option<&EllMatrix>,
-        x: &[f32],
-    ) -> Vec<f32> {
-        match kernel {
-            Kernel::Serial => spmv(csr, x),
-            Kernel::Parallel => spmv_parallel(csr, x, self.partsize),
-            Kernel::Ell => ell
-                // lint: allow(no-panic) documented panic; the try_ path returns LayoutNotBuilt
-                .expect("ELL layout not built; set Config::build_ell")
-                .spmv(x),
-            Kernel::Buffered => buf
-                // lint: allow(no-panic) documented panic; the try_ path returns LayoutNotBuilt
-                .expect("buffered layout not built; set Config::build_buffered")
-                .spmv_parallel(x),
-        }
-    }
-
     /// Permute a row-major sinogram into ordered coordinates.
     pub fn order_sinogram(&self, sino: &Sinogram) -> Vec<f32> {
         // The sinogram domain is channels (x) × projections (y); flat
@@ -458,12 +418,7 @@ mod tests {
             };
             let o = preprocess(grid, scan, &config);
             let x = o.order_tomogram(&img);
-            for kernel in [
-                Kernel::Serial,
-                Kernel::Parallel,
-                Kernel::Ell,
-                Kernel::Buffered,
-            ] {
+            for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
                 let y = o.forward(kernel, &x);
                 let y_rm = o.unorder_sinogram(&y);
                 for (got, want) in y_rm.iter().zip(direct.data()) {

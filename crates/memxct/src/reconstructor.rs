@@ -8,7 +8,7 @@ use crate::checkpoint;
 use crate::dist::{try_reconstruct_distributed_ft, DistConfig, DistSolver, FaultTolerance};
 use crate::errors::BuildError;
 use crate::operator::{
-    KernelBreakdown, PooledOperator, PooledPlans, ProjectionOperator, POOL_IMBALANCE_BACK,
+    KernelBreakdown, KernelOperator, PooledPlans, ProjectionOperator, POOL_IMBALANCE_BACK,
     POOL_IMBALANCE_FORWARD,
 };
 use crate::preprocess::{
@@ -51,7 +51,7 @@ pub struct BatchOutput {
 /// let scan = ScanGeometry::new(48, 32);
 /// let rec = ReconstructorBuilder::new(grid, scan)
 ///     .partition_size(64)
-///     .kernel(Kernel::Parallel)
+///     .kernel(Kernel::Serial)
 ///     .build()
 ///     .unwrap();
 /// let truth = disk(0.6, 1.0).rasterize(32);
@@ -280,7 +280,7 @@ impl ReconstructorBuilder {
                 k
             }
             None if self.config.build_buffered => Kernel::Buffered,
-            None => Kernel::Parallel,
+            None => Kernel::Serial,
         };
         if self.batch == 0 {
             return Err(BuildError::ZeroBatch);
@@ -483,15 +483,13 @@ impl Reconstructor {
         ckpt: Option<&CheckpointPolicy>,
         ctrl: Option<&RunControl>,
     ) -> Result<SolveExit, BuildError> {
-        let op: Box<dyn ProjectionOperator + '_> = match (&self.exec, pooled) {
-            (Some(exec), true) => Box::new(
-                PooledOperator::new(&self.ops, self.kernel, &exec.plans, &exec.pool)
-                    .with_metrics(self.metrics.clone()),
-            ),
-            _ => self
-                .ops
-                .operator_with_metrics(self.kernel, self.metrics.clone()),
-        };
+        let op = match (&self.exec, pooled) {
+            (Some(exec), true) => {
+                KernelOperator::pooled(&self.ops, self.kernel, &exec.plans, &exec.pool)
+            }
+            _ => KernelOperator::new(&self.ops, self.kernel),
+        }
+        .with_metrics(self.metrics.clone());
         let mut ws = self.workspace.lock().unwrap_or_else(|p| p.into_inner());
         let nrows = self.ops.a.nrows();
         let ncols = self.ops.a.ncols();
@@ -527,7 +525,7 @@ impl Reconstructor {
         };
         let every = ckpt.map_or(0, |p| p.every);
         let exit = run_engine_core(
-            op.as_ref(),
+            &op,
             y,
             rule,
             constraint,
@@ -969,14 +967,14 @@ mod tests {
             Some(BuildError::InvalidBufferSize { .. })
         ));
         // Defaults pick the buffered kernel; disabling buffered layouts
-        // falls back to parallel CSR.
+        // falls back to plain CSR.
         let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
         assert_eq!(rec.kernel(), Kernel::Buffered);
         let rec = ReconstructorBuilder::new(grid, scan)
             .build_buffered(false)
             .build()
             .unwrap();
-        assert_eq!(rec.kernel(), Kernel::Parallel);
+        assert_eq!(rec.kernel(), Kernel::Serial);
     }
 
     #[test]

@@ -97,12 +97,9 @@ impl ReconInput {
 /// Where and how a request executes.
 #[derive(Clone)]
 pub enum ExecMode {
-    /// In-process kernels without the worker pool — which is not the
-    /// same as one thread: the single-slice SpMV of every kernel but
-    /// `Kernel::Serial` (`BufferedOperator::forward_into` calls
-    /// `spmv_parallel_into`) splits its row partitions across scoped
-    /// threads spawned per call when `RAYON_NUM_THREADS` > 1. The batched
-    /// SpMMs and `Kernel::Serial` run on the calling thread.
+    /// In-process kernels on the calling thread: one thread, for every
+    /// kernel and every batch width. The worker pool
+    /// ([`ExecMode::Pooled`]) is the only way a solve goes parallel.
     Serial,
     /// The persistent worker pool over static nnz-balanced partitions.
     /// Requires a reconstructor built with

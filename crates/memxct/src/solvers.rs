@@ -1052,7 +1052,7 @@ mod tests {
     #[test]
     fn instrumented_engine_is_bit_identical_and_records() {
         let (ops, y, _) = setup(16, 24);
-        let plain_op = crate::operator::SerialOperator::new(&ops);
+        let plain_op = crate::operator::KernelOperator::new(&ops, Kernel::Serial);
         let (x_plain, recs_plain) = run_engine(
             &plain_op,
             &y,
@@ -1061,7 +1061,8 @@ mod tests {
             StopRule::Fixed(6),
         );
         let m = Metrics::collecting();
-        let inst_op = crate::operator::SerialOperator::new(&ops).with_metrics(m.clone());
+        let inst_op =
+            crate::operator::KernelOperator::new(&ops, Kernel::Serial).with_metrics(m.clone());
         let mut ws = SolverWorkspace::for_operator(&inst_op);
         let (rule, stop) = (&mut CgRule::new(), StopRule::Fixed(6));
         run_engine_in(&inst_op, &y, rule, Constraint::None, stop, &m, &mut ws);
@@ -1088,7 +1089,7 @@ mod tests {
     fn early_termination_sets_the_gauge() {
         let (ops, y, _) = setup(16, 24);
         let m = Metrics::collecting();
-        let op = crate::operator::SerialOperator::new(&ops);
+        let op = crate::operator::KernelOperator::new(&ops, Kernel::Serial);
         let stop = StopRule::EarlyTermination {
             max_iters: 500,
             min_decrease: 1e-3,
@@ -1112,7 +1113,7 @@ mod tests {
         // The engine API itself (no closure shim): CG over the serial
         // operator equals the closure-based entry point record-for-record.
         let (ops, y, _) = setup(16, 24);
-        let op = crate::operator::SerialOperator::new(&ops);
+        let op = crate::operator::KernelOperator::new(&ops, Kernel::Serial);
         let (x_engine, recs_engine) = run_engine(
             &op,
             &y,

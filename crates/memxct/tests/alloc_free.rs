@@ -69,7 +69,7 @@ fn steady_state_cg_solve_allocates_nothing_and_spawns_nothing() {
 
     let threads = 2;
     let pool = WorkerPool::new(threads);
-    let plans = PooledPlans::new(&ops, Kernel::Buffered, threads);
+    let plans = PooledPlans::new_batched(&ops, Kernel::Buffered, threads, 1);
     let op = PooledOperator::new(&ops, Kernel::Buffered, &plans, &pool);
     let metrics = Metrics::noop();
     let stop = StopRule::Fixed(6);

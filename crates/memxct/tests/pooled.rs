@@ -45,7 +45,7 @@ fn pooled_image(
 #[test]
 fn pooled_cg_is_bit_identical_across_thread_counts() {
     let (grid, scan, sino) = problem(24, 36);
-    for kernel in [Kernel::Parallel, Kernel::Buffered, Kernel::Ell] {
+    for kernel in [Kernel::Serial, Kernel::Buffered, Kernel::Ell] {
         let want = pooled_image(grid, scan, &sino, kernel, 1);
         for threads in [2, 3, 8] {
             let got = pooled_image(grid, scan, &sino, kernel, threads);
@@ -66,7 +66,7 @@ fn pooled_kernels_agree_with_each_other_bitwise() {
     // — a stronger statement than the unpooled backends' approximate
     // agreement.
     let (grid, scan, sino) = problem(24, 36);
-    let csr = pooled_image(grid, scan, &sino, Kernel::Parallel, 2);
+    let csr = pooled_image(grid, scan, &sino, Kernel::Serial, 2);
     let buffered = pooled_image(grid, scan, &sino, Kernel::Buffered, 2);
     assert!(csr
         .iter()
@@ -122,7 +122,7 @@ fn pooled_reconstructor_reports_pool_metrics_and_validates_plans() {
     // nine memoized structures.
     let report = rec.validate_plan();
     assert!(report.is_ok(), "{report}");
-    let plans = memxct::PooledPlans::new(rec.operators(), rec.kernel(), 2);
+    let plans = memxct::PooledPlans::new_batched(rec.operators(), rec.kernel(), 2, 1);
     assert_eq!(memxct::exec_checker(&plans).len(), 4);
 }
 

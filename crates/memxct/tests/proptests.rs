@@ -1,13 +1,71 @@
 //! Property tests for the core pipeline: the memoized operators agree
 //! with direct ray tracing, the factorized distributed product agrees
-//! with the monolithic one, and permutations round-trip — for arbitrary
-//! geometries and rank counts.
+//! with the monolithic one, every operator's backprojection is the
+//! adjoint of its projection, and permutations round-trip — for
+//! arbitrary geometries and rank counts.
 
-use memxct::{preprocess, Config, Kernel};
+use memxct::{
+    preprocess, Config, DistOperator, Kernel, KernelOperator, PooledPlans, ProjectionOperator,
+    RowSubsetOperator, StackedOperator,
+};
 use proptest::prelude::*;
 use xct_geometry::{disk, Sinogram};
 use xct_geometry::{simulate_sinogram, Grid, NoiseModel, ScanGeometry};
-use xct_runtime::run_ranks;
+use xct_runtime::{run_ranks, WorkerPool};
+use xct_sparse::CsrMatrix;
+
+/// `(⟨A·x_j, y_j⟩, ⟨x_j, Aᵀ·y_j⟩)` per column `j` of the slice-major
+/// slabs, accumulated in f64 from the operator's f32 products.
+fn inner_products(
+    op: &dyn ProjectionOperator,
+    x: &[f32],
+    y: &[f32],
+    batch: usize,
+) -> Vec<(f64, f64)> {
+    let (m, n) = (op.nrows(), op.ncols());
+    let (mut ax, mut aty) = (vec![f32::NAN; m * batch], vec![f32::NAN; n * batch]);
+    op.forward_batch_into(x, &mut ax, batch);
+    op.back_batch_into(y, &mut aty, batch);
+    let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&a, &b)| a as f64 * b as f64).sum();
+    (0..batch)
+        .map(|j| {
+            let (rows, cols) = (j * m..(j + 1) * m, j * n..(j + 1) * n);
+            (
+                dot(&ax[rows.clone()], &y[rows]),
+                dot(&x[cols.clone()], &aty[cols]),
+            )
+        })
+        .collect()
+}
+
+/// `⟨|A|·|x|, |y|⟩` in f64: the magnitude both inner products are sums of.
+fn abs_inner(a: &CsrMatrix, x: &[f32], y: &[f32]) -> f64 {
+    (0..a.nrows())
+        .map(|i| {
+            let row: f64 = a
+                .row(i)
+                .map(|(c, v)| (v * x[c as usize]).abs() as f64)
+                .sum();
+            row * y[i].abs() as f64
+        })
+        .sum()
+}
+
+/// Longest row of `a`: the most f32 additions behind one output value.
+fn longest_row(a: &CsrMatrix) -> usize {
+    a.rowptr()
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .max()
+        .unwrap_or(0)
+}
+
+/// Rounding-sensitive slab of `batch` slices of `len` values in (-1, 1).
+fn slab(len: usize, batch: usize, seed: u64) -> Vec<f32> {
+    (0..len * batch)
+        .map(|i| ((i as u64 * 7 + seed % 1000) as f32 * 0.37).sin())
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -41,7 +99,7 @@ proptest! {
             let lo = plan.tomo_range.start as usize;
             let hi = plan.tomo_range.end as usize;
             let mut kb = memxct::KernelBreakdown::default();
-            plan.forward(comm, &x[lo..hi], &mut kb)
+            plan.try_forward(comm, &x[lo..hi], &mut kb).unwrap()
         });
         let mut got = vec![0f32; ops.a.nrows()];
         for (plan, block) in plans.iter().zip(results) {
@@ -106,18 +164,90 @@ proptest! {
         prop_assert!(num / den.max(1e-12) < 2e-2, "rel err {}", num / den.max(1e-12));
     }
 
+    /// Truth, not self-consistency: `⟨A·x, y⟩ = ⟨x, Aᵀ·y⟩` for every
+    /// operator the solvers can be handed, per column. Both sides are f64
+    /// sums of f32 products whose every entry carries at most `L + 2`
+    /// roundings (`L` = longest row of `A` or `Aᵀ`, plus the distributed
+    /// reduction over ≤ 3 ranks or the regularizer's scaling), so they
+    /// agree within `2·(L + 8)·u·⟨|A|·|x|, |y|⟩`, `u = 2⁻²⁴`.
     #[test]
-    fn operators_are_adjoint(n in 6u32..24, m in 3u32..18) {
+    fn every_operator_is_adjoint_per_column(
+        n in 6u32..20, m in 3u32..16, threads in 1usize..4, seed in any::<u64>()
+    ) {
         let ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config {
-            build_buffered: false,
+            build_ell: true,
             ..Config::default()
         });
-        let x: Vec<f32> = (0..ops.a.ncols()).map(|i| ((i * 7) % 11) as f32 - 5.0).collect();
-        let y: Vec<f32> = (0..ops.a.nrows()).map(|i| ((i * 3) % 13) as f32 - 6.0).collect();
-        let ax = ops.forward(Kernel::Serial, &x);
-        let aty = ops.back(Kernel::Serial, &y);
-        let lhs: f64 = ax.iter().zip(&y).map(|(&a, &b)| a as f64 * b as f64).sum();
-        let rhs: f64 = x.iter().zip(&aty).map(|(&a, &b)| a as f64 * b as f64).sum();
-        prop_assert!((lhs - rhs).abs() / lhs.abs().max(1.0) < 1e-3);
+        let (rows, cols) = (ops.a.nrows(), ops.a.ncols());
+        let unit = 2.0 * (longest_row(&ops.a).max(longest_row(&ops.at)) + 8) as f64
+            * (f32::EPSILON as f64 / 2.0);
+        let check = |tag: &str, got: &[(f64, f64)], scale: &[f64]| {
+            for (j, (&(lhs, rhs), &s)) in got.iter().zip(scale).enumerate() {
+                assert!(lhs.is_finite() && rhs.is_finite(), "{tag} column {j}");
+                assert!(
+                    (lhs - rhs).abs() <= unit * s,
+                    "{tag} column {j}: <Ax,y> = {lhs}, <x,Aty> = {rhs}, bound {}",
+                    unit * s
+                );
+            }
+        };
+        let pool = WorkerPool::new(threads);
+        for batch in [1usize, 3] {
+            let (x, y) = (slab(cols, batch, seed), slab(rows, batch, seed ^ 1));
+            let scale: Vec<f64> = (0..batch)
+                .map(|j| abs_inner(&ops.a, &x[j * cols..][..cols], &y[j * rows..][..rows]))
+                .collect();
+            // The kernel operator: 3 layouts × inline / pooled.
+            for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
+                let inline = KernelOperator::new(&ops, kernel);
+                check(&format!("{kernel:?} inline k={batch}"),
+                    &inner_products(&inline, &x, &y, batch), &scale);
+                let plans = PooledPlans::new_batched(&ops, kernel, threads, batch);
+                let pooled = KernelOperator::pooled(&ops, kernel, &plans, &pool);
+                check(&format!("{kernel:?} pooled/{threads} k={batch}"),
+                    &inner_products(&pooled, &x, &y, batch), &scale);
+            }
+            // The factorized A = R·C·A_p through the halo bodies: each
+            // rank contributes the inner products over what it owns.
+            for (ranks, use_buffered) in [(1, false), (2, true), (3, false), (3, true)] {
+                let plans = memxct::dist::build_plans(&ops, ranks, use_buffered);
+                let (partials, _) = run_ranks(ranks, |comm| {
+                    let plan = &plans[comm.rank()];
+                    let own = |g: &[f32], len: usize, r: &std::ops::Range<u32>| -> Vec<f32> {
+                        (0..batch)
+                            .flat_map(|j| g[j * len + r.start as usize..j * len + r.end as usize].to_vec())
+                            .collect()
+                    };
+                    let op = DistOperator::new(plan, comm);
+                    let (xl, yl) = (own(&x, cols, &plan.tomo_range), own(&y, rows, &plan.sino_range));
+                    let got = inner_products(&op, &xl, &yl, batch);
+                    assert!(op.fault().is_none());
+                    got
+                });
+                let total: Vec<(f64, f64)> = (0..batch)
+                    .map(|j| partials.iter().fold((0.0, 0.0), |t, p| (t.0 + p[j].0, t.1 + p[j].1)))
+                    .collect();
+                check(&format!("dist ranks={ranks} buffered={use_buffered} k={batch}"), &total, &scale);
+            }
+        }
+        // Combinators (single-slice by construction).
+        let (x, y) = (slab(cols, 1, seed), slab(rows, 1, seed ^ 1));
+        let primary = KernelOperator::new(&ops, Kernel::Buffered);
+        let d = memxct::gradient_operator(&ops.tomo_ord);
+        let dt = d.transpose_scan();
+        let stack = StackedOperator::new(&primary, &d, &dt, 0.5);
+        let y_aug = slab(stack.nrows(), 1, seed ^ 2);
+        let scale = abs_inner(&ops.a, &x, &y_aug[..rows]) + 0.5 * abs_inner(&d, &x, &y_aug[rows..]);
+        check("stacked", &inner_products(&stack, &x, &y_aug, 1), &[scale]);
+
+        let ids: Vec<u32> = (0..rows as u32).step_by(2).collect();
+        let block = CsrMatrix::from_rows(
+            cols,
+            &ids.iter().map(|&r| ops.a.row(r as usize).collect::<Vec<_>>()).collect::<Vec<_>>(),
+        );
+        let block_t = block.transpose_scan();
+        let subset = RowSubsetOperator::new(&ids, &block, &block_t);
+        let y_sub = subset.gather(&y);
+        check("row subset", &inner_products(&subset, &x, &y_sub, 1), &[abs_inner(&block, &x, &y_sub)]);
     }
 }

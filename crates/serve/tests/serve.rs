@@ -96,7 +96,7 @@ fn plan_key_distinguishes_kernel_partition_and_pool_configs() {
     assert_eq!(base.key(), PlanSpec::new(grid, scan).key());
 
     let mut kernel = base;
-    kernel.kernel = Some(Kernel::Parallel);
+    kernel.kernel = Some(Kernel::Serial);
     assert_ne!(base.key(), kernel.key(), "kernel choice splits the key");
 
     let mut part = base;

@@ -20,7 +20,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::lanes::{reduce_lanes, LANES};
-use rayon::prelude::*;
 use std::array::from_fn;
 use std::fmt;
 use std::ops::Range;
@@ -488,26 +487,6 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// one-slice case of [`BufferedCsrImpl::spmm_into`].
     pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) {
         self.spmm_into(x, y, 1);
-    }
-
-    /// `y = A·x` with the buffered kernel, partitions in parallel
-    /// (dynamically scheduled, as in Listing 3's `schedule(dynamic)`).
-    pub fn spmv_parallel(&self, x: &[f32]) -> Vec<f32> {
-        let mut y = vec![0f32; self.nrows];
-        self.spmv_parallel_into(x, &mut y);
-        y
-    }
-
-    /// Parallel buffered SpMV into a caller-provided output (overwritten).
-    pub fn spmv_parallel_into(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.ncols, "x length");
-        assert_eq!(y.len(), self.nrows, "y length");
-        y.par_chunks_mut(self.partsize)
-            .enumerate()
-            .for_each_init(Vec::new, |scratch, (p, out)| {
-                let sink = Sink::new(out, p * self.partsize, |o, _| o);
-                self.run_partitions(p..p + 1, x, 1, scratch, sink);
-            });
     }
 
     /// An nnz-balanced [`xct_runtime::ExecPlan`] over this layout's row partitions:
@@ -1052,13 +1031,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = sample();
-        let b = BufferedCsr::from_csr(&a, 2, 4);
-        assert_eq!(b.spmv(&x8()), b.spmv_parallel(&x8()));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::lanes::LANES;
-use rayon::prelude::*;
 
 /// One partition's column-major sweep, restructured into 8-row blocks:
 /// each block holds [`LANES`] independent accumulators in registers across
@@ -222,34 +221,20 @@ impl EllMatrix {
         y
     }
 
-    /// ELL SpMV into a caller-provided output (overwritten).
+    /// ELL SpMV into a caller-provided output (overwritten): the
+    /// one-slice case of [`EllMatrix::spmm_into`], one partition ("thread
+    /// block") after another on the calling thread.
     pub fn spmv_into(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.ncols, "x length");
-        assert_eq!(y.len(), self.nrows, "y length");
-        y.fill(0.0); // partitions accumulate into their slice
-        let chunks: Vec<(&EllPartition, &mut [f32])> = {
-            // Split y into per-partition output slices.
-            let mut rest = y;
-            let mut out = Vec::with_capacity(self.partitions.len());
-            for p in &self.partitions {
-                let (head, tail) = rest.split_at_mut(p.rows);
-                out.push((p, head));
-                rest = tail;
-            }
-            out
-        };
-        chunks.into_par_iter().for_each(|(p, out)| {
-            // Column-major sweep in 8-row blocks, emulating the coalesced
-            // access of consecutive CUDA threads.
-            ell_sweep(p.rows, p.width, &p.colind, &p.values, x, out);
-        });
+        self.spmm_into(x, y, 1);
     }
 
     /// Sequential ELL SpMM into a caller-provided slice-major output
     /// (overwritten): `y = A · [x₁ … xₖ]`. The slice loop runs inside
     /// each partition, so the partition's column-major slots are streamed
-    /// once and re-read from cache for the remaining k-1 slices; column
-    /// `j` is bit-identical to [`EllMatrix::spmv_into`] on slice `j`.
+    /// once and re-read from cache for the remaining k-1 slices, and each
+    /// partition is swept column-major in 8-row blocks (the coalesced
+    /// access of consecutive CUDA threads); column `j` does not depend on
+    /// the batch width.
     pub fn spmm_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
         assert!(batch > 0, "batch width must be positive");
         assert_eq!(x.len(), self.ncols * batch, "x length");

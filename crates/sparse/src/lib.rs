@@ -7,8 +7,8 @@
 //!   indices — the paper's layout);
 //! - [`CsrMatrix::transpose_scan`]: the order-preserving scan-based sparse
 //!   transposition of §3.5.1 (no atomics, locality preserved);
-//! - [`spmv`] / [`spmv_parallel`]: the baseline kernel of Listing 2 with
-//!   OpenMP-style dynamically-scheduled row partitions;
+//! - [`spmv`] / [`spmv_into`]: the baseline kernel of Listing 2, on the
+//!   calling thread — the reference every other kernel is pinned to;
 //! - [`EllMatrix`]: column-major ELL with *partition-level* zero padding,
 //!   the GPU (coalesced-access) kernel analog of §3.1.4;
 //! - [`BufferedCsr`]: the multi-stage input-buffered kernel of Listing 3,
@@ -17,7 +17,8 @@
 //!   the buffered/ELL layouts): the same kernels driven by the
 //!   persistent `xct-runtime` worker pool over static nnz-balanced
 //!   partitions — no per-call thread spawns, bit-identical results for
-//!   every worker count;
+//!   every worker count. The pool is the **only** threaded path: every
+//!   entry point without a `pool` argument runs on the calling thread;
 //! - [`SliceBatch`] / [`spmm_into`] / [`spmm_pooled_into`] (plus SpMM
 //!   methods on the buffered/ELL layouts): batched right-hand sides,
 //!   `Y = A · [x₁ … xₖ]`, streaming the matrix once per k slices with
@@ -28,10 +29,7 @@
 //!   above shares — explicit 8-lane f32 accumulators with a deterministic
 //!   reduction order, written so rustc/LLVM emits SIMD without intrinsics
 //!   (the scalar Listing 2 chain survives as [`spmv_scalar_into`], the
-//!   roofline baseline);
-//! - [`TiledCsr`]: cache-blocked execution — each row block's entries
-//!   regrouped by Hilbert column tile so the irregular x-gather stays in a
-//!   small window (modeled by `xct-cachesim::spmv_tiled_trace`).
+//!   roofline baseline).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,7 +43,6 @@ mod pooled;
 mod reduce;
 mod spmv;
 mod stats;
-mod tiled;
 
 pub use batch::{
     dot_batch_plan, dot_f64_batched_pooled, spmm, spmm_into, spmm_pooled_into, SliceBatch,
@@ -58,6 +55,5 @@ pub use pooled::{
     csr_plan, csr_plan_equal, dot_chunks, dot_f64_pooled, dot_plan, spmv_pooled_into, DOT_CHUNK,
 };
 pub use reduce::{dot_f64, norm_f64};
-pub use spmv::{spmv, spmv_into, spmv_parallel, spmv_parallel_into, spmv_scalar_into};
+pub use spmv::{spmv, spmv_into, spmv_scalar_into};
 pub use stats::{matrix_stats, partition_stats, MatrixStats, PartitionStats};
-pub use tiled::{TiledCsr, TILE_COL_WIDTH, TILE_ROW_BLOCK};

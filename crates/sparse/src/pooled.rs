@@ -1,14 +1,13 @@
 //! Pooled SpMV and reductions: static [`ExecPlan`]s driven by the
 //! persistent [`WorkerPool`] (see `xct-runtime`).
 //!
-//! The scoped-thread kernels in [`crate::spmv`] pay a spawn per call and
-//! split rows equally regardless of their nonzero count. The pooled
-//! variants here split **once** at plan time — by nnz, mirroring the
+//! This is the crate's only threaded path: no thread is spawned per
+//! call. Rows are split **once** at plan time — by nnz, mirroring the
 //! paper's `partsize` load balancing (§3.2) — and every iteration then
-//! reuses both the plan and the parked workers. Because partitions are
-//! contiguous row runs and each row's accumulation order is unchanged,
-//! pooled results are bit-identical to the sequential kernel for every
-//! worker count.
+//! reuses both the plan and the parked workers.
+//! Because partitions are contiguous row runs and each row's
+//! accumulation order is unchanged, pooled results are bit-identical to
+//! the sequential kernel for every worker count.
 
 use crate::csr::CsrMatrix;
 use crate::lanes::row_dot;

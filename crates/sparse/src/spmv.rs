@@ -1,5 +1,6 @@
-//! The baseline MemXCT kernel (Listing 2): CSR SpMV with row partitions
-//! dynamically scheduled across threads.
+//! The baseline MemXCT kernel (Listing 2): sequential CSR SpMV. The
+//! threaded form is [`crate::spmv_pooled_into`] — the worker pool is the
+//! only way this crate goes parallel.
 //!
 //! Each fused multiply-add reads two *regular* streams (`ind`, `val`) and
 //! one *irregular* value (`x[ind]`); the irregular access is the memory
@@ -7,7 +8,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::lanes::row_dot;
-use rayon::prelude::*;
 
 /// Sequential CSR SpMV: `y = A·x`.
 pub fn spmv(a: &CsrMatrix, x: &[f32]) -> Vec<f32> {
@@ -19,7 +19,7 @@ pub fn spmv(a: &CsrMatrix, x: &[f32]) -> Vec<f32> {
 /// Sequential CSR SpMV into a caller-provided output.
 ///
 /// Rows are reduced in the deterministic lane order of [`crate::lanes`];
-/// every other CSR kernel (parallel, pooled, batched) uses the same order,
+/// every other CSR kernel (pooled, batched) uses the same order,
 /// so they are all bitwise equal to this one.
 pub fn spmv_into(a: &CsrMatrix, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), a.ncols(), "x length");
@@ -56,35 +56,6 @@ pub fn spmv_scalar_into(a: &CsrMatrix, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Parallel CSR SpMV: row partitions of `partsize` rows are distributed
-/// across threads with dynamic scheduling (the analog of
-/// `#pragma omp parallel for schedule(dynamic, partsize)` in Listing 2).
-pub fn spmv_parallel(a: &CsrMatrix, x: &[f32], partsize: usize) -> Vec<f32> {
-    let mut y = vec![0f32; a.nrows()];
-    spmv_parallel_into(a, x, &mut y, partsize);
-    y
-}
-
-/// Parallel CSR SpMV into a caller-provided output.
-pub fn spmv_parallel_into(a: &CsrMatrix, x: &[f32], y: &mut [f32], partsize: usize) {
-    assert_eq!(x.len(), a.ncols(), "x length");
-    assert_eq!(y.len(), a.nrows(), "y length");
-    assert!(partsize > 0, "partition size must be positive");
-    let rowptr = a.rowptr();
-    let colind = a.colind();
-    let values = a.values();
-    y.par_chunks_mut(partsize)
-        .enumerate()
-        .for_each(|(p, chunk)| {
-            let base = p * partsize;
-            for (j, out) in chunk.iter_mut().enumerate() {
-                let i = base + j;
-                let (lo, hi) = (rowptr[i], rowptr[i + 1]);
-                *out = row_dot(&colind[lo..hi], &values[lo..hi], x);
-            }
-        });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,15 +78,6 @@ mod tests {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = spmv(&a, &x);
         assert_eq!(y, vec![9.0, -2.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let a = sample();
-        let x = [1.0, 2.0, 3.0, 4.0];
-        for partsize in [1, 2, 3, 64] {
-            assert_eq!(spmv_parallel(&a, &x, partsize), spmv(&a, &x));
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xct_sparse::{spmv, spmv_parallel, BufferedCsr, CsrMatrix, EllMatrix};
+use xct_sparse::{spmv, BufferedCsr, CsrMatrix, EllMatrix};
 
 /// Random sparse matrix with ~`density` fill, deterministic in `seed`.
 fn random_csr(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix {
@@ -41,17 +41,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn parallel_spmv_matches(
-        nrows in 1usize..60, ncols in 1usize..60,
-        density in 0.0f64..0.5, seed in any::<u64>(),
-        partsize in 1usize..32,
-    ) {
-        let a = random_csr(nrows, ncols, density, seed);
-        let x = random_x(ncols, seed);
-        assert_close(&spmv_parallel(&a, &x, partsize), &spmv(&a, &x), 1e-5);
-    }
-
-    #[test]
     fn ell_spmv_matches(
         nrows in 1usize..50, ncols in 1usize..50,
         density in 0.0f64..0.5, seed in any::<u64>(),
@@ -76,7 +65,6 @@ proptest! {
         let b = BufferedCsr::from_csr(&a, partsize, buffsize);
         prop_assert_eq!(b.nnz(), a.nnz());
         assert_close(&b.spmv(&x), &spmv(&a, &x), 1e-5);
-        assert_close(&b.spmv_parallel(&x), &spmv(&a, &x), 1e-5);
     }
 
     #[test]

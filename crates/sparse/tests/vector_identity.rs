@@ -15,8 +15,8 @@
 use xct_runtime::WorkerPool;
 use xct_sparse::lanes::row_dot_ref;
 use xct_sparse::{
-    csr_plan, spmm_into, spmm_pooled_into, spmv_into, spmv_pooled_into, BufferedCsr, CsrMatrix,
-    EllMatrix, TiledCsr,
+    csr_plan, spmm_into, spmm_pooled_into, spmv_into, spmv_pooled_into, BufferedCsr, BufferedCsr32,
+    CsrMatrix, EllMatrix,
 };
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -109,31 +109,6 @@ fn buffered_ref(b: &BufferedCsr, x: &[f32]) -> Vec<f32> {
         }
     }
     y
-}
-
-/// Tiled reference: per row, tiles ascending; each `(row, tile)` entry run
-/// reduced in lane order.
-fn tiled_ref(a: &CsrMatrix, row_block: usize, col_tile: usize, x: &[f32]) -> Vec<f32> {
-    (0..a.nrows())
-        .map(|i| {
-            let (lo, hi) = (a.rowptr()[i], a.rowptr()[i + 1]);
-            let mut runs: Vec<(usize, Vec<(u32, f32)>)> = Vec::new();
-            for k in lo..hi {
-                let t = a.colind()[k] as usize / col_tile;
-                match runs.iter_mut().find(|(rt, _)| *rt == t) {
-                    Some((_, run)) => run.push((a.colind()[k], a.values()[k])),
-                    None => runs.push((t, vec![(a.colind()[k], a.values()[k])])),
-                }
-            }
-            runs.sort_by_key(|&(t, _)| t);
-            let _ = row_block; // row blocking never reorders a single row
-            runs.iter().fold(0f32, |acc, (_, run)| {
-                let cols: Vec<u32> = run.iter().map(|&(c, _)| c).collect();
-                let vals: Vec<f32> = run.iter().map(|&(_, v)| v).collect();
-                acc + row_dot_ref(&cols, &vals, x)
-            })
-        })
-        .collect()
 }
 
 fn assert_bits(got: &[f32], want: &[f32], what: &str) {
@@ -255,6 +230,10 @@ fn buffered_kernels_match_staged_lane_reference() {
     let mut y = vec![0f32; b.nrows()];
     b.spmv_into(&x, &mut y);
     assert_bits(&y, &want, "buffered serial spmv");
+    // The §3.3.5 addressing ablation stores the same stages with 32-bit
+    // buffer-local indices: index width never touches a bit of the result.
+    let b32 = BufferedCsr32::from_csr(&a, 24, 64);
+    assert_bits(&b32.spmv(&x), &want, "buffered u32 serial spmv");
     for workers in THREADS {
         let pool = WorkerPool::new(workers);
         let plan = b.exec_plan(workers);
@@ -287,24 +266,6 @@ fn buffered_kernels_match_staged_lane_reference() {
                 &format!("buffered serial spmm b{batch} s{j}"),
             );
         }
-    }
-}
-
-#[test]
-fn tiled_kernels_match_tile_order_reference() {
-    let a = matrix();
-    let (rb, ct) = (32, 64);
-    let t = TiledCsr::with_blocks(&a, rb, ct);
-    let x = xvec(a.ncols(), 0);
-    let want = tiled_ref(&a, rb, ct, &x);
-    let got = t.spmv(&x);
-    assert_bits(&got, &want, "tiled serial spmv");
-    for workers in THREADS {
-        let pool = WorkerPool::new(workers);
-        let plan = t.exec_plan(workers);
-        let mut y = vec![0f32; t.nrows()];
-        t.spmv_pooled_into(&x, &mut y, &plan, &pool);
-        assert_bits(&y, &want, &format!("tiled pooled spmv w{workers}"));
     }
 }
 

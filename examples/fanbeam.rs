@@ -64,8 +64,8 @@ fn main() {
     let (x, records) = cgls(
         &sino,
         a.ncols(),
-        |p| a_buf.spmv_parallel(p),
-        |r| at_buf.spmv_parallel(r),
+        |p| a_buf.spmv(p),
+        |r| at_buf.spmv(r),
         StopRule::EarlyTermination {
             max_iters: 40,
             min_decrease: 0.02,
