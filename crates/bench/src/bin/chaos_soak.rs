@@ -22,8 +22,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use memxct::{
-    CheckpointPolicy, DistConfig, DistSolver, ExecMode, FaultTolerance, ReconInput, ReconRequest,
-    ReconResponse, ReconstructorBuilder, StopRule,
+    CheckpointPolicy, DistConfig, ExecMode, FaultTolerance, ReconInput, ReconRequest,
+    ReconResponse, ReconstructorBuilder, Solver, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_obs::{
@@ -102,7 +102,7 @@ fn main() {
         ranks: 2,
         use_buffered: true,
         stop: StopRule::Fixed(8),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
 
     // Direct unfaulted golden runs for every bit-identity check.

@@ -44,7 +44,7 @@ fn main() {
                         ranks,
                         use_buffered: true,
                         stop: memxct::StopRule::Fixed(30),
-                        solver: memxct::DistSolver::Cg,
+                        solver: memxct::Solver::Cg,
                     },
                     ft: None,
                 }),

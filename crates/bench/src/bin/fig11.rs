@@ -12,7 +12,7 @@
 //! cargo run --release -p xct-bench --bin fig11 [scale_divisor]
 //! ```
 
-use memxct::{DistConfig, DistSolver, ReconstructorBuilder, StopRule};
+use memxct::{DistConfig, ReconstructorBuilder, Solver, StopRule};
 use xct_bench::{analytic_volumes, calibrate_comm, scale_from_args, simulate};
 use xct_geometry::{Dataset, SampleKind, ADS2, ADS3, RDS1, RDS2};
 use xct_runtime::{iteration_time, MachineSpec, BLUE_WATERS, THETA};
@@ -129,7 +129,7 @@ fn main() {
                         ranks: 4,
                         use_buffered: true,
                         stop: StopRule::Fixed(30),
-                        solver: DistSolver::Cg,
+                        solver: Solver::Cg,
                     },
                     ft: None,
                 },

@@ -74,8 +74,8 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
                  static partitions (threads from RAYON_NUM_THREADS)
   --pool-threads N  pool size override (implies --pool)
   --batch K      solve K slices together through the SpMM path (cg/sirt,
-                 single-process; the written image is slice 0, extra
-                 slices are scaled copies of the measurement)
+                 also with --pool or --ranks; the written image is slice
+                 0, extra slices are scaled copies of the measurement)
   --checkpoint FILE  snapshot the solver state to FILE.0 (versioned,
                  checksummed) every --checkpoint-every iterations
   --checkpoint-every N  checkpoint cadence in iterations (default 1)
@@ -410,15 +410,9 @@ fn reconstruct(opts: &Options) {
         eprintln!("--chaos requires --ranks N (faults target distributed collectives)");
         exit(2);
     }
-    if opts.batch > 1 {
-        if opts.ranks.is_some() {
-            eprintln!("--batch is single-process; it cannot combine with --ranks");
-            exit(2);
-        }
-        if !matches!(opts.solver.as_str(), "cg" | "sirt") {
-            eprintln!("--batch supports the cg and sirt solvers");
-            exit(2);
-        }
+    if opts.batch > 1 && !matches!(opts.solver.as_str(), "cg" | "sirt") {
+        eprintln!("--batch supports the cg and sirt solvers");
+        exit(2);
     }
     let t = std::time::Instant::now();
     let mut builder = ReconstructorBuilder::new(grid, scan)
@@ -493,25 +487,7 @@ fn reconstruct(opts: &Options) {
 
     let t = std::time::Instant::now();
     let (image, iters_run) = match (opts.solver.as_str(), opts.ranks) {
-        ("cg", Some(ranks)) => {
-            let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(opts.iters)).mode(
-                ExecMode::Distributed {
-                    config: DistConfig {
-                        ranks,
-                        use_buffered: true,
-                        stop: StopRule::Fixed(opts.iters),
-                        solver: DistSolver::Cg,
-                    },
-                    ft: None,
-                },
-            );
-            let mut resp = rec
-                .run(&req)
-                .unwrap_or_else(|e| die_run("distributed reconstruction failed", e));
-            let n = resp.slice_records.first().map(Vec::len).unwrap_or(0);
-            (resp.images.swap_remove(0), n)
-        }
-        ("cg" | "sirt", _) => {
+        ("cg" | "sirt", ranks) => {
             let input = if opts.batch > 1 {
                 ReconInput::Batch(batch_slices)
             } else {
@@ -522,14 +498,24 @@ fn reconstruct(opts: &Options) {
             } else {
                 ReconRequest::sirt(input, opts.iters)
             };
-            let req = req.mode(if opts.pool {
-                ExecMode::Pooled
-            } else {
-                ExecMode::Serial
-            });
+            // Only CG is wired to ranks here; `--solver sirt` ignores
+            // `--ranks`.
+            let (mode, context) = match ranks {
+                Some(ranks) if opts.solver == "cg" => {
+                    let config = DistConfig {
+                        ranks,
+                        use_buffered: true,
+                        ..DistConfig::default()
+                    };
+                    let mode = ExecMode::Distributed { config, ft: None };
+                    (mode, "distributed reconstruction failed")
+                }
+                _ if opts.pool => (ExecMode::Pooled, "reconstruction failed"),
+                _ => (ExecMode::Serial, "reconstruction failed"),
+            };
             let mut resp = rec
-                .run(&req)
-                .unwrap_or_else(|e| die_run("reconstruction failed", e));
+                .run(&req.mode(mode))
+                .unwrap_or_else(|e| die_run(context, e));
             let n = resp.slice_records.first().map(Vec::len).unwrap_or(0);
             (resp.images.swap_remove(0), n)
         }

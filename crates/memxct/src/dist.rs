@@ -17,13 +17,22 @@
 //! duplicate the overlapped sinogram data back to the interacting ranks,
 //! which apply their local `A_pᵀ`. No tomogram is ever replicated and no
 //! atomic update is ever issued.
+//!
+//! Ranks are an *executor* of the one solve driver
+//! ([`crate::Reconstructor::run_controlled`]), not a second driver:
+//! [`try_reconstruct_distributed_ft`] takes the same slice-major slab of
+//! `k ≥ 1` ordered sinograms, and every rank runs the same engine, the
+//! same `make_rule` rule, a width-`k` workspace and the same checkpoint
+//! format through its [`DistOperator`]. What lives here is what only
+//! ranks need — the plans, the global snapshot gather, the
+//! degrade-and-restart loop — and no preemption.
 
 use crate::checkpoint::{self, SolveState};
 use crate::errors::BuildError;
 use crate::operator::{Direction, KernelBreakdown, ProjectionOperator};
 use crate::preprocess::Operators;
 use crate::solvers::{
-    run_engine_core, CgRule, Constraint, EngineSignal, IterationRecord, SirtRule, SolverWorkspace,
+    make_rule, run_engine_core, Constraint, EngineSignal, IterationRecord, SolverWorkspace,
     StopRule, UpdateRule,
 };
 use std::cell::RefCell;
@@ -41,15 +50,10 @@ use xct_runtime::{
 };
 use xct_sparse::{BufferedCsr, CsrMatrix};
 
-/// Which solver the distributed path runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistSolver {
-    /// Conjugate gradient (CGLS), the paper's solver.
-    Cg,
-    /// SIRT with row/column-sum normalization (the Trace baseline's
-    /// scheme, here on the factorized operators).
-    Sirt,
-}
+/// The distributed path runs the request model's [`Solver`]; this is its
+/// old name, kept while `recon-bench` spells `DistSolver::Cg`.
+pub use crate::request::Solver as DistSolver;
+use crate::request::Solver;
 
 /// Distributed-run configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,8 +66,8 @@ pub struct DistConfig {
     /// Termination policy — including early termination, which works
     /// because every rank observes the same allreduced residuals.
     pub stop: StopRule,
-    /// Solver choice.
-    pub solver: DistSolver,
+    /// Solver choice (for SIRT, including its relaxation factor).
+    pub solver: Solver,
 }
 
 impl Default for DistConfig {
@@ -72,7 +76,7 @@ impl Default for DistConfig {
             ranks: 4,
             use_buffered: true,
             stop: StopRule::Fixed(30),
-            solver: DistSolver::Cg,
+            solver: Solver::Cg,
         }
     }
 }
@@ -231,33 +235,10 @@ impl RankPlan {
         y
     }
 
-    /// Distributed forward projection of one slice: this rank's owned
-    /// block of `y = A·x`, adding kernel times into `kb`. A peer crash,
-    /// timeout, or corrupt frame surfaces as a typed [`CommError`]. The
-    /// `batch = 1` call of [`RankPlan::try_forward_batch`].
-    pub fn try_forward(
-        &self,
-        comm: &Communicator,
-        x_local: &[f32],
-        kb: &mut KernelBreakdown,
-    ) -> Result<Vec<f32>, CommError> {
-        self.try_forward_batch(comm, x_local, 1, kb)
-    }
-
-    /// Distributed backprojection of one slice: this rank's owned block
-    /// of `x = Aᵀ·y` given the distributed `y`. The `batch = 1` call of
-    /// [`RankPlan::try_back_batch`].
-    pub fn try_back(
-        &self,
-        comm: &Communicator,
-        y_local: &[f32],
-        kb: &mut KernelBreakdown,
-    ) -> Result<Vec<f32>, CommError> {
-        self.try_back_batch(comm, y_local, 1, kb)
-    }
-
-    /// Distributed forward projection, the one body for every width:
-    /// `x_local` holds `batch` slice-major blocks of this rank's tomogram
+    /// Distributed forward projection — this rank's owned block of
+    /// `y = A·x`, adding kernel times into `kb` — the one body for every
+    /// width. A peer crash, timeout, or corrupt frame surfaces as a typed
+    /// [`CommError`]. `x_local` holds `batch` slice-major blocks of this rank's tomogram
     /// subdomain, and the returned slab holds `batch` blocks of the owned
     /// sinogram range. The alltoallv *schedule* (which rows go to which
     /// peer) does not depend on the width — each scheduled row just
@@ -420,12 +401,13 @@ impl RankPlan {
     }
 }
 
-/// Result of a distributed reconstruction.
+/// Result of a distributed reconstruction of `k` slices.
 pub struct DistOutput {
-    /// Reconstructed image, row-major `n × n`.
-    pub image: Vec<f32>,
-    /// Per-iteration convergence records (identical on every rank).
-    pub records: Vec<IterationRecord>,
+    /// Reconstructed images in input order, each row-major `n × n`.
+    pub images: Vec<Vec<f32>>,
+    /// Per-slice convergence records (identical on every rank); a slice
+    /// that terminated early has a shorter list than its batch-mates.
+    pub slice_records: Vec<Vec<IterationRecord>>,
     /// Per-rank kernel breakdowns.
     pub breakdown: Vec<KernelBreakdown>,
     /// Communication matrix of the whole run.
@@ -496,12 +478,6 @@ impl<'a> DistOperator<'a> {
 
     fn poisoned(&self) -> bool {
         self.fault.borrow().is_some()
-    }
-
-    /// The accumulated kernel breakdown (also available via the trait's
-    /// [`ProjectionOperator::breakdown`]).
-    pub fn take_breakdown(&self) -> KernelBreakdown {
-        *self.kb.borrow()
     }
 
     /// How many (forward, backprojection) applications ran so far.
@@ -640,13 +616,44 @@ enum SaveError {
     Checkpoint(CheckpointError),
 }
 
-/// Gather `[x ‖ resid ‖ dir]` from every rank at rank 0 with one
-/// collective and persist one *global* snapshot into slot 0. Running the
-/// gather as a collective keeps snapshots globally consistent (every rank
-/// contributes the state of the same iteration boundary), and assembling
-/// in global ordered coordinates makes the snapshot rank-count
-/// independent: a degraded restart over fewer ranks — or a serial resume
-/// — reads the same file.
+/// A `Range<u32>` of ordered domain ranks as slab indices.
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+/// Rows and columns of the global operator the plans partition.
+fn global_dims(plans: &[RankPlan]) -> (usize, usize) {
+    let last = &plans[plans.len() - 1];
+    (last.sino_range.end as usize, last.tomo_range.end as usize)
+}
+
+/// A rank's share of a global slice-major slab: elements `range` of each
+/// `domain`-long block, concatenated (again slice-major).
+fn take_blocks(global: &[f32], domain: usize, range: Range<usize>) -> Vec<f32> {
+    global
+        .chunks_exact(domain.max(1))
+        .flat_map(|block| &block[range.clone()])
+        .copied()
+        .collect()
+}
+
+/// The inverse of [`take_blocks`]: write a rank's slice-major `local`
+/// slab into elements `range` of each `domain`-long block of `global`.
+fn put_blocks(global: &mut [f32], domain: usize, range: Range<usize>, local: &[f32]) {
+    let blocks = global.chunks_exact_mut(domain.max(1));
+    for (block, part) in blocks.zip(local.chunks_exact(range.len().max(1))) {
+        block[range.clone()].copy_from_slice(part);
+    }
+}
+
+/// Gather `[x ‖ resid ‖ dir]` (each `k` slice-major blocks) from every
+/// rank at rank 0 with one collective and persist one *global* snapshot
+/// into slot 0. Running the gather as a collective keeps snapshots
+/// globally consistent (every rank contributes the state of the same
+/// iteration boundary), and assembling in global ordered coordinates
+/// makes the snapshot rank-count independent: a degraded restart over
+/// fewer ranks — or a shared-memory resume at the same width — reads the
+/// same file.
 fn save_global_checkpoint(
     comm: &Communicator,
     plans: &[RankPlan],
@@ -666,19 +673,14 @@ fn save_global_checkpoint(
     if comm.rank() != 0 {
         return Ok(());
     }
-    let last = &plans[plans.len() - 1];
-    let ncols = last.tomo_range.end as usize;
-    let nrows = last.sino_range.end as usize;
-    let mut gx = vec![0f32; ncols];
-    let mut gresid = vec![0f32; nrows];
-    let mut gdir = vec![0f32; ncols];
+    let k = ws.batch();
+    let (nrows, ncols) = global_dims(plans);
+    let mut gx = vec![0f32; ncols * k];
+    let mut gresid = vec![0f32; nrows * k];
+    let mut gdir = vec![0f32; ncols * k];
     for (src, payload) in recv.iter().enumerate() {
-        let plan = &plans[src];
-        let tlo = plan.tomo_range.start as usize;
-        let thi = plan.tomo_range.end as usize;
-        let slo = plan.sino_range.start as usize;
-        let shi = plan.sino_range.end as usize;
-        let (tn, sn) = (thi - tlo, shi - slo);
+        let (tomo, sino) = (span(&plans[src].tomo_range), span(&plans[src].sino_range));
+        let (tn, sn) = (tomo.len() * k, sino.len() * k);
         if payload.len() != 2 * tn + sn {
             return Err(SaveError::Checkpoint(CheckpointError::Io {
                 message: format!(
@@ -688,16 +690,16 @@ fn save_global_checkpoint(
                 ),
             }));
         }
-        gx[tlo..thi].copy_from_slice(&payload[..tn]);
-        gresid[slo..shi].copy_from_slice(&payload[tn..tn + sn]);
-        gdir[tlo..thi].copy_from_slice(&payload[tn + sn..]);
+        put_blocks(&mut gx, ncols, tomo.clone(), &payload[..tn]);
+        put_blocks(&mut gresid, nrows, sino, &payload[tn..tn + sn]);
+        put_blocks(&mut gdir, ncols, tomo, &payload[tn + sn..]);
     }
     // The per-slice state (records, residual reference, allreduced γ) is
     // identical on every rank, so rank 0's workspace speaks for all.
     let snap = checkpoint::encode_state(
         plan_hash,
         next_iter,
-        ws.batch(),
+        k,
         ws.prev_res(),
         &gx,
         &gresid,
@@ -709,10 +711,14 @@ fn save_global_checkpoint(
     sink.save(0, &snap.encode()).map_err(SaveError::Checkpoint)
 }
 
-/// One rank's share of a supervised solve: run the generic engine over the
-/// rank's [`DistOperator`], checkpointing at the configured cadence, and
-/// convert an absorbed communication fault back into a typed error after
-/// the engine winds down.
+/// One rank's share of a supervised solve of the `k` slices in the
+/// global slice-major slab `sino_ordered`: the rank's executor for the
+/// one solve driver. It runs the generic engine over the rank's
+/// [`DistOperator`] with the rule [`make_rule`] builds for every
+/// executor, in a width-`k` workspace, resumes from and snapshots into
+/// the same global [`SolveState`] the shared-memory driver reads and
+/// writes, and converts an absorbed communication fault back into a typed
+/// error after the engine winds down.
 fn solve_rank(
     comm: &Communicator,
     plans: &[RankPlan],
@@ -723,27 +729,20 @@ fn solve_rank(
     resume: Option<&SolveState>,
 ) -> Result<RankResult, CommError> {
     let plan = &plans[comm.rank()];
-    let slo = plan.sino_range.start as usize;
-    let shi = plan.sino_range.end as usize;
-    let tlo = plan.tomo_range.start as usize;
-    let thi = plan.tomo_range.end as usize;
-    let y = &sino_ordered[slo..shi];
+    let (nrows, ncols) = global_dims(plans);
+    let (tomo, sino) = (span(&plan.tomo_range), span(&plan.sino_range));
+    let y = take_blocks(sino_ordered, nrows, sino.clone());
     let op = DistOperator::new(plan, comm);
-    let mut cg = CgRule::new();
-    let mut sirt = SirtRule::new(1.0);
-    let rule: &mut dyn UpdateRule = match config.solver {
-        DistSolver::Cg => &mut cg,
-        DistSolver::Sirt => &mut sirt,
-    };
-    let mut ws = SolverWorkspace::new(op.nrows(), op.ncols());
+    let mut rule = make_rule(config.solver);
+    let mut ws = SolverWorkspace::new_batched(op.nrows(), op.ncols(), sino_ordered.len() / nrows);
     let resume_point = resume.map(|st| {
         ws.resume(
             op.nrows(),
             op.ncols(),
             config.stop.max_iters(),
-            &st.x[tlo..thi],
-            &st.resid[slo..shi],
-            &st.dir[tlo..thi],
+            &take_blocks(&st.x, ncols, tomo.clone()),
+            &take_blocks(&st.resid, nrows, sino.clone()),
+            &take_blocks(&st.dir, ncols, tomo.clone()),
             &st.slice_records,
             &st.prev_res,
             &st.active,
@@ -751,16 +750,12 @@ fn solve_rank(
         rule.restore_scalars(&st.scalars, &mut ws);
         st.iteration
     });
-    let every = if ft.sink.is_some() {
-        ft.checkpoint_every
-    } else {
-        0
-    };
+    let every = ft.checkpoint_every;
     // Each rank's inner solve runs unmetered (see the coordinator docs).
     let engine = run_engine_core(
         &op,
-        y,
-        rule,
+        &y,
+        rule.as_mut(),
         Constraint::None,
         config.stop,
         &Metrics::noop(),
@@ -769,10 +764,8 @@ fn solve_rank(
         |next_iter, ws, rule| {
             // A poisoned rank skips the gather: the abort flag is already
             // set, so peers fail fast instead of blocking on it.
-            if every == 0 || next_iter % every != 0 || op.fault().is_some() {
-                return Ok(EngineSignal::Continue);
-            }
-            let Some(sink) = &ft.sink else {
+            let due = every != 0 && next_iter % every == 0 && op.fault().is_none();
+            let (Some(sink), true) = (&ft.sink, due) else {
                 return Ok(EngineSignal::Continue);
             };
             match save_global_checkpoint(comm, plans, sink.as_ref(), plan_hash, next_iter, ws, rule)
@@ -801,21 +794,29 @@ fn solve_rank(
             },
         });
     }
+    let breakdown = *op.kb.borrow();
     Ok((
         ws.x().to_vec(),
-        ws.records().to_vec(),
-        op.take_breakdown(),
+        ws.slice_records().to_vec(),
+        breakdown,
         op.call_counts(),
     ))
 }
 
-/// What each rank hands back to the coordinator: its tomogram block, the
-/// (rank-identical) convergence records, and its kernel diagnostics.
-type RankResult = (Vec<f32>, Vec<IterationRecord>, KernelBreakdown, (u64, u64));
+/// What each rank hands back to the coordinator: its slice-major tomogram
+/// slab, the (rank-identical) per-slice convergence records, and its
+/// kernel diagnostics.
+type RankResult = (
+    Vec<f32>,
+    Vec<Vec<IterationRecord>>,
+    KernelBreakdown,
+    (u64, u64),
+);
 
 /// Assemble the coordinator-side [`DistOutput`] from the per-rank results
-/// and record the run's observability (kernel timers, convergence series,
-/// communication matrix, fault counters).
+/// — one image per slice, the way the shared-memory driver unorders its
+/// solution slab — and record the run's observability (kernel timers,
+/// convergence series, communication matrix, fault counters).
 fn assemble_output(
     ops: &Operators,
     plans: &[RankPlan],
@@ -825,45 +826,48 @@ fn assemble_output(
     metrics: &Metrics,
 ) -> DistOutput {
     let ranks = plans.len();
-    let mut ordered = vec![0f32; ops.a.ncols()];
-    let mut records = Vec::new();
+    let ncols = ops.a.ncols();
+    let mut ordered = Vec::new();
+    let mut slice_records = Vec::new();
     let mut breakdown = Vec::with_capacity(ranks);
-    let mut call_counts = Vec::with_capacity(ranks);
-    for (plan, (x_local, recs, kb, calls)) in plans.iter().zip(rank_results) {
-        let lo = plan.tomo_range.start as usize;
-        ordered[lo..lo + x_local.len()].copy_from_slice(&x_local);
-        if records.is_empty() {
-            records = recs;
+    for (plan, (x_local, recs, kb, (fwd, back))) in plans.iter().zip(rank_results) {
+        if slice_records.is_empty() {
+            ordered.resize(ncols * recs.len(), 0f32);
+            slice_records = recs;
         }
+        put_blocks(&mut ordered, ncols, span(&plan.tomo_range), &x_local);
         breakdown.push(kb);
-        call_counts.push(calls);
+        // Per-rank local SpMV volumes (the A_p / A_pᵀ kernel).
+        let fwd_bytes = match &plan.a_local_buf {
+            Some(b) => b.regular_bytes(),
+            None => plan.a_local.nnz() as u64 * 8,
+        };
+        let back_bytes = match &plan.at_local_buf {
+            Some(b) => b.regular_bytes(),
+            None => plan.at_local.nnz() as u64 * 8,
+        };
+        metrics.counter_add("spmv/dist/calls", fwd + back);
+        metrics.counter_add("spmv/dist/nnz", (fwd + back) * plan.a_local.nnz() as u64);
+        metrics.counter_add("spmv/dist/bytes", fwd * fwd_bytes + back * back_bytes);
     }
     if metrics.enabled() {
-        // Per-rank local SpMV volumes (the A_p / A_pᵀ kernel).
-        for (plan, &(fwd, back)) in plans.iter().zip(&call_counts) {
-            let fwd_bytes = match &plan.a_local_buf {
-                Some(b) => b.regular_bytes(),
-                None => plan.a_local.nnz() as u64 * 8,
-            };
-            let back_bytes = match &plan.at_local_buf {
-                Some(b) => b.regular_bytes(),
-                None => plan.at_local.nnz() as u64 * 8,
-            };
-            metrics.counter_add("spmv/dist/calls", fwd + back);
-            metrics.counter_add("spmv/dist/nnz", (fwd + back) * plan.a_local.nnz() as u64);
-            metrics.counter_add("spmv/dist/bytes", fwd * fwd_bytes + back * back_bytes);
-        }
         for kb in &breakdown {
             metrics.timer_observe(KERNEL_AP_SECONDS, kb.ap_s);
             metrics.timer_observe(KERNEL_C_SECONDS, kb.c_s);
             metrics.timer_observe(KERNEL_R_SECONDS, kb.r_s);
         }
-        for r in &records {
-            metrics.series_push("solver/residual_norm", r.residual_norm);
-            metrics.series_push("solver/solution_norm", r.solution_norm);
-            metrics.series_push("solver/iter_seconds", r.seconds);
+        // Iteration-major, slices within an iteration in order — what the
+        // engine itself pushes for a shared-memory batch. A slice only
+        // ever retires, so its `i`-th record is iteration `i`'s.
+        let iterations = slice_records.iter().map(Vec::len).max().unwrap_or(0);
+        for i in 0..iterations {
+            for r in slice_records.iter().filter_map(|recs| recs.get(i)) {
+                metrics.series_push("solver/residual_norm", r.residual_norm);
+                metrics.series_push("solver/solution_norm", r.solution_norm);
+                metrics.series_push("solver/iter_seconds", r.seconds);
+            }
         }
-        metrics.counter_add("solver/iterations", records.len() as u64);
+        metrics.counter_add("solver/iterations", iterations as u64);
         metrics.matrix_set("comm/bytes", ranks, ledger.byte_matrix());
         for rank in 0..ranks {
             let s = ledger.collectives(rank);
@@ -877,16 +881,28 @@ fn assemble_output(
         metrics.counter_add(FAULT_ABORTS, fs.aborts);
     }
     DistOutput {
-        image: ops.unorder_tomogram(&ordered),
-        records,
+        images: ordered
+            .chunks_exact(ncols.max(1))
+            .map(|slice| ops.unorder_tomogram(slice))
+            .collect(),
+        slice_records,
         breakdown,
         ledger,
         volumes,
     }
 }
 
-/// Supervised distributed reconstruction: [`try_reconstruct_distributed`]
-/// plus the full fault-tolerance policy of [`FaultTolerance`].
+/// The distributed executor of the one solve driver: reconstruct the `k`
+/// slices of the global slice-major slab `sino_ordered` (`k × nrows`
+/// values in sinogram-ordered coordinates, see
+/// [`Operators::order_sinogram`]; `k` is read off its length) over
+/// `config.ranks` threads-as-ranks, under the full fault-tolerance policy
+/// of [`FaultTolerance`]. Each rank runs the same generic engine, update
+/// rule, workspace and checkpoint format as the shared-memory path — at
+/// width `k`, through its [`DistOperator`] — so column `j` is
+/// bit-identical to slice `j` solved alone over the same ranks. What this
+/// body adds is only what ranks need: the plans, the global checkpoint
+/// gather, and the restart loop. (There is no preemption here.)
 ///
 /// - Every collective runs under `ft.comm`'s deadline/retry budget and
 ///   consults `ft.faults` for deterministic chaos injection; failures
@@ -901,6 +917,27 @@ fn assemble_output(
 ///   restarts from scratch without a sink), and reruns — up to
 ///   `ft.max_restarts` times and never below one rank. Snapshot
 ///   validation failures ([`CommErrorKind::Checkpoint`]) are not retried.
+///
+/// After the ranks join, the coordinator records into `metrics`:
+///
+/// - the per-rank kernel breakdowns as observations of the shared
+///   [`KERNEL_AP_SECONDS`] / [`KERNEL_C_SECONDS`] / [`KERNEL_R_SECONDS`]
+///   timers (one observation per rank — `count` is the rank count);
+/// - the (rank-identical) convergence trajectories as the
+///   `solver/residual_norm` / `solver/solution_norm` /
+///   `solver/iter_seconds` series plus the `solver/iterations` counter;
+/// - the per-pair communication matrix as `comm/bytes` (Fig 7(c)) and the
+///   per-rank collective call counts/latencies as `comm/collective_calls`
+///   and `comm/collective_s`.
+///
+/// Each rank's inner solver runs unmetered — series from P concurrent
+/// ranks would interleave nondeterministically; recording once at the
+/// coordinator keeps snapshots reproducible and the solve bit-identical.
+///
+/// Errors up front, before any rank starts: [`BuildError::ZeroRanks`],
+/// [`BuildError::InvalidRelaxation`] for a SIRT `relax` that is NaN or
+/// not positive, and [`BuildError::SinogramLength`] when the slab is
+/// empty or not a whole number of slices.
 pub fn try_reconstruct_distributed_ft(
     ops: &Operators,
     sino_ordered: &[f32],
@@ -911,26 +948,21 @@ pub fn try_reconstruct_distributed_ft(
     if config.ranks == 0 {
         return Err(BuildError::ZeroRanks);
     }
-    if sino_ordered.len() != ops.a.nrows() {
+    if let Some(relax) = config.solver.invalid_relaxation() {
+        return Err(BuildError::InvalidRelaxation { relax });
+    }
+    let (nrows, ncols) = (ops.a.nrows(), ops.a.ncols());
+    let batch = sino_ordered.len().checked_div(nrows).unwrap_or(0);
+    if batch == 0 || batch * nrows != sino_ordered.len() {
         return Err(BuildError::SinogramLength {
-            expected: ops.a.nrows(),
+            expected: nrows,
             got: sino_ordered.len(),
         });
     }
     let plan_hash = checkpoint::plan_fingerprint(ops);
     let max_iters = config.stop.max_iters();
     let load = |sink: &Arc<dyn CheckpointSink>| {
-        // The distributed path solves one slice per run; a batched
-        // snapshot is rejected up front as a batch-width mismatch.
-        checkpoint::load_state(
-            sink.as_ref(),
-            0,
-            plan_hash,
-            max_iters,
-            ops.a.nrows(),
-            ops.a.ncols(),
-            1,
-        )
+        checkpoint::load_state(sink.as_ref(), 0, plan_hash, max_iters, nrows, ncols, batch)
     };
     let mut resume_state = match &ft.sink {
         Some(sink) if ft.resume => load(sink)?,
@@ -984,68 +1016,16 @@ pub fn try_reconstruct_distributed_ft(
     }
 }
 
-/// Run a distributed reconstruction with threads as ranks.
-///
-/// `sino_ordered` is the measurement vector in sinogram-ordered
-/// coordinates (see [`Operators::order_sinogram`]). Each rank builds a
-/// [`DistOperator`] over its plan and runs the same generic engine as the
-/// serial path ([`crate::solvers::run_engine`]); there is no
-/// distributed-specific solver loop. Returns the assembled row-major
-/// image plus all diagnostics.
-pub fn reconstruct_distributed(
-    ops: &Operators,
-    sino_ordered: &[f32],
-    config: &DistConfig,
-) -> DistOutput {
-    match try_reconstruct_distributed(ops, sino_ordered, config) {
-        Ok(out) => out,
-        // lint: allow(no-panic) documented panicking shim over the try_ API
-        Err(e) => panic!("invalid distributed run: {e}"),
-    }
-}
-
-/// Fallible [`reconstruct_distributed`]: returns a [`BuildError`] for a
-/// zero rank count or a mismatched sinogram length instead of panicking.
+/// [`try_reconstruct_distributed_ft`] under [`FaultTolerance::disabled`]
+/// — the historical fail-fast behaviour (unbounded waits, empty fault
+/// plan, no checkpoints, no restarts) — and without observability.
 pub fn try_reconstruct_distributed(
     ops: &Operators,
     sino_ordered: &[f32],
     config: &DistConfig,
 ) -> Result<DistOutput, BuildError> {
-    reconstruct_distributed_with_metrics(ops, sino_ordered, config, &Metrics::noop())
-}
-
-/// [`try_reconstruct_distributed`] with observability. After the ranks
-/// join, the coordinator records into `metrics`:
-///
-/// - the per-rank kernel breakdowns as observations of the shared
-///   [`KERNEL_AP_SECONDS`] / [`KERNEL_C_SECONDS`] / [`KERNEL_R_SECONDS`]
-///   timers (one observation per rank — `count` is the rank count);
-/// - the (rank-identical) convergence trajectory as the
-///   `solver/residual_norm` / `solver/solution_norm` /
-///   `solver/iter_seconds` series plus the `solver/iterations` counter;
-/// - the per-pair communication matrix as `comm/bytes` (Fig 7(c)) and the
-///   per-rank collective call counts/latencies as `comm/collective_calls`
-///   and `comm/collective_s`.
-///
-/// Each rank's inner solver runs unmetered — series from P concurrent
-/// ranks would interleave nondeterministically; recording once at the
-/// coordinator keeps snapshots reproducible and the solve bit-identical.
-pub fn reconstruct_distributed_with_metrics(
-    ops: &Operators,
-    sino_ordered: &[f32],
-    config: &DistConfig,
-    metrics: &Metrics,
-) -> Result<DistOutput, BuildError> {
-    // The disabled policy reproduces the historical fail-fast behaviour
-    // (unbounded waits, empty fault plan, no checkpoints, no restarts)
-    // bit-identically.
-    try_reconstruct_distributed_ft(
-        ops,
-        sino_ordered,
-        config,
-        &FaultTolerance::disabled(),
-        metrics,
-    )
+    let (ft, metrics) = (FaultTolerance::disabled(), Metrics::noop());
+    try_reconstruct_distributed_ft(ops, sino_ordered, config, &ft, &metrics)
 }
 
 #[cfg(test)]
@@ -1064,6 +1044,22 @@ mod tests {
         let ops = preprocess(grid, scan, &Config::default());
         let y = ops.order_sinogram(&sino);
         (ops, y)
+    }
+
+    /// Unbuffered CG over `ranks` ranks for `iters` iterations.
+    fn cg(ranks: usize, iters: usize) -> DistConfig {
+        DistConfig {
+            ranks,
+            use_buffered: false,
+            stop: StopRule::Fixed(iters),
+            solver: Solver::Cg,
+        }
+    }
+
+    /// `‖a − b‖ / ‖b‖` in f64.
+    fn rel_err(a: &[f32], b: &[f32]) -> f64 {
+        let diff: Vec<f32> = a.iter().zip(b).map(|(a, b)| a - b).collect();
+        xct_sparse::norm_f64(&diff) / xct_sparse::norm_f64(b)
     }
 
     #[test]
@@ -1095,7 +1091,8 @@ mod tests {
                 let lo = plan.tomo_range.start as usize;
                 let hi = plan.tomo_range.end as usize;
                 let mut kb = KernelBreakdown::default();
-                plan.try_forward(comm, &x[lo..hi], &mut kb).unwrap()
+                plan.try_forward_batch(comm, &x[lo..hi], 1, &mut kb)
+                    .unwrap()
             });
             let mut got = vec![0f32; ops.a.nrows()];
             for (plan, block) in plans.iter().zip(results) {
@@ -1120,7 +1117,7 @@ mod tests {
                 let lo = plan.sino_range.start as usize;
                 let hi = plan.sino_range.end as usize;
                 let mut kb = KernelBreakdown::default();
-                plan.try_back(comm, &y[lo..hi], &mut kb).unwrap()
+                plan.try_back_batch(comm, &y[lo..hi], 1, &mut kb).unwrap()
             });
             let mut got = vec![0f32; ops.a.ncols()];
             for (plan, block) in plans.iter().zip(results) {
@@ -1237,34 +1234,13 @@ mod tests {
             |r| ops.back(Kernel::Serial, r),
             StopRule::Fixed(8),
         );
-        let out = reconstruct_distributed(
-            &ops,
-            &y,
-            &DistConfig {
-                ranks: 3,
-                use_buffered: false,
-                stop: StopRule::Fixed(8),
-                solver: DistSolver::Cg,
-            },
-        );
-        let img_serial = ops.unorder_tomogram(&x_serial);
-        let num: f64 = out
-            .image
-            .iter()
-            .zip(&img_serial)
-            .map(|(&a, &b)| ((a - b) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = img_serial
-            .iter()
-            .map(|&b| (b as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
+        let out = try_reconstruct_distributed(&ops, &y, &cg(3, 8)).unwrap();
         // CG amplifies f32 summation-order differences between the
         // factorized (A = R·C·A_p) and monolithic products, so agreement
         // is to a few parts in a thousand, not bitwise.
-        assert!(num / den < 2e-2, "distributed diverged: {}", num / den);
-        for (a, b) in out.records.iter().zip(&recs_serial) {
+        let err = rel_err(&out.images[0], &ops.unorder_tomogram(&x_serial));
+        assert!(err < 2e-2, "distributed diverged: {err}");
+        for (a, b) in out.slice_records[0].iter().zip(&recs_serial) {
             let rel = (a.residual_norm - b.residual_norm).abs() / b.residual_norm.max(1.0);
             assert!(
                 rel < 5e-2,
@@ -1286,57 +1262,36 @@ mod tests {
             |r| ops.back(Kernel::Serial, r),
             10,
         );
-        let out = reconstruct_distributed(
+        let out = try_reconstruct_distributed(
             &ops,
             &y,
             &DistConfig {
                 ranks: 3,
                 use_buffered: false,
                 stop: StopRule::Fixed(10),
-                solver: DistSolver::Sirt,
+                solver: Solver::Sirt { relax: 1.0 },
             },
-        );
-        let img_serial = ops.unorder_tomogram(&x_serial);
-        let num: f64 = out
-            .image
-            .iter()
-            .zip(&img_serial)
-            .map(|(&a, &b)| ((a - b) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = img_serial
-            .iter()
-            .map(|&b| (b as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        assert!(num / den < 1e-3, "distributed SIRT diverged: {}", num / den);
-        assert_eq!(out.records.len(), 10);
+        )
+        .unwrap();
+        let err = rel_err(&out.images[0], &ops.unorder_tomogram(&x_serial));
+        assert!(err < 1e-3, "distributed SIRT diverged: {err}");
+        assert_eq!(out.slice_records[0].len(), 10);
     }
 
     #[test]
     fn buffered_distributed_matches_unbuffered() {
         let (ops, y) = setup(16, 12);
-        let a = reconstruct_distributed(
+        let a = try_reconstruct_distributed(
             &ops,
             &y,
             &DistConfig {
-                ranks: 2,
                 use_buffered: true,
-                stop: StopRule::Fixed(5),
-                solver: DistSolver::Cg,
+                ..cg(2, 5)
             },
-        );
-        let b = reconstruct_distributed(
-            &ops,
-            &y,
-            &DistConfig {
-                ranks: 2,
-                use_buffered: false,
-                stop: StopRule::Fixed(5),
-                solver: DistSolver::Cg,
-            },
-        );
-        for (x, z) in a.image.iter().zip(&b.image) {
+        )
+        .unwrap();
+        let b = try_reconstruct_distributed(&ops, &y, &cg(2, 5)).unwrap();
+        for (x, z) in a.images[0].iter().zip(&b.images[0]) {
             assert!((x - z).abs() < 1e-3);
         }
     }
@@ -1345,16 +1300,7 @@ mod tests {
     fn communication_is_sparse() {
         // With enough ranks, not every pair interacts (Fig 7(c)).
         let (ops, y) = setup(32, 16);
-        let out = reconstruct_distributed(
-            &ops,
-            &y,
-            &DistConfig {
-                ranks: 8,
-                use_buffered: false,
-                stop: StopRule::Fixed(2),
-                solver: DistSolver::Cg,
-            },
-        );
+        let out = try_reconstruct_distributed(&ops, &y, &cg(8, 2)).unwrap();
         let pairs = out.ledger.nonzero_pairs();
         assert!(pairs > 0);
         // Scalar allreduces touch all pairs, so just check the volumes are
@@ -1412,13 +1358,9 @@ mod tests {
     fn instrumented_distributed_records_comm_matrix() {
         let (ops, y) = setup(16, 12);
         let m = Metrics::collecting();
-        let cfg = DistConfig {
-            ranks: 3,
-            use_buffered: false,
-            stop: StopRule::Fixed(4),
-            solver: DistSolver::Cg,
-        };
-        let out = reconstruct_distributed_with_metrics(&ops, &y, &cfg, &m).unwrap();
+        let cfg = cg(3, 4);
+        let ft = FaultTolerance::disabled();
+        let out = try_reconstruct_distributed_ft(&ops, &y, &cfg, &ft, &m).unwrap();
         let snap = m.snapshot();
         // The exported matrix equals the ledger's per-pair accounting.
         let mat = &snap.matrices["comm/bytes"];
@@ -1433,10 +1375,13 @@ mod tests {
         assert_eq!(snap.timers["kernel/c_s"].count, 3);
         assert_eq!(snap.timers["kernel/r_s"].count, 3);
         // Convergence series mirror the records.
-        assert_eq!(snap.counters["solver/iterations"], out.records.len() as u64);
+        assert_eq!(
+            snap.counters["solver/iterations"],
+            out.slice_records[0].len() as u64
+        );
         assert_eq!(
             snap.series["solver/residual_norm"],
-            out.records
+            out.slice_records[0]
                 .iter()
                 .map(|r| r.residual_norm)
                 .collect::<Vec<_>>()
@@ -1450,22 +1395,13 @@ mod tests {
         assert_eq!(snap.timers["comm/collective_s"].count, 3);
         // And the numerics are untouched by instrumentation.
         let plain = try_reconstruct_distributed(&ops, &y, &cfg).unwrap();
-        assert_eq!(plain.image, out.image);
+        assert_eq!(plain.images, out.images);
     }
 
     #[test]
     fn kernel_breakdown_accumulates() {
         let (ops, y) = setup(16, 12);
-        let out = reconstruct_distributed(
-            &ops,
-            &y,
-            &DistConfig {
-                ranks: 2,
-                use_buffered: false,
-                stop: StopRule::Fixed(3),
-                solver: DistSolver::Cg,
-            },
-        );
+        let out = try_reconstruct_distributed(&ops, &y, &cg(2, 3)).unwrap();
         for kb in &out.breakdown {
             assert!(kb.ap_s > 0.0);
             assert!(kb.total() >= kb.ap_s);

@@ -1,16 +1,16 @@
 //! Structured errors for the fallible construction and solve entry points
 //! ([`crate::preprocess::try_preprocess`], `ReconstructorBuilder::build`,
 //! `Reconstructor::run` — wrapped in `ReconError::Build` — and the
-//! `try_reconstruct_distributed*` functions). The panicking free
-//! functions remain as thin shims for callers that prefer crashing on
-//! misconfiguration.
+//! `try_reconstruct_distributed*` functions). The panicking
+//! `preprocess` / `Reconstructor::new` remain as thin shims for callers
+//! that prefer crashing on misconfiguration.
 
 use std::fmt;
 
 use xct_runtime::{CheckpointError, CommError};
 
 /// Why an operator/reconstructor could not be built or applied.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum BuildError {
     /// `Config::partsize` was zero; row partitioning needs at least one
@@ -31,23 +31,24 @@ pub enum BuildError {
     /// at least one slice.
     ZeroBatch,
     /// The number of sinograms handed to a solve does not match the
-    /// batch width the reconstructor was built with, or a single-slice /
-    /// distributed entry point was used on a batched reconstructor.
+    /// batch width the reconstructor was built with (in every execution
+    /// mode: a `Slice` into a batched reconstructor is a width of 1).
     BatchWidth {
         /// Batch width the reconstructor was configured for.
         expected: usize,
         /// Number of slices actually supplied.
         got: usize,
     },
-    /// A distributed solve was requested on a reconstructor built with
-    /// `ReconstructorBuilder::batch > 1`. The distributed halo-exchange
-    /// path is single-slice; rebuild with `batch(1)` (or drop the batch)
-    /// to run distributed, or use the shared-memory batched path.
-    DistributedBatchUnsupported {
-        /// Batch width the reconstructor was configured for.
-        batch: usize,
+    /// `try_reconstruct_distributed*` was handed a SIRT relaxation factor
+    /// that is NaN or not positive (requests are screened earlier, as
+    /// `ReconError::InvalidRelaxation`).
+    InvalidRelaxation {
+        /// The rejected factor.
+        relax: f32,
     },
-    /// A measurement vector's length does not match the operator's rows.
+    /// A measurement vector's length does not match the operator's rows
+    /// (for the distributed slab: is empty or not a whole number of
+    /// slices).
     SinogramLength {
         /// Rows of the projection matrix (expected sinogram length).
         expected: usize,
@@ -94,13 +95,8 @@ impl fmt::Display for BuildError {
                     "got {got} slices but the reconstructor was built for a batch of {expected}"
                 )
             }
-            BuildError::DistributedBatchUnsupported { batch } => {
-                write!(
-                    f,
-                    "distributed reconstruction is single-slice but this \
-                     reconstructor was built for a batch of {batch}; rebuild \
-                     with batch(1) or use the shared-memory batched path"
-                )
+            BuildError::InvalidRelaxation { relax } => {
+                write!(f, "SIRT relaxation must be positive, got {relax}")
             }
             BuildError::SinogramLength { expected, got } => {
                 write!(

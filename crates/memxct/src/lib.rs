@@ -50,9 +50,8 @@ pub mod subsets;
 
 pub use checkpoint::{plan_fingerprint, validate_snapshot};
 pub use dist::{
-    allreduce_f64, reconstruct_distributed, reconstruct_distributed_with_metrics,
-    try_allreduce_f64, try_reconstruct_distributed, try_reconstruct_distributed_ft, DistConfig,
-    DistOperator, DistOutput, DistSolver, FaultTolerance, RankPlan,
+    allreduce_f64, try_allreduce_f64, try_reconstruct_distributed, try_reconstruct_distributed_ft,
+    DistConfig, DistOperator, DistOutput, DistSolver, FaultTolerance, RankPlan,
 };
 pub use errors::BuildError;
 pub use fbp::{fbp, FbpConfig};

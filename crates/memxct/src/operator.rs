@@ -75,6 +75,13 @@ impl KernelBreakdown {
         self.ap_s + self.c_s + self.r_s
     }
 
+    /// Accumulate another breakdown (rank sums, volume-group sums).
+    pub(crate) fn add(&mut self, other: &KernelBreakdown) {
+        self.ap_s += other.ap_s;
+        self.c_s += other.c_s;
+        self.r_s += other.r_s;
+    }
+
     /// Read the three kernel timer totals out of a metrics handle; `None`
     /// for a no-op handle (nothing was recorded).
     pub fn from_metrics(metrics: &Metrics) -> Option<KernelBreakdown> {
@@ -306,51 +313,37 @@ impl<'a> Layout<'a> {
 
 /// The static execution plans one pooled [`KernelOperator`] reuses every
 /// iteration: nnz-balanced row partitions for the forward and
-/// backprojection SpMVs plus fixed-chunk reduction plans for both vector
-/// lengths. Built **once** at plan time (preprocessing / reconstructor
-/// build), so the solve loop never re-partitions.
+/// backprojection products plus the fixed-chunk reduction plan of each
+/// vector length. All four serve every batch width — the row plans drive
+/// SpMV and SpMM alike, and a `k`-wide dot dispatches its length's plan
+/// over `k` blocks of partials. Built **once** at plan time
+/// (preprocessing / reconstructor build), so the solve loop never
+/// re-partitions.
 pub struct PooledPlans {
     forward: ExecPlan,
     back: ExecPlan,
     dot_rows: ExecPlan,
     dot_cols: ExecPlan,
-    /// Batch width the batched dot plans were built for (1 = none).
+    /// Widest dot the operator's partials scratch is sized for up front
+    /// (it grows on demand past this).
     batch: usize,
-    /// Chunk-distribution plan for `batch`-wide slice-major dots over
-    /// row-length slabs; present only when `batch > 1`. The SpMM reuses
-    /// `forward`/`back` unchanged — only the reductions need wider plans.
-    dot_rows_batch: Option<ExecPlan>,
-    /// Batched dot plan for column-length slabs.
-    dot_cols_batch: Option<ExecPlan>,
 }
 
 impl PooledPlans {
     /// Build the plans for `kernel` over the memoized layouts of `ops`,
-    /// splitting work across `workers` pool threads, plus batched dot
-    /// plans for `batch`-wide solves. The row plans (`forward`/`back`)
-    /// serve both SpMV and SpMM, so only the fixed-chunk reduction plans
-    /// gain batched variants.
+    /// splitting work across `workers` pool threads. `batch` is the
+    /// widest solve expected; it only pre-sizes the dot partials scratch.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
     pub fn new_batched(ops: &Operators, kernel: Kernel, workers: usize, batch: usize) -> Self {
         let (a, at) = Layout::pair(ops, kernel);
-        let (dot_rows_batch, dot_cols_batch) = if batch > 1 {
-            (
-                Some(xct_sparse::dot_batch_plan(ops.a.nrows(), batch, workers)),
-                Some(xct_sparse::dot_batch_plan(ops.a.ncols(), batch, workers)),
-            )
-        } else {
-            (None, None)
-        };
         PooledPlans {
             forward: a.exec_plan(workers),
             back: at.exec_plan(workers),
             dot_rows: xct_sparse::dot_plan(ops.a.nrows(), workers),
             dot_cols: xct_sparse::dot_plan(ops.a.ncols(), workers),
             batch,
-            dot_rows_batch,
-            dot_cols_batch,
         }
     }
 
@@ -364,26 +357,14 @@ impl PooledPlans {
         &self.back
     }
 
-    /// Batch width the batched dot plans cover (1 = scalar only).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
     /// Every plan with its name, for validation sweeps.
     pub fn all(&self) -> Vec<(&'static str, &ExecPlan)> {
-        let mut plans = vec![
+        vec![
             ("exec(forward)", &self.forward),
             ("exec(back)", &self.back),
             ("exec(dot/rows)", &self.dot_rows),
             ("exec(dot/cols)", &self.dot_cols),
-        ];
-        if let Some(p) = &self.dot_rows_batch {
-            plans.push(("exec(dot/rows/batch)", p));
-        }
-        if let Some(p) = &self.dot_cols_batch {
-            plans.push(("exec(dot/cols/batch)", p));
-        }
-        plans
+        ]
     }
 }
 
@@ -391,7 +372,8 @@ impl PooledPlans {
 struct PoolExec<'a> {
     plans: &'a PooledPlans,
     pool: &'a WorkerPool,
-    /// Per-chunk dot partials, sized for the widest dot the plans cover.
+    /// Per-chunk dot partials (`chunks × k` for a `k`-wide dot); only
+    /// ever grows.
     dot_scratch: RefCell<Vec<f64>>,
 }
 
@@ -454,8 +436,6 @@ impl<'a> KernelOperator<'a> {
         plans: &'a PooledPlans,
         pool: &'a WorkerPool,
     ) -> Self {
-        // Scratch sized for the widest dot this operator can run: the
-        // batched plans (when present) need `chunks × batch` partials.
         let (rows, cols) = (ops.a.nrows(), ops.a.ncols());
         let slots =
             xct_sparse::dot_chunks(rows).max(xct_sparse::dot_chunks(cols)) * plans.batch.max(1);
@@ -528,23 +508,9 @@ impl ProjectionOperator for KernelOperator<'_> {
         self.apply(Direction::Back, y, x, batch);
     }
     fn local_dot(&self, a: &[f32], b: &[f32]) -> f64 {
-        let plan = self.exec.as_ref().and_then(|e| {
-            if a.len() == self.nrows {
-                Some((e, &e.plans.dot_rows))
-            } else if a.len() == self.ncols {
-                Some((e, &e.plans.dot_cols))
-            } else {
-                None
-            }
-        });
-        // Inline, or no precomputed plan at this length (only reachable
-        // from custom callers): the sequential sum, deterministic too.
-        let Some((exec, plan)) = plan else {
-            return xct_sparse::dot_f64(a, b);
-        };
-        let mut scratch = exec.dot_scratch.borrow_mut();
-        let slots = xct_sparse::dot_chunks(a.len());
-        xct_sparse::dot_f64_pooled(exec.pool, plan, a, b, &mut scratch[..slots])
+        let mut out = [0.0];
+        self.local_dot_batch(a, b, &mut out);
+        out[0]
     }
     fn local_dot_batch(&self, a: &[f32], b: &[f32], out: &mut [f64]) {
         let k = out.len();
@@ -552,29 +518,29 @@ impl ProjectionOperator for KernelOperator<'_> {
             return;
         }
         let len = a.len() / k;
-        let plan = self.exec.as_ref().and_then(|e| {
-            let plan = if k != e.plans.batch {
-                None
-            } else if len == self.nrows {
-                e.plans.dot_rows_batch.as_ref()
+        let pooled = self.exec.as_ref().and_then(|e| {
+            if len == self.nrows {
+                Some((e, &e.plans.dot_rows))
             } else if len == self.ncols {
-                e.plans.dot_cols_batch.as_ref()
+                Some((e, &e.plans.dot_cols))
             } else {
                 None
-            };
-            plan.map(|p| (e, p))
+            }
         });
-        let Some((exec, plan)) = plan else {
-            // Inline, a single slice, or no precomputed batched plan at
-            // this width/length: per-slice dots (still deterministic and
-            // bit-identical per slice).
+        // Inline, or no precomputed plan at this length (only reachable
+        // from custom callers): the sequential sums, deterministic too.
+        let Some((exec, plan)) = pooled else {
             for (j, o) in out.iter_mut().enumerate() {
-                *o = self.local_dot(&a[j * len..(j + 1) * len], &b[j * len..(j + 1) * len]);
+                let r = j * len..(j + 1) * len;
+                *o = xct_sparse::dot_f64(&a[r.clone()], &b[r]);
             }
             return;
         };
         let mut scratch = exec.dot_scratch.borrow_mut();
         let slots = xct_sparse::dot_chunks(len) * k;
+        if scratch.len() < slots {
+            scratch.resize(slots, 0.0);
+        }
         xct_sparse::dot_f64_batched_pooled(exec.pool, plan, a, b, k, &mut scratch[..slots], out);
     }
     fn breakdown(&self) -> Option<KernelBreakdown> {

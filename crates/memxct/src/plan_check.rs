@@ -175,8 +175,9 @@ pub fn ledger_check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{build_plans, DistConfig, DistSolver};
+    use crate::dist::{build_plans, DistConfig};
     use crate::preprocess::{preprocess, Config};
+    use crate::request::Solver;
     use crate::solvers::StopRule;
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 
@@ -217,16 +218,17 @@ mod tests {
     fn ledger_reconciles_a_real_run() {
         let (ops, y) = setup(16, 12, false);
         let iters = 4;
-        let out = crate::dist::reconstruct_distributed(
+        let out = crate::dist::try_reconstruct_distributed(
             &ops,
             &y,
             &DistConfig {
                 ranks: 3,
                 use_buffered: false,
                 stop: StopRule::Fixed(iters),
-                solver: DistSolver::Cg,
+                solver: Solver::Cg,
             },
-        );
+        )
+        .unwrap();
         let plans = build_plans(&ops, 3, false);
         // CG applies A once per iteration and Aᵀ once per iteration plus
         // once for the initial gradient.
@@ -245,16 +247,17 @@ mod tests {
     #[test]
     fn ledger_detects_a_corrupted_schedule() {
         let (ops, y) = setup(16, 12, false);
-        let out = crate::dist::reconstruct_distributed(
+        let out = crate::dist::try_reconstruct_distributed(
             &ops,
             &y,
             &DistConfig {
                 ranks: 3,
                 use_buffered: false,
                 stop: StopRule::Fixed(2),
-                solver: DistSolver::Cg,
+                solver: Solver::Cg,
             },
-        );
+        )
+        .unwrap();
         let mut plans = build_plans(&ops, 3, false);
         // Pretend rank 0 planned to send one fewer row to rank 1: the
         // residual for that pair no longer matches the others.

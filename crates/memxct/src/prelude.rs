@@ -15,8 +15,8 @@
 
 pub use crate::checkpoint::{plan_fingerprint, validate_snapshot};
 pub use crate::dist::{
-    reconstruct_distributed, try_reconstruct_distributed, try_reconstruct_distributed_ft,
-    DistConfig, DistOutput, DistSolver, FaultTolerance,
+    try_reconstruct_distributed, try_reconstruct_distributed_ft, DistConfig, DistOutput,
+    DistSolver, FaultTolerance,
 };
 pub use crate::errors::BuildError;
 pub use crate::fbp::{fbp, FbpConfig};

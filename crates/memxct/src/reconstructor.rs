@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::checkpoint;
-use crate::dist::{try_reconstruct_distributed_ft, DistConfig, DistSolver, FaultTolerance};
+use crate::dist::{try_reconstruct_distributed_ft, DistConfig, FaultTolerance};
 use crate::errors::BuildError;
 use crate::operator::{
     KernelBreakdown, KernelOperator, PooledPlans, ProjectionOperator, POOL_IMBALANCE_BACK,
@@ -16,10 +16,10 @@ use crate::preprocess::{
 };
 use crate::request::{
     CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,
-    RunControl, RunOutcome, Solver,
+    RunControl, RunOutcome,
 };
 use crate::solvers::{
-    run_engine_core, CgRule, Constraint, EngineExit, EngineSignal, IterationRecord, SirtRule,
+    make_rule, run_engine_core, Constraint, EngineExit, EngineSignal, IterationRecord,
     SolverWorkspace, StopRule, UpdateRule,
 };
 use xct_geometry::{Grid, ScanGeometry, Sinogram};
@@ -179,8 +179,9 @@ impl ReconstructorBuilder {
     /// sides, amortizing the memory traffic that dominates the kernels.
     /// A batched reconstructor takes [`ReconInput::Batch`] of exactly
     /// `batch` sinograms or a [`ReconInput::Volume`] of any length (a
-    /// [`ReconInput::Slice`] returns [`BuildError::BatchWidth`]); column
-    /// `j` of a batched solve is bit-identical to solving slice `j` alone.
+    /// [`ReconInput::Slice`] returns [`BuildError::BatchWidth`]) in every
+    /// [`ExecMode`]; column `j` of a batched solve is bit-identical to
+    /// solving slice `j` alone in the same mode.
     pub fn batch(mut self, batch: usize) -> Self {
         self.batch = batch;
         self
@@ -472,12 +473,10 @@ impl Reconstructor {
     /// saves one at the policy's cadence; a preemption request from
     /// `ctrl` saves a snapshot at the next iteration boundary regardless
     /// of cadence and stops the engine.
-    #[allow(clippy::too_many_arguments)]
     fn run_solver(
         &self,
         y: &[f32],
         rule: &mut dyn UpdateRule,
-        constraint: Constraint,
         stop: StopRule,
         pooled: bool,
         ckpt: Option<&CheckpointPolicy>,
@@ -528,7 +527,7 @@ impl Reconstructor {
             &op,
             y,
             rule,
-            constraint,
+            Constraint::None,
             stop,
             &self.metrics,
             &mut ws,
@@ -577,23 +576,6 @@ impl Reconstructor {
         }))
     }
 
-    /// The builder's fault-tolerance policy viewed as a request-level
-    /// checkpoint policy (`None` when no sink was configured).
-    fn builder_checkpoint(&self) -> Option<CheckpointPolicy> {
-        self.ft.sink.as_ref().map(|sink| CheckpointPolicy {
-            every: self.ft.checkpoint_every,
-            sink: sink.clone(),
-            resume: self.ft.resume,
-        })
-    }
-
-    fn make_rule(&self, solver: Solver) -> Box<dyn UpdateRule> {
-        match solver {
-            Solver::Cg => Box::new(CgRule::new()),
-            Solver::Sirt { relax } => Box::new(SirtRule::new(relax)),
-        }
-    }
-
     /// Execute one [`ReconRequest`]. The single front door: the CLI, the
     /// examples and the `xct-serve` job runtime all submit exactly these
     /// requests. See [`ReconRequest`] for the request model.
@@ -607,122 +589,141 @@ impl Reconstructor {
         }
     }
 
-    /// Execute one [`ReconRequest`] under cooperative preemption: when
-    /// `ctrl` requests preemption, the solve snapshots into the request's
-    /// checkpoint sink at the next iteration boundary and returns
-    /// [`RunOutcome::Preempted`]; re-running the same request with
-    /// `resume = true` continues bit-identically. Preemption is honored
-    /// for [`ReconInput::Slice`]/[`ReconInput::Batch`] under
-    /// [`ExecMode::Serial`]/[`ExecMode::Pooled`]; volume and distributed
-    /// requests run to completion (a volume yields between chunks only at
-    /// the request level, and the distributed path owns its own
-    /// checkpoint protocol).
+    /// Execute one [`ReconRequest`] — the one solve driver. Every input
+    /// is ordered into slice-major slabs of the reconstructor's batch
+    /// width (a `Slice` or `Batch` is one slab, a `Volume` one per group)
+    /// and each slab goes through one `run_group`, whose
+    /// executor — the calling thread, the worker pool, or thread-ranks —
+    /// is the request's [`ExecMode`].
+    ///
+    /// Cooperative preemption: when `ctrl` requests it, the solve
+    /// snapshots into the request's checkpoint sink at the next iteration
+    /// boundary and returns [`RunOutcome::Preempted`]; re-running the same
+    /// request with `resume = true` continues bit-identically. Preemption
+    /// is honored for [`ReconInput::Slice`]/[`ReconInput::Batch`] under
+    /// [`ExecMode::Serial`]/[`ExecMode::Pooled`] only: a volume runs to
+    /// completion (it yields between groups only at the request level),
+    /// and so does every distributed request (stopping ranks together
+    /// would take a consensus collective per iteration boundary).
     pub fn run_controlled(
         &self,
         req: &ReconRequest,
         ctrl: &RunControl,
     ) -> Result<RunOutcome, ReconError> {
-        if let Solver::Sirt { relax } = req.solver {
-            if relax.is_nan() || relax <= 0.0 {
-                return Err(ReconError::InvalidRelaxation { relax });
-            }
+        if let Some(relax) = req.solver.invalid_relaxation() {
+            return Err(ReconError::InvalidRelaxation { relax });
         }
-        if let ExecMode::Distributed { config, ft } = &req.mode {
-            return self
-                .run_distributed(req, config, ft.as_ref())
-                .map(RunOutcome::Completed);
+        if matches!(req.mode, ExecMode::Pooled) && self.exec.is_none() {
+            return Err(ReconError::PoolNotBuilt);
         }
-        let pooled = match req.mode {
-            ExecMode::Pooled => {
-                if self.exec.is_none() {
-                    return Err(ReconError::PoolNotBuilt);
-                }
-                true
+        let sinos = match &req.input {
+            ReconInput::Slice(sino) => std::slice::from_ref(sino),
+            ReconInput::Batch(sinos) => sinos,
+            ReconInput::Volume(sinos) => {
+                return self.run_volume(sinos, req).map(RunOutcome::Completed)
             }
-            _ => false,
         };
-        // Effective durability: request override, else the builder's
-        // checkpoint configuration.
-        let builder_ckpt = self.builder_checkpoint();
-        let ckpt = req.checkpoint.as_ref().or(builder_ckpt.as_ref());
-        match &req.input {
-            ReconInput::Slice(sino) => {
-                if self.batch != 1 {
-                    return Err(BuildError::BatchWidth {
-                        expected: self.batch,
-                        got: 1,
-                    }
-                    .into());
-                }
-                self.check_sinogram(sino)?;
-                let y = self.ops.order_sinogram(sino);
-                self.run_group(&y, 1, req.solver, req.stop, pooled, ckpt, Some(ctrl))
-            }
-            ReconInput::Batch(sinos) => {
-                let y = self.order_batch(sinos)?;
-                self.run_group(
-                    &y,
-                    sinos.len(),
-                    req.solver,
-                    req.stop,
-                    pooled,
-                    ckpt,
-                    Some(ctrl),
-                )
-            }
-            ReconInput::Volume(sinos) => self
-                .run_volume_request(sinos, req.solver, req.stop, pooled)
-                .map(RunOutcome::Completed),
-        }
+        // Effective durability: the request's policy, else the one the
+        // fault-tolerance policy in force carries (a distributed
+        // request's override, else the builder's).
+        let ft = match &req.mode {
+            ExecMode::Distributed { ft: Some(ft), .. } => ft,
+            _ => &self.ft,
+        };
+        let ft_ckpt = ft.sink.as_ref().map(|sink| CheckpointPolicy {
+            every: ft.checkpoint_every,
+            sink: sink.clone(),
+            resume: ft.resume,
+        });
+        let ckpt = req.checkpoint.as_ref().or(ft_ckpt.as_ref());
+        let y = self.order_batch(sinos)?;
+        self.run_group(&y, sinos.len(), req, ckpt, Some(ctrl))
     }
 
-    /// One engine run over an ordered measurement slab covering `visible`
-    /// caller slices (a padded tail group solves extra columns that are
-    /// dropped here), wrapped into a response.
-    #[allow(clippy::too_many_arguments)]
+    /// One solve of an ordered measurement slab covering `visible` caller
+    /// slices (a padded tail group solves extra columns that are dropped
+    /// here) on the executor `req.mode` names, wrapped into a response.
+    /// Ranks take the same slab, solver, stop rule and checkpoint policy
+    /// as the in-process engine run; they ignore `ctrl`.
     fn run_group(
         &self,
         y: &[f32],
         visible: usize,
-        solver: Solver,
-        stop: StopRule,
-        pooled: bool,
+        req: &ReconRequest,
         ckpt: Option<&CheckpointPolicy>,
         ctrl: Option<&RunControl>,
     ) -> Result<RunOutcome, ReconError> {
-        let mut rule = self.make_rule(solver);
         let t = std::time::Instant::now();
-        match self.run_solver(y, rule.as_mut(), Constraint::None, stop, pooled, ckpt, ctrl)? {
-            SolveExit::Preempted { iteration } => Ok(RunOutcome::Preempted { iteration }),
-            SolveExit::Done(out) => {
-                let share = t.elapsed().as_secs_f64() / visible.max(1) as f64;
-                Ok(RunOutcome::Completed(ReconResponse {
-                    images: out.images.into_iter().take(visible).collect(),
-                    slice_records: out.slice_records.into_iter().take(visible).collect(),
-                    breakdown: out.breakdown,
-                    per_slice_seconds: vec![share; visible],
-                    preprocess_seconds: self.ops.timings.total(),
-                    dist: None,
-                }))
+        let (out, dist) = match &req.mode {
+            ExecMode::Distributed { config, ft } => {
+                let mut ft = ft.as_ref().unwrap_or(&self.ft).clone();
+                ft.sink = ckpt.map(|p| p.sink.clone());
+                if let Some(p) = ckpt {
+                    ft.checkpoint_every = p.every;
+                    ft.resume = p.resume;
+                }
+                let config = DistConfig {
+                    stop: req.stop,
+                    solver: req.solver,
+                    ..*config
+                };
+                let out =
+                    try_reconstruct_distributed_ft(&self.ops, y, &config, &ft, &self.metrics)?;
+                let mut breakdown = KernelBreakdown::default();
+                for b in &out.breakdown {
+                    breakdown.add(b);
+                }
+                let solved = BatchOutput {
+                    images: out.images,
+                    slice_records: out.slice_records,
+                    breakdown,
+                };
+                let detail = DistDetail {
+                    breakdowns: out.breakdown,
+                    ledger: out.ledger,
+                    volumes: out.volumes,
+                };
+                (solved, Some(detail))
             }
-        }
+            mode => {
+                let pooled = matches!(mode, ExecMode::Pooled);
+                let mut rule = make_rule(req.solver);
+                match self.run_solver(y, rule.as_mut(), req.stop, pooled, ckpt, ctrl)? {
+                    SolveExit::Preempted { iteration } => {
+                        return Ok(RunOutcome::Preempted { iteration })
+                    }
+                    SolveExit::Done(out) => (out, None),
+                }
+            }
+        };
+        let share = t.elapsed().as_secs_f64() / visible.max(1) as f64;
+        Ok(RunOutcome::Completed(ReconResponse {
+            images: out.images.into_iter().take(visible).collect(),
+            slice_records: out.slice_records.into_iter().take(visible).collect(),
+            breakdown: out.breakdown,
+            per_slice_seconds: vec![share; visible],
+            preprocess_seconds: self.ops.timings.total(),
+            dist,
+        }))
     }
 
-    /// Chunked volume execution: groups of `batch` slices per engine run,
-    /// a short tail group padded with clones of its last sinogram and the
+    /// Chunked volume execution: groups of `batch` slices per solve, a
+    /// short tail group padded with clones of its last sinogram and the
     /// padded outputs discarded. Runs without checkpointing (the
-    /// per-chunk solves would alias snapshot slot 0) and to completion.
-    fn run_volume_request(
+    /// per-group solves would alias snapshot slot 0) and to completion.
+    fn run_volume(
         &self,
         sinos: &[Sinogram],
-        solver: Solver,
-        stop: StopRule,
-        pooled: bool,
+        req: &ReconRequest,
     ) -> Result<ReconResponse, ReconError> {
-        let mut images = Vec::with_capacity(sinos.len());
-        let mut slice_records = Vec::with_capacity(sinos.len());
-        let mut per_slice_seconds = Vec::with_capacity(sinos.len());
-        let mut breakdown = KernelBreakdown::default();
+        let mut volume = ReconResponse {
+            images: Vec::with_capacity(sinos.len()),
+            slice_records: Vec::with_capacity(sinos.len()),
+            breakdown: KernelBreakdown::default(),
+            per_slice_seconds: Vec::with_capacity(sinos.len()),
+            preprocess_seconds: self.ops.timings.total(),
+            dist: None,
+        };
         for group in sinos.chunks(self.batch.max(1)) {
             let y = if group.len() == self.batch {
                 self.order_batch(group)?
@@ -734,88 +735,27 @@ impl Reconstructor {
                 }
                 self.order_batch(&padded)?
             };
-            match self.run_group(&y, group.len(), solver, stop, pooled, None, None)? {
+            match self.run_group(&y, group.len(), req, None, None)? {
                 RunOutcome::Completed(resp) => {
-                    images.extend(resp.images);
-                    slice_records.extend(resp.slice_records);
-                    per_slice_seconds.extend(resp.per_slice_seconds);
-                    breakdown = resp.breakdown;
+                    volume.images.extend(resp.images);
+                    volume.slice_records.extend(resp.slice_records);
+                    volume.per_slice_seconds.extend(resp.per_slice_seconds);
+                    // An in-process breakdown is a running total over the
+                    // reconstructor's registry; a distributed one is this
+                    // group's rank sum.
+                    match resp.dist {
+                        Some(_) => volume.breakdown.add(&resp.breakdown),
+                        None => volume.breakdown = resp.breakdown,
+                    }
+                    volume.dist = resp.dist;
                 }
                 RunOutcome::Preempted { .. } => {
-                    // lint: allow(no-panic) chunk solves get no control, so they cannot preempt
-                    unreachable!("volume chunks run without a preemption control")
+                    // lint: allow(no-panic) group solves get no control, so they cannot preempt
+                    unreachable!("volume groups run without a preemption control")
                 }
             }
         }
-        Ok(ReconResponse {
-            images,
-            slice_records,
-            breakdown,
-            per_slice_seconds,
-            preprocess_seconds: self.ops.timings.total(),
-            dist: None,
-        })
-    }
-
-    /// Distributed execution of a request. Single-slice only; the
-    /// request's `solver`/`stop` override the `config`'s, and a request
-    /// checkpoint policy overrides the fault-tolerance policy's
-    /// sink/cadence/resume.
-    fn run_distributed(
-        &self,
-        req: &ReconRequest,
-        config: &DistConfig,
-        ft_override: Option<&FaultTolerance>,
-    ) -> Result<ReconResponse, ReconError> {
-        // The distributed halo-exchange path is single-slice; a batched
-        // reconstructor must not silently solve one slice of its batch.
-        if self.batch != 1 {
-            return Err(BuildError::DistributedBatchUnsupported { batch: self.batch }.into());
-        }
-        let ReconInput::Slice(sino) = &req.input else {
-            return Err(BuildError::DistributedBatchUnsupported {
-                batch: req.input.num_slices(),
-            }
-            .into());
-        };
-        self.check_sinogram(sino)?;
-        let mut ft = ft_override.unwrap_or(&self.ft).clone();
-        if let Some(p) = &req.checkpoint {
-            ft.sink = Some(p.sink.clone());
-            ft.checkpoint_every = p.every;
-            ft.resume = p.resume;
-        }
-        let dconf = DistConfig {
-            ranks: config.ranks,
-            use_buffered: config.use_buffered,
-            stop: req.stop,
-            solver: match req.solver {
-                Solver::Cg => DistSolver::Cg,
-                Solver::Sirt { .. } => DistSolver::Sirt,
-            },
-        };
-        let y = self.ops.order_sinogram(sino);
-        let t = std::time::Instant::now();
-        let out = try_reconstruct_distributed_ft(&self.ops, &y, &dconf, &ft, &self.metrics)?;
-        let elapsed = t.elapsed().as_secs_f64();
-        let mut total = KernelBreakdown::default();
-        for b in &out.breakdown {
-            total.ap_s += b.ap_s;
-            total.c_s += b.c_s;
-            total.r_s += b.r_s;
-        }
-        Ok(ReconResponse {
-            images: vec![out.image],
-            slice_records: vec![out.records],
-            breakdown: total,
-            per_slice_seconds: vec![elapsed],
-            preprocess_seconds: self.ops.timings.total(),
-            dist: Some(DistDetail {
-                breakdowns: out.breakdown,
-                ledger: out.ledger,
-                volumes: out.volumes,
-            }),
-        })
+        Ok(volume)
     }
 
     /// Order a batch of sinograms into one slice-major measurement slab.

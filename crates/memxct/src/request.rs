@@ -57,6 +57,17 @@ pub enum Solver {
     },
 }
 
+impl Solver {
+    /// The relaxation factor this solver would be rejected for: SIRT's
+    /// when it is NaN or not positive.
+    pub(crate) fn invalid_relaxation(self) -> Option<f32> {
+        match self {
+            Solver::Sirt { relax } if relax.is_nan() || relax <= 0.0 => Some(relax),
+            _ => None,
+        }
+    }
+}
+
 /// The measurement data a request reconstructs.
 #[derive(Debug, Clone)]
 pub enum ReconInput {
@@ -64,12 +75,15 @@ pub enum ReconInput {
     /// batch width 1.
     Slice(Sinogram),
     /// Exactly `batch` sinograms solved together in one engine run (every
-    /// SpMV becomes an SpMM streaming the matrix once for the group).
-    /// Column `j` is bit-identical to solving slice `j` alone.
+    /// SpMV becomes an SpMM streaming the matrix once for the group, and
+    /// under [`ExecMode::Distributed`] every halo exchange carries the
+    /// whole group). Column `j` is bit-identical to solving slice `j`
+    /// alone in the same mode.
     Batch(Vec<Sinogram>),
     /// A slice stack of any length, chunked by the reconstructor's batch
     /// width (a short tail group is padded with clones of its last
-    /// sinogram and the padded outputs discarded).
+    /// sinogram and the padded outputs discarded). Every mode takes all
+    /// three inputs.
     Volume(Vec<Sinogram>),
 }
 
@@ -106,11 +120,12 @@ pub enum ExecMode {
     /// [`ReconstructorBuilder::use_pool`](crate::ReconstructorBuilder::use_pool);
     /// otherwise `run` fails with [`ReconError::PoolNotBuilt`].
     Pooled,
-    /// The distributed (threads-as-ranks) `R·C·A_p` path. Single-slice
-    /// only: a batched reconstructor or a non-`Slice` input is rejected
-    /// with [`BuildError::DistributedBatchUnsupported`]. The request's
-    /// `solver`/`stop` are the source of truth — the `config`'s own
-    /// `solver`/`stop` fields are ignored.
+    /// The distributed (threads-as-ranks) `R·C·A_p` path: the same solve
+    /// driver with ranks as its executor, at the reconstructor's batch
+    /// width like every other mode. The request's `solver`/`stop` are the
+    /// source of truth — the `config`'s own `solver`/`stop` fields are
+    /// ignored. Runs to completion: preemption is honored under
+    /// [`ExecMode::Serial`]/[`ExecMode::Pooled`] only.
     Distributed {
         /// Rank count and local-kernel choice.
         config: DistConfig,
@@ -275,7 +290,8 @@ pub struct ReconResponse {
     /// One-time preprocessing cost of the reconstructor serving this
     /// request — the amount a plan-cache hit amortizes away.
     pub preprocess_seconds: f64,
-    /// Distributed-run extras ([`ExecMode::Distributed`] only).
+    /// Distributed-run extras ([`ExecMode::Distributed`] only; for a
+    /// [`ReconInput::Volume`], those of the last group solved).
     pub dist: Option<DistDetail>,
 }
 

@@ -19,6 +19,7 @@
 //! kept for callers that hold projections as closures.
 
 use crate::operator::{ClosureOperator, ProjectionOperator};
+use crate::request::Solver;
 use xct_obs::Metrics;
 
 /// Convergence record of one iteration.
@@ -793,6 +794,20 @@ impl UpdateRule for SirtRule {
                 *xi += self.relaxation * ui * w;
             }
         }
+    }
+}
+
+/// The update rule a request's [`Solver`] names — the one factory every
+/// executor of the solve driver (inline, pooled, each distributed rank)
+/// builds its rule through.
+///
+/// # Panics
+/// If a SIRT relaxation is not positive; drivers screen requests with
+/// `Solver::invalid_relaxation` first.
+pub(crate) fn make_rule(solver: Solver) -> Box<dyn UpdateRule> {
+    match solver {
+        Solver::Cg => Box::new(CgRule::new()),
+        Solver::Sirt { relax } => Box::new(SirtRule::new(relax)),
     }
 }
 

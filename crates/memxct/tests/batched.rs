@@ -1,15 +1,17 @@
 //! Batched (SpMM) execution tests: every column of a batched solve must
-//! be bit-identical to its own single-slice solve — engine-level and
-//! through the `Reconstructor` API, serial and pooled, CG and SIRT, with
-//! per-slice early termination and mid-batch checkpoint/resume — and the
-//! batch-width misuses must surface as typed errors.
+//! be bit-identical to its own single-slice solve in the same mode —
+//! engine-level and through the `Reconstructor` API, serial, pooled and
+//! over thread-ranks, CG and SIRT, with per-slice early termination and
+//! mid-batch checkpoint/resume — and the batch-width misuses must surface
+//! as typed errors.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use memxct::prelude::*;
 use memxct::ExecMode::{Pooled, Serial};
 use memxct::ReconInput::{Batch, Slice, Volume};
-use memxct::{run_engine_in, Invariant, SolverWorkspace};
+use memxct::{dist::build_plans, ledger_check, run_engine_in, Invariant, SolverWorkspace};
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 
 fn geometry(n: u32, m: u32) -> (Grid, ScanGeometry) {
@@ -33,13 +35,29 @@ fn run(rec: &Reconstructor, req: ReconRequest) -> Result<ReconResponse, ReconErr
     rec.run(&req.mode(if pooled { Pooled } else { Serial }))
 }
 
+/// `req` over `ranks` thread-ranks.
+fn over_ranks(req: ReconRequest, ranks: usize, use_buffered: bool) -> ReconRequest {
+    let config = DistConfig {
+        ranks,
+        use_buffered,
+        ..DistConfig::default()
+    };
+    req.mode(ExecMode::Distributed { config, ft: None })
+}
+
 fn assert_slice_matches(out: &ReconResponse, j: usize, single: &ReconResponse, ctx: &str) {
+    assert_columns_match(out, j, single, 0, ctx);
+}
+
+/// Column `j` of `out` carries the records and image bits of column `i`
+/// of `want`.
+fn assert_columns_match(out: &ReconResponse, j: usize, want: &ReconResponse, i: usize, ctx: &str) {
     assert_eq!(
         out.slice_records[j].len(),
-        single.slice_records[0].len(),
+        want.slice_records[i].len(),
         "{ctx}: slice {j} iteration count"
     );
-    for (a, b) in out.slice_records[j].iter().zip(&single.slice_records[0]) {
+    for (a, b) in out.slice_records[j].iter().zip(&want.slice_records[i]) {
         assert_eq!(a.iter, b.iter, "{ctx}: slice {j}");
         assert_eq!(
             a.residual_norm.to_bits(),
@@ -55,8 +73,8 @@ fn assert_slice_matches(out: &ReconResponse, j: usize, single: &ReconResponse, c
         );
     }
     let got: Vec<u32> = out.images[j].iter().map(|v| v.to_bits()).collect();
-    let want: Vec<u32> = single.images[0].iter().map(|v| v.to_bits()).collect();
-    assert_eq!(got, want, "{ctx}: slice {j} image bits");
+    let bits: Vec<u32> = want.images[i].iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, bits, "{ctx}: slice {j} image bits");
 }
 
 #[test]
@@ -234,11 +252,10 @@ fn batch_width_misuse_is_a_typed_error() {
     let one = Slice(slices[0].clone());
     assert_eq!(err(ReconRequest::cg(one.clone(), stop)), width(1));
     assert_eq!(err(ReconRequest::sirt(one.clone(), 2)), width(1));
-    // The distributed path is single-slice only, and says so.
-    let config = DistConfig::default();
+    // In every mode: ranks are an executor, not a different width rule.
     assert_eq!(
-        err(ReconRequest::cg(one, stop).mode(ExecMode::Distributed { config, ft: None })),
-        BuildError::DistributedBatchUnsupported { batch: 3 }
+        err(over_ranks(ReconRequest::cg(one, stop), 2, true)),
+        width(1)
     );
     // Wrong slice count in a batch.
     assert_eq!(
@@ -304,38 +321,40 @@ fn batched_checkpoint_resume_is_bit_identical() {
 fn resuming_across_batch_widths_is_a_typed_error() {
     let (grid, scan) = geometry(16, 12);
     let slices = sinos(grid, scan, 16, 2);
-    let sink = Arc::new(MemoryCheckpointSink::new());
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .batch(2)
-        .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .build()
-        .unwrap();
-    run(
-        &rec,
-        ReconRequest::cg(Batch(slices.clone()), StopRule::Fixed(3)),
-    )
-    .unwrap();
-    // A batch-1 reconstructor must refuse the batch-2 snapshot with the
-    // batch invariant, not a shape cascade or a silent partial resume.
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .resume(true)
-        .build()
-        .unwrap();
-    match run(
-        &rec,
-        ReconRequest::cg(Slice(slices[0].clone()), StopRule::Fixed(6)),
-    ) {
-        Err(ReconError::Build(BuildError::PlanCheck(report))) => {
-            assert!(report.has(Invariant::CheckpointBatch), "{report}");
-            assert!(
-                !report.has(Invariant::CheckpointShape),
-                "root cause only: {report}"
-            );
+    // In-process and over ranks alike.
+    for ranks in [None, Some(2)] {
+        let mode = |req| match ranks {
+            Some(r) => over_ranks(req, r, true),
+            None => req,
+        };
+        let sink = Arc::new(MemoryCheckpointSink::new());
+        let rec = ReconstructorBuilder::new(grid, scan)
+            .batch(2)
+            .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
+            .checkpoint_every(1)
+            .build()
+            .unwrap();
+        let wide = ReconRequest::cg(Batch(slices.clone()), StopRule::Fixed(3));
+        rec.run(&mode(wide)).unwrap();
+        // A batch-1 reconstructor must refuse the batch-2 snapshot with the
+        // batch invariant, not a shape cascade or a silent partial resume.
+        let rec = ReconstructorBuilder::new(grid, scan)
+            .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
+            .checkpoint_every(1)
+            .resume(true)
+            .build()
+            .unwrap();
+        let narrow = ReconRequest::cg(Slice(slices[0].clone()), StopRule::Fixed(6));
+        match rec.run(&mode(narrow)) {
+            Err(ReconError::Build(BuildError::PlanCheck(report))) => {
+                assert!(report.has(Invariant::CheckpointBatch), "{report}");
+                assert!(
+                    !report.has(Invariant::CheckpointShape),
+                    "root cause only: {report}"
+                );
+            }
+            other => panic!("ranks {ranks:?}: expected PlanCheck, got {:?}", other.err()),
         }
-        other => panic!("expected PlanCheck, got {:?}", other.err()),
     }
 }
 
@@ -383,4 +402,194 @@ fn pooled_batched_solve_records_spmm_counters() {
     // The single-slice counters stay untouched by a batched solve (no
     // spmv/* activity at all).
     assert_eq!(snap.counters.get("spmv/pooled/calls").copied(), None);
+}
+
+/// Batch × ranks is the ordinary case: every column of a width-3 solve
+/// over thread-ranks carries the image, the residual / solution norms and
+/// the retirement iteration of that slice solved alone over the same
+/// ranks.
+#[test]
+fn distributed_batched_columns_equal_single_slice_distributed_runs() {
+    let (grid, scan) = geometry(24, 36);
+    let slices = sinos(grid, scan, 24, 3);
+    let batched = ReconstructorBuilder::new(grid, scan)
+        .batch(3)
+        .build()
+        .unwrap();
+    let single = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let request = |name, input| match name {
+        "cg" => {
+            let early = StopRule::EarlyTermination {
+                max_iters: 30,
+                min_decrease: 2e-2,
+            };
+            ReconRequest::cg(input, early)
+        }
+        _ => ReconRequest::sirt(input, 10),
+    };
+    for (ranks, use_buffered) in [1, 2, 3].into_iter().flat_map(|r| [(r, false), (r, true)]) {
+        for name in ["cg", "sirt"] {
+            let ctx = format!("{name} ranks={ranks} buffered={use_buffered}");
+            let dist = |input| over_ranks(request(name, input), ranks, use_buffered);
+            let out = batched.run(&dist(Batch(slices.clone()))).unwrap();
+            assert_eq!(out.images.len(), 3, "{ctx}");
+            assert_eq!(out.dist.as_ref().unwrap().breakdowns.len(), ranks, "{ctx}");
+            let mut lens = Vec::new();
+            for (j, s) in slices.iter().enumerate() {
+                let want = single.run(&dist(Slice(s.clone()))).unwrap();
+                lens.push(want.slice_records[0].len());
+                assert_slice_matches(&out, j, &want, &ctx);
+            }
+            if name == "cg" {
+                // Per-slice retirement is independent over ranks too.
+                lens.dedup();
+                assert!(
+                    lens.len() > 1,
+                    "{ctx}: slices all stopped together: {lens:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn distributed_volume_matches_slice_by_slice() {
+    let (grid, scan) = geometry(24, 36);
+    // Two full groups plus a padded tail, each group one halo-exchanged
+    // width-2 solve over 2 ranks.
+    let slices = sinos(grid, scan, 24, 5);
+    let single = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let batched = ReconstructorBuilder::new(grid, scan)
+        .batch(2)
+        .build()
+        .unwrap();
+    let dist = |input| over_ranks(ReconRequest::cg(input, StopRule::Fixed(6)), 2, true);
+    let vol = batched.run(&dist(Volume(slices.clone()))).unwrap();
+    assert_eq!(vol.images.len(), 5);
+    assert_eq!(vol.per_slice_seconds.len(), 5);
+    assert!(vol.dist.is_some() && vol.breakdown.c_s > 0.0);
+    for (j, s) in slices.iter().enumerate() {
+        let want = single.run(&dist(Slice(s.clone()))).unwrap();
+        assert_slice_matches(&vol, j, &want, "volume over ranks");
+    }
+}
+
+/// A width-3 snapshot gathered at 3 ranks resumes at 3 ranks and — the
+/// snapshot being rank-count independent — at 2, each column carrying the
+/// bits of the same save / resume sequence run at width 1.
+#[test]
+fn distributed_batched_checkpoint_resumes_across_rank_counts() {
+    let (grid, scan) = geometry(24, 36);
+    let slices = sinos(grid, scan, 24, 3);
+    let stop = |max_iters| StopRule::EarlyTermination {
+        max_iters,
+        min_decrease: 5e-3,
+    };
+    let batched = ReconstructorBuilder::new(grid, scan)
+        .batch(3)
+        .build()
+        .unwrap();
+    let single = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    // Interrupt after 4 iterations at 3 ranks, snapshotting every
+    // boundary; then resume to the full budget at `resume_ranks`.
+    let sequence = |rec: &Reconstructor, input: ReconInput, resume_ranks| {
+        let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
+        let policy = CheckpointPolicy::new(sink, 1);
+        let save = ReconRequest::cg(input.clone(), stop(4)).checkpoint(policy.clone());
+        rec.run(&over_ranks(save, 3, true)).unwrap();
+        let resume = ReconRequest::cg(input, stop(12)).checkpoint(policy.resume(true));
+        rec.run(&over_ranks(resume, resume_ranks, true)).unwrap()
+    };
+    for resume_ranks in [3, 2] {
+        let ctx = format!("resume at {resume_ranks} ranks");
+        let out = sequence(&batched, Batch(slices.clone()), resume_ranks);
+        for (j, s) in slices.iter().enumerate() {
+            let want = sequence(&single, Slice(s.clone()), resume_ranks);
+            assert_slice_matches(&out, j, &want, &ctx);
+        }
+        if resume_ranks == 3 {
+            // Same rank count throughout: the uninterrupted run's bits.
+            let golden = ReconRequest::cg(Batch(slices.clone()), stop(12));
+            let golden = batched.run(&over_ranks(golden, 3, true)).unwrap();
+            for j in 0..3 {
+                assert_columns_match(&out, j, &golden, j, "uninterrupted");
+            }
+        }
+    }
+}
+
+/// A rank crash in the middle of a width-2 solve ends completed (one
+/// degraded restart from the global snapshot) or with a typed
+/// communication error — inside the timeout, never a hang.
+#[test]
+fn distributed_batched_rank_crash_completes_or_fails_typed() {
+    let (grid, scan) = geometry(24, 36);
+    let ops = preprocess(grid, scan, &Config::default());
+    let y: Vec<f32> = sinos(grid, scan, 24, 2)
+        .iter()
+        .flat_map(|s| ops.order_sinogram(s))
+        .collect();
+    let config = DistConfig {
+        ranks: 3,
+        stop: StopRule::Fixed(8),
+        ..DistConfig::default()
+    };
+    let ft = FaultTolerance {
+        faults: Arc::new(FaultPlan::new().with(1, 5, FaultKind::Crash)),
+        sink: Some(Arc::new(MemoryCheckpointSink::new())),
+        checkpoint_every: 1,
+        resume: true,
+        max_restarts: 1,
+        ..FaultTolerance::default()
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let metrics = Metrics::collecting();
+        let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, &metrics);
+        let _ = tx.send((out, metrics.snapshot()));
+    });
+    let (out, snap) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("width-2 chaos drill hung");
+    assert!(snap.counters["fault/rank_loss"] >= 1);
+    match out {
+        Ok(out) => {
+            assert!(snap.counters["fault/restarts"] >= 1);
+            for (recs, image) in out.slice_records.iter().zip(&out.images) {
+                assert_eq!(recs.len(), 8, "restarted solve must reach budget");
+                assert!(image.iter().all(|v| v.is_finite()));
+            }
+        }
+        Err(BuildError::Comm(_)) => {}
+        Err(other) => panic!("expected completion or BuildError::Comm, got {other}"),
+    }
+}
+
+/// One halo exchange carries all `k` slices, so the data plane of a
+/// width-3 solve is exactly `k` times the schedule's single-slice bytes —
+/// what `ledger_check` predicts at `k·forwards`, `k·backs`.
+#[test]
+fn distributed_batched_ledger_reconciles_at_k_times_the_schedule() {
+    let (grid, scan) = geometry(24, 36);
+    let slices = sinos(grid, scan, 24, 3);
+    let rec = ReconstructorBuilder::new(grid, scan)
+        .batch(3)
+        .build()
+        .unwrap();
+    let (ranks, iters, k) = (3, 4, 3);
+    let req = ReconRequest::cg(Batch(slices), StopRule::Fixed(iters));
+    rec.run(&over_ranks(req, ranks, false)).unwrap();
+    let observed = rec.metrics().matrices["comm/bytes"].clone();
+    assert_eq!(observed.size, ranks);
+    let plans = build_plans(rec.operators(), ranks, false);
+    // CG applies A once per iteration and Aᵀ once more (the initial
+    // gradient).
+    let (forwards, backs) = (iters as u64, iters as u64 + 1);
+    let mut report = memxct::CheckReport::new();
+    let check = |f, b| ledger_check("ledger", &plans, observed.data.clone(), f, b);
+    xct_check::Check::run(&check(k * forwards, k * backs), &mut report);
+    assert!(report.is_ok(), "{report}");
+    // The width-1 prediction does not fit a width-3 run.
+    xct_check::Check::run(&check(forwards, backs), &mut report);
+    assert!(report.has(Invariant::LedgerReconciliation), "{report}");
 }

@@ -44,13 +44,14 @@ fn assert_bits_equal(a: &ReconResponse, b: &ReconResponse) {
 }
 
 fn assert_dist_bits_equal(a: &DistOutput, b: &DistOutput) {
-    assert_eq!(a.records.len(), b.records.len(), "iteration counts differ");
-    for (ra, rb) in a.records.iter().zip(&b.records) {
+    let (ra, rb) = (&a.slice_records[0], &b.slice_records[0]);
+    assert_eq!(ra.len(), rb.len(), "iteration counts differ");
+    for (ra, rb) in ra.iter().zip(rb) {
         assert_eq!(ra.residual_norm.to_bits(), rb.residual_norm.to_bits());
         assert_eq!(ra.solution_norm.to_bits(), rb.solution_norm.to_bits());
     }
-    let ia: Vec<u32> = a.image.iter().map(|v| v.to_bits()).collect();
-    let ib: Vec<u32> = b.image.iter().map(|v| v.to_bits()).collect();
+    let ia: Vec<u32> = a.images[0].iter().map(|v| v.to_bits()).collect();
+    let ib: Vec<u32> = b.images[0].iter().map(|v| v.to_bits()).collect();
     assert_eq!(ia, ib, "images differ in bits");
 }
 
@@ -63,7 +64,7 @@ fn empty_fault_plan_is_bit_identical_distributed() {
         ranks: 3,
         use_buffered: true,
         stop: StopRule::Fixed(8),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
     // Historical fail-fast path (unbounded waits, no fault machinery in
     // the policy) vs the supervised default (deadlines, retry budget,
@@ -157,7 +158,7 @@ fn distributed_resume_is_bit_identical() {
         ranks: 3,
         use_buffered: true,
         stop: StopRule::Fixed(iters),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
     let golden = try_reconstruct_distributed(&ops, &y, &config(8)).unwrap();
 
@@ -228,7 +229,7 @@ fn snapshots_are_rank_count_independent() {
         ranks: 3,
         use_buffered: true,
         stop: StopRule::Fixed(3),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
     try_reconstruct_distributed_ft(&ops, &y, &config3, &ft_save, &Metrics::noop()).unwrap();
     // …resume under 2: the snapshot stores global ordered vectors, so a
@@ -245,8 +246,12 @@ fn snapshots_are_rank_count_independent() {
     };
     let out =
         try_reconstruct_distributed_ft(&ops, &y, &config2, &ft_resume, &Metrics::noop()).unwrap();
-    assert_eq!(out.records.len(), 8, "resumed run must reach the budget");
-    assert!(out.image.iter().all(|v| v.is_finite()));
+    assert_eq!(
+        out.slice_records[0].len(),
+        8,
+        "resumed run must reach the budget"
+    );
+    assert!(out.images[0].iter().all(|v| v.is_finite()));
 }
 
 #[test]
@@ -317,7 +322,7 @@ fn rank_crash_restarts_from_checkpoint_and_completes() {
         ranks: 3,
         use_buffered: true,
         stop: StopRule::Fixed(8),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 5, FaultKind::Crash)),
@@ -337,8 +342,12 @@ fn rank_crash_restarts_from_checkpoint_and_completes() {
         "restarted solve took {:?}",
         t.elapsed()
     );
-    assert_eq!(out.records.len(), 8, "restarted solve must reach budget");
-    assert!(out.image.iter().all(|v| v.is_finite()));
+    assert_eq!(
+        out.slice_records[0].len(),
+        8,
+        "restarted solve must reach budget"
+    );
+    assert!(out.images[0].iter().all(|v| v.is_finite()));
     let snap = metrics.snapshot();
     assert!(snap.counters["fault/rank_loss"] >= 1);
     assert!(snap.counters["fault/restarts"] >= 1);
@@ -353,7 +362,7 @@ fn rank_crash_without_restart_budget_is_a_typed_error() {
         ranks: 2,
         use_buffered: true,
         stop: StopRule::Fixed(8),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 4, FaultKind::Crash)),
@@ -389,7 +398,7 @@ fn recoverable_drops_are_retried_transparently() {
         ranks: 2,
         use_buffered: true,
         stop: StopRule::Fixed(6),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
     let baseline = try_reconstruct_distributed(&ops, &y, &config).unwrap();
     let ft = FaultTolerance {

@@ -10,8 +10,9 @@
 
 use memxct::{
     cgls, cgls_regularized, cgls_smooth, gradient_operator, preprocess, run_engine, sirt,
-    sirt_nonneg, Config, Constraint, DistConfig, ExecMode, IterationRecord, Kernel, Operators,
-    OrderedSubsets, ReconInput, ReconRequest, Reconstructor, SirtRule, Solver, StopRule,
+    sirt_nonneg, try_reconstruct_distributed, BuildError, Config, Constraint, DistConfig, ExecMode,
+    IterationRecord, Kernel, Operators, OrderedSubsets, ReconError, ReconInput, ReconRequest,
+    Reconstructor, SirtRule, Solver, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_sparse::{spmv, CsrMatrix};
@@ -572,5 +573,63 @@ fn distributed_equals_serial_sirt_with_early_termination() {
         );
         let err = rel_err(&dist.images[0], &serial_image);
         assert!(err < 5e-3, "ranks {ranks}: err {err}");
+    }
+}
+
+/// The request's relaxation factor reaches every rank's rule (it was once
+/// dropped on the way: ranks always solved at 1.0) — through the request,
+/// whose solver wins over the config's, and straight into the distributed
+/// body — and an invalid one is rejected before any rank starts.
+#[test]
+fn distributed_sirt_honors_relaxation() {
+    let (grid, scan) = (Grid::new(16), ScanGeometry::new(12, 16));
+    let truth = disk(0.6, 1.0).rasterize(16);
+    let sino = simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, 0);
+    let rec = Reconstructor::builder(grid, scan)
+        .kernel(Kernel::Serial)
+        .build()
+        .unwrap();
+    let y = rec.operators().order_sinogram(&sino);
+    let sirt = |relax| {
+        ReconRequest::sirt(ReconInput::Slice(sino.clone()), 10).solver(Solver::Sirt { relax })
+    };
+    let config = |relax, ranks| DistConfig {
+        ranks,
+        use_buffered: false,
+        stop: StopRule::Fixed(10),
+        solver: Solver::Sirt { relax },
+    };
+    let solve = |relax: f32, ranks: usize, direct: bool| -> Vec<f32> {
+        if direct {
+            let out = try_reconstruct_distributed(rec.operators(), &y, &config(relax, ranks));
+            return out.unwrap().images.remove(0);
+        }
+        let mode = ExecMode::Distributed {
+            config: config(1.0, ranks),
+            ft: None,
+        };
+        rec.run(&sirt(relax).mode(mode)).unwrap().images.remove(0)
+    };
+    let serial = rec.run(&sirt(0.5)).unwrap().images.remove(0);
+    for (ranks, direct) in [(1, false), (3, false), (1, true), (3, true)] {
+        let (half, full) = (solve(0.5, ranks, direct), solve(1.0, ranks, direct));
+        let err = rel_err(&half, &serial);
+        assert!(err < 1e-3, "ranks {ranks}: relax 0.5 vs serial {err}");
+        let gap = rel_err(&half, &full);
+        assert!(gap > 1e-2, "ranks {ranks}: relax ignored ({gap})");
+    }
+    for relax in [f32::NAN, 0.0, -1.0] {
+        let mode = ExecMode::Distributed {
+            config: config(relax, 2),
+            ft: None,
+        };
+        assert!(matches!(
+            rec.run(&sirt(relax).mode(mode)),
+            Err(ReconError::InvalidRelaxation { .. })
+        ));
+        assert!(matches!(
+            try_reconstruct_distributed(rec.operators(), &y, &config(relax, 2)),
+            Err(BuildError::InvalidRelaxation { .. })
+        ));
     }
 }

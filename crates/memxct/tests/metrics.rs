@@ -5,7 +5,6 @@
 //! exported matrix must agree with the runtime's per-pair ledger.
 
 use memxct::prelude::*;
-use memxct::reconstruct_distributed_with_metrics;
 use xct_geometry::{simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 
 fn small_sinogram(n: u32) -> (Grid, ScanGeometry, Sinogram) {
@@ -102,15 +101,16 @@ fn exported_comm_matrix_matches_ledger_per_pair() {
     let y = ops.order_sinogram(&sino);
     let ranks = 4;
     let metrics = Metrics::collecting();
-    let out = reconstruct_distributed_with_metrics(
+    let out = try_reconstruct_distributed_ft(
         &ops,
         &y,
         &DistConfig {
             ranks,
             use_buffered: true,
             stop: StopRule::Fixed(5),
-            solver: DistSolver::Cg,
+            solver: Solver::Cg,
         },
+        &FaultTolerance::disabled(),
         &metrics,
     )
     .unwrap();

@@ -99,7 +99,7 @@ proptest! {
             let lo = plan.tomo_range.start as usize;
             let hi = plan.tomo_range.end as usize;
             let mut kb = memxct::KernelBreakdown::default();
-            plan.try_forward(comm, &x[lo..hi], &mut kb).unwrap()
+            plan.try_forward_batch(comm, &x[lo..hi], 1, &mut kb).unwrap()
         });
         let mut got = vec![0f32; ops.a.nrows()];
         for (plan, block) in plans.iter().zip(results) {

@@ -18,10 +18,11 @@
 //!   order — and hence the floating-point result — is independent of the
 //!   worker count.
 //!
-//! [`WorkerPool::run`] combines the two: it hands each worker the
-//! disjoint sub-slice of the output selected by the plan plus a
-//! persistent per-worker scratch buffer (grown on first use, reused
-//! forever after).
+//! One dispatch combines the two ([`WorkerPool::try_run_batched`];
+//! [`WorkerPool::run_batched`] and the one-block [`WorkerPool::run`] are
+//! panicking spellings of it): each worker gets a [`BatchOut`] view of the
+//! row range the plan selects within every block of a slice-major output
+//! plus a persistent scratch buffer (grown on first use, reused after).
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -360,7 +361,7 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<thread::JoinHandle<()>>,
     threads: usize,
-    /// Serializes whole dispatches: `run`/`run_with_scratch` take `&self`
+    /// Serializes whole dispatches: `run`/`run_batched` take `&self`
     /// and the pool is `Sync`, but only one job may be in flight at a
     /// time — `DispatchState` (job/remaining/epoch) is single-shot.
     dispatch_lock: Mutex<()>,
@@ -422,8 +423,9 @@ impl WorkerPool {
     }
 
     /// `Ok` when no internal lock is poisoned; the typed
-    /// [`PoolPoisoned`] error otherwise. `run*` calls this implicitly
-    /// (panicking with the same message); `try_run*` surface it.
+    /// [`PoolPoisoned`] error otherwise. `run` / `run_batched` call this
+    /// implicitly (panicking with the same message); `try_run_batched`
+    /// surfaces it.
     pub fn check_healthy(&self) -> Result<(), PoolPoisoned> {
         let lock = if self.shared.state.is_poisoned() {
             "pool/state"
@@ -461,98 +463,70 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Run `kernel` over the disjoint output slices selected by `plan`.
+    /// The pool's one dispatch: run `kernel` over a slice-major output of
+    /// `blocks` contiguous blocks of `plan.rows()` elements each. Worker
+    /// `w` receives its partition run `plan.worker_parts(w)`, its row
+    /// range `plan.worker_rows(w)`, a [`BatchOut`] view granting exclusive
+    /// access to that row range within *every* block, and its persistent
+    /// `Vec<f32>` scratch (kept across dispatches, so a kernel that
+    /// `resize`s it to a fixed footprint allocates only on the first
+    /// call). This is the shape of SpMM (`A · [x₁ … xₖ]`): one job streams
+    /// the worker's matrix partition once for all `k` output blocks;
+    /// `blocks = 1` is the SpMV.
     ///
-    /// Each worker `w` receives its partition run `plan.worker_parts(w)`,
-    /// its row range `plan.worker_rows(w)`, and `&mut out[rows]` — the
-    /// sub-slice it exclusively owns. The caller participates as worker
-    /// 0 and the call returns only when every worker has finished, so
-    /// borrowed captures in `kernel` stay valid throughout.
+    /// The caller participates as worker 0 and the call returns only when
+    /// every worker has finished, so borrowed captures in `kernel` stay
+    /// valid throughout. Dispatches are serialized: if another thread is
+    /// mid-dispatch on the same pool, this call blocks until that
+    /// dispatch completes.
     ///
-    /// Dispatches are serialized: if another thread is mid-`run` on the
-    /// same pool, this call blocks until that dispatch completes.
+    /// Returns [`PoolPoisoned`] (and dispatches nothing) when a previous
+    /// panic corrupted the pool's internal locks.
     ///
     /// # Panics
-    /// If `out.len() != plan.rows()`, the plan's worker count differs
-    /// from the pool's, or the plan is not well-formed. A panic in
-    /// `kernel` (on any worker) is re-raised on the calling thread after
-    /// all workers finish; the pool remains usable.
+    /// If `blocks == 0`, `out.len() != plan.rows() * blocks`, the plan's
+    /// worker count differs from the pool's, or the plan is not
+    /// well-formed. A panic in `kernel` (on any worker) is re-raised on
+    /// the calling thread after all workers finish; the pool remains
+    /// usable.
+    pub fn try_run_batched<T, K>(
+        &self,
+        plan: &ExecPlan,
+        out: &mut [T],
+        blocks: usize,
+        kernel: K,
+    ) -> Result<(), PoolPoisoned>
+    where
+        T: Send,
+        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>, &mut Vec<f32>) + Sync,
+    {
+        self.check_healthy()?;
+        self.dispatch(plan, out, blocks, kernel, true);
+        Ok(())
+    }
+
+    /// [`WorkerPool::try_run_batched`], panicking with the
+    /// [`PoolPoisoned`] message on a poisoned pool.
+    pub fn run_batched<T, K>(&self, plan: &ExecPlan, out: &mut [T], blocks: usize, kernel: K)
+    where
+        T: Send,
+        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>, &mut Vec<f32>) + Sync,
+    {
+        self.try_run_batched(plan, out, blocks, kernel)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// The `blocks = 1` spelling of [`WorkerPool::run_batched`] for
+    /// kernels that need no scratch: each worker gets `&mut out[rows]`,
+    /// the one block of its view.
     pub fn run<T, K>(&self, plan: &ExecPlan, out: &mut [T], kernel: K)
     where
         T: Send,
         K: Fn(Range<usize>, Range<usize>, &mut [T]) + Sync,
     {
-        self.try_run(plan, out, kernel)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`WorkerPool::run`] with poisoning surfaced as a typed error
-    /// instead of a panic: refuses the dispatch with [`PoolPoisoned`]
-    /// when a previous panic corrupted the pool's internal locks.
-    pub fn try_run<T, K>(
-        &self,
-        plan: &ExecPlan,
-        out: &mut [T],
-        kernel: K,
-    ) -> Result<(), PoolPoisoned>
-    where
-        T: Send,
-        K: Fn(Range<usize>, Range<usize>, &mut [T]) + Sync,
-    {
-        self.try_run_with_scratch(plan, out, |parts, rows, slice, _scratch| {
-            kernel(parts, rows, slice)
-        })
-    }
-
-    /// Like [`WorkerPool::run`], additionally handing each worker its
-    /// persistent `Vec<f32>` scratch buffer (kept across dispatches, so
-    /// a kernel that `resize`s it to a fixed footprint allocates only on
-    /// the first call).
-    pub fn run_with_scratch<T, K>(&self, plan: &ExecPlan, out: &mut [T], kernel: K)
-    where
-        T: Send,
-        K: Fn(Range<usize>, Range<usize>, &mut [T], &mut Vec<f32>) + Sync,
-    {
-        self.try_run_with_scratch(plan, out, kernel)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`WorkerPool::run_with_scratch`] with poisoning surfaced as a
-    /// typed [`PoolPoisoned`] error instead of a panic.
-    pub fn try_run_with_scratch<T, K>(
-        &self,
-        plan: &ExecPlan,
-        out: &mut [T],
-        kernel: K,
-    ) -> Result<(), PoolPoisoned>
-    where
-        T: Send,
-        K: Fn(Range<usize>, Range<usize>, &mut [T], &mut Vec<f32>) + Sync,
-    {
-        self.check_healthy()?;
-        assert_eq!(out.len(), plan.rows(), "output length vs plan rows");
-        assert_eq!(
-            plan.num_workers(),
-            self.threads,
-            "plan worker count vs pool size"
-        );
-        // Hard assert (not debug-only): the disjoint-slice carving below
-        // is unsound for a malformed plan, and malformed plans are
-        // constructible from safe code (`from_raw_parts_unchecked`). The
-        // check is O(partitions) — negligible next to a dispatch.
-        assert!(plan.is_well_formed(), "malformed ExecPlan");
-        let base = OutPtr(out.as_mut_ptr());
-        let job = |w: usize, scratch: &mut Vec<f32>| {
-            let parts = plan.worker_parts(w);
-            let rows = plan.worker_rows(w);
-            // SAFETY: a well-formed plan's worker row ranges (asserted above) are
-            // in-bounds and pairwise disjoint: an exclusive sub-slice per worker.
-            let slice =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(rows.start), rows.len()) };
-            kernel(parts, rows, slice, scratch);
-        };
-        self.broadcast(&job, true);
-        Ok(())
+        self.run_batched(plan, out, 1, |parts, rows, mut view, _scratch| {
+            kernel(parts, rows, view.block(0))
+        });
     }
 
     /// Dispatch **without** taking the dispatch lock. This is the exact
@@ -567,98 +541,25 @@ impl WorkerPool {
         T: Send,
         K: Fn(Range<usize>, Range<usize>, &mut [T]) + Sync,
     {
-        assert_eq!(out.len(), plan.rows(), "output length vs plan rows");
-        assert_eq!(
-            plan.num_workers(),
-            self.threads,
-            "plan worker count vs pool size"
-        );
-        assert!(plan.is_well_formed(), "malformed ExecPlan");
-        let base = OutPtr(out.as_mut_ptr());
-        let job = |w: usize, scratch: &mut Vec<f32>| {
-            let parts = plan.worker_parts(w);
-            let rows = plan.worker_rows(w);
-            // SAFETY: same disjoint carving as `try_run_with_scratch` (plan
-            // asserted well-formed; the seeded bug is the dispatch protocol).
-            let slice =
-                unsafe { std::slice::from_raw_parts_mut(base.get().add(rows.start), rows.len()) };
-            kernel(parts, rows, slice);
-            let _ = scratch;
+        let one_block = |parts, rows, mut view: BatchOut<'_, T>, _: &mut Vec<f32>| {
+            kernel(parts, rows, view.block(0))
         };
-        self.broadcast(&job, false);
+        self.dispatch(plan, out, 1, one_block, false);
     }
 
-    /// Run `kernel` over a slice-major **batched** output: `out` holds
-    /// `blocks` contiguous blocks of `plan.rows()` elements each (block
-    /// `b` occupies `out[b * rows .. (b + 1) * rows]`), and each worker
-    /// receives a [`BatchOut`] view granting exclusive access to its
-    /// plan-assigned row range within *every* block. This is the dispatch
-    /// shape of SpMM (`A · [x₁ … xₖ]`): one job streams the worker's
-    /// matrix partition once while touching its row range of all `k`
-    /// output blocks.
-    ///
-    /// # Panics
-    /// If `blocks == 0`, `out.len() != plan.rows() * blocks`, the plan's
-    /// worker count differs from the pool's, or the plan is not
-    /// well-formed. Kernel panics propagate as in [`WorkerPool::run`].
-    pub fn run_batched<T, K>(&self, plan: &ExecPlan, out: &mut [T], blocks: usize, kernel: K)
-    where
-        T: Send,
-        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>) + Sync,
-    {
-        self.try_run_batched(plan, out, blocks, kernel)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`WorkerPool::run_batched`] with poisoning surfaced as a typed
-    /// [`PoolPoisoned`] error instead of a panic.
-    pub fn try_run_batched<T, K>(
+    /// The body behind every dispatch: validate the shapes, hand each
+    /// worker its [`BatchOut`] view, broadcast.
+    fn dispatch<T, K>(
         &self,
         plan: &ExecPlan,
         out: &mut [T],
         blocks: usize,
         kernel: K,
-    ) -> Result<(), PoolPoisoned>
-    where
-        T: Send,
-        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>) + Sync,
-    {
-        self.try_run_batched_with_scratch(plan, out, blocks, |parts, rows, view, _scratch| {
-            kernel(parts, rows, view)
-        })
-    }
-
-    /// Like [`WorkerPool::run_batched`], additionally handing each worker
-    /// its persistent `Vec<f32>` scratch buffer (kept across dispatches,
-    /// as in [`WorkerPool::run_with_scratch`]).
-    pub fn run_batched_with_scratch<T, K>(
-        &self,
-        plan: &ExecPlan,
-        out: &mut [T],
-        blocks: usize,
-        kernel: K,
+        serialize: bool,
     ) where
         T: Send,
         K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>, &mut Vec<f32>) + Sync,
     {
-        self.try_run_batched_with_scratch(plan, out, blocks, kernel)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// [`WorkerPool::run_batched_with_scratch`] with poisoning surfaced
-    /// as a typed [`PoolPoisoned`] error instead of a panic.
-    pub fn try_run_batched_with_scratch<T, K>(
-        &self,
-        plan: &ExecPlan,
-        out: &mut [T],
-        blocks: usize,
-        kernel: K,
-    ) -> Result<(), PoolPoisoned>
-    where
-        T: Send,
-        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>, &mut Vec<f32>) + Sync,
-    {
-        self.check_healthy()?;
         assert!(blocks > 0, "batched dispatch needs at least one block");
         assert_eq!(
             out.len(),
@@ -670,8 +571,9 @@ impl WorkerPool {
             self.threads,
             "plan worker count vs pool size"
         );
-        // Hard assert, as in `run_with_scratch`: the per-block slice
-        // carving in `BatchOut::block` is unsound for a malformed plan.
+        // Hard assert (not debug-only): `BatchOut::block`'s carving is
+        // unsound for a malformed plan, and safe code can build one
+        // (`from_raw_parts_unchecked`). O(partitions) — negligible.
         assert!(plan.is_well_formed(), "malformed ExecPlan");
         let base = OutPtr(out.as_mut_ptr());
         let domain = plan.rows();
@@ -687,8 +589,7 @@ impl WorkerPool {
             };
             kernel(parts, rows, view, scratch);
         };
-        self.broadcast(&job, true);
-        Ok(())
+        self.broadcast(&job, serialize);
     }
 
     /// Publish `job`, run worker 0's share inline, and wait for the rest.
@@ -706,30 +607,24 @@ impl WorkerPool {
     /// re-raised here — *after* every internal guard is released, so the
     /// pool stays usable (and unpoisoned) for later dispatches.
     fn broadcast(&self, job: &(dyn Fn(usize, &mut Vec<f32>) + Sync), serialize: bool) {
-        let (main_panic, worker_panic) = {
+        let panic = {
             let _dispatch = serialize.then(|| self.dispatch_lock.lock());
             self.broadcast_locked(job)
         };
         // Both guards (dispatch + scratch) are released here: re-raising
         // a kernel panic must not unwind through a held pool lock.
-        if let Some(payload) = main_panic {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = worker_panic {
+        if let Some(payload) = panic {
             resume_unwind(payload);
         }
     }
 
-    /// The dispatch body; returns caught (caller, worker) panic payloads
-    /// instead of re-raising so the caller can drop guards first.
-    #[allow(clippy::type_complexity)]
+    /// The dispatch body; returns the first caught panic payload (the
+    /// caller's, else a worker's) instead of re-raising so the caller can
+    /// drop guards first.
     fn broadcast_locked(
         &self,
         job: &(dyn Fn(usize, &mut Vec<f32>) + Sync),
-    ) -> (
-        Option<Box<dyn std::any::Any + Send>>,
-        Option<Box<dyn std::any::Any + Send>>,
-    ) {
+    ) -> Option<Box<dyn std::any::Any + Send>> {
         let timed = self.metrics.enabled();
         let started = if timed { Some(Instant::now()) } else { None };
         if self.handles.is_empty() {
@@ -741,7 +636,7 @@ impl WorkerPool {
                 self.shared.busy_ns[0].store(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
             self.finish_metrics(started, 1);
-            return (main_result.err(), None);
+            return main_result.err();
         }
         // SAFETY: only the borrow lifetime is erased; `broadcast_locked`
         // blocks below until `remaining == 0` (every worker done with the
@@ -784,7 +679,7 @@ impl WorkerPool {
         let worker_panic = st.panic.take();
         drop(st);
         self.finish_metrics(started, self.threads);
-        (main_result.err(), worker_panic)
+        main_result.err().or(worker_panic)
     }
 
     fn finish_metrics(&self, started: Option<Instant>, workers: usize) {
@@ -906,11 +801,6 @@ impl<T> BatchOut<'_, T> {
         self.blocks
     }
 
-    /// The row range this view owns within every block.
-    pub fn rows(&self) -> Range<usize> {
-        self.rows.clone()
-    }
-
     /// This worker's row range within block `b` (its exclusive sub-slice
     /// of `out[b * domain .. (b + 1) * domain]`).
     ///
@@ -944,9 +834,9 @@ impl<T> OutPtr<T> {
     }
 }
 
-// SAFETY: the pointer is only dereferenced inside `run_with_scratch`'s
-// job, where each worker derives a disjoint sub-slice from it, so no
-// two threads ever touch overlapping elements.
+// SAFETY: the pointer is only dereferenced through the `BatchOut` views
+// `dispatch` hands out, where each worker derives disjoint sub-slices
+// from it, so no two threads ever touch overlapping elements.
 unsafe impl<T: Send> Send for OutPtr<T> {}
 // SAFETY: same argument — workers share `OutPtr` by reference but
 // every dereference targets a worker-exclusive range.
@@ -1036,35 +926,51 @@ mod tests {
         let pool = WorkerPool::new(3);
         let plan = ExecPlan::equal_rows(30, 3);
         let mut out = vec![0f32; 30];
-        pool.run_with_scratch(&plan, &mut out, |_p, _r, _s, scratch| {
+        pool.run_batched(&plan, &mut out, 1, |_p, _r, _o, scratch| {
             scratch.resize(16, 7.0);
         });
-        pool.run_with_scratch(&plan, &mut out, |_p, _r, slice, scratch| {
-            // Scratch kept its contents from the previous dispatch.
-            slice.fill(scratch.first().copied().unwrap_or(0.0));
+        // The scratch-less spelling in between leaves it alone.
+        pool.run(&plan, &mut out, |_p, _r, slice| slice.fill(1.0));
+        pool.run_batched(&plan, &mut out, 1, |_p, _r, mut o, scratch| {
+            // Scratch kept its contents from the first dispatch.
+            o.block(0).fill(scratch.first().copied().unwrap_or(0.0));
         });
         assert!(out.iter().all(|&v| v == 7.0));
     }
 
     #[test]
     fn batched_dispatch_matches_per_block_runs() {
-        let plan = ExecPlan::nnz_balanced(&[0, 5, 6, 7, 107, 108, 110], 3);
-        let pool = WorkerPool::new(3);
-        let rows = plan.rows();
-        let blocks = 4;
-        let mut batched = vec![0u32; rows * blocks];
-        pool.run_batched(&plan, &mut batched, blocks, |_parts, rows, mut out| {
-            assert_eq!(out.blocks(), blocks);
-            for b in 0..out.blocks() {
-                let slice = out.block(b);
-                for (j, v) in slice.iter_mut().enumerate() {
-                    *v = ((rows.start + j) * 10 + b) as u32;
+        // Every worker sees its plan's parts and rows and an exclusive
+        // slice per block, at every width and pool size (one thread is the
+        // inline path) — and `run` is the same dispatch at one block, not
+        // a second body.
+        let stamp = |b: usize, parts: &Range<usize>, rows: &Range<usize>, s: &mut [[usize; 4]]| {
+            assert_eq!(s.len(), rows.len());
+            for (j, v) in s.iter_mut().enumerate() {
+                *v = [parts.start, parts.end, rows.start + j, b];
+            }
+        };
+        for (threads, blocks) in [(1, 1), (1, 4), (3, 1), (3, 4)] {
+            let plan = ExecPlan::nnz_balanced(&[0, 5, 6, 7, 107, 108, 110], threads);
+            let pool = WorkerPool::new(threads);
+            let rows = plan.rows();
+            let mut out = vec![[0; 4]; rows * blocks];
+            pool.run_batched(&plan, &mut out, blocks, |p, r, mut view, _scratch| {
+                assert_eq!(view.blocks(), blocks);
+                for b in 0..blocks {
+                    stamp(b, &p, &r, view.block(b));
+                }
+            });
+            for (w, b) in (0..threads).flat_map(|w| (0..blocks).map(move |b| (w, b))) {
+                let parts = plan.worker_parts(w);
+                for i in plan.worker_rows(w) {
+                    assert_eq!(out[b * rows + i], [parts.start, parts.end, i, b]);
                 }
             }
-        });
-        for b in 0..blocks {
-            for i in 0..rows {
-                assert_eq!(batched[b * rows + i], (i * 10 + b) as u32);
+            if blocks == 1 {
+                let mut plain = vec![[0; 4]; rows];
+                pool.run(&plan, &mut plain, |p, r, s| stamp(0, &p, &r, s));
+                assert_eq!(plain, out);
             }
         }
     }
@@ -1075,27 +981,14 @@ mod tests {
         let pool = WorkerPool::new(2);
         let mut out = vec![0f32; 16];
         assert!(catch_unwind(AssertUnwindSafe(|| {
-            pool.run_batched(&plan, &mut out, 0, |_p, _r, _o| {});
+            pool.run_batched(&plan, &mut out, 0, |_p, _r, _o, _s| {});
         }))
         .is_err());
         assert!(catch_unwind(AssertUnwindSafe(|| {
             // 16 elements is one block short of blocks=2.
-            pool.run_batched(&plan, &mut out, 2, |_p, _r, _o| {});
+            pool.run_batched(&plan, &mut out, 2, |_p, _r, _o, _s| {});
         }))
         .is_err());
-    }
-
-    #[test]
-    fn single_thread_pool_runs_inline() {
-        let pool = WorkerPool::new(1);
-        let plan = ExecPlan::nnz_balanced(&[0, 1, 2, 3], 1);
-        let mut out = vec![0f32; 3];
-        pool.run(&plan, &mut out, |parts, rows, slice| {
-            assert_eq!(parts, 0..1);
-            assert_eq!(rows, 0..3);
-            slice.fill(1.0);
-        });
-        assert_eq!(out, vec![1.0; 3]);
     }
 
     #[test]
@@ -1222,7 +1115,7 @@ mod tests {
         // A panic unwinding through a held internal lock does.
         pool.poison_for_test();
         let err = pool
-            .try_run(&plan, &mut out, |_p, _r, _s| {})
+            .try_run_batched(&plan, &mut out, 1, |_p, _r, _o, _s| {})
             .expect_err("poisoned pool must refuse dispatch");
         assert_eq!(err.lock_name(), "pool/state");
         assert!(err.to_string().contains("pool/state"), "{err}");

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use memxct::preprocess::Kernel;
 use memxct::{
-    CheckpointPolicy, DistConfig, DistSolver, ExecMode, FaultTolerance, ReconInput, ReconRequest,
-    ReconstructorBuilder, StopRule,
+    CheckpointPolicy, DistConfig, ExecMode, FaultTolerance, ReconInput, ReconRequest,
+    ReconstructorBuilder, Solver, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_obs::{
@@ -275,7 +275,7 @@ fn retried_crash_job_is_bit_identical_to_an_unfaulted_run() {
         ranks: 2,
         use_buffered: true,
         stop: StopRule::Fixed(8),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
 
     // Unfaulted golden run of the same distributed request.
@@ -340,7 +340,7 @@ fn retry_backoff_parks_and_abort_stops_without_checkpoints() {
         ranks: 2,
         use_buffered: true,
         stop: StopRule::Fixed(8),
-        solver: DistSolver::Cg,
+        solver: Solver::Cg,
     };
     let chaos = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 4, FaultKind::Crash)),

@@ -8,7 +8,9 @@
 //! Layout is **slice-major**: slice `j` of an `n`-element domain occupies
 //! `data[j * n .. (j + 1) * n]`, everywhere outside a kernel. Column `j`
 //! of every batched product is **bit-identical** to `A · xⱼ` for every
-//! batch width — k = 1 is the existing SpMV, not a parallel code path.
+//! batch width — k = 1 is the existing SpMV, not a parallel code path:
+//! each layout has one pooled kernel body, its `spmm_pooled_into`, and
+//! `spmv_pooled_into` is that body's one-slice call.
 //!
 //! The CSR kernels here (and the ELL methods) get there by running the
 //! single-slice row kernel once per slice *inside* a cache-resident
@@ -33,8 +35,6 @@
 
 use crate::csr::CsrMatrix;
 use crate::lanes::row_dot;
-use crate::pooled::{dot_chunks, DOT_CHUNK};
-use crate::reduce::dot_f64;
 use xct_runtime::{ExecPlan, WorkerPool};
 
 /// Row-tile width of the CSR SpMM kernels: the slice loop runs inside
@@ -159,9 +159,9 @@ pub fn spmm(a: &CsrMatrix, x: &[f32], batch: usize) -> Vec<f32> {
 /// Pooled CSR SpMM into a caller-provided slice-major output: one
 /// dispatch computes all k columns, each worker streaming its
 /// plan-assigned row run once while filling its row range of every
-/// output block. Column `j` is bit-identical to
-/// [`crate::spmv_pooled_into`] (and hence to [`crate::spmv_into`]) on
-/// slice `j`, for every worker count and batch width.
+/// output block. Column `j` is bit-identical to [`crate::spmv_into`] on
+/// slice `j`, for every worker count and batch width; `batch = 1` is
+/// [`crate::spmv_pooled_into`].
 pub fn spmm_pooled_into(
     a: &CsrMatrix,
     x: &[f32],
@@ -178,7 +178,7 @@ pub fn spmm_pooled_into(
     let colind = a.colind();
     let values = a.values();
     let ncols = a.ncols();
-    pool.run_batched(plan, y, batch, |_parts, rows, mut out| {
+    pool.run_batched(plan, y, batch, |_parts, rows, mut out, _scratch| {
         for tile in (rows.start..rows.end).step_by(SPMM_ROW_TILE) {
             let hi = (tile + SPMM_ROW_TILE).min(rows.end);
             for j in 0..batch {
@@ -193,57 +193,10 @@ pub fn spmm_pooled_into(
     });
 }
 
-/// A plan distributing the reduction chunks of `batch` independent
-/// `len`-element dot products over `workers` workers: global chunk `g`
-/// is chunk `g % chunks` of slice `g / chunks`.
-pub fn dot_batch_plan(len: usize, batch: usize, workers: usize) -> ExecPlan {
-    ExecPlan::equal_rows(dot_chunks(len) * batch, workers)
-}
-
-/// Batched deterministic pooled dot: one dispatch fills the per-chunk
-/// `f64` partials of all `batch` slice pairs (slice-major, `chunks`
-/// slots per slice), then each slice's partials are summed in chunk
-/// order into `out[j]`. Every `out[j]` is bit-identical to
-/// [`crate::dot_f64_pooled`] over slice `j`, for every worker count.
-///
-/// `partials` is caller-owned scratch of `dot_chunks(len) * batch`
-/// slots, `out` of `batch` slots, so steady-state calls allocate
-/// nothing.
-#[allow(clippy::too_many_arguments)]
-pub fn dot_f64_batched_pooled(
-    pool: &WorkerPool,
-    plan: &ExecPlan,
-    a: &[f32],
-    b: &[f32],
-    batch: usize,
-    partials: &mut [f64],
-    out: &mut [f64],
-) {
-    assert!(batch > 0, "batch width must be positive");
-    assert_eq!(a.len(), b.len(), "vector lengths");
-    assert_eq!(a.len() % batch, 0, "length must be a multiple of batch");
-    let len = a.len() / batch;
-    let chunks = dot_chunks(len);
-    assert_eq!(partials.len(), chunks * batch, "partials length");
-    assert_eq!(out.len(), batch, "out length");
-    pool.run(plan, partials, |_parts, slots, dst| {
-        for (i, slot) in dst.iter_mut().enumerate() {
-            let g = slots.start + i;
-            let (j, c) = (g / chunks, g % chunks);
-            let lo = j * len + c * DOT_CHUNK;
-            let hi = j * len + ((c + 1) * DOT_CHUNK).min(len);
-            *slot = dot_f64(&a[lo..hi], &b[lo..hi]);
-        }
-    });
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = partials[j * chunks..(j + 1) * chunks].iter().sum();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pooled::{csr_plan, dot_f64_pooled, dot_plan, spmv_pooled_into};
+    use crate::pooled::{csr_plan, spmv_pooled_into};
     use crate::spmv::spmv_into;
 
     fn skewed() -> CsrMatrix {
@@ -326,49 +279,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn batched_dot_matches_single_slice_pooled_dot_bitwise() {
-        let len = 2 * DOT_CHUNK + 33;
-        let batch = 3;
-        let a: Vec<f32> = (0..len * batch)
-            .map(|i| ((i * 29) % 83) as f32 * 0.017)
-            .collect();
-        let b: Vec<f32> = (0..len * batch)
-            .map(|i| ((i * 41) % 89) as f32 * 0.011 - 0.4)
-            .collect();
-        for workers in [1, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            let plan = dot_batch_plan(len, batch, workers);
-            let mut partials = vec![0f64; dot_chunks(len) * batch];
-            let mut out = vec![0f64; batch];
-            dot_f64_batched_pooled(&pool, &plan, &a, &b, batch, &mut partials, &mut out);
-            let single_plan = dot_plan(len, workers);
-            let mut single_partials = vec![0f64; dot_chunks(len)];
-            for j in 0..batch {
-                let want = dot_f64_pooled(
-                    &pool,
-                    &single_plan,
-                    &a[j * len..(j + 1) * len],
-                    &b[j * len..(j + 1) * len],
-                    &mut single_partials,
-                );
-                assert_eq!(
-                    out[j].to_bits(),
-                    want.to_bits(),
-                    "workers {workers} slice {j}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_domain_dot_is_zero() {
-        let pool = WorkerPool::new(2);
-        let plan = dot_batch_plan(0, 2, 2);
-        let mut out = vec![1f64; 2];
-        dot_f64_batched_pooled(&pool, &plan, &[], &[], 2, &mut [], &mut out);
-        assert_eq!(out, vec![0.0, 0.0]);
     }
 }

@@ -510,11 +510,8 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         xct_runtime::ExecPlan::balanced_blocks(&bounds, &weights, workers)
     }
 
-    /// Pooled buffered SpMV into a caller-provided output: each worker
-    /// processes the contiguous partition run `plan` assigns it, staging
-    /// into its persistent pool scratch (sized on first use, then reused
-    /// — steady-state calls allocate nothing). Bit-identical to
-    /// [`BufferedCsrImpl::spmv_into`] for every worker count.
+    /// Pooled buffered SpMV into a caller-provided output: the one-slice
+    /// case of [`BufferedCsrImpl::spmm_pooled_into`].
     pub fn spmv_pooled_into(
         &self,
         x: &[f32],
@@ -522,14 +519,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         plan: &xct_runtime::ExecPlan,
         pool: &xct_runtime::WorkerPool,
     ) {
-        assert_eq!(x.len(), self.ncols, "x length");
-        assert_eq!(y.len(), self.nrows, "y length");
-        assert_eq!(plan.rows(), self.nrows, "plan rows");
-        assert_eq!(plan.num_partitions(), self.num_partitions(), "plan blocks");
-        pool.run_with_scratch(plan, y, |parts, rows, out, scratch| {
-            let sink = Sink::new(out, rows.start, |o, _| o);
-            self.run_partitions(parts, x, 1, scratch, sink);
-        });
+        self.spmm_pooled_into(x, y, 1, plan, pool);
     }
 
     /// Sequential buffered SpMM into a caller-provided slice-major output:
@@ -552,9 +542,10 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// Pooled buffered SpMM into a caller-provided slice-major output:
     /// one dispatch computes all k columns, each worker running its
     /// partition run through the same slice-block kernel as
-    /// [`BufferedCsrImpl::spmm_into`] on its persistent scratch. Column
-    /// `j` is bit-identical to [`BufferedCsrImpl::spmv_into`] on slice
-    /// `j` for every worker count.
+    /// [`BufferedCsrImpl::spmm_into`] on its persistent pool scratch
+    /// (sized on first use, then reused — steady-state calls allocate
+    /// nothing). Column `j` is bit-identical to
+    /// [`BufferedCsrImpl::spmv_into`] on slice `j` for every worker count.
     pub fn spmm_pooled_into(
         &self,
         x: &[f32],
@@ -568,7 +559,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         assert_eq!(y.len(), self.nrows * batch, "y length");
         assert_eq!(plan.rows(), self.nrows, "plan rows");
         assert_eq!(plan.num_partitions(), self.num_partitions(), "plan blocks");
-        pool.run_batched_with_scratch(plan, y, batch, |parts, rows, mut out, scratch| {
+        pool.run_batched(plan, y, batch, |parts, rows, mut out, scratch| {
             let sink = Sink::new(&mut out, rows.start, xct_runtime::BatchOut::block);
             self.run_partitions(parts, x, batch, scratch, sink);
         });

@@ -255,8 +255,7 @@ impl EllMatrix {
     /// (overwritten): one dispatch computes all k columns, each worker
     /// sweeping its partition run once with the slice loop inside each
     /// partition. Column `j` is bit-identical to
-    /// [`EllMatrix::spmv_pooled_into`] (and hence to
-    /// [`EllMatrix::spmv_into`]) on slice `j`.
+    /// [`EllMatrix::spmv_into`] on slice `j` for every worker count.
     pub fn spmm_pooled_into(
         &self,
         x: &[f32],
@@ -271,7 +270,7 @@ impl EllMatrix {
         assert_eq!(plan.rows(), self.nrows, "plan rows");
         assert_eq!(plan.num_partitions(), self.partitions.len(), "plan blocks");
         let bounds = plan.bounds();
-        pool.run_batched(plan, y, batch, |parts, rows, mut out| {
+        pool.run_batched(plan, y, batch, |parts, rows, mut out, _scratch| {
             for j in 0..batch {
                 out.block(j).fill(0.0);
             }
@@ -303,9 +302,8 @@ impl EllMatrix {
         xct_runtime::ExecPlan::balanced_blocks(&bounds, &weights, workers)
     }
 
-    /// Pooled ELL SpMV into a caller-provided output (overwritten): each
-    /// worker sweeps the contiguous partition run `plan` assigns it.
-    /// Bit-identical to [`EllMatrix::spmv_into`] for every worker count.
+    /// Pooled ELL SpMV into a caller-provided output (overwritten): the
+    /// one-slice case of [`EllMatrix::spmm_pooled_into`].
     pub fn spmv_pooled_into(
         &self,
         x: &[f32],
@@ -313,20 +311,7 @@ impl EllMatrix {
         plan: &xct_runtime::ExecPlan,
         pool: &xct_runtime::WorkerPool,
     ) {
-        assert_eq!(x.len(), self.ncols, "x length");
-        assert_eq!(y.len(), self.nrows, "y length");
-        assert_eq!(plan.rows(), self.nrows, "plan rows");
-        assert_eq!(plan.num_partitions(), self.partitions.len(), "plan blocks");
-        let bounds = plan.bounds();
-        pool.run(plan, y, |parts, rows, out| {
-            out.fill(0.0);
-            for pi in parts {
-                let p = &self.partitions[pi];
-                let base = bounds[pi] - rows.start;
-                let slice = &mut out[base..base + p.rows];
-                ell_sweep(p.rows, p.width, &p.colind, &p.values, x, slice);
-            }
-        });
+        self.spmm_pooled_into(x, y, 1, plan, pool);
     }
 }
 

@@ -13,8 +13,8 @@
 //!   the GPU (coalesced-access) kernel analog of §3.1.4;
 //! - [`BufferedCsr`]: the multi-stage input-buffered kernel of Listing 3,
 //!   with 16-bit in-buffer addressing (§3.3.5);
-//! - [`spmv_pooled_into`] / [`dot_f64_pooled`] (plus pooled methods on
-//!   the buffered/ELL layouts): the same kernels driven by the
+//! - [`spmv_pooled_into`] / [`dot_f64_batched_pooled`] (plus pooled
+//!   methods on the buffered/ELL layouts): the same kernels driven by the
 //!   persistent `xct-runtime` worker pool over static nnz-balanced
 //!   partitions — no per-call thread spawns, bit-identical results for
 //!   every worker count. The pool is the **only** threaded path: every
@@ -44,15 +44,13 @@ mod reduce;
 mod spmv;
 mod stats;
 
-pub use batch::{
-    dot_batch_plan, dot_f64_batched_pooled, spmm, spmm_into, spmm_pooled_into, SliceBatch,
-    SPMM_ROW_TILE,
-};
+pub use batch::{spmm, spmm_into, spmm_pooled_into, SliceBatch, SPMM_ROW_TILE};
 pub use buffered::{BufferIndex, BufferedCsr, BufferedCsr32, BufferedCsrImpl, LayoutError};
 pub use csr::CsrMatrix;
 pub use ell::{EllMatrix, EllPartitionView};
 pub use pooled::{
-    csr_plan, csr_plan_equal, dot_chunks, dot_f64_pooled, dot_plan, spmv_pooled_into, DOT_CHUNK,
+    csr_plan, csr_plan_equal, dot_chunks, dot_f64_batched_pooled, dot_plan, spmv_pooled_into,
+    DOT_CHUNK,
 };
 pub use reduce::{dot_f64, norm_f64};
 pub use spmv::{spmv, spmv_into, spmv_scalar_into};

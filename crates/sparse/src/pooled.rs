@@ -1,5 +1,5 @@
-//! Pooled SpMV and reductions: static [`ExecPlan`]s driven by the
-//! persistent [`WorkerPool`] (see `xct-runtime`).
+//! Pooled CSR plans and the pooled reduction: static [`ExecPlan`]s driven
+//! by the persistent [`WorkerPool`] (see `xct-runtime`).
 //!
 //! This is the crate's only threaded path: no thread is spawned per
 //! call. Rows are split **once** at plan time — by nnz, mirroring the
@@ -8,9 +8,12 @@
 //! Because partitions are contiguous row runs and each row's
 //! accumulation order is unchanged, pooled results are bit-identical to
 //! the sequential kernel for every worker count.
+//!
+//! Width is a dimension here, not a second set of functions: the pooled
+//! SpMV is the pooled SpMM at one slice, and one reduction over one
+//! width-free plan per vector length serves every batch width.
 
 use crate::csr::CsrMatrix;
-use crate::lanes::row_dot;
 use crate::reduce::dot_f64;
 use xct_runtime::{ExecPlan, WorkerPool};
 
@@ -26,9 +29,9 @@ pub fn csr_plan_equal(a: &CsrMatrix, workers: usize) -> ExecPlan {
     ExecPlan::equal_rows(a.nrows(), workers)
 }
 
-/// Pooled CSR SpMV into a caller-provided output: `y = A·x`, each worker
-/// computing the contiguous row run its plan partition assigns.
-/// Bit-identical to [`crate::spmv_into`] for every worker count.
+/// Pooled CSR SpMV into a caller-provided output, `y = A·x`: the
+/// one-slice case of [`crate::spmm_pooled_into`]. Bit-identical to
+/// [`crate::spmv_into`] for every worker count.
 pub fn spmv_pooled_into(
     a: &CsrMatrix,
     x: &[f32],
@@ -36,61 +39,69 @@ pub fn spmv_pooled_into(
     plan: &ExecPlan,
     pool: &WorkerPool,
 ) {
-    assert_eq!(x.len(), a.ncols(), "x length");
-    assert_eq!(y.len(), a.nrows(), "y length");
-    assert_eq!(plan.rows(), a.nrows(), "plan rows");
-    let rowptr = a.rowptr();
-    let colind = a.colind();
-    let values = a.values();
-    pool.run(plan, y, |_parts, rows, out| {
-        for (j, slot) in out.iter_mut().enumerate() {
-            let i = rows.start + j;
-            let (lo, hi) = (rowptr[i], rowptr[i + 1]);
-            *slot = row_dot(&colind[lo..hi], &values[lo..hi], x);
-        }
-    });
+    crate::spmm_pooled_into(a, x, y, 1, plan, pool);
 }
 
-/// Fixed reduction-chunk width (elements) for [`dot_f64_pooled`]. Chunk
-/// boundaries depend only on this constant — never on the worker count —
-/// so per-chunk partials, and the chunk-ordered total, are bit-identical
-/// for every pool size.
+/// Fixed reduction-chunk width (elements) of the pooled dot. Chunk
+/// boundaries depend only on this constant — never on the worker count
+/// or the batch width — so per-chunk partials, and each slice's
+/// chunk-ordered total, are bit-identical for every pool size and width.
 pub const DOT_CHUNK: usize = 4096;
 
-/// Number of reduction chunks (plan rows / partial slots) for a vector
-/// of `len` elements.
+/// Number of reduction chunks (plan rows / partial slots per slice) for
+/// a vector of `len` elements.
 pub fn dot_chunks(len: usize) -> usize {
     len.div_ceil(DOT_CHUNK)
 }
 
-/// A plan distributing the reduction chunks of a `len`-element dot
-/// product over `workers` workers.
+/// The reduction plan for `len`-element vectors: their chunks split
+/// evenly over `workers` workers. Width-free — a `k`-wide dot dispatches
+/// this same plan over `k` blocks of partials.
 pub fn dot_plan(len: usize, workers: usize) -> ExecPlan {
     ExecPlan::equal_rows(dot_chunks(len), workers)
 }
 
-/// Pooled deterministic dot product: each worker fills the `f64`
-/// partials of its chunk run, then the caller sums the partials in chunk
-/// index order. `partials` is caller-owned scratch of
-/// [`dot_chunks`]`(a.len())` slots so steady-state calls allocate
+/// Deterministic pooled dot of `batch` slice pairs (`a`, `b` slice-major,
+/// `batch × len`): one dispatch of [`dot_plan`]`(len, ..)` over `batch`
+/// blocks of partials, each worker filling the `f64` partials of its
+/// chunk run for every slice; then each slice's partials are summed in
+/// chunk order into `out[j]`. `out[j]` depends only on slice `j` and
+/// [`DOT_CHUNK`], so it is bit-identical for every worker count and
+/// every batch width (`batch = 1` is the single dot).
+///
+/// `partials` is caller-owned scratch of `dot_chunks(len) * batch`
+/// slots, `out` of `batch` slots, so steady-state calls allocate
 /// nothing.
-pub fn dot_f64_pooled(
+#[allow(clippy::too_many_arguments)]
+pub fn dot_f64_batched_pooled(
     pool: &WorkerPool,
     plan: &ExecPlan,
     a: &[f32],
     b: &[f32],
+    batch: usize,
     partials: &mut [f64],
-) -> f64 {
+    out: &mut [f64],
+) {
+    assert!(batch > 0, "batch width must be positive");
     assert_eq!(a.len(), b.len(), "vector lengths");
-    assert_eq!(partials.len(), dot_chunks(a.len()), "partials length");
-    pool.run(plan, partials, |_parts, chunks, out| {
-        for (j, slot) in out.iter_mut().enumerate() {
-            let lo = (chunks.start + j) * DOT_CHUNK;
-            let hi = (lo + DOT_CHUNK).min(a.len());
-            *slot = dot_f64(&a[lo..hi], &b[lo..hi]);
+    assert_eq!(a.len() % batch, 0, "length must be a multiple of batch");
+    let len = a.len() / batch;
+    let chunks = dot_chunks(len);
+    assert_eq!(plan.rows(), chunks, "plan rows");
+    assert_eq!(partials.len(), chunks * batch, "partials length");
+    assert_eq!(out.len(), batch, "out length");
+    pool.run_batched(plan, partials, batch, |_parts, run, mut slots, _scratch| {
+        for j in 0..batch {
+            for (c, slot) in run.clone().zip(slots.block(j)) {
+                let lo = j * len + c * DOT_CHUNK;
+                let hi = j * len + ((c + 1) * DOT_CHUNK).min(len);
+                *slot = dot_f64(&a[lo..hi], &b[lo..hi]);
+            }
         }
     });
-    partials.iter().sum()
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = partials[j * chunks..(j + 1) * chunks].iter().sum();
+    }
 }
 
 #[cfg(test)]
@@ -143,27 +154,54 @@ mod tests {
     }
 
     #[test]
-    fn pooled_dot_is_deterministic_across_worker_counts() {
-        let n = 3 * DOT_CHUNK + 17;
-        let a: Vec<f32> = (0..n).map(|i| ((i * 37) % 101) as f32 * 0.01).collect();
-        let b: Vec<f32> = (0..n)
-            .map(|i| ((i * 53) % 97) as f32 * 0.02 - 0.3)
-            .collect();
-        let mut reference = None;
-        for workers in [1, 2, 8] {
-            let pool = WorkerPool::new(workers);
-            let plan = dot_plan(n, workers);
-            let mut partials = vec![0f64; dot_chunks(n)];
-            let got = dot_f64_pooled(&pool, &plan, &a, &b, &mut partials);
-            let reference = *reference.get_or_insert(got);
-            assert_eq!(got.to_bits(), reference.to_bits(), "workers {workers}");
+    fn pooled_dot_is_the_fixed_chunk_sum_at_every_width_and_worker_count() {
+        // What both retired dots (the single-vector one and the globally
+        // split batched one) computed, written out plainly: fixed
+        // 4096-element chunk partials, summed per slice in chunk order.
+        let plain = |a: &[f32], b: &[f32]| -> f64 {
+            let partials: Vec<f64> = a
+                .chunks(DOT_CHUNK)
+                .zip(b.chunks(DOT_CHUNK))
+                .map(|(a, b)| dot_f64(a, b))
+                .collect();
+            partials.iter().sum()
+        };
+        for len in [
+            0,
+            17,
+            DOT_CHUNK - 1,
+            DOT_CHUNK,
+            DOT_CHUNK + 1,
+            3 * DOT_CHUNK + 17,
+        ] {
+            for batch in [1, 2, 5, 8] {
+                let a: Vec<f32> = (0..len * batch)
+                    .map(|i| ((i * 37) % 101) as f32 * 0.01)
+                    .collect();
+                let b: Vec<f32> = (0..len * batch)
+                    .map(|i| ((i * 53) % 97) as f32 * 0.02 - 0.3)
+                    .collect();
+                for workers in [1, 2, 3, 8] {
+                    let pool = WorkerPool::new(workers);
+                    let plan = dot_plan(len, workers);
+                    let mut partials = vec![0f64; dot_chunks(len) * batch];
+                    let mut out = vec![f64::NAN; batch];
+                    dot_f64_batched_pooled(&pool, &plan, &a, &b, batch, &mut partials, &mut out);
+                    for (j, got) in out.iter().enumerate() {
+                        let r = j * len..(j + 1) * len;
+                        let want = plain(&a[r.clone()], &b[r.clone()]);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "len {len} batch {batch} workers {workers} slice {j}"
+                        );
+                        // And close to (not necessarily identical to) the serial sum.
+                        let serial = dot_f64(&a[r.clone()], &b[r]);
+                        assert!((got - serial).abs() < 1e-6 * serial.abs().max(1.0));
+                    }
+                }
+            }
         }
-        // And close to (not necessarily identical to) the serial sum.
-        let serial = dot_f64(&a, &b);
-        let pool = WorkerPool::new(2);
-        let mut partials = vec![0f64; dot_chunks(n)];
-        let got = dot_f64_pooled(&pool, &dot_plan(n, 2), &a, &b, &mut partials);
-        assert!((got - serial).abs() < 1e-6 * serial.abs().max(1.0));
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn main() {
                         ranks,
                         use_buffered: true,
                         stop: memxct::StopRule::Fixed(30),
-                        solver: memxct::dist::DistSolver::Cg,
+                        solver: memxct::Solver::Cg,
                     },
                     ft: None,
                 },

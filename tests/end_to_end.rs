@@ -176,7 +176,7 @@ fn distributed_reconstruction_matches_serial_across_rank_counts() {
                             ranks,
                             use_buffered: false,
                             stop: StopRule::Fixed(8),
-                            solver: memxct::dist::DistSolver::Cg,
+                            solver: memxct::Solver::Cg,
                         },
                         ft: None,
                     },
@@ -188,6 +188,23 @@ fn distributed_reconstruction_matches_serial_across_rank_counts() {
             "ranks {ranks}: err {}",
             rel_err(&dist.images[0], &serial.images[0])
         );
+    }
+    // Batch × ranks: one halo exchange per product carries both slices,
+    // and each column keeps the bits of its own distributed solve.
+    let over3 = |input| {
+        let config = DistConfig {
+            ranks: 3,
+            ..DistConfig::default()
+        };
+        ReconRequest::cg(input, StopRule::Fixed(8)).mode(ExecMode::Distributed { config, ft: None })
+    };
+    let scaled = xct_geometry::Sinogram::new(scan, sino.data().iter().map(|v| v * 1.5).collect());
+    let batched = Reconstructor::builder(grid, scan).batch(2).build().unwrap();
+    let pair = ReconInput::Batch(vec![sino.clone(), scaled.clone()]);
+    let pair = batched.run(&over3(pair)).unwrap();
+    for (j, slice) in [sino, scaled].into_iter().enumerate() {
+        let alone = rec.run(&over3(ReconInput::Slice(slice))).unwrap();
+        assert_eq!(pair.images[j], alone.images[0], "batch × ranks column {j}");
     }
 }
 
