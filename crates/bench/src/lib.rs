@@ -318,29 +318,12 @@ pub fn analytic_volumes(ds: &Dataset, p: usize, cal: &CommCalibration) -> Kernel
 
 /// A generic "library" CSR SpMV standing in for MKL/cuSPARSE in Table 6:
 /// statically-scheduled equal row chunks, 32-bit indices, no
-/// application-specific partitioning or padding decisions.
-pub fn spmv_library(a: &xct_sparse::CsrMatrix, x: &[f32]) -> Vec<f32> {
-    use rayon::prelude::*;
-    let nrows = a.nrows();
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = nrows.div_ceil(threads);
-    let mut y = vec![0f32; nrows];
-    let rowptr = a.rowptr();
-    let colind = a.colind();
-    let values = a.values();
-    y.par_chunks_mut(chunk.max(1))
-        .enumerate()
-        .for_each(|(p, out)| {
-            let base = p * chunk;
-            for (j, o) in out.iter_mut().enumerate() {
-                let i = base + j;
-                let mut acc = 0f32;
-                for k in rowptr[i]..rowptr[i + 1] {
-                    acc += x[colind[k] as usize] * values[k];
-                }
-                *o = acc;
-            }
-        });
+/// application-specific partitioning or padding decisions — the same
+/// measurement as `spmv-bench`'s `pooled_equal` row.
+pub fn spmv_library(a: &CsrMatrix, x: &[f32], pool: &WorkerPool) -> Vec<f32> {
+    let plan = xct_sparse::csr_plan_equal(a, pool.num_threads());
+    let mut y = vec![0f32; a.nrows()];
+    xct_sparse::spmv_pooled_into(a, x, &mut y, &plan, pool);
     y
 }
 
@@ -381,7 +364,7 @@ mod tests {
         let ops = preprocess(ds.grid(), ds.scan(), &Config::default());
         let x: Vec<f32> = (0..ops.a.ncols()).map(|i| (i % 3) as f32).collect();
         let want = xct_sparse::spmv(&ops.a, &x);
-        let got = spmv_library(&ops.a, &x);
+        let got = spmv_library(&ops.a, &x, &WorkerPool::from_env());
         for (g, w) in got.iter().zip(&want) {
             assert!((g - w).abs() < 1e-4);
         }

@@ -1,6 +1,6 @@
 //! The in-repo lint gate: `cargo run -p xct-check --bin xct-lint`.
 //!
-//! Scans the workspace sources for the three repo-tuned rules documented
+//! Scans the workspace sources for the repo-tuned rules documented
 //! in `xct_check::lint` and exits nonzero when any finding is not waived.
 //! An optional argument overrides the workspace root (defaults to the
 //! workspace this binary was built from).

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds fully offline, so custom lints cannot come from
 //! dylint or crates.io plugins; instead this module implements a small,
-//! repo-tuned source scanner with three rules:
+//! repo-tuned source scanner with five rules:
 //!
 //! - **narrow-cast** — forbid `as u16` / `as u32` narrowing casts. The
 //!   blessed exception is the `BufferIndex` helpers in
@@ -23,11 +23,17 @@
 //!   through the `xct_model::sync` facade so the schedule explorer sees
 //!   every preemption point. Waive with
 //!   `// lint: allow(sync-facade) <why>`.
+//! - **retired-name** — names that earlier changes deleted must not come
+//!   back: one table ([`RETIRED`]: names, path scope, message) holds the
+//!   deprecated-shim ban, the retired kernels and dispatch twins, and the
+//!   second threading substrate (`rayon`, `par_iter`, `thread::scope`, …
+//!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`).
 //!
 //! The scanner strips string literals and comments before matching (so doc
-//! examples and messages never fire a rule) and skips `#[cfg(test)]`
-//! modules, `tests/`, `benches/`, and `target/` entirely. Waivers are read
-//! from the raw line or the line above the finding.
+//! examples and messages never fire a rule) and skips `target/` entirely.
+//! `#[cfg(test)]` modules, `tests/`, `benches/` and manifests are scanned
+//! for retired names only. Waivers are read from the raw line or the line
+//! above the finding.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -45,6 +51,8 @@ pub enum LintRule {
     /// Raw `std::sync` / `parking_lot` primitive in a crate that must use
     /// the `xct_model::sync` facade.
     SyncFacade,
+    /// A name from the [`RETIRED`] table in a path its row polices.
+    RetiredName,
 }
 
 impl LintRule {
@@ -57,6 +65,7 @@ impl LintRule {
         LintRule::NoPanic,
         LintRule::UnsafeCode,
         LintRule::SyncFacade,
+        LintRule::RetiredName,
     ];
 
     /// The name used in `// lint: allow(<name>)` waivers.
@@ -66,8 +75,95 @@ impl LintRule {
             LintRule::NoPanic => "no-panic",
             LintRule::UnsafeCode => "unsafe",
             LintRule::SyncFacade => "sync-facade",
+            LintRule::RetiredName => "retired-name",
         }
     }
+}
+
+/// One row of the `retired-name` table: names an earlier change deleted,
+/// where they must stay gone, and what replaced them.
+struct Retired {
+    /// Whole tokens (as [`has_token`] matches them) that must not appear.
+    names: &'static [&'static str],
+    /// Which workspace-relative paths the row polices.
+    scope: fn(&str) -> bool,
+    /// What replaced the names.
+    message: &'static str,
+}
+
+fn anywhere(_rel: &str) -> bool {
+    true
+}
+
+/// Every manifest, and `crates/*/src` outside the two crates that own
+/// threads (`xct-runtime` runs ranks and the pool, `xct-model` is the
+/// facade they are built on).
+fn outside_the_thread_owners(rel: &str) -> bool {
+    let owner = rel.starts_with("crates/runtime/") || rel.starts_with("crates/model/");
+    rel.ends_with("Cargo.toml") || (rel.starts_with("crates/") && rel.contains("/src/") && !owner)
+}
+
+/// The retired names, one row per deletion that must not be undone.
+const RETIRED: &[Retired] = &[
+    Retired {
+        names: &["allow(deprecated)", "#[deprecated"],
+        scope: anywhere,
+        message: "deprecated items are not allowed in this workspace: port the callers and \
+            delete the old name in the same change",
+    },
+    Retired {
+        names: &[
+            "rayon",
+            "crossbeam",
+            "into_par_iter",
+            "par_iter",
+            "par_chunks",
+            "par_chunks_mut",
+            "thread::scope",
+        ],
+        scope: outside_the_thread_owners,
+        message: "xct_runtime::WorkerPool over an ExecPlan is the only threading substrate \
+            (build, solve, baseline and benches alike)",
+    },
+    Retired {
+        names: &[
+            "spmv_parallel",
+            "spmv_parallel_into",
+            "TiledCsr",
+            "ParallelOperator",
+        ],
+        scope: anywhere,
+        message: "retired kernel/operator: the pooled `spmm*_into` entries and `KernelOperator` \
+            are the one threaded path",
+    },
+    Retired {
+        names: &[
+            "run_with_scratch",
+            "try_run_with_scratch",
+            "run_batched_with_scratch",
+            "try_run_batched_with_scratch",
+            "try_run",
+            "dot_f64_pooled",
+            "dot_batch_plan",
+            "DistributedBatchUnsupported",
+            "enum DistSolver",
+            "reconstruct_distributed",
+            "reconstruct_distributed_with_metrics",
+        ],
+        scope: anywhere,
+        message: "retired width-1 twin: the pool has one dispatch (`try_run_batched`, spelled \
+            `run_batched` / `run`), xct-sparse one pooled dot, and ranks are an executor of the \
+            one solve driver",
+    },
+];
+
+/// The message of the first [`RETIRED`] row that polices `rel` and has a
+/// name in `code`.
+fn retired_name(rel: &str, code: &str) -> Option<&'static str> {
+    RETIRED
+        .iter()
+        .find(|row| (row.scope)(rel) && row.names.iter().any(|name| has_token(code, name)))
+        .map(|row| row.message)
 }
 
 /// One lint finding: file, 1-based line, rule, and message.
@@ -265,57 +361,55 @@ pub fn lint_file(relpath: &str, content: &str, rules: &[LintRule]) -> Vec<LintFi
         }
         let active = skip_depth.is_none();
 
-        if active {
-            for &rule in rules {
-                let fired = match rule {
-                    LintRule::NarrowCast => has_narrow_cast(&code),
-                    LintRule::NoPanic => {
-                        has_token(&code, ".unwrap()")
-                            || has_token(&code, ".expect(")
-                            || has_token(&code, "panic!")
-                            || has_token(&code, "unreachable!")
-                            || has_token(&code, "todo!")
-                            || has_token(&code, "unimplemented!")
-                            || has_token(&code, "assert!")
-                            || has_token(&code, "assert_eq!")
-                            || has_token(&code, "assert_ne!")
-                    }
-                    LintRule::UnsafeCode => {
-                        has_token(&code, "unsafe") && !safety_documented(&raw_lines, i)
-                    }
-                    LintRule::SyncFacade => {
-                        has_token(&code, "parking_lot")
-                            || (code.contains("std::sync")
-                                && (code.contains("Mutex")
-                                    || code.contains("Condvar")
-                                    || code.contains("RwLock")))
-                    }
-                };
-                if fired && !waived(&raw_lines, i, rule) {
-                    let message = match rule {
-                        LintRule::NarrowCast => "unchecked narrowing cast; use a checked \
-                            conversion (e.g. BufferIndex::try_from_usize) or waive with \
-                            `// in-range: <why>`"
-                            .to_string(),
-                        LintRule::NoPanic => "panicking call in a public API path; return a \
-                            typed error (BuildError/LayoutError) or waive with \
-                            `// lint: allow(no-panic) <why>`"
-                            .to_string(),
-                        LintRule::UnsafeCode => {
-                            "`unsafe` without a `// SAFETY:` comment".to_string()
-                        }
-                        LintRule::SyncFacade => "raw sync primitive in a model-checked crate; \
-                            use the xct_model::sync facade so the schedule explorer sees this \
-                            lock, or waive with `// lint: allow(sync-facade) <why>`"
-                            .to_string(),
-                    };
-                    findings.push(LintFinding {
-                        file: relpath.to_string(),
-                        line: i + 1,
-                        rule,
-                        message,
-                    });
-                }
+        for &rule in rules {
+            // Retired names stay gone from test modules too.
+            if !active && rule != LintRule::RetiredName {
+                continue;
+            }
+            let message = match rule {
+                LintRule::NarrowCast => has_narrow_cast(&code).then_some(
+                    "unchecked narrowing cast; use a checked conversion (e.g. \
+                    BufferIndex::try_from_usize) or waive with `// in-range: <why>`",
+                ),
+                LintRule::NoPanic => [
+                    ".unwrap()",
+                    ".expect(",
+                    "panic!",
+                    "unreachable!",
+                    "todo!",
+                    "unimplemented!",
+                    "assert!",
+                    "assert_eq!",
+                    "assert_ne!",
+                ]
+                .iter()
+                .any(|token| has_token(&code, token))
+                .then_some(
+                    "panicking call in a public API path; return a typed error \
+                    (BuildError/LayoutError) or waive with `// lint: allow(no-panic) <why>`",
+                ),
+                LintRule::UnsafeCode => (has_token(&code, "unsafe")
+                    && !safety_documented(&raw_lines, i))
+                .then_some("`unsafe` without a `// SAFETY:` comment"),
+                LintRule::SyncFacade => (has_token(&code, "parking_lot")
+                    || (code.contains("std::sync")
+                        && (code.contains("Mutex")
+                            || code.contains("Condvar")
+                            || code.contains("RwLock"))))
+                .then_some(
+                    "raw sync primitive in a model-checked crate; use the xct_model::sync \
+                    facade so the schedule explorer sees this lock, or waive with \
+                    `// lint: allow(sync-facade) <why>`",
+                ),
+                LintRule::RetiredName => retired_name(relpath, &code),
+            };
+            if let Some(message) = message.filter(|_| !waived(&raw_lines, i, rule)) {
+                findings.push(LintFinding {
+                    file: relpath.to_string(),
+                    line: i + 1,
+                    rule,
+                    message: message.to_string(),
+                });
             }
         }
 
@@ -333,20 +427,25 @@ pub fn lint_file(relpath: &str, content: &str, rules: &[LintRule]) -> Vec<LintFi
 /// file entirely.
 fn rules_for(rel: &str) -> Option<Vec<LintRule>> {
     let parts: Vec<&str> = rel.split('/').collect();
-    if parts
-        .iter()
-        .any(|p| *p == "target" || *p == "tests" || *p == "benches")
-    {
+    if parts.contains(&"target") {
         return None;
     }
+    if rel.ends_with("Cargo.toml") || parts.iter().any(|p| *p == "tests" || *p == "benches") {
+        // Manifests and test/bench targets: only retired names are policed.
+        return Some(vec![LintRule::RetiredName]);
+    }
     if parts.first() == Some(&"shims") {
-        // Vendored shims: only the unsafe policy applies.
-        return Some(vec![LintRule::UnsafeCode]);
+        // Vendored shims: the unsafe policy, and no retired names.
+        return Some(vec![LintRule::UnsafeCode, LintRule::RetiredName]);
     }
     let public_api = rel.starts_with("crates/memxct/src")
         || rel.starts_with("crates/cli/src")
         || rel.starts_with("crates/serve/src");
-    let mut rules = vec![LintRule::NarrowCast, LintRule::UnsafeCode];
+    let mut rules = vec![
+        LintRule::NarrowCast,
+        LintRule::UnsafeCode,
+        LintRule::RetiredName,
+    ];
     if public_api {
         rules.push(LintRule::NoPanic);
     }
@@ -367,21 +466,21 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     for path in entries {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if path.is_dir() {
-            if name == "target" || name == "tests" || name == "benches" {
-                continue;
+            if name != "target" {
+                walk(&path, out);
             }
-            walk(&path, out);
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" {
             out.push(path);
         }
     }
 }
 
-/// Lint the whole workspace rooted at `root`. Scans `crates/`, `shims/`,
-/// `src/`, and `examples/`; returns all findings sorted by path.
+/// Lint the whole workspace rooted at `root`. Scans the root manifest,
+/// `crates/`, `shims/`, `src/`, `examples/` and `tests/`; returns all
+/// findings sorted by path.
 pub fn lint_tree(root: &Path) -> Vec<LintFinding> {
-    let mut files = Vec::new();
-    for top in ["crates", "shims", "src", "examples"] {
+    let mut files = vec![root.join("Cargo.toml")];
+    for top in ["crates", "shims", "src", "examples", "tests"] {
         walk(&root.join(top), &mut files);
     }
     let mut findings = Vec::new();
@@ -390,7 +489,7 @@ pub fn lint_tree(root: &Path) -> Vec<LintFinding> {
     // Group files by crate directory for the forbid(unsafe_code) rule.
     let mut crate_unsafe: std::collections::HashMap<String, bool> =
         std::collections::HashMap::new();
-    let mut contents: Vec<(String, String)> = Vec::new();
+    let mut contents: Vec<(String, String, Vec<LintRule>)> = Vec::new();
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -400,7 +499,13 @@ pub fn lint_tree(root: &Path) -> Vec<LintFinding> {
         let Ok(content) = std::fs::read_to_string(path) else {
             continue;
         };
-        if let Some(crate_dir) = crate_dir_of(&rel) {
+        let Some(rules) = rules_for(&rel) else {
+            continue;
+        };
+        // Only the sources the unsafe rule polices count (not tests,
+        // benches or manifests, which are scanned for retired names only).
+        let policed = rules.contains(&LintRule::UnsafeCode);
+        if let Some(crate_dir) = crate_dir_of(&rel).filter(|_| policed) {
             let mut in_block = false;
             let has_unsafe = content
                 .lines()
@@ -408,13 +513,11 @@ pub fn lint_tree(root: &Path) -> Vec<LintFinding> {
             let entry = crate_unsafe.entry(crate_dir).or_insert(false);
             *entry = *entry || has_unsafe;
         }
-        contents.push((rel, content));
+        contents.push((rel, content, rules));
     }
 
-    for (rel, content) in &contents {
-        if let Some(rules) = rules_for(rel) {
-            findings.extend(lint_file(rel, content, &rules));
-        }
+    for (rel, content, rules) in &contents {
+        findings.extend(lint_file(rel, content, rules));
         // Crate roots must declare the unsafe policy.
         if rel.ends_with("src/lib.rs") || rel.ends_with("src/main.rs") {
             let crate_dir = crate_dir_of(rel).unwrap_or_default();
@@ -469,7 +572,64 @@ mod tests {
         (LintRule::NoPanic, "pub fn f() { x.unwrap(); }\n"),
         (LintRule::UnsafeCode, "pub fn f() { unsafe { g() } }\n"),
         (LintRule::SyncFacade, "use std::sync::Mutex;\n"),
+        (LintRule::RetiredName, "let m = TiledCsr::from_csr(&a);\n"),
     ];
+
+    /// One firing fixture per [`RETIRED`] row, in table order: a path the
+    /// row polices and a line holding one of its names.
+    const RETIRED_FIXTURES: &[(&str, &str)] = &[
+        ("crates/memxct/tests/golden.rs", "#[allow(deprecated)]\n"),
+        ("crates/compxct/src/lib.rs", "use rayon::prelude::*;\n"),
+        ("examples/quickstart.rs", "let y = spmv_parallel(&a, &x);\n"),
+        (
+            "crates/sparse/src/pooled.rs",
+            "pool.try_run(&plan, &mut y, k)?;\n",
+        ),
+    ];
+
+    #[test]
+    fn every_retired_row_fires_on_its_fixture() {
+        assert_eq!(RETIRED_FIXTURES.len(), RETIRED.len(), "one fixture per row");
+        for (row, (path, src)) in RETIRED.iter().zip(RETIRED_FIXTURES) {
+            let rules = rules_for(path).expect("scanned");
+            let f = lint_file(path, src, &rules);
+            assert_eq!(f.len(), 1, "{path}: {f:?}");
+            assert_eq!(
+                (f[0].rule, f[0].message.as_str()),
+                (LintRule::RetiredName, row.message)
+            );
+        }
+    }
+
+    #[test]
+    fn retired_names_respect_scope_and_word_boundaries() {
+        let only = &[LintRule::RetiredName];
+        // The thread owners keep their scoped threads; nobody else, and no
+        // manifest, may name the second substrate.
+        let scoped = "std::thread::scope(|s| body(s));\n";
+        assert!(lint_file("crates/runtime/src/comm.rs", scoped, only).is_empty());
+        assert!(lint_file("crates/model/src/thread.rs", scoped, only).is_empty());
+        assert_eq!(lint_file("crates/serve/src/job.rs", scoped, only).len(), 1);
+        let dep = "rayon.workspace = true\n";
+        assert_eq!(lint_file("crates/runtime/Cargo.toml", dep, only).len(), 1);
+        // Test modules are not exempt.
+        let in_tests = "#[cfg(test)]\nmod tests {\n    use rayon::prelude::*;\n}\n";
+        assert_eq!(
+            lint_file("crates/sparse/src/spmv.rs", in_tests, only).len(),
+            1
+        );
+        // Live names that merely contain a retired one stay legal, as do
+        // the historical env var and prose.
+        for live in [
+            "pool.try_run_batched(&plan, &mut y, 1, kernel)?;\n",
+            "let out = try_reconstruct_distributed(&ops, &y, &config)?;\n",
+            "std::env::var(\"RAYON_NUM_THREADS\")\n",
+            "// the rayon shim is gone\n",
+        ] {
+            let f = lint_file("crates/memxct/src/dist.rs", live, only);
+            assert!(f.is_empty(), "must not fire on: {live} -> {f:?}");
+        }
+    }
 
     #[test]
     fn every_rule_fires_exactly_once_on_its_fixture() {

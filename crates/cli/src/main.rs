@@ -65,7 +65,7 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
   --scale N      divide both sinogram dimensions by N (default 16)
   --noise I0     Poisson photon count per ray (default: noise-free)
   --solver       cg (default), sirt, os-sirt (8 subsets), fbp
-  --ranks N      run the distributed CG path on N thread-ranks
+  --ranks N      run cg or sirt distributed over N thread-ranks
   --out FILE     .pgm for images, .raw for sinograms
   --metrics FILE write the run's metrics snapshot as JSON
   --check        validate every memoized structure before reconstructing
@@ -498,10 +498,8 @@ fn reconstruct(opts: &Options) {
             } else {
                 ReconRequest::sirt(input, opts.iters)
             };
-            // Only CG is wired to ranks here; `--solver sirt` ignores
-            // `--ranks`.
             let (mode, context) = match ranks {
-                Some(ranks) if opts.solver == "cg" => {
+                Some(ranks) => {
                     let config = DistConfig {
                         ranks,
                         use_buffered: true,

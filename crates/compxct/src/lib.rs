@@ -8,17 +8,21 @@
 //! thread and reduces afterwards — the very duplication overhead §3.4.3
 //! analyzes (`O(N² log P)`).
 //!
+//! Both projections run on one persistent [`WorkerPool`] sized from the
+//! environment (`RAYON_NUM_THREADS` — the variable's name is historical —
+//! else all cores): what the baseline pays per iteration is tracing and
+//! duplication, not thread spawns.
+//!
 //! The solver is SIRT (as in Trace): simultaneous iterative reconstruction
 //! with row/column-sum normalization.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use rayon::prelude::*;
 use xct_geometry::{trace_ray, Grid, ScanGeometry, Sinogram};
+use xct_runtime::{ExecPlan, WorkerPool};
 
 /// Compute-centric reconstructor.
-#[derive(Debug, Clone)]
 pub struct CompXct {
     grid: Grid,
     scan: ScanGeometry,
@@ -26,6 +30,22 @@ pub struct CompXct {
     row_weight: Vec<f32>,
     /// SIRT column normalization 1/Σ_i a_ij.
     col_weight: Vec<f32>,
+    pool: WorkerPool,
+    /// Projections dealt to the pool's workers in equal contiguous runs:
+    /// one partition per projection, covering that projection's rays.
+    by_projection: ExecPlan,
+    /// One tomogram replica per worker.
+    by_replica: ExecPlan,
+}
+
+impl std::fmt::Debug for CompXct {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompXct")
+            .field("grid", &self.grid)
+            .field("scan", &self.scan)
+            .field("workers", &self.pool.num_threads())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Convergence/timing record of one SIRT iteration.
@@ -46,6 +66,10 @@ impl CompXct {
     /// extra tracing pass; the per-iteration projections re-trace every
     /// ray (the compute-centric cost this baseline exists to exhibit).
     pub fn new(grid: Grid, scan: ScanGeometry) -> Self {
+        Self::with_pool(grid, scan, WorkerPool::from_env())
+    }
+
+    fn with_pool(grid: Grid, scan: ScanGeometry, pool: WorkerPool) -> Self {
         let mut row_weight = vec![0f32; scan.num_rays()];
         let mut col_weight = vec![0f32; grid.num_pixels()];
         for p in 0..scan.num_projections() {
@@ -63,11 +87,23 @@ impl CompXct {
         for w in row_weight.iter_mut().chain(col_weight.iter_mut()) {
             *w = if *w > 0.0 { 1.0 / *w } else { 0.0 };
         }
+        let n_ch = scan.num_channels() as usize;
+        let ray_bounds: Vec<usize> = (0..=scan.num_projections() as usize)
+            .map(|p| p * n_ch)
+            .collect();
+        let workers = pool.num_threads();
         CompXct {
             grid,
             scan,
             row_weight,
             col_weight,
+            by_projection: ExecPlan::balanced_blocks(
+                &ray_bounds,
+                &vec![1; ray_bounds.len() - 1],
+                workers,
+            ),
+            by_replica: ExecPlan::equal_rows(workers, workers),
+            pool,
         }
     }
 
@@ -86,60 +122,60 @@ impl CompXct {
     /// over sinogram rows is race-free.
     pub fn forward(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.grid.num_pixels());
-        let n_ch = self.scan.num_channels();
+        let n_ch = self.scan.num_channels() as usize;
         let mut y = vec![0f32; self.scan.num_rays()];
-        y.par_chunks_mut(n_ch as usize)
-            .enumerate()
-            .for_each(|(p, row)| {
-                for (c, out) in row.iter_mut().enumerate() {
-                    // in-range: projection/channel indices are bounded by the u32 scan dims
-                    let ray = self.scan.ray(p as u32, c as u32);
-                    let mut acc = 0f32;
-                    trace_ray(&self.grid, &ray, |pixel, len| {
-                        acc += x[pixel as usize] * len;
-                    });
-                    *out = acc;
+        self.pool
+            .run(&self.by_projection, &mut y, |projections, _, rows| {
+                for (p, row) in projections.zip(rows.chunks_mut(n_ch)) {
+                    for (c, out) in row.iter_mut().enumerate() {
+                        // in-range: projection/channel indices are bounded by the u32 scan dims
+                        let ray = self.scan.ray(p as u32, c as u32);
+                        let mut acc = 0f32;
+                        trace_ray(&self.grid, &ray, |pixel, len| {
+                            acc += x[pixel as usize] * len;
+                        });
+                        *out = acc;
+                    }
                 }
             });
         y
     }
 
     /// Backprojection `x = Aᵀ·r`, tracing every ray on the fly.
-    /// Rays *scatter* into the tomogram: each worker accumulates into its
-    /// own replica which are then reduced — the compute-centric answer to
-    /// the race condition (§2.4 "duplicating the pixel domain across
-    /// threads ... and then performing a reduction").
+    /// Rays *scatter* into the tomogram: each worker accumulates its run
+    /// of projections into its own replica, and the replicas are then
+    /// summed in worker order — the compute-centric answer to the race
+    /// condition (§2.4 "duplicating the pixel domain across threads ...
+    /// and then performing a reduction"). Deterministic for a fixed
+    /// worker count; one worker is the plain serial scatter.
     pub fn backproject(&self, r: &[f32]) -> Vec<f32> {
         assert_eq!(r.len(), self.scan.num_rays());
         let n_ch = self.scan.num_channels() as usize;
-        let num_pixels = self.grid.num_pixels();
-        (0..self.scan.num_projections() as usize)
-            .into_par_iter()
-            .fold(
-                || vec![0f32; num_pixels],
-                |mut local, p| {
+        let mut replicas = vec![vec![0f32; self.grid.num_pixels()]; self.pool.num_threads()];
+        self.pool
+            .run(&self.by_replica, &mut replicas, |_, worker, replica| {
+                let replica = &mut replica[0];
+                for p in self.by_projection.worker_parts(worker.start) {
                     for c in 0..n_ch {
                         let v = r[p * n_ch + c];
                         if v != 0.0 {
                             // in-range: projection/channel indices are bounded by the u32 scan dims
                             let ray = self.scan.ray(p as u32, c as u32);
                             trace_ray(&self.grid, &ray, |pixel, len| {
-                                local[pixel as usize] += v * len;
+                                replica[pixel as usize] += v * len;
                             });
                         }
                     }
-                    local
-                },
-            )
-            .reduce(
-                || vec![0f32; num_pixels],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                    a
-                },
-            )
+                }
+            });
+        let mut replicas = replicas.into_iter();
+        let mut x = replicas.next().expect("a pool has at least one worker");
+        for replica in replicas {
+            for (xi, ri) in x.iter_mut().zip(replica) {
+                *xi += ri;
+            }
+        }
+        x
     }
 
     /// One SIRT update in place: `x += C·Aᵀ·R·(y − A·x)` with `R`/`C` the
@@ -229,6 +265,52 @@ mod tests {
             (lhs - rhs).abs() / lhs.max(1.0) < 1e-4,
             "adjoint mismatch {lhs} vs {rhs}"
         );
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn forward_is_bit_identical_across_worker_counts() {
+        let (grid, scan, _, img) = small_setup();
+        let want = CompXct::with_pool(grid, scan, WorkerPool::new(1)).forward(&img);
+        for workers in [2, 3, 64] {
+            let cx = CompXct::with_pool(grid, scan, WorkerPool::new(workers));
+            assert_eq!(bits(&cx.forward(&img)), bits(&want), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn backproject_is_the_serial_scatter_at_one_worker_and_deterministic_beyond() {
+        let (grid, scan, sino, _) = small_setup();
+        let r = sino.data();
+        // The plainly written scatter: one tomogram, rays in index order.
+        let mut serial = vec![0f32; grid.num_pixels()];
+        for p in 0..scan.num_projections() {
+            for c in 0..scan.num_channels() {
+                let v = r[scan.ray_index(p, c) as usize];
+                trace_ray(&grid, &scan.ray(p, c), |pixel, len| {
+                    serial[pixel as usize] += v * len;
+                });
+            }
+        }
+        let one = CompXct::with_pool(grid, scan, WorkerPool::new(1)).backproject(r);
+        assert_eq!(bits(&one), bits(&serial));
+        // Replicas regroup the per-pixel sums: same bits call after call,
+        // and the serial value up to f32 rounding.
+        let scale = serial.iter().fold(0f32, |m, v| m.max(v.abs()));
+        for workers in [2, 3] {
+            let cx = CompXct::with_pool(grid, scan, WorkerPool::new(workers));
+            let got = cx.backproject(r);
+            assert_eq!(bits(&got), bits(&cx.backproject(r)), "{workers} workers");
+            for (g, w) in got.iter().zip(&serial) {
+                assert!(
+                    (g - w).abs() <= 1e-4 * scale,
+                    "{workers} workers: {g} vs {w}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -63,19 +63,9 @@ pub fn fbp(ops: &Operators, sino: &Sinogram, config: &FbpConfig) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, Config};
+    use crate::rel_err;
     use crate::solvers::{cgls, StopRule};
     use xct_geometry::{disk, shepp_logan, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
-
-    fn rel_err(a: &[f32], b: &[f32]) -> f64 {
-        let num: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| ((x - y) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = b.iter().map(|&y| (y as f64).powi(2)).sum::<f64>().sqrt();
-        num / den
-    }
 
     #[test]
     fn fbp_recovers_disk_from_clean_dense_data() {

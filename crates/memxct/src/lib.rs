@@ -81,3 +81,16 @@ pub use solvers::{
 };
 pub use subsets::{OrderedSubsets, OsRule};
 pub use xct_check::{CheckViolation, Invariant, Report as CheckReport};
+
+/// Relative L2 error `‖a − b‖₂ / ‖b‖₂`, the yardstick the unit tests share.
+#[cfg(test)]
+pub(crate) fn rel_err(a: &[f32], b: &[f32]) -> f64 {
+    let num: f64 = a
+        .iter()
+        .zip(b)
+        .map(|(&x, &y)| ((x - y) as f64).powi(2))
+        .sum::<f64>()
+        .sqrt();
+    let den: f64 = b.iter().map(|&y| (y as f64).powi(2)).sum::<f64>().sqrt();
+    num / den
+}

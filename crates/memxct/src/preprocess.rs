@@ -5,11 +5,11 @@
 //! all slices (Table 4/5). All matrix manipulations preserve data
 //! locality (§3.5.1).
 
-use rayon::prelude::*;
 use std::time::Instant;
 use xct_geometry::{trace_ray, trace_ray_joseph, Grid, ScanGeometry, Sinogram};
 use xct_hilbert::{Ordering2D, TwoLevelOrdering};
 use xct_obs::Metrics;
+use xct_runtime::{ExecPlan, WorkerPool};
 use xct_sparse::{BufferIndex, BufferedCsr, CsrMatrix, EllMatrix};
 
 use crate::errors::BuildError;
@@ -246,6 +246,65 @@ fn trace_rank<F: FnMut(u32, f32)>(
     }
 }
 
+/// Trace every ray into the forward matrix, directly in ordered
+/// coordinates: row `r` of `A` is the sinogram entry stored at rank `r`,
+/// its columns are tomogram ranks. Rays are independent, so the matrix is
+/// the same bit for bit for every size of `pool`.
+///
+/// Two passes, so no per-ray vector is ever grown or copied: the first
+/// only counts each ray's crossings (giving `rowptr`), the second traces
+/// again straight into the final arrays, one disjoint slice per block of
+/// rays, blocks dealt to workers by nonzero count.
+fn trace_csr(
+    grid: &Grid,
+    scan: &ScanGeometry,
+    sino_ord: &Ordering2D,
+    tomo_ord: &Ordering2D,
+    projector: Projector,
+    pool: &WorkerPool,
+) -> CsrMatrix {
+    let num_rays = scan.num_rays();
+    let workers = pool.num_threads();
+    let mut rowptr = vec![0usize; num_rays + 1];
+    let by_rays = ExecPlan::equal_rows(num_rays, workers);
+    pool.run(&by_rays, &mut rowptr[1..], |_, rays, counts| {
+        for (rank, n) in rays.zip(counts) {
+            trace_rank(grid, scan, sino_ord, projector, rank, |_, _| *n += 1);
+        }
+    });
+    for r in 0..num_rays {
+        rowptr[r + 1] += rowptr[r];
+    }
+    let nnz = rowptr[num_rays];
+    let (mut colind, mut values) = (vec![0u32; nnz], vec![0f32; nnz]);
+    const RAY_BLOCK: usize = 256;
+    let (mut blocks, mut block_ptr) = (Vec::new(), vec![0usize]);
+    let (mut cols_rest, mut vals_rest) = (&mut colind[..], &mut values[..]);
+    for lo in (0..num_rays).step_by(RAY_BLOCK) {
+        let hi = num_rays.min(lo + RAY_BLOCK);
+        let (cols, c) = cols_rest.split_at_mut(rowptr[hi] - rowptr[lo]);
+        let (vals, v) = vals_rest.split_at_mut(cols.len());
+        (cols_rest, vals_rest) = (c, v);
+        blocks.push((lo..hi, cols, vals));
+        block_ptr.push(rowptr[hi]);
+    }
+    let by_nnz = ExecPlan::nnz_balanced(&block_ptr, workers);
+    pool.run(&by_nnz, &mut blocks, |_, _, blocks| {
+        for (rays, cols, vals) in blocks {
+            let mut k = 0;
+            for rank in rays.clone() {
+                trace_rank(grid, scan, sino_ord, projector, rank, |pixel, len| {
+                    let (i, j) = grid.pixel_coords(pixel);
+                    cols[k] = tomo_ord.rank(i, j);
+                    vals[k] = len;
+                    k += 1;
+                });
+            }
+        }
+    });
+    CsrMatrix::from_raw(num_rays, grid.num_pixels(), rowptr, colind, values)
+}
+
 /// [`try_preprocess`] with observability: each pipeline phase records its
 /// wall-clock into the timers `preprocess/ordering`, `preprocess/tracing`,
 /// `preprocess/transpose`, and `preprocess/buffers` (plus a `preprocess`
@@ -269,62 +328,14 @@ pub fn try_preprocess_with_metrics(
     timings.ordering_s = t.elapsed().as_secs_f64();
     metrics.timer_observe("preprocess/ordering", timings.ordering_s);
 
-    // (2) Ray tracing into CSR, directly in ordered coordinates: row r of
-    // A is the sinogram entry stored at rank r; its columns are tomogram
-    // ranks. Parallel over sinogram ranks (each row independent).
+    // (2) Ray tracing into CSR. The build pool is transient and unmetered:
+    // sized from the environment like every other pool, it lives for this
+    // one phase, so a plan build holds no parked threads afterwards and
+    // `--metrics` reports `pool/*` for the solve pool only.
     let t = Instant::now();
-    // Two passes, so no per-ray vector is ever grown or copied: the first
-    // only counts each ray's crossings (giving `rowptr`), the second
-    // traces again straight into the final arrays, one disjoint slice per
-    // block of rays.
-    let num_rays = scan.num_rays();
-    let lens: Vec<usize> = (0..num_rays)
-        .into_par_iter()
-        .map(|rank| {
-            let mut n = 0;
-            trace_rank(&grid, &scan, &sino_ord, config.projector, rank, |_, _| {
-                n += 1
-            });
-            n
-        })
-        .collect();
-    let mut rowptr = Vec::with_capacity(num_rays + 1);
-    rowptr.push(0usize);
-    for len in lens {
-        rowptr.push(rowptr[rowptr.len() - 1] + len);
-    }
-    let nnz = rowptr[num_rays];
-    let (mut colind, mut values) = (vec![0u32; nnz], vec![0f32; nnz]);
-    const RAY_BLOCK: usize = 256;
-    let mut blocks = Vec::with_capacity(num_rays.div_ceil(RAY_BLOCK));
-    let (mut cols_rest, mut vals_rest) = (&mut colind[..], &mut values[..]);
-    for lo in (0..num_rays).step_by(RAY_BLOCK) {
-        let hi = num_rays.min(lo + RAY_BLOCK);
-        let len = rowptr[hi] - rowptr[lo];
-        let (cols, c) = cols_rest.split_at_mut(len);
-        let (vals, v) = vals_rest.split_at_mut(len);
-        (cols_rest, vals_rest) = (c, v);
-        blocks.push((lo..hi, cols, vals));
-    }
-    blocks.into_par_iter().for_each(|(rays, cols, vals)| {
-        let mut k = 0;
-        for rank in rays {
-            trace_rank(
-                &grid,
-                &scan,
-                &sino_ord,
-                config.projector,
-                rank,
-                |pixel, len| {
-                    let (i, j) = grid.pixel_coords(pixel);
-                    cols[k] = tomo_ord.rank(i, j);
-                    vals[k] = len;
-                    k += 1;
-                },
-            );
-        }
-    });
-    let a = CsrMatrix::from_raw(num_rays, grid.num_pixels(), rowptr, colind, values);
+    let pool = WorkerPool::from_env();
+    let a = trace_csr(&grid, &scan, &sino_ord, &tomo_ord, config.projector, &pool);
+    drop(pool);
     timings.tracing_s = t.elapsed().as_secs_f64();
     metrics.timer_observe("preprocess/tracing", timings.tracing_s);
     metrics.counter_add("preprocess/rows", a.nrows() as u64);
@@ -339,22 +350,10 @@ pub fn try_preprocess_with_metrics(
 
     // (4) Partitioning and buffer construction.
     let t = Instant::now();
-    let (a_buf, at_buf) = if config.build_buffered {
-        (
-            Some(BufferedCsr::from_csr(&a, config.partsize, config.buffsize)),
-            Some(BufferedCsr::from_csr(&at, config.partsize, config.buffsize)),
-        )
-    } else {
-        (None, None)
-    };
-    let (a_ell, at_ell) = if config.build_ell {
-        (
-            Some(EllMatrix::from_csr(&a, config.partsize)),
-            Some(EllMatrix::from_csr(&at, config.partsize)),
-        )
-    } else {
-        (None, None)
-    };
+    let buffer = |m: &CsrMatrix| BufferedCsr::from_csr(m, config.partsize, config.buffsize);
+    let ell = |m: &CsrMatrix| EllMatrix::from_csr(m, config.partsize);
+    let [a_buf, at_buf] = [&a, &at].map(|m| config.build_buffered.then(|| buffer(m)));
+    let [a_ell, at_ell] = [&a, &at].map(|m| config.build_ell.then(|| ell(m)));
     timings.buffers_s = t.elapsed().as_secs_f64();
     metrics.timer_observe("preprocess/buffers", timings.buffers_s);
 
@@ -394,6 +393,38 @@ mod tests {
         assert_eq!(o.at.ncols(), 12 * 16);
         assert_eq!(o.a.nnz(), o.at.nnz());
         assert!(o.a.nnz() > 0);
+    }
+
+    #[test]
+    fn traced_matrix_is_the_same_for_every_pool_size() {
+        // 18 × 24 = 432 rays make two ray blocks, so three and seven
+        // workers outnumber them. Aᵀ and both buffered layouts are
+        // functions of the three arrays compared here.
+        let (grid, scan) = (Grid::new(24), ScanGeometry::new(18, 24));
+        let (tomo_ord, _) = build_ordering(DomainOrdering::TwoLevelHilbert(None), 24, 24);
+        let (sino_ord, _) = build_ordering(DomainOrdering::TwoLevelHilbert(None), 24, 18);
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for projector in [Projector::Siddon, Projector::Joseph] {
+            // The oracle: rows traced one at a time, appended in order.
+            let rows: Vec<Vec<(u32, f32)>> = (0..scan.num_rays())
+                .map(|rank| {
+                    let mut row = Vec::new();
+                    trace_rank(&grid, &scan, &sino_ord, projector, rank, |pixel, len| {
+                        let (i, j) = grid.pixel_coords(pixel);
+                        row.push((tomo_ord.rank(i, j), len));
+                    });
+                    row
+                })
+                .collect();
+            let want = CsrMatrix::from_rows(grid.num_pixels(), &rows);
+            assert!(want.nnz() > 0);
+            for workers in [1, 2, 3, 7] {
+                let pool = WorkerPool::new(workers);
+                let got = trace_csr(&grid, &scan, &sino_ord, &tomo_ord, projector, &pool);
+                let same = got == want && bits(&got) == bits(&want);
+                assert!(same, "{projector:?} traced on {workers} workers differs");
+            }
+        }
     }
 
     #[test]
@@ -499,16 +530,10 @@ mod tests {
             StopRule::Fixed(25),
         );
         let rec = ops.unorder_tomogram(&x);
-        let num: f64 = rec
-            .iter()
-            .zip(&img)
-            .map(|(&a, &b)| ((a - b) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = img.iter().map(|&b| (b as f64).powi(2)).sum::<f64>().sqrt();
+        let err = crate::rel_err(&rec, &img);
         // Joseph reconstructs against Siddon-simulated data: model
         // mismatch keeps this above the matched case but still solid.
-        assert!(num / den < 0.2, "joseph error {}", num / den);
+        assert!(err < 0.2, "joseph error {err}");
     }
 
     #[test]

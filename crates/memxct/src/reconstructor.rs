@@ -166,9 +166,10 @@ impl ReconstructorBuilder {
         self
     }
 
-    /// Worker count for [`use_pool`](Self::use_pool). Default: the
-    /// `RAYON_NUM_THREADS` environment variable, else available
-    /// parallelism.
+    /// Worker count of the solve pool ([`use_pool`](Self::use_pool)).
+    /// Default: the `RAYON_NUM_THREADS` environment variable (a historical
+    /// name), else available parallelism — which is always what the plan
+    /// build's transient ray-tracing pool uses.
     pub fn pool_threads(mut self, threads: usize) -> Self {
         self.pool_threads = Some(threads);
         self
@@ -784,6 +785,7 @@ impl Reconstructor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rel_err;
     use xct_geometry::{disk, shepp_logan, simulate_sinogram, NoiseModel};
 
     fn cg(sino: &Sinogram, stop: StopRule) -> ReconRequest {
@@ -797,17 +799,6 @@ mod tests {
             ..DistConfig::default()
         };
         req.mode(ExecMode::Distributed { config, ft: None })
-    }
-
-    fn rel_err(a: &[f32], b: &[f32]) -> f64 {
-        let num: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| ((x - y) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = b.iter().map(|&y| (y as f64).powi(2)).sum::<f64>().sqrt();
-        num / den
     }
 
     #[test]

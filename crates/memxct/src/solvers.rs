@@ -903,6 +903,7 @@ where
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, Config, Kernel};
+    use crate::rel_err;
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 
     fn setup(n: u32, m: u32) -> (crate::preprocess::Operators, Vec<f32>, Vec<f32>) {
@@ -914,17 +915,6 @@ mod tests {
         let y = ops.order_sinogram(&sino);
         let x_true = ops.order_tomogram(&img);
         (ops, y, x_true)
-    }
-
-    fn rel_err(a: &[f32], b: &[f32]) -> f64 {
-        let num: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| ((x - y) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = b.iter().map(|&y| (y as f64).powi(2)).sum::<f64>().sqrt();
-        num / den
     }
 
     #[test]

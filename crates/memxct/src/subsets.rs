@@ -9,12 +9,13 @@
 //! applies only the rays of one projection-angle subset, converging in
 //! far fewer full passes over the data.
 
-use crate::operator::{ProjectionOperator, RowSubsetOperator};
+use crate::operator::ProjectionOperator;
 use crate::preprocess::Operators;
 use crate::solvers::{
     run_engine, Constraint, IterationRecord, SolverWorkspace, StopRule, UpdateRule,
 };
-use xct_sparse::{spmv, CsrMatrix};
+use std::cell::RefCell;
+use xct_sparse::{spmv_into, CsrMatrix};
 
 /// The row blocks of `A` for one angle-interleaved subset.
 struct Subset {
@@ -39,6 +40,9 @@ struct Subset {
 pub struct OrderedSubsets {
     subsets: Vec<Subset>,
     nx: usize,
+    /// Where every subset product lands, sized once: one subset's rays
+    /// (the largest subset's worth) and one tomogram.
+    scratch: RefCell<(Vec<f32>, Vec<f32>)>,
 }
 
 impl OrderedSubsets {
@@ -60,7 +64,7 @@ impl OrderedSubsets {
             let (_chan, proj) = ops.sino_ord.cell(rank);
             rows_by_subset[(proj as usize) % num_subsets].push(rank);
         }
-        let subsets = rows_by_subset
+        let subsets: Vec<Subset> = rows_by_subset
             .into_iter()
             .map(|rows| {
                 let row_data: Vec<Vec<(u32, f32)>> = rows
@@ -89,9 +93,12 @@ impl OrderedSubsets {
                 }
             })
             .collect();
+        let longest = subsets.iter().map(|s| s.rows.len()).max().unwrap_or(0);
+        let scratch = RefCell::new((vec![0f32; longest], vec![0f32; ops.a.ncols()]));
         OrderedSubsets {
             subsets,
             nx: ops.a.ncols(),
+            scratch,
         }
     }
 
@@ -107,12 +114,7 @@ impl OrderedSubsets {
         // lint: allow(no-panic) documented parameter precondition
         assert!(relaxation > 0.0);
         OsRule {
-            subsets: &self.subsets,
-            views: self
-                .subsets
-                .iter()
-                .map(|s| RowSubsetOperator::new(&s.rows, &s.block, &s.block_t))
-                .collect(),
+            os: self,
             relaxation,
         }
     }
@@ -148,29 +150,35 @@ impl ProjectionOperator for OrderedSubsets {
         self.nx
     }
     fn forward_into(&self, x: &[f32], y: &mut [f32]) {
+        let (r, _) = &mut *self.scratch.borrow_mut();
         for sub in &self.subsets {
-            let r = spmv(&sub.block, x);
-            for (&row, v) in sub.rows.iter().zip(r) {
+            let r = &mut r[..sub.rows.len()];
+            spmv_into(&sub.block, x, r);
+            for (&row, &v) in sub.rows.iter().zip(r.iter()) {
                 y[row as usize] = v;
             }
         }
     }
     fn back_into(&self, y: &[f32], x: &mut [f32]) {
         x.fill(0.0);
+        let (r, u) = &mut *self.scratch.borrow_mut();
         for sub in &self.subsets {
-            let ys: Vec<f32> = sub.rows.iter().map(|&r| y[r as usize]).collect();
-            for (xi, ui) in x.iter_mut().zip(spmv(&sub.block_t, &ys)) {
+            let ys = &mut r[..sub.rows.len()];
+            for (yi, &row) in ys.iter_mut().zip(&sub.rows) {
+                *yi = y[row as usize];
+            }
+            spmv_into(&sub.block_t, ys, u);
+            for (xi, &ui) in x.iter_mut().zip(u.iter()) {
                 *xi += ui;
             }
         }
     }
 }
 
-/// One OS-SIRT pass: a relaxed SIRT sub-update per subset (through its
-/// [`RowSubsetOperator`] view), then the full residual over all subsets.
+/// One OS-SIRT pass: a relaxed SIRT sub-update per subset, then the full
+/// residual over all subsets.
 pub struct OsRule<'a> {
-    subsets: &'a [Subset],
-    views: Vec<RowSubsetOperator<'a>>,
+    os: &'a OrderedSubsets,
     relaxation: f32,
 }
 
@@ -186,28 +194,28 @@ impl UpdateRule for OsRule<'_> {
             return; // single-slice only: every slot stays NaN → all retire
         };
         let x = ws.x_mut();
-        for (sub, view) in self.subsets.iter().zip(&self.views) {
+        let (r, u) = &mut *self.os.scratch.borrow_mut();
+        for sub in &self.os.subsets {
             // Residual restricted to the subset's rays.
-            let mut r = vec![0f32; view.nrows()];
-            view.forward_into(x, &mut r);
-            for (ri, &row) in r.iter_mut().zip(view.rows()) {
+            let r = &mut r[..sub.rows.len()];
+            spmv_into(&sub.block, x, r);
+            for (ri, &row) in r.iter_mut().zip(&sub.rows) {
                 *ri = y[row as usize] - *ri;
             }
             for (ri, &w) in r.iter_mut().zip(&sub.row_w) {
                 *ri *= w;
             }
-            let mut u = vec![0f32; view.ncols()];
-            view.back_into(&r, &mut u);
-            for ((xi, &ui), &w) in x.iter_mut().zip(&u).zip(&sub.col_w) {
+            spmv_into(&sub.block_t, r, u);
+            for ((xi, &ui), &w) in x.iter_mut().zip(u.iter()).zip(&sub.col_w) {
                 *xi += self.relaxation * ui * w;
             }
         }
         // Full residual for the record (over all subsets).
         let mut res_sq = 0f64;
-        for view in &self.views {
-            let mut r = vec![0f32; view.nrows()];
-            view.forward_into(x, &mut r);
-            for (ri, &row) in r.iter().zip(view.rows()) {
+        for sub in &self.os.subsets {
+            let r = &mut r[..sub.rows.len()];
+            spmv_into(&sub.block, x, r);
+            for (ri, &row) in r.iter().zip(&sub.rows) {
                 let d = (y[row as usize] - ri) as f64;
                 res_sq += d * d;
             }
@@ -220,6 +228,7 @@ impl UpdateRule for OsRule<'_> {
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, Config, Kernel};
+    use crate::rel_err;
     use crate::solvers::sirt;
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 
@@ -234,17 +243,6 @@ mod tests {
         let y = ops.order_sinogram(&sino);
         let x_true = ops.order_tomogram(&img);
         (ops, y, x_true)
-    }
-
-    fn rel_err(a: &[f32], b: &[f32]) -> f64 {
-        let num: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| ((x - y) as f64).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        let den: f64 = b.iter().map(|&y| (y as f64).powi(2)).sum::<f64>().sqrt();
-        num / den
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! MPSC channel facade mirroring the crossbeam shim's API
+//! MPSC channel facade: a `Sync` receiver over an unbounded queue
 //! (`unbounded`, `Sender`, `Receiver`, typed recv errors). Passthrough
 //! wraps `std::sync::mpsc`; in a model schedule the queue is a
 //! model-visible object, so a receiver blocked on an empty channel is a
@@ -75,7 +75,7 @@ pub struct Sender<T> {
 }
 
 enum RxInner<T> {
-    // Mutex-wrapped so the facade Receiver is Sync like crossbeam's.
+    // Mutex-wrapped so the facade Receiver is Sync (std's is not).
     Std(StdMutex<mpsc::Receiver<T>>),
     Model(Arc<Chan<T>>),
 }

@@ -375,9 +375,8 @@ impl WorkerPool {
         WorkerPool::with_metrics(threads, Metrics::noop())
     }
 
-    /// A pool sized like the rayon shim: `RAYON_NUM_THREADS` if set and
-    /// positive, else the available parallelism. The environment is read
-    /// once, here — the pool size is fixed for its lifetime.
+    /// A pool of [`env_threads`] workers. The environment is read once,
+    /// here — the pool size is fixed for its lifetime.
     pub fn from_env() -> WorkerPool {
         WorkerPool::new(env_threads())
     }
@@ -712,7 +711,9 @@ impl Drop for WorkerPool {
 }
 
 /// The pool thread count the environment asks for: `RAYON_NUM_THREADS`
-/// when set to a positive integer, else available parallelism.
+/// when set to a positive integer, else available parallelism. The
+/// variable's name is historical — nothing named rayon reads it any more;
+/// every pool in the workspace (build, solve, baseline, benches) does.
 pub fn env_threads() -> usize {
     if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
         if let Ok(n) = v.parse::<usize>() {

@@ -15,7 +15,15 @@ use xct_serve::{
     BreakerConfig, JobError, JobRuntime, JobSpec, PlanCache, PlanSpec, RuntimeConfig, Shutdown,
 };
 
+/// Every test starts here, so this is also where the suite pins plan
+/// builds to one worker: a build inside a schedule traces rays on a
+/// transient `WorkerPool`, and each extra worker multiplies these trees by
+/// the pool's own handshake (cache churn: 43 schedules inline, 5 363 at
+/// two workers, past the budget beyond that). That protocol is explored
+/// exhaustively in `crates/runtime/tests/model_check.rs`; these trees are
+/// about the cache and the job runtime.
 fn geometry(n: u32, m: u32) -> (Grid, ScanGeometry) {
+    std::env::set_var("RAYON_NUM_THREADS", "1");
     (Grid::new(n), ScanGeometry::new(m, n))
 }
 
