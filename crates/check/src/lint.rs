@@ -103,6 +103,13 @@ fn outside_the_thread_owners(rel: &str) -> bool {
     rel.ends_with("Cargo.toml") || (rel.starts_with("crates/") && rel.contains("/src/") && !owner)
 }
 
+/// The product and everything written against it.
+fn product_and_its_callers(rel: &str) -> bool {
+    ["crates/", "tests/", "examples/"]
+        .iter()
+        .any(|root| rel.starts_with(root))
+}
+
 /// The retired names, one row per deletion that must not be undone.
 const RETIRED: &[Retired] = &[
     Retired {
@@ -154,6 +161,12 @@ const RETIRED: &[Retired] = &[
         message: "retired width-1 twin: the pool has one dispatch (`try_run_batched`, spelled \
             `run_batched` / `run`), xct-sparse one pooled dot, and ranks are an executor of the \
             one solve driver",
+    },
+    Retired {
+        names: &["run_volume", "SolveExit", "BatchOutput"],
+        scope: product_and_its_callers,
+        message: "retired second path: every input is groups x one stint in the driver's group \
+            loop (snapshot slot = group index), which fills a `ReconResponse` directly",
     },
 ];
 
@@ -584,6 +597,10 @@ mod tests {
         (
             "crates/sparse/src/pooled.rs",
             "pool.try_run(&plan, &mut y, k)?;\n",
+        ),
+        (
+            "crates/memxct/src/reconstructor.rs",
+            "ReconInput::Volume(sinos) => self.run_volume(sinos, req),\n",
         ),
     ];
 

@@ -13,7 +13,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use memxct::prelude::*;
@@ -74,8 +74,9 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
                  static partitions (threads from RAYON_NUM_THREADS)
   --pool-threads N  pool size override (implies --pool)
   --batch K      solve K slices together through the SpMM path (cg/sirt,
-                 also with --pool or --ranks; the written image is slice
-                 0, extra slices are scaled copies of the measurement)
+                 also with --pool or --ranks; slice 0 is the measurement,
+                 slice j a copy scaled by 1 + 0.05 j; --out FILE.pgm
+                 holds slice 0 and FILE.j.pgm slice j)
   --checkpoint FILE  snapshot the solver state to FILE.0 (versioned,
                  checksummed) every --checkpoint-every iterations
   --checkpoint-every N  checkpoint cadence in iterations (default 1)
@@ -102,7 +103,8 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
                  output is bit-identical to an unfaulted run)
   --cache N      serve: plan-cache capacity (default 8); jobs whose plan
                  is cached skip preprocessing entirely
-  --outdir DIR   serve: write each job's slice-0 image to DIR/NAME.pgm
+  --outdir DIR   serve: write each job's images to DIR/NAME.pgm (slice 0)
+                 and DIR/NAME.j.pgm (slice j of a batch=K job)
 
 EXIT CODES
   0  success
@@ -144,6 +146,41 @@ fn die_run(context: &str, e: ReconError) -> ! {
             exit(2);
         }
     }
+}
+
+/// The input of a `batch`-wide run over one measurement: slice 0 is the
+/// measurement itself (so its image is comparable to an unbatched run's),
+/// slice `j` a copy scaled by `1 + 0.05·j`.
+fn widened(sino: Sinogram, batch: usize) -> ReconInput {
+    if batch == 1 {
+        return ReconInput::Slice(sino);
+    }
+    let slice = |j: usize| {
+        let scale = 1.0 + 0.05 * j as f32;
+        Sinogram::new(
+            sino.scan(),
+            sino.data().iter().map(|&v| v * scale).collect(),
+        )
+    };
+    ReconInput::Batch((0..batch).map(slice).collect())
+}
+
+/// Write every `n × n` image of a response: slice 0 to `first`, slice
+/// `j > 0` next to it as `<stem>.<j>.pgm`.
+fn write_slices(first: &Path, n: usize, images: &[Vec<f32>]) -> Vec<PathBuf> {
+    let mut written = Vec::with_capacity(images.len());
+    for (j, image) in images.iter().enumerate() {
+        let path = match j {
+            0 => first.to_path_buf(),
+            _ => first.with_extension(format!("{j}.pgm")),
+        };
+        io::write_pgm(&path, n, n, image).unwrap_or_else(|e| {
+            eprintln!("cannot write {}: {e}", path.display());
+            exit(1);
+        });
+        written.push(path);
+    }
+    written
 }
 
 /// Exit code for a failed serve job, matching the documented mapping:
@@ -475,24 +512,10 @@ fn reconstruct(opts: &Options) {
         );
     }
 
-    // Batched runs widen the measurement into `batch` distinct slices:
-    // slice 0 is the measurement itself (so the written image is
-    // comparable to an unbatched run), the rest are scaled copies.
-    let batch_slices: Vec<Sinogram> = (0..opts.batch)
-        .map(|j| {
-            let scale = 1.0 + 0.05 * j as f32;
-            Sinogram::new(scan, sino.data().iter().map(|&v| v * scale).collect())
-        })
-        .collect();
-
     let t = std::time::Instant::now();
-    let (image, iters_run) = match (opts.solver.as_str(), opts.ranks) {
+    let (images, iters_run) = match (opts.solver.as_str(), opts.ranks) {
         ("cg" | "sirt", ranks) => {
-            let input = if opts.batch > 1 {
-                ReconInput::Batch(batch_slices)
-            } else {
-                ReconInput::Slice(sino)
-            };
+            let input = widened(sino, opts.batch);
             let req = if opts.solver == "cg" {
                 ReconRequest::cg(input, StopRule::Fixed(opts.iters))
             } else {
@@ -511,19 +534,19 @@ fn reconstruct(opts: &Options) {
                 _ if opts.pool => (ExecMode::Pooled, "reconstruction failed"),
                 _ => (ExecMode::Serial, "reconstruction failed"),
             };
-            let mut resp = rec
+            let resp = rec
                 .run(&req.mode(mode))
                 .unwrap_or_else(|e| die_run(context, e));
             let n = resp.slice_records.first().map(Vec::len).unwrap_or(0);
-            (resp.images.swap_remove(0), n)
+            (resp.images, n)
         }
         ("os-sirt", _) => {
             let os = OrderedSubsets::new(rec.operators(), 8.min(ds.projections as usize));
             let y = rec.operators().order_sinogram(&sino);
             let (x, recs) = os.solve(&y, opts.iters, 1.0);
-            (rec.operators().unorder_tomogram(&x), recs.len())
+            (vec![rec.operators().unorder_tomogram(&x)], recs.len())
         }
-        ("fbp", _) => (fbp(rec.operators(), &sino, &FbpConfig::default()), 1),
+        ("fbp", _) => (vec![fbp(rec.operators(), &sino, &FbpConfig::default())], 1),
         (other, _) => {
             eprintln!("unknown solver `{other}`");
             exit(2);
@@ -545,13 +568,11 @@ fn reconstruct(opts: &Options) {
     }
 
     if let Some(out) = &opts.out {
-        let n = ds.channels as usize;
-        io::write_pgm(out, n, n, &image).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", out.display());
-            exit(1);
-        });
-        println!("wrote {}", out.display());
+        for path in write_slices(out, ds.channels as usize, &images) {
+            println!("wrote {}", path.display());
+        }
     }
+    let image = &images[0];
     let max = image.iter().cloned().fold(f32::MIN, f32::max);
     let min = image.iter().cloned().fold(f32::MAX, f32::min);
     println!("image range: [{min:.4}, {max:.4}]");
@@ -630,18 +651,7 @@ fn parse_job_line(line: &str) -> Result<(JobSpec, u32), String> {
     let scan = ds.scan();
     let truth = ds.phantom().rasterize(ds.channels);
     let sino = simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, 0xc11);
-    let input = if batch > 1 {
-        ReconInput::Batch(
-            (0..batch)
-                .map(|j| {
-                    let s = 1.0 + 0.05 * j as f32;
-                    Sinogram::new(scan, sino.data().iter().map(|&v| v * s).collect())
-                })
-                .collect(),
-        )
-    } else {
-        ReconInput::Slice(sino)
-    };
+    let input = widened(sino, batch);
     let request = match solver.as_str() {
         "cg" => ReconRequest::cg(input, StopRule::Fixed(iters)),
         "sirt" => ReconRequest::sirt(input, iters),
@@ -738,11 +748,7 @@ fn serve(opts: &Options) {
                 );
                 if let Some(dir) = &opts.outdir {
                     let out = dir.join(format!("{}.pgm", r.name));
-                    let n = *side as usize;
-                    io::write_pgm(&out, n, n, &resp.images[0]).unwrap_or_else(|e| {
-                        eprintln!("cannot write {}: {e}", out.display());
-                        exit(1);
-                    });
+                    write_slices(&out, *side as usize, &resp.images);
                 }
             }
             Err(e) => {

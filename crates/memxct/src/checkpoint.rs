@@ -79,8 +79,14 @@ pub fn plan_fingerprint(ops: &Operators) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// A decoded, validated mid-solve state ready to restore into a
-/// workspace and rule.
+/// A mid-solve state: the one exchange type between a workspace + rule
+/// and a snapshot. [`SolverWorkspace::capture`] produces it at an
+/// iteration boundary, [`encode_state`] / [`load_state`] carry it through
+/// a sink, and [`SolverWorkspace::restore`] puts it back — a distributed
+/// rank captures and restores its blocks of the same global state.
+///
+/// [`SolverWorkspace::capture`]: crate::SolverWorkspace
+/// [`SolverWorkspace::restore`]: crate::SolverWorkspace
 pub(crate) struct SolveState {
     /// The iteration the resumed loop starts at (iterations `0..iteration`
     /// are committed in `slice_records`).
@@ -89,11 +95,11 @@ pub(crate) struct SolveState {
     pub(crate) batch: usize,
     /// Per-slice `prev_res` as of the last committed iteration.
     pub(crate) prev_res: Vec<f64>,
-    /// Global ordered iterate slab (`batch × ncols`, slice-major).
+    /// Ordered iterate slab (`batch × ncols`, slice-major).
     pub(crate) x: Vec<f32>,
-    /// Global ordered residual slab.
+    /// Ordered residual slab.
     pub(crate) resid: Vec<f32>,
-    /// Global ordered search-direction slab.
+    /// Ordered search-direction slab.
     pub(crate) dir: Vec<f32>,
     /// Per-slice activity flags.
     pub(crate) active: Vec<bool>,
@@ -103,36 +109,24 @@ pub(crate) struct SolveState {
     pub(crate) scalars: Vec<f64>,
 }
 
-/// Build the snapshot for a solve of `batch` slices paused before
-/// `next_iter` (shared-memory drivers pass their workspace's state, the
-/// distributed driver its gathered global vectors). The carried slabs are
-/// slice-major; the per-slice record lists are concatenated into the
-/// `records/*` arrays with their lengths in [`SECTION_REC_COUNTS`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn encode_state(
-    plan_hash: u64,
-    next_iter: usize,
-    batch: usize,
-    prev_res: &[f64],
-    x: &[f32],
-    resid: &[f32],
-    dir: &[f32],
-    active: &[bool],
-    slice_records: &[Vec<IterationRecord>],
-    rule_scalars: &[f64],
-) -> Snapshot {
-    let mut snap = Snapshot::new(plan_hash, next_iter as u64);
-    snap.push_u64s(SECTION_BATCH, &[batch as u64]);
-    snap.push_f32s(SECTION_X, x);
-    snap.push_f32s(SECTION_RESID, resid);
-    snap.push_f32s(SECTION_DIR, dir);
-    snap.push_f64s(SECTION_PREV_RES, prev_res);
-    let flags: Vec<u64> = active.iter().map(|&a| a as u64).collect();
+/// Build the snapshot of a solve paused before `st.iteration`, over the
+/// *global* ordered domain (the distributed executor gathers its ranks'
+/// blocks first). The carried slabs are slice-major; the per-slice record
+/// lists are concatenated into the `records/*` arrays with their lengths
+/// in [`SECTION_REC_COUNTS`].
+pub(crate) fn encode_state(plan_hash: u64, st: &SolveState) -> Snapshot {
+    let mut snap = Snapshot::new(plan_hash, st.iteration as u64);
+    snap.push_u64s(SECTION_BATCH, &[st.batch as u64]);
+    snap.push_f32s(SECTION_X, &st.x);
+    snap.push_f32s(SECTION_RESID, &st.resid);
+    snap.push_f32s(SECTION_DIR, &st.dir);
+    snap.push_f64s(SECTION_PREV_RES, &st.prev_res);
+    let flags: Vec<u64> = st.active.iter().map(|&a| a as u64).collect();
     snap.push_u64s(SECTION_ACTIVE, &flags);
-    snap.push_f64s(SECTION_RULE, rule_scalars);
-    let counts: Vec<u64> = slice_records.iter().map(|r| r.len() as u64).collect();
+    snap.push_f64s(SECTION_RULE, &st.scalars);
+    let counts: Vec<u64> = st.slice_records.iter().map(|r| r.len() as u64).collect();
     snap.push_u64s(SECTION_REC_COUNTS, &counts);
-    let all = slice_records.iter().flatten();
+    let all = st.slice_records.iter().flatten();
     let residuals: Vec<f64> = all.clone().map(|r| r.residual_norm).collect();
     let solutions: Vec<f64> = all.clone().map(|r| r.solution_norm).collect();
     let seconds: Vec<f64> = all.map(|r| r.seconds).collect();
@@ -333,21 +327,26 @@ mod tests {
             .collect()
     }
 
-    /// A zeroed batch-1 snapshot of a 3 × 2 plan with `nrecs` records.
+    /// A `k`-slice state of a 3 × 2 plan paused before `iteration`:
+    /// constant slabs, every slice active, no rule scalars.
+    fn state(iteration: usize, slice_records: Vec<Vec<IterationRecord>>) -> SolveState {
+        let k = slice_records.len();
+        SolveState {
+            iteration,
+            batch: k,
+            prev_res: vec![1.0; k],
+            x: vec![1.0; 2 * k],
+            resid: vec![2.0; 3 * k],
+            dir: vec![3.0; 2 * k],
+            active: vec![true; k],
+            slice_records,
+            scalars: Vec::new(),
+        }
+    }
+
+    /// A batch-1 snapshot of a 3 × 2 plan with `nrecs` records.
     fn one_slice(plan_hash: u64, next_iter: usize, nrecs: usize) -> Snapshot {
-        let (x, resid, recs) = ([0.0; 2], [0.0; 3], [records(nrecs)]);
-        encode_state(
-            plan_hash,
-            next_iter,
-            1,
-            &[1.0],
-            &x,
-            &resid,
-            &x,
-            &[true],
-            &recs,
-            &[],
-        )
+        encode_state(plan_hash, &state(next_iter, vec![records(nrecs)]))
     }
 
     #[test]
@@ -355,15 +354,14 @@ mod tests {
         let recs = [records(3)];
         let snap = encode_state(
             0xFEED,
-            3,
-            1,
-            &[10.0 / 3.0],
-            &[1.0, 2.0],
-            &[3.0, 4.0, 5.0],
-            &[6.0, 7.0],
-            &[true],
-            &recs,
-            &[0.125],
+            &SolveState {
+                prev_res: vec![10.0 / 3.0],
+                x: vec![1.0, 2.0],
+                resid: vec![3.0, 4.0, 5.0],
+                dir: vec![6.0, 7.0],
+                scalars: vec![0.125],
+                ..state(3, recs.to_vec())
+            },
         );
         assert!(validate_snapshot(&snap, 0xFEED, 10, 3, 2, 1).is_ok());
         let st = decode_state(&snap).unwrap();
@@ -384,15 +382,12 @@ mod tests {
         let slice_records = vec![records(3), records(2)];
         let snap = encode_state(
             0xFEED,
-            3,
-            2,
-            &[0.5, 0.25],
-            &[1.0; 4],
-            &[2.0; 6],
-            &[3.0; 4],
-            &[true, false],
-            &slice_records,
-            &[0.125, 0.5],
+            &SolveState {
+                prev_res: vec![0.5, 0.25],
+                active: vec![true, false],
+                scalars: vec![0.125, 0.5],
+                ..state(3, slice_records.clone())
+            },
         );
         let r = validate_snapshot(&snap, 0xFEED, 10, 3, 2, 2);
         assert!(r.is_ok(), "{r}");
@@ -420,19 +415,7 @@ mod tests {
 
     #[test]
     fn batch_width_mismatch_is_a_typed_violation() {
-        let slice_records = vec![records(1), records(1)];
-        let snap = encode_state(
-            7,
-            1,
-            2,
-            &[1.0, 1.0],
-            &[0.0; 4],
-            &[0.0; 6],
-            &[0.0; 4],
-            &[true, true],
-            &slice_records,
-            &[],
-        );
+        let snap = encode_state(7, &state(1, vec![records(1), records(1)]));
         // Resuming a batch-2 snapshot at batch 4: the batch invariant
         // fires as the root cause, not a cascade of shape violations.
         let r = validate_snapshot(&snap, 7, 10, 3, 2, 4);

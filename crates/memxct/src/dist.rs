@@ -21,20 +21,19 @@
 //! Ranks are an *executor* of the one solve driver
 //! ([`crate::Reconstructor::run_controlled`]), not a second driver:
 //! [`try_reconstruct_distributed_ft`] takes the same slice-major slab of
-//! `k ≥ 1` ordered sinograms, and every rank runs the same engine, the
-//! same `make_rule` rule, a width-`k` workspace and the same checkpoint
-//! format through its [`DistOperator`]. What lives here is what only
-//! ranks need — the plans, the global snapshot gather, the
-//! degrade-and-restart loop — and no preemption.
+//! `k ≥ 1` ordered sinograms, and every rank runs the same stint — the
+//! same restore, engine, `make_rule` rule and boundary decision, in a
+//! width-`k` workspace — through its [`DistOperator`]. What lives here
+//! is what only ranks add: the plans, carving a global state into rank
+//! blocks and gathering it back, agreeing on rank 0's answer when a
+//! control may ask the solve to yield, and the degrade-and-restart loop.
 
 use crate::checkpoint::{self, SolveState};
 use crate::errors::BuildError;
 use crate::operator::{Direction, KernelBreakdown, ProjectionOperator};
 use crate::preprocess::Operators;
-use crate::solvers::{
-    make_rule, run_engine_core, Constraint, EngineSignal, IterationRecord, SolverWorkspace,
-    StopRule, UpdateRule,
-};
+use crate::request::CheckpointPolicy;
+use crate::solvers::{EngineExit, IterationRecord, SolverWorkspace, Stint, StopRule};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -45,8 +44,8 @@ use xct_obs::{
     FAULT_TIMEOUTS, KERNEL_AP_SECONDS, KERNEL_C_SECONDS, KERNEL_R_SECONDS,
 };
 use xct_runtime::{
-    run_ranks_with, CheckpointError, CheckpointSink, CommConfig, CommError, CommErrorKind,
-    CommLedger, Communicator, FaultPlan, KernelVolumes,
+    run_ranks_with, CommConfig, CommError, CommErrorKind, CommLedger, Communicator, FaultPlan,
+    KernelVolumes,
 };
 use xct_sparse::{BufferedCsr, CsrMatrix};
 
@@ -556,14 +555,16 @@ impl ProjectionOperator for DistOperator<'_> {
     }
 }
 
-/// Fault-tolerance policy for a distributed reconstruction.
+/// Fault-tolerance policy for a distributed reconstruction: what is
+/// about *faults*. Durability — where snapshots go, how often, whether to
+/// resume — is the request's [`CheckpointPolicy`], the same value every
+/// executor runs under.
 ///
 /// The default policy enables the runtime's supervised execution (30 s
-/// collective deadline, bounded delivery retries) with no chaos, no
-/// checkpointing, and one degraded restart; [`FaultTolerance::disabled`]
-/// reproduces the historical fail-fast behaviour (unbounded waits, zero
-/// restarts) and is what [`try_reconstruct_distributed`] and the builder
-/// default use.
+/// collective deadline, bounded delivery retries) with no chaos and one
+/// degraded restart; [`FaultTolerance::disabled`] reproduces the
+/// historical fail-fast behaviour (unbounded waits, zero restarts) and is
+/// what [`try_reconstruct_distributed`] and the builder default use.
 #[derive(Clone)]
 pub struct FaultTolerance {
     /// Deadline/retry/backoff configuration for every collective.
@@ -571,13 +572,6 @@ pub struct FaultTolerance {
     /// Deterministic chaos plan consulted by every collective. The empty
     /// plan injects nothing and is bit-identical to no fault machinery.
     pub faults: Arc<FaultPlan>,
-    /// Where snapshots go. `None` disables checkpointing entirely.
-    pub sink: Option<Arc<dyn CheckpointSink>>,
-    /// Take a snapshot after every `checkpoint_every` iterations
-    /// (0 = never, even with a sink configured).
-    pub checkpoint_every: usize,
-    /// Resume from the sink's slot-0 snapshot when one exists.
-    pub resume: bool,
     /// How many degraded restarts (each over one rank fewer) the
     /// coordinator attempts after an unrecoverable rank loss.
     pub max_restarts: usize,
@@ -588,9 +582,6 @@ impl Default for FaultTolerance {
         FaultTolerance {
             comm: CommConfig::default(),
             faults: Arc::new(FaultPlan::new()),
-            sink: None,
-            checkpoint_every: 0,
-            resume: false,
             max_restarts: 1,
         }
     }
@@ -598,7 +589,7 @@ impl Default for FaultTolerance {
 
 impl FaultTolerance {
     /// The historical fail-fast policy: unbounded collective waits, no
-    /// chaos, no checkpoints, no restarts.
+    /// chaos, no restarts.
     pub fn disabled() -> Self {
         FaultTolerance {
             comm: CommConfig::unbounded(),
@@ -606,14 +597,6 @@ impl FaultTolerance {
             ..FaultTolerance::default()
         }
     }
-}
-
-/// What can go wrong while taking a global checkpoint: a communication
-/// failure during the gather (recoverable — the restart loop handles it)
-/// or a snapshot encode/persist failure (unrecoverable).
-enum SaveError {
-    Comm(CommError),
-    Checkpoint(CheckpointError),
 }
 
 /// A `Range<u32>` of ordered domain ranks as slab indices.
@@ -646,160 +629,156 @@ fn put_blocks(global: &mut [f32], domain: usize, range: Range<usize>, local: &[f
     }
 }
 
-/// Gather `[x ‖ resid ‖ dir]` (each `k` slice-major blocks) from every
-/// rank at rank 0 with one collective and persist one *global* snapshot
-/// into slot 0. Running the gather as a collective keeps snapshots
+/// A snapshot failure on this rank, as the error ranks report.
+fn checkpoint_fault(comm: &Communicator, message: String) -> CommError {
+    CommError {
+        rank: comm.rank(),
+        peer: None,
+        collective: "checkpoint",
+        kind: CommErrorKind::Checkpoint { message },
+    }
+}
+
+/// This rank's blocks of a global state — what [`gather_state`] undoes.
+fn local_state(global: &SolveState, plans: &[RankPlan], rank: usize) -> SolveState {
+    let (nrows, ncols) = global_dims(plans);
+    let (tomo, sino) = (span(&plans[rank].tomo_range), span(&plans[rank].sino_range));
+    SolveState {
+        x: take_blocks(&global.x, ncols, tomo.clone()),
+        resid: take_blocks(&global.resid, nrows, sino),
+        dir: take_blocks(&global.dir, ncols, tomo),
+        // The per-slice state (records, residual reference, allreduced γ)
+        // is identical on every rank.
+        iteration: global.iteration,
+        batch: global.batch,
+        prev_res: global.prev_res.clone(),
+        active: global.active.clone(),
+        slice_records: global.slice_records.clone(),
+        scalars: global.scalars.clone(),
+    }
+}
+
+/// Gather every rank's `[x ‖ resid ‖ dir]` (each `k` slice-major blocks)
+/// at rank 0 with one collective; rank 0 gets the *global* state back —
+/// it alone calls `capture` for the rank-identical per-slice part — the
+/// others `None`. Running the gather as a collective keeps snapshots
 /// globally consistent (every rank contributes the state of the same
 /// iteration boundary), and assembling in global ordered coordinates
 /// makes the snapshot rank-count independent: a degraded restart over
 /// fewer ranks — or a shared-memory resume at the same width — reads the
-/// same file.
-fn save_global_checkpoint(
+/// same file. A malformed contribution is a [`CommErrorKind::Checkpoint`]
+/// error, which the restart loop does not retry.
+fn gather_state(
     comm: &Communicator,
     plans: &[RankPlan],
-    sink: &dyn CheckpointSink,
-    plan_hash: u64,
-    next_iter: usize,
     ws: &SolverWorkspace,
-    rule: &dyn UpdateRule,
-) -> Result<(), SaveError> {
-    let mut mine = Vec::with_capacity(ws.x().len() + ws.resid().len() + ws.dir().len());
-    mine.extend_from_slice(ws.x());
-    mine.extend_from_slice(ws.resid());
-    mine.extend_from_slice(ws.dir());
+    capture: impl FnOnce() -> SolveState,
+) -> Result<Option<SolveState>, CommError> {
     let mut send: Vec<Vec<f32>> = vec![Vec::new(); comm.size()];
-    send[0] = mine;
-    let recv = comm.try_alltoallv(send).map_err(SaveError::Comm)?;
+    send[0] = ws.carried().concat();
+    let recv = comm.try_alltoallv(send)?;
     if comm.rank() != 0 {
-        return Ok(());
+        return Ok(None);
     }
     let k = ws.batch();
     let (nrows, ncols) = global_dims(plans);
-    let mut gx = vec![0f32; ncols * k];
-    let mut gresid = vec![0f32; nrows * k];
-    let mut gdir = vec![0f32; ncols * k];
+    let mut global = SolveState {
+        x: vec![0f32; ncols * k],
+        resid: vec![0f32; nrows * k],
+        dir: vec![0f32; ncols * k],
+        ..capture()
+    };
     for (src, payload) in recv.iter().enumerate() {
         let (tomo, sino) = (span(&plans[src].tomo_range), span(&plans[src].sino_range));
         let (tn, sn) = (tomo.len() * k, sino.len() * k);
         if payload.len() != 2 * tn + sn {
-            return Err(SaveError::Checkpoint(CheckpointError::Io {
-                message: format!(
-                    "checkpoint gather: rank {src} sent {} values, expected {}",
-                    payload.len(),
-                    2 * tn + sn
-                ),
-            }));
+            let message = format!(
+                "checkpoint gather: rank {src} sent {} values, expected {}",
+                payload.len(),
+                2 * tn + sn
+            );
+            return Err(checkpoint_fault(comm, message));
         }
-        put_blocks(&mut gx, ncols, tomo.clone(), &payload[..tn]);
-        put_blocks(&mut gresid, nrows, sino, &payload[tn..tn + sn]);
-        put_blocks(&mut gdir, ncols, tomo, &payload[tn + sn..]);
+        put_blocks(&mut global.x, ncols, tomo.clone(), &payload[..tn]);
+        put_blocks(&mut global.resid, nrows, sino, &payload[tn..tn + sn]);
+        put_blocks(&mut global.dir, ncols, tomo, &payload[tn + sn..]);
     }
-    // The per-slice state (records, residual reference, allreduced γ) is
-    // identical on every rank, so rank 0's workspace speaks for all.
-    let snap = checkpoint::encode_state(
-        plan_hash,
-        next_iter,
-        k,
-        ws.prev_res(),
-        &gx,
-        &gresid,
-        &gdir,
-        ws.active(),
-        ws.slice_records(),
-        &rule.carried_scalars(ws),
-    );
-    sink.save(0, &snap.encode()).map_err(SaveError::Checkpoint)
+    Ok(Some(global))
 }
 
 /// One rank's share of a supervised solve of the `k` slices in the
-/// global slice-major slab `sino_ordered`: the rank's executor for the
-/// one solve driver. It runs the generic engine over the rank's
-/// [`DistOperator`] with the rule [`make_rule`] builds for every
-/// executor, in a width-`k` workspace, resumes from and snapshots into
-/// the same global [`SolveState`] the shared-memory driver reads and
-/// writes, and converts an absorbed communication fault back into a typed
-/// error after the engine winds down.
+/// global slice-major slab `sino_ordered`: the rank executor of
+/// [`Stint::run`]. The rank takes its blocks of the measurement and of
+/// the global state to resume from, runs the stint unmetered over its
+/// [`DistOperator`] in a width-`k` workspace, and adds the two things a
+/// boundary needs across ranks — the vote on rank 0's preemption answer
+/// and the gather before rank 0 saves. A communication fault absorbed on
+/// the way is converted back into a typed error after the engine winds
+/// down.
 fn solve_rank(
     comm: &Communicator,
     plans: &[RankPlan],
     sino_ordered: &[f32],
-    config: &DistConfig,
-    ft: &FaultTolerance,
-    plan_hash: u64,
+    stint: &Stint,
     resume: Option<&SolveState>,
 ) -> Result<RankResult, CommError> {
     let plan = &plans[comm.rank()];
-    let (nrows, ncols) = global_dims(plans);
-    let (tomo, sino) = (span(&plan.tomo_range), span(&plan.sino_range));
-    let y = take_blocks(sino_ordered, nrows, sino.clone());
+    let (nrows, _) = global_dims(plans);
+    let y = take_blocks(sino_ordered, nrows, span(&plan.sino_range));
     let op = DistOperator::new(plan, comm);
-    let mut rule = make_rule(config.solver);
     let mut ws = SolverWorkspace::new_batched(op.nrows(), op.ncols(), sino_ordered.len() / nrows);
-    let resume_point = resume.map(|st| {
-        ws.resume(
-            op.nrows(),
-            op.ncols(),
-            config.stop.max_iters(),
-            &take_blocks(&st.x, ncols, tomo.clone()),
-            &take_blocks(&st.resid, nrows, sino.clone()),
-            &take_blocks(&st.dir, ncols, tomo.clone()),
-            &st.slice_records,
-            &st.prev_res,
-            &st.active,
-        );
-        rule.restore_scalars(&st.scalars, &mut ws);
-        st.iteration
-    });
-    let every = ft.checkpoint_every;
-    // Each rank's inner solve runs unmetered (see the coordinator docs).
-    let engine = run_engine_core(
+    let resume = resume.map(|global| local_state(global, plans, comm.rank()));
+    let unmetered = Stint {
+        metrics: &Metrics::noop(),
+        ..*stint
+    };
+    let engine = unmetered.run(
         &op,
         &y,
-        rule.as_mut(),
-        Constraint::None,
-        config.stop,
-        &Metrics::noop(),
         &mut ws,
-        resume_point,
+        resume.as_ref(),
+        // Only a controlled run with a policy votes — an uncontrolled one
+        // keeps its collective sequence, and without a policy nothing can
+        // be saved, so nothing stops. Rank 0 alone consults the control
+        // and one exchange makes its answer everyone's. A poisoned rank
+        // skips collectives: the abort flag is already set, so peers fail
+        // fast instead of blocking on it.
+        |next_iter| {
+            let Some(ctrl) = stint.ctrl else { return false };
+            let mine = comm.rank() == 0 && ctrl.should_preempt(next_iter);
+            if stint.policy.is_none() || op.poisoned() {
+                return false;
+            }
+            let votes = comm.try_alltoall_counts(vec![u64::from(mine); comm.size()]);
+            votes.map_err(|e| op.poison(e)).is_ok_and(|v| v[0] != 0)
+        },
         |next_iter, ws, rule| {
-            // A poisoned rank skips the gather: the abort flag is already
-            // set, so peers fail fast instead of blocking on it.
-            let due = every != 0 && next_iter % every == 0 && op.fault().is_none();
-            let (Some(sink), true) = (&ft.sink, due) else {
-                return Ok(EngineSignal::Continue);
-            };
-            match save_global_checkpoint(comm, plans, sink.as_ref(), plan_hash, next_iter, ws, rule)
-            {
-                Ok(()) => Ok(EngineSignal::Continue),
-                // A comm failure during the gather poisons the solve like
-                // any other collective failure — recoverable by restart.
-                Err(SaveError::Comm(e)) => {
+            if op.poisoned() {
+                return Ok(());
+            }
+            match gather_state(comm, plans, ws, || ws.capture(next_iter, rule)) {
+                Ok(Some(global)) => stint.save(&global),
+                Ok(None) => Ok(()),
+                // A failed gather poisons the solve like any other
+                // collective failure — the restart loop's to judge.
+                Err(e) => {
                     op.poison(e);
-                    Ok(EngineSignal::Continue)
+                    Ok(())
                 }
-                Err(SaveError::Checkpoint(ck)) => Err(ck),
             }
         },
     );
     if let Some(e) = op.fault() {
         return Err(e);
     }
-    if let Err(ck) = engine {
-        return Err(CommError {
-            rank: comm.rank(),
-            peer: None,
-            collective: "checkpoint",
-            kind: CommErrorKind::Checkpoint {
-                message: ck.to_string(),
-            },
-        });
-    }
+    let exit = engine.map_err(|ck| checkpoint_fault(comm, ck.to_string()))?;
     let breakdown = *op.kb.borrow();
     Ok((
         ws.x().to_vec(),
         ws.slice_records().to_vec(),
         breakdown,
         op.call_counts(),
+        exit,
     ))
 }
 
@@ -811,6 +790,7 @@ type RankResult = (
     Vec<Vec<IterationRecord>>,
     KernelBreakdown,
     (u64, u64),
+    EngineExit,
 );
 
 /// Assemble the coordinator-side [`DistOutput`] from the per-rank results
@@ -830,7 +810,7 @@ fn assemble_output(
     let mut ordered = Vec::new();
     let mut slice_records = Vec::new();
     let mut breakdown = Vec::with_capacity(ranks);
-    for (plan, (x_local, recs, kb, (fwd, back))) in plans.iter().zip(rank_results) {
+    for (plan, (x_local, recs, kb, (fwd, back), _)) in plans.iter().zip(rank_results) {
         if slice_records.is_empty() {
             ordered.resize(ncols * recs.len(), 0f32);
             slice_records = recs;
@@ -892,29 +872,97 @@ fn assemble_output(
     }
 }
 
-/// The distributed executor of the one solve driver: reconstruct the `k`
-/// slices of the global slice-major slab `sino_ordered` (`k × nrows`
-/// values in sinogram-ordered coordinates, see
+/// The distributed executor of the one solve driver: run one stint of
+/// the `k` slices of the global slice-major slab `sino_ordered` (`k ×
+/// nrows` values in sinogram-ordered coordinates, see
 /// [`Operators::order_sinogram`]; `k` is read off its length) over
-/// `config.ranks` threads-as-ranks, under the full fault-tolerance policy
-/// of [`FaultTolerance`]. Each rank runs the same generic engine, update
-/// rule, workspace and checkpoint format as the shared-memory path — at
-/// width `k`, through its [`DistOperator`] — so column `j` is
-/// bit-identical to slice `j` solved alone over the same ranks. What this
-/// body adds is only what ranks need: the plans, the global checkpoint
-/// gather, and the restart loop. (There is no preemption here.)
+/// `config.ranks` threads-as-ranks (`stint` names the solver and stop
+/// rule; `config`'s own are not read here). Each rank is an executor of
+/// the same [`Stint::run`] as the shared-memory path — at width `k`,
+/// through its [`DistOperator`] — so column `j` is bit-identical to slice
+/// `j` solved alone over the same ranks. What this body adds is only what
+/// ranks need: the plans, and the restart loop.
+///
+/// Returns how the stint ended next to the output; after a stop at a
+/// boundary the output is the state as of that boundary and nothing is
+/// recorded into `stint.metrics` (the resumed stint's records cover the
+/// whole trajectory, as after a crash).
+pub(crate) fn solve_distributed(
+    ops: &Operators,
+    sino_ordered: &[f32],
+    config: &DistConfig,
+    ft: &FaultTolerance,
+    stint: &Stint,
+) -> Result<(DistOutput, EngineExit), BuildError> {
+    if config.ranks == 0 {
+        return Err(BuildError::ZeroRanks);
+    }
+    if let Some(relax) = stint.solver.invalid_relaxation() {
+        return Err(BuildError::InvalidRelaxation { relax });
+    }
+    let (nrows, ncols) = (ops.a.nrows(), ops.a.ncols());
+    let batch = sino_ordered.len().checked_div(nrows).unwrap_or(0);
+    if batch == 0 || batch * nrows != sino_ordered.len() {
+        return Err(BuildError::SinogramLength {
+            expected: nrows,
+            got: sino_ordered.len(),
+        });
+    }
+    let metrics = stint.metrics;
+    let mut resume_state = stint.resume_state(nrows, ncols, batch)?;
+    let mut ranks = config.ranks;
+    let mut restarts = 0usize;
+    loop {
+        let plans = build_plans(ops, ranks, config.use_buffered);
+        let volumes: Vec<KernelVolumes> = plans.iter().map(|p| p.volumes()).collect();
+        let run = run_ranks_with(ranks, ft.comm, Arc::clone(&ft.faults), |comm| {
+            solve_rank(comm, &plans, sino_ordered, stint, resume_state.as_ref())
+        });
+        match run {
+            Ok((rank_results, ledger)) => {
+                // Every rank took the same exit.
+                let exit = rank_results[0].4;
+                let record = match exit {
+                    EngineExit::Completed => metrics,
+                    EngineExit::Stopped { .. } => &Metrics::noop(),
+                };
+                let out = assemble_output(ops, &plans, rank_results, ledger, volumes, record);
+                return Ok((out, exit));
+            }
+            Err(err) => {
+                metrics.counter_add(FAULT_RANK_LOSS, 1);
+                let unrecoverable = matches!(err.kind, CommErrorKind::Checkpoint { .. });
+                if unrecoverable || restarts >= ft.max_restarts || ranks <= 1 {
+                    return Err(BuildError::Comm(err));
+                }
+                restarts += 1;
+                ranks -= 1;
+                metrics.counter_add(FAULT_RESTARTS, 1);
+                // Degrade: resume the survivors from the latest snapshot
+                // (the snapshot is rank-count independent), or from
+                // scratch when checkpointing is off.
+                resume_state = stint.load(nrows, ncols, batch)?;
+            }
+        }
+    }
+}
+
+/// A distributed solve outside the request model: `config` names rank
+/// count, local kernel, solver and stop rule; `ft` the fault-tolerance
+/// policy; `checkpoint` the durability policy, if any (snapshots use
+/// sink slot 0).
 ///
 /// - Every collective runs under `ft.comm`'s deadline/retry budget and
 ///   consults `ft.faults` for deterministic chaos injection; failures
 ///   surface as [`BuildError::Comm`] with the origin rank, peer, and
 ///   collective — never a hang or a panic.
-/// - With a sink configured and `ft.checkpoint_every > 0`, the ranks
-///   gather a *global* snapshot into slot 0 at every boundary (see
-///   [`crate::checkpoint`]); `ft.resume` restarts mid-solve from the
+/// - With a policy of cadence `every > 0`, the ranks gather a *global*
+///   snapshot at every `every`-th boundary (see
+///   [`crate::checkpoint`]); its `resume` restarts mid-solve from the
 ///   latest snapshot, bit-identically to an uninterrupted run.
 /// - On an unrecoverable rank loss the coordinator degrades: it rebuilds
 ///   the plans over one rank fewer, reloads the latest snapshot (or
-///   restarts from scratch without a sink), and reruns — up to
+///   restarts from scratch without a policy), and reruns — up to
 ///   `ft.max_restarts` times and never below one rank. Snapshot
 ///   validation failures ([`CommErrorKind::Checkpoint`]) are not retried.
 ///
@@ -943,89 +991,33 @@ pub fn try_reconstruct_distributed_ft(
     sino_ordered: &[f32],
     config: &DistConfig,
     ft: &FaultTolerance,
+    checkpoint: Option<&CheckpointPolicy>,
     metrics: &Metrics,
 ) -> Result<DistOutput, BuildError> {
-    if config.ranks == 0 {
-        return Err(BuildError::ZeroRanks);
-    }
-    if let Some(relax) = config.solver.invalid_relaxation() {
-        return Err(BuildError::InvalidRelaxation { relax });
-    }
-    let (nrows, ncols) = (ops.a.nrows(), ops.a.ncols());
-    let batch = sino_ordered.len().checked_div(nrows).unwrap_or(0);
-    if batch == 0 || batch * nrows != sino_ordered.len() {
-        return Err(BuildError::SinogramLength {
-            expected: nrows,
-            got: sino_ordered.len(),
-        });
-    }
-    let plan_hash = checkpoint::plan_fingerprint(ops);
-    let max_iters = config.stop.max_iters();
-    let load = |sink: &Arc<dyn CheckpointSink>| {
-        checkpoint::load_state(sink.as_ref(), 0, plan_hash, max_iters, nrows, ncols, batch)
+    let stint = Stint {
+        solver: config.solver,
+        stop: config.stop,
+        metrics,
+        policy: checkpoint,
+        slot: 0,
+        plan_hash: checkpoint::plan_fingerprint(ops),
+        more: false,
+        ctrl: None,
     };
-    let mut resume_state = match &ft.sink {
-        Some(sink) if ft.resume => load(sink)?,
-        _ => None,
-    };
-    let mut ranks = config.ranks;
-    let mut restarts = 0usize;
-    loop {
-        let plans = build_plans(ops, ranks, config.use_buffered);
-        let volumes: Vec<KernelVolumes> = plans.iter().map(|p| p.volumes()).collect();
-        let run = run_ranks_with(ranks, ft.comm, Arc::clone(&ft.faults), |comm| {
-            solve_rank(
-                comm,
-                &plans,
-                sino_ordered,
-                config,
-                ft,
-                plan_hash,
-                resume_state.as_ref(),
-            )
-        });
-        match run {
-            Ok((rank_results, ledger)) => {
-                return Ok(assemble_output(
-                    ops,
-                    &plans,
-                    rank_results,
-                    ledger,
-                    volumes,
-                    metrics,
-                ));
-            }
-            Err(err) => {
-                metrics.counter_add(FAULT_RANK_LOSS, 1);
-                let unrecoverable = matches!(err.kind, CommErrorKind::Checkpoint { .. });
-                if unrecoverable || restarts >= ft.max_restarts || ranks <= 1 {
-                    return Err(BuildError::Comm(err));
-                }
-                restarts += 1;
-                ranks -= 1;
-                metrics.counter_add(FAULT_RESTARTS, 1);
-                // Degrade: resume the survivors from the latest snapshot
-                // (the snapshot is rank-count independent), or from
-                // scratch when checkpointing is off.
-                resume_state = match &ft.sink {
-                    Some(sink) => load(sink)?,
-                    None => None,
-                };
-            }
-        }
-    }
+    // Nothing can ask an uncontrolled solve to stop.
+    solve_distributed(ops, sino_ordered, config, ft, &stint).map(|(out, _)| out)
 }
 
 /// [`try_reconstruct_distributed_ft`] under [`FaultTolerance::disabled`]
 /// — the historical fail-fast behaviour (unbounded waits, empty fault
-/// plan, no checkpoints, no restarts) — and without observability.
+/// plan, no restarts) — without checkpoints and without observability.
 pub fn try_reconstruct_distributed(
     ops: &Operators,
     sino_ordered: &[f32],
     config: &DistConfig,
 ) -> Result<DistOutput, BuildError> {
     let (ft, metrics) = (FaultTolerance::disabled(), Metrics::noop());
-    try_reconstruct_distributed_ft(ops, sino_ordered, config, &ft, &metrics)
+    try_reconstruct_distributed_ft(ops, sino_ordered, config, &ft, None, &metrics)
 }
 
 #[cfg(test)]
@@ -1360,7 +1352,7 @@ mod tests {
         let m = Metrics::collecting();
         let cfg = cg(3, 4);
         let ft = FaultTolerance::disabled();
-        let out = try_reconstruct_distributed_ft(&ops, &y, &cfg, &ft, &m).unwrap();
+        let out = try_reconstruct_distributed_ft(&ops, &y, &cfg, &ft, None, &m).unwrap();
         let snap = m.snapshot();
         // The exported matrix equals the ledger's per-pair accounting.
         let mat = &snap.matrices["comm/bytes"];

@@ -65,7 +65,7 @@ pub use preprocess::{
     preprocess, try_preprocess, try_preprocess_with_metrics, Config, DomainOrdering, Kernel,
     Operators, PreprocessTimings, Projector,
 };
-pub use reconstructor::{BatchOutput, Reconstructor, ReconstructorBuilder};
+pub use reconstructor::{Reconstructor, ReconstructorBuilder};
 pub use regularize::{cgls_smooth, gradient_operator};
 pub use request::{
     CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,

@@ -25,7 +25,7 @@ pub use crate::plan_check::{dist_checker, plan_checker, validate_plan};
 pub use crate::preprocess::{
     preprocess, try_preprocess, Config, DomainOrdering, Kernel, Operators, Projector,
 };
-pub use crate::reconstructor::{BatchOutput, Reconstructor, ReconstructorBuilder};
+pub use crate::reconstructor::{Reconstructor, ReconstructorBuilder};
 pub use crate::request::{
     CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,
     RunControl, RunOutcome, Solver,

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::checkpoint;
-use crate::dist::{try_reconstruct_distributed_ft, DistConfig, FaultTolerance};
+use crate::dist::{solve_distributed, FaultTolerance};
 use crate::errors::BuildError;
 use crate::operator::{
     KernelBreakdown, KernelOperator, PooledPlans, ProjectionOperator, POOL_IMBALANCE_BACK,
@@ -18,26 +18,10 @@ use crate::request::{
     CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,
     RunControl, RunOutcome,
 };
-use crate::solvers::{
-    make_rule, run_engine_core, Constraint, EngineExit, EngineSignal, IterationRecord,
-    SolverWorkspace, StopRule, UpdateRule,
-};
+use crate::solvers::{EngineExit, SolverWorkspace, Stint};
 use xct_geometry::{Grid, ScanGeometry, Sinogram};
 use xct_obs::{Metrics, MetricsSnapshot};
 use xct_runtime::{CheckpointSink, CommConfig, FaultPlan, FileCheckpointSink, WorkerPool};
-
-/// Result of a batched reconstruction: one image and record list per
-/// slice, in the order the sinograms were supplied.
-pub struct BatchOutput {
-    /// Reconstructed tomograms, each row-major `n × n`.
-    pub images: Vec<Vec<f32>>,
-    /// Per-slice iteration records. A slice that terminated early (or
-    /// hit a CG breakdown) has a shorter list than its batch-mates.
-    pub slice_records: Vec<Vec<IterationRecord>>,
-    /// Per-kernel time spent inside the projection operator, shared
-    /// across the whole batch (the matrix is streamed once per SpMM).
-    pub breakdown: KernelBreakdown,
-}
 
 /// Step-by-step construction of a [`Reconstructor`] with validated
 /// defaults: geometry in, then optional ordering/projector/partition/
@@ -74,6 +58,9 @@ pub struct ReconstructorBuilder {
     pool_threads: Option<usize>,
     batch: usize,
     ft: FaultTolerance,
+    checkpoint_every: usize,
+    checkpoint_sink: Option<Arc<dyn CheckpointSink>>,
+    resume: bool,
 }
 
 impl ReconstructorBuilder {
@@ -91,6 +78,9 @@ impl ReconstructorBuilder {
             pool_threads: None,
             batch: 1,
             ft: FaultTolerance::disabled(),
+            checkpoint_every: 0,
+            checkpoint_sink: None,
+            resume: false,
         }
     }
 
@@ -139,7 +129,7 @@ impl ReconstructorBuilder {
     }
 
     /// Which SpMV kernel the reconstructor applies. Default: buffered if
-    /// buffered layouts are built, else parallel CSR.
+    /// buffered layouts are built, else [`Kernel::Serial`] (plain CSR).
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = Some(kernel);
         self
@@ -198,32 +188,35 @@ impl ReconstructorBuilder {
         self
     }
 
-    /// Replace the whole fault-tolerance policy at once (see
-    /// [`FaultTolerance`]). The builder default is
-    /// [`FaultTolerance::disabled`] — the historical fail-fast behaviour.
+    /// Replace the whole fault-tolerance policy (chaos plan, collective
+    /// deadlines, restart budget — see [`FaultTolerance`]) at once. The
+    /// builder default is [`FaultTolerance::disabled`] — the historical
+    /// fail-fast behaviour.
     pub fn fault_tolerance(mut self, ft: FaultTolerance) -> Self {
         self.ft = ft;
         self
     }
 
     /// Take a snapshot of the solver state after every `every` iterations
-    /// (0 = never). Applies to the serial solves and to the distributed
-    /// path; needs a sink ([`checkpoint_path`](Self::checkpoint_path) or
-    /// [`checkpoint_sink`](Self::checkpoint_sink)) to have any effect.
+    /// (0 = never). With a sink ([`checkpoint_path`](Self::checkpoint_path)
+    /// or [`checkpoint_sink`](Self::checkpoint_sink)) this, the sink and
+    /// [`resume`](Self::resume) form the [`CheckpointPolicy`] of every
+    /// request that does not carry its own.
     pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.ft.checkpoint_every = every;
+        self.checkpoint_every = every;
         self
     }
 
-    /// Store snapshots in files rooted at `base` (slot 0 lands at
-    /// `{base}.0`), written atomically via a temp file and a rename.
+    /// Store snapshots in files rooted at `base` (group `g` of a request
+    /// lands at `{base}.{g}`; a slice or batch is group 0), written
+    /// atomically via a temp file and a rename.
     pub fn checkpoint_path(self, base: impl Into<PathBuf>) -> Self {
         self.checkpoint_sink(Arc::new(FileCheckpointSink::new(base)))
     }
 
     /// Store snapshots in an arbitrary [`CheckpointSink`].
     pub fn checkpoint_sink(mut self, sink: Arc<dyn CheckpointSink>) -> Self {
-        self.ft.sink = Some(sink);
+        self.checkpoint_sink = Some(sink);
         self
     }
 
@@ -231,7 +224,7 @@ impl ReconstructorBuilder {
     /// (default false). A resumed solve is bit-identical to an
     /// uninterrupted one.
     pub fn resume(mut self, resume: bool) -> Self {
-        self.ft.resume = resume;
+        self.resume = resume;
         self
     }
 
@@ -317,6 +310,11 @@ impl ReconstructorBuilder {
             exec,
             batch: self.batch,
             ft: self.ft,
+            checkpoint: self.checkpoint_sink.map(|sink| CheckpointPolicy {
+                every: self.checkpoint_every,
+                sink,
+                resume: self.resume,
+            }),
             workspace: Mutex::new(SolverWorkspace::new_batched(0, 0, self.batch)),
         })
     }
@@ -328,13 +326,6 @@ impl ReconstructorBuilder {
 struct ExecContext {
     pool: WorkerPool,
     plans: PooledPlans,
-}
-
-/// How one engine run ended: to its stop rule, or preempted at an
-/// iteration boundary with its state checkpointed.
-enum SolveExit {
-    Done(BatchOutput),
-    Preempted { iteration: usize },
 }
 
 /// A preprocessed reconstructor bound to one geometry. Preprocessing cost
@@ -367,9 +358,11 @@ pub struct Reconstructor {
     exec: Option<ExecContext>,
     /// Slices per engine run (the workspace's batch width).
     batch: usize,
-    /// Fault-tolerance policy: checkpoint cadence/sink, resume, chaos
-    /// plan, collective deadlines, restart budget.
+    /// Fault-tolerance policy of distributed solves: chaos plan,
+    /// collective deadlines, restart budget.
     ft: FaultTolerance,
+    /// Checkpoint policy of requests that carry none.
+    checkpoint: Option<CheckpointPolicy>,
     /// Solver buffers reused across solves — after the first solve at
     /// this geometry, steady-state iterations allocate nothing.
     workspace: Mutex<SolverWorkspace>,
@@ -465,303 +458,176 @@ impl Reconstructor {
         Ok(())
     }
 
-    /// Run one solve through the engine: pooled operator when `pooled`
-    /// (the caller has verified the pool exists), plain kernel operator
-    /// otherwise, always inside the persistent workspace. The
-    /// measurement slab `y` holds `batch` slice-major blocks of ordered
-    /// sinogram data. With a checkpoint policy the solve resumes from
-    /// the sink's latest snapshot (when the policy's `resume` is on) and
-    /// saves one at the policy's cadence; a preemption request from
-    /// `ctrl` saves a snapshot at the next iteration boundary regardless
-    /// of cadence and stops the engine.
-    fn run_solver(
-        &self,
-        y: &[f32],
-        rule: &mut dyn UpdateRule,
-        stop: StopRule,
-        pooled: bool,
-        ckpt: Option<&CheckpointPolicy>,
-        ctrl: Option<&RunControl>,
-    ) -> Result<SolveExit, BuildError> {
-        let op = match (&self.exec, pooled) {
-            (Some(exec), true) => {
-                KernelOperator::pooled(&self.ops, self.kernel, &exec.plans, &exec.pool)
-            }
-            _ => KernelOperator::new(&self.ops, self.kernel),
-        }
-        .with_metrics(self.metrics.clone());
-        let mut ws = self.workspace.lock().unwrap_or_else(|p| p.into_inner());
-        let nrows = self.ops.a.nrows();
-        let ncols = self.ops.a.ncols();
-        let plan_hash = checkpoint::plan_fingerprint(&self.ops);
-        let resume_point = match ckpt {
-            Some(p) if p.resume => checkpoint::load_state(
-                p.sink.as_ref(),
-                0,
-                plan_hash,
-                stop.max_iters(),
-                nrows,
-                ncols,
-                self.batch,
-            )?
-            .map(|st| {
-                // validate_snapshot already rejected any width mismatch.
-                debug_assert_eq!(st.batch, self.batch);
-                ws.resume(
-                    nrows,
-                    ncols,
-                    stop.max_iters(),
-                    &st.x,
-                    &st.resid,
-                    &st.dir,
-                    &st.slice_records,
-                    &st.prev_res,
-                    &st.active,
-                );
-                rule.restore_scalars(&st.scalars, &mut ws);
-                st.iteration
-            }),
-            _ => None,
-        };
-        let every = ckpt.map_or(0, |p| p.every);
-        let exit = run_engine_core(
-            &op,
-            y,
-            rule,
-            Constraint::None,
-            stop,
-            &self.metrics,
-            &mut ws,
-            resume_point,
-            |next_iter, ws, rule| {
-                let preempt = ctrl.is_some_and(|c| c.should_preempt(next_iter));
-                let cadence = every != 0 && next_iter % every == 0;
-                let (Some(p), true) = (ckpt, preempt || cadence) else {
-                    return Ok(EngineSignal::Continue);
-                };
-                let snap = checkpoint::encode_state(
-                    plan_hash,
-                    next_iter,
-                    ws.batch(),
-                    ws.prev_res(),
-                    ws.x(),
-                    ws.resid(),
-                    ws.dir(),
-                    ws.active(),
-                    ws.slice_records(),
-                    &rule.carried_scalars(ws),
-                );
-                p.sink.save(0, &snap.encode())?;
-                Ok(if preempt {
-                    EngineSignal::Stop
-                } else {
-                    EngineSignal::Continue
-                })
-            },
-        )
-        .map_err(BuildError::Checkpoint)?;
-        if let EngineExit::Stopped { next_iter } = exit {
-            return Ok(SolveExit::Preempted {
-                iteration: next_iter,
-            });
-        }
-        let images = ws
-            .x()
-            .chunks_exact(ncols.max(1))
-            .map(|slice| self.ops.unorder_tomogram(slice))
-            .collect();
-        Ok(SolveExit::Done(BatchOutput {
-            images,
-            slice_records: ws.slice_records().to_vec(),
-            breakdown: op.breakdown().unwrap_or_default(),
-        }))
-    }
-
     /// Execute one [`ReconRequest`]. The single front door: the CLI, the
     /// examples and the `xct-serve` job runtime all submit exactly these
     /// requests. See [`ReconRequest`] for the request model.
     pub fn run(&self, req: &ReconRequest) -> Result<ReconResponse, ReconError> {
-        match self.run_controlled(req, &RunControl::new())? {
-            RunOutcome::Completed(resp) => Ok(resp),
-            RunOutcome::Preempted { .. } => {
-                // lint: allow(no-panic) an inert control never preempts
-                unreachable!("an inert RunControl cannot request preemption")
-            }
-        }
+        let mut resp = self.empty_response();
+        // Nothing can ask an uncontrolled run to stop.
+        self.drive(req, None, &mut resp)?;
+        Ok(resp)
     }
 
-    /// Execute one [`ReconRequest`] — the one solve driver. Every input
-    /// is ordered into slice-major slabs of the reconstructor's batch
-    /// width (a `Slice` or `Batch` is one slab, a `Volume` one per group)
-    /// and each slab goes through one `run_group`, whose
-    /// executor — the calling thread, the worker pool, or thread-ranks —
-    /// is the request's [`ExecMode`].
-    ///
-    /// Cooperative preemption: when `ctrl` requests it, the solve
-    /// snapshots into the request's checkpoint sink at the next iteration
-    /// boundary and returns [`RunOutcome::Preempted`]; re-running the same
-    /// request with `resume = true` continues bit-identically. Preemption
-    /// is honored for [`ReconInput::Slice`]/[`ReconInput::Batch`] under
-    /// [`ExecMode::Serial`]/[`ExecMode::Pooled`] only: a volume runs to
-    /// completion (it yields between groups only at the request level),
-    /// and so does every distributed request (stopping ranks together
-    /// would take a consensus collective per iteration boundary).
+    /// [`run`](Self::run) under a scheduler's [`RunControl`]. When `ctrl`
+    /// requests preemption, the solve snapshots into the request's
+    /// checkpoint sink at the next iteration boundary and returns
+    /// [`RunOutcome::Preempted`]; re-running the same request with
+    /// `resume = true` continues bit-identically — whatever the input
+    /// (a volume stops inside whichever group is running; the groups
+    /// before it are restored from their own slots) and whatever the
+    /// [`ExecMode`] (ranks agree on the boundary).
     pub fn run_controlled(
         &self,
         req: &ReconRequest,
         ctrl: &RunControl,
     ) -> Result<RunOutcome, ReconError> {
+        let mut resp = self.empty_response();
+        Ok(match self.drive(req, Some(ctrl), &mut resp)? {
+            EngineExit::Completed => RunOutcome::Completed(resp),
+            EngineExit::Stopped { next_iter } => RunOutcome::Preempted {
+                iteration: next_iter,
+            },
+        })
+    }
+
+    fn empty_response(&self) -> ReconResponse {
+        ReconResponse {
+            images: Vec::new(),
+            slice_records: Vec::new(),
+            breakdown: KernelBreakdown::default(),
+            per_slice_seconds: Vec::new(),
+            preprocess_seconds: self.ops.timings.total(),
+            dist: None,
+        }
+    }
+
+    /// The one solve driver. The input is split into groups of the
+    /// reconstructor's batch width — a `Slice` or `Batch` is one group, a
+    /// `Volume` one per chunk, a short tail padded — and every group is
+    /// one [`Stint`] on the executor `req.mode` names, its snapshots in
+    /// the slot of its index under the one effective policy (the
+    /// request's, else the builder's). Completed groups are appended to
+    /// `resp`; a stop ends the request where it is.
+    fn drive(
+        &self,
+        req: &ReconRequest,
+        ctrl: Option<&RunControl>,
+        resp: &mut ReconResponse,
+    ) -> Result<EngineExit, ReconError> {
         if let Some(relax) = req.solver.invalid_relaxation() {
             return Err(ReconError::InvalidRelaxation { relax });
         }
         if matches!(req.mode, ExecMode::Pooled) && self.exec.is_none() {
             return Err(ReconError::PoolNotBuilt);
         }
-        let sinos = match &req.input {
-            ReconInput::Slice(sino) => std::slice::from_ref(sino),
-            ReconInput::Batch(sinos) => sinos,
-            ReconInput::Volume(sinos) => {
-                return self.run_volume(sinos, req).map(RunOutcome::Completed)
+        let groups: Vec<&[Sinogram]> = match &req.input {
+            ReconInput::Slice(sino) => vec![std::slice::from_ref(sino)],
+            ReconInput::Batch(sinos) => vec![sinos],
+            ReconInput::Volume(sinos) => sinos.chunks(self.batch).collect(),
+        };
+        let pad = matches!(req.input, ReconInput::Volume(_));
+        let policy = req.checkpoint.as_ref().or(self.checkpoint.as_ref());
+        let plan_hash = checkpoint::plan_fingerprint(&self.ops);
+        for (slot, group) in groups.iter().enumerate() {
+            let y = self.order_group(group, pad)?;
+            let stint = Stint {
+                solver: req.solver,
+                stop: req.stop,
+                metrics: &self.metrics,
+                policy,
+                slot,
+                plan_hash,
+                more: slot + 1 < groups.len(),
+                ctrl,
+            };
+            let exit = self.run_group(&y, group.len(), &req.mode, &stint, resp)?;
+            if exit != EngineExit::Completed {
+                return Ok(exit);
             }
-        };
-        // Effective durability: the request's policy, else the one the
-        // fault-tolerance policy in force carries (a distributed
-        // request's override, else the builder's).
-        let ft = match &req.mode {
-            ExecMode::Distributed { ft: Some(ft), .. } => ft,
-            _ => &self.ft,
-        };
-        let ft_ckpt = ft.sink.as_ref().map(|sink| CheckpointPolicy {
-            every: ft.checkpoint_every,
-            sink: sink.clone(),
-            resume: ft.resume,
-        });
-        let ckpt = req.checkpoint.as_ref().or(ft_ckpt.as_ref());
-        let y = self.order_batch(sinos)?;
-        self.run_group(&y, sinos.len(), req, ckpt, Some(ctrl))
+        }
+        Ok(EngineExit::Completed)
     }
 
-    /// One solve of an ordered measurement slab covering `visible` caller
+    /// One stint of an ordered measurement slab covering `visible` caller
     /// slices (a padded tail group solves extra columns that are dropped
-    /// here) on the executor `req.mode` names, wrapped into a response.
-    /// Ranks take the same slab, solver, stop rule and checkpoint policy
-    /// as the in-process engine run; they ignore `ctrl`.
+    /// here) on the executor `mode` names; a completed group's images,
+    /// records and timing are appended to `resp`.
     fn run_group(
         &self,
         y: &[f32],
         visible: usize,
-        req: &ReconRequest,
-        ckpt: Option<&CheckpointPolicy>,
-        ctrl: Option<&RunControl>,
-    ) -> Result<RunOutcome, ReconError> {
+        mode: &ExecMode,
+        stint: &Stint,
+        resp: &mut ReconResponse,
+    ) -> Result<EngineExit, ReconError> {
         let t = std::time::Instant::now();
-        let (out, dist) = match &req.mode {
+        let (images, slice_records) = match mode {
             ExecMode::Distributed { config, ft } => {
-                let mut ft = ft.as_ref().unwrap_or(&self.ft).clone();
-                ft.sink = ckpt.map(|p| p.sink.clone());
-                if let Some(p) = ckpt {
-                    ft.checkpoint_every = p.every;
-                    ft.resume = p.resume;
+                let ft = ft.as_ref().unwrap_or(&self.ft);
+                let (out, exit) = solve_distributed(&self.ops, y, config, ft, stint)?;
+                if exit != EngineExit::Completed {
+                    return Ok(exit);
                 }
-                let config = DistConfig {
-                    stop: req.stop,
-                    solver: req.solver,
-                    ..*config
-                };
-                let out =
-                    try_reconstruct_distributed_ft(&self.ops, y, &config, &ft, &self.metrics)?;
-                let mut breakdown = KernelBreakdown::default();
+                // A distributed breakdown is this group's rank sum.
                 for b in &out.breakdown {
-                    breakdown.add(b);
+                    resp.breakdown.add(b);
                 }
-                let solved = BatchOutput {
-                    images: out.images,
-                    slice_records: out.slice_records,
-                    breakdown,
-                };
-                let detail = DistDetail {
+                resp.dist = Some(DistDetail {
                     breakdowns: out.breakdown,
                     ledger: out.ledger,
                     volumes: out.volumes,
-                };
-                (solved, Some(detail))
+                });
+                (out.images, out.slice_records)
             }
             mode => {
-                let pooled = matches!(mode, ExecMode::Pooled);
-                let mut rule = make_rule(req.solver);
-                match self.run_solver(y, rule.as_mut(), req.stop, pooled, ckpt, ctrl)? {
-                    SolveExit::Preempted { iteration } => {
-                        return Ok(RunOutcome::Preempted { iteration })
+                let op = match (&self.exec, mode) {
+                    (Some(exec), ExecMode::Pooled) => {
+                        KernelOperator::pooled(&self.ops, self.kernel, &exec.plans, &exec.pool)
                     }
-                    SolveExit::Done(out) => (out, None),
+                    _ => KernelOperator::new(&self.ops, self.kernel),
                 }
+                .with_metrics(self.metrics.clone());
+                let mut ws = self.workspace.lock().unwrap_or_else(|p| p.into_inner());
+                let (nrows, ncols) = (self.ops.a.nrows(), self.ops.a.ncols());
+                let resume = stint.resume_state(nrows, ncols, self.batch)?;
+                let exit = stint
+                    .run(
+                        &op,
+                        y,
+                        &mut ws,
+                        resume.as_ref(),
+                        |next_iter| stint.ctrl.is_some_and(|c| c.should_preempt(next_iter)),
+                        |next_iter, ws, rule| stint.save(&ws.capture(next_iter, rule)),
+                    )
+                    .map_err(BuildError::Checkpoint)?;
+                if exit != EngineExit::Completed {
+                    return Ok(exit);
+                }
+                // An in-process breakdown is a running total over the
+                // reconstructor's registry.
+                resp.breakdown = op.breakdown().unwrap_or_default();
+                let images = ws
+                    .x()
+                    .chunks_exact(ncols.max(1))
+                    .map(|slice| self.ops.unorder_tomogram(slice))
+                    .collect();
+                (images, ws.slice_records().to_vec())
             }
         };
         let share = t.elapsed().as_secs_f64() / visible.max(1) as f64;
-        Ok(RunOutcome::Completed(ReconResponse {
-            images: out.images.into_iter().take(visible).collect(),
-            slice_records: out.slice_records.into_iter().take(visible).collect(),
-            breakdown: out.breakdown,
-            per_slice_seconds: vec![share; visible],
-            preprocess_seconds: self.ops.timings.total(),
-            dist,
-        }))
+        resp.images.extend(images.into_iter().take(visible));
+        resp.slice_records
+            .extend(slice_records.into_iter().take(visible));
+        resp.per_slice_seconds
+            .extend(std::iter::repeat_n(share, visible));
+        Ok(EngineExit::Completed)
     }
 
-    /// Chunked volume execution: groups of `batch` slices per solve, a
-    /// short tail group padded with clones of its last sinogram and the
-    /// padded outputs discarded. Runs without checkpointing (the
-    /// per-group solves would alias snapshot slot 0) and to completion.
-    fn run_volume(
-        &self,
-        sinos: &[Sinogram],
-        req: &ReconRequest,
-    ) -> Result<ReconResponse, ReconError> {
-        let mut volume = ReconResponse {
-            images: Vec::with_capacity(sinos.len()),
-            slice_records: Vec::with_capacity(sinos.len()),
-            breakdown: KernelBreakdown::default(),
-            per_slice_seconds: Vec::with_capacity(sinos.len()),
-            preprocess_seconds: self.ops.timings.total(),
-            dist: None,
-        };
-        for group in sinos.chunks(self.batch.max(1)) {
-            let y = if group.len() == self.batch {
-                self.order_batch(group)?
-            } else {
-                let mut padded: Vec<Sinogram> = group.to_vec();
-                while padded.len() < self.batch {
-                    // lint: allow(no-panic) chunks() yields non-empty groups
-                    padded.push(padded.last().unwrap().clone());
-                }
-                self.order_batch(&padded)?
-            };
-            match self.run_group(&y, group.len(), req, None, None)? {
-                RunOutcome::Completed(resp) => {
-                    volume.images.extend(resp.images);
-                    volume.slice_records.extend(resp.slice_records);
-                    volume.per_slice_seconds.extend(resp.per_slice_seconds);
-                    // An in-process breakdown is a running total over the
-                    // reconstructor's registry; a distributed one is this
-                    // group's rank sum.
-                    match resp.dist {
-                        Some(_) => volume.breakdown.add(&resp.breakdown),
-                        None => volume.breakdown = resp.breakdown,
-                    }
-                    volume.dist = resp.dist;
-                }
-                RunOutcome::Preempted { .. } => {
-                    // lint: allow(no-panic) group solves get no control, so they cannot preempt
-                    unreachable!("volume groups run without a preemption control")
-                }
-            }
-        }
-        Ok(volume)
-    }
-
-    /// Order a batch of sinograms into one slice-major measurement slab.
-    fn order_batch(&self, sinos: &[Sinogram]) -> Result<Vec<f32>, BuildError> {
-        if sinos.len() != self.batch {
+    /// Order one group of sinograms into a slice-major measurement slab
+    /// of the reconstructor's batch width. Only a volume's chunks may be
+    /// short (`pad`): the last slice is repeated to fill the slab.
+    fn order_group(&self, sinos: &[Sinogram], pad: bool) -> Result<Vec<f32>, BuildError> {
+        if sinos.len() != self.batch && !pad {
             return Err(BuildError::BatchWidth {
                 expected: self.batch,
                 got: sinos.len(),
@@ -772,6 +638,9 @@ impl Reconstructor {
         for sino in sinos {
             self.check_sinogram(sino)?;
             y.extend_from_slice(&self.ops.order_sinogram(sino));
+        }
+        for _ in sinos.len()..self.batch {
+            y.extend_from_within(y.len() - nrows..);
         }
         Ok(y)
     }
@@ -786,6 +655,7 @@ impl Reconstructor {
 mod tests {
     use super::*;
     use crate::rel_err;
+    use crate::{DistConfig, StopRule};
     use xct_geometry::{disk, shepp_logan, simulate_sinogram, NoiseModel};
 
     fn cg(sino: &Sinogram, stop: StopRule) -> ReconRequest {

@@ -16,10 +16,19 @@
 //! - **how**: an [`ExecMode`] — serial kernels, the persistent worker
 //!   pool, or the distributed threads-as-ranks path with an optional
 //!   fault-tolerance override,
-//! - **with what durability**: an optional [`CheckpointPolicy`]
-//!   overriding the builder's checkpoint/resume configuration.
+//! - **with what durability**: an optional [`CheckpointPolicy`] — the
+//!   one spelling of where snapshots go, how often, and whether to
+//!   resume; the builder's `checkpoint_*` / `resume` methods only fill
+//!   the policy of requests that carry none.
 //!
-//! [`Reconstructor::run`] is the single entry point.
+//! [`Reconstructor::run`] is the single entry point, and the axes do not
+//! interact: the driver splits the input into groups of the
+//! reconstructor's batch width (a slice or batch is one group, a volume
+//! one per chunk) and runs every group as one *stint* — restore from the
+//! group's snapshot slot, iterate, decide at each boundary whether to
+//! save or yield, save — on whichever executor the mode names. Slot =
+//! group index, so a volume checkpoints, resumes and is preempted like a
+//! slice, and so does every mode.
 //! [`Reconstructor::run_controlled`] adds cooperative preemption on top:
 //! a scheduler hands in a
 //! [`RunControl`], and when preemption is requested the solve checkpoints
@@ -124,8 +133,10 @@ pub enum ExecMode {
     /// driver with ranks as its executor, at the reconstructor's batch
     /// width like every other mode. The request's `solver`/`stop` are the
     /// source of truth — the `config`'s own `solver`/`stop` fields are
-    /// ignored. Runs to completion: preemption is honored under
-    /// [`ExecMode::Serial`]/[`ExecMode::Pooled`] only.
+    /// ignored. Under a [`RunControl`] and a checkpoint policy the ranks
+    /// agree at every iteration boundary on whether to yield (one extra
+    /// small collective there; a plain
+    /// [`Reconstructor::run`](crate::Reconstructor::run) has none).
     Distributed {
         /// Rank count and local-kernel choice.
         config: DistConfig,
@@ -149,14 +160,17 @@ impl fmt::Debug for ExecMode {
     }
 }
 
-/// Per-request checkpoint/resume policy, overriding whatever the
+/// Checkpoint/resume policy — the one spelling of durability, for every
+/// input and every mode. A request's policy replaces whatever the
 /// reconstructor was built with. Also the substrate for preemption: a
 /// preempted run snapshots into `sink` regardless of `every`.
 #[derive(Clone)]
 pub struct CheckpointPolicy {
     /// Snapshot cadence in iterations (0 = only on preemption).
     pub every: usize,
-    /// Where snapshots go (slot 0).
+    /// Where snapshots go: group `g` of the request uses slot `g` (a
+    /// slice or batch is group 0; a volume has one group per chunk of
+    /// the reconstructor's batch width).
     pub sink: Arc<dyn CheckpointSink>,
     /// Resume from the sink's latest snapshot when one exists. A resumed
     /// solve is bit-identical to an uninterrupted one.
@@ -173,8 +187,8 @@ impl CheckpointPolicy {
         }
     }
 
-    /// Checkpoint into files rooted at `base` (slot 0 lands at
-    /// `{base}.0`) every `every` iterations.
+    /// Checkpoint into files rooted at `base` (group `g` lands at
+    /// `{base}.{g}`) every `every` iterations.
     pub fn at_path(base: impl Into<PathBuf>, every: usize) -> Self {
         CheckpointPolicy::new(Arc::new(FileCheckpointSink::new(base)), every)
     }
@@ -210,7 +224,7 @@ pub struct ReconRequest {
     pub input: ReconInput,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Checkpoint/resume override; `None` uses the builder's policy.
+    /// Checkpoint/resume policy; `None` uses the builder's, if any.
     pub checkpoint: Option<CheckpointPolicy>,
 }
 
@@ -357,8 +371,9 @@ impl std::error::Error for ReconError {}
 /// request's checkpoint sink at the next iteration boundary and return
 /// [`RunOutcome::Preempted`]. Re-running the same request with
 /// `resume = true` continues from that snapshot, and the final image is
-/// bit-identical to an uninterrupted run. A request without a checkpoint
-/// policy ignores preemption (there would be nowhere to save the state).
+/// bit-identical to an uninterrupted run — for every input and every
+/// [`ExecMode`]. Without a checkpoint policy (the request's or the
+/// builder's) there is nowhere to save the state, so nothing yields.
 ///
 /// [`Reconstructor::run_controlled`]: crate::Reconstructor::run_controlled
 #[derive(Default)]

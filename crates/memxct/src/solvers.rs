@@ -18,9 +18,12 @@
 //! [`cgls_regularized`], [`sirt_nonneg`]) are thin shims over the engine,
 //! kept for callers that hold projections as closures.
 
+use crate::checkpoint::{self, SolveState};
+use crate::errors::BuildError;
 use crate::operator::{ClosureOperator, ProjectionOperator};
-use crate::request::Solver;
+use crate::request::{CheckpointPolicy, RunControl, Solver};
 use xct_obs::Metrics;
+use xct_runtime::CheckpointError;
 
 /// Convergence record of one iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -186,6 +189,12 @@ impl SolverWorkspace {
         &mut self.x
     }
 
+    /// The carried slice-major slabs `[x, resid, dir]` — the bulk of a
+    /// [`capture`](Self::capture), and all of it that differs by rank.
+    pub(crate) fn carried(&self) -> [&[f32]; 3] {
+        [&self.x, &self.resid, &self.dir]
+    }
+
     /// The per-iteration records of the last solve (slice 0 of a batched
     /// solve).
     pub fn records(&self) -> &[IterationRecord] {
@@ -198,61 +207,52 @@ impl SolverWorkspace {
         &self.slice_records
     }
 
-    /// The sinogram-domain residual slab (`r` in CG) — part of the state
-    /// a checkpoint must capture for a bit-identical resume.
-    pub(crate) fn resid(&self) -> &[f32] {
-        &self.resid
+    /// Everything iteration `next_iter` reads from the iterations before
+    /// it, as the [`SolveState`] a checkpoint stores: the carried
+    /// slice-major slabs (`x`, `resid`, `dir`), the per-slice records,
+    /// reference residuals and activity flags, and `rule`'s carried
+    /// scalars.
+    pub(crate) fn capture(&self, next_iter: usize, rule: &dyn UpdateRule) -> SolveState {
+        SolveState {
+            iteration: next_iter,
+            batch: self.batch,
+            prev_res: self.prev_res.clone(),
+            x: self.x.clone(),
+            resid: self.resid.clone(),
+            dir: self.dir.clone(),
+            active: self.active.clone(),
+            slice_records: self.slice_records.clone(),
+            scalars: rule.carried_scalars(self),
+        }
     }
 
-    /// The search direction slab (`p` in CG) — the other carried CG
-    /// vector.
-    pub(crate) fn dir(&self) -> &[f32] {
-        &self.dir
-    }
-
-    /// Per-slice early-termination reference residuals.
-    pub(crate) fn prev_res(&self) -> &[f64] {
-        &self.prev_res
-    }
-
-    /// Per-slice activity flags.
-    pub(crate) fn active(&self) -> &[bool] {
-        &self.active
-    }
-
-    /// Restore the workspace to a mid-solve state loaded from a
-    /// checkpoint: size every buffer like [`begin`](Self::begin), then
-    /// overwrite the carried slice-major slabs (`x`, `resid`, `dir`), the
-    /// per-slice record lists, reference residuals, and activity flags.
-    /// `proj`/`back` are scratch — both update rules overwrite them
-    /// before reading — so zeroing them preserves bit-identity. Slices
-    /// beyond the supplied lists stay at their `begin` defaults.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn resume(
+    /// The inverse of [`capture`](Self::capture): size every buffer like
+    /// [`begin`](Self::begin) for an `nrows × ncols` operator running at
+    /// most `cap` iterations, overwrite what `st` carries, and hand
+    /// `rule` its scalars back. `proj`/`back` are scratch — both update
+    /// rules overwrite them before reading — so zeroing them preserves
+    /// bit-identity. Returns the iteration the solve continues at.
+    pub(crate) fn restore(
         &mut self,
         nrows: usize,
         ncols: usize,
         cap: usize,
-        x: &[f32],
-        resid: &[f32],
-        dir: &[f32],
-        slice_records: &[Vec<IterationRecord>],
-        prev_res: &[f64],
-        active: &[bool],
-    ) {
+        st: &SolveState,
+        rule: &mut dyn UpdateRule,
+    ) -> usize {
+        // validate_snapshot already rejected any width mismatch.
+        debug_assert_eq!(st.batch, self.batch);
         self.begin(nrows, ncols, cap);
-        self.x.copy_from_slice(x);
-        self.resid.copy_from_slice(resid);
-        self.dir.copy_from_slice(dir);
-        for (dst, src) in self.slice_records.iter_mut().zip(slice_records) {
+        self.x.copy_from_slice(&st.x);
+        self.resid.copy_from_slice(&st.resid);
+        self.dir.copy_from_slice(&st.dir);
+        for (dst, src) in self.slice_records.iter_mut().zip(&st.slice_records) {
             dst.extend_from_slice(src);
         }
-        for (dst, &src) in self.prev_res.iter_mut().zip(prev_res) {
-            *dst = src;
-        }
-        for (dst, &src) in self.active.iter_mut().zip(active) {
-            *dst = src;
-        }
+        self.prev_res.copy_from_slice(&st.prev_res);
+        self.active.copy_from_slice(&st.active);
+        rule.restore_scalars(&st.scalars, self);
+        st.iteration
     }
 
     /// Reset for a solve against an `nrows × ncols` operator running at
@@ -310,7 +310,7 @@ pub trait UpdateRule {
     /// residual norm `‖y − A·x‖` of each slice it advanced and leaves NaN
     /// where a slice broke down numerically (the engine retires that
     /// slice without recording the iteration). Retired slices
-    /// (`ws.active()[j] == false`) must not be advanced. A rule that does
+    /// (inactive in `ws`) must not be advanced. A rule that does
     /// not support the workspace's width leaves every slot NaN.
     fn step(
         &mut self,
@@ -536,6 +536,142 @@ where
     }
     metrics.gauge_set("solver/early_terminated", early_slices as f64);
     Ok(exit)
+}
+
+/// One group's solve as every executor of the solve driver sees it — the
+/// calling thread, the worker pool, each distributed rank: which rule
+/// under which stop rule, and where the group's state lives between
+/// stints (snapshot slot = the group's index in its request).
+/// [`run`](Self::run) is the one restore → engine → boundary decision →
+/// save skeleton.
+#[derive(Clone, Copy)]
+pub(crate) struct Stint<'a> {
+    /// Update rule, built per executor through [`make_rule`].
+    pub solver: Solver,
+    /// Termination policy.
+    pub stop: StopRule,
+    /// Where the engine records (ranks swap in a no-op: P interleaved
+    /// series would not be reproducible).
+    pub metrics: &'a Metrics,
+    /// The effective checkpoint policy; `None` = nothing is ever saved,
+    /// so nothing can stop the solve either.
+    pub policy: Option<&'a CheckpointPolicy>,
+    /// The sink slot this group's snapshots go to.
+    pub slot: usize,
+    /// Fingerprint of the plan the snapshots belong to.
+    pub plan_hash: u64,
+    /// Whether the request has groups after this one. Such a group also
+    /// saves its terminal state, so a resumed request restores it with
+    /// zero iterations; the last (or only) group keeps "no checkpoint
+    /// after the end".
+    pub more: bool,
+    /// The caller's preemption control, if it handed one in.
+    pub ctrl: Option<&'a RunControl>,
+}
+
+impl Stint<'_> {
+    /// The slot's latest snapshot, validated against a `batch`-wide solve
+    /// of an `nrows × ncols` plan (`None`: no policy, or nothing saved).
+    pub(crate) fn load(
+        &self,
+        nrows: usize,
+        ncols: usize,
+        batch: usize,
+    ) -> Result<Option<SolveState>, BuildError> {
+        let Some(p) = self.policy else {
+            return Ok(None);
+        };
+        let cap = self.stop.max_iters();
+        checkpoint::load_state(
+            p.sink.as_ref(),
+            self.slot,
+            self.plan_hash,
+            cap,
+            nrows,
+            ncols,
+            batch,
+        )
+    }
+
+    /// What a fresh stint starts from: [`load`](Self::load) when the
+    /// policy asks to resume.
+    pub(crate) fn resume_state(
+        &self,
+        nrows: usize,
+        ncols: usize,
+        batch: usize,
+    ) -> Result<Option<SolveState>, BuildError> {
+        match self.policy {
+            Some(p) if p.resume => self.load(nrows, ncols, batch),
+            _ => Ok(None),
+        }
+    }
+
+    /// Persist a *global* state into the slot.
+    pub(crate) fn save(&self, st: &SolveState) -> Result<(), CheckpointError> {
+        match self.policy {
+            Some(p) => p.sink.save(
+                self.slot,
+                &checkpoint::encode_state(self.plan_hash, st).encode(),
+            ),
+            None => Ok(()),
+        }
+    }
+
+    /// Run the group on `op` inside `ws`: restore `resume` (this
+    /// executor's share of the state) or start from `x = 0`, iterate, and
+    /// at every boundary take the one decision — save when the policy's
+    /// cadence is due or `preempt(next_iter)` says the control wants the
+    /// solve to yield, and stop in the latter case. The two closures are
+    /// all an executor adds: `preempt` answers for every participant
+    /// alike (ranks agree on rank 0's answer), and `save` gets the
+    /// boundary's `(next_iter, workspace, rule)` to
+    /// [`capture`](SolverWorkspace::capture) what it persists (ranks
+    /// gather their slabs first and only rank 0 captures).
+    pub(crate) fn run(
+        &self,
+        op: &dyn ProjectionOperator,
+        y: &[f32],
+        ws: &mut SolverWorkspace,
+        resume: Option<&SolveState>,
+        mut preempt: impl FnMut(usize) -> bool,
+        mut save: impl FnMut(usize, &SolverWorkspace, &dyn UpdateRule) -> Result<(), CheckpointError>,
+    ) -> Result<EngineExit, CheckpointError> {
+        let mut rule = make_rule(self.solver);
+        let cap = self.stop.max_iters();
+        let resume_point =
+            resume.map(|st| ws.restore(op.nrows(), op.ncols(), cap, st, rule.as_mut()));
+        let every = self.policy.map_or(0, |p| p.every);
+        let exit = run_engine_core(
+            op,
+            y,
+            rule.as_mut(),
+            Constraint::None,
+            self.stop,
+            self.metrics,
+            ws,
+            resume_point,
+            |next_iter, ws, rule| {
+                let stop = preempt(next_iter);
+                let cadence = every != 0 && next_iter % every == 0;
+                if self.policy.is_none() || !(stop || cadence) {
+                    return Ok(EngineSignal::Continue);
+                }
+                save(next_iter, ws, rule)?;
+                Ok(if stop {
+                    EngineSignal::Stop
+                } else {
+                    EngineSignal::Continue
+                })
+            },
+        )?;
+        if exit == EngineExit::Completed && self.more && self.policy.is_some() {
+            // Every live slice has one record per committed iteration.
+            let done = ws.slice_records.iter().map(Vec::len).max().unwrap_or(0);
+            save(done, ws, rule.as_ref())?;
+        }
+        Ok(exit)
+    }
 }
 
 /// CGLS: minimize `‖y − A·x‖₂²` (plus `λ‖x‖₂²` when regularized).

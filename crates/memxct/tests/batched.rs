@@ -536,16 +536,14 @@ fn distributed_batched_rank_crash_completes_or_fails_typed() {
     };
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 5, FaultKind::Crash)),
-        sink: Some(Arc::new(MemoryCheckpointSink::new())),
-        checkpoint_every: 1,
-        resume: true,
         max_restarts: 1,
         ..FaultTolerance::default()
     };
+    let policy = CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 1).resume(true);
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let metrics = Metrics::collecting();
-        let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, &metrics);
+        let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, Some(&policy), &metrics);
         let _ = tx.send((out, metrics.snapshot()));
     });
     let (out, snap) = rx

@@ -75,6 +75,7 @@ fn empty_fault_plan_is_bit_identical_distributed() {
         &y,
         &config,
         &FaultTolerance::default(),
+        None,
         &Metrics::noop(),
     )
     .unwrap();
@@ -163,20 +164,12 @@ fn distributed_resume_is_bit_identical() {
     let golden = try_reconstruct_distributed(&ops, &y, &config(8)).unwrap();
 
     let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
-    let ft_save = FaultTolerance {
-        sink: Some(sink.clone()),
-        checkpoint_every: 1,
-        ..FaultTolerance::default()
-    };
-    try_reconstruct_distributed_ft(&ops, &y, &config(3), &ft_save, &Metrics::noop()).unwrap();
-    let ft_resume = FaultTolerance {
-        sink: Some(sink),
-        checkpoint_every: 1,
-        resume: true,
-        ..FaultTolerance::default()
-    };
+    let (ft, save) = (FaultTolerance::default(), CheckpointPolicy::new(sink, 1));
+    let noop = Metrics::noop();
+    try_reconstruct_distributed_ft(&ops, &y, &config(3), &ft, Some(&save), &noop).unwrap();
+    let resume = save.resume(true);
     let resumed =
-        try_reconstruct_distributed_ft(&ops, &y, &config(8), &ft_resume, &Metrics::noop()).unwrap();
+        try_reconstruct_distributed_ft(&ops, &y, &config(8), &ft, Some(&resume), &noop).unwrap();
     assert_dist_bits_equal(&golden, &resumed);
 }
 
@@ -220,24 +213,20 @@ fn snapshots_are_rank_count_independent() {
     let y = ops.order_sinogram(&sino);
     // Snapshot under 3 ranks…
     let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
-    let ft_save = FaultTolerance {
-        sink: Some(sink.clone()),
-        checkpoint_every: 1,
-        ..FaultTolerance::default()
-    };
+    let (ft, save) = (FaultTolerance::default(), CheckpointPolicy::new(sink, 1));
+    let noop = Metrics::noop();
     let config3 = DistConfig {
         ranks: 3,
         use_buffered: true,
         stop: StopRule::Fixed(3),
         solver: Solver::Cg,
     };
-    try_reconstruct_distributed_ft(&ops, &y, &config3, &ft_save, &Metrics::noop()).unwrap();
+    try_reconstruct_distributed_ft(&ops, &y, &config3, &ft, Some(&save), &noop).unwrap();
     // …resume under 2: the snapshot stores global ordered vectors, so a
     // different partitioning restores cleanly and runs to the budget.
-    let ft_resume = FaultTolerance {
-        sink: Some(sink.clone()),
-        resume: true,
-        ..FaultTolerance::default()
+    let resume = CheckpointPolicy {
+        every: 0,
+        ..save.resume(true)
     };
     let config2 = DistConfig {
         ranks: 2,
@@ -245,7 +234,7 @@ fn snapshots_are_rank_count_independent() {
         ..config3
     };
     let out =
-        try_reconstruct_distributed_ft(&ops, &y, &config2, &ft_resume, &Metrics::noop()).unwrap();
+        try_reconstruct_distributed_ft(&ops, &y, &config2, &ft, Some(&resume), &noop).unwrap();
     assert_eq!(
         out.slice_records[0].len(),
         8,
@@ -326,15 +315,14 @@ fn rank_crash_restarts_from_checkpoint_and_completes() {
     };
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 5, FaultKind::Crash)),
-        sink: Some(Arc::new(MemoryCheckpointSink::new())),
-        checkpoint_every: 1,
-        resume: true,
         max_restarts: 1,
         ..FaultTolerance::default()
     };
+    let policy = CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 1).resume(true);
     let t = Instant::now();
     let metrics = Metrics::collecting();
-    let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, &metrics).unwrap();
+    let out =
+        try_reconstruct_distributed_ft(&ops, &y, &config, &ft, Some(&policy), &metrics).unwrap();
     // The acceptance bound: a mid-solve crash ends in a completed,
     // restarted solve well within the collective deadline — not a hang.
     assert!(
@@ -370,7 +358,7 @@ fn rank_crash_without_restart_budget_is_a_typed_error() {
         ..FaultTolerance::default()
     };
     let t = Instant::now();
-    let err = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, &Metrics::noop())
+    let err = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, None, &Metrics::noop())
         .err()
         .expect("crash with no restart budget must fail");
     assert!(
@@ -406,7 +394,7 @@ fn recoverable_drops_are_retried_transparently() {
         ..FaultTolerance::default()
     };
     let metrics = Metrics::collecting();
-    let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, &metrics).unwrap();
+    let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, None, &metrics).unwrap();
     // A dropped delivery inside the retry budget is invisible to the
     // numerics: the run completes with the exact baseline bits.
     assert_dist_bits_equal(&baseline, &out);

@@ -111,6 +111,7 @@ fn exported_comm_matrix_matches_ledger_per_pair() {
             solver: Solver::Cg,
         },
         &FaultTolerance::disabled(),
+        None,
         &metrics,
     )
     .unwrap();

@@ -451,7 +451,10 @@ impl<'a> Reader<'a> {
 }
 
 /// Where encoded snapshots are stored. `slot` separates independent
-/// streams (rank index in a distributed solve, 0 for serial).
+/// streams: the solve driver gives every group of a request its own
+/// (group index — 0 for a single slice or batch). Snapshots are global —
+/// in a distributed solve rank 0 writes the gathered state — so ranks
+/// never have slots of their own.
 pub trait CheckpointSink: Send + Sync {
     /// Persist the encoded snapshot for `slot`, replacing any previous
     /// one atomically (a failed save must not destroy the old snapshot).

@@ -931,7 +931,9 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
 
     // The job-private checkpoint is the preemption and retry substrate:
     // cadence from the spec (0 = snapshot only on preemption), resume
-    // whenever a snapshot exists from an earlier stint.
+    // whenever a snapshot exists from an earlier stint. Every request
+    // yields and resumes through it alike — a volume keeps one slot per
+    // group in the sink, ranks agree on the boundary among themselves.
     let mut req: ReconRequest = job.spec.request.clone();
     let resume = job.resumed && !job.sink.is_empty();
     req.checkpoint =

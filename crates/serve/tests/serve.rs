@@ -157,6 +157,66 @@ fn preempted_job_resumes_bit_identically() {
     assert_eq!(snap.counters[JOB_COMPLETED], 1);
 }
 
+/// An urgent arrival preempts whatever is running — a volume between or
+/// inside its groups, a solve spread over ranks — through the same
+/// checkpoint-and-requeue path as a single slice: one preemption, and the
+/// resumed job ends on the bits of a run nobody interrupted.
+#[test]
+fn urgent_job_preempts_a_running_volume_and_a_running_ranks_job() {
+    let (grid, scan) = geometry(24, 36);
+    let slices: Vec<Sinogram> = (0..5).map(|j| sino(grid, scan, 24, j)).collect();
+    let mut wide = PlanSpec::new(grid, scan);
+    wide.batch = 2;
+    let config = DistConfig {
+        ranks: 2,
+        ..DistConfig::default()
+    };
+    // SIRT runs its whole budget, long enough for the urgent job to land.
+    let jobs = [
+        (
+            "volume",
+            wide,
+            ReconRequest::sirt(ReconInput::Volume(slices.clone()), 3000),
+        ),
+        (
+            "ranks",
+            PlanSpec::new(grid, scan),
+            ReconRequest::sirt(ReconInput::Slice(slices[0].clone()), 3000)
+                .mode(ExecMode::Distributed { config, ft: None }),
+        ),
+    ];
+    for (name, plan, request) in jobs {
+        let fresh = ReconstructorBuilder::new(grid, scan)
+            .batch(plan.batch)
+            .build()
+            .unwrap();
+        let want = fresh.run(&request).unwrap();
+
+        let runtime = JobRuntime::new(RuntimeConfig::default());
+        let low = runtime.submit(JobSpec::new(name, plan, request)).unwrap();
+        while runtime.status(low) != Some(JobStatus::Running) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let urgent = ReconRequest::cg(ReconInput::Slice(slices[1].clone()), StopRule::Fixed(2));
+        let urgent = runtime
+            .submit(JobSpec::new("urgent", PlanSpec::new(grid, scan), urgent).priority(9))
+            .unwrap();
+        assert!(runtime.wait(urgent).expect("urgent result").outcome.is_ok());
+
+        let result = runtime.wait(low).expect("low-priority result");
+        assert_eq!(result.report.preemptions, 1, "{name}: preempted once");
+        let resp = result.outcome.expect("the preempted job completed");
+        assert_eq!(resp.images.len(), want.images.len(), "{name}");
+        for (got, want) in resp.images.iter().zip(&want.images) {
+            assert_eq!(bits(got), bits(want), "{name}: preempt + resume bits");
+        }
+        for (got, want) in resp.slice_records.iter().zip(&want.slice_records) {
+            assert_eq!(got.len(), want.len(), "{name}: iterations");
+        }
+        assert_eq!(runtime.metrics().counters[JOB_PREEMPTED], 1, "{name}");
+    }
+}
+
 #[test]
 fn mixed_priority_jobs_all_complete_and_hit_the_cache() {
     let (grid, scan) = geometry(16, 12);
