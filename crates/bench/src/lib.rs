@@ -241,13 +241,14 @@ pub fn streamed_miss_rate(
     let grid = ds.grid();
     let scan = ds.scan();
     let mut sim = xct_cachesim::CacheSim::new(cache);
+    // A traced pixel index is `j * n + i`, what `rank_of` is indexed by.
+    let rank_of = tomo_ord.rank_of();
     // in-range: ray count is bounded by the u32 scan geometry
     for rank in 0..scan.num_rays() as u32 {
         let (chan, proj) = sino_ord.cell(rank);
         let ray = scan.ray(proj, chan);
         xct_geometry::trace_ray(&grid, &ray, |pixel, _| {
-            let (i, j) = grid.pixel_coords(pixel);
-            sim.access(tomo_ord.rank(i, j) as u64 * 4);
+            sim.access(rank_of[pixel as usize] as u64 * 4);
         });
     }
     sim.stats().miss_rate()

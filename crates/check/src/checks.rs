@@ -317,19 +317,24 @@ impl Check for TransposeCheck<'_> {
         // of column c met in A must be the k-th entry of At's row c (same
         // source row, `==` value — the comparison `CsrMatrix: PartialEq`
         // makes), and every cursor must end on its row's end; together
-        // that is exactly `at == a.transpose_scan()`. Only a mismatch
-        // pays for materialising the transpose to name the row.
+        // that is exactly `at == a.transpose_scan()`. A row's end is read
+        // once, at the end, not once per entry: cursors only advance, so
+        // one that ran past its row (`get` keeps it in bounds) ends past
+        // it. Only a mismatch pays for materialising the transpose to
+        // name the row.
         let mut cursor = at.rowptr()[..at.nrows()].to_vec();
         let row_ends = &at.rowptr()[1..];
+        let (rows_t, values_t) = (at.colind(), at.values());
         let in_order = (0..a.nrows()).all(|i| {
             a.row(i).all(|(c, v)| {
-                let c = c as usize;
-                let Some(k) = cursor.get_mut(c).filter(|k| **k < row_ends[c]) else {
+                let Some(k) = cursor.get_mut(c as usize) else {
                     return false;
                 };
-                let same = at.colind()[*k] as usize == i && at.values()[*k] == v;
+                let (Some(&row), Some(&value)) = (rows_t.get(*k), values_t.get(*k)) else {
+                    return false;
+                };
                 *k += 1;
-                same
+                row as usize == i && value == v
             })
         });
         if in_order && cursor.iter().eq(row_ends) {
@@ -686,28 +691,29 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
             // falls through to the sorted comparison below, which alone
             // decides the verdict and its text.
             const SPENT: usize = usize::MAX;
-            let mut stamp = vec![SPENT; b.ncols()];
-            let mut bits = vec![0u32; b.ncols()];
+            // One entry per column — (stamping row, value bits) — so an
+            // entry is one cache line to look up, not two tables' two.
+            let mut stamp = vec![(SPENT, 0u32); b.ncols()];
             let mut ticks_off = |p: usize, j: usize| -> bool {
                 let row = p * ps + j;
                 let mut want = 0usize;
                 for (c, v) in src.row(row) {
                     match stamp.get_mut(c as usize) {
-                        Some(s) if *s != row => *s = row,
+                        Some(s) if s.0 != row => *s = (row, v.to_bits()),
                         _ => return false,
                     }
-                    bits[c as usize] = v.to_bits();
                     want += 1;
                 }
                 let mut got = 0usize;
                 for s in partdispl[p] as usize..partdispl[p + 1] as usize {
                     let stage_map = &map[stagedispl[s]..stagedispl[s + 1]];
-                    for k in displ[s * ps + j]..displ[s * ps + j + 1] {
-                        let col = stage_map[ind[k].to_usize()] as usize;
-                        if stamp[col] != row || bits[col] != val[k].to_bits() {
+                    let (lo, hi) = (displ[s * ps + j], displ[s * ps + j + 1]);
+                    for (local, v) in ind[lo..hi].iter().zip(&val[lo..hi]) {
+                        let slot = &mut stamp[stage_map[local.to_usize()] as usize];
+                        if *slot != (row, v.to_bits()) {
                             return false;
                         }
-                        stamp[col] = SPENT;
+                        slot.0 = SPENT;
                         got += 1;
                     }
                 }

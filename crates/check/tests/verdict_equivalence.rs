@@ -297,6 +297,25 @@ fn one_at_value_perturbed() {
 }
 
 #[test]
+fn at_row_boundary_moved_between_equal_entries() {
+    // A = [1 1], so At's rows are [(0, 1.0)] and [(0, 1.0)]; hand row 1
+    // both. Every entry a cursor meets still matches what A holds — row
+    // 0's cursor just runs past its (empty) row — so only the cursors'
+    // final positions tell this At from the transpose.
+    let a = CsrMatrix::from_rows(2, &[vec![(0, 1.0), (1, 1.0)]]);
+    let t = a.transpose_scan();
+    let (colind, values) = (t.colind().to_vec(), t.values().to_vec());
+    let at = CsrMatrix::from_raw_unchecked(2, 1, vec![0, 0, 2], colind, values);
+    assert_eq!(
+        lines(TransposeCheck::new("pair(A,At)", &a, &at)),
+        [
+            "CheckViolation[TransposeEntries] pair(A,At) at transposed row 0: At differs from \
+          the scan transpose of A (fix: rebuild At with CsrMatrix::transpose_scan)"
+        ]
+    );
+}
+
+#[test]
 fn nan_in_both_matrices_still_fails_the_pair() {
     // `CsrMatrix: PartialEq` compares values with `==`, so a NaN never
     // equals its own transpose; the cursor walk must agree.

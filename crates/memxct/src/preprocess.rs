@@ -6,7 +6,7 @@
 //! locality (§3.5.1).
 
 use std::time::Instant;
-use xct_geometry::{trace_ray, trace_ray_joseph, Grid, ScanGeometry, Sinogram};
+use xct_geometry::{trace_ray, trace_ray_joseph, Grid, Ray, ScanGeometry, Sinogram};
 use xct_hilbert::{Ordering2D, TwoLevelOrdering};
 use xct_obs::Metrics;
 use xct_runtime::{ExecPlan, WorkerPool};
@@ -226,23 +226,54 @@ pub fn try_preprocess(
     try_preprocess_with_metrics(grid, scan, config, &Metrics::noop())
 }
 
-/// Trace the ray stored at sinogram rank `rank`, calling
-/// `emit(pixel, length)` per crossed pixel in traversal order.
+/// `(sin θ, cos θ)` of the projections a tracing pass met last, one
+/// entry per projection modulo the table. Consecutive ranks walk a
+/// Hilbert tile (≈ √M projections tall), so a pass evaluates `sin_cos`
+/// about once per tile row instead of once per ray. The table is on the
+/// stack: a heap table of one entry per projection — 2.9 KB at M = 180 —
+/// moved glibc's trim point and cost `cold_plans` more page faults than
+/// the hoist saves (EXPERIMENTS.md C4, "Cold path, round 2").
+struct AngleMemo([(u32, (f64, f64)); AngleMemo::SLOTS]);
+
+impl AngleMemo {
+    const SLOTS: usize = 64;
+
+    fn new() -> Self {
+        AngleMemo([(u32::MAX, (0.0, 0.0)); Self::SLOTS])
+    }
+
+    /// `scan.angle(projection).sin_cos()`, evaluated or remembered.
+    #[inline]
+    fn sin_cos(&mut self, scan: &ScanGeometry, projection: u32) -> (f64, f64) {
+        let slot = &mut self.0[projection as usize % Self::SLOTS];
+        if slot.0 != projection {
+            *slot = (projection, scan.angle(projection).sin_cos());
+        }
+        slot.1
+    }
+}
+
+/// The ray stored at sinogram rank `rank`: [`ScanGeometry::ray`]'s, bit
+/// for bit — the same expressions over the same `sin_cos`.
 #[inline]
-fn trace_rank<F: FnMut(u32, f32)>(
-    grid: &Grid,
-    scan: &ScanGeometry,
-    sino_ord: &Ordering2D,
-    projector: Projector,
-    rank: usize,
-    emit: F,
-) {
+fn ray_at(scan: &ScanGeometry, sino_ord: &Ordering2D, angles: &mut AngleMemo, rank: usize) -> Ray {
     // in-range: ray count is bounded by the u32 scan geometry
     let (chan, proj) = sino_ord.cell(rank as u32);
-    let ray = scan.ray(proj, chan);
+    let (sin_t, cos_t) = angles.sin_cos(scan, proj);
+    let s = scan.channel_offset(chan);
+    Ray {
+        origin: (s * cos_t, s * sin_t),
+        dir: (-sin_t, cos_t),
+    }
+}
+
+/// Trace `ray`, calling `emit(pixel, length)` per crossed pixel in
+/// traversal order.
+#[inline]
+fn trace<F: FnMut(u32, f32)>(grid: &Grid, projector: Projector, ray: &Ray, emit: F) {
     match projector {
-        Projector::Siddon => trace_ray(grid, &ray, emit),
-        Projector::Joseph => trace_ray_joseph(grid, &ray, emit),
+        Projector::Siddon => trace_ray(grid, ray, emit),
+        Projector::Joseph => trace_ray_joseph(grid, ray, emit),
     }
 }
 
@@ -265,11 +296,16 @@ fn trace_csr(
 ) -> CsrMatrix {
     let num_rays = scan.num_rays();
     let workers = pool.num_threads();
+    // A traced pixel index is `j * n + i`, the position `rank_of` is
+    // indexed by: no division back into `(i, j)` per crossing.
+    let rank_of = tomo_ord.rank_of();
     let mut rowptr = vec![0usize; num_rays + 1];
     let by_rays = ExecPlan::equal_rows(num_rays, workers);
     pool.run(&by_rays, &mut rowptr[1..], |_, rays, counts| {
+        let angles = &mut AngleMemo::new();
         for (rank, n) in rays.zip(counts) {
-            trace_rank(grid, scan, sino_ord, projector, rank, |_, _| *n += 1);
+            let ray = ray_at(scan, sino_ord, angles, rank);
+            trace(grid, projector, &ray, |_, _| *n += 1);
         }
     });
     for r in 0..num_rays {
@@ -290,12 +326,13 @@ fn trace_csr(
     }
     let by_nnz = ExecPlan::nnz_balanced(&block_ptr, workers);
     pool.run(&by_nnz, &mut blocks, |_, _, blocks| {
+        let angles = &mut AngleMemo::new();
         for (rays, cols, vals) in blocks {
             let mut k = 0;
             for rank in rays.clone() {
-                trace_rank(grid, scan, sino_ord, projector, rank, |pixel, len| {
-                    let (i, j) = grid.pixel_coords(pixel);
-                    cols[k] = tomo_ord.rank(i, j);
+                let ray = ray_at(scan, sino_ord, angles, rank);
+                trace(grid, projector, &ray, |pixel, len| {
+                    cols[k] = rank_of[pixel as usize];
                     vals[k] = len;
                     k += 1;
                 });
@@ -399,17 +436,27 @@ mod tests {
     fn traced_matrix_is_the_same_for_every_pool_size() {
         // 18 × 24 = 432 rays make two ray blocks, so three and seven
         // workers outnumber them. Aᵀ and both buffered layouts are
-        // functions of the three arrays compared here.
-        let (grid, scan) = (Grid::new(24), ScanGeometry::new(18, 24));
-        let (tomo_ord, _) = build_ordering(DomainOrdering::TwoLevelHilbert(None), 24, 24);
-        let (sino_ord, _) = build_ordering(DomainOrdering::TwoLevelHilbert(None), 24, 18);
+        // functions of the three arrays compared here. Column-major ranks
+        // step through all 70 projections per channel: more than
+        // `AngleMemo` holds, so its entries are evicted and re-evaluated.
+        let grid = Grid::new(24);
         let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for projector in [Projector::Siddon, Projector::Joseph] {
-            // The oracle: rows traced one at a time, appended in order.
+        for (ordering, m, projector) in [
+            (DomainOrdering::TwoLevelHilbert(None), 18, Projector::Siddon),
+            (DomainOrdering::TwoLevelHilbert(None), 18, Projector::Joseph),
+            (DomainOrdering::ColumnMajor, 70, Projector::Siddon),
+        ] {
+            let scan = ScanGeometry::new(m, 24);
+            let (tomo_ord, _) = build_ordering(ordering, 24, 24);
+            let (sino_ord, _) = build_ordering(ordering, 24, m);
+            // The oracle: rows traced one at a time, appended in order,
+            // each ray from `ScanGeometry::ray` and each column from the
+            // pixel's coordinates — neither of `trace_csr`'s shortcuts.
             let rows: Vec<Vec<(u32, f32)>> = (0..scan.num_rays())
                 .map(|rank| {
+                    let (chan, proj) = sino_ord.cell(rank as u32);
                     let mut row = Vec::new();
-                    trace_rank(&grid, &scan, &sino_ord, projector, rank, |pixel, len| {
+                    trace(&grid, projector, &scan.ray(proj, chan), |pixel, len| {
                         let (i, j) = grid.pixel_coords(pixel);
                         row.push((tomo_ord.rank(i, j), len));
                     });
@@ -422,7 +469,10 @@ mod tests {
                 let pool = WorkerPool::new(workers);
                 let got = trace_csr(&grid, &scan, &sino_ord, &tomo_ord, projector, &pool);
                 let same = got == want && bits(&got) == bits(&want);
-                assert!(same, "{projector:?} traced on {workers} workers differs");
+                assert!(
+                    same,
+                    "{ordering:?} {projector:?} traced on {workers} workers differs"
+                );
             }
         }
     }

@@ -291,12 +291,25 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             }
 
             // Counting sort of the partition's entries by (stage, row).
+            // Both domains are Hilbert-ordered, so consecutive entries of
+            // a row almost always share a stage: each run of them is
+            // carried in registers and touches its `cursor` word once,
+            // not once per entry (a store-to-load chain per nonzero).
             cursor.clear();
             cursor.resize(nstages_here * partsize, 0);
             for j in 0..rows {
-                for &c in &colind[rowptr[base + j]..rowptr[base + j + 1]] {
-                    cursor[stage_of[c as usize] as usize * partsize + j] += 1;
+                let cols = &colind[rowptr[base + j]..rowptr[base + j + 1]];
+                let Some(&first) = cols.first() else { continue };
+                let (mut run_stage, mut run) = (stage_of[first as usize], 0usize);
+                for &c in cols {
+                    let stage = stage_of[c as usize];
+                    if stage != run_stage {
+                        cursor[run_stage as usize * partsize + j] += run;
+                        (run_stage, run) = (stage, 0);
+                    }
+                    run += 1;
                 }
+                cursor[run_stage as usize * partsize + j] += run;
             }
             let mut next = ind.len();
             for slot in &mut cursor {
@@ -309,12 +322,22 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             val.resize(next, 0.0);
             for j in 0..rows {
                 let (lo, hi) = (rowptr[base + j], rowptr[base + j + 1]);
+                let Some(&first) = colind[lo..hi].first() else {
+                    continue;
+                };
+                // A row's slots are its own, so the last run of a row is
+                // never read back: only a stage change stores `dst`.
+                let mut run_stage = stage_of[first as usize];
+                let mut dst = cursor[run_stage as usize * partsize + j];
                 for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
-                    let slot = stage_of[c as usize] as usize * partsize + j;
-                    let dst = cursor[slot];
-                    cursor[slot] += 1;
+                    let stage = stage_of[c as usize];
+                    if stage != run_stage {
+                        cursor[run_stage as usize * partsize + j] = dst;
+                        (run_stage, dst) = (stage, cursor[stage as usize * partsize + j]);
+                    }
                     ind[dst] = local_of[c as usize];
                     val[dst] = v;
+                    dst += 1;
                 }
             }
 
@@ -967,6 +990,39 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0],
         );
         assert_same_layout::<u16>(&dup, 2, 1);
+    }
+
+    #[test]
+    fn run_coalescing_survives_adversarial_rows() {
+        // What carrying a row's runs in registers could get wrong, a row
+        // each. Eight columns: at buffsize 2 a partition that touches
+        // them all has the stages {0,1} {2,3} {4,5} {6,7}.
+        let rows: [&[u32]; 7] = [
+            &[0, 2, 4, 6, 1, 3, 5, 7], // run length 1; every stage left and re-entered
+            &[],
+            &[7, 6], // wholly in the last stage
+            &[],
+            &[0, 1, 2, 3, 4, 5, 6, 7], // one run per stage
+            &[1, 2, 2, 1, 1, 2],       // duplicates straddling the {0,1} | {2,3} boundary
+            &[5],                      // the partial last partition at partsize 2, 3 and 4
+        ];
+        let mut rowptr = vec![0];
+        for row in rows {
+            rowptr.push(rowptr[rowptr.len() - 1] + row.len());
+        }
+        let colind = rows.concat();
+        let values = (0..colind.len()).map(|k| k as f32 + 1.0).collect();
+        // Unchecked: `from_raw` would accept the duplicates too, but the
+        // builder must not rely on what it checks.
+        let a = CsrMatrix::from_raw_unchecked(rows.len(), 8, rowptr, colind, values);
+        for partsize in [1, 2, 3, 4, 128] {
+            for buffsize in [1, 2, 3, 8, 2048] {
+                assert_same_layout::<u16>(&a, partsize, buffsize);
+                assert_same_layout::<u32>(&a, partsize, buffsize);
+                let b = BufferedCsr::from_csr(&a, partsize, buffsize);
+                assert_eq!(b.spmv(&x8()), spmv(&a, &x8()), "{partsize} {buffsize}");
+            }
+        }
     }
 
     #[test]

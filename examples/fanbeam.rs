@@ -38,13 +38,14 @@ fn main() {
     // Memoize: Hilbert-order the tomogram, trace every fan ray into CSR.
     let t = std::time::Instant::now();
     let tomo_ord = TwoLevelOrdering::with_default_tile(n, n).into_ordering();
+    // A traced pixel index is `j * n + i`, what `rank_of` is indexed by.
+    let rank_of = tomo_ord.rank_of();
     let rows: Vec<Vec<(u32, f32)>> = (0..geom.num_projections)
         .flat_map(|p| (0..geom.num_channels).map(move |c| (p, c)))
         .map(|(p, c)| {
             let mut row = Vec::new();
             xct_geometry::trace_ray(&grid, &geom.ray(p, c), |pixel, len| {
-                let (i, j) = grid.pixel_coords(pixel);
-                row.push((tomo_ord.rank(i, j), len));
+                row.push((rank_of[pixel as usize], len));
             });
             row
         })
