@@ -27,7 +27,8 @@
 //!   back: one table ([`RETIRED`]: names, path scope, message) holds the
 //!   deprecated-shim ban, the retired kernels and dispatch twins, and the
 //!   second threading substrate (`rayon`, `par_iter`, `thread::scope`, …
-//!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`).
+//!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`), and
+//!   the ordered-subsets side driver `Solver::OsSirt` replaced.
 //!
 //! The scanner strips string literals and comments before matching (so doc
 //! examples and messages never fire a rule) and skips `target/` entirely.
@@ -167,6 +168,12 @@ const RETIRED: &[Retired] = &[
         scope: product_and_its_callers,
         message: "retired second path: every input is groups x one stint in the driver's group \
             loop (snapshot slot = group index), which fills a `ReconResponse` directly",
+    },
+    Retired {
+        names: &["OrderedSubsets", "OsRule", "RowSubsetOperator"],
+        scope: product_and_its_callers,
+        message: "retired side driver: OS-SIRT is `Solver::OsSirt`, one more rule of the group \
+            loop (subsets built once per request by the driver)",
     },
 ];
 
@@ -601,6 +608,10 @@ mod tests {
         (
             "crates/memxct/src/reconstructor.rs",
             "ReconInput::Volume(sinos) => self.run_volume(sinos, req),\n",
+        ),
+        (
+            "tests/extensions.rs",
+            "let (x, recs) = OrderedSubsets::new(&ops, 6).solve(&y, 8, 1.0);\n",
         ),
     ];
 

@@ -65,7 +65,8 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
   --scale N      divide both sinogram dimensions by N (default 16)
   --noise I0     Poisson photon count per ray (default: noise-free)
   --solver       cg (default), sirt, os-sirt (8 subsets), fbp
-  --ranks N      run cg or sirt distributed over N thread-ranks
+  --ranks N      run cg or sirt distributed over N thread-ranks (os-sirt
+                 runs serially only and refuses it, as it does --pool)
   --out FILE     .pgm for images, .raw for sinograms
   --metrics FILE write the run's metrics snapshot as JSON
   --check        validate every memoized structure before reconstructing
@@ -73,23 +74,23 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
   --pool         run SpMV on the persistent worker pool with nnz-balanced
                  static partitions (threads from RAYON_NUM_THREADS)
   --pool-threads N  pool size override (implies --pool)
-  --batch K      solve K slices together through the SpMM path (cg/sirt,
-                 also with --pool or --ranks; slice 0 is the measurement,
-                 slice j a copy scaled by 1 + 0.05 j; --out FILE.pgm
-                 holds slice 0 and FILE.j.pgm slice j)
+  --batch K      solve K slices together through the SpMM path (cg, sirt,
+                 os-sirt; also with --pool or --ranks; slice 0 is the
+                 measurement, slice j a copy scaled by 1 + 0.05 j; --out
+                 FILE.pgm holds slice 0 and FILE.j.pgm slice j)
   --checkpoint FILE  snapshot the solver state to FILE.0 (versioned,
                  checksummed) every --checkpoint-every iterations
   --checkpoint-every N  checkpoint cadence in iterations (default 1)
   --resume       resume from the latest snapshot under --checkpoint;
                  a resumed solve is bit-identical to an uninterrupted one
-  --chaos SPEC   inject one deterministic fault (repeatable; cg/sirt/os-
-                 sirt with --ranks): KIND@rank:index with KIND one of
+  --chaos SPEC   inject one deterministic fault (repeatable; cg/sirt
+                 with --ranks): KIND@rank:index with KIND one of
                  crash, drop, delay, bitflip — e.g. crash@1:3
   --corrupt KIND inject one fault before checking (check only):
                  rowptr | nan | transpose | permutation | stage-oversize |
                  duplicate-column | buffered-entry
   --jobs FILE    serve: job file, one job per line (# comments allowed):
-                   NAME DATASET SCALE cg|sirt ITERS PRIORITY
+                   NAME DATASET SCALE cg|sirt|os-sirt ITERS PRIORITY
                         [batch=K] [preempt@N] [pool]
                         [deadline=SECS] [retries=N]
                  higher priority runs first; preempt@N checkpoints the job
@@ -447,8 +448,10 @@ fn reconstruct(opts: &Options) {
         eprintln!("--chaos requires --ranks N (faults target distributed collectives)");
         exit(2);
     }
-    if opts.batch > 1 && !matches!(opts.solver.as_str(), "cg" | "sirt") {
-        eprintln!("--batch supports the cg and sirt solvers");
+    if opts.solver == "fbp"
+        && (opts.batch > 1 || opts.ranks.is_some() || opts.pool || opts.checkpoint.is_some())
+    {
+        eprintln!("--solver fbp is direct: --batch, --ranks, --pool and --checkpoint do not apply");
         exit(2);
     }
     let t = std::time::Instant::now();
@@ -513,44 +516,33 @@ fn reconstruct(opts: &Options) {
     }
 
     let t = std::time::Instant::now();
-    let (images, iters_run) = match (opts.solver.as_str(), opts.ranks) {
-        ("cg" | "sirt", ranks) => {
-            let input = widened(sino, opts.batch);
-            let req = if opts.solver == "cg" {
-                ReconRequest::cg(input, StopRule::Fixed(opts.iters))
-            } else {
-                ReconRequest::sirt(input, opts.iters)
-            };
-            let (mode, context) = match ranks {
-                Some(ranks) => {
-                    let config = DistConfig {
-                        ranks,
-                        use_buffered: true,
-                        ..DistConfig::default()
-                    };
-                    let mode = ExecMode::Distributed { config, ft: None };
-                    (mode, "distributed reconstruction failed")
-                }
-                _ if opts.pool => (ExecMode::Pooled, "reconstruction failed"),
-                _ => (ExecMode::Serial, "reconstruction failed"),
-            };
-            let resp = rec
-                .run(&req.mode(mode))
-                .unwrap_or_else(|e| die_run(context, e));
-            let n = resp.slice_records.first().map(Vec::len).unwrap_or(0);
-            (resp.images, n)
-        }
-        ("os-sirt", _) => {
-            let os = OrderedSubsets::new(rec.operators(), 8.min(ds.projections as usize));
-            let y = rec.operators().order_sinogram(&sino);
-            let (x, recs) = os.solve(&y, opts.iters, 1.0);
-            (vec![rec.operators().unorder_tomogram(&x)], recs.len())
-        }
-        ("fbp", _) => (vec![fbp(rec.operators(), &sino, &FbpConfig::default())], 1),
-        (other, _) => {
-            eprintln!("unknown solver `{other}`");
+    let (images, iters_run) = if opts.solver == "fbp" {
+        (vec![fbp(rec.operators(), &sino, &FbpConfig::default())], 1)
+    } else {
+        let input = widened(sino, opts.batch);
+        let req = solver_request(&opts.solver, input, opts.iters, ds.projections);
+        let req = req.unwrap_or_else(|e| {
+            eprintln!("{e}");
             exit(2);
-        }
+        });
+        let (mode, context) = match opts.ranks {
+            Some(ranks) => {
+                let config = DistConfig {
+                    ranks,
+                    use_buffered: true,
+                    ..DistConfig::default()
+                };
+                let mode = ExecMode::Distributed { config, ft: None };
+                (mode, "distributed reconstruction failed")
+            }
+            _ if opts.pool => (ExecMode::Pooled, "reconstruction failed"),
+            _ => (ExecMode::Serial, "reconstruction failed"),
+        };
+        let resp = rec
+            .run(&req.mode(mode))
+            .unwrap_or_else(|e| die_run(context, e));
+        let n = resp.slice_records.first().map(Vec::len).unwrap_or(0);
+        (resp.images, n)
     };
     println!(
         "reconstruction: {:.2}s ({} iterations)",
@@ -578,9 +570,32 @@ fn reconstruct(opts: &Options) {
     println!("image range: [{min:.4}, {max:.4}]");
 }
 
-/// Parse one job-file line (`NAME DATASET SCALE cg|sirt ITERS PRIORITY
-/// [batch=K] [preempt@N] [pool] [deadline=SECS] [retries=N]`) into a job
-/// plus the image side length its outputs will have.
+/// The request an iterative solver name asks for over `input`, `iters`
+/// iterations in [`ExecMode::Serial`] — the one spelling `reconstruct` and
+/// `serve` job lines share: `cg`, `sirt` (relaxation 1) or `os-sirt` (8
+/// subsets, or one per projection when there are fewer; relaxation 1).
+fn solver_request(
+    name: &str,
+    input: ReconInput,
+    iters: usize,
+    projections: u32,
+) -> Result<ReconRequest, String> {
+    let solver = match name {
+        "cg" => Solver::Cg,
+        "sirt" => Solver::Sirt { relax: 1.0 },
+        "os-sirt" => Solver::OsSirt {
+            subsets: 8.min(projections as usize),
+            relax: 1.0,
+        },
+        other => return Err(format!("`{other}` is not cg, sirt or os-sirt")),
+    };
+    Ok(ReconRequest::cg(input, StopRule::Fixed(iters)).solver(solver))
+}
+
+/// Parse one job-file line (`NAME DATASET SCALE cg|sirt|os-sirt ITERS
+/// PRIORITY [batch=K] [preempt@N] [pool] [deadline=SECS] [retries=N]`)
+/// into a job plus the image side length its outputs will have. A pooled
+/// os-sirt job parses and then fails typed, like its `reconstruct` twin.
 fn parse_job_line(line: &str) -> Result<(JobSpec, u32), String> {
     let mut tok = line.split_whitespace();
     let mut field = |name: &str| tok.next().ok_or_else(|| format!("missing {name}"));
@@ -651,12 +666,7 @@ fn parse_job_line(line: &str) -> Result<(JobSpec, u32), String> {
     let scan = ds.scan();
     let truth = ds.phantom().rasterize(ds.channels);
     let sino = simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, 0xc11);
-    let input = widened(sino, batch);
-    let request = match solver.as_str() {
-        "cg" => ReconRequest::cg(input, StopRule::Fixed(iters)),
-        "sirt" => ReconRequest::sirt(input, iters),
-        other => return Err(format!("serve supports cg and sirt, got `{other}`")),
-    };
+    let request = solver_request(&solver, widened(sino, batch), iters, ds.projections)?;
     let request = request.mode(if pool {
         ExecMode::Pooled
     } else {

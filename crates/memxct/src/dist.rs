@@ -900,6 +900,9 @@ pub(crate) fn solve_distributed(
     if let Some(relax) = stint.solver.invalid_relaxation() {
         return Err(BuildError::InvalidRelaxation { relax });
     }
+    if let Solver::OsSirt { .. } = stint.solver {
+        return Err(BuildError::SerialOnly("distributed"));
+    }
     let (nrows, ncols) = (ops.a.nrows(), ops.a.ncols());
     let batch = sino_ordered.len().checked_div(nrows).unwrap_or(0);
     if batch == 0 || batch * nrows != sino_ordered.len() {
@@ -984,7 +987,8 @@ pub(crate) fn solve_distributed(
 ///
 /// Errors up front, before any rank starts: [`BuildError::ZeroRanks`],
 /// [`BuildError::InvalidRelaxation`] for a SIRT `relax` that is NaN or
-/// not positive, and [`BuildError::SinogramLength`] when the slab is
+/// not positive, [`BuildError::SerialOnly`] for OS-SIRT (ranks have no
+/// subset kernel), and [`BuildError::SinogramLength`] when the slab is
 /// empty or not a whole number of slices.
 pub fn try_reconstruct_distributed_ft(
     ops: &Operators,
@@ -996,6 +1000,7 @@ pub fn try_reconstruct_distributed_ft(
 ) -> Result<DistOutput, BuildError> {
     let stint = Stint {
         solver: config.solver,
+        subsets: None,
         stop: config.stop,
         metrics,
         policy: checkpoint,

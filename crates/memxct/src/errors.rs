@@ -46,6 +46,18 @@ pub enum BuildError {
         /// The rejected factor.
         relax: f32,
     },
+    /// `Solver::OsSirt` was asked for zero subsets, or for more subsets
+    /// than the scan has projections.
+    InvalidSubsets {
+        /// The rejected subset count.
+        subsets: usize,
+        /// Projections of the scan (the largest valid count).
+        projections: usize,
+    },
+    /// `Solver::OsSirt` was requested on the named executor (`"pooled"`
+    /// or `"distributed"`), which has no subset kernel: it runs in
+    /// `ExecMode::Serial` only, and is refused before anything runs.
+    SerialOnly(&'static str),
     /// A measurement vector's length does not match the operator's rows
     /// (for the distributed slab: is empty or not a whole number of
     /// slices).
@@ -97,6 +109,13 @@ impl fmt::Display for BuildError {
             }
             BuildError::InvalidRelaxation { relax } => {
                 write!(f, "SIRT relaxation must be positive, got {relax}")
+            }
+            BuildError::InvalidSubsets {
+                subsets,
+                projections,
+            } => write!(f, "OS-SIRT needs 1..={projections} subsets, got {subsets}"),
+            BuildError::SerialOnly(mode) => {
+                write!(f, "OS-SIRT has no {mode} subset kernel (serial only)")
             }
             BuildError::SinogramLength { expected, got } => {
                 write!(

@@ -46,7 +46,7 @@ pub mod reconstructor;
 pub mod regularize;
 pub mod request;
 pub mod solvers;
-pub mod subsets;
+mod subsets;
 
 pub use checkpoint::{plan_fingerprint, validate_snapshot};
 pub use dist::{
@@ -57,8 +57,7 @@ pub use errors::BuildError;
 pub use fbp::{fbp, FbpConfig};
 pub use operator::{
     ClosureOperator, CompOperator, KernelBreakdown, KernelOperator, PooledOperator, PooledPlans,
-    ProjectionOperator, RowSubsetOperator, StackedOperator, POOL_IMBALANCE_BACK,
-    POOL_IMBALANCE_FORWARD,
+    ProjectionOperator, StackedOperator, POOL_IMBALANCE_BACK, POOL_IMBALANCE_FORWARD,
 };
 pub use plan_check::{dist_checker, exec_checker, ledger_check, plan_checker, validate_plan};
 pub use preprocess::{
@@ -79,7 +78,6 @@ pub use solvers::{
     cgls, cgls_regularized, run_engine, run_engine_in, sirt, sirt_nonneg, CgRule, Constraint,
     IterationRecord, SirtRule, SolverWorkspace, StopRule, UpdateRule,
 };
-pub use subsets::{OrderedSubsets, OsRule};
 pub use xct_check::{CheckViolation, Invariant, Report as CheckReport};
 
 /// Relative L2 error `‖a − b‖₂ / ‖b‖₂`, the yardstick the unit tests share.

@@ -27,9 +27,9 @@
 //!   serial and distributed reconstruction paths report timings through
 //!   one code path (Fig 9 / Fig 11).
 //!
-//! Combinators: [`StackedOperator`] appends scaled regularization rows
-//! (Tikhonov / gradient smoothing) and [`RowSubsetOperator`] restricts to
-//! a row subset (ordered-subsets SIRT).
+//! Combinator: [`StackedOperator`] appends scaled regularization rows
+//! (Tikhonov / gradient smoothing). Ordered-subsets SIRT needs no
+//! operator of its own: its rule reads `A`'s rows directly.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -731,72 +731,6 @@ impl ProjectionOperator for StackedOperator<'_> {
     }
 }
 
-/// A row subset of a projection operator: the extracted block `A[rows, :]`
-/// and its transpose, plus the global row ids needed to gather the
-/// matching slice of a full measurement vector. Ordered-subsets SIRT runs
-/// one of these per subset.
-pub struct RowSubsetOperator<'a> {
-    rows: &'a [u32],
-    block: &'a CsrMatrix,
-    block_t: &'a CsrMatrix,
-    meter: SpmvMeter,
-}
-
-impl<'a> RowSubsetOperator<'a> {
-    /// Wrap an extracted row block. `rows[i]` is the global row id of the
-    /// block's row `i`.
-    pub fn new(rows: &'a [u32], block: &'a CsrMatrix, block_t: &'a CsrMatrix) -> Self {
-        // lint: allow(no-panic) documented constructor precondition
-        assert_eq!(rows.len(), block.nrows(), "row id per block row");
-        RowSubsetOperator {
-            rows,
-            block,
-            block_t,
-            meter: SpmvMeter::new(Metrics::collecting(), "subset"),
-        }
-    }
-
-    /// Record into `metrics` instead of a private registry.
-    pub fn with_metrics(mut self, metrics: Metrics) -> Self {
-        self.meter.metrics = metrics;
-        self
-    }
-
-    /// Global row ids of this subset.
-    pub fn rows(&self) -> &[u32] {
-        self.rows
-    }
-
-    /// Gather the subset's slice of a full measurement vector.
-    pub fn gather(&self, full: &[f32]) -> Vec<f32> {
-        self.rows.iter().map(|&r| full[r as usize]).collect()
-    }
-}
-
-impl ProjectionOperator for RowSubsetOperator<'_> {
-    fn nrows(&self) -> usize {
-        self.block.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.block.ncols()
-    }
-    fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        let t = self.meter.start();
-        spmv_into(self.block, x, y);
-        self.meter
-            .record(t, self.block.nnz() as u64, self.block.regular_bytes(), 1);
-    }
-    fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        let t = self.meter.start();
-        spmv_into(self.block_t, y, x);
-        let (nnz, bytes) = (self.block_t.nnz() as u64, self.block_t.regular_bytes());
-        self.meter.record(t, nnz, bytes, 1);
-    }
-    fn breakdown(&self) -> Option<KernelBreakdown> {
-        self.meter.breakdown()
-    }
-}
-
 impl Operators {
     /// Forward projection `y = A·x` (ordered coordinates) with the chosen
     /// kernel, on the calling thread, unmetered.
@@ -1040,27 +974,5 @@ mod tests {
         let lhs = dot_f64(&y, &y_aug);
         let rhs = dot_f64(&x, &bt);
         assert!((lhs - rhs).abs() < 1e-3 * lhs.abs().max(1.0));
-    }
-
-    #[test]
-    fn row_subset_gathers_and_projects() {
-        let ops = ops(6, 4);
-        let rows: Vec<u32> = (0..ops.a.nrows() as u32).step_by(2).collect();
-        let block = CsrMatrix::from_rows(
-            ops.a.ncols(),
-            &rows
-                .iter()
-                .map(|&r| ops.a.row(r as usize).collect::<Vec<_>>())
-                .collect::<Vec<_>>(),
-        );
-        let block_t = block.transpose_scan();
-        let sub = RowSubsetOperator::new(&rows, &block, &block_t);
-        assert_eq!(sub.nrows(), rows.len());
-
-        let x: Vec<f32> = (0..sub.ncols()).map(|i| (i % 4) as f32).collect();
-        let full = ops.forward(Kernel::Serial, &x);
-        let mut part = vec![0f32; sub.nrows()];
-        sub.forward_into(&x, &mut part);
-        assert_eq!(part, sub.gather(&full));
     }
 }

@@ -34,7 +34,6 @@ pub use crate::solvers::{
     cgls, cgls_regularized, run_engine, sirt, sirt_nonneg, CgRule, Constraint, IterationRecord,
     SirtRule, StopRule, UpdateRule,
 };
-pub use crate::subsets::{OrderedSubsets, OsRule};
 pub use xct_obs::{Metrics, MetricsSnapshot, TimerSummary};
 pub use xct_runtime::{
     CheckpointError, CheckpointSink, CommConfig, CommError, CommErrorKind, FaultKind, FaultPlan,

@@ -16,9 +16,10 @@ use crate::preprocess::{
 };
 use crate::request::{
     CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,
-    RunControl, RunOutcome,
+    RunControl, RunOutcome, Solver,
 };
 use crate::solvers::{EngineExit, SolverWorkspace, Stint};
+use crate::subsets::Subsets;
 use xct_geometry::{Grid, ScanGeometry, Sinogram};
 use xct_obs::{Metrics, MetricsSnapshot};
 use xct_runtime::{CheckpointSink, CommConfig, FaultPlan, FileCheckpointSink, WorkerPool};
@@ -520,6 +521,14 @@ impl Reconstructor {
         if matches!(req.mode, ExecMode::Pooled) && self.exec.is_none() {
             return Err(ReconError::PoolNotBuilt);
         }
+        // OS-SIRT's subsets, built once for every group (ranks refuse it).
+        let subsets = match (req.solver, &req.mode) {
+            (Solver::OsSirt { .. }, ExecMode::Pooled) => Err(BuildError::SerialOnly("pooled"))?,
+            (Solver::OsSirt { subsets: s, .. }, ExecMode::Serial) => {
+                Some(Subsets::new(&self.ops, s)?)
+            }
+            _ => None,
+        };
         let groups: Vec<&[Sinogram]> = match &req.input {
             ReconInput::Slice(sino) => vec![std::slice::from_ref(sino)],
             ReconInput::Batch(sinos) => vec![sinos],
@@ -532,6 +541,7 @@ impl Reconstructor {
             let y = self.order_group(group, pad)?;
             let stint = Stint {
                 solver: req.solver,
+                subsets: subsets.as_ref(),
                 stop: req.stop,
                 metrics: &self.metrics,
                 policy,

@@ -8,7 +8,7 @@
 //! checkpoint, and replay, instead of a method per solver × input ×
 //! execution mode. A [`ReconRequest`] names:
 //!
-//! - **what** to solve: [`Solver`] (CG or relaxed SIRT) under a
+//! - **what** to solve: [`Solver`] (CG, relaxed SIRT or OS-SIRT) under a
 //!   [`StopRule`],
 //! - **over which data**: a [`ReconInput`] — one slice, a batched group
 //!   solved through the SpMM path, or a whole volume chunked by the
@@ -64,15 +64,27 @@ pub enum Solver {
         /// scheme).
         relax: f32,
     },
+    /// Ordered-subsets SIRT: one iteration is a relaxed SIRT sub-update
+    /// per angle-interleaved row block of `A` (subset `s` holds the rays
+    /// of projections `p ≡ s (mod subsets)`). [`ExecMode::Serial`] only,
+    /// at every width; other modes return [`BuildError::SerialOnly`].
+    OsSirt {
+        /// Subsets, `1..=` projections (else [`BuildError::InvalidSubsets`]).
+        subsets: usize,
+        /// Relaxation factor of every sub-update (must be positive).
+        relax: f32,
+    },
 }
 
 impl Solver {
     /// The relaxation factor this solver would be rejected for: SIRT's
-    /// when it is NaN or not positive.
+    /// or OS-SIRT's when it is NaN or not positive.
     pub(crate) fn invalid_relaxation(self) -> Option<f32> {
         match self {
-            Solver::Sirt { relax } if relax.is_nan() || relax <= 0.0 => Some(relax),
-            _ => None,
+            Solver::Sirt { relax } | Solver::OsSirt { relax, .. } => {
+                (relax.is_nan() || relax <= 0.0).then_some(relax)
+            }
+            Solver::Cg => None,
         }
     }
 }
@@ -326,8 +338,8 @@ pub enum ReconError {
     ///
     /// [`ReconstructorBuilder::use_pool`]: crate::ReconstructorBuilder::use_pool
     PoolNotBuilt,
-    /// [`Solver::Sirt`] was given a non-positive (or NaN) relaxation
-    /// factor.
+    /// [`Solver::Sirt`] or [`Solver::OsSirt`] was given a non-positive
+    /// (or NaN) relaxation factor.
     InvalidRelaxation {
         /// The rejected factor.
         relax: f32,

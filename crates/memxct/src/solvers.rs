@@ -1,7 +1,8 @@
 //! The iterative solver engine (§3.5.2): one iteration loop
 //! ([`run_engine_in`]) parameterized by an update rule (CG on the
-//! least-squares normal equations, or SIRT with row/column-sum
-//! normalization), an optional constraint projection, a
+//! least-squares normal equations, SIRT with row/column-sum
+//! normalization, or its ordered-subsets form), an optional constraint
+//! projection, a
 //! [`ProjectionOperator`] backend, and a [`SolverWorkspace`] whose batch
 //! width says how many slices advance together.
 //!
@@ -22,6 +23,7 @@ use crate::checkpoint::{self, SolveState};
 use crate::errors::BuildError;
 use crate::operator::{ClosureOperator, ProjectionOperator};
 use crate::request::{CheckpointPolicy, RunControl, Solver};
+use crate::subsets::{OsSirtRule, Subsets};
 use xct_obs::Metrics;
 use xct_runtime::CheckpointError;
 
@@ -107,15 +109,15 @@ pub struct SolverWorkspace {
     /// Batch width `k`, fixed at construction.
     batch: usize,
     /// The iterate (tomogram domain, `k × ncols`, slice-major).
-    x: Vec<f32>,
-    /// Sinogram-domain residual (`r` in CG, `y − A·x` in SIRT),
-    /// `k × nrows`.
-    resid: Vec<f32>,
+    pub(crate) x: Vec<f32>,
+    /// Sinogram-domain residual (`r` in CG, `y − A·x` in SIRT, subset
+    /// residuals in OS-SIRT), `k × nrows`.
+    pub(crate) resid: Vec<f32>,
     /// Projection output (`q = A·p` in CG), sinogram domain, `k × nrows`.
     proj: Vec<f32>,
-    /// Backprojection output (`s = Aᵀ·r` in CG, the update in SIRT),
-    /// `k × ncols`.
-    back: Vec<f32>,
+    /// Backprojection output (`s = Aᵀ·r` in CG, the update in SIRT and
+    /// OS-SIRT), `k × ncols`.
+    pub(crate) back: Vec<f32>,
     /// Search direction (`p` in CG), tomogram domain, `k × ncols`.
     dir: Vec<f32>,
     /// Per-slice per-iteration convergence records.
@@ -123,7 +125,7 @@ pub struct SolverWorkspace {
     /// Per-slice early-termination reference residuals.
     prev_res: Vec<f64>,
     /// Per-slice activity flags; a retired slice is never updated again.
-    active: Vec<bool>,
+    pub(crate) active: Vec<bool>,
     /// Per-slice residual returns of the current step (`NaN` = numerical
     /// breakdown). Taken/restored by the engine around each
     /// [`UpdateRule::step`] call so the rule can borrow the workspace too.
@@ -183,12 +185,6 @@ impl SolverWorkspace {
         &self.x
     }
 
-    /// Mutable access to the iterate, for update rules that manage their
-    /// own intermediate state (e.g. ordered subsets).
-    pub fn x_mut(&mut self) -> &mut [f32] {
-        &mut self.x
-    }
-
     /// The carried slice-major slabs `[x, resid, dir]` — the bulk of a
     /// [`capture`](Self::capture), and all of it that differs by rank.
     pub(crate) fn carried(&self) -> [&[f32]; 3] {
@@ -229,8 +225,8 @@ impl SolverWorkspace {
     /// The inverse of [`capture`](Self::capture): size every buffer like
     /// [`begin`](Self::begin) for an `nrows × ncols` operator running at
     /// most `cap` iterations, overwrite what `st` carries, and hand
-    /// `rule` its scalars back. `proj`/`back` are scratch — both update
-    /// rules overwrite them before reading — so zeroing them preserves
+    /// `rule` its scalars back. `proj`/`back` are scratch — every update
+    /// rule overwrites them before reading — so zeroing them preserves
     /// bit-identity. Returns the iteration the solve continues at.
     pub(crate) fn restore(
         &mut self,
@@ -548,6 +544,9 @@ where
 pub(crate) struct Stint<'a> {
     /// Update rule, built per executor through [`make_rule`].
     pub solver: Solver,
+    /// OS-SIRT's subsets, built once per request by the driver that lets
+    /// OS-SIRT through (`None` for every other solver).
+    pub subsets: Option<&'a Subsets<'a>>,
     /// Termination policy.
     pub stop: StopRule,
     /// Where the engine records (ranks swap in a no-op: P interleaved
@@ -637,7 +636,7 @@ impl Stint<'_> {
         mut preempt: impl FnMut(usize) -> bool,
         mut save: impl FnMut(usize, &SolverWorkspace, &dyn UpdateRule) -> Result<(), CheckpointError>,
     ) -> Result<EngineExit, CheckpointError> {
-        let mut rule = make_rule(self.solver);
+        let mut rule = make_rule(self.solver, self.subsets);
         let cap = self.stop.max_iters();
         let resume_point =
             resume.map(|st| ws.restore(op.nrows(), op.ncols(), cap, st, rule.as_mut()));
@@ -938,12 +937,19 @@ impl UpdateRule for SirtRule {
 /// builds its rule through.
 ///
 /// # Panics
-/// If a SIRT relaxation is not positive; drivers screen requests with
-/// `Solver::invalid_relaxation` first.
-pub(crate) fn make_rule(solver: Solver) -> Box<dyn UpdateRule> {
-    match solver {
-        Solver::Cg => Box::new(CgRule::new()),
-        Solver::Sirt { relax } => Box::new(SirtRule::new(relax)),
+/// If a SIRT relaxation is not positive, or OS-SIRT comes without its
+/// subsets; drivers screen requests with `Solver::invalid_relaxation`
+/// first and refuse OS-SIRT wherever they build no subsets.
+pub(crate) fn make_rule<'a>(
+    solver: Solver,
+    subsets: Option<&'a Subsets<'a>>,
+) -> Box<dyn UpdateRule + 'a> {
+    match (solver, subsets) {
+        (Solver::Cg, _) => Box::new(CgRule::new()),
+        (Solver::Sirt { relax }, _) => Box::new(SirtRule::new(relax)),
+        (Solver::OsSirt { relax, .. }, Some(subsets)) => Box::new(OsSirtRule { subsets, relax }),
+        // lint: allow(no-panic) documented driver precondition
+        (Solver::OsSirt { .. }, None) => unreachable!("OS-SIRT on an executor without subsets"),
     }
 }
 

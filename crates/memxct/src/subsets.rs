@@ -1,307 +1,295 @@
-//! Ordered-subsets solvers over the memoized operators.
+//! Ordered-subsets SIRT over the memoized operators.
 //!
 //! The paper notes (§3.5.2) that other iteration schemes — SIRT, SGD,
 //! ICD — "can be implemented for our proposed memory-centric approach in a
-//! plug-and-play manner": any solver that applies row blocks of `A` reuses
-//! the memoized matrices. This module demonstrates that with
-//! ordered-subsets SIRT / stochastic gradient descent (the scheme of
-//! cuMBIR, the paper's GPU-framework comparison): each sub-iteration
-//! applies only the rays of one projection-angle subset, converging in
-//! far fewer full passes over the data.
+//! plug-and-play manner". `Solver::OsSirt` is one: ordered-subsets SIRT /
+//! SGD (cuMBIR's scheme, the paper's GPU-framework comparison), where each
+//! sub-iteration applies the rays of one projection-angle subset. It is
+//! one more rule of the solve driver: the driver builds the [`Subsets`]
+//! once per request and every stint runs [`OsSirtRule`] over them, so
+//! batches, volumes, snapshots and preemption come from the group loop.
+//! Memory: one transposed copy of `A`'s entries and no forward copy — a
+//! subset's forward products read `A`'s own CSR rows through [`row_dot`],
+//! whose lane order depends only on a row's entries.
 
+use crate::errors::BuildError;
 use crate::operator::ProjectionOperator;
 use crate::preprocess::Operators;
-use crate::solvers::{
-    run_engine, Constraint, IterationRecord, SolverWorkspace, StopRule, UpdateRule,
-};
-use std::cell::RefCell;
-use xct_sparse::{spmv_into, CsrMatrix};
+use crate::solvers::{SolverWorkspace, UpdateRule};
+use xct_sparse::lanes::row_dot;
+use xct_sparse::{spmm_into, CsrMatrix};
 
-/// The row blocks of `A` for one angle-interleaved subset.
+/// One angle-interleaved subset of the rays.
 struct Subset {
-    /// Rows of `A` (ordered coordinates) in this subset.
+    /// Rows of `A` (ordered coordinates) in this subset, increasing.
     rows: Vec<u32>,
-    /// The row block (rows × full tomogram).
-    block: CsrMatrix,
-    /// Its transpose.
+    /// `Aₛᵀ`, the transpose of the subset's row block.
     block_t: CsrMatrix,
     /// SIRT row weights (1/row sums).
     row_w: Vec<f32>,
-    /// SIRT column weights over this block.
+    /// SIRT column weights over this block (1/column sums).
     col_w: Vec<f32>,
 }
 
-/// Ordered-subsets SIRT (OS-SIRT / SART family) on the memoized operators.
-///
-/// `num_subsets` angle-interleaved subsets per full iteration; subsets are
-/// visited in a fixed bit-reversal-like interleave for better angular
-/// coverage. One "iteration" in the returned records is one full pass over
-/// all subsets.
-pub struct OrderedSubsets {
+/// The subset decomposition of one plan: subset `s` of `count` holds the
+/// rays of projections `p ≡ s (mod count)`.
+pub(crate) struct Subsets<'a> {
+    a: &'a CsrMatrix,
     subsets: Vec<Subset>,
-    nx: usize,
-    /// Where every subset product lands, sized once: one subset's rays
-    /// (the largest subset's worth) and one tomogram.
-    scratch: RefCell<(Vec<f32>, Vec<f32>)>,
 }
 
-impl OrderedSubsets {
-    /// Split the memoized forward matrix into `num_subsets` angle
-    /// interleaves (subset `k` holds the rays of projections
-    /// `p ≡ k (mod num_subsets)`).
-    pub fn new(ops: &Operators, num_subsets: usize) -> Self {
-        // lint: allow(no-panic) documented parameter precondition
-        assert!(num_subsets > 0);
-        let m = ops.scan.num_projections() as usize;
-        // lint: allow(no-panic) documented parameter precondition
-        assert!(
-            num_subsets <= m,
-            "cannot have more subsets than projections"
-        );
-        let mut rows_by_subset: Vec<Vec<u32>> = vec![Vec::new(); num_subsets];
-        // in-range: row ranks are u32 by the CSR layout
-        for rank in 0..ops.a.nrows() as u32 {
-            let (_chan, proj) = ops.sino_ord.cell(rank);
-            rows_by_subset[(proj as usize) % num_subsets].push(rank);
+impl<'a> Subsets<'a> {
+    /// Split the memoized forward matrix of `ops` into `count` angle
+    /// interleaves; [`BuildError::InvalidSubsets`] unless `count` is in
+    /// `1..=` the scan's projection count.
+    pub(crate) fn new(ops: &'a Operators, count: usize) -> Result<Self, BuildError> {
+        let projections = ops.scan.num_projections() as usize;
+        if count == 0 || count > projections {
+            return Err(BuildError::InvalidSubsets {
+                subsets: count,
+                projections,
+            });
         }
-        let subsets: Vec<Subset> = rows_by_subset
+        let a = &ops.a;
+        let mut rows_by_subset: Vec<Vec<u32>> = vec![Vec::new(); count];
+        // in-range: row ranks are u32 by the CSR layout
+        for rank in 0..a.nrows() as u32 {
+            let (_chan, proj) = ops.sino_ord.cell(rank);
+            rows_by_subset[(proj as usize) % count].push(rank);
+        }
+        let inv = |v: f32| if v > 0.0 { 1.0 / v } else { 0.0 };
+        let inv_sum = |row: &mut dyn Iterator<Item = (u32, f32)>| inv(row.map(|(_, v)| v).sum());
+        let subsets = rows_by_subset
             .into_iter()
             .map(|rows| {
-                let row_data: Vec<Vec<(u32, f32)>> = rows
-                    .iter()
-                    .map(|&r| ops.a.row(r as usize).collect())
-                    .collect();
-                let block = CsrMatrix::from_rows(ops.a.ncols(), &row_data);
-                let block_t = block.transpose_scan();
-                let inv = |v: f32| if v > 0.0 { 1.0 / v } else { 0.0 };
-                let row_w: Vec<f32> = (0..block.nrows())
-                    .map(|i| inv(block.row(i).map(|(_, v)| v).sum()))
-                    .collect();
-                let mut col_sum = vec![0f32; block.ncols()];
-                for i in 0..block.nrows() {
-                    for (c, v) in block.row(i) {
-                        col_sum[c as usize] += v;
-                    }
-                }
-                let col_w: Vec<f32> = col_sum.into_iter().map(inv).collect();
+                let row_data: Vec<Vec<(u32, f32)>> =
+                    rows.iter().map(|&r| a.row(r as usize).collect()).collect();
+                let block_t = CsrMatrix::from_rows(a.ncols(), &row_data).transpose_scan();
                 Subset {
+                    row_w: rows
+                        .iter()
+                        .map(|&r| inv_sum(&mut a.row(r as usize)))
+                        .collect(),
+                    // `Aₛᵀ` lists a column's entries in increasing row
+                    // order: the order a row-by-row pass adds them in.
+                    col_w: (0..block_t.nrows())
+                        .map(|c| inv_sum(&mut block_t.row(c)))
+                        .collect(),
                     rows,
-                    block,
                     block_t,
-                    row_w,
-                    col_w,
                 }
             })
             .collect();
-        let longest = subsets.iter().map(|s| s.rows.len()).max().unwrap_or(0);
-        let scratch = RefCell::new((vec![0f32; longest], vec![0f32; ops.a.ncols()]));
-        OrderedSubsets {
-            subsets,
-            nx: ops.a.ncols(),
-            scratch,
-        }
+        Ok(Subsets { a, subsets })
     }
 
-    /// Number of subsets.
-    pub fn num_subsets(&self) -> usize {
-        self.subsets.len()
-    }
-
-    /// The OS-SIRT update rule over these subsets; `relaxation` scales
-    /// each sub-update (1.0 = plain SART step). Feed it to
-    /// [`run_engine`] together with `self` as the operator.
-    pub fn rule(&self, relaxation: f32) -> OsRule<'_> {
-        // lint: allow(no-panic) documented parameter precondition
-        assert!(relaxation > 0.0);
-        OsRule {
-            os: self,
-            relaxation,
-        }
-    }
-
-    /// Run `iters` full passes of OS-SIRT from zero — a thin shim over
-    /// [`run_engine`] with [`OsRule`]. `y_ordered` is the measurement
-    /// vector in sinogram-ordered coordinates.
-    pub fn solve(
-        &self,
-        y_ordered: &[f32],
-        iters: usize,
-        relaxation: f32,
-    ) -> (Vec<f32>, Vec<IterationRecord>) {
-        let mut rule = self.rule(relaxation);
-        run_engine(
-            self,
-            y_ordered,
-            &mut rule,
-            Constraint::None,
-            StopRule::Fixed(iters),
-        )
+    /// `(A·x)[row]`, from `A`'s own CSR row.
+    fn row_dot(&self, row: u32, x: &[f32]) -> f32 {
+        let (ptr, row) = (self.a.rowptr(), row as usize);
+        let span = ptr[row]..ptr[row + 1];
+        row_dot(&self.a.colind()[span.clone()], &self.a.values()[span], x)
     }
 }
 
-/// The subset decomposition *is* a projection operator: forward scatters
-/// each subset's rows into their global positions (the subsets partition
-/// the sinogram), backprojection sums the per-subset transposes.
-impl ProjectionOperator for OrderedSubsets {
-    fn nrows(&self) -> usize {
-        self.subsets.iter().map(|s| s.rows.len()).sum()
-    }
-    fn ncols(&self) -> usize {
-        self.nx
-    }
-    fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        let (r, _) = &mut *self.scratch.borrow_mut();
-        for sub in &self.subsets {
-            let r = &mut r[..sub.rows.len()];
-            spmv_into(&sub.block, x, r);
-            for (&row, &v) in sub.rows.iter().zip(r.iter()) {
-                y[row as usize] = v;
-            }
-        }
-    }
-    fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        x.fill(0.0);
-        let (r, u) = &mut *self.scratch.borrow_mut();
-        for sub in &self.subsets {
-            let ys = &mut r[..sub.rows.len()];
-            for (yi, &row) in ys.iter_mut().zip(&sub.rows) {
-                *yi = y[row as usize];
-            }
-            spmv_into(&sub.block_t, ys, u);
-            for (xi, &ui) in x.iter_mut().zip(u.iter()) {
-                *xi += ui;
-            }
-        }
-    }
+/// One OS-SIRT pass per step: for every subset in turn, a relaxed SIRT
+/// sub-update `x ← x + ω·Cₛ·Aₛᵀ·Rₛ·(yₛ − Aₛ·x)` of every active slice,
+/// then each slice's full residual norm. Column `j` of a width-`k` step
+/// is slice `j` stepped alone: the forward products are per slice, and
+/// the back products are one SpMM over the slice-major slab. Carries no
+/// scalars, and `ws`'s residual and back slabs are scratch it overwrites
+/// before reading.
+pub(crate) struct OsSirtRule<'a> {
+    pub(crate) subsets: &'a Subsets<'a>,
+    pub(crate) relax: f32,
 }
 
-/// One OS-SIRT pass: a relaxed SIRT sub-update per subset, then the full
-/// residual over all subsets.
-pub struct OsRule<'a> {
-    os: &'a OrderedSubsets,
-    relaxation: f32,
-}
-
-impl UpdateRule for OsRule<'_> {
+impl UpdateRule for OsSirtRule<'_> {
     fn step(
         &mut self,
-        _op: &dyn ProjectionOperator,
+        op: &dyn ProjectionOperator,
         y: &[f32],
         ws: &mut SolverWorkspace,
         res: &mut [f64],
     ) {
-        let [res] = res else {
-            return; // single-slice only: every slot stays NaN → all retire
-        };
-        let x = ws.x_mut();
-        let (r, u) = &mut *self.os.scratch.borrow_mut();
-        for sub in &self.os.subsets {
-            // Residual restricted to the subset's rays.
-            let r = &mut r[..sub.rows.len()];
-            spmv_into(&sub.block, x, r);
-            for (ri, &row) in r.iter_mut().zip(&sub.rows) {
-                *ri = y[row as usize] - *ri;
+        let (k, m, n) = (ws.batch(), op.nrows(), op.ncols());
+        let (x, resid, back, active) = (&mut ws.x, &mut ws.resid, &mut ws.back, &ws.active);
+        let os = self.subsets;
+        for sub in &os.subsets {
+            let len = sub.rows.len();
+            let r = &mut resid[..k * len];
+            for j in (0..k).filter(|&j| active[j]) {
+                let (xj, yj) = (&x[j * n..(j + 1) * n], &y[j * m..(j + 1) * m]);
+                let rj = r[j * len..(j + 1) * len].iter_mut();
+                for ((ri, &row), &w) in rj.zip(&sub.rows).zip(&sub.row_w) {
+                    *ri = (yj[row as usize] - os.row_dot(row, xj)) * w;
+                }
             }
-            for (ri, &w) in r.iter_mut().zip(&sub.row_w) {
-                *ri *= w;
-            }
-            spmv_into(&sub.block_t, r, u);
-            for ((xi, &ui), &w) in x.iter_mut().zip(u.iter()).zip(&sub.col_w) {
-                *xi += self.relaxation * ui * w;
+            spmm_into(&sub.block_t, r, back, k);
+            for j in (0..k).filter(|&j| active[j]) {
+                let xj = x[j * n..(j + 1) * n].iter_mut();
+                for ((xi, &ui), &w) in xj.zip(&back[j * n..(j + 1) * n]).zip(&sub.col_w) {
+                    *xi += self.relax * ui * w;
+                }
             }
         }
-        // Full residual for the record (over all subsets).
-        let mut res_sq = 0f64;
-        for sub in &self.os.subsets {
-            let r = &mut r[..sub.rows.len()];
-            spmv_into(&sub.block, x, r);
-            for (ri, &row) in r.iter().zip(&sub.rows) {
-                let d = (y[row as usize] - ri) as f64;
+        for j in (0..k).filter(|&j| active[j]) {
+            let (xj, yj) = (&x[j * n..(j + 1) * n], &y[j * m..(j + 1) * m]);
+            let mut res_sq = 0f64;
+            for &row in os.subsets.iter().flat_map(|sub| &sub.rows) {
+                let d = (yj[row as usize] - os.row_dot(row, xj)) as f64;
                 res_sq += d * d;
             }
+            res[j] = res_sq.sqrt();
         }
-        *res = res_sq.sqrt();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preprocess::{preprocess, Config, Kernel};
-    use crate::rel_err;
-    use crate::solvers::sirt;
-    use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
+    use crate::operator::KernelOperator;
+    use crate::preprocess::Kernel;
+    use crate::solvers::make_rule;
+    use crate::{rel_err, ReconError, ReconInput, ReconRequest, ReconResponse, Reconstructor};
+    use crate::{Solver, StopRule};
+    use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 
-    fn setup() -> (Operators, Vec<f32>, Vec<f32>) {
-        let n = 24u32;
-        let m = 36u32;
-        let grid = Grid::new(n);
-        let scan = ScanGeometry::new(m, n);
-        let img = disk(0.6, 1.0).rasterize(n);
+    const PROJECTIONS: usize = 36;
+    /// Unit roundoff of f32.
+    const U: f64 = f32::EPSILON as f64 / 2.0;
+
+    fn setup() -> (Reconstructor, Sinogram, Vec<f32>) {
+        let (grid, scan) = (Grid::new(24), ScanGeometry::new(PROJECTIONS as u32, 24));
+        let img = disk(0.6, 1.0).rasterize(24);
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
-        let ops = preprocess(grid, scan, &Config::default());
-        let y = ops.order_sinogram(&sino);
-        let x_true = ops.order_tomogram(&img);
-        (ops, y, x_true)
+        (Reconstructor::new(grid, scan), sino, img)
+    }
+
+    fn os(subsets: usize, relax: f32) -> Solver {
+        Solver::OsSirt { subsets, relax }
+    }
+
+    /// `iters` iterations of `solver` on the disk, through `Reconstructor::run`.
+    fn solve(solver: Solver, iters: usize) -> Result<ReconResponse, ReconError> {
+        let (rec, sino, _) = setup();
+        let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(iters));
+        rec.run(&req.solver(solver))
+    }
+
+    /// Most entries in one row of `A` or of any `Aₛᵀ`: the most f32
+    /// additions behind one product value.
+    fn longest_row(s: &Subsets) -> usize {
+        let longest = |m: &CsrMatrix| m.rowptr().windows(2).map(|w| w[1] - w[0]).max();
+        let blocks = s.subsets.iter().filter_map(|sub| longest(&sub.block_t));
+        blocks.chain(longest(s.a)).max().unwrap_or(0)
     }
 
     #[test]
     fn subsets_partition_all_rows() {
-        let (ops, _, _) = setup();
-        let os = OrderedSubsets::new(&ops, 6);
-        let total: usize = os.subsets.iter().map(|s| s.rows.len()).sum();
-        assert_eq!(total, ops.a.nrows());
-        let total_nnz: usize = os.subsets.iter().map(|s| s.block.nnz()).sum();
-        assert_eq!(total_nnz, ops.a.nnz());
+        let (rec, _, _) = setup();
+        let a = &rec.operators().a;
+        let s = Subsets::new(rec.operators(), 6).unwrap();
+        let mut rows: Vec<u32> = s.subsets.iter().flat_map(|sub| sub.rows.clone()).collect();
+        rows.sort_unstable();
+        assert!(rows.iter().copied().eq(0..a.nrows() as u32));
+        let nnz: usize = s.subsets.iter().map(|sub| sub.block_t.nnz()).sum();
+        assert_eq!(nnz, a.nnz());
+    }
+
+    /// Oracle (i): `⟨Aₛ·x, yₛ⟩ = ⟨x, Aₛᵀ·yₛ⟩` for every subset of an
+    /// uneven split, both sides through the products the rule computes.
+    /// They are f64 sums of f32 values each carrying at most `L` roundings
+    /// (`L` = longest row of `A` or `Aₛᵀ`), so they agree within
+    /// `2·(L + 8)·u·⟨|Aₛ|·|x|, |yₛ|⟩`, `u = 2⁻²⁴` (`A`'s entries are
+    /// lengths, so `|Aₛ|·|x| = Aₛ·|x|`).
+    #[test]
+    fn every_subset_is_adjoint() {
+        let (rec, _, _) = setup();
+        let s = Subsets::new(rec.operators(), 5).unwrap();
+        let wave = |len: usize, w: f32| (0..len).map(move |i| (i as f32 * w).sin());
+        let x: Vec<f32> = wave(s.a.ncols(), 0.37).collect();
+        let abs_x: Vec<f32> = x.iter().map(|v| v.abs()).collect();
+        let unit = 2.0 * (longest_row(&s) + 8) as f64 * U;
+        for (k, sub) in s.subsets.iter().enumerate() {
+            let y: Vec<f32> = wave(sub.rows.len(), 0.73).collect();
+            let (mut lhs, mut scale) = (0f64, 0f64);
+            for (&r, &yi) in sub.rows.iter().zip(&y) {
+                lhs += s.row_dot(r, &x) as f64 * yi as f64;
+                scale += s.row_dot(r, &abs_x) as f64 * yi.abs() as f64;
+            }
+            let rhs = xct_sparse::dot_f64(&x, &xct_sparse::spmm(&sub.block_t, &y, 1));
+            let bound = unit * scale;
+            assert!((lhs - rhs).abs() <= bound, "subset {k}: {lhs} vs {rhs}");
+        }
+    }
+
+    /// Oracle (ii): `x_true` is a fixed point of one full pass when `y` is
+    /// `A·x_true` over the same rows, summed in the other order (Listing
+    /// 2's sequential chain). Each residual then carries at most
+    /// `2·(L + 1)·u·‖x_true‖∞` per unit row weight, which a sub-update
+    /// averages into the pixels (`Cₛ·Aₛᵀ·Rₛ` has unit row sums); over `S`
+    /// sub-updates no pixel may move by more than `2·S·(L + 8)·u·‖x_true‖∞`.
+    #[test]
+    fn the_truth_is_a_fixed_point_of_one_pass() {
+        let (rec, _, img) = setup();
+        let (ops, count) = (rec.operators(), 6);
+        let x_true = ops.order_tomogram(&img);
+        let mut y = vec![0f32; ops.a.nrows()];
+        xct_sparse::spmv_scalar_into(&ops.a, &x_true, &mut y);
+        let s = Subsets::new(ops, count).unwrap();
+        let mut ws = SolverWorkspace::new(ops.a.nrows(), ops.a.ncols());
+        ws.x.copy_from_slice(&x_true);
+        let (op, mut res) = (KernelOperator::new(ops, Kernel::Serial), [f64::NAN]);
+        make_rule(os(count, 1.0), Some(&s)).step(&op, &y, &mut ws, &mut res);
+        let x_max = x_true.iter().fold(0f32, |m, v| m.max(v.abs())) as f64;
+        let bound = 2.0 * count as f64 * (longest_row(&s) + 8) as f64 * U * x_max;
+        let diff: Vec<f32> = ws.x.iter().zip(&x_true).map(|(a, b)| a - b).collect();
+        let moved = diff.iter().fold(0f32, |m, d| m.max(d.abs())) as f64;
+        assert!(moved <= bound, "moved {moved} > {bound}");
+        assert!(res[0] < 1e-4, "residual {}", res[0]);
     }
 
     #[test]
     fn one_subset_equals_plain_sirt() {
-        let (ops, y, _) = setup();
-        let os = OrderedSubsets::new(&ops, 1);
-        let (x_os, _) = os.solve(&y, 8, 1.0);
-        let (x_plain, _) = sirt(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            8,
-        );
-        assert!(
-            rel_err(&x_os, &x_plain) < 1e-4,
-            "err {}",
-            rel_err(&x_os, &x_plain)
-        );
+        for relax in [1.0, 0.5] {
+            let x_os = solve(os(1, relax), 8).unwrap().images.remove(0);
+            let x_plain = solve(Solver::Sirt { relax }, 8).unwrap().images.remove(0);
+            let err = rel_err(&x_os, &x_plain);
+            assert!(err < 1e-4, "relax {relax}: err {err}");
+        }
     }
 
     #[test]
     fn more_subsets_converge_faster_per_pass() {
         // The whole point of ordered subsets: after the same number of
         // full data passes, more subsets => smaller residual.
-        let (ops, y, _) = setup();
-        let passes = 4;
-        let (_, recs1) = OrderedSubsets::new(&ops, 1).solve(&y, passes, 1.0);
-        let (_, recs6) = OrderedSubsets::new(&ops, 6).solve(&y, passes, 1.0);
-        assert!(
-            recs6.last().unwrap().residual_norm < recs1.last().unwrap().residual_norm,
-            "6 subsets {} should beat 1 subset {}",
-            recs6.last().unwrap().residual_norm,
-            recs1.last().unwrap().residual_norm
-        );
+        let last = |subsets| solve(os(subsets, 1.0), 4).unwrap().slice_records[0][3].residual_norm;
+        let (one, six) = (last(1), last(6));
+        assert!(six < one, "6 subsets {six} should beat 1 subset {one}");
     }
 
     #[test]
     fn os_sirt_recovers_the_disk() {
-        let (ops, y, x_true) = setup();
-        let os = OrderedSubsets::new(&ops, 6);
-        let (x, _) = os.solve(&y, 10, 1.0);
-        assert!(rel_err(&x, &x_true) < 0.25, "err {}", rel_err(&x, &x_true));
+        let (_, _, img) = setup();
+        let x = solve(os(6, 1.0), 10).unwrap().images.remove(0);
+        assert!(rel_err(&x, &img) < 0.25, "err {}", rel_err(&x, &img));
     }
 
     #[test]
-    #[should_panic(expected = "subsets than projections")]
     fn too_many_subsets_rejected() {
-        let (ops, _, _) = setup();
-        OrderedSubsets::new(&ops, 10_000);
+        for subsets in [0, PROJECTIONS + 1, 10_000] {
+            let err = solve(os(subsets, 1.0), 2).unwrap_err();
+            assert!(matches!(
+                err,
+                ReconError::Build(BuildError::InvalidSubsets { .. })
+            ));
+            assert!(err
+                .to_string()
+                .ends_with(&format!("1..=36 subsets, got {subsets}")));
+        }
+        for relax in [0.0, -1.0, f32::NAN] {
+            let err = solve(os(4, relax), 2).unwrap_err();
+            assert!(matches!(err, ReconError::InvalidRelaxation { .. }));
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Batched (SpMM) execution tests: every column of a batched solve must
 //! be bit-identical to its own single-slice solve in the same mode —
 //! engine-level and through the `Reconstructor` API, serial, pooled and
-//! over thread-ranks, CG and SIRT, with per-slice early termination and
-//! mid-batch checkpoint/resume — and the batch-width misuses must surface
-//! as typed errors.
+//! over thread-ranks, CG and SIRT (and OS-SIRT, serial), with per-slice
+//! early termination and mid-batch checkpoint/resume — and the
+//! batch-width misuses must surface as typed errors.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -175,6 +175,36 @@ fn reconstructor_batched_columns_equal_single_slice_runs() {
         for (j, s) in slices.iter().enumerate() {
             let want = run(&single, ReconRequest::sirt(Slice(s.clone()), 10)).unwrap();
             assert_slice_matches(&out, j, &want, &format!("sirt {ctx}"));
+        }
+    }
+}
+
+/// OS-SIRT at width 3 (serial: its only executor): every column carries
+/// the bits of its own single-slice solve, to a fixed count and under
+/// per-slice early termination alike.
+#[test]
+fn os_sirt_batched_columns_equal_single_slice_runs() {
+    let (grid, scan) = geometry(24, 36);
+    let slices = sinos(grid, scan, 24, 3);
+    let batched = ReconstructorBuilder::new(grid, scan)
+        .batch(3)
+        .build()
+        .unwrap();
+    let single = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let solver = Solver::OsSirt {
+        subsets: 5,
+        relax: 0.8,
+    };
+    let early = StopRule::EarlyTermination {
+        max_iters: 30,
+        min_decrease: 2e-2,
+    };
+    for stop in [StopRule::Fixed(6), early] {
+        let os_sirt = |input| ReconRequest::cg(input, stop).solver(solver);
+        let out = batched.run(&os_sirt(Batch(slices.clone()))).unwrap();
+        for (j, s) in slices.iter().enumerate() {
+            let want = single.run(&os_sirt(Slice(s.clone()))).unwrap();
+            assert_slice_matches(&out, j, &want, &format!("os-sirt {stop:?}"));
         }
     }
 }

@@ -11,8 +11,8 @@
 use memxct::{
     cgls, cgls_regularized, cgls_smooth, gradient_operator, preprocess, run_engine, sirt,
     sirt_nonneg, try_reconstruct_distributed, BuildError, Config, Constraint, DistConfig, ExecMode,
-    IterationRecord, Kernel, Operators, OrderedSubsets, ReconError, ReconInput, ReconRequest,
-    Reconstructor, SirtRule, Solver, StopRule,
+    IterationRecord, Kernel, Operators, ReconError, ReconInput, ReconRequest, Reconstructor,
+    SirtRule, Solver, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_sparse::{spmv, CsrMatrix};
@@ -213,13 +213,18 @@ mod reference {
 }
 
 fn setup(n: u32, m: u32) -> (Operators, Vec<f32>) {
+    let (ops, y, _) = setup_with_sinogram(n, m);
+    (ops, y)
+}
+
+fn setup_with_sinogram(n: u32, m: u32) -> (Operators, Vec<f32>, Sinogram) {
     let grid = Grid::new(n);
     let scan = ScanGeometry::new(m, n);
     let img = disk(0.6, 1.0).rasterize(n);
     let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
     let ops = preprocess(grid, scan, &Config::default());
     let y = ops.order_sinogram(&sino);
-    (ops, y)
+    (ops, y, sino)
 }
 
 /// Records must agree exactly: same length, same iteration numbers, and
@@ -386,7 +391,7 @@ fn cgls_smooth_matches_reference_stacked_closures() {
 
 #[test]
 fn os_sirt_matches_reference_loop() {
-    let (ops, y) = setup(24, 36);
+    let (ops, y, sino) = setup_with_sinogram(24, 36);
     let num_subsets = 6;
     let relaxation = 1.0f32;
     let iters = 6;
@@ -470,10 +475,15 @@ fn os_sirt_matches_reference_loop() {
         });
     }
 
-    let os = OrderedSubsets::new(&ops, num_subsets);
-    let (x, r) = os.solve(&y, iters, relaxation);
-    assert_identical_records(&r, &r_ref);
-    assert_identical_images(&x, &x_ref);
+    let rec = Reconstructor::new(Grid::new(24), ScanGeometry::new(36, 24));
+    let solver = Solver::OsSirt {
+        subsets: num_subsets,
+        relax: relaxation,
+    };
+    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(iters)).solver(solver);
+    let out = rec.run(&req.mode(ExecMode::Serial)).unwrap();
+    assert_identical_records(&out.slice_records[0], &r_ref);
+    assert_identical_images(&out.images[0], &ops.unorder_tomogram(&x_ref));
 }
 
 fn rel_err(a: &[f32], b: &[f32]) -> f64 {

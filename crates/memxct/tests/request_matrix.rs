@@ -3,7 +3,8 @@
 //! yield alike — a stop at a boundary inside the first, a middle or the
 //! last group of any input, on any executor, resumes to the bits of the
 //! uninterrupted run — and no request field may be silently ignored by
-//! any mode.
+//! any mode. OS-SIRT has a subset kernel on the calling thread only: it
+//! runs every serial cell and is refused, typed, in every other one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -70,7 +71,8 @@ fn modes() -> Vec<(String, ExecMode)> {
 
 const EARLY_CAP: usize = 60;
 
-/// CG to a fixed count, CG with per-slice early termination, relaxed SIRT.
+/// CG to a fixed count, CG with per-slice early termination, relaxed SIRT
+/// and relaxed OS-SIRT.
 fn solvers() -> Vec<(&'static str, Solver, StopRule)> {
     let early = StopRule::EarlyTermination {
         max_iters: EARLY_CAP,
@@ -80,6 +82,14 @@ fn solvers() -> Vec<(&'static str, Solver, StopRule)> {
         ("cg-fixed", Solver::Cg, StopRule::Fixed(6)),
         ("cg-early", Solver::Cg, early),
         ("sirt-0.7", Solver::Sirt { relax: 0.7 }, StopRule::Fixed(5)),
+        (
+            "os-sirt-4-0.7",
+            Solver::OsSirt {
+                subsets: 4,
+                relax: 0.7,
+            },
+            StopRule::Fixed(5),
+        ),
     ]
 }
 
@@ -152,7 +162,9 @@ fn memory_policy(every: usize) -> (Arc<MemoryCheckpointSink>, CheckpointPolicy) 
 /// slots `0..=g`, and the same request with `resume(true)` ends on the
 /// bits of the uninterrupted run. On the way: a controlled run nobody
 /// stops is the uncontrolled run, and consults the predicate exactly once
-/// per boundary on every executor.
+/// per boundary on every executor. OS-SIRT off the calling thread is
+/// refused before anything runs: a typed error, and an empty sink even
+/// under a cadence policy.
 #[test]
 fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
     let (single, wide) = (reconstructor(1), reconstructor(WIDTH));
@@ -167,6 +179,44 @@ fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
             for (solver_name, solver, stop) in solvers() {
                 let ctx = format!("{input_name} / {mode_name} / {solver_name}");
                 let req = request(input.clone(), solver, stop, &mode);
+                if let (Solver::OsSirt { .. }, ExecMode::Pooled | ExecMode::Distributed { .. }) =
+                    (solver, &mode)
+                {
+                    let (sink, policy) = memory_policy(1);
+                    let watched = req.checkpoint(policy.clone());
+                    let refused = rec.run_controlled(&watched, &RunControl::new());
+                    let want = if mode_name == "pooled" {
+                        "pooled"
+                    } else {
+                        "distributed"
+                    };
+                    assert!(
+                        matches!(
+                            refused,
+                            Err(ReconError::Build(BuildError::SerialOnly(mode))) if mode == want
+                        ),
+                        "{ctx}: {refused:?}"
+                    );
+                    // The distributed entry outside the request model too.
+                    if let ExecMode::Distributed { config, ft } = &mode {
+                        let config = DistConfig { solver, ..*config };
+                        let (ops, ft) = (rec.operators(), ft.clone().unwrap_or_default());
+                        let y = vec![0f32; ops.a.nrows() * rec.batch()];
+                        let noop = Metrics::noop();
+                        let direct = try_reconstruct_distributed_ft(
+                            ops,
+                            &y,
+                            &config,
+                            &ft,
+                            Some(&policy),
+                            &noop,
+                        );
+                        let refused = matches!(direct, Err(BuildError::SerialOnly("distributed")));
+                        assert!(refused, "{ctx}: direct");
+                    }
+                    assert!(sink.is_empty(), "{ctx}: a refused request saved a snapshot");
+                    continue;
+                }
                 let golden = rec.run(&req).unwrap();
                 let calls = boundaries(&golden, rec.batch(), stop);
                 let groups = calls.len();

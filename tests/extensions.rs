@@ -3,8 +3,8 @@
 //! reconstruction, corrections, Joseph projector, and the I/O round trip.
 
 use memxct::{
-    cgls_smooth, fbp, Config, FbpConfig, Kernel, OrderedSubsets, Projector, ReconInput,
-    ReconRequest, Reconstructor, StopRule,
+    cgls_smooth, fbp, Config, FbpConfig, Kernel, Projector, ReconInput, ReconRequest,
+    Reconstructor, Solver, StopRule,
 };
 use xct_geometry::{
     correct_center, io, phantom_volume, remove_rings, shepp_logan, shift_sinogram,
@@ -54,10 +54,13 @@ fn fbp_and_cg_agree_on_clean_dense_data() {
 fn ordered_subsets_run_through_the_reconstructor_operators() {
     let (grid, scan, truth, sino) = setup(32, 48);
     let rec = Reconstructor::new(grid, scan);
-    let os = OrderedSubsets::new(rec.operators(), 6);
-    let y = rec.operators().order_sinogram(&sino);
-    let (x, recs) = os.solve(&y, 8, 1.0);
-    let img = rec.operators().unorder_tomogram(&x);
+    let solver = Solver::OsSirt {
+        subsets: 6,
+        relax: 1.0,
+    };
+    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(8)).solver(solver);
+    let mut out = rec.run(&req).unwrap();
+    let (img, recs) = (out.images.remove(0), out.slice_records.remove(0));
     assert!(
         rel_err(&img, &truth) < 0.25,
         "err {}",
