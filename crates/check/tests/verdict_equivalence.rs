@@ -165,6 +165,27 @@ fn out_of_range_column() {
     );
 }
 
+/// An `A` storing a column past `ncols` has no transpose: the pair check
+/// skips it, as it skips a non-traversable source, instead of panicking
+/// in `transpose_scan`, and `CsrCheck` names the entry.
+#[test]
+fn out_of_range_column_skips_the_transpose_pair() {
+    // Row 0 is [0, 3, 5]; make it [0, 3, 9], still ascending.
+    let a = csr_with(|_, colind, _| colind[2] = 9);
+    let at = specimen().transpose_scan();
+    assert_eq!(
+        lines(TransposeCheck::new("pair(A,At)", &a, &at)),
+        Vec::<String>::new()
+    );
+    assert_eq!(
+        lines(CsrCheck::new("csr(A)", &a)),
+        [
+            "CheckViolation[ColumnBounds] csr(A) at entry 2: column 9 out of 0..6 \
+             (fix: re-trace the geometry; columns must index the input domain)"
+        ]
+    );
+}
+
 #[test]
 fn flipped_value_bit_in_entry_val() {
     let got = buffered_lines(|e| e.val[5] = f32::from_bits(e.val[5].to_bits() ^ 1));

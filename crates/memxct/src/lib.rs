@@ -18,7 +18,7 @@
 //!    duplication, no atomics.
 //!
 //! Every projection path — the memoized CSR / buffered / ELL layouts
-//! (one [`KernelOperator`], inline or on the worker pool), the
+//! (one [`KernelOperator`] on a worker pool of one or more), the
 //! distributed `R·C·A_p` factorization, and the CompXCT baseline —
 //! implements the [`ProjectionOperator`] trait ([`operator`]), and every
 //! solver is the single generic engine [`run_engine_in`] parameterized by

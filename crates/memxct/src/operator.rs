@@ -6,11 +6,12 @@
 //! [`crate::solvers`] is written exactly once.
 //!
 //! The memoized layouts share **one** implementation,
-//! [`KernelOperator`]: a layout (what [`Kernel`] names) × an executor
-//! (inline, or a [`WorkerPool`] over precomputed [`PooledPlans`]) with a
-//! single `apply` body. It always calls the layout's SpMM entry point —
-//! `batch = 1` *is* the SpMV — and the pool is the only way it goes
-//! parallel: the inline form runs on the calling thread at every width.
+//! [`KernelOperator`]: a layout (what [`Kernel`] names) driven through a
+//! [`WorkerPool`] over precomputed [`PooledPlans`], with a single `apply`
+//! body. It always calls the layout's pooled SpMM entry point —
+//! `batch = 1` *is* the SpMV — and the serial operator is the one-worker
+//! pool, whose worker 0 is the calling thread: one executor, so one set
+//! of bits for every worker count.
 //!
 //! The trait contract:
 //!
@@ -193,8 +194,8 @@ pub trait ProjectionOperator {
     /// Locally accumulate `out.len()` slice-wise dot products over
     /// slice-major slabs: `out[j] = ⟨a_j, b_j⟩`. Each `out[j]` must be
     /// bit-identical to [`local_dot`](ProjectionOperator::local_dot) on
-    /// slice `j` (the default delegates per slice); the pooled operator
-    /// overrides it with one batched dispatch.
+    /// slice `j` (the default delegates per slice); [`KernelOperator`]
+    /// overrides it with one batched pool dispatch.
     fn local_dot_batch(&self, a: &[f32], b: &[f32], out: &mut [f64]) {
         let k = out.len();
         if k == 0 || !a.len().is_multiple_of(k) {
@@ -211,14 +212,13 @@ pub trait ProjectionOperator {
     fn reduce_dot(&self, local: f64) -> f64 {
         local
     }
-    /// Locally accumulate `⟨a, b⟩` in f64. The default is the sequential
-    /// [`xct_sparse::dot_f64`]; the pooled operator overrides it with the
-    /// deterministic fixed-chunk parallel reduction (bit-identical for
-    /// every worker count, but a *different* — equally valid — summation
-    /// order than the sequential one). Solvers route every dot through
-    /// this hook so one engine serves both worlds.
+    /// Locally accumulate `⟨a, b⟩` in f64, in the one summation order of
+    /// every operator: [`xct_sparse::dot_f64_chunked`]'s fixed chunks,
+    /// which [`KernelOperator`]'s pooled reduction reproduces bit for bit
+    /// at every worker count. Solvers route every dot through this hook
+    /// so one engine serves every executor.
     fn local_dot(&self, a: &[f32], b: &[f32]) -> f64 {
-        xct_sparse::dot_f64(a, b)
+        xct_sparse::dot_f64_chunked(a, b)
     }
     /// Accumulated per-kernel timings, if this operator tracks them.
     fn breakdown(&self) -> Option<KernelBreakdown> {
@@ -292,26 +292,18 @@ impl<'a> Layout<'a> {
         }
     }
 
-    /// `y = M · [x₁ … x_batch]` through the layout's SpMM entry point
-    /// (`batch = 1` is its SpMV): on the calling thread, or on `pool`
-    /// over `plan`.
-    fn spmm(self, x: &[f32], y: &mut [f32], batch: usize, exec: Option<(&ExecPlan, &WorkerPool)>) {
-        match (self, exec) {
-            (Layout::Csr(m), None) => xct_sparse::spmm_into(m, x, y, batch),
-            (Layout::Csr(m), Some((plan, pool))) => {
-                xct_sparse::spmm_pooled_into(m, x, y, batch, plan, pool)
-            }
-            (Layout::Buffered(m), None) => m.spmm_into(x, y, batch),
-            (Layout::Buffered(m), Some((plan, pool))) => {
-                m.spmm_pooled_into(x, y, batch, plan, pool)
-            }
-            (Layout::Ell(m), None) => m.spmm_into(x, y, batch),
-            (Layout::Ell(m), Some((plan, pool))) => m.spmm_pooled_into(x, y, batch, plan, pool),
+    /// `y = M · [x₁ … x_batch]` through the layout's pooled SpMM entry
+    /// point (`batch = 1` is its SpMV) on `pool` over `plan`.
+    fn spmm(self, x: &[f32], y: &mut [f32], batch: usize, plan: &ExecPlan, pool: &WorkerPool) {
+        match self {
+            Layout::Csr(m) => xct_sparse::spmm_pooled_into(m, x, y, batch, plan, pool),
+            Layout::Buffered(m) => m.spmm_pooled_into(x, y, batch, plan, pool),
+            Layout::Ell(m) => m.spmm_pooled_into(x, y, batch, plan, pool),
         }
     }
 }
 
-/// The static execution plans one pooled [`KernelOperator`] reuses every
+/// The static execution plans one [`KernelOperator`] reuses every
 /// iteration: nnz-balanced row partitions for the forward and
 /// backprojection products plus the fixed-chunk reduction plan of each
 /// vector length. All four serve every batch width — the row plans drive
@@ -368,39 +360,49 @@ impl PooledPlans {
     }
 }
 
-/// The pool half of a pooled [`KernelOperator`].
-struct PoolExec<'a> {
-    plans: &'a PooledPlans,
-    pool: &'a WorkerPool,
-    /// Per-chunk dot partials (`chunks × k` for a `k`-wide dot); only
-    /// ever grows.
-    dot_scratch: RefCell<Vec<f64>>,
+/// A pool or its plans: borrowed from their owner (a reconstructor, a
+/// caller), or owned by a standalone operator.
+enum Held<'a, T> {
+    Borrowed(&'a T),
+    Owned(T),
+}
+
+impl<T> std::ops::Deref for Held<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match self {
+            Held::Borrowed(t) => t,
+            Held::Owned(t) => t,
+        }
+    }
 }
 
 /// The [`ProjectionOperator`] over the memoized layouts: the matrices
-/// [`Kernel`] selects from an [`Operators`], applied either **inline**
-/// (on the calling thread, at every batch width) or **pooled** — driven
-/// through the persistent [`WorkerPool`] over precomputed
-/// [`PooledPlans`], with no thread spawns and no partitioning decisions
-/// inside the solve loop and (after construction) no heap allocation per
-/// application. Every column of every product is bit-identical to the
-/// inline single-slice product of the same kernel.
+/// [`Kernel`] selects from an [`Operators`], driven through a
+/// [`WorkerPool`] over precomputed [`PooledPlans`], with no thread spawns
+/// and no partitioning decisions inside the solve loop and (after the
+/// first application) no heap allocation. The serial operator
+/// ([`KernelOperator::new`]) is the one-worker pool: worker 0 is the
+/// calling thread, and no thread is spawned. Every column of every
+/// product is bit-identical to the layout's own single-slice product.
 ///
-/// The pooled form also overrides `local_dot` with the deterministic
-/// fixed-chunk pooled reduction, so reconstructions are bit-identical
-/// across worker counts (though the dot's summation order — and hence
-/// the trajectory — differs from the inline form's sequential sum in the
-/// last bits).
+/// `local_dot_batch` is the pooled fixed-chunk reduction, the trait
+/// default's order, so a reconstruction is bit-identical for every worker
+/// count, serial included, and for one rank.
 ///
-/// Counters land under `spmv/<name>/…` (`batch = 1`) or `spmm/<name>/…`,
-/// `<name>` = `serial` / `buffered` / `ell` inline and `pooled` on the
-/// pool.
+/// Counters land under `spmv/<kernel>/…` (`batch = 1`) or
+/// `spmm/<kernel>/…`, `<kernel>` = `serial` / `buffered` / `ell`, on
+/// every pool.
 pub struct KernelOperator<'a> {
     a: Layout<'a>,
     at: Layout<'a>,
     nrows: usize,
     ncols: usize,
-    exec: Option<PoolExec<'a>>,
+    plans: Held<'a, PooledPlans>,
+    pool: Held<'a, WorkerPool>,
+    /// Per-chunk dot partials (`chunks × k` for a `k`-wide dot); only
+    /// ever grows.
+    dot_scratch: RefCell<Vec<f64>>,
     meter: SpmvMeter,
 }
 
@@ -412,17 +414,14 @@ pub(crate) enum Direction {
 }
 
 impl<'a> KernelOperator<'a> {
-    /// The inline operator over the `kernel` layouts of `ops`.
+    /// The serial operator over the `kernel` layouts of `ops`: it owns a
+    /// one-worker pool (the calling thread) and its one-worker plans.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
     pub fn new(ops: &'a Operators, kernel: Kernel) -> Self {
-        let name = match kernel {
-            Kernel::Serial => "serial",
-            Kernel::Buffered => "buffered",
-            Kernel::Ell => "ell",
-        };
-        Self::build(ops, kernel, None, name)
+        let plans = Held::Owned(PooledPlans::new_batched(ops, kernel, 1, 1));
+        Self::build(ops, kernel, plans, Held::Owned(WorkerPool::new(1)))
     }
 
     /// The `kernel` layouts of `ops` executing on `pool` over `plans`.
@@ -436,25 +435,32 @@ impl<'a> KernelOperator<'a> {
         plans: &'a PooledPlans,
         pool: &'a WorkerPool,
     ) -> Self {
-        let (rows, cols) = (ops.a.nrows(), ops.a.ncols());
-        let slots =
-            xct_sparse::dot_chunks(rows).max(xct_sparse::dot_chunks(cols)) * plans.batch.max(1);
-        let exec = PoolExec {
-            plans,
-            pool,
-            dot_scratch: RefCell::new(vec![0f64; slots]),
-        };
-        Self::build(ops, kernel, Some(exec), "pooled")
+        Self::build(ops, kernel, Held::Borrowed(plans), Held::Borrowed(pool))
     }
 
-    fn build(ops: &'a Operators, kernel: Kernel, exec: Option<PoolExec<'a>>, name: &str) -> Self {
+    fn build(
+        ops: &'a Operators,
+        kernel: Kernel,
+        plans: Held<'a, PooledPlans>,
+        pool: Held<'a, WorkerPool>,
+    ) -> Self {
         let (a, at) = Layout::pair(ops, kernel);
+        let (nrows, ncols) = (ops.a.nrows(), ops.a.ncols());
+        let slots =
+            xct_sparse::dot_chunks(nrows).max(xct_sparse::dot_chunks(ncols)) * plans.batch.max(1);
+        let name = match kernel {
+            Kernel::Serial => "serial",
+            Kernel::Buffered => "buffered",
+            Kernel::Ell => "ell",
+        };
         KernelOperator {
             a,
             at,
-            nrows: ops.a.nrows(),
-            ncols: ops.a.ncols(),
-            exec,
+            nrows,
+            ncols,
+            plans,
+            pool,
+            dot_scratch: RefCell::new(vec![0f64; slots]),
             meter: SpmvMeter::new(Metrics::collecting(), name),
         }
     }
@@ -468,16 +474,12 @@ impl<'a> KernelOperator<'a> {
     /// The one body behind all four projection methods.
     fn apply(&self, direction: Direction, x: &[f32], y: &mut [f32], batch: usize) {
         let t = self.meter.start();
-        let layout = match direction {
-            Direction::Forward => self.a,
-            Direction::Back => self.at,
+        let (layout, plan) = match direction {
+            Direction::Forward => (self.a, &self.plans.forward),
+            Direction::Back => (self.at, &self.plans.back),
         };
-        let exec = self.exec.as_ref().map(|e| match direction {
-            Direction::Forward => (&e.plans.forward, e.pool),
-            Direction::Back => (&e.plans.back, e.pool),
-        });
-        layout.spmm(x, y, batch, exec);
-        if let (Some(_), Layout::Buffered(m), None, 1) = (t, layout, exec, batch) {
+        layout.spmm(x, y, batch, plan, &self.pool);
+        if let (Some(_), Layout::Buffered(m), 1) = (t, layout, batch) {
             let stages = m.num_stages() as u64;
             self.meter
                 .metrics
@@ -507,41 +509,28 @@ impl ProjectionOperator for KernelOperator<'_> {
     fn back_batch_into(&self, y: &[f32], x: &mut [f32], batch: usize) {
         self.apply(Direction::Back, y, x, batch);
     }
-    fn local_dot(&self, a: &[f32], b: &[f32]) -> f64 {
-        let mut out = [0.0];
-        self.local_dot_batch(a, b, &mut out);
-        out[0]
-    }
     fn local_dot_batch(&self, a: &[f32], b: &[f32], out: &mut [f64]) {
         let k = out.len();
         if k == 0 || !a.len().is_multiple_of(k) {
             return;
         }
         let len = a.len() / k;
-        let pooled = self.exec.as_ref().and_then(|e| {
-            if len == self.nrows {
-                Some((e, &e.plans.dot_rows))
-            } else if len == self.ncols {
-                Some((e, &e.plans.dot_cols))
-            } else {
-                None
-            }
-        });
-        // Inline, or no precomputed plan at this length (only reachable
-        // from custom callers): the sequential sums, deterministic too.
-        let Some((exec, plan)) = pooled else {
-            for (j, o) in out.iter_mut().enumerate() {
-                let r = j * len..(j + 1) * len;
-                *o = xct_sparse::dot_f64(&a[r.clone()], &b[r]);
-            }
-            return;
+        let transient;
+        let plan = if len == self.nrows {
+            &self.plans.dot_rows
+        } else if len == self.ncols {
+            &self.plans.dot_cols
+        } else {
+            // No plan precomputed at this length (custom callers only).
+            transient = xct_sparse::dot_plan(len, self.pool.num_threads());
+            &transient
         };
-        let mut scratch = exec.dot_scratch.borrow_mut();
+        let mut scratch = self.dot_scratch.borrow_mut();
         let slots = xct_sparse::dot_chunks(len) * k;
         if scratch.len() < slots {
             scratch.resize(slots, 0.0);
         }
-        xct_sparse::dot_f64_batched_pooled(exec.pool, plan, a, b, k, &mut scratch[..slots], out);
+        xct_sparse::dot_f64_batched_pooled(&self.pool, plan, a, b, k, &mut scratch[..slots], out);
     }
     fn breakdown(&self) -> Option<KernelBreakdown> {
         self.meter.breakdown()
@@ -733,13 +722,14 @@ impl ProjectionOperator for StackedOperator<'_> {
 
 impl Operators {
     /// Forward projection `y = A·x` (ordered coordinates) with the chosen
-    /// kernel, on the calling thread, unmetered.
+    /// kernel, on the calling thread (the serial operator), unmetered.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
     pub fn forward(&self, kernel: Kernel, x: &[f32]) -> Vec<f32> {
         let mut y = vec![0f32; self.a.nrows()];
-        Layout::pair(self, kernel).0.spmm(x, &mut y, 1, None);
+        self.operator_with_metrics(kernel, Metrics::noop())
+            .forward_into(x, &mut y);
         y
     }
 
@@ -749,12 +739,13 @@ impl Operators {
     /// Panics if the requested layout was not built (see `Config`).
     pub fn back(&self, kernel: Kernel, y: &[f32]) -> Vec<f32> {
         let mut x = vec![0f32; self.a.ncols()];
-        Layout::pair(self, kernel).1.spmm(y, &mut x, 1, None);
+        self.operator_with_metrics(kernel, Metrics::noop())
+            .back_into(y, &mut x);
         x
     }
 
-    /// Build the inline [`ProjectionOperator`] for the chosen kernel over
-    /// these memoized matrices.
+    /// Build the serial [`ProjectionOperator`] ([`KernelOperator::new`])
+    /// for the chosen kernel over these memoized matrices.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
@@ -798,12 +789,12 @@ mod tests {
 
     /// The one operator over its whole matrix: kernel × executor × batch
     /// × direction. Every column must carry the bits of the layout's own
-    /// single-slice kernel (called below the operator layer) — for CSR
-    /// that *is* inline `Kernel::Serial` — and stay within rounding of the
-    /// CSR reference; the counters must be the ones the five per-kernel
-    /// operators this type replaced recorded for the same calls.
+    /// single-slice kernel (called below the operator layer) and stay
+    /// within rounding of the CSR reference; the counters must be the
+    /// kernel's one `spmv/<kernel>/*` / `spmm/<kernel>/*` family on every
+    /// executor, serial (`workers` 0) included.
     #[test]
-    fn kernel_operator_matrix_matches_layout_kernels_and_legacy_counters() {
+    fn kernel_operator_matrix_matches_layout_kernels_and_counters() {
         // 352 rows / 256 columns: several partitions, so pooled plans split.
         let ops = ops(16, 22);
         let (m, n) = (ops.a.nrows(), ops.a.ncols());
@@ -815,7 +806,7 @@ mod tests {
                 .collect()
         };
         for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
-            // (name, nnz + bytes of A and Aᵀ, stages) as the parent metered them.
+            // (name, nnz + bytes of A and Aᵀ, stages) one call pair meters.
             let (name, traffic, stages) = match kernel {
                 Kernel::Serial => (
                     "serial",
@@ -862,7 +853,7 @@ mod tests {
                     let metrics = Metrics::collecting();
                     let op = match workers {
                         0 => KernelOperator::new(&ops, kernel),
-                        _ => PooledOperator::new(&ops, kernel, &plans, &pool),
+                        _ => KernelOperator::pooled(&ops, kernel, &plans, &pool),
                     }
                     .with_metrics(metrics.clone());
                     assert_eq!((op.nrows(), op.ncols()), (m, n));
@@ -899,7 +890,6 @@ mod tests {
                         assert_eq!((f1, b1), (ax, aty), "{tag}");
                         calls = 4;
                     }
-                    let name = if workers == 0 { name } else { "pooled" };
                     let family = if batch == 1 { "spmv" } else { "spmm" };
                     let mut want: BTreeMap<String, u64> = [
                         ("calls", calls),
@@ -911,7 +901,7 @@ mod tests {
                     .collect();
                     if batch > 1 {
                         want.insert(format!("spmm/{name}/slices"), calls * batch as u64);
-                    } else if let (0, Some(stages)) = (workers, stages) {
+                    } else if let Some(stages) = stages {
                         want.insert("spmv/buffered/stages".into(), calls / 2 * stages);
                     }
                     let snap = metrics.snapshot();

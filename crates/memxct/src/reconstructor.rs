@@ -144,14 +144,14 @@ impl ReconstructorBuilder {
         self
     }
 
-    /// Execute solves on a persistent worker pool over static
-    /// nnz-balanced partitions (default false). The pool's threads are
-    /// spawned once at [`build`](Self::build) and parked between
-    /// dispatches; the row partitions and reduction plans are precomputed
-    /// there too, so steady-state solver iterations perform no thread
-    /// spawns and no heap allocations. Results are deterministic: bit
-    /// identical for every thread count (though the pooled reduction
-    /// order differs from the unpooled path in the last bits).
+    /// Execute [`ExecMode::Pooled`] solves on a persistent worker pool
+    /// over static nnz-balanced partitions (default false). The pool's
+    /// threads are spawned once at [`build`](Self::build) and parked
+    /// between dispatches; the row partitions and reduction plans are
+    /// precomputed there too, so steady-state solver iterations perform no
+    /// thread spawns and no heap allocations. [`ExecMode::Serial`] runs
+    /// the same dispatch on a one-worker pool (the calling thread), so
+    /// results are bit-identical for every thread count, serial included.
     pub fn use_pool(mut self, use_pool: bool) -> Self {
         self.use_pool = use_pool;
         self
@@ -283,7 +283,11 @@ impl ReconstructorBuilder {
         }
         let metrics = self.metrics.unwrap_or_else(Metrics::collecting);
         let ops = try_preprocess_with_metrics(self.grid, self.scan, &self.config, &metrics)?;
-        let exec = if self.use_pool {
+        let serial = ExecContext {
+            pool: WorkerPool::new(1),
+            plans: PooledPlans::new_batched(&ops, kernel, 1, self.batch),
+        };
+        let pooled = if self.use_pool {
             let threads = self.pool_threads.unwrap_or_else(xct_runtime::env_threads);
             let plans = PooledPlans::new_batched(&ops, kernel, threads, self.batch);
             metrics.gauge_set(POOL_IMBALANCE_FORWARD, plans.forward().imbalance());
@@ -297,7 +301,7 @@ impl ReconstructorBuilder {
         };
         if self.validate {
             let mut report = crate::plan_check::validate_plan(&ops);
-            if let Some(exec) = &exec {
+            if let Some(exec) = &pooled {
                 crate::plan_check::exec_checker(&exec.plans).run_into(&mut report);
             }
             if !report.is_ok() {
@@ -308,7 +312,8 @@ impl ReconstructorBuilder {
             ops,
             kernel,
             metrics,
-            exec,
+            serial,
+            pooled,
             batch: self.batch,
             ft: self.ft,
             checkpoint: self.checkpoint_sink.map(|sink| CheckpointPolicy {
@@ -321,8 +326,8 @@ impl ReconstructorBuilder {
     }
 }
 
-/// The execution context of a pooled reconstructor: the persistent
-/// worker pool and the static partition/reduction plans, both built once
+/// One executor of a reconstructor: a persistent worker pool and the
+/// static partition/reduction plans of its worker count, both built once
 /// at [`ReconstructorBuilder::build`] and reused by every solve.
 struct ExecContext {
     pool: WorkerPool,
@@ -355,8 +360,11 @@ pub struct Reconstructor {
     ops: Operators,
     kernel: Kernel,
     metrics: Metrics,
-    /// Persistent pool + static plans when built with `use_pool(true)`.
-    exec: Option<ExecContext>,
+    /// The one-worker pool and plans of [`ExecMode::Serial`].
+    serial: ExecContext,
+    /// Persistent pool + static plans of [`ExecMode::Pooled`], when built
+    /// with `use_pool(true)`.
+    pooled: Option<ExecContext>,
     /// Slices per engine run (the workspace's batch width).
     batch: usize,
     /// Fault-tolerance policy of distributed solves: chaos plan,
@@ -414,16 +422,16 @@ impl Reconstructor {
     /// ([`crate::plan_check::exec_checker`]).
     pub fn validate_plan(&self) -> xct_check::Report {
         let mut report = crate::plan_check::validate_plan(&self.ops);
-        if let Some(exec) = &self.exec {
+        if let Some(exec) = &self.pooled {
             crate::plan_check::exec_checker(&exec.plans).run_into(&mut report);
         }
         report
     }
 
-    /// Whether solves run on the persistent worker pool (and with how
-    /// many threads).
+    /// The thread count of the [`ExecMode::Pooled`] worker pool, if one
+    /// was built.
     pub fn pool_threads(&self) -> Option<usize> {
-        self.exec.as_ref().map(|e| e.pool.num_threads())
+        self.pooled.as_ref().map(|e| e.pool.num_threads())
     }
 
     /// Which kernel this reconstructor applies.
@@ -518,7 +526,7 @@ impl Reconstructor {
         if let Some(relax) = req.solver.invalid_relaxation() {
             return Err(ReconError::InvalidRelaxation { relax });
         }
-        if matches!(req.mode, ExecMode::Pooled) && self.exec.is_none() {
+        if matches!(req.mode, ExecMode::Pooled) && self.pooled.is_none() {
             return Err(ReconError::PoolNotBuilt);
         }
         // OS-SIRT's subsets, built once for every group (ranks refuse it).
@@ -590,13 +598,12 @@ impl Reconstructor {
                 (out.images, out.slice_records)
             }
             mode => {
-                let op = match (&self.exec, mode) {
-                    (Some(exec), ExecMode::Pooled) => {
-                        KernelOperator::pooled(&self.ops, self.kernel, &exec.plans, &exec.pool)
-                    }
-                    _ => KernelOperator::new(&self.ops, self.kernel),
-                }
-                .with_metrics(self.metrics.clone());
+                let exec = match (&self.pooled, mode) {
+                    (Some(pooled), ExecMode::Pooled) => pooled,
+                    _ => &self.serial,
+                };
+                let op = KernelOperator::pooled(&self.ops, self.kernel, &exec.plans, &exec.pool)
+                    .with_metrics(self.metrics.clone());
                 let mut ws = self.workspace.lock().unwrap_or_else(|p| p.into_inner());
                 let (nrows, ncols) = (self.ops.a.nrows(), self.ops.a.ncols());
                 let resume = stint.resume_state(nrows, ncols, self.batch)?;

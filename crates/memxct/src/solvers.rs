@@ -374,9 +374,9 @@ pub fn run_engine<R: UpdateRule + ?Sized>(
 /// After the workspace has been warmed at the operator's dimensions (one
 /// prior solve), the whole loop performs zero heap allocations: update
 /// rules write into workspace buffers via `*_into` kernels, and records
-/// land in reserved capacity. Combined with a pooled operator (whose
-/// workers are spawned once at plan time) a steady-state iteration also
-/// performs zero thread spawns.
+/// land in reserved capacity — on every [`crate::KernelOperator`], the
+/// serial one (a one-worker pool) included. Pool workers are spawned once
+/// at plan time, so a steady-state iteration also spawns no thread.
 pub fn run_engine_in<R: UpdateRule + ?Sized>(
     op: &dyn ProjectionOperator,
     y: &[f32],
@@ -933,7 +933,7 @@ impl UpdateRule for SirtRule {
 }
 
 /// The update rule a request's [`Solver`] names — the one factory every
-/// executor of the solve driver (inline, pooled, each distributed rank)
+/// executor of the solve driver (serial, pooled, each distributed rank)
 /// builds its rule through.
 ///
 /// # Panics

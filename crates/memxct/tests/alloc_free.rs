@@ -1,17 +1,18 @@
 //! Proof of the allocation-free hot path: after one warmup solve, a
-//! steady-state CG solve on the pooled operator performs **zero heap
-//! allocations** — counted by a wrapping global allocator across *all*
-//! threads. Since `std::thread::spawn` must allocate (the closure box,
-//! the JoinHandle packet, the thread stack bookkeeping), zero allocations
-//! also proves **zero thread spawns**: only the workers parked at pool
-//! construction ever run.
+//! steady-state CG solve on the pooled operator — and on the serial one,
+//! which is a one-worker pool — performs **zero heap allocations**,
+//! counted by a wrapping global allocator across *all* threads. Since
+//! `std::thread::spawn` must allocate (the closure box, the JoinHandle
+//! packet, the thread stack bookkeeping), zero allocations also proves
+//! **zero thread spawns**: only the workers parked at pool construction
+//! ever run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use memxct::{
-    preprocess, run_engine_batched_in, CgRule, Config, Constraint, Kernel, PooledOperator,
+    preprocess, run_engine_batched_in, CgRule, Config, Constraint, Kernel, KernelOperator,
     PooledPlans, ProjectionOperator, SolverWorkspace, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
@@ -70,7 +71,7 @@ fn steady_state_cg_solve_allocates_nothing_and_spawns_nothing() {
     let threads = 2;
     let pool = WorkerPool::new(threads);
     let plans = PooledPlans::new_batched(&ops, Kernel::Buffered, threads, 1);
-    let op = PooledOperator::new(&ops, Kernel::Buffered, &plans, &pool);
+    let op = KernelOperator::pooled(&ops, Kernel::Buffered, &plans, &pool);
     let metrics = Metrics::noop();
     let stop = StopRule::Fixed(6);
     let mut ws = SolverWorkspace::for_operator(&op);
@@ -112,17 +113,29 @@ fn steady_state_cg_solve_allocates_nothing_and_spawns_nothing() {
 
 #[test]
 fn steady_state_batched_cg_solve_allocates_nothing() {
-    batched_cg_solve_allocates_nothing(4);
+    batched_cg_solve_allocates_nothing(Some(2), 4);
 }
 
 /// Batch 8 runs the buffered kernel's widest slice block, the one that
 /// sizes the workers' scratch.
 #[test]
 fn steady_state_batch8_cg_solve_allocates_nothing() {
-    batched_cg_solve_allocates_nothing(8);
+    batched_cg_solve_allocates_nothing(Some(2), 8);
 }
 
-fn batched_cg_solve_allocates_nothing(batch: usize) {
+/// The serial operator stages through its one-worker pool's persistent
+/// scratch, so it allocates nothing either, at width 1 and at the widest
+/// slice block.
+#[test]
+fn steady_state_serial_cg_solve_allocates_nothing() {
+    for batch in [1, 8] {
+        batched_cg_solve_allocates_nothing(None, batch);
+    }
+}
+
+/// A CG solve of `batch` slices on a pool of `threads`, or on the serial
+/// operator (`None`).
+fn batched_cg_solve_allocates_nothing(threads: Option<usize>, batch: usize) {
     let _serial = serialised();
     let n = 24u32;
     let grid = Grid::new(n);
@@ -137,10 +150,12 @@ fn batched_cg_solve_allocates_nothing(batch: usize) {
         y.extend(y1.iter().map(|&v| v * (1.0 + 0.05 * j as f32)));
     }
 
-    let threads = 2;
-    let pool = WorkerPool::new(threads);
-    let plans = PooledPlans::new_batched(&ops, Kernel::Buffered, threads, batch);
-    let op = PooledOperator::new(&ops, Kernel::Buffered, &plans, &pool);
+    let pool = WorkerPool::new(threads.unwrap_or(1));
+    let plans = PooledPlans::new_batched(&ops, Kernel::Buffered, pool.num_threads(), batch);
+    let op = match threads {
+        Some(_) => KernelOperator::pooled(&ops, Kernel::Buffered, &plans, &pool),
+        None => KernelOperator::new(&ops, Kernel::Buffered),
+    };
     let metrics = Metrics::noop();
     let stop = StopRule::Fixed(6);
     let mut ws = SolverWorkspace::new_batched(op.nrows(), op.ncols(), batch);
@@ -176,6 +191,7 @@ fn batched_cg_solve_allocates_nothing(batch: usize) {
     assert_eq!(again, warm, "same trajectory");
     assert_eq!(
         delta, 0,
-        "steady-state batched CG solve performed {delta} heap allocation(s)"
+        "steady-state CG solve of {batch} on {threads:?} threads performed {delta} heap \
+         allocation(s)"
     );
 }

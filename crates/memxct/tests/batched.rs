@@ -238,7 +238,7 @@ fn zero_sinograms_retire_without_records_or_extra_matrix_passes() {
     assert!(!snap.counters.contains_key("solver/iterations"));
     // A dead middle column in a batch of three: its neighbours run their
     // five iterations (1 + 2·5 SpMMs) and match their single-slice solves.
-    for (threads, kernel) in [(None, "buffered"), (Some(2), "pooled")] {
+    for (threads, tag) in [(None, "serial"), (Some(2), "pooled")] {
         let mut b3 = ReconstructorBuilder::new(grid, scan).batch(3);
         let mut b1 = ReconstructorBuilder::new(grid, scan);
         if let Some(t) = threads {
@@ -248,14 +248,15 @@ fn zero_sinograms_retire_without_records_or_extra_matrix_passes() {
         let (batched, single) = (b3.build().unwrap(), b1.build().unwrap());
         let slab = vec![live[0].clone(), zero.clone(), live[1].clone()];
         let out = run(&batched, ReconRequest::cg(Batch(slab), stop)).unwrap();
-        assert!(out.slice_records[1].is_empty(), "{kernel}: dead slice");
+        assert!(out.slice_records[1].is_empty(), "{tag}: dead slice");
         for (j, s) in [(0, &live[0]), (2, &live[1])] {
             let want = run(&single, ReconRequest::cg(Slice(s.clone()), stop)).unwrap();
-            assert_slice_matches(&out, j, &want, kernel);
+            assert_slice_matches(&out, j, &want, tag);
         }
+        // One counter family for every executor: the kernel's.
         let snap = batched.metrics();
-        assert_eq!(snap.counters[&format!("spmm/{kernel}/calls")], 11);
-        assert!(!snap.counters.contains_key(&format!("spmv/{kernel}/calls")));
+        assert_eq!(snap.counters["spmm/buffered/calls"], 11, "{tag}");
+        assert!(!snap.counters.contains_key("spmv/buffered/calls"), "{tag}");
     }
 }
 
@@ -423,15 +424,15 @@ fn pooled_batched_solve_records_spmm_counters() {
         .unwrap();
     run(&rec, ReconRequest::cg(Batch(slices), StopRule::Fixed(5))).unwrap();
     let snap = rec.metrics();
-    let calls = snap.counters["spmm/pooled/calls"];
+    let calls = snap.counters["spmm/buffered/calls"];
     assert!(calls > 0, "batched solve must go through the SpMM path");
     // The matrix is streamed once per call, for 4 slices' worth of work.
-    assert_eq!(snap.counters["spmm/pooled/slices"], calls * 4);
-    assert!(snap.counters["spmm/pooled/nnz"] > 0);
-    assert!(snap.counters["spmm/pooled/bytes"] > 0);
+    assert_eq!(snap.counters["spmm/buffered/slices"], calls * 4);
+    assert!(snap.counters["spmm/buffered/nnz"] > 0);
+    assert!(snap.counters["spmm/buffered/bytes"] > 0);
     // The single-slice counters stay untouched by a batched solve (no
     // spmv/* activity at all).
-    assert_eq!(snap.counters.get("spmv/pooled/calls").copied(), None);
+    assert_eq!(snap.counters.get("spmv/buffered/calls").copied(), None);
 }
 
 /// Batch × ranks is the ordinary case: every column of a width-3 solve

@@ -517,8 +517,10 @@ fn over_ranks(req: &ReconRequest, ranks: usize) -> ReconRequest {
 
 /// Acceptance: the distributed path is the same engine — for both CG and
 /// SIRT, with early termination, the distributed reconstruction must stop
-/// at the same iteration as the serial one and produce the same image (up
-/// to the floating-point reassociation of rank-partitioned reductions).
+/// at the same iteration as the serial one and produce the same image: bit
+/// for bit on one rank (the same kernel and the same chunked dots), and
+/// up to the floating-point reassociation of rank-partitioned reductions
+/// on more.
 #[test]
 fn distributed_equals_serial_cg_with_early_termination() {
     let (rec, sino) = dist_setup(24, 36);
@@ -543,6 +545,10 @@ fn distributed_equals_serial_cg_with_early_termination() {
             serial.iterations(),
             "ranks {ranks}: stopped at a different iteration"
         );
+        if ranks == 1 {
+            assert_identical_records(&dist.slice_records[0], &serial.slice_records[0]);
+            assert_identical_images(&dist.images[0], &serial.images[0]);
+        }
         let err = rel_err(&dist.images[0], &serial.images[0]);
         assert!(err < 5e-3, "ranks {ranks}: err {err}");
     }
@@ -581,6 +587,10 @@ fn distributed_equals_serial_sirt_with_early_termination() {
             serial_records.len(),
             "ranks {ranks}: stopped at a different iteration"
         );
+        if ranks == 1 {
+            assert_identical_records(&dist.slice_records[0], &serial_records);
+            assert_identical_images(&dist.images[0], &serial_image);
+        }
         let err = rel_err(&dist.images[0], &serial_image);
         assert!(err < 5e-3, "ranks {ranks}: err {err}");
     }

@@ -1,10 +1,13 @@
 //! Pooled-execution determinism: reconstructions on the persistent
 //! worker pool must be **bit-identical for every thread count** (the
 //! per-row accumulation order and the fixed-chunk reduction order never
-//! depend on how many workers the rows are split across), and must agree
-//! with the unpooled path to reduction-reordering tolerance.
+//! depend on how many workers the rows are split across), and the serial
+//! executor, a one-worker pool, and one rank are the same bits again.
 
-use memxct::{ExecMode, Kernel, ReconInput, ReconRequest, ReconstructorBuilder, StopRule};
+use memxct::{
+    DistConfig, ExecMode, Kernel, ReconInput, ReconRequest, ReconResponse, ReconstructorBuilder,
+    Solver, StopRule,
+};
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 
 fn problem(n: u32, m: u32) -> (Grid, ScanGeometry, Sinogram) {
@@ -74,26 +77,63 @@ fn pooled_kernels_agree_with_each_other_bitwise() {
         .all(|(a, b)| a.to_bits() == b.to_bits()));
 }
 
+/// One summation order, one executor. On 72×80 (5 184 pixels, 5 760
+/// rays: two 4096-element reduction chunks per domain, where a sequential
+/// dot would differ from the chunked one) `Serial`, `Pooled` on 1, 2 and
+/// 3 threads and one rank give the same bits in every pixel and every
+/// record, for CG and SIRT at widths 1 and 3.
 #[test]
-fn pooled_matches_unpooled_to_reduction_tolerance() {
-    let (grid, scan, sino) = problem(24, 36);
-    let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
-    let unpooled = rec.run(&cg(&sino, 12)).unwrap().images.remove(0);
-    let pooled = pooled_image(grid, scan, &sino, Kernel::Buffered, 2);
-    // The pooled f64 dot sums chunk partials instead of a single running
-    // sum, so the trajectory differs in the last bits only.
-    let err: f64 = pooled
-        .iter()
-        .zip(&unpooled)
-        .map(|(&a, &b)| ((a - b) as f64).powi(2))
-        .sum::<f64>()
-        .sqrt();
-    let norm: f64 = unpooled
-        .iter()
-        .map(|&v| (v as f64).powi(2))
-        .sum::<f64>()
-        .sqrt();
-    assert!(err < 1e-4 * norm.max(1.0), "rel err {}", err / norm);
+fn serial_pooled_and_one_rank_are_bit_identical_on_multi_chunk_vectors() {
+    let (grid, scan, sino) = problem(72, 80);
+    assert!(grid.num_pixels() > xct_sparse::DOT_CHUNK && scan.num_rays() > xct_sparse::DOT_CHUNK);
+    let slices: Vec<Sinogram> = (0..3)
+        .map(|j| {
+            let scaled = sino.data().iter().map(|&v| v * (1.0 + 0.1 * j as f32));
+            Sinogram::new(scan, scaled.collect())
+        })
+        .collect();
+    let one_rank = ExecMode::Distributed {
+        config: DistConfig {
+            ranks: 1,
+            ..DistConfig::default()
+        },
+        ft: None,
+    };
+    // Every pixel's bits and every record's norms' bits, slice by slice.
+    let bits = |resp: &ReconResponse| -> (Vec<u32>, Vec<u64>) {
+        let pixels = resp.images.iter().flatten().map(|v| v.to_bits());
+        let records = resp.slice_records.iter().flatten();
+        let norms = records.flat_map(|r| [r.residual_norm.to_bits(), r.solution_norm.to_bits()]);
+        (pixels.collect(), norms.collect())
+    };
+    for width in [1usize, 3] {
+        let input = match width {
+            1 => ReconInput::Slice(slices[0].clone()),
+            _ => ReconInput::Batch(slices.clone()),
+        };
+        let recs: Vec<_> = [1usize, 2, 3]
+            .map(|threads| {
+                let builder = ReconstructorBuilder::new(grid, scan).batch(width);
+                builder
+                    .use_pool(true)
+                    .pool_threads(threads)
+                    .build()
+                    .unwrap()
+            })
+            .into();
+        for solver in [Solver::Cg, Solver::Sirt { relax: 1.0 }] {
+            let req = ReconRequest::cg(input.clone(), StopRule::Fixed(6)).solver(solver);
+            let want = bits(&recs[0].run(&req).unwrap());
+            assert_eq!(want.1.len(), width * 6 * 2, "six records a slice");
+            let tag = format!("{solver:?} width {width}");
+            let one_rank = recs[0].run(&req.clone().mode(one_rank.clone())).unwrap();
+            assert!(bits(&one_rank) == want, "{tag}: one rank");
+            for (rec, threads) in recs.iter().zip([1, 2, 3]) {
+                let pooled = rec.run(&req.clone().mode(ExecMode::Pooled)).unwrap();
+                assert!(bits(&pooled) == want, "{tag}: pooled on {threads}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -116,8 +156,8 @@ fn pooled_reconstructor_reports_pool_metrics_and_validates_plans() {
     let imb = snap.gauges[memxct::POOL_IMBALANCE_FORWARD];
     assert!((1.0..2.0).contains(&imb), "imbalance {imb}");
     assert!(snap.gauges.contains_key(memxct::POOL_IMBALANCE_BACK));
-    // Pooled SpMV is metered like every other operator.
-    assert!(snap.counters["spmv/pooled/calls"] > 0);
+    // Pooled SpMV is metered under the kernel's own name, like serial.
+    assert!(snap.counters["spmv/buffered/calls"] > 0);
     // The validation sweep covers the four execution plans on top of the
     // nine memoized structures.
     let report = rec.validate_plan();

@@ -18,7 +18,8 @@
 //!   persistent `xct-runtime` worker pool over static nnz-balanced
 //!   partitions — no per-call thread spawns, bit-identical results for
 //!   every worker count. The pool is the **only** threaded path: every
-//!   entry point without a `pool` argument runs on the calling thread;
+//!   entry point without a `pool` argument runs on the calling thread —
+//!   [`dot_f64_chunked`] is the pooled dot's summation order there;
 //! - [`SliceBatch`] / [`spmm_into`] / [`spmm_pooled_into`] (plus SpMM
 //!   methods on the buffered/ELL layouts): batched right-hand sides,
 //!   `Y = A · [x₁ … xₖ]`, streaming the matrix once per k slices with
@@ -52,6 +53,6 @@ pub use pooled::{
     csr_plan, csr_plan_equal, dot_chunks, dot_f64_batched_pooled, dot_plan, spmv_pooled_into,
     DOT_CHUNK,
 };
-pub use reduce::{dot_f64, norm_f64};
+pub use reduce::{dot_f64, dot_f64_chunked, norm_f64};
 pub use spmv::{spmv, spmv_into, spmv_scalar_into};
 pub use stats::{matrix_stats, partition_stats, MatrixStats, PartitionStats};

@@ -107,6 +107,7 @@ pub fn dot_f64_batched_pooled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reduce::dot_f64_chunked;
     use crate::spmv::{spmv, spmv_into};
 
     fn skewed() -> CsrMatrix {
@@ -155,17 +156,6 @@ mod tests {
 
     #[test]
     fn pooled_dot_is_the_fixed_chunk_sum_at_every_width_and_worker_count() {
-        // What both retired dots (the single-vector one and the globally
-        // split batched one) computed, written out plainly: fixed
-        // 4096-element chunk partials, summed per slice in chunk order.
-        let plain = |a: &[f32], b: &[f32]| -> f64 {
-            let partials: Vec<f64> = a
-                .chunks(DOT_CHUNK)
-                .zip(b.chunks(DOT_CHUNK))
-                .map(|(a, b)| dot_f64(a, b))
-                .collect();
-            partials.iter().sum()
-        };
         for len in [
             0,
             17,
@@ -189,7 +179,7 @@ mod tests {
                     dot_f64_batched_pooled(&pool, &plan, &a, &b, batch, &mut partials, &mut out);
                     for (j, got) in out.iter().enumerate() {
                         let r = j * len..(j + 1) * len;
-                        let want = plain(&a[r.clone()], &b[r.clone()]);
+                        let want = dot_f64_chunked(&a[r.clone()], &b[r.clone()]);
                         assert_eq!(
                             got.to_bits(),
                             want.to_bits(),
