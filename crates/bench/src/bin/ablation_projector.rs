@@ -7,7 +7,8 @@
 //! cargo run --release -p xct-bench --bin ablation_projector [scale_divisor]
 //! ```
 
-use memxct::{cgls, preprocess, Config, Kernel, Projector, StopRule};
+use memxct::prelude::Metrics;
+use memxct::{preprocess, run_engine, CgRule, Config, Constraint, Kernel, Projector, StopRule};
 use xct_bench::{gflops, scale_from_args, time_buffered_spmv};
 use xct_geometry::{simulate_sinogram, NoiseModel, ADS2};
 use xct_runtime::WorkerPool;
@@ -55,13 +56,9 @@ fn main() {
         let t = time_buffered_spmv(buf, &x, &pool, 3);
 
         let y = ops.order_sinogram(&sino);
-        let (rec, _) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Buffered, p),
-            |r| ops.back(Kernel::Buffered, r),
-            StopRule::Fixed(30),
-        );
+        let op = ops.operator_with_metrics(Kernel::Buffered, Metrics::noop());
+        let (rule, stop) = (&mut CgRule::new(), StopRule::Fixed(30));
+        let (rec, _) = run_engine(&*op, &y, rule, Constraint::None, stop);
         let img = ops.unorder_tomogram(&rec);
 
         println!(

@@ -12,7 +12,10 @@
 //! cargo run --release -p xct-bench --bin fbp_vs_iterative [grid_size]
 //! ```
 
-use memxct::{fbp, preprocess, Config, FbpConfig, Kernel, StopRule};
+use memxct::prelude::Metrics;
+use memxct::{
+    fbp, preprocess, run_engine, CgRule, Config, Constraint, FbpConfig, Kernel, StopRule,
+};
 use xct_geometry::{shepp_logan, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 
 fn rel_err(a: &[f32], b: &[f32]) -> f64 {
@@ -36,16 +39,12 @@ fn run_case(n: u32, projections: u32, noise: NoiseModel) -> (f64, f64, usize) {
     let img_fbp = fbp(&ops, &sino, &FbpConfig::default());
 
     let y = ops.order_sinogram(&sino);
-    let (x, recs) = memxct::cgls(
-        &y,
-        ops.a.ncols(),
-        |p| ops.forward(Kernel::Buffered, p),
-        |r| ops.back(Kernel::Buffered, r),
-        StopRule::EarlyTermination {
-            max_iters: 50,
-            min_decrease: 0.02,
-        },
-    );
+    let stop = StopRule::EarlyTermination {
+        max_iters: 50,
+        min_decrease: 0.02,
+    };
+    let op = ops.operator_with_metrics(Kernel::Buffered, Metrics::noop());
+    let (x, recs) = run_engine(&*op, &y, &mut CgRule::new(), Constraint::None, stop);
     let img_cg = ops.unorder_tomogram(&x);
     (
         rel_err(&img_fbp, &truth),

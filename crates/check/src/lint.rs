@@ -27,8 +27,10 @@
 //!   back: one table ([`RETIRED`]: names, path scope, message) holds the
 //!   deprecated-shim ban, the retired kernels and dispatch twins, and the
 //!   second threading substrate (`rayon`, `par_iter`, `thread::scope`, …
-//!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`), and
-//!   the ordered-subsets side driver `Solver::OsSirt` replaced.
+//!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`), the
+//!   ordered-subsets side driver `Solver::OsSirt` replaced, and the side
+//!   doors into the engine and the runtime (closure solvers, the
+//!   six-argument distributed entry, unused collectives).
 //!
 //! The scanner strips string literals and comments before matching (so doc
 //! examples and messages never fire a rule) and skips `target/` entirely.
@@ -174,6 +176,24 @@ const RETIRED: &[Retired] = &[
         scope: product_and_its_callers,
         message: "retired side driver: OS-SIRT is `Solver::OsSirt`, one more rule of the group \
             loop (subsets built once per request by the driver)",
+    },
+    Retired {
+        names: &[
+            "ClosureOperator",
+            "sirt_nonneg",
+            "try_reconstruct_distributed_ft",
+            "SliceBatch",
+            "allgather",
+            "try_allgather",
+            "allreduce_sum",
+            "try_allreduce_sum",
+            "alltoallv_u32",
+            "try_alltoallv_u32",
+        ],
+        scope: product_and_its_callers,
+        message: "retired side door: a solve takes a `ProjectionOperator` (`run_engine`) or a \
+            `ReconRequest` (`Reconstructor::run`, `ExecMode::Distributed` for ranks), and ranks \
+            exchange through `try_alltoallv` alone",
     },
 ];
 
@@ -612,6 +632,10 @@ mod tests {
         (
             "tests/extensions.rs",
             "let (x, recs) = OrderedSubsets::new(&ops, 6).solve(&y, 8, 1.0);\n",
+        ),
+        (
+            "crates/memxct/tests/fault_tolerance.rs",
+            "let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, None, &m)?;\n",
         ),
     ];
 

@@ -15,6 +15,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 
 use memxct::prelude::*;
 use xct_geometry::{
@@ -198,6 +199,23 @@ fn run_exit_code(e: &JobError) -> i32 {
     }
 }
 
+/// `v` as the value of `flag` when it parses and `ok` accepts it; anything
+/// else is a usage error (exit 2) saying what `flag` expects.
+fn checked<T: FromStr>(flag: &str, v: &str, expects: &str, ok: impl Fn(&T) -> bool) -> T {
+    match v.parse() {
+        Ok(n) if ok(&n) => n,
+        _ => {
+            eprintln!("{flag} expects {expects}, got `{v}`");
+            exit(2);
+        }
+    }
+}
+
+/// `v` as the positive integer `flag` expects; anything else exits 2.
+fn positive<T: FromStr + PartialOrd + Default>(flag: &str, v: &str) -> T {
+    checked(flag, v, "a positive integer", |n| *n > T::default())
+}
+
 struct Options {
     dataset: Option<Dataset>,
     scale: u32,
@@ -266,27 +284,22 @@ impl Options {
                         exit(2);
                     }
                 }
-                "--scale" => o.scale = value("--scale").parse().unwrap_or(16).max(1),
-                "--noise" => o.noise = value("--noise").parse().ok(),
+                "--scale" => o.scale = positive(flag, &value(flag)),
+                "--noise" => {
+                    let v = value(flag);
+                    let ok = |n: &f64| n.is_finite() && *n > 0.0;
+                    o.noise = Some(checked(flag, &v, "a positive finite number", ok));
+                }
                 "--solver" => o.solver = value("--solver"),
-                "--iters" => o.iters = value("--iters").parse().unwrap_or(30).max(1),
-                "--ranks" => o.ranks = value("--ranks").parse().ok(),
+                "--iters" => o.iters = positive(flag, &value(flag)),
+                "--ranks" => o.ranks = Some(positive(flag, &value(flag))),
                 "--sino" => o.sino = Some(PathBuf::from(value("--sino"))),
                 "--out" => o.out = Some(PathBuf::from(value("--out"))),
                 "--metrics" => o.metrics = Some(PathBuf::from(value("--metrics"))),
                 "--check" => o.check = true,
                 "--corrupt" => o.corrupt = Some(value("--corrupt")),
                 "--checkpoint" => o.checkpoint = Some(PathBuf::from(value("--checkpoint"))),
-                "--checkpoint-every" => {
-                    let v = value("--checkpoint-every");
-                    o.checkpoint_every = match v.parse() {
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            eprintln!("--checkpoint-every expects a positive integer, got `{v}`");
-                            exit(2);
-                        }
-                    };
-                }
+                "--checkpoint-every" => o.checkpoint_every = positive(flag, &value(flag)),
                 "--resume" => o.resume = true,
                 "--chaos" => match FaultPlan::parse_spec(&value("--chaos")) {
                     Ok(spec) => o.chaos.push(spec),
@@ -298,36 +311,11 @@ impl Options {
                 "--pool" => o.pool = true,
                 "--jobs" => o.jobs = Some(PathBuf::from(value("--jobs"))),
                 "--outdir" => o.outdir = Some(PathBuf::from(value("--outdir"))),
-                "--cache" => {
-                    let v = value("--cache");
-                    o.cache = match v.parse() {
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            eprintln!("--cache expects a positive integer, got `{v}`");
-                            exit(2);
-                        }
-                    };
-                }
-                "--batch" => {
-                    let v = value("--batch");
-                    o.batch = match v.parse() {
-                        Ok(n) if n > 0 => n,
-                        _ => {
-                            eprintln!("--batch expects a positive integer, got `{v}`");
-                            exit(2);
-                        }
-                    };
-                }
+                "--cache" => o.cache = positive(flag, &value(flag)),
+                "--batch" => o.batch = positive(flag, &value(flag)),
                 "--pool-threads" => {
                     o.pool = true;
-                    let v = value("--pool-threads");
-                    o.pool_threads = match v.parse() {
-                        Ok(n) if n > 0 => Some(n),
-                        _ => {
-                            eprintln!("--pool-threads expects a positive integer, got `{v}`");
-                            exit(2);
-                        }
-                    };
+                    o.pool_threads = Some(positive(flag, &value(flag)));
                 }
                 other => {
                     eprintln!("unknown flag `{other}`");
@@ -608,11 +596,15 @@ fn parse_job_line(line: &str) -> Result<(JobSpec, u32), String> {
         .ok_or_else(|| format!("unknown dataset `{ds_name}`"))?;
     let scale: u32 = field("SCALE")?
         .parse()
-        .map_err(|_| "SCALE expects a positive integer".to_string())?;
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| "SCALE expects a positive integer".to_string())?;
     let solver = field("SOLVER")?.to_string();
     let iters: usize = field("ITERS")?
         .parse()
-        .map_err(|_| "ITERS expects a positive integer".to_string())?;
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| "ITERS expects a positive integer".to_string())?;
     let priority: u8 = field("PRIORITY")?
         .parse()
         .map_err(|_| "PRIORITY expects an integer in 0..=255".to_string())?;
@@ -653,15 +645,12 @@ fn parse_job_line(line: &str) -> Result<(JobSpec, u32), String> {
             return Err(format!("unknown token `{extra}`"));
         }
     }
-    if iters == 0 {
-        return Err("ITERS must be positive".to_string());
-    }
 
     // The measurement mirrors `reconstruct` without --sino: the dataset
     // phantom simulated noise-free with the fixed seed, extra batch
     // slices scaled copies — so serve outputs are bit-comparable to
     // direct `reconstruct` runs.
-    let ds = ds.scaled(scale.max(1));
+    let ds = ds.scaled(scale);
     let grid = ds.grid();
     let scan = ds.scan();
     let truth = ds.phantom().rasterize(ds.channels);
@@ -959,13 +948,9 @@ fn check(opts: &Options) {
 
     // Rank plans are derived before the fault is injected (deriving them
     // from corrupted structures could crash instead of reporting).
-    let plans = opts.ranks.map(|ranks| {
-        if ranks == 0 {
-            eprintln!("--ranks must be positive");
-            exit(2);
-        }
-        memxct::dist::build_plans(&ops, ranks, true)
-    });
+    let plans = opts
+        .ranks
+        .map(|ranks| memxct::dist::build_plans(&ops, ranks, true));
 
     if let Some(kind) = &opts.corrupt {
         inject_corruption(&mut ops, kind);

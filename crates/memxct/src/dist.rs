@@ -19,20 +19,20 @@
 //! atomic update is ever issued.
 //!
 //! Ranks are an *executor* of the one solve driver
-//! ([`crate::Reconstructor::run_controlled`]), not a second driver:
-//! [`try_reconstruct_distributed_ft`] takes the same slice-major slab of
-//! `k ≥ 1` ordered sinograms, and every rank runs the same stint — the
-//! same restore, engine, `make_rule` rule and boundary decision, in a
-//! width-`k` workspace — through its [`DistOperator`]. What lives here
-//! is what only ranks add: the plans, carving a global state into rank
-//! blocks and gathering it back, agreeing on rank 0's answer when a
-//! control may ask the solve to yield, and the degrade-and-restart loop.
+//! ([`crate::Reconstructor::run_controlled`]), not a second driver: a
+//! request in [`crate::ExecMode::Distributed`] hands its ranks the same
+//! slice-major slab of `k ≥ 1` ordered sinograms, and every rank runs the
+//! same stint — the same restore, engine, `make_rule` rule and boundary
+//! decision, in a width-`k` workspace — through its [`DistOperator`]. What
+//! lives here is what only ranks add: the plans, carving a global state
+//! into rank blocks and gathering it back, agreeing on rank 0's answer
+//! when a control may ask the solve to yield, and the degrade-and-restart
+//! loop.
 
 use crate::checkpoint::{self, SolveState};
 use crate::errors::BuildError;
 use crate::operator::{Direction, KernelBreakdown, ProjectionOperator};
 use crate::preprocess::Operators;
-use crate::request::CheckpointPolicy;
 use crate::solvers::{EngineExit, IterationRecord, SolverWorkspace, Stint, StopRule};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -54,7 +54,9 @@ use xct_sparse::{BufferedCsr, CsrMatrix};
 pub use crate::request::Solver as DistSolver;
 use crate::request::Solver;
 
-/// Distributed-run configuration.
+/// Distributed-run configuration. `stop` and `solver` are read only by
+/// [`try_reconstruct_distributed`]: a request's own solver and stop rule
+/// are the ones its ranks run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistConfig {
     /// Number of ranks (threads standing in for MPI processes).
@@ -83,9 +85,8 @@ impl Default for DistConfig {
 /// Everything one rank needs to execute its share of the factorized
 /// projections. Plans are constructed from the globally preprocessed
 /// operators; a production MPI deployment would exchange the interaction
-/// footprints with `alltoallv_u32` instead (the collective exists and is
-/// tested), but building centrally keeps the threads-as-ranks harness
-/// deterministic.
+/// footprints with an index alltoallv instead, but building centrally
+/// keeps the threads-as-ranks harness deterministic.
 pub struct RankPlan {
     /// This rank.
     pub rank: usize,
@@ -557,7 +558,7 @@ impl ProjectionOperator for DistOperator<'_> {
 
 /// Fault-tolerance policy for a distributed reconstruction: what is
 /// about *faults*. Durability — where snapshots go, how often, whether to
-/// resume — is the request's [`CheckpointPolicy`], the same value every
+/// resume — is the request's [`crate::CheckpointPolicy`], the same value every
 /// executor runs under.
 ///
 /// The default policy enables the runtime's supervised execution (30 s
@@ -883,10 +884,27 @@ fn assemble_output(
 /// `j` solved alone over the same ranks. What this body adds is only what
 /// ranks need: the plans, and the restart loop.
 ///
+/// - Every collective runs under `ft.comm`'s deadline/retry budget and
+///   consults `ft.faults`; failures surface as [`BuildError::Comm`] with
+///   the origin rank, peer and collective — never a hang or a panic.
+/// - On an unrecoverable rank loss the coordinator rebuilds the plans over
+///   one rank fewer, reloads the stint's latest snapshot (or restarts from
+///   scratch without a policy) and reruns, up to `ft.max_restarts` times
+///   and never below one rank. Snapshot failures
+///   ([`CommErrorKind::Checkpoint`]) are not retried.
+/// - Ranks run unmetered (P interleaved series would not be
+///   reproducible); after they join, the coordinator records into
+///   `stint.metrics` one kernel-timer observation per rank, the
+///   convergence series, the `comm/bytes` matrix and the fault counters.
+///
 /// Returns how the stint ended next to the output; after a stop at a
 /// boundary the output is the state as of that boundary and nothing is
 /// recorded into `stint.metrics` (the resumed stint's records cover the
-/// whole trajectory, as after a crash).
+/// whole trajectory, as after a crash). Errors before any rank starts:
+/// [`BuildError::ZeroRanks`], [`BuildError::InvalidRelaxation`],
+/// [`BuildError::SerialOnly`] for OS-SIRT (ranks have no subset kernel)
+/// and [`BuildError::SinogramLength`] when the slab is empty or not a
+/// whole number of slices.
 pub(crate) fn solve_distributed(
     ops: &Operators,
     sino_ordered: &[f32],
@@ -950,94 +968,51 @@ pub(crate) fn solve_distributed(
     }
 }
 
-/// A distributed solve outside the request model: `config` names rank
-/// count, local kernel, solver and stop rule; `ft` the fault-tolerance
-/// policy; `checkpoint` the durability policy, if any (snapshots use
-/// sink slot 0).
-///
-/// - Every collective runs under `ft.comm`'s deadline/retry budget and
-///   consults `ft.faults` for deterministic chaos injection; failures
-///   surface as [`BuildError::Comm`] with the origin rank, peer, and
-///   collective — never a hang or a panic.
-/// - With a policy of cadence `every > 0`, the ranks gather a *global*
-///   snapshot at every `every`-th boundary (see
-///   [`crate::checkpoint`]); its `resume` restarts mid-solve from the
-///   latest snapshot, bit-identically to an uninterrupted run.
-/// - On an unrecoverable rank loss the coordinator degrades: it rebuilds
-///   the plans over one rank fewer, reloads the latest snapshot (or
-///   restarts from scratch without a policy), and reruns — up to
-///   `ft.max_restarts` times and never below one rank. Snapshot
-///   validation failures ([`CommErrorKind::Checkpoint`]) are not retried.
-///
-/// After the ranks join, the coordinator records into `metrics`:
-///
-/// - the per-rank kernel breakdowns as observations of the shared
-///   [`KERNEL_AP_SECONDS`] / [`KERNEL_C_SECONDS`] / [`KERNEL_R_SECONDS`]
-///   timers (one observation per rank — `count` is the rank count);
-/// - the (rank-identical) convergence trajectories as the
-///   `solver/residual_norm` / `solver/solution_norm` /
-///   `solver/iter_seconds` series plus the `solver/iterations` counter;
-/// - the per-pair communication matrix as `comm/bytes` (Fig 7(c)) and the
-///   per-rank collective call counts/latencies as `comm/collective_calls`
-///   and `comm/collective_s`.
-///
-/// Each rank's inner solver runs unmetered — series from P concurrent
-/// ranks would interleave nondeterministically; recording once at the
-/// coordinator keeps snapshots reproducible and the solve bit-identical.
-///
-/// Errors up front, before any rank starts: [`BuildError::ZeroRanks`],
-/// [`BuildError::InvalidRelaxation`] for a SIRT `relax` that is NaN or
-/// not positive, [`BuildError::SerialOnly`] for OS-SIRT (ranks have no
-/// subset kernel), and [`BuildError::SinogramLength`] when the slab is
-/// empty or not a whole number of slices.
-pub fn try_reconstruct_distributed_ft(
-    ops: &Operators,
-    sino_ordered: &[f32],
-    config: &DistConfig,
-    ft: &FaultTolerance,
-    checkpoint: Option<&CheckpointPolicy>,
-    metrics: &Metrics,
-) -> Result<DistOutput, BuildError> {
-    let stint = Stint {
-        solver: config.solver,
-        subsets: None,
-        stop: config.stop,
-        metrics,
-        policy: checkpoint,
-        slot: 0,
-        plan_hash: checkpoint::plan_fingerprint(ops),
-        more: false,
-        ctrl: None,
-    };
-    // Nothing can ask an uncontrolled solve to stop.
-    solve_distributed(ops, sino_ordered, config, ft, &stint).map(|(out, _)| out)
-}
-
-/// [`try_reconstruct_distributed_ft`] under [`FaultTolerance::disabled`]
-/// — the historical fail-fast behaviour (unbounded waits, empty fault
-/// plan, no restarts) — without checkpoints and without observability.
+/// A distributed solve outside the request model: `config` names the rank
+/// count, local kernel, solver and stop rule of one fail-fast stint
+/// ([`FaultTolerance::disabled`]: unbounded waits, no chaos, no restarts)
+/// without checkpoints and without observability. Every other distributed
+/// solve is a request in [`crate::ExecMode::Distributed`]. Like
+/// [`crate::PooledOperator`], this door stays only while `recon-bench`
+/// calls it; delete it once `benchmark/` runs its distributed probe
+/// through [`crate::Reconstructor::run`].
 pub fn try_reconstruct_distributed(
     ops: &Operators,
     sino_ordered: &[f32],
     config: &DistConfig,
 ) -> Result<DistOutput, BuildError> {
-    let (ft, metrics) = (FaultTolerance::disabled(), Metrics::noop());
-    try_reconstruct_distributed_ft(ops, sino_ordered, config, &ft, None, &metrics)
+    let stint = Stint {
+        solver: config.solver,
+        subsets: None,
+        stop: config.stop,
+        metrics: &Metrics::noop(),
+        policy: None,
+        slot: 0,
+        plan_hash: checkpoint::plan_fingerprint(ops),
+        more: false,
+        ctrl: None,
+    };
+    let ft = FaultTolerance::disabled();
+    solve_distributed(ops, sino_ordered, config, &ft, &stint).map(|(out, _)| out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, Config, Kernel};
-    use crate::solvers::{cgls, StopRule};
-    use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
+    use crate::solvers::{run_engine, Constraint, SirtRule};
+    use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
     use xct_runtime::run_ranks;
 
-    fn setup(n: u32, m: u32) -> (Operators, Vec<f32>) {
-        let grid = Grid::new(n);
-        let scan = ScanGeometry::new(m, n);
+    fn sinogram(n: u32, m: u32) -> (Grid, ScanGeometry, Sinogram) {
+        let (grid, scan) = (Grid::new(n), ScanGeometry::new(m, n));
         let img = disk(0.6, 1.0).rasterize(n);
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
+        (grid, scan, sino)
+    }
+
+    fn setup(n: u32, m: u32) -> (Operators, Vec<f32>) {
+        let (grid, scan, sino) = sinogram(n, m);
         let ops = preprocess(grid, scan, &Config::default());
         let y = ops.order_sinogram(&sino);
         (ops, y)
@@ -1224,13 +1199,7 @@ mod tests {
     #[test]
     fn distributed_cg_matches_serial_cg() {
         let (ops, y) = setup(16, 12);
-        let (x_serial, recs_serial) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::Fixed(8),
-        );
+        let (x_serial, recs_serial) = crate::cg(&ops, Kernel::Serial, &y, StopRule::Fixed(8));
         let out = try_reconstruct_distributed(&ops, &y, &cg(3, 8)).unwrap();
         // CG amplifies f32 summation-order differences between the
         // factorized (A = R·C·A_p) and monolithic products, so agreement
@@ -1252,13 +1221,9 @@ mod tests {
     #[test]
     fn distributed_sirt_matches_serial_sirt() {
         let (ops, y) = setup(16, 12);
-        let (x_serial, _) = crate::solvers::sirt(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            10,
-        );
+        let op = ops.operator(Kernel::Serial);
+        let sirt = &mut SirtRule::new(1.0);
+        let (x_serial, _) = run_engine(&*op, &y, sirt, Constraint::None, StopRule::Fixed(10));
         let out = try_reconstruct_distributed(
             &ops,
             &y,
@@ -1353,18 +1318,28 @@ mod tests {
 
     #[test]
     fn instrumented_distributed_records_comm_matrix() {
-        let (ops, y) = setup(16, 12);
+        let (grid, scan, sino) = sinogram(16, 12);
         let m = Metrics::collecting();
+        let rec = crate::Reconstructor::builder(grid, scan)
+            .metrics(m.clone())
+            .build()
+            .unwrap();
         let cfg = cg(3, 4);
-        let ft = FaultTolerance::disabled();
-        let out = try_reconstruct_distributed_ft(&ops, &y, &cfg, &ft, None, &m).unwrap();
+        let mode = crate::ExecMode::Distributed {
+            config: cfg,
+            ft: None,
+        };
+        let input = crate::ReconInput::Slice(sino.clone());
+        let req = crate::ReconRequest::cg(input, cfg.stop).mode(mode);
+        let out = rec.run(&req).unwrap();
         let snap = m.snapshot();
         // The exported matrix equals the ledger's per-pair accounting.
         let mat = &snap.matrices["comm/bytes"];
         assert_eq!(mat.size, 3);
+        let ledger = &out.dist.as_ref().expect("distributed detail").ledger;
         for src in 0..3 {
             for dst in 0..3 {
-                assert_eq!(mat.get(src, dst), out.ledger.bytes(src, dst));
+                assert_eq!(mat.get(src, dst), ledger.bytes(src, dst));
             }
         }
         // Kernel timers: one observation per rank.
@@ -1391,7 +1366,8 @@ mod tests {
         assert!(snap.counters["comm/collective_calls"] > 0);
         assert_eq!(snap.timers["comm/collective_s"].count, 3);
         // And the numerics are untouched by instrumentation.
-        let plain = try_reconstruct_distributed(&ops, &y, &cfg).unwrap();
+        let y = rec.operators().order_sinogram(&sino);
+        let plain = try_reconstruct_distributed(rec.operators(), &y, &cfg).unwrap();
         assert_eq!(plain.images, out.images);
     }
 

@@ -1,7 +1,7 @@
 //! Structured errors for the fallible construction and solve entry points
 //! ([`crate::preprocess::try_preprocess`], `ReconstructorBuilder::build`,
-//! `Reconstructor::run` — wrapped in `ReconError::Build` — and the
-//! `try_reconstruct_distributed*` functions). The panicking
+//! `Reconstructor::run` — wrapped in `ReconError::Build` — and
+//! `try_reconstruct_distributed`). The panicking
 //! `preprocess` / `Reconstructor::new` remain as thin shims for callers
 //! that prefer crashing on misconfiguration.
 
@@ -39,7 +39,7 @@ pub enum BuildError {
         /// Number of slices actually supplied.
         got: usize,
     },
-    /// `try_reconstruct_distributed*` was handed a SIRT relaxation factor
+    /// `try_reconstruct_distributed` was handed a SIRT relaxation factor
     /// that is NaN or not positive (requests are screened earlier, as
     /// `ReconError::InvalidRelaxation`).
     InvalidRelaxation {

@@ -63,8 +63,8 @@ pub fn fbp(ops: &Operators, sino: &Sinogram, config: &FbpConfig) -> Vec<f32> {
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, Config};
-    use crate::rel_err;
-    use crate::solvers::{cgls, StopRule};
+    use crate::solvers::StopRule;
+    use crate::{cg, rel_err};
     use xct_geometry::{disk, shepp_logan, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 
     #[test]
@@ -107,16 +107,11 @@ mod tests {
         let ops = preprocess(grid, scan, &Config::default());
         let img_fbp = fbp(&ops, &sino, &FbpConfig::default());
         let y = ops.order_sinogram(&sino);
-        let (x_cg, _) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::EarlyTermination {
-                max_iters: 30,
-                min_decrease: 0.02,
-            },
-        );
+        let stop = StopRule::EarlyTermination {
+            max_iters: 30,
+            min_decrease: 0.02,
+        };
+        let (x_cg, _) = cg(&ops, Kernel::Serial, &y, stop);
         let img_cg = ops.unorder_tomogram(&x_cg);
         let e_fbp = rel_err(&img_fbp, &truth);
         let e_cg = rel_err(&img_cg, &truth);

@@ -50,14 +50,14 @@ mod subsets;
 
 pub use checkpoint::{plan_fingerprint, validate_snapshot};
 pub use dist::{
-    allreduce_f64, try_allreduce_f64, try_reconstruct_distributed, try_reconstruct_distributed_ft,
-    DistConfig, DistOperator, DistOutput, DistSolver, FaultTolerance, RankPlan,
+    allreduce_f64, try_allreduce_f64, try_reconstruct_distributed, DistConfig, DistOperator,
+    DistOutput, DistSolver, FaultTolerance, RankPlan,
 };
 pub use errors::BuildError;
 pub use fbp::{fbp, FbpConfig};
 pub use operator::{
-    ClosureOperator, CompOperator, KernelBreakdown, KernelOperator, PooledOperator, PooledPlans,
-    ProjectionOperator, StackedOperator, POOL_IMBALANCE_BACK, POOL_IMBALANCE_FORWARD,
+    CompOperator, KernelBreakdown, KernelOperator, PooledOperator, PooledPlans, ProjectionOperator,
+    StackedOperator, POOL_IMBALANCE_BACK, POOL_IMBALANCE_FORWARD,
 };
 pub use plan_check::{dist_checker, exec_checker, ledger_check, plan_checker, validate_plan};
 pub use preprocess::{
@@ -75,10 +75,23 @@ pub use request::{
 #[doc(hidden)]
 pub use solvers::run_engine_in as run_engine_batched_in;
 pub use solvers::{
-    cgls, cgls_regularized, run_engine, run_engine_in, sirt, sirt_nonneg, CgRule, Constraint,
-    IterationRecord, SirtRule, SolverWorkspace, StopRule, UpdateRule,
+    run_engine, run_engine_in, CgRule, Constraint, IterationRecord, SirtRule, SolverWorkspace,
+    StopRule, UpdateRule,
 };
 pub use xct_check::{CheckViolation, Invariant, Report as CheckReport};
+
+/// Plain CG on the serial `kernel` operator of `ops`, the solve the unit
+/// tests share.
+#[cfg(test)]
+pub(crate) fn cg(
+    ops: &Operators,
+    kernel: Kernel,
+    y: &[f32],
+    stop: StopRule,
+) -> (Vec<f32>, Vec<IterationRecord>) {
+    let rule = &mut CgRule::new();
+    run_engine(&*ops.operator(kernel), y, rule, Constraint::None, stop)
+}
 
 /// Relative L2 error `‖a − b‖₂ / ‖b‖₂`, the yardstick the unit tests share.
 #[cfg(test)]

@@ -13,7 +13,10 @@
 //! pool, whose worker 0 is the calling thread: one executor, so one set
 //! of bits for every worker count.
 //!
-//! The trait contract:
+//! The trait contract — four required methods (the two dims,
+//! `forward_into`, `back_into`); everything else has a default, so any
+//! projection pair a caller holds (a hand-built fan-beam matrix, say)
+//! enters the engine by implementing those four:
 //!
 //! - [`forward_into`](ProjectionOperator::forward_into) /
 //!   [`back_into`](ProjectionOperator::back_into) fully overwrite their
@@ -602,51 +605,6 @@ impl ProjectionOperator for CompOperator<'_> {
     }
 }
 
-/// Adapter keeping the legacy closure-based solver signatures
-/// (`cgls(y, nx, forward, back, ..)`) alive as thin shims over the
-/// engine.
-pub struct ClosureOperator<F, G> {
-    nrows: usize,
-    ncols: usize,
-    forward: RefCell<F>,
-    back: RefCell<G>,
-}
-
-impl<F, G> ClosureOperator<F, G>
-where
-    F: FnMut(&[f32]) -> Vec<f32>,
-    G: FnMut(&[f32]) -> Vec<f32>,
-{
-    /// Wrap forward/backprojection closures with an explicit shape.
-    pub fn new(nrows: usize, ncols: usize, forward: F, back: G) -> Self {
-        ClosureOperator {
-            nrows,
-            ncols,
-            forward: RefCell::new(forward),
-            back: RefCell::new(back),
-        }
-    }
-}
-
-impl<F, G> ProjectionOperator for ClosureOperator<F, G>
-where
-    F: FnMut(&[f32]) -> Vec<f32>,
-    G: FnMut(&[f32]) -> Vec<f32>,
-{
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn forward_into(&self, x: &[f32], y: &mut [f32]) {
-        y.copy_from_slice(&(self.forward.borrow_mut())(x));
-    }
-    fn back_into(&self, y: &[f32], x: &mut [f32]) {
-        x.copy_from_slice(&(self.back.borrow_mut())(y));
-    }
-}
-
 /// `[A; s·D]` — a primary operator with `s`-scaled regularization rows
 /// appended. Running plain CGLS on the stack minimizes
 /// `‖y − A·x‖² + s²·‖D·x‖²` (Tikhonov for `D = I`, gradient smoothing
@@ -919,23 +877,6 @@ mod tests {
             quiet.forward_into(&slab(n, 1, 3), &mut vec![0f32; m]);
             assert!(quiet.breakdown().is_none());
         }
-    }
-
-    #[test]
-    fn closure_operator_applies_closures() {
-        let op = ClosureOperator::new(
-            2,
-            3,
-            |x: &[f32]| vec![x[0] + x[1], x[2]],
-            |y: &[f32]| vec![y[0], y[0], y[1]],
-        );
-        let mut y = vec![0f32; 2];
-        op.forward_into(&[1.0, 2.0, 3.0], &mut y);
-        assert_eq!(y, vec![3.0, 3.0]);
-        let mut x = vec![0f32; 3];
-        op.back_into(&[5.0, 7.0], &mut x);
-        assert_eq!(x, vec![5.0, 5.0, 7.0]);
-        assert!(op.breakdown().is_none());
     }
 
     #[test]

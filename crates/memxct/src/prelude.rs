@@ -15,8 +15,7 @@
 
 pub use crate::checkpoint::{plan_fingerprint, validate_snapshot};
 pub use crate::dist::{
-    try_reconstruct_distributed, try_reconstruct_distributed_ft, DistConfig, DistOutput,
-    DistSolver, FaultTolerance,
+    try_reconstruct_distributed, DistConfig, DistOutput, DistSolver, FaultTolerance,
 };
 pub use crate::errors::BuildError;
 pub use crate::fbp::{fbp, FbpConfig};
@@ -31,8 +30,7 @@ pub use crate::request::{
     RunControl, RunOutcome, Solver,
 };
 pub use crate::solvers::{
-    cgls, cgls_regularized, run_engine, sirt, sirt_nonneg, CgRule, Constraint, IterationRecord,
-    SirtRule, StopRule, UpdateRule,
+    run_engine, CgRule, Constraint, IterationRecord, SirtRule, StopRule, UpdateRule,
 };
 pub use xct_obs::{Metrics, MetricsSnapshot, TimerSummary};
 pub use xct_runtime::{

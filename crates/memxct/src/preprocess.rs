@@ -556,7 +556,7 @@ mod tests {
 
     #[test]
     fn joseph_projector_reconstructs_comparably() {
-        use crate::solvers::{cgls, StopRule};
+        use crate::solvers::StopRule;
         use xct_geometry::{disk, simulate_sinogram, NoiseModel};
         let n = 32u32;
         let grid = Grid::new(n);
@@ -572,13 +572,7 @@ mod tests {
             },
         );
         let y = ops.order_sinogram(&sino);
-        let (x, _) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Buffered, p),
-            |r| ops.back(Kernel::Buffered, r),
-            StopRule::Fixed(25),
-        );
+        let (x, _) = crate::cg(&ops, Kernel::Buffered, &y, StopRule::Fixed(25));
         let rec = ops.unorder_tomogram(&x);
         let err = crate::rel_err(&rec, &img);
         // Joseph reconstructs against Siddon-simulated data: model

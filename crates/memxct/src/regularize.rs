@@ -72,8 +72,7 @@ pub fn cgls_smooth(
 mod tests {
     use super::*;
     use crate::preprocess::{preprocess, Config, Kernel};
-    use crate::rel_err;
-    use crate::solvers::cgls;
+    use crate::{cg, rel_err};
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 
     #[test]
@@ -137,13 +136,7 @@ mod tests {
     #[test]
     fn smoothing_beats_plain_cg_on_noisy_undersampled_data() {
         let (ops, y, x_true) = setup_noisy();
-        let (x_plain, _) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::Fixed(40),
-        );
+        let (x_plain, _) = cg(&ops, Kernel::Serial, &y, StopRule::Fixed(40));
         let (x_smooth, _) = cgls_smooth(&ops, Kernel::Serial, &y, 0.5, StopRule::Fixed(40));
         let e_plain = rel_err(&x_plain, &x_true);
         let e_smooth = rel_err(&x_smooth, &x_true);
@@ -156,13 +149,7 @@ mod tests {
     #[test]
     fn lambda_zero_matches_plain_cgls() {
         let (ops, y, _) = setup_noisy();
-        let (x_plain, _) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::Fixed(10),
-        );
+        let (x_plain, _) = cg(&ops, Kernel::Serial, &y, StopRule::Fixed(10));
         let (x_smooth, _) = cgls_smooth(&ops, Kernel::Serial, &y, 0.0, StopRule::Fixed(10));
         for (a, b) in x_smooth.iter().zip(&x_plain) {
             assert!((a - b).abs() < 1e-5);

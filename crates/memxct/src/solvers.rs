@@ -15,13 +15,17 @@
 //! paper's heuristic early termination ("practically considered as a
 //! regularization method").
 //!
-//! The closure-based entry points ([`cgls`], [`sirt`],
-//! [`cgls_regularized`], [`sirt_nonneg`]) are thin shims over the engine,
-//! kept for callers that hold projections as closures.
+//! There is one way in: hand [`run_engine`] / [`run_engine_in`] a
+//! [`ProjectionOperator`] and a rule — `CgRule::new()`,
+//! `CgRule::regularized(λ)` or `SirtRule::new(ω)`, with
+//! [`Constraint::NonNegative`] for the constrained case — or hand the
+//! [`crate::Reconstructor`] a [`crate::ReconRequest`]. Projections held as
+//! anything else become an operator by implementing the trait's four
+//! required methods.
 
 use crate::checkpoint::{self, SolveState};
 use crate::errors::BuildError;
-use crate::operator::{ClosureOperator, ProjectionOperator};
+use crate::operator::ProjectionOperator;
 use crate::request::{CheckpointPolicy, RunControl, Solver};
 use crate::subsets::{OsSirtRule, Subsets};
 use xct_obs::Metrics;
@@ -953,102 +957,14 @@ pub(crate) fn make_rule<'a>(
     }
 }
 
-/// CGLS over forward/backprojection closures — a thin shim over
-/// [`run_engine`] with [`CgRule`]. Returns the solution and per-iteration
-/// records.
-pub fn cgls<F, G>(
-    y: &[f32],
-    nx: usize,
-    forward: F,
-    back: G,
-    stop: StopRule,
-) -> (Vec<f32>, Vec<IterationRecord>)
-where
-    F: FnMut(&[f32]) -> Vec<f32>,
-    G: FnMut(&[f32]) -> Vec<f32>,
-{
-    let op = ClosureOperator::new(y.len(), nx, forward, back);
-    run_engine(&op, y, &mut CgRule::new(), Constraint::None, stop)
-}
-
-/// SIRT over forward/backprojection closures — a thin shim over
-/// [`run_engine`] with [`SirtRule`].
-pub fn sirt<F, G>(
-    y: &[f32],
-    nx: usize,
-    forward: F,
-    back: G,
-    iters: usize,
-) -> (Vec<f32>, Vec<IterationRecord>)
-where
-    F: FnMut(&[f32]) -> Vec<f32>,
-    G: FnMut(&[f32]) -> Vec<f32>,
-{
-    let op = ClosureOperator::new(y.len(), nx, forward, back);
-    run_engine(
-        &op,
-        y,
-        &mut SirtRule::new(1.0),
-        Constraint::None,
-        StopRule::Fixed(iters),
-    )
-}
-
-/// Tikhonov-regularized CGLS: minimize `‖y − A·x‖² + λ‖x‖²` — a thin
-/// shim over [`run_engine`] with [`CgRule::regularized`].
-pub fn cgls_regularized<F, G>(
-    y: &[f32],
-    nx: usize,
-    forward: F,
-    back: G,
-    lambda: f32,
-    stop: StopRule,
-) -> (Vec<f32>, Vec<IterationRecord>)
-where
-    F: FnMut(&[f32]) -> Vec<f32>,
-    G: FnMut(&[f32]) -> Vec<f32>,
-{
-    let op = ClosureOperator::new(y.len(), nx, forward, back);
-    run_engine(
-        &op,
-        y,
-        &mut CgRule::regularized(lambda),
-        Constraint::None,
-        stop,
-    )
-}
-
-/// Nonnegativity-constrained SIRT — a thin shim over [`run_engine`] with
-/// [`SirtRule`] and [`Constraint::NonNegative`].
-pub fn sirt_nonneg<F, G>(
-    y: &[f32],
-    nx: usize,
-    forward: F,
-    back: G,
-    iters: usize,
-) -> (Vec<f32>, Vec<IterationRecord>)
-where
-    F: FnMut(&[f32]) -> Vec<f32>,
-    G: FnMut(&[f32]) -> Vec<f32>,
-{
-    let op = ClosureOperator::new(y.len(), nx, forward, back);
-    run_engine(
-        &op,
-        y,
-        &mut SirtRule::new(1.0),
-        Constraint::NonNegative,
-        StopRule::Fixed(iters),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preprocess::{preprocess, Config, Kernel};
-    use crate::rel_err;
+    use crate::preprocess::{preprocess, Config, Kernel, Operators};
+    use crate::{cg, rel_err};
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 
-    fn setup(n: u32, m: u32) -> (crate::preprocess::Operators, Vec<f32>, Vec<f32>) {
+    fn setup(n: u32, m: u32) -> (Operators, Vec<f32>, Vec<f32>) {
         let grid = Grid::new(n);
         let scan = ScanGeometry::new(m, n);
         let img = disk(0.6, 1.0).rasterize(n);
@@ -1059,16 +975,21 @@ mod tests {
         (ops, y, x_true)
     }
 
+    /// `rule` under `constraint` on the serial CSR operator of `ops`.
+    fn solve(
+        ops: &Operators,
+        y: &[f32],
+        rule: &mut dyn UpdateRule,
+        constraint: Constraint,
+        stop: StopRule,
+    ) -> (Vec<f32>, Vec<IterationRecord>) {
+        run_engine(&*ops.operator(Kernel::Serial), y, rule, constraint, stop)
+    }
+
     #[test]
     fn cgls_converges_on_clean_data() {
         let (ops, y, x_true) = setup(24, 36);
-        let (x, recs) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::Fixed(30),
-        );
+        let (x, recs) = cg(&ops, Kernel::Serial, &y, StopRule::Fixed(30));
         assert!(rel_err(&x, &x_true) < 0.15, "err {}", rel_err(&x, &x_true));
         // Residual decreases monotonically for CGLS.
         for w in recs.windows(2) {
@@ -1081,10 +1002,9 @@ mod tests {
         // §3.5.2: CG converges faster than SIRT. After 10 iterations each,
         // CG's residual must be smaller.
         let (ops, y, _) = setup(24, 36);
-        let fwd = |p: &[f32]| ops.forward(Kernel::Serial, p);
-        let bck = |r: &[f32]| ops.back(Kernel::Serial, r);
-        let (_, cg) = cgls(&y, ops.a.ncols(), fwd, bck, StopRule::Fixed(10));
-        let (_, si) = sirt(&y, ops.a.ncols(), fwd, bck, 10);
+        let (_, cg) = cg(&ops, Kernel::Serial, &y, StopRule::Fixed(10));
+        let sirt = &mut SirtRule::new(1.0);
+        let (_, si) = solve(&ops, &y, sirt, Constraint::None, StopRule::Fixed(10));
         assert!(
             cg.last().unwrap().residual_norm < si.last().unwrap().residual_norm,
             "cg {} vs sirt {}",
@@ -1096,16 +1016,11 @@ mod tests {
     #[test]
     fn early_termination_stops_before_cap() {
         let (ops, y, _) = setup(16, 24);
-        let (_, recs) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::EarlyTermination {
-                max_iters: 500,
-                min_decrease: 1e-3,
-            },
-        );
+        let stop = StopRule::EarlyTermination {
+            max_iters: 500,
+            min_decrease: 1e-3,
+        };
+        let (_, recs) = cg(&ops, Kernel::Serial, &y, stop);
         assert!(recs.len() < 500, "should stop early, ran {}", recs.len());
         assert!(recs.len() > 3, "should run a few iterations");
     }
@@ -1113,13 +1028,8 @@ mod tests {
     #[test]
     fn solvers_record_lcurve_axes() {
         let (ops, y, _) = setup(16, 24);
-        let (_, recs) = sirt(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            5,
-        );
+        let sirt = &mut SirtRule::new(1.0);
+        let (_, recs) = solve(&ops, &y, sirt, Constraint::None, StopRule::Fixed(5));
         assert_eq!(recs.len(), 5);
         // Solution norm grows from zero; residual shrinks.
         assert!(recs[4].solution_norm > recs[0].solution_norm * 0.99);
@@ -1130,13 +1040,7 @@ mod tests {
     fn zero_rhs_returns_zero() {
         let (ops, y, _) = setup(16, 24);
         let zeros = vec![0f32; y.len()];
-        let (x, recs) = cgls(
-            &zeros,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::Fixed(5),
-        );
+        let (x, recs) = cg(&ops, Kernel::Serial, &zeros, StopRule::Fixed(5));
         assert!(x.iter().all(|&v| v == 0.0));
         assert!(recs.is_empty(), "gamma == 0 at start");
     }
@@ -1144,16 +1048,16 @@ mod tests {
     #[test]
     fn regularization_shrinks_the_solution_norm() {
         let (ops, y, _) = setup(24, 36);
-        let fwd = |p: &[f32]| ops.forward(Kernel::Serial, p);
-        let bck = |r: &[f32]| ops.back(Kernel::Serial, r);
-        let (_, plain) = cgls(&y, ops.a.ncols(), fwd, bck, StopRule::Fixed(15));
-        let (_, reg) = cgls_regularized(&y, ops.a.ncols(), fwd, bck, 5.0, StopRule::Fixed(15));
+        let regularized = |lambda| {
+            let rule = &mut CgRule::regularized(lambda);
+            solve(&ops, &y, rule, Constraint::None, StopRule::Fixed(15)).1
+        };
+        let plain = cg(&ops, Kernel::Serial, &y, StopRule::Fixed(15)).1;
         let np = plain.last().unwrap().solution_norm;
-        let nr = reg.last().unwrap().solution_norm;
+        let nr = regularized(5.0).last().unwrap().solution_norm;
         assert!(nr < np, "regularized norm {nr} should be below {np}");
         // λ = 0 must reproduce plain CGLS exactly.
-        let (_, zero) = cgls_regularized(&y, ops.a.ncols(), fwd, bck, 0.0, StopRule::Fixed(15));
-        for (a, b) in zero.iter().zip(&plain) {
+        for (a, b) in regularized(0.0).iter().zip(&plain) {
             assert!((a.residual_norm - b.residual_norm).abs() < 1e-9);
         }
     }
@@ -1161,9 +1065,8 @@ mod tests {
     #[test]
     fn nonneg_sirt_produces_nonnegative_images() {
         let (ops, y, x_true) = setup(24, 36);
-        let fwd = |p: &[f32]| ops.forward(Kernel::Serial, p);
-        let bck = |r: &[f32]| ops.back(Kernel::Serial, r);
-        let (x, recs) = sirt_nonneg(&y, ops.a.ncols(), fwd, bck, 25);
+        let sirt = &mut SirtRule::new(1.0);
+        let (x, recs) = solve(&ops, &y, sirt, Constraint::NonNegative, StopRule::Fixed(25));
         assert!(x.iter().all(|&v| v >= 0.0));
         assert_eq!(recs.len(), 25);
         // Still converges toward the (nonnegative) truth.
@@ -1175,20 +1078,8 @@ mod tests {
     #[test]
     fn buffered_kernel_solves_identically_enough() {
         let (ops, y, _) = setup(24, 36);
-        let (xs, _) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::Fixed(10),
-        );
-        let (xb, _) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Buffered, p),
-            |r| ops.back(Kernel::Buffered, r),
-            StopRule::Fixed(10),
-        );
+        let (xs, _) = cg(&ops, Kernel::Serial, &y, StopRule::Fixed(10));
+        let (xb, _) = cg(&ops, Kernel::Buffered, &y, StopRule::Fixed(10));
         assert!(
             rel_err(&xb, &xs) < 1e-3,
             "kernels diverged: {}",
@@ -1257,29 +1148,22 @@ mod tests {
 
     #[test]
     fn engine_runs_directly_on_operators() {
-        // The engine API itself (no closure shim): CG over the serial
-        // operator equals the closure-based entry point record-for-record.
+        // The engine over the serial operator equals the engine over a
+        // two-worker pool record for record: one executor, one set of bits.
         let (ops, y, _) = setup(16, 24);
-        let op = crate::operator::KernelOperator::new(&ops, Kernel::Serial);
-        let (x_engine, recs_engine) = run_engine(
-            &op,
-            &y,
-            &mut CgRule::new(),
-            Constraint::None,
-            StopRule::Fixed(8),
+        let (pool, plans) = (
+            xct_runtime::WorkerPool::new(2),
+            crate::PooledPlans::new_batched(&ops, Kernel::Serial, 2, 1),
         );
-        let (x_shim, recs_shim) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            StopRule::Fixed(8),
-        );
-        assert_eq!(x_engine, x_shim);
-        for (a, b) in recs_engine.iter().zip(&recs_shim) {
-            assert_eq!(a.residual_norm, b.residual_norm);
-            assert_eq!(a.solution_norm, b.solution_norm);
-        }
+        let op = crate::KernelOperator::new(&ops, Kernel::Serial);
+        let pooled = crate::KernelOperator::pooled(&ops, Kernel::Serial, &plans, &pool);
+        let run = |op: &dyn ProjectionOperator| {
+            let stop = StopRule::Fixed(8);
+            let (x, recs) = run_engine(op, &y, &mut CgRule::new(), Constraint::None, stop);
+            let norms = recs.iter().map(|r| (r.residual_norm, r.solution_norm));
+            (x, norms.collect::<Vec<_>>())
+        };
+        assert_eq!(run(&op), run(&pooled));
         let kb = op.breakdown().expect("serial operator is timed");
         assert!(kb.ap_s > 0.0);
     }

@@ -555,14 +555,9 @@ fn distributed_batched_checkpoint_resumes_across_rank_counts() {
 #[test]
 fn distributed_batched_rank_crash_completes_or_fails_typed() {
     let (grid, scan) = geometry(24, 36);
-    let ops = preprocess(grid, scan, &Config::default());
-    let y: Vec<f32> = sinos(grid, scan, 24, 2)
-        .iter()
-        .flat_map(|s| ops.order_sinogram(s))
-        .collect();
+    let slices = sinos(grid, scan, 24, 2);
     let config = DistConfig {
         ranks: 3,
-        stop: StopRule::Fixed(8),
         ..DistConfig::default()
     };
     let ft = FaultTolerance {
@@ -571,11 +566,21 @@ fn distributed_batched_rank_crash_completes_or_fails_typed() {
         ..FaultTolerance::default()
     };
     let policy = CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 1).resume(true);
+    let req = ReconRequest::cg(Batch(slices), StopRule::Fixed(8))
+        .mode(ExecMode::Distributed {
+            config,
+            ft: Some(ft),
+        })
+        .checkpoint(policy);
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let metrics = Metrics::collecting();
-        let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, Some(&policy), &metrics);
-        let _ = tx.send((out, metrics.snapshot()));
+        let rec = ReconstructorBuilder::new(grid, scan)
+            .batch(2)
+            .metrics(metrics.clone())
+            .build()
+            .unwrap();
+        let _ = tx.send((rec.run(&req), metrics.snapshot()));
     });
     let (out, snap) = rx
         .recv_timeout(Duration::from_secs(60))
@@ -589,7 +594,7 @@ fn distributed_batched_rank_crash_completes_or_fails_typed() {
                 assert!(image.iter().all(|v| v.is_finite()));
             }
         }
-        Err(BuildError::Comm(_)) => {}
+        Err(ReconError::Build(BuildError::Comm(_))) => {}
         Err(other) => panic!("expected completion or BuildError::Comm, got {other}"),
     }
 }

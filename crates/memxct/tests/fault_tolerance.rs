@@ -3,7 +3,8 @@
 //! the uninterrupted golden run exactly (CG and SIRT, serial and
 //! distributed); corrupted snapshots are rejected with typed errors; and
 //! a mid-solve rank crash ends in a completed restarted solve or a typed
-//! `CommError` — never a hang.
+//! `CommError` — never a hang. Every distributed solve here is a request
+//! in `ExecMode::Distributed`, run through `Reconstructor::run`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,16 +20,28 @@ fn geometry(n: u32, m: u32) -> (Grid, ScanGeometry, Sinogram) {
     (grid, scan, sino)
 }
 
+/// One CG slice for `iters` iterations.
+fn cg_request(sino: &Sinogram, iters: usize) -> ReconRequest {
+    ReconRequest::cg(ReconInput::Slice(sino.clone()), StopRule::Fixed(iters))
+}
+
 /// One CG slice for `iters` iterations through the front door.
 fn cg(rec: &Reconstructor, sino: &Sinogram, iters: usize) -> Result<ReconResponse, ReconError> {
-    rec.run(&ReconRequest::cg(
-        ReconInput::Slice(sino.clone()),
-        StopRule::Fixed(iters),
-    ))
+    rec.run(&cg_request(sino, iters))
 }
 
 fn sirt(rec: &Reconstructor, sino: &Sinogram, iters: usize) -> Result<ReconResponse, ReconError> {
     rec.run(&ReconRequest::sirt(ReconInput::Slice(sino.clone()), iters))
+}
+
+/// `ranks` buffered thread-ranks under `ft` (`None`: the reconstructor's
+/// policy, the fail-fast default).
+fn over_ranks(ranks: usize, ft: Option<FaultTolerance>) -> ExecMode {
+    let config = DistConfig {
+        ranks,
+        ..DistConfig::default()
+    };
+    ExecMode::Distributed { config, ft }
 }
 
 fn assert_bits_equal(a: &ReconResponse, b: &ReconResponse) {
@@ -43,43 +56,17 @@ fn assert_bits_equal(a: &ReconResponse, b: &ReconResponse) {
     assert_eq!(ia, ib, "images differ in bits");
 }
 
-fn assert_dist_bits_equal(a: &DistOutput, b: &DistOutput) {
-    let (ra, rb) = (&a.slice_records[0], &b.slice_records[0]);
-    assert_eq!(ra.len(), rb.len(), "iteration counts differ");
-    for (ra, rb) in ra.iter().zip(rb) {
-        assert_eq!(ra.residual_norm.to_bits(), rb.residual_norm.to_bits());
-        assert_eq!(ra.solution_norm.to_bits(), rb.solution_norm.to_bits());
-    }
-    let ia: Vec<u32> = a.images[0].iter().map(|v| v.to_bits()).collect();
-    let ib: Vec<u32> = b.images[0].iter().map(|v| v.to_bits()).collect();
-    assert_eq!(ia, ib, "images differ in bits");
-}
-
 #[test]
 fn empty_fault_plan_is_bit_identical_distributed() {
     let (grid, scan, sino) = geometry(24, 36);
-    let ops = preprocess(grid, scan, &Config::default());
-    let y = ops.order_sinogram(&sino);
-    let config = DistConfig {
-        ranks: 3,
-        use_buffered: true,
-        stop: StopRule::Fixed(8),
-        solver: Solver::Cg,
-    };
+    let rec = Reconstructor::new(grid, scan);
     // Historical fail-fast path (unbounded waits, no fault machinery in
     // the policy) vs the supervised default (deadlines, retry budget,
     // empty fault plan): both must produce the exact same bits.
-    let baseline = try_reconstruct_distributed(&ops, &y, &config).unwrap();
-    let supervised = try_reconstruct_distributed_ft(
-        &ops,
-        &y,
-        &config,
-        &FaultTolerance::default(),
-        None,
-        &Metrics::noop(),
-    )
-    .unwrap();
-    assert_dist_bits_equal(&baseline, &supervised);
+    let baseline = rec.run(&cg_request(&sino, 8).mode(over_ranks(3, None)));
+    let supervised = over_ranks(3, Some(FaultTolerance::default()));
+    let supervised = rec.run(&cg_request(&sino, 8).mode(supervised));
+    assert_bits_equal(&baseline.unwrap(), &supervised.unwrap());
 }
 
 #[test]
@@ -153,24 +140,18 @@ fn serial_sirt_resume_is_bit_identical() {
 #[test]
 fn distributed_resume_is_bit_identical() {
     let (grid, scan, sino) = geometry(24, 36);
-    let ops = preprocess(grid, scan, &Config::default());
-    let y = ops.order_sinogram(&sino);
-    let config = |iters| DistConfig {
-        ranks: 3,
-        use_buffered: true,
-        stop: StopRule::Fixed(iters),
-        solver: Solver::Cg,
-    };
-    let golden = try_reconstruct_distributed(&ops, &y, &config(8)).unwrap();
+    let rec = Reconstructor::new(grid, scan);
+    let golden = rec.run(&cg_request(&sino, 8).mode(over_ranks(3, None)));
 
     let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
-    let (ft, save) = (FaultTolerance::default(), CheckpointPolicy::new(sink, 1));
-    let noop = Metrics::noop();
-    try_reconstruct_distributed_ft(&ops, &y, &config(3), &ft, Some(&save), &noop).unwrap();
-    let resume = save.resume(true);
-    let resumed =
-        try_reconstruct_distributed_ft(&ops, &y, &config(8), &ft, Some(&resume), &noop).unwrap();
-    assert_dist_bits_equal(&golden, &resumed);
+    let save = CheckpointPolicy::new(sink, 1);
+    let mode = over_ranks(3, Some(FaultTolerance::default()));
+    let first = cg_request(&sino, 3).mode(mode.clone());
+    rec.run(&first.checkpoint(save.clone())).unwrap();
+    let resumed = cg_request(&sino, 8)
+        .mode(mode)
+        .checkpoint(save.resume(true));
+    assert_bits_equal(&golden.unwrap(), &rec.run(&resumed).unwrap());
 }
 
 /// Every driver snapshots CG's γ through the one `carried_scalars`
@@ -183,9 +164,7 @@ fn rule_section_is_the_same_for_every_driver() {
     let rule_section = |mode: ExecMode| {
         let sink = Arc::new(MemoryCheckpointSink::new());
         let policy = CheckpointPolicy::new(sink.clone() as Arc<dyn CheckpointSink>, 1);
-        let req = ReconRequest::cg(ReconInput::Slice(sino.clone()), StopRule::Fixed(3))
-            .mode(mode)
-            .checkpoint(policy);
+        let req = cg_request(&sino, 3).mode(mode).checkpoint(policy);
         let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
         rec.run(&req).unwrap();
         let snap = Snapshot::decode(&sink.load(0).unwrap().unwrap()).unwrap();
@@ -193,48 +172,30 @@ fn rule_section_is_the_same_for_every_driver() {
         let gammas = snap.f64s(memxct::checkpoint::SECTION_RULE).unwrap();
         gammas.iter().map(|g| g.to_bits()).collect::<Vec<u64>>()
     };
-    let over = |ranks| {
-        let config = DistConfig {
-            ranks,
-            ..DistConfig::default()
-        };
-        ExecMode::Distributed { config, ft: None }
-    };
     let shared = rule_section(ExecMode::Serial);
     assert_eq!(shared.len(), 1, "a batch-1 snapshot holds exactly one γ");
-    assert_eq!(rule_section(over(1)), shared);
-    assert_eq!(rule_section(over(3)).len(), 1);
+    assert_eq!(rule_section(over_ranks(1, None)), shared);
+    assert_eq!(rule_section(over_ranks(3, None)).len(), 1);
 }
 
 #[test]
 fn snapshots_are_rank_count_independent() {
     let (grid, scan, sino) = geometry(24, 36);
-    let ops = preprocess(grid, scan, &Config::default());
-    let y = ops.order_sinogram(&sino);
+    let rec = Reconstructor::new(grid, scan);
+    let ft = Some(FaultTolerance::default());
     // Snapshot under 3 ranks…
     let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
-    let (ft, save) = (FaultTolerance::default(), CheckpointPolicy::new(sink, 1));
-    let noop = Metrics::noop();
-    let config3 = DistConfig {
-        ranks: 3,
-        use_buffered: true,
-        stop: StopRule::Fixed(3),
-        solver: Solver::Cg,
-    };
-    try_reconstruct_distributed_ft(&ops, &y, &config3, &ft, Some(&save), &noop).unwrap();
+    let save = CheckpointPolicy::new(sink, 1);
+    let first = cg_request(&sino, 3).mode(over_ranks(3, ft.clone()));
+    rec.run(&first.checkpoint(save.clone())).unwrap();
     // …resume under 2: the snapshot stores global ordered vectors, so a
     // different partitioning restores cleanly and runs to the budget.
     let resume = CheckpointPolicy {
         every: 0,
         ..save.resume(true)
     };
-    let config2 = DistConfig {
-        ranks: 2,
-        stop: StopRule::Fixed(8),
-        ..config3
-    };
-    let out =
-        try_reconstruct_distributed_ft(&ops, &y, &config2, &ft, Some(&resume), &noop).unwrap();
+    let second = cg_request(&sino, 8).mode(over_ranks(2, ft));
+    let out = rec.run(&second.checkpoint(resume)).unwrap();
     assert_eq!(
         out.slice_records[0].len(),
         8,
@@ -302,27 +263,29 @@ fn corrupted_and_truncated_snapshots_are_rejected_typed() {
     ));
 }
 
+/// A reconstructor recording into `metrics`, for `geometry(24, 36)`.
+fn metered(metrics: &Metrics) -> (Reconstructor, Sinogram) {
+    let (grid, scan, sino) = geometry(24, 36);
+    let rec = ReconstructorBuilder::new(grid, scan)
+        .metrics(metrics.clone())
+        .build()
+        .unwrap();
+    (rec, sino)
+}
+
 #[test]
 fn rank_crash_restarts_from_checkpoint_and_completes() {
-    let (grid, scan, sino) = geometry(24, 36);
-    let ops = preprocess(grid, scan, &Config::default());
-    let y = ops.order_sinogram(&sino);
-    let config = DistConfig {
-        ranks: 3,
-        use_buffered: true,
-        stop: StopRule::Fixed(8),
-        solver: Solver::Cg,
-    };
+    let metrics = Metrics::collecting();
+    let (rec, sino) = metered(&metrics);
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 5, FaultKind::Crash)),
         max_restarts: 1,
         ..FaultTolerance::default()
     };
     let policy = CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 1).resume(true);
+    let req = cg_request(&sino, 8).mode(over_ranks(3, Some(ft)));
     let t = Instant::now();
-    let metrics = Metrics::collecting();
-    let out =
-        try_reconstruct_distributed_ft(&ops, &y, &config, &ft, Some(&policy), &metrics).unwrap();
+    let out = rec.run(&req.checkpoint(policy)).unwrap();
     // The acceptance bound: a mid-solve crash ends in a completed,
     // restarted solve well within the collective deadline — not a hang.
     assert!(
@@ -336,38 +299,34 @@ fn rank_crash_restarts_from_checkpoint_and_completes() {
         "restarted solve must reach budget"
     );
     assert!(out.images[0].iter().all(|v| v.is_finite()));
+    // The restart ran over one rank fewer: its ledger is 2 × 2.
+    assert_eq!(out.dist.as_ref().unwrap().ledger.size(), 2);
     let snap = metrics.snapshot();
     assert!(snap.counters["fault/rank_loss"] >= 1);
     assert!(snap.counters["fault/restarts"] >= 1);
+    assert_eq!(snap.matrices["comm/bytes"].size, 2);
 }
 
 #[test]
 fn rank_crash_without_restart_budget_is_a_typed_error() {
     let (grid, scan, sino) = geometry(24, 36);
-    let ops = preprocess(grid, scan, &Config::default());
-    let y = ops.order_sinogram(&sino);
-    let config = DistConfig {
-        ranks: 2,
-        use_buffered: true,
-        stop: StopRule::Fixed(8),
-        solver: Solver::Cg,
-    };
+    let rec = Reconstructor::new(grid, scan);
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 4, FaultKind::Crash)),
         max_restarts: 0,
         ..FaultTolerance::default()
     };
     let t = Instant::now();
-    let err = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, None, &Metrics::noop())
-        .err()
-        .expect("crash with no restart budget must fail");
+    let err = rec
+        .run(&cg_request(&sino, 8).mode(over_ranks(2, Some(ft))))
+        .expect_err("crash with no restart budget must fail");
     assert!(
         t.elapsed().as_secs() < 60,
         "failure took {:?} — deadline did not bound the wait",
         t.elapsed()
     );
     match err {
-        BuildError::Comm(e) => {
+        ReconError::Build(BuildError::Comm(e)) => {
             assert!(
                 matches!(e.kind, CommErrorKind::Crash | CommErrorKind::Aborted { .. }),
                 "unexpected kind: {e}"
@@ -377,27 +336,59 @@ fn rank_crash_without_restart_budget_is_a_typed_error() {
     }
 }
 
+/// A sink whose every save fails.
+struct BrokenSink;
+
+impl CheckpointSink for BrokenSink {
+    fn save(&self, _slot: usize, _bytes: &[u8]) -> Result<(), CheckpointError> {
+        Err(CheckpointError::Io {
+            message: "disk full".to_string(),
+        })
+    }
+    fn load(&self, _slot: usize) -> Result<Option<Vec<u8>>, CheckpointError> {
+        Ok(None)
+    }
+}
+
+/// A snapshot that cannot be saved is not a rank loss a restart could
+/// cure: the solve fails typed, with the restart budget untouched.
+#[test]
+fn checkpoint_faults_are_not_retried() {
+    let metrics = Metrics::collecting();
+    let (rec, sino) = metered(&metrics);
+    let ft = FaultTolerance {
+        max_restarts: 2,
+        ..FaultTolerance::default()
+    };
+    let req = cg_request(&sino, 8).mode(over_ranks(3, Some(ft)));
+    let err = rec
+        .run(&req.checkpoint(CheckpointPolicy::new(Arc::new(BrokenSink), 1)))
+        .expect_err("a failing sink must fail the solve");
+    match err {
+        ReconError::Build(BuildError::Comm(e)) => assert!(
+            matches!(e.kind, CommErrorKind::Checkpoint { .. }),
+            "unexpected kind: {e}"
+        ),
+        other => panic!("expected BuildError::Comm, got {other}"),
+    }
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counters["fault/rank_loss"], 1);
+    assert!(!snap.counters.contains_key("fault/restarts"));
+}
+
 #[test]
 fn recoverable_drops_are_retried_transparently() {
-    let (grid, scan, sino) = geometry(24, 36);
-    let ops = preprocess(grid, scan, &Config::default());
-    let y = ops.order_sinogram(&sino);
-    let config = DistConfig {
-        ranks: 2,
-        use_buffered: true,
-        stop: StopRule::Fixed(6),
-        solver: Solver::Cg,
-    };
-    let baseline = try_reconstruct_distributed(&ops, &y, &config).unwrap();
+    let metrics = Metrics::collecting();
+    let (rec, sino) = metered(&metrics);
+    let baseline = rec.run(&cg_request(&sino, 6).mode(over_ranks(2, None)));
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 3, FaultKind::Drop { attempts: 1 })),
         ..FaultTolerance::default()
     };
-    let metrics = Metrics::collecting();
-    let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, None, &metrics).unwrap();
+    let out = rec.run(&cg_request(&sino, 6).mode(over_ranks(2, Some(ft))));
     // A dropped delivery inside the retry budget is invisible to the
     // numerics: the run completes with the exact baseline bits.
-    assert_dist_bits_equal(&baseline, &out);
+    assert_bits_equal(&baseline.unwrap(), &out.unwrap());
     let snap = metrics.snapshot();
     assert!(snap.counters["fault/injected"] >= 1);
     assert!(snap.counters["fault/retries"] >= 1);

@@ -2,19 +2,22 @@
 //!
 //! Every pre-refactor solver loop (CGLS, SIRT, Tikhonov CGLS,
 //! nonnegative SIRT, smoothed CGLS, OS-SIRT) is copied here verbatim as a
-//! reference implementation; the tests assert that the engine-backed
-//! entry points reproduce the reference `IterationRecord` sequences
-//! **bit-for-bit** (residual and solution norms compared as raw f64
-//! bits), plus the distributed-equals-serial checks for both CG and SIRT
-//! with early termination.
+//! reference implementation; the tests assert that the one engine
+//! entry point — `run_engine` over a `ProjectionOperator`, on the serial
+//! operator and on a two-thread pool alike — and the request API
+//! reproduce the reference `IterationRecord` sequences **bit-for-bit**
+//! (residual and solution norms compared as raw f64 bits), plus the
+//! distributed-equals-serial checks for both CG and SIRT with early
+//! termination.
 
 use memxct::{
-    cgls, cgls_regularized, cgls_smooth, gradient_operator, preprocess, run_engine, sirt,
-    sirt_nonneg, try_reconstruct_distributed, BuildError, Config, Constraint, DistConfig, ExecMode,
-    IterationRecord, Kernel, Operators, ReconError, ReconInput, ReconRequest, Reconstructor,
-    SirtRule, Solver, StopRule,
+    cgls_smooth, gradient_operator, preprocess, run_engine, try_reconstruct_distributed,
+    BuildError, CgRule, Config, Constraint, DistConfig, ExecMode, IterationRecord, Kernel,
+    KernelOperator, Operators, PooledPlans, ProjectionOperator, ReconError, ReconInput,
+    ReconRequest, Reconstructor, SirtRule, Solver, StopRule, UpdateRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
+use xct_runtime::WorkerPool;
 use xct_sparse::{spmv, CsrMatrix};
 
 /// The pre-refactor solver loops, copied verbatim (timings aside) from the
@@ -260,6 +263,30 @@ fn assert_identical_images(got: &[f32], want: &[f32]) {
     }
 }
 
+/// `run_engine` with a fresh `rule()` under `constraint` must reproduce
+/// the reference solve bit for bit on every executor of the one
+/// `KernelOperator`: the serial operator and a two-thread pool.
+fn assert_engine_matches<R: UpdateRule>(
+    ops: &Operators,
+    y: &[f32],
+    rule: impl Fn() -> R,
+    constraint: Constraint,
+    stop: StopRule,
+    (x_ref, r_ref): (Vec<f32>, Vec<IterationRecord>),
+) {
+    let (pool, plans) = (
+        WorkerPool::new(2),
+        PooledPlans::new_batched(ops, Kernel::Serial, 2, 1),
+    );
+    let serial = ops.operator(Kernel::Serial);
+    let pooled = KernelOperator::pooled(ops, Kernel::Serial, &plans, &pool);
+    for op in [&*serial, &pooled as &dyn ProjectionOperator] {
+        let (x, r) = run_engine(op, y, &mut rule(), constraint, stop);
+        assert_identical_records(&r, &r_ref);
+        assert_identical_images(&x, &x_ref);
+    }
+}
+
 #[test]
 fn cgls_matches_reference_loop() {
     let (ops, y) = setup(24, 36);
@@ -270,29 +297,21 @@ fn cgls_matches_reference_loop() {
             min_decrease: 1e-3,
         },
     ] {
-        let (x_ref, r_ref) = reference::cgls(
+        let reference = reference::cgls(
             &y,
             ops.a.ncols(),
             |p| ops.forward(Kernel::Serial, p),
             |r| ops.back(Kernel::Serial, r),
             stop,
         );
-        let (x, r) = cgls(
-            &y,
-            ops.a.ncols(),
-            |p| ops.forward(Kernel::Serial, p),
-            |r| ops.back(Kernel::Serial, r),
-            stop,
-        );
-        assert_identical_records(&r, &r_ref);
-        assert_identical_images(&x, &x_ref);
+        assert_engine_matches(&ops, &y, CgRule::new, Constraint::None, stop, reference);
     }
 }
 
 #[test]
 fn sirt_matches_reference_loop() {
     let (ops, y) = setup(24, 36);
-    let (x_ref, r_ref) = reference::sirt(
+    let reference = reference::sirt(
         &y,
         ops.a.ncols(),
         |p| ops.forward(Kernel::Serial, p),
@@ -300,21 +319,14 @@ fn sirt_matches_reference_loop() {
         10,
         false,
     );
-    let (x, r) = sirt(
-        &y,
-        ops.a.ncols(),
-        |p| ops.forward(Kernel::Serial, p),
-        |r| ops.back(Kernel::Serial, r),
-        10,
-    );
-    assert_identical_records(&r, &r_ref);
-    assert_identical_images(&x, &x_ref);
+    let (rule, stop) = (|| SirtRule::new(1.0), StopRule::Fixed(10));
+    assert_engine_matches(&ops, &y, rule, Constraint::None, stop, reference);
 }
 
 #[test]
 fn cgls_regularized_matches_reference_loop() {
     let (ops, y) = setup(24, 36);
-    let (x_ref, r_ref) = reference::cgls_regularized(
+    let reference = reference::cgls_regularized(
         &y,
         ops.a.ncols(),
         |p| ops.forward(Kernel::Serial, p),
@@ -322,22 +334,14 @@ fn cgls_regularized_matches_reference_loop() {
         0.3,
         StopRule::Fixed(15),
     );
-    let (x, r) = cgls_regularized(
-        &y,
-        ops.a.ncols(),
-        |p| ops.forward(Kernel::Serial, p),
-        |r| ops.back(Kernel::Serial, r),
-        0.3,
-        StopRule::Fixed(15),
-    );
-    assert_identical_records(&r, &r_ref);
-    assert_identical_images(&x, &x_ref);
+    let (rule, stop) = (|| CgRule::regularized(0.3), StopRule::Fixed(15));
+    assert_engine_matches(&ops, &y, rule, Constraint::None, stop, reference);
 }
 
 #[test]
 fn sirt_nonneg_matches_reference_loop() {
     let (ops, y) = setup(24, 36);
-    let (x_ref, r_ref) = reference::sirt(
+    let reference = reference::sirt(
         &y,
         ops.a.ncols(),
         |p| ops.forward(Kernel::Serial, p),
@@ -345,15 +349,8 @@ fn sirt_nonneg_matches_reference_loop() {
         10,
         true,
     );
-    let (x, r) = sirt_nonneg(
-        &y,
-        ops.a.ncols(),
-        |p| ops.forward(Kernel::Serial, p),
-        |r| ops.back(Kernel::Serial, r),
-        10,
-    );
-    assert_identical_records(&r, &r_ref);
-    assert_identical_images(&x, &x_ref);
+    let (rule, stop) = (|| SirtRule::new(1.0), StopRule::Fixed(10));
+    assert_engine_matches(&ops, &y, rule, Constraint::NonNegative, stop, reference);
 }
 
 #[test]

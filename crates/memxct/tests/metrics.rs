@@ -97,24 +97,20 @@ fn noop_metrics_collect_nothing_end_to_end() {
 #[test]
 fn exported_comm_matrix_matches_ledger_per_pair() {
     let (grid, scan, sino) = small_sinogram(32);
-    let ops = try_preprocess(grid, scan, &Config::default()).unwrap();
-    let y = ops.order_sinogram(&sino);
-    let ranks = 4;
     let metrics = Metrics::collecting();
-    let out = try_reconstruct_distributed_ft(
-        &ops,
-        &y,
-        &DistConfig {
-            ranks,
-            use_buffered: true,
-            stop: StopRule::Fixed(5),
-            solver: Solver::Cg,
-        },
-        &FaultTolerance::disabled(),
-        None,
-        &metrics,
-    )
-    .unwrap();
+    let rec = ReconstructorBuilder::new(grid, scan)
+        .metrics(metrics.clone())
+        .build()
+        .unwrap();
+    let ranks = 4;
+    let config = DistConfig {
+        ranks,
+        ..DistConfig::default()
+    };
+    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(5))
+        .mode(ExecMode::Distributed { config, ft: None });
+    let out = rec.run(&req).unwrap();
+    let ledger = &out.dist.expect("distributed detail").ledger;
 
     let mat = &metrics.snapshot().matrices["comm/bytes"];
     assert_eq!(mat.size, ranks);
@@ -122,7 +118,7 @@ fn exported_comm_matrix_matches_ledger_per_pair() {
         for dst in 0..ranks {
             assert_eq!(
                 mat.get(src, dst),
-                out.ledger.bytes(src, dst),
+                ledger.bytes(src, dst),
                 "pair ({src},{dst})"
             );
         }
@@ -130,7 +126,7 @@ fn exported_comm_matrix_matches_ledger_per_pair() {
     // The sparse structure survives export: the matrix has exactly as
     // many communicating pairs as the ledger counted.
     let nonzero = mat.data.iter().filter(|&&b| b > 0).count();
-    assert_eq!(nonzero, out.ledger.nonzero_pairs());
+    assert_eq!(nonzero, ledger.nonzero_pairs());
 }
 
 /// Builder validation rejects each invalid input with the specific

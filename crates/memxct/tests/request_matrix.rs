@@ -183,7 +183,7 @@ fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
                     (solver, &mode)
                 {
                     let (sink, policy) = memory_policy(1);
-                    let watched = req.checkpoint(policy.clone());
+                    let watched = req.checkpoint(policy);
                     let refused = rec.run_controlled(&watched, &RunControl::new());
                     let want = if mode_name == "pooled" {
                         "pooled"
@@ -198,19 +198,11 @@ fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
                         "{ctx}: {refused:?}"
                     );
                     // The distributed entry outside the request model too.
-                    if let ExecMode::Distributed { config, ft } = &mode {
+                    if let ExecMode::Distributed { config, .. } = &mode {
                         let config = DistConfig { solver, ..*config };
-                        let (ops, ft) = (rec.operators(), ft.clone().unwrap_or_default());
+                        let ops = rec.operators();
                         let y = vec![0f32; ops.a.nrows() * rec.batch()];
-                        let noop = Metrics::noop();
-                        let direct = try_reconstruct_distributed_ft(
-                            ops,
-                            &y,
-                            &config,
-                            &ft,
-                            Some(&policy),
-                            &noop,
-                        );
+                        let direct = try_reconstruct_distributed(ops, &y, &config);
                         let refused = matches!(direct, Err(BuildError::SerialOnly("distributed")));
                         assert!(refused, "{ctx}: direct");
                     }

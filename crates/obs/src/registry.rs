@@ -1,9 +1,7 @@
 //! The metrics registry and the [`Metrics`] handle layered over it.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::span::Span;
 
@@ -158,9 +156,16 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The recorded state. Poison is recovered, not propagated: a thread
+    /// that panicked while recording must not take every later recording
+    /// down with it.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Immutable, deterministically ordered copy of everything recorded.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let st = self.state.lock();
+        let st = self.state();
         MetricsSnapshot {
             counters: st.counters.clone(),
             gauges: st.gauges.clone(),
@@ -232,7 +237,7 @@ impl Metrics {
     /// Add `v` to the counter `name`.
     pub fn counter_add(&self, name: &str, v: u64) {
         if let Some(r) = &self.inner {
-            let mut st = r.state.lock();
+            let mut st = r.state();
             *st.counters.entry_or_insert(name) += v;
         }
     }
@@ -240,14 +245,14 @@ impl Metrics {
     /// Set the gauge `name` to `v` (last write wins).
     pub fn gauge_set(&self, name: &str, v: f64) {
         if let Some(r) = &self.inner {
-            r.state.lock().gauges.insert(name.to_owned(), v);
+            r.state().gauges.insert(name.to_owned(), v);
         }
     }
 
     /// Record one observation of the timer `name` (seconds).
     pub fn timer_observe(&self, name: &str, seconds: f64) {
         if let Some(r) = &self.inner {
-            let mut st = r.state.lock();
+            let mut st = r.state();
             match st.timers.get_mut(name) {
                 Some(t) => t.observe(seconds),
                 None => {
@@ -261,7 +266,7 @@ impl Metrics {
     /// Append `v` to the series `name`.
     pub fn series_push(&self, name: &str, v: f64) {
         if let Some(r) = &self.inner {
-            let mut st = r.state.lock();
+            let mut st = r.state();
             match st.series.get_mut(name) {
                 Some(s) => s.push(v),
                 None => {
@@ -278,10 +283,8 @@ impl Metrics {
     pub fn matrix_set(&self, name: &str, size: usize, data: Vec<u64>) {
         assert_eq!(data.len(), size * size, "matrix must be size × size");
         if let Some(r) = &self.inner {
-            r.state
-                .lock()
-                .matrices
-                .insert(name.to_owned(), MatrixSnapshot { size, data });
+            let matrix = MatrixSnapshot { size, data };
+            r.state().matrices.insert(name.to_owned(), matrix);
         }
     }
 
@@ -298,7 +301,7 @@ impl Metrics {
     pub fn timer_total(&self, name: &str) -> Option<f64> {
         self.inner
             .as_ref()
-            .map(|r| r.state.lock().timers.get(name).map_or(0.0, |t| t.total_s))
+            .map(|r| r.state().timers.get(name).map_or(0.0, |t| t.total_s))
     }
 
     /// Snapshot the registry (empty snapshot for the no-op handle).

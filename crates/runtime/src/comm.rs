@@ -204,8 +204,7 @@ pub struct Communicator {
     shared: Arc<Shared>,
     /// Counts the collectives this rank has entered; the key space of
     /// [`FaultPlan`]. Each public collective bumps it exactly once
-    /// (wrappers like `allreduce_sum` count as their one underlying
-    /// `alltoallv`).
+    /// (`alltoall_counts` counts as its one underlying `alltoallv`).
     collective_index: AtomicU64,
     /// `senders[dst]`: my channel to `dst`.
     senders: Vec<Sender<Frame>>,
@@ -536,95 +535,6 @@ impl Communicator {
         Ok(out)
     }
 
-    /// MPI_Allgather of one buffer per rank (returned in rank order).
-    ///
-    /// # Panics
-    /// On any [`CommError`] ([`Communicator::try_allgather`] is the typed
-    /// variant).
-    pub fn allgather(&self, mine: Vec<f32>) -> Vec<Vec<f32>> {
-        self.try_allgather(mine).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible MPI_Allgather (one collective-index entry).
-    pub fn try_allgather(&self, mine: Vec<f32>) -> Result<Vec<Vec<f32>>, CommError> {
-        let send: Vec<Vec<f32>> = (0..self.size()).map(|_| mine.clone()).collect();
-        self.try_alltoallv(send)
-    }
-
-    /// MPI_Allreduce(SUM) on equal-length buffers. Contributions are
-    /// summed in rank order, so the result is deterministic.
-    ///
-    /// # Panics
-    /// On any [`CommError`] ([`Communicator::try_allreduce_sum`] is the
-    /// typed variant).
-    pub fn allreduce_sum(&self, mine: &mut [f32]) {
-        self.try_allreduce_sum(mine)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible MPI_Allreduce(SUM); deterministic rank-order summation.
-    pub fn try_allreduce_sum(&self, mine: &mut [f32]) -> Result<(), CommError> {
-        let gathered = self.try_allgather(mine.to_vec())?;
-        for v in mine.iter_mut() {
-            *v = 0.0;
-        }
-        for buf in gathered {
-            assert_eq!(buf.len(), mine.len(), "allreduce length mismatch");
-            for (acc, v) in mine.iter_mut().zip(buf) {
-                *acc += v;
-            }
-        }
-        Ok(())
-    }
-
-    /// MPI_Alltoallv of u32 index lists (setup/metadata exchanges, e.g.
-    /// telling each peer which sinogram rows will arrive from us).
-    ///
-    /// # Panics
-    /// On any [`CommError`] ([`Communicator::try_alltoallv_u32`] is the
-    /// typed variant).
-    pub fn alltoallv_u32(&self, send: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-        self.try_alltoallv_u32(send)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible MPI_Alltoallv of u32 index lists.
-    pub fn try_alltoallv_u32(&self, send: Vec<Vec<u32>>) -> Result<Vec<Vec<u32>>, CommError> {
-        assert_eq!(send.len(), self.size(), "one send buffer per rank");
-        let index = self.next_index();
-        self.inject_crash(index, "alltoallv_u32")?;
-        let faults = self.shared.plan.message_faults(self.rank, index);
-        let t = Instant::now();
-        let mut own: Option<Vec<u32>> = None;
-        for (dst, buf) in send.into_iter().enumerate() {
-            if dst == self.rank {
-                own = Some(buf);
-            } else {
-                self.record(dst, buf.len() * 4);
-                let mut bytes = Vec::with_capacity(buf.len() * 4);
-                for v in buf {
-                    bytes.extend_from_slice(&v.to_le_bytes());
-                }
-                self.send_frame(dst, bytes, &faults, "alltoallv_u32")?;
-            }
-        }
-        let mut out = Vec::with_capacity(self.size());
-        for src in 0..self.size() {
-            if src == self.rank {
-                out.push(own.take().unwrap());
-            } else {
-                let b = self.recv_frame(src, "alltoallv_u32")?;
-                out.push(
-                    b.chunks_exact(4)
-                        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                        .collect(),
-                );
-            }
-        }
-        self.record_collective(t);
-        Ok(out)
-    }
-
     /// MPI_Alltoall of u64 counts (metadata exchanges).
     ///
     /// # Panics
@@ -696,11 +606,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// ```
 /// use xct_runtime::run_ranks;
-/// // Four ranks allreduce their rank ids: everyone ends with 0+1+2+3.
+/// // Four ranks send their rank id to everyone and sum what arrives:
+/// // everyone ends with 0+1+2+3.
 /// let (results, ledger) = run_ranks(4, |comm| {
-///     let mut v = vec![comm.rank() as f32];
-///     comm.allreduce_sum(&mut v);
-///     v[0]
+///     let recv = comm.alltoallv(vec![vec![comm.rank() as f32]; comm.size()]);
+///     recv.iter().map(|b| b[0]).sum::<f32>()
 /// });
 /// assert_eq!(results, vec![6.0; 4]);
 /// assert!(ledger.total() > 0);
@@ -738,9 +648,8 @@ where
 ///     CommConfig::default(),
 ///     Arc::new(FaultPlan::new()),
 ///     |comm| {
-///         let mut v = vec![1.0f32];
-///         comm.try_allreduce_sum(&mut v)?;
-///         Ok(v[0])
+///         let recv = comm.try_alltoallv(vec![vec![1.0f32]; comm.size()])?;
+///         Ok(recv.iter().map(|b| b[0]).sum::<f32>())
 ///     },
 /// )
 /// .unwrap();
@@ -916,25 +825,14 @@ mod tests {
         assert_eq!(ledger.bytes(1, 0), 4);
     }
 
-    #[test]
-    fn allreduce_sums_deterministically() {
-        let (results, _) = run_ranks(5, |c| {
-            let mut v = vec![c.rank() as f32, 1.0];
-            c.allreduce_sum(&mut v);
-            v
-        });
-        for r in results {
-            assert_eq!(r, vec![10.0, 5.0]);
+    /// Every rank's `mine` summed elementwise in rank order, over one
+    /// `try_alltoallv` (one collective-index entry).
+    fn sum_over_ranks(c: &Communicator, mine: &[f32]) -> Result<Vec<f32>, CommError> {
+        let mut sum = vec![0f32; mine.len()];
+        for buf in c.try_alltoallv(vec![mine.to_vec(); c.size()])? {
+            sum.iter_mut().zip(buf).for_each(|(s, v)| *s += v);
         }
-    }
-
-    #[test]
-    fn allgather_orders_by_rank() {
-        let (results, _) = run_ranks(4, |c| c.allgather(vec![c.rank() as f32 * 2.0]));
-        for r in results {
-            let flat: Vec<f32> = r.into_iter().flatten().collect();
-            assert_eq!(flat, vec![0.0, 2.0, 4.0, 6.0]);
-        }
+        Ok(sum)
     }
 
     #[test]
@@ -987,11 +885,11 @@ mod tests {
                 c.alltoallv((0..3).map(|_| vec![1.0f32]).collect());
             }
             c.barrier();
-            c.alltoallv_u32((0..3).map(|_| vec![7u32]).collect());
+            c.alltoall_counts(vec![7; 3]);
         });
         for rank in 0..3 {
             let s = ledger.collectives(rank);
-            assert_eq!(s.calls, 6, "rank {rank}: 4 alltoallv + barrier + u32");
+            assert_eq!(s.calls, 6, "rank {rank}: 4 alltoallv + barrier + counts");
             assert!(s.seconds >= 0.0);
         }
         // The byte matrix export matches the per-pair accessor.
@@ -1007,9 +905,7 @@ mod tests {
     fn single_rank_works() {
         let (results, ledger) = run_ranks(1, |c| {
             let recv = c.alltoallv(vec![vec![1.0, 2.0]]);
-            let mut v = vec![3.0];
-            c.allreduce_sum(&mut v);
-            (recv, v)
+            (recv, sum_over_ranks(c, &[3.0]).unwrap())
         });
         assert_eq!(results[0].0, vec![vec![1.0, 2.0]]);
         assert_eq!(results[0].1, vec![3.0]);
@@ -1103,9 +999,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new().with(0, 0, FaultKind::Drop { attempts: 1 }));
         let (results, ledger) = within(Duration::from_secs(10), move || {
             run_ranks_with(2, CommConfig::default(), plan, |c| {
-                let mut v = vec![c.rank() as f32 + 1.0];
-                c.try_allreduce_sum(&mut v)?;
-                Ok(v[0])
+                Ok(sum_over_ranks(c, &[c.rank() as f32 + 1.0])?[0])
             })
             .unwrap()
         });
@@ -1123,12 +1017,7 @@ mod tests {
             ..CommConfig::default()
         };
         let err = within(Duration::from_secs(10), move || {
-            run_ranks_with(2, config, plan, |c| {
-                let mut v = vec![1.0f32];
-                c.try_allreduce_sum(&mut v)?;
-                Ok(v[0])
-            })
-            .unwrap_err()
+            run_ranks_with(2, config, plan, |c| Ok(sum_over_ranks(c, &[1.0])?[0])).unwrap_err()
         });
         assert_eq!(err.rank, 0);
         assert_eq!(err.kind, CommErrorKind::SendLost { attempts: 3 });
@@ -1155,9 +1044,7 @@ mod tests {
         let plan = Arc::new(FaultPlan::new().with(0, 0, FaultKind::Delay { micros: 2_000 }));
         let (results, ledger) = within(Duration::from_secs(10), move || {
             run_ranks_with(2, CommConfig::default(), plan, |c| {
-                let mut v = vec![c.rank() as f32];
-                c.try_allreduce_sum(&mut v)?;
-                Ok(v[0])
+                Ok(sum_over_ranks(c, &[c.rank() as f32])?[0])
             })
             .unwrap()
         });
@@ -1212,7 +1099,7 @@ mod tests {
         let workload = |c: &Communicator| {
             let mut acc = vec![c.rank() as f32 * 0.25 + 0.125, 1.5];
             for _ in 0..5 {
-                c.allreduce_sum(&mut acc);
+                acc = sum_over_ranks(c, &acc).unwrap();
                 for v in acc.iter_mut() {
                     *v *= 0.5;
                 }

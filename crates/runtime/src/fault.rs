@@ -4,7 +4,7 @@
 //!
 //! Faults are keyed on `(rank, collective_index, kind)` — no RNG, no
 //! seeds. A rank's `collective_index` counts the collectives *that rank*
-//! has entered (barrier, alltoallv, allgather, allreduce, …), so the same
+//! has entered (barrier, alltoallv, alltoall_counts), so the same
 //! plan injects the same fault at the same point of every run. Crash
 //! faults additionally fire at most once per [`FaultPlan`] instance, so a
 //! restarted solve (graceful degradation) does not re-crash on the

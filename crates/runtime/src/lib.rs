@@ -7,7 +7,7 @@
 //!
 //! - [`run_ranks`] / [`Communicator`]: an SPMD harness where each "rank"
 //!   is a thread with private state, exchanging data only through MPI-like
-//!   collectives (`alltoallv`, `allreduce_sum`, `allgather`, `barrier`).
+//!   collectives (`alltoallv`, `alltoall_counts`, `barrier`).
 //!   Semantics match MPI; per-pair traffic is accounted into a
 //!   communication matrix (Fig 7(c)).
 //! - [`MachineSpec`] / [`iteration_time`]: an α–β network + streaming

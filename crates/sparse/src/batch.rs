@@ -43,86 +43,6 @@ use xct_runtime::{ExecPlan, WorkerPool};
 /// accumulation is independent), only the matrix re-read distance.
 pub const SPMM_ROW_TILE: usize = 256;
 
-/// A slice-major batched vector: `batch` contiguous blocks of `len`
-/// elements each, slice `j` at `data[j * len .. (j + 1) * len]`. This is
-/// the right-hand-side (and output) shape of every SpMM kernel and of the
-/// batched solver engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SliceBatch {
-    len: usize,
-    batch: usize,
-    data: Vec<f32>,
-}
-
-impl SliceBatch {
-    /// An all-zero batch of `batch` slices of `len` elements.
-    ///
-    /// # Panics
-    /// If `batch` is zero.
-    pub fn new(len: usize, batch: usize) -> Self {
-        assert!(batch > 0, "batch width must be positive");
-        SliceBatch {
-            len,
-            batch,
-            data: vec![0f32; len * batch],
-        }
-    }
-
-    /// Pack independent slices into one slice-major block.
-    ///
-    /// # Panics
-    /// If `slices` is empty or the slices disagree in length.
-    pub fn from_slices(slices: &[&[f32]]) -> Self {
-        assert!(!slices.is_empty(), "batch width must be positive");
-        let len = slices[0].len();
-        let mut data = Vec::with_capacity(len * slices.len());
-        for s in slices {
-            assert_eq!(s.len(), len, "slice lengths must agree");
-            data.extend_from_slice(s);
-        }
-        SliceBatch {
-            len,
-            batch: slices.len(),
-            data,
-        }
-    }
-
-    /// Elements per slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when slices are empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of slices (the batch width k).
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Slice `j` as a contiguous block.
-    pub fn slice(&self, j: usize) -> &[f32] {
-        &self.data[j * self.len..(j + 1) * self.len]
-    }
-
-    /// Mutable slice `j`.
-    pub fn slice_mut(&mut self, j: usize) -> &mut [f32] {
-        &mut self.data[j * self.len..(j + 1) * self.len]
-    }
-
-    /// The whole slice-major block (`len × batch` elements).
-    pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// The whole slice-major block, mutable.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-}
-
 /// Sequential CSR SpMM: `y = A · [x₁ … xₖ]`, both sides slice-major.
 /// Column `j` is bit-identical to [`crate::spmv_into`] on slice `j`.
 pub fn spmm_into(a: &CsrMatrix, x: &[f32], y: &mut [f32], batch: usize) {
@@ -218,18 +138,6 @@ mod tests {
         (0..ncols * batch)
             .map(|i| ((i * 37 + 11) % 101) as f32 * 0.013 - 0.5)
             .collect()
-    }
-
-    #[test]
-    fn slice_batch_blocks_are_slice_major() {
-        let mut sb = SliceBatch::new(3, 2);
-        sb.slice_mut(1).copy_from_slice(&[1.0, 2.0, 3.0]);
-        assert_eq!(sb.as_slice(), &[0.0, 0.0, 0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(sb.slice(0), &[0.0; 3]);
-        assert_eq!(sb.len(), 3);
-        assert_eq!(sb.batch(), 2);
-        let packed = SliceBatch::from_slices(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        assert_eq!(packed.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

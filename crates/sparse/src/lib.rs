@@ -20,10 +20,10 @@
 //!   every worker count. The pool is the **only** threaded path: every
 //!   entry point without a `pool` argument runs on the calling thread —
 //!   [`dot_f64_chunked`] is the pooled dot's summation order there;
-//! - [`SliceBatch`] / [`spmm_into`] / [`spmm_pooled_into`] (plus SpMM
-//!   methods on the buffered/ELL layouts): batched right-hand sides,
-//!   `Y = A · [x₁ … xₖ]`, streaming the matrix once per k slices with
-//!   per-slice results bit-identical to the SpMV kernels;
+//! - [`spmm_into`] / [`spmm_pooled_into`] (plus SpMM methods on the
+//!   buffered/ELL layouts): batched right-hand sides as slice-major
+//!   slabs, `Y = A · [x₁ … xₖ]`, streaming the matrix once per k slices
+//!   with per-slice results bit-identical to the SpMV kernels;
 //! - [`PartitionStats`]: footprint / data-reuse / staging statistics used
 //!   by Fig 6 and the bandwidth accounting of Fig 9;
 //! - [`lanes`]: the fixed-width lane-split row reduction every kernel
@@ -45,7 +45,7 @@ mod reduce;
 mod spmv;
 mod stats;
 
-pub use batch::{spmm, spmm_into, spmm_pooled_into, SliceBatch, SPMM_ROW_TILE};
+pub use batch::{spmm, spmm_into, spmm_pooled_into, SPMM_ROW_TILE};
 pub use buffered::{BufferIndex, BufferedCsr, BufferedCsr32, BufferedCsrImpl, LayoutError};
 pub use csr::CsrMatrix;
 pub use ell::{EllMatrix, EllPartitionView};
