@@ -879,6 +879,52 @@ mod tests {
         }
     }
 
+    /// The smallest implementor: only the four required methods.
+    struct PairSums;
+
+    impl ProjectionOperator for PairSums {
+        fn nrows(&self) -> usize {
+            2
+        }
+        fn ncols(&self) -> usize {
+            3
+        }
+        fn forward_into(&self, x: &[f32], y: &mut [f32]) {
+            y.copy_from_slice(&[x[0] + x[1], x[2]]);
+        }
+        fn back_into(&self, y: &[f32], x: &mut [f32]) {
+            x.copy_from_slice(&[y[0], y[0], y[1]]);
+        }
+    }
+
+    #[test]
+    fn required_methods_are_enough() {
+        let op = PairSums;
+        let mut y = vec![0f32; 4];
+        op.forward_batch_into(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &mut y, 2);
+        assert_eq!(y, vec![3.0, 3.0, 9.0, 6.0]);
+        let mut x = vec![0f32; 6];
+        op.back_batch_into(&[5.0, 7.0, 1.0, 2.0], &mut x, 2);
+        assert_eq!(x, vec![5.0, 5.0, 7.0, 1.0, 1.0, 2.0]);
+
+        // Slices longer than one 4096-element chunk: every batched dot
+        // carries the bits of the chunked single dot on its slice.
+        let len = 5000;
+        let a: Vec<f32> = (0..2 * len).map(|i| (i as f32 * 0.37).sin()).collect();
+        let b: Vec<f32> = (0..2 * len).map(|i| (i as f32 * 0.11).cos()).collect();
+        let mut out = [0f64; 2];
+        op.local_dot_batch(&a, &b, &mut out);
+        for (j, got) in out.iter().enumerate() {
+            let s = j * len..(j + 1) * len;
+            let want = xct_sparse::dot_f64_chunked(&a[s.clone()], &b[s]);
+            assert_eq!(got.to_bits(), want.to_bits(), "slice {j}");
+        }
+        assert_eq!(op.local_dot(&a, &b), xct_sparse::dot_f64_chunked(&a, &b));
+        assert_eq!(op.reduce_dot(3.25), 3.25);
+        assert!(op.breakdown().is_none());
+        assert!(op.fault().is_none());
+    }
+
     #[test]
     fn stacked_operator_appends_scaled_rows() {
         let ops = ops(6, 4);

@@ -403,6 +403,50 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_recording_loses_nothing() {
+        let m = Metrics::collecting();
+        let workers: Vec<_> = (0..4)
+            .map(|t| {
+                let m = m.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        m.counter_add("hits", 1);
+                        m.timer_observe("t", 0.5);
+                    }
+                    m.series_push(&format!("worker/{t}"), t as f64);
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("recording thread");
+        }
+        let snap = m.snapshot();
+        assert_eq!(snap.counters["hits"], 4000);
+        assert_eq!(snap.timers["t"].count, 4000);
+        assert_eq!(snap.timers["t"].total_s, 2000.0);
+        assert_eq!(snap.series.len(), 4);
+    }
+
+    #[test]
+    fn poisoned_registry_keeps_recording() {
+        let m = Metrics::collecting();
+        m.counter_add("c", 1);
+        let registry = Arc::clone(m.inner.as_ref().expect("collecting"));
+        let died = std::thread::spawn(move || {
+            let _held = registry.state();
+            panic!("recording thread dies holding the lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(m.inner.as_ref().expect("collecting").state.is_poisoned());
+        m.counter_add("c", 2);
+        m.gauge_set("g", 1.0);
+        let snap = m.snapshot();
+        assert_eq!(snap.counters["c"], 3);
+        assert_eq!(snap.gauges["g"], 1.0);
+    }
+
+    #[test]
     #[should_panic(expected = "size × size")]
     fn matrix_shape_is_checked_even_for_noop() {
         Metrics::noop().matrix_set("m", 2, vec![1, 2, 3]);

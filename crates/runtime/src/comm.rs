@@ -836,6 +836,36 @@ mod tests {
     }
 
     #[test]
+    fn rank_order_sum_is_identical_on_every_rank() {
+        // The terms do not associate in f32 (1e8 + 1 rounds away), so
+        // only a fixed rank order gives every rank the same bits.
+        let (results, _) = run_ranks(5, |c| {
+            let term = [1e8f32, 1.0, -1e8, 3.0, 0.5][c.rank()];
+            sum_over_ranks(c, &[term, c.rank() as f32, 1.0]).unwrap()
+        });
+        let want = [(((1e8f32 + 1.0) - 1e8) + 3.0) + 0.5, 10.0, 5.0];
+        for r in results {
+            assert_eq!(r, want);
+        }
+    }
+
+    #[test]
+    fn alltoallv_gathers_in_rank_order() {
+        // An allgather is an alltoallv that sends one buffer to everyone:
+        // the blocks come back in source-rank order, lengths intact.
+        let (results, _) = run_ranks(4, |c| {
+            let mine = vec![c.rank() as f32 * 2.0; c.rank()];
+            c.alltoallv(vec![mine; c.size()])
+        });
+        for r in results {
+            let lens: Vec<usize> = r.iter().map(Vec::len).collect();
+            assert_eq!(lens, vec![0, 1, 2, 3]);
+            let flat: Vec<f32> = r.into_iter().flatten().collect();
+            assert_eq!(flat, vec![2.0, 4.0, 4.0, 6.0, 6.0, 6.0]);
+        }
+    }
+
+    #[test]
     fn alltoall_counts_roundtrip() {
         let (results, _) = run_ranks(3, |c| {
             let send: Vec<u64> = (0..3).map(|d| (c.rank() as u64) << 32 | d as u64).collect();

@@ -70,6 +70,55 @@ proptest! {
     }
 
     #[test]
+    fn alltoallv_carries_any_f32_bits(size in 1usize..5, base in any::<u32>()) {
+        // Raw bit patterns (signalling and quiet NaNs, -0, subnormals,
+        // then a spread of arbitrary words) must cross the byte framing
+        // untouched, both between ranks and in the self-delivered block.
+        let word = move |src: usize, dst: usize, i: usize| -> u32 {
+            match i {
+                0 => 0x7fa0_0001,
+                1 => 0xffc0_0000 | src as u32,
+                2 => 0x8000_0000,
+                3 => 0x0000_0001 + dst as u32,
+                _ => base
+                    .wrapping_add((src * 64 + dst * 8 + i) as u32)
+                    .wrapping_mul(0x9e37_79b9),
+            }
+        };
+        let (results, _) = run_ranks(size, move |c| {
+            let send: Vec<Vec<f32>> = (0..size)
+                .map(|q| (0..8).map(|i| f32::from_bits(word(c.rank(), q, i))).collect())
+                .collect();
+            c.try_alltoallv(send).unwrap()
+        });
+        for (rank, recv) in results.iter().enumerate() {
+            for (src, buf) in recv.iter().enumerate() {
+                let got: Vec<u32> = buf.iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u32> = (0..8).map(|i| word(src, rank, i)).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    #[test]
+    fn alltoall_counts_carry_any_u64(size in 1usize..5, seed in any::<u64>()) {
+        // Each u64 rides as two f32 lanes; halves that read as NaN must
+        // come back with their bits intact.
+        let count = move |src: usize, dst: usize| -> u64 {
+            seed.rotate_left((src * 5 + dst) as u32) ^ ((src as u64) << 40 | dst as u64)
+        };
+        let (results, _) = run_ranks(size, move |c| {
+            let send: Vec<u64> = (0..size).map(|q| count(c.rank(), q)).collect();
+            c.try_alltoall_counts(send).unwrap()
+        });
+        for (rank, recv) in results.iter().enumerate() {
+            for (src, &v) in recv.iter().enumerate() {
+                prop_assert_eq!(v, count(src, rank));
+            }
+        }
+    }
+
+    #[test]
     fn ledger_send_recv_totals_are_consistent(size in 2usize..6) {
         let (_, ledger) = run_ranks(size, |c| {
             let send: Vec<Vec<f32>> = (0..size).map(|q| vec![0.5; q + 1]).collect();
