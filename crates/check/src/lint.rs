@@ -195,6 +195,13 @@ const RETIRED: &[Retired] = &[
             `ReconRequest` (`Reconstructor::run`, `ExecMode::Distributed` for ranks), and ranks \
             exchange through `try_alltoallv` alone",
     },
+    Retired {
+        names: &["BatchOut", "SPMM_ROW_TILE"],
+        scope: product_and_its_callers,
+        message: "retired slice-major carving: batched slabs are slice-interleaved from the \
+            engine to the kernel, so a pool worker's rows are one contiguous `&mut [T]` and \
+            the CSR SpMM needs no row tile",
+    },
 ];
 
 /// The message of the first [`RETIRED`] row that polices `rel` and has a
@@ -636,6 +643,10 @@ mod tests {
         (
             "crates/memxct/tests/fault_tolerance.rs",
             "let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, None, &m)?;\n",
+        ),
+        (
+            "crates/sparse/src/batch.rs",
+            "pool.run_batched(plan, y, k, |_p, rows, mut out: BatchOut<'_, f32>, _s| {});\n",
         ),
     ];
 

@@ -224,8 +224,8 @@ pub fn build_plans(ops: &Operators, ranks: usize, use_buffered: bool) -> Vec<Ran
 }
 
 impl RankPlan {
-    /// Local SpMM over `batch` slice-major slices (matrix streamed once),
-    /// on the calling thread: a rank is one thread.
+    /// Local SpMM over `batch` slice-interleaved slices (matrix streamed
+    /// once), on the calling thread: a rank is one thread.
     fn local_spmm(csr: &CsrMatrix, buf: Option<&BufferedCsr>, x: &[f32], batch: usize) -> Vec<f32> {
         let mut y = vec![0f32; csr.nrows() * batch];
         match buf {
@@ -238,14 +238,13 @@ impl RankPlan {
     /// Distributed forward projection — this rank's owned block of
     /// `y = A·x`, adding kernel times into `kb` — the one body for every
     /// width. A peer crash, timeout, or corrupt frame surfaces as a typed
-    /// [`CommError`]. `x_local` holds `batch` slice-major blocks of this rank's tomogram
-    /// subdomain, and the returned slab holds `batch` blocks of the owned
+    /// [`CommError`]. `x_local` is this rank's tomogram subdomain as a
+    /// `batch`-wide slice-interleaved slab, and so is the returned owned
     /// sinogram range. The alltoallv *schedule* (which rows go to which
     /// peer) does not depend on the width — each scheduled row just
-    /// carries `batch` f32 values (slice-major within each peer's
-    /// payload) — so one communication round serves the whole batch, and
-    /// slice `j` of the result is bit-identical to the `batch = 1` call
-    /// on slice `j`.
+    /// carries its `batch` contiguous f32 values — so one communication
+    /// round serves the whole batch, and slice `j` of the result is
+    /// bit-identical to the `batch = 1` call on slice `j`.
     pub fn try_forward_batch(
         &self,
         comm: &Communicator,
@@ -257,20 +256,13 @@ impl RankPlan {
         let t = Instant::now();
         let y_part = Self::local_spmm(&self.a_local, self.a_local_buf.as_ref(), x_local, batch);
         kb.ap_s += t.elapsed().as_secs_f64();
-        let inter = self.inter_rows.len();
 
         // C: one collective routes every slice's partials to the owners.
         let t = Instant::now();
         let send: Vec<Vec<f32>> = self
             .dest_ranges
             .iter()
-            .map(|r| {
-                let mut payload = Vec::with_capacity(r.len() * batch);
-                for j in 0..batch {
-                    payload.extend_from_slice(&y_part[j * inter + r.start..j * inter + r.end]);
-                }
-                payload
-            })
+            .map(|r| y_part[r.start * batch..r.end * batch].to_vec())
             .collect();
         let recv = comm.try_alltoallv(send)?;
         kb.c_s += t.elapsed().as_secs_f64();
@@ -284,10 +276,10 @@ impl RankPlan {
         for (src, vals) in recv.into_iter().enumerate() {
             let rows = &self.rows_from[src];
             debug_assert_eq!(rows.len() * batch, vals.len());
-            for j in 0..batch {
-                let block = &vals[j * rows.len()..(j + 1) * rows.len()];
-                for (&row, v) in rows.iter().zip(block) {
-                    y_local[j * own + (row - slo) as usize] += v;
+            for (&row, v) in rows.iter().zip(vals.chunks_exact(batch)) {
+                let dst = &mut y_local[(row - slo) as usize * batch..][..batch];
+                for (d, v) in dst.iter_mut().zip(v) {
+                    *d += v;
                 }
             }
         }
@@ -308,17 +300,13 @@ impl RankPlan {
         // Rᵀ: owners duplicate every slice's overlapped values per peer.
         let t = Instant::now();
         let slo = self.sino_range.start;
-        let own = (self.sino_range.end - slo) as usize;
         let send: Vec<Vec<f32>> = self
             .rows_from
             .iter()
             .map(|rows| {
                 let mut payload = Vec::with_capacity(rows.len() * batch);
-                for j in 0..batch {
-                    payload.extend(
-                        rows.iter()
-                            .map(|&row| y_local[j * own + (row - slo) as usize]),
-                    );
+                for &row in rows {
+                    payload.extend_from_slice(&y_local[(row - slo) as usize * batch..][..batch]);
                 }
                 payload
             })
@@ -332,15 +320,10 @@ impl RankPlan {
 
         // Assemble the gathered interaction-row slabs, then A_pᵀ.
         let t = Instant::now();
-        let inter = self.inter_rows.len();
-        let mut y_gather = vec![0f32; inter * batch];
+        let mut y_gather = vec![0f32; self.inter_rows.len() * batch];
         for (q, vals) in recv.into_iter().enumerate() {
             let range = self.dest_ranges[q].clone();
-            debug_assert_eq!(range.len() * batch, vals.len());
-            for j in 0..batch {
-                y_gather[j * inter + range.start..j * inter + range.end]
-                    .copy_from_slice(&vals[j * range.len()..(j + 1) * range.len()]);
-            }
+            y_gather[range.start * batch..range.end * batch].copy_from_slice(&vals);
         }
         kb.r_s += t.elapsed().as_secs_f64();
 
@@ -659,10 +642,10 @@ fn local_state(global: &SolveState, plans: &[RankPlan], rank: usize) -> SolveSta
     }
 }
 
-/// Gather every rank's `[x ‖ resid ‖ dir]` (each `k` slice-major blocks)
-/// at rank 0 with one collective; rank 0 gets the *global* state back —
-/// it alone calls `capture` for the rank-identical per-slice part — the
-/// others `None`. Running the gather as a collective keeps snapshots
+/// Gather every rank's captured `[x ‖ resid ‖ dir]` (each `k` slice-major
+/// blocks) at rank 0 with one collective; rank 0 gets the *global* state
+/// back — its own capture supplies the rank-identical per-slice part —
+/// the others `None`. Running the gather as a collective keeps snapshots
 /// globally consistent (every rank contributes the state of the same
 /// iteration boundary), and assembling in global ordered coordinates
 /// makes the snapshot rank-count independent: a degraded restart over
@@ -672,22 +655,21 @@ fn local_state(global: &SolveState, plans: &[RankPlan], rank: usize) -> SolveSta
 fn gather_state(
     comm: &Communicator,
     plans: &[RankPlan],
-    ws: &SolverWorkspace,
-    capture: impl FnOnce() -> SolveState,
+    local: SolveState,
 ) -> Result<Option<SolveState>, CommError> {
     let mut send: Vec<Vec<f32>> = vec![Vec::new(); comm.size()];
-    send[0] = ws.carried().concat();
+    send[0] = [&local.x[..], &local.resid, &local.dir].concat();
     let recv = comm.try_alltoallv(send)?;
     if comm.rank() != 0 {
         return Ok(None);
     }
-    let k = ws.batch();
+    let k = local.batch;
     let (nrows, ncols) = global_dims(plans);
     let mut global = SolveState {
         x: vec![0f32; ncols * k],
         resid: vec![0f32; nrows * k],
         dir: vec![0f32; ncols * k],
-        ..capture()
+        ..local
     };
     for (src, payload) in recv.iter().enumerate() {
         let (tomo, sino) = (span(&plans[src].tomo_range), span(&plans[src].sino_range));
@@ -757,7 +739,7 @@ fn solve_rank(
             if op.poisoned() {
                 return Ok(());
             }
-            match gather_state(comm, plans, ws, || ws.capture(next_iter, rule)) {
+            match gather_state(comm, plans, ws.capture(next_iter, rule)) {
                 Ok(Some(global)) => stint.save(&global),
                 Ok(None) => Ok(()),
                 // A failed gather poisons the solve like any other
@@ -1146,10 +1128,11 @@ mod tests {
                 let apply = |comm: &Communicator, slices: &[Vec<f32>]| {
                     let plan = &plans[comm.rank()];
                     let (input, _) = ranges(plan);
-                    let slab: Vec<f32> = slices
-                        .iter()
-                        .flat_map(|g| g[input.clone()].iter().copied())
+                    let k = slices.len();
+                    let slab: Vec<f32> = input
+                        .flat_map(|i| slices.iter().map(move |g| g[i]))
                         .collect();
+                    assert_eq!(slab.len() % k, 0);
                     let mut kb = KernelBreakdown::default();
                     if fwd {
                         plan.try_forward_batch(comm, &slab, slices.len(), &mut kb)
@@ -1171,8 +1154,13 @@ mod tests {
                     assert_eq!(serial.len(), len_out);
                     for (rank, want) in single.iter().enumerate() {
                         let (_, output) = ranges(&plans[rank]);
-                        let own = output.len();
-                        let got = &batched[rank][j * own..(j + 1) * own];
+                        let got: Vec<f32> = batched[rank]
+                            .iter()
+                            .skip(j)
+                            .step_by(batch)
+                            .copied()
+                            .collect();
+                        assert_eq!(got.len(), output.len());
                         assert!(
                             got.iter()
                                 .zip(want)

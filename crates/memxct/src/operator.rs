@@ -169,45 +169,40 @@ pub trait ProjectionOperator {
     fn forward_into(&self, x: &[f32], y: &mut [f32]);
     /// Backprojection `x = Aᵀ·y`; overwrites `x` entirely.
     fn back_into(&self, y: &[f32], x: &mut [f32]);
-    /// Batched forward projection `Y = A·[x₁ … x_k]` over slice-major
-    /// slabs (`x` is `batch × ncols`, `y` is `batch × nrows`). Slice `j`
-    /// of the output must be **bit-identical** to
+    /// Batched forward projection `Y = A·[x₁ … x_k]` over
+    /// slice-interleaved slabs (`x` is `ncols × batch`, `y` is
+    /// `nrows × batch`; element `i` of slice `j` at `i·batch + j`, see
+    /// [`xct_sparse::interleave`]). Slice `j` of the output must be
+    /// **bit-identical** to
     /// [`forward_into`](ProjectionOperator::forward_into) on slice `j` of
-    /// the input — the default delegates per slice, which guarantees it;
-    /// memoized backends override with an SpMM that streams the matrix
-    /// once for the whole slab.
+    /// the input — the default gathers each slice and delegates, which
+    /// guarantees it; memoized backends override with an SpMM that streams
+    /// the matrix once for the whole slab.
     fn forward_batch_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
-        let n = self.ncols();
-        let m = self.nrows();
-        for j in 0..batch {
-            self.forward_into(&x[j * n..(j + 1) * n], &mut y[j * m..(j + 1) * m]);
-        }
+        let forward = |x: &[f32], y: &mut [f32]| self.forward_into(x, y);
+        per_slice(forward, (x, self.ncols()), (y, self.nrows()), batch);
     }
-    /// Batched backprojection `X = Aᵀ·[y₁ … y_k]`, the slice-major
+    /// Batched backprojection `X = Aᵀ·[y₁ … y_k]`, the slice-interleaved
     /// counterpart of [`back_into`](ProjectionOperator::back_into) with
     /// the same per-slice bit-identity contract as
     /// [`forward_batch_into`](ProjectionOperator::forward_batch_into).
     fn back_batch_into(&self, y: &[f32], x: &mut [f32], batch: usize) {
-        let m = self.nrows();
-        let n = self.ncols();
-        for j in 0..batch {
-            self.back_into(&y[j * m..(j + 1) * m], &mut x[j * n..(j + 1) * n]);
-        }
+        let back = |y: &[f32], x: &mut [f32]| self.back_into(y, x);
+        per_slice(back, (y, self.nrows()), (x, self.ncols()), batch);
     }
     /// Locally accumulate `out.len()` slice-wise dot products over
-    /// slice-major slabs: `out[j] = ⟨a_j, b_j⟩`. Each `out[j]` must be
-    /// bit-identical to [`local_dot`](ProjectionOperator::local_dot) on
-    /// slice `j` (the default delegates per slice); [`KernelOperator`]
-    /// overrides it with one batched pool dispatch.
+    /// slice-interleaved slabs: `out[j] = ⟨a_j, b_j⟩`, each slice in the
+    /// default [`local_dot`](ProjectionOperator::local_dot)'s summation
+    /// order (the default is [`xct_sparse::dot_f64_chunked_batch`], all
+    /// `k` chains in one pass); [`KernelOperator`] overrides it with one
+    /// pooled dispatch of the same order. Slabs that are not `out.len()`
+    /// slices of one length fill `out` with NaN, which the engine retires
+    /// as a per-slice breakdown.
     fn local_dot_batch(&self, a: &[f32], b: &[f32], out: &mut [f64]) {
-        let k = out.len();
-        if k == 0 || !a.len().is_multiple_of(k) {
-            return;
+        if malformed(a, b, out) {
+            return out.fill(f64::NAN);
         }
-        let len = a.len() / k;
-        for (j, o) in out.iter_mut().enumerate() {
-            *o = self.local_dot(&a[j * len..(j + 1) * len], &b[j * len..(j + 1) * len]);
-        }
+        xct_sparse::dot_f64_chunked_batch(a, b, out);
     }
     /// Combine a locally accumulated dot product into the global value.
     /// Identity for shared-memory operators; an allreduce across ranks
@@ -240,6 +235,35 @@ pub trait ProjectionOperator {
     /// operators keep the default `None`.
     fn fault(&self) -> Option<xct_runtime::CommError> {
         None
+    }
+}
+
+/// Whether `a`/`b` cannot be `out.len()` slices of equal length.
+fn malformed(a: &[f32], b: &[f32], out: &[f64]) -> bool {
+    out.is_empty() || a.len() != b.len() || !a.len().is_multiple_of(out.len())
+}
+
+/// Apply the single-slice `f` to each slice of the slice-interleaved
+/// `input` (`(slab, n)`: `n` elements a slice) into `output`, through one
+/// gathered slice of each side. `batch = 1` is `f` itself.
+fn per_slice(
+    f: impl Fn(&[f32], &mut [f32]),
+    (input, n): (&[f32], usize),
+    (output, m): (&mut [f32], usize),
+    batch: usize,
+) {
+    if batch == 1 {
+        return f(input, output);
+    }
+    let (mut xs, mut ys) = (vec![0f32; n], vec![0f32; m]);
+    for j in 0..batch {
+        for (d, &s) in xs.iter_mut().zip(input[j..].iter().step_by(batch)) {
+            *d = s;
+        }
+        f(&xs, &mut ys);
+        for (d, &s) in output[j..].iter_mut().step_by(batch).zip(&ys) {
+            *d = s;
+        }
     }
 }
 
@@ -513,10 +537,10 @@ impl ProjectionOperator for KernelOperator<'_> {
         self.apply(Direction::Back, y, x, batch);
     }
     fn local_dot_batch(&self, a: &[f32], b: &[f32], out: &mut [f64]) {
-        let k = out.len();
-        if k == 0 || !a.len().is_multiple_of(k) {
-            return;
+        if malformed(a, b, out) {
+            return out.fill(f64::NAN);
         }
+        let k = out.len();
         let len = a.len() / k;
         let transient;
         let plan = if len == self.nrows {
@@ -823,8 +847,11 @@ mod tests {
                         for (fwd, len_in, len_out, input, got) in
                             [(true, n, m, &x, &ax), (false, m, n, &y, &aty)]
                         {
-                            let v = &input[j * len_in..(j + 1) * len_in];
-                            let got = &got[j * len_out..(j + 1) * len_out];
+                            let column = |slab: &[f32]| -> Vec<f32> {
+                                slab.iter().skip(j).step_by(batch).copied().collect()
+                            };
+                            let (v, got) = (&column(input), column(got));
+                            assert_eq!((v.len(), got.len()), (len_in, len_out));
                             let want = single(fwd, v);
                             assert!(
                                 got.iter()
@@ -901,11 +928,12 @@ mod tests {
     fn required_methods_are_enough() {
         let op = PairSums;
         let mut y = vec![0f32; 4];
-        op.forward_batch_into(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &mut y, 2);
-        assert_eq!(y, vec![3.0, 3.0, 9.0, 6.0]);
+        // Slices [1, 2, 3] and [4, 5, 6], interleaved.
+        op.forward_batch_into(&[1.0, 4.0, 2.0, 5.0, 3.0, 6.0], &mut y, 2);
+        assert_eq!(y, vec![3.0, 9.0, 3.0, 6.0]);
         let mut x = vec![0f32; 6];
-        op.back_batch_into(&[5.0, 7.0, 1.0, 2.0], &mut x, 2);
-        assert_eq!(x, vec![5.0, 5.0, 7.0, 1.0, 1.0, 2.0]);
+        op.back_batch_into(&[5.0, 1.0, 7.0, 2.0], &mut x, 2);
+        assert_eq!(x, vec![5.0, 1.0, 5.0, 1.0, 7.0, 2.0]);
 
         // Slices longer than one 4096-element chunk: every batched dot
         // carries the bits of the chunked single dot on its slice.
@@ -915,14 +943,41 @@ mod tests {
         let mut out = [0f64; 2];
         op.local_dot_batch(&a, &b, &mut out);
         for (j, got) in out.iter().enumerate() {
-            let s = j * len..(j + 1) * len;
-            let want = xct_sparse::dot_f64_chunked(&a[s.clone()], &b[s]);
+            let column = |v: &[f32]| -> Vec<f32> { v.iter().skip(j).step_by(2).copied().collect() };
+            let want = xct_sparse::dot_f64_chunked(&column(&a), &column(&b));
             assert_eq!(got.to_bits(), want.to_bits(), "slice {j}");
         }
         assert_eq!(op.local_dot(&a, &b), xct_sparse::dot_f64_chunked(&a, &b));
         assert_eq!(op.reduce_dot(3.25), 3.25);
         assert!(op.breakdown().is_none());
         assert!(op.fault().is_none());
+    }
+
+    /// A slab that is not `out.len()` slices long leaves no stale dot
+    /// behind: every slot reads NaN, the engine's per-slice breakdown.
+    #[test]
+    fn malformed_slab_dots_are_nan() {
+        let ops = ops(6, 4);
+        let (pool, plans) = (
+            WorkerPool::new(2),
+            PooledPlans::new_batched(&ops, Kernel::Serial, 2, 3),
+        );
+        let pooled = KernelOperator::pooled(&ops, Kernel::Serial, &plans, &pool);
+        let ops: [&dyn ProjectionOperator; 3] = [
+            &PairSums,
+            &KernelOperator::new(&ops, Kernel::Serial),
+            &pooled,
+        ];
+        let v = vec![0.5f32; 10];
+        for op in ops {
+            let mut out = [7.0f64; 3];
+            op.local_dot_batch(&v[..9], &v[..9], &mut out);
+            assert_eq!(out, [0.75; 3], "a well-formed slab first");
+            op.local_dot_batch(&v, &v, &mut out);
+            assert!(out.iter().all(|d| d.is_nan()), "{out:?}");
+            op.local_dot_batch(&v[..9], &v[..6], &mut out);
+            assert!(out.iter().all(|d| d.is_nan()), "{out:?}");
+        }
     }
 
     #[test]

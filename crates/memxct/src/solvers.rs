@@ -102,17 +102,21 @@ pub enum Constraint {
 /// iteration cap.
 ///
 /// A workspace carries a fixed **batch width** `k` (1 by default): every
-/// domain buffer is a slice-major slab of `k` contiguous blocks, so slice
-/// `j` of the iterate occupies `x[j·ncols .. (j+1)·ncols]`. Batched
-/// solves advance all slices together — the operator streams the matrix
-/// once per `k` right-hand sides — while convergence records, the
-/// early-termination reference residual, and the active flag stay
-/// per-slice, so one slice can retire (early termination or numerical
-/// breakdown) without stopping the rest of the batch.
+/// domain buffer is a slice-interleaved slab, element `i` of slice `j` at
+/// `i·k + j` — the layout the operator's SpMM reads and writes, so a
+/// row's `k` values are one contiguous copy. Batched solves advance all
+/// slices together — the operator streams the matrix once per `k`
+/// right-hand sides — while convergence records, the early-termination
+/// reference residual, and the active flag stay per-slice, so one slice
+/// can retire (early termination or numerical breakdown) without stopping
+/// the rest of the batch. What leaves the workspace is slice-major, as at
+/// `k = 1` (where the two layouts are one): the solution
+/// ([`x`](Self::x)) and checkpoint snapshots.
 pub struct SolverWorkspace {
     /// Batch width `k`, fixed at construction.
     batch: usize,
-    /// The iterate (tomogram domain, `k × ncols`, slice-major).
+    /// The iterate (tomogram domain, `ncols × k`; slice-major once a
+    /// solve has finished).
     pub(crate) x: Vec<f32>,
     /// Sinogram-domain residual (`r` in CG, `y − A·x` in SIRT, subset
     /// residuals in OS-SIRT), `k × nrows`.
@@ -189,10 +193,21 @@ impl SolverWorkspace {
         &self.x
     }
 
-    /// The carried slice-major slabs `[x, resid, dir]` — the bulk of a
-    /// [`capture`](Self::capture), and all of it that differs by rank.
-    pub(crate) fn carried(&self) -> [&[f32]; 3] {
-        [&self.x, &self.resid, &self.dir]
+    /// End a solve: de-interleave the iterate once, into `back` (scratch
+    /// every rule overwrites before reading), and make that the slab
+    /// [`x`](Self::x) shows. At `k = 1` the layouts are one.
+    fn finish(&mut self) {
+        if self.batch > 1 {
+            xct_sparse::deinterleave(&self.x, &mut self.back, self.batch);
+            std::mem::swap(&mut self.x, &mut self.back);
+        }
+    }
+
+    /// A slice-major copy of the slab `v`.
+    fn slice_major(&self, v: &[f32]) -> Vec<f32> {
+        let mut out = vec![0f32; v.len()];
+        xct_sparse::deinterleave(v, &mut out, self.batch);
+        out
     }
 
     /// The per-iteration records of the last solve (slice 0 of a batched
@@ -208,8 +223,9 @@ impl SolverWorkspace {
     }
 
     /// Everything iteration `next_iter` reads from the iterations before
-    /// it, as the [`SolveState`] a checkpoint stores: the carried
-    /// slice-major slabs (`x`, `resid`, `dir`), the per-slice records,
+    /// it, as the [`SolveState`] a checkpoint stores: the carried slabs
+    /// (`x`, `resid`, `dir`, converted to slice-major, so the snapshot
+    /// bytes do not depend on the layout), the per-slice records,
     /// reference residuals and activity flags, and `rule`'s carried
     /// scalars.
     pub(crate) fn capture(&self, next_iter: usize, rule: &dyn UpdateRule) -> SolveState {
@@ -217,9 +233,9 @@ impl SolverWorkspace {
             iteration: next_iter,
             batch: self.batch,
             prev_res: self.prev_res.clone(),
-            x: self.x.clone(),
-            resid: self.resid.clone(),
-            dir: self.dir.clone(),
+            x: self.slice_major(&self.x),
+            resid: self.slice_major(&self.resid),
+            dir: self.slice_major(&self.dir),
             active: self.active.clone(),
             slice_records: self.slice_records.clone(),
             scalars: rule.carried_scalars(self),
@@ -243,9 +259,10 @@ impl SolverWorkspace {
         // validate_snapshot already rejected any width mismatch.
         debug_assert_eq!(st.batch, self.batch);
         self.begin(nrows, ncols, cap);
-        self.x.copy_from_slice(&st.x);
-        self.resid.copy_from_slice(&st.resid);
-        self.dir.copy_from_slice(&st.dir);
+        let k = self.batch;
+        xct_sparse::interleave(&st.x, &mut self.x, k);
+        xct_sparse::interleave(&st.resid, &mut self.resid, k);
+        xct_sparse::interleave(&st.dir, &mut self.dir, k);
         for (dst, src) in self.slice_records.iter_mut().zip(&st.slice_records) {
             dst.extend_from_slice(src);
         }
@@ -305,7 +322,8 @@ impl SolverWorkspace {
 /// single-slice solve is the `ws.batch() == 1` case of the same method.
 pub trait UpdateRule {
     /// Advance every active slice of `ws` by one iteration against the
-    /// slice-major measurement slab `y` (`ws.batch() × nrows`). `res` has
+    /// slice-major measurement slab `y` (`ws.batch() × nrows`, read with
+    /// stride into the workspace's slice-interleaved slabs). `res` has
     /// `ws.batch()` slots pre-filled with NaN; the rule writes the
     /// residual norm `‖y − A·x‖` of each slice it advanced and leaves NaN
     /// where a slice broke down numerically (the engine retires that
@@ -354,8 +372,8 @@ pub fn run_engine<R: UpdateRule + ?Sized>(
 
 /// The engine entry point: solve the `ws.batch()` right-hand sides of the
 /// slice-major slab `y` (`ws.batch() × nrows`) together inside a
-/// caller-owned [`SolverWorkspace`]. The solutions and per-slice records
-/// are left in the workspace ([`SolverWorkspace::x`],
+/// caller-owned [`SolverWorkspace`]. The solutions (slice-major) and
+/// per-slice records are left in the workspace ([`SolverWorkspace::x`],
 /// [`SolverWorkspace::slice_records`]).
 ///
 /// The engine owns the skeleton every solver shares: iteration timing,
@@ -402,6 +420,7 @@ pub fn run_engine_in<R: UpdateRule + ?Sized>(
         None,
         |_, _, _| Ok(EngineSignal::Continue),
     );
+    ws.finish();
 }
 
 /// What the between-iterations hook tells the engine to do next.
@@ -466,7 +485,6 @@ where
         }
     };
     let k = ws.batch;
-    let n = op.ncols();
     let mut early_slices = 0usize;
     let mut exit = EngineExit::Completed;
     for iter in start..stop.max_iters() {
@@ -488,9 +506,11 @@ where
             break; // nothing advanced: the iteration is neither timed nor counted
         }
         if constraint == Constraint::NonNegative {
-            for j in (0..k).filter(|&j| ws.active[j]) {
-                for xi in ws.x[j * n..(j + 1) * n].iter_mut() {
-                    *xi = xi.max(0.0);
+            for row in ws.x.chunks_exact_mut(k) {
+                for (xi, &live) in row.iter_mut().zip(&ws.active) {
+                    if live {
+                        *xi = xi.max(0.0);
+                    }
                 }
             }
         }
@@ -673,6 +693,7 @@ impl Stint<'_> {
             let done = ws.slice_records.iter().map(Vec::len).max().unwrap_or(0);
             save(done, ws, rule.as_ref())?;
         }
+        ws.finish();
         Ok(exit)
     }
 }
@@ -728,20 +749,18 @@ impl UpdateRule for CgRule {
         res: &mut [f64],
     ) {
         // Workspace roles: resid = r, back = s, dir = p, proj = q — each
-        // a slice-major slab. Retired and broken-down slices keep their
-        // vectors frozen; the matrix passes still cover their blocks (the
-        // SpMM streams the matrix once for the whole slab either way) and
-        // their results are ignored.
+        // a slice-interleaved slab. Retired and broken-down slices keep
+        // their vectors frozen; the matrix passes still cover their
+        // columns (the SpMM streams the matrix once for the whole slab
+        // either way) and their results are ignored.
         let k = ws.batch;
-        let n = op.ncols();
-        let m = op.nrows();
         // `qq`/`aux` are per-step temporaries, `gammas` persists across
         // iterations.
         let (qq, rest) = ws.scratch.split_at_mut(k);
         let (aux, gammas) = rest.split_at_mut(k);
         if !self.started {
             // x = 0: residual is y, and the − λ·x term vanishes.
-            ws.resid.copy_from_slice(y);
+            xct_sparse::interleave(y, &mut ws.resid, k);
             op.back_batch_into(&ws.resid, &mut ws.back, k);
             op.local_dot_batch(&ws.back, &ws.back, gammas);
             for g in gammas.iter_mut() {
@@ -762,7 +781,8 @@ impl UpdateRule for CgRule {
         }
         // After this loop `qq[j]` holds the fully reduced curvature of
         // slice j, or 0.0 for slices that are retired or broke down — the
-        // marker the remaining loops use to skip them.
+        // marker the remaining loops use to skip them — and `aux[j]` its
+        // step size α.
         for j in 0..k {
             if !ws.active[j] || gammas[j] == 0.0 {
                 qq[j] = 0.0;
@@ -773,36 +793,17 @@ impl UpdateRule for CgRule {
                 qqj += self.lambda as f64 * op.reduce_dot(aux[j]);
             }
             qq[j] = qqj;
-            if qqj == 0.0 {
-                continue;
-            }
-            let alpha = (gammas[j] / qqj) as f32;
-            for (xi, &pi) in ws.x[j * n..(j + 1) * n]
-                .iter_mut()
-                .zip(&ws.dir[j * n..(j + 1) * n])
-            {
-                *xi += alpha * pi;
-            }
-            for (ri, &qi) in ws.resid[j * m..(j + 1) * m]
-                .iter_mut()
-                .zip(&ws.proj[j * m..(j + 1) * m])
-            {
-                *ri -= alpha * qi;
-            }
+            aux[j] = (gammas[j] / qqj) as f32 as f64;
         }
+        update(&mut ws.x, &ws.dir, qq, aux, |xi, pi, alpha| xi + alpha * pi);
+        update(&mut ws.resid, &ws.proj, qq, aux, |ri, qi, alpha| {
+            ri - alpha * qi
+        });
         op.back_batch_into(&ws.resid, &mut ws.back, k);
         if self.lambda != 0.0 {
-            for (j, &qqj) in qq.iter().enumerate() {
-                if qqj == 0.0 {
-                    continue;
-                }
-                for (si, &xi) in ws.back[j * n..(j + 1) * n]
-                    .iter_mut()
-                    .zip(&ws.x[j * n..(j + 1) * n])
-                {
-                    *si -= self.lambda * xi;
-                }
-            }
+            update(&mut ws.back, &ws.x, qq, aux, |si, xi, _| {
+                si - self.lambda * xi
+            });
         }
         op.local_dot_batch(&ws.back, &ws.back, aux);
         for j in 0..k {
@@ -810,15 +811,12 @@ impl UpdateRule for CgRule {
                 continue;
             }
             let gamma_new = op.reduce_dot(aux[j]);
-            let beta = (gamma_new / gammas[j]) as f32;
+            aux[j] = (gamma_new / gammas[j]) as f32 as f64;
             gammas[j] = gamma_new;
-            for (pi, &si) in ws.dir[j * n..(j + 1) * n]
-                .iter_mut()
-                .zip(&ws.back[j * n..(j + 1) * n])
-            {
-                *pi = si + beta * *pi;
-            }
         }
+        update(&mut ws.dir, &ws.back, qq, aux, |pi, si, beta| {
+            si + beta * pi
+        });
         op.local_dot_batch(&ws.resid, &ws.resid, aux);
         for j in 0..k {
             if qq[j] != 0.0 {
@@ -883,57 +881,113 @@ impl UpdateRule for SirtRule {
         let m = op.nrows();
         let (row_w, col_w) = self.weights.get_or_insert_with(|| {
             // The weights are a pure function of `A`, shared by every
-            // slice. The probe borrows slice 0's blocks of ws.dir/ws.resid
-            // as the all-ones vectors, so the only allocations live in
-            // the one-time weights themselves (steady-state steps are
-            // allocation-free).
+            // slice. The probes' all-ones vectors are slice 0 of ws.dir
+            // (which SIRT snapshots carry) and of ws.resid, read through
+            // the scratch slabs ws.back / ws.proj, so the only
+            // allocations live in the one-time weights themselves
+            // (steady-state steps are allocation-free).
             let inv = |v: f32| if v > 0.0 { 1.0 / v } else { 0.0 };
+            for (slab, probe, len) in [
+                (&mut ws.dir, &mut ws.back, n),
+                (&mut ws.resid, &mut ws.proj, m),
+            ] {
+                slab.iter_mut().step_by(k).for_each(|v| *v = 1.0);
+                probe[..len].fill(1.0);
+            }
             let mut row_w = vec![0f32; m];
-            ws.dir[..n].fill(1.0);
-            op.forward_into(&ws.dir[..n], &mut row_w);
+            op.forward_into(&ws.back[..n], &mut row_w);
             for v in row_w.iter_mut() {
                 *v = inv(*v);
             }
             let mut col_w = vec![0f32; n];
-            ws.resid[..m].fill(1.0);
-            op.back_into(&ws.resid[..m], &mut col_w);
+            op.back_into(&ws.proj[..m], &mut col_w);
             for v in col_w.iter_mut() {
                 *v = inv(*v);
             }
             (row_w, col_w)
         });
         // The forward pass covers every slice (the SpMM streams the
-        // matrix once for the slab); retired slices' residual blocks
+        // matrix once for the slab); retired slices' residual columns
         // receive A·x but are never read again this step.
         op.forward_batch_into(&ws.x, &mut ws.resid, k);
-        for j in (0..k).filter(|&j| ws.active[j]) {
-            for (ri, &yi) in ws.resid[j * m..(j + 1) * m]
-                .iter_mut()
-                .zip(&y[j * m..(j + 1) * m])
-            {
-                *ri = yi - *ri;
+        let live = &ws.active;
+        for (i, row) in ws.resid.chunks_exact_mut(k).enumerate() {
+            for (j, ri) in row.iter_mut().enumerate().filter(|&(j, _)| live[j]) {
+                *ri = y[j * m + i] - *ri;
             }
         }
         // Residual norms are taken before row-weighting.
         let (rr, _) = ws.scratch.split_at_mut(k);
         op.local_dot_batch(&ws.resid, &ws.resid, rr);
-        for j in (0..k).filter(|&j| ws.active[j]) {
+        for j in (0..k).filter(|&j| live[j]) {
             res[j] = op.reduce_dot(rr[j]).sqrt();
-            for (ri, &w) in ws.resid[j * m..(j + 1) * m].iter_mut().zip(row_w.iter()) {
+        }
+        for (row, &w) in ws.resid.chunks_exact_mut(k).zip(row_w.iter()) {
+            for (ri, _) in row.iter_mut().zip(live).filter(|(_, &l)| l) {
                 *ri *= w;
             }
         }
         op.back_batch_into(&ws.resid, &mut ws.back, k);
-        for j in (0..k).filter(|&j| ws.active[j]) {
-            for ((xi, &ui), &w) in ws.x[j * n..(j + 1) * n]
-                .iter_mut()
-                .zip(&ws.back[j * n..(j + 1) * n])
+        let relax = self.relaxation;
+        for ((row, urow), &w) in
+            ws.x.chunks_exact_mut(k)
+                .zip(ws.back.chunks_exact(k))
                 .zip(col_w.iter())
-            {
-                *xi += self.relaxation * ui * w;
+        {
+            for ((xi, &ui), _) in row.iter_mut().zip(urow).zip(live).filter(|(_, &l)| l) {
+                *xi += relax * ui * w;
             }
         }
     }
+}
+
+/// `dst[i·k + j] = f(dst[i·k + j], src[i·k + j], coef[j] as f32)` over
+/// the slice-interleaved slabs, for the slices `j` whose `live[j]` is
+/// nonzero (`k = live.len()`); the other columns keep their bits. The
+/// slices go in blocks of 8, 4 and 1, as the SpMM kernel cuts them, so
+/// each block's row is one vector operation.
+fn update(
+    dst: &mut [f32],
+    src: &[f32],
+    live: &[f64],
+    coef: &[f64],
+    f: impl Fn(f32, f32, f32) -> f32,
+) {
+    let k = live.len();
+    let mut s0 = 0;
+    while s0 < k {
+        let (live, coef) = (&live[s0..], &coef[s0..]);
+        s0 += match k - s0 {
+            8.. => update_block::<8>(dst, src, k, s0, live, coef, &f),
+            4.. => update_block::<4>(dst, src, k, s0, live, coef, &f),
+            _ => update_block::<1>(dst, src, k, s0, live, coef, &f),
+        };
+    }
+}
+
+/// [`update`] for slices `s0..s0 + W`; returns `W`.
+fn update_block<const W: usize>(
+    dst: &mut [f32],
+    src: &[f32],
+    k: usize,
+    s0: usize,
+    live: &[f64],
+    coef: &[f64],
+    f: impl Fn(f32, f32, f32) -> f32,
+) -> usize {
+    let live: [bool; W] = std::array::from_fn(|s| live[s] != 0.0);
+    let coef: [f32; W] = std::array::from_fn(|s| coef[s] as f32);
+    for (d, s) in dst.chunks_exact_mut(k).zip(src.chunks_exact(k)) {
+        let (d, s) = (&mut d[s0..s0 + W], &s[s0..s0 + W]);
+        for j in 0..W {
+            d[j] = if live[j] {
+                f(d[j], s[j], coef[j])
+            } else {
+                d[j]
+            };
+        }
+    }
+    W
 }
 
 /// The update rule a request's [`Solver`] names — the one factory every
@@ -1166,5 +1220,66 @@ mod tests {
         assert_eq!(run(&op), run(&pooled));
         let kb = op.breakdown().expect("serial operator is timed");
         assert!(kb.ap_s > 0.0);
+    }
+
+    /// The v2 bytes of a width-3 CG snapshot at iteration 4 are pinned
+    /// (wall-clock record seconds zeroed): the workspace's slab layout
+    /// must never reach a checkpoint. Resuming from those bytes finishes
+    /// on the bits of an uninterrupted solve.
+    #[test]
+    fn width3_snapshot_bytes_are_pinned_and_resume_bit_identical() {
+        use crate::checkpoint::{encode_state, load_state, plan_fingerprint};
+        use xct_runtime::{fnv1a64, CheckpointSink, MemoryCheckpointSink};
+        let (ops, y1, _) = setup(16, 24);
+        let y: Vec<f32> = (0..3)
+            .flat_map(|j| y1.iter().map(move |&v| v * (1.0 + 0.25 * j as f32)))
+            .collect();
+        let op = crate::operator::KernelOperator::new(&ops, Kernel::Buffered);
+        let (m, n, hash) = (op.nrows(), op.ncols(), plan_fingerprint(&ops));
+        let noop = Metrics::noop();
+        // Runs `Fixed(8)` from `resume` (or from x = 0) and captures the
+        // state at `stop_at` (or at the end).
+        let solve = |resume: Option<SolveState>, stop_at: usize| -> SolveState {
+            let mut ws = SolverWorkspace::new_batched(m, n, 3);
+            let mut rule = CgRule::new();
+            let start = resume.map(|st| ws.restore(m, n, 8, &st, &mut rule));
+            let mut captured = None;
+            let stop = StopRule::Fixed(8);
+            run_engine_core(
+                &op,
+                &y,
+                &mut rule,
+                Constraint::None,
+                stop,
+                &noop,
+                &mut ws,
+                start,
+                |next, ws, rule| {
+                    if next < stop_at {
+                        return Ok(EngineSignal::Continue);
+                    }
+                    captured = Some(ws.capture(next, rule));
+                    Ok(EngineSignal::Stop)
+                },
+            )
+            .unwrap();
+            let mut st = captured.unwrap_or_else(|| ws.capture(8, &rule));
+            for r in st.slice_records.iter_mut().flatten() {
+                r.seconds = 0.0;
+            }
+            st
+        };
+        let bytes = encode_state(hash, &solve(None, 4)).encode();
+        assert_eq!(
+            (bytes.len(), fnv1a64(&bytes)),
+            (11_466, 11_499_524_369_428_506_145),
+            "v2 bytes moved"
+        );
+        let sink = MemoryCheckpointSink::new();
+        sink.save(0, &bytes).unwrap();
+        let resumed = solve(load_state(&sink, 0, hash, 8, m, n, 3).unwrap(), usize::MAX);
+        let whole = solve(None, usize::MAX);
+        let bits = |st: &SolveState| encode_state(hash, st).encode();
+        assert_eq!(bits(&resumed), bits(&whole), "resume is bit-identical");
     }
 }

@@ -10,7 +10,8 @@
 //! batches, volumes, snapshots and preemption come from the group loop.
 //! Memory: one transposed copy of `A`'s entries and no forward copy — a
 //! subset's forward products read `A`'s own CSR rows through [`row_dot`],
-//! whose lane order depends only on a row's entries.
+//! whose lane order depends only on a row's entries (and which reads one
+//! slice of a slice-interleaved slab at stride).
 
 use crate::errors::BuildError;
 use crate::operator::ProjectionOperator;
@@ -83,11 +84,17 @@ impl<'a> Subsets<'a> {
         Ok(Subsets { a, subsets })
     }
 
-    /// `(A·x)[row]`, from `A`'s own CSR row.
-    fn row_dot(&self, row: u32, x: &[f32]) -> f32 {
+    /// `(A·x_j)[row]` for slice `j` of the `k`-wide slice-interleaved
+    /// `x`, from `A`'s own CSR row.
+    fn row_dot(&self, row: u32, x: &[f32], k: usize, j: usize) -> f32 {
         let (ptr, row) = (self.a.rowptr(), row as usize);
         let span = ptr[row]..ptr[row + 1];
-        row_dot(&self.a.colind()[span.clone()], &self.a.values()[span], x)
+        row_dot(
+            &self.a.colind()[span.clone()],
+            &self.a.values()[span],
+            &x[j..],
+            k,
+        )
     }
 }
 
@@ -95,7 +102,7 @@ impl<'a> Subsets<'a> {
 /// sub-update `x ← x + ω·Cₛ·Aₛᵀ·Rₛ·(yₛ − Aₛ·x)` of every active slice,
 /// then each slice's full residual norm. Column `j` of a width-`k` step
 /// is slice `j` stepped alone: the forward products are per slice, and
-/// the back products are one SpMM over the slice-major slab. Carries no
+/// the back products are one SpMM over the slice-interleaved slab. Carries no
 /// scalars, and `ws`'s residual and back slabs are scratch it overwrites
 /// before reading.
 pub(crate) struct OsSirtRule<'a> {
@@ -111,32 +118,32 @@ impl UpdateRule for OsSirtRule<'_> {
         ws: &mut SolverWorkspace,
         res: &mut [f64],
     ) {
-        let (k, m, n) = (ws.batch(), op.nrows(), op.ncols());
+        let (k, m) = (ws.batch(), op.nrows());
         let (x, resid, back, active) = (&mut ws.x, &mut ws.resid, &mut ws.back, &ws.active);
         let os = self.subsets;
+        let live = || (0..k).filter(|&j| active[j]);
         for sub in &os.subsets {
-            let len = sub.rows.len();
-            let r = &mut resid[..k * len];
-            for j in (0..k).filter(|&j| active[j]) {
-                let (xj, yj) = (&x[j * n..(j + 1) * n], &y[j * m..(j + 1) * m]);
-                let rj = r[j * len..(j + 1) * len].iter_mut();
-                for ((ri, &row), &w) in rj.zip(&sub.rows).zip(&sub.row_w) {
-                    *ri = (yj[row as usize] - os.row_dot(row, xj)) * w;
+            let r = &mut resid[..k * sub.rows.len()];
+            for ((ri, &row), &w) in r.chunks_exact_mut(k).zip(&sub.rows).zip(&sub.row_w) {
+                for j in live() {
+                    ri[j] = (y[j * m + row as usize] - os.row_dot(row, x, k, j)) * w;
                 }
             }
             spmm_into(&sub.block_t, r, back, k);
-            for j in (0..k).filter(|&j| active[j]) {
-                let xj = x[j * n..(j + 1) * n].iter_mut();
-                for ((xi, &ui), &w) in xj.zip(&back[j * n..(j + 1) * n]).zip(&sub.col_w) {
-                    *xi += self.relax * ui * w;
+            for ((xi, ui), &w) in x
+                .chunks_exact_mut(k)
+                .zip(back.chunks_exact(k))
+                .zip(&sub.col_w)
+            {
+                for j in live() {
+                    xi[j] += self.relax * ui[j] * w;
                 }
             }
         }
-        for j in (0..k).filter(|&j| active[j]) {
-            let (xj, yj) = (&x[j * n..(j + 1) * n], &y[j * m..(j + 1) * m]);
+        for j in live() {
             let mut res_sq = 0f64;
             for &row in os.subsets.iter().flat_map(|sub| &sub.rows) {
-                let d = (yj[row as usize] - os.row_dot(row, xj)) as f64;
+                let d = (y[j * m + row as usize] - os.row_dot(row, x, k, j)) as f64;
                 res_sq += d * d;
             }
             res[j] = res_sq.sqrt();
@@ -214,8 +221,8 @@ mod tests {
             let y: Vec<f32> = wave(sub.rows.len(), 0.73).collect();
             let (mut lhs, mut scale) = (0f64, 0f64);
             for (&r, &yi) in sub.rows.iter().zip(&y) {
-                lhs += s.row_dot(r, &x) as f64 * yi as f64;
-                scale += s.row_dot(r, &abs_x) as f64 * yi.abs() as f64;
+                lhs += s.row_dot(r, &x, 1, 0) as f64 * yi as f64;
+                scale += s.row_dot(r, &abs_x, 1, 0) as f64 * yi.abs() as f64;
             }
             let rhs = xct_sparse::dot_f64(&x, &xct_sparse::spmm(&sub.block_t, &y, 1));
             let bound = unit * scale;

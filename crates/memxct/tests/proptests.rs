@@ -23,9 +23,19 @@ fn inner_products(
     batch: usize,
 ) -> Vec<(f64, f64)> {
     let (m, n) = (op.nrows(), op.ncols());
+    // The operators take and return slice-interleaved slabs.
+    let relay = |v: &[f32], f: fn(&[f32], &mut [f32], usize)| {
+        let mut out = vec![f32::NAN; v.len()];
+        f(v, &mut out, batch);
+        out
+    };
     let (mut ax, mut aty) = (vec![f32::NAN; m * batch], vec![f32::NAN; n * batch]);
-    op.forward_batch_into(x, &mut ax, batch);
-    op.back_batch_into(y, &mut aty, batch);
+    op.forward_batch_into(&relay(x, xct_sparse::interleave), &mut ax, batch);
+    op.back_batch_into(&relay(y, xct_sparse::interleave), &mut aty, batch);
+    let (ax, aty) = (
+        relay(&ax, xct_sparse::deinterleave),
+        relay(&aty, xct_sparse::deinterleave),
+    );
     let dot = |a: &[f32], b: &[f32]| a.iter().zip(b).map(|(&a, &b)| a as f64 * b as f64).sum();
     (0..batch)
         .map(|j| {

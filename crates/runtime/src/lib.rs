@@ -43,6 +43,6 @@ pub use model::{
     iteration_time, KernelTimes, KernelVolumes, MachineSpec, BLUE_WATERS, COOLEY, THETA,
 };
 pub use pool::{
-    env_threads, BatchOut, ExecPlan, PoolPoisoned, WorkerPool, POOL_DISPATCHES,
-    POOL_DISPATCH_SECONDS, POOL_UTILIZATION, POOL_WORKERS,
+    env_threads, ExecPlan, PoolPoisoned, WorkerPool, POOL_DISPATCHES, POOL_DISPATCH_SECONDS,
+    POOL_UTILIZATION, POOL_WORKERS,
 };

@@ -19,10 +19,11 @@
 //!   worker count.
 //!
 //! One dispatch combines the two ([`WorkerPool::try_run_batched`];
-//! [`WorkerPool::run_batched`] and the one-block [`WorkerPool::run`] are
-//! panicking spellings of it): each worker gets a [`BatchOut`] view of the
-//! row range the plan selects within every block of a slice-major output
-//! plus a persistent scratch buffer (grown on first use, reused after).
+//! [`WorkerPool::run_batched`] and the one-slice [`WorkerPool::run`] are
+//! panicking spellings of it): each worker gets its row range of a
+//! slice-interleaved output (`width` values per row, so the range is one
+//! contiguous sub-slice) plus a persistent scratch buffer (grown on first
+//! use, reused after).
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -462,16 +463,17 @@ impl WorkerPool {
         self.threads
     }
 
-    /// The pool's one dispatch: run `kernel` over a slice-major output of
-    /// `blocks` contiguous blocks of `plan.rows()` elements each. Worker
-    /// `w` receives its partition run `plan.worker_parts(w)`, its row
-    /// range `plan.worker_rows(w)`, a [`BatchOut`] view granting exclusive
-    /// access to that row range within *every* block, and its persistent
-    /// `Vec<f32>` scratch (kept across dispatches, so a kernel that
-    /// `resize`s it to a fixed footprint allocates only on the first
+    /// The pool's one dispatch: run `kernel` over a slice-interleaved
+    /// output of `plan.rows()` rows of `width` values each (row `i`'s
+    /// values at `out[i·width..(i + 1)·width]`). Worker `w` receives its
+    /// partition run `plan.worker_parts(w)`, its row range
+    /// `plan.worker_rows(w)`, exclusive access to those rows — the
+    /// contiguous `out[rows.start·width..rows.end·width]` — and its
+    /// persistent `Vec<f32>` scratch (kept across dispatches, so a kernel
+    /// that `resize`s it to a fixed footprint allocates only on the first
     /// call). This is the shape of SpMM (`A · [x₁ … xₖ]`): one job streams
-    /// the worker's matrix partition once for all `k` output blocks;
-    /// `blocks = 1` is the SpMV.
+    /// the worker's matrix partition once for all `k` slices; `width = 1`
+    /// is the SpMV.
     ///
     /// The caller participates as worker 0 and the call returns only when
     /// every worker has finished, so borrowed captures in `kernel` stay
@@ -483,7 +485,7 @@ impl WorkerPool {
     /// panic corrupted the pool's internal locks.
     ///
     /// # Panics
-    /// If `blocks == 0`, `out.len() != plan.rows() * blocks`, the plan's
+    /// If `width == 0`, `out.len() != plan.rows() * width`, the plan's
     /// worker count differs from the pool's, or the plan is not
     /// well-formed. A panic in `kernel` (on any worker) is re-raised on
     /// the calling thread after all workers finish; the pool remains
@@ -492,39 +494,38 @@ impl WorkerPool {
         &self,
         plan: &ExecPlan,
         out: &mut [T],
-        blocks: usize,
+        width: usize,
         kernel: K,
     ) -> Result<(), PoolPoisoned>
     where
         T: Send,
-        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>, &mut Vec<f32>) + Sync,
+        K: Fn(Range<usize>, Range<usize>, &mut [T], &mut Vec<f32>) + Sync,
     {
         self.check_healthy()?;
-        self.dispatch(plan, out, blocks, kernel, true);
+        self.dispatch(plan, out, width, kernel, true);
         Ok(())
     }
 
     /// [`WorkerPool::try_run_batched`], panicking with the
     /// [`PoolPoisoned`] message on a poisoned pool.
-    pub fn run_batched<T, K>(&self, plan: &ExecPlan, out: &mut [T], blocks: usize, kernel: K)
+    pub fn run_batched<T, K>(&self, plan: &ExecPlan, out: &mut [T], width: usize, kernel: K)
     where
         T: Send,
-        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>, &mut Vec<f32>) + Sync,
+        K: Fn(Range<usize>, Range<usize>, &mut [T], &mut Vec<f32>) + Sync,
     {
-        self.try_run_batched(plan, out, blocks, kernel)
+        self.try_run_batched(plan, out, width, kernel)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// The `blocks = 1` spelling of [`WorkerPool::run_batched`] for
-    /// kernels that need no scratch: each worker gets `&mut out[rows]`,
-    /// the one block of its view.
+    /// The `width = 1` spelling of [`WorkerPool::run_batched`] for
+    /// kernels that need no scratch: each worker gets `&mut out[rows]`.
     pub fn run<T, K>(&self, plan: &ExecPlan, out: &mut [T], kernel: K)
     where
         T: Send,
         K: Fn(Range<usize>, Range<usize>, &mut [T]) + Sync,
     {
-        self.run_batched(plan, out, 1, |parts, rows, mut view, _scratch| {
-            kernel(parts, rows, view.block(0))
+        self.run_batched(plan, out, 1, |parts, rows, mine, _scratch| {
+            kernel(parts, rows, mine)
         });
     }
 
@@ -540,53 +541,53 @@ impl WorkerPool {
         T: Send,
         K: Fn(Range<usize>, Range<usize>, &mut [T]) + Sync,
     {
-        let one_block = |parts, rows, mut view: BatchOut<'_, T>, _: &mut Vec<f32>| {
-            kernel(parts, rows, view.block(0))
-        };
-        self.dispatch(plan, out, 1, one_block, false);
+        let one_slice = |parts, rows, mine: &mut [T], _: &mut Vec<f32>| kernel(parts, rows, mine);
+        self.dispatch(plan, out, 1, one_slice, false);
     }
 
-    /// The body behind every dispatch: validate the shapes, hand each
-    /// worker its [`BatchOut`] view, broadcast.
+    /// The body behind every dispatch: validate the shapes, carve each
+    /// worker its rows of `out`, broadcast.
     fn dispatch<T, K>(
         &self,
         plan: &ExecPlan,
         out: &mut [T],
-        blocks: usize,
+        width: usize,
         kernel: K,
         serialize: bool,
     ) where
         T: Send,
-        K: Fn(Range<usize>, Range<usize>, BatchOut<'_, T>, &mut Vec<f32>) + Sync,
+        K: Fn(Range<usize>, Range<usize>, &mut [T], &mut Vec<f32>) + Sync,
     {
-        assert!(blocks > 0, "batched dispatch needs at least one block");
+        assert!(width > 0, "batched dispatch needs a positive width");
         assert_eq!(
             out.len(),
-            plan.rows() * blocks,
-            "output length vs plan rows × blocks"
+            plan.rows() * width,
+            "output length vs plan rows × width"
         );
         assert_eq!(
             plan.num_workers(),
             self.threads,
             "plan worker count vs pool size"
         );
-        // Hard assert (not debug-only): `BatchOut::block`'s carving is
-        // unsound for a malformed plan, and safe code can build one
+        // Hard assert (not debug-only): the carving below is unsound for a
+        // malformed plan, and safe code can build one
         // (`from_raw_parts_unchecked`). O(partitions) — negligible.
         assert!(plan.is_well_formed(), "malformed ExecPlan");
         let base = OutPtr(out.as_mut_ptr());
-        let domain = plan.rows();
         let job = |w: usize, scratch: &mut Vec<f32>| {
             let parts = plan.worker_parts(w);
             let rows = plan.worker_rows(w);
-            let view = BatchOut {
-                base: base.get(),
-                domain,
-                rows: rows.clone(),
-                blocks,
-                _marker: std::marker::PhantomData,
+            // The asserts above put `rows.end · width` inside `out`, and a
+            // well-formed plan's worker row ranges are pairwise disjoint.
+            // SAFETY: in bounds and disjoint per the above, so no two
+            // workers ever hold overlapping elements.
+            let mine = unsafe {
+                std::slice::from_raw_parts_mut(
+                    base.get().add(rows.start * width),
+                    rows.len() * width,
+                )
             };
-            kernel(parts, rows, view, scratch);
+            kernel(parts, rows, mine, scratch);
         };
         self.broadcast(&job, serialize);
     }
@@ -782,48 +783,6 @@ fn worker_loop(shared: &Shared, w: usize) {
     }
 }
 
-/// A worker's exclusive window into a slice-major batched output during a
-/// [`WorkerPool::run_batched`] dispatch: the output holds `blocks` blocks
-/// of `domain` elements each, and this view owns the row range `rows`
-/// within every block. [`BatchOut::block`] yields one block's sub-slice at
-/// a time; the `&mut self` receiver serializes access within the worker,
-/// and the plan's pairwise-disjoint worker row ranges keep workers apart.
-pub struct BatchOut<'a, T> {
-    base: *mut T,
-    domain: usize,
-    rows: Range<usize>,
-    blocks: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<T> BatchOut<'_, T> {
-    /// Number of blocks (the batch width `k`).
-    pub fn blocks(&self) -> usize {
-        self.blocks
-    }
-
-    /// This worker's row range within block `b` (its exclusive sub-slice
-    /// of `out[b * domain .. (b + 1) * domain]`).
-    ///
-    /// # Panics
-    /// If `b >= self.blocks()`.
-    pub fn block(&mut self, b: usize) -> &mut [T] {
-        assert!(b < self.blocks, "block index out of range");
-        // The dispatch asserted `out.len() == domain * blocks` and plan
-        // well-formedness, so `b * domain + rows` is in bounds; worker
-        // row ranges are pairwise disjoint (no cross-worker overlap).
-        // SAFETY: in-bounds and disjoint per the above, and the `&mut
-        // self` receiver ties the returned borrow to this view, so a
-        // worker never holds two overlapping slices at once.
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.base.add(b * self.domain + self.rows.start),
-                self.rows.len(),
-            )
-        }
-    }
-}
-
 struct OutPtr<T>(*mut T);
 
 impl<T> OutPtr<T> {
@@ -835,9 +794,9 @@ impl<T> OutPtr<T> {
     }
 }
 
-// SAFETY: the pointer is only dereferenced through the `BatchOut` views
-// `dispatch` hands out, where each worker derives disjoint sub-slices
-// from it, so no two threads ever touch overlapping elements.
+// SAFETY: the pointer is only dereferenced where `dispatch` carves each
+// worker its disjoint rows, so no two threads ever touch overlapping
+// elements.
 unsafe impl<T: Send> Send for OutPtr<T> {}
 // SAFETY: same argument — workers share `OutPtr` by reference but
 // every dereference targets a worker-exclusive range.
@@ -932,45 +891,43 @@ mod tests {
         });
         // The scratch-less spelling in between leaves it alone.
         pool.run(&plan, &mut out, |_p, _r, slice| slice.fill(1.0));
-        pool.run_batched(&plan, &mut out, 1, |_p, _r, mut o, scratch| {
+        pool.run_batched(&plan, &mut out, 1, |_p, _r, o, scratch| {
             // Scratch kept its contents from the first dispatch.
-            o.block(0).fill(scratch.first().copied().unwrap_or(0.0));
+            o.fill(scratch.first().copied().unwrap_or(0.0));
         });
         assert!(out.iter().all(|&v| v == 7.0));
     }
 
     #[test]
     fn batched_dispatch_matches_per_block_runs() {
-        // Every worker sees its plan's parts and rows and an exclusive
-        // slice per block, at every width and pool size (one thread is the
-        // inline path) — and `run` is the same dispatch at one block, not
-        // a second body.
-        let stamp = |b: usize, parts: &Range<usize>, rows: &Range<usize>, s: &mut [[usize; 4]]| {
-            assert_eq!(s.len(), rows.len());
-            for (j, v) in s.iter_mut().enumerate() {
-                *v = [parts.start, parts.end, rows.start + j, b];
-            }
-        };
-        for (threads, blocks) in [(1, 1), (1, 4), (3, 1), (3, 4)] {
+        // Every worker sees its plan's parts and rows and exclusive access
+        // to every value of those rows, at every width and pool size (one
+        // thread is the inline path) — and `run` is the same dispatch at
+        // width 1, not a second body.
+        let stamp =
+            |width: usize, parts: &Range<usize>, rows: &Range<usize>, s: &mut [[usize; 4]]| {
+                assert_eq!(s.len(), rows.len() * width);
+                for (k, v) in s.iter_mut().enumerate() {
+                    *v = [parts.start, parts.end, rows.start + k / width, k % width];
+                }
+            };
+        for (threads, width) in [(1, 1), (1, 4), (3, 1), (3, 4)] {
             let plan = ExecPlan::nnz_balanced(&[0, 5, 6, 7, 107, 108, 110], threads);
             let pool = WorkerPool::new(threads);
             let rows = plan.rows();
-            let mut out = vec![[0; 4]; rows * blocks];
-            pool.run_batched(&plan, &mut out, blocks, |p, r, mut view, _scratch| {
-                assert_eq!(view.blocks(), blocks);
-                for b in 0..blocks {
-                    stamp(b, &p, &r, view.block(b));
-                }
+            let mut out = vec![[0; 4]; rows * width];
+            pool.run_batched(&plan, &mut out, width, |p, r, mine, _scratch| {
+                stamp(width, &p, &r, mine)
             });
-            for (w, b) in (0..threads).flat_map(|w| (0..blocks).map(move |b| (w, b))) {
+            for (w, j) in (0..threads).flat_map(|w| (0..width).map(move |j| (w, j))) {
                 let parts = plan.worker_parts(w);
                 for i in plan.worker_rows(w) {
-                    assert_eq!(out[b * rows + i], [parts.start, parts.end, i, b]);
+                    assert_eq!(out[i * width + j], [parts.start, parts.end, i, j]);
                 }
             }
-            if blocks == 1 {
+            if width == 1 {
                 let mut plain = vec![[0; 4]; rows];
-                pool.run(&plan, &mut plain, |p, r, s| stamp(0, &p, &r, s));
+                pool.run(&plan, &mut plain, |p, r, s| stamp(1, &p, &r, s));
                 assert_eq!(plain, out);
             }
         }
@@ -986,7 +943,7 @@ mod tests {
         }))
         .is_err());
         assert!(catch_unwind(AssertUnwindSafe(|| {
-            // 16 elements is one block short of blocks=2.
+            // 16 elements is one value a row short of width 2.
             pool.run_batched(&plan, &mut out, 2, |_p, _r, _o, _s| {});
         }))
         .is_err());

@@ -18,9 +18,11 @@
 //! per nonzero (index, value, mask) is paid once per block of `W` slices.
 //! `W = 1` is the SpMV.
 
+use crate::batch::block_width;
 use crate::csr::CsrMatrix;
 use crate::lanes::{reduce_lanes, LANES};
 use std::array::from_fn;
+use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 
@@ -545,29 +547,27 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         self.spmm_pooled_into(x, y, 1, plan, pool);
     }
 
-    /// Sequential buffered SpMM into a caller-provided slice-major output:
-    /// `y = A · [x₁ … xₖ]`. Slices go through the kernel in blocks of
-    /// [`LANES`], then 4, then single slices; a block of `W` slices pays
-    /// each nonzero's index, value and index mask once (see
-    /// [`BufferedCsrImpl::process_partition`]). Each slice's per-row
-    /// accumulation order does not depend on the block it lands in, so
-    /// column `j` is bit-identical to [`BufferedCsrImpl::spmv_into`] on
-    /// slice `j` for every batch width.
+    /// Sequential buffered SpMM into a caller-provided slice-interleaved
+    /// output: `y = A · [x₁ … xₖ]`, `x` slice-interleaved too. Slices go
+    /// through the kernel in blocks of [`LANES`], then 4, then single
+    /// slices; a block of `W` slices pays each nonzero's index, value and
+    /// index mask once (see [`BufferedCsrImpl::process_partition`]). Each
+    /// slice's per-row accumulation order does not depend on the block it
+    /// lands in, so column `j` is bit-identical to
+    /// [`BufferedCsrImpl::spmv_into`] on slice `j` for every batch width.
     pub fn spmm_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
         assert!(batch > 0, "batch width must be positive");
         assert_eq!(x.len(), self.ncols * batch, "x length");
         assert_eq!(y.len(), self.nrows * batch, "y length");
-        let nrows = self.nrows;
-        let sink = Sink::new(y, 0, |y, s| &mut y[s * nrows..(s + 1) * nrows]);
-        self.run_partitions(0..self.num_partitions(), x, batch, &mut Vec::new(), sink);
+        self.run_partitions(0..self.num_partitions(), x, batch, &mut Vec::new(), y);
     }
 
-    /// Pooled buffered SpMM into a caller-provided slice-major output:
-    /// one dispatch computes all k columns, each worker running its
-    /// partition run through the same slice-block kernel as
-    /// [`BufferedCsrImpl::spmm_into`] on its persistent pool scratch
-    /// (sized on first use, then reused — steady-state calls allocate
-    /// nothing). Column `j` is bit-identical to
+    /// Pooled buffered SpMM into a caller-provided slice-interleaved
+    /// output: one dispatch computes all k columns, each worker running
+    /// its partition run through the same slice-block kernel as
+    /// [`BufferedCsrImpl::spmm_into`] on its persistent staging (the pool
+    /// scratch and the thread's lines, sized on first use, then reused —
+    /// steady-state calls allocate nothing). Column `j` is bit-identical to
     /// [`BufferedCsrImpl::spmv_into`] on slice `j` for every worker count.
     pub fn spmm_pooled_into(
         &self,
@@ -582,64 +582,69 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         assert_eq!(y.len(), self.nrows * batch, "y length");
         assert_eq!(plan.rows(), self.nrows, "plan rows");
         assert_eq!(plan.num_partitions(), self.num_partitions(), "plan blocks");
-        pool.run_batched(plan, y, batch, |parts, rows, mut out, scratch| {
-            let sink = Sink::new(&mut out, rows.start, xct_runtime::BatchOut::block);
-            self.run_partitions(parts, x, batch, scratch, sink);
+        pool.run_batched(plan, y, batch, |parts, _rows, out, scratch| {
+            self.run_partitions(parts, x, batch, scratch, out)
         });
     }
 
-    /// The driver behind every entry point: partitions `parts` × all
-    /// `batch` slices of the slice-major `x`, results into `sink`. Slice
-    /// blocks are the inner loop, so a partition's matrix data is re-read
-    /// from cache.
+    /// The driver behind every entry point: partitions `parts` × all `k`
+    /// slices of the slice-interleaved `x`, into `out` — the partitions'
+    /// rows, `k` values each. Slice blocks are the inner loop, so a
+    /// partition's matrix data is re-read from cache.
     ///
-    /// `scratch` holds the interleaved staging buffer — `buffsize`
-    /// rounded up to a power of two slots, so the kernel can mask its
-    /// indices instead of checking them — and one partition's interleaved
-    /// output rows, `(buffsize.next_power_of_two() + partsize) · W` floats
-    /// for the widest block this batch uses; it only ever grows.
-    fn run_partitions<O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]>(
+    /// The staging buffer has `buffsize` rounded up to a power of two
+    /// slots, so the kernel can mask its indices instead of checking them.
+    /// Single slices stage through `scratch` (one `f32` a slot); wider
+    /// blocks through this thread's [`Line`]s. Both only ever grow.
+    fn run_partitions(
         &self,
         parts: Range<usize>,
         x: &[f32],
-        batch: usize,
+        k: usize,
         scratch: &mut Vec<f32>,
-        mut sink: Sink<'_, O, F>,
+        out: &mut [f32],
     ) {
-        let widest = block_width(batch);
         let slots = self.buffsize.next_power_of_two();
-        let need = (slots + self.partsize) * widest;
-        if scratch.len() < need {
-            scratch.resize(need, 0.0);
+        if scratch.len() < slots {
+            scratch.resize(slots, 0.0);
         }
-        let (input, tile) = scratch.split_at_mut(slots * widest);
-        for p in parts {
-            let mut s = 0;
-            while s < batch {
-                let w = block_width(batch - s);
-                match w {
-                    LANES => self.process_partition::<LANES, O, F>(p, x, s, input, tile, &mut sink),
-                    4 => self.process_partition::<4, O, F>(p, x, s, input, tile, &mut sink),
-                    _ => self.process_partition::<1, O, F>(p, x, s, input, tile, &mut sink),
-                }
-                s += w;
+        let singles = scratch.as_chunks_mut::<1>().0;
+        LINES.with_borrow_mut(|lines| {
+            if k >= 4 && lines.len() < slots {
+                lines.resize(slots, Line::default());
             }
-        }
+            for (p, rows) in parts.zip(out.chunks_mut(self.partsize * k)) {
+                let mut s0 = 0;
+                while s0 < k {
+                    let w = block_width(k - s0);
+                    match w {
+                        LANES => self.process_partition::<LANES, _>(p, x, k, s0, lines, rows),
+                        4 => self.process_partition::<4, _>(p, x, k, s0, lines, rows),
+                        _ => self.process_partition::<1, _>(p, x, k, s0, singles, rows),
+                    }
+                    s0 += w;
+                }
+            }
+        });
     }
 
     /// Run all stages of partition `p` for slices `s0..s0 + W` of the
-    /// slice-major `x` and store the partition's rows of each in `sink`.
+    /// `k`-wide slice-interleaved `x`, accumulating straight into those
+    /// slices' values of the partition's rows (`rows`, `k` values a row).
     ///
-    /// Each stage's footprint is gathered *slice-interleaved*
-    /// (`input[slot * W + s] = x[s][map[slot]]`), so the accumulation
-    /// loads one contiguous `W`-vector per nonzero and the index and value
-    /// are paid once for all `W` slices; row `j`'s `W` sums accumulate at
-    /// `tile[j * W..][..W]` and are de-interleaved at the end. Per slice
-    /// the order is exactly [`crate::lanes`]'s — entry `k` of a
-    /// `(stage, row)` run into lane `k % LANES`, [`reduce_lanes`],
-    /// sequential tail, stages added to the row in ascending order —
-    /// whatever `W` is, which is what makes every column bit-identical to
-    /// its SpMV.
+    /// Each stage's footprint is staged as one contiguous `W`-float copy
+    /// per slot (`input[slot] = x[map[slot]·k + s0..][..W]`), so the
+    /// accumulation loads one contiguous `W`-vector per nonzero and the
+    /// index and value are paid once for all `W` slices. Per slice the
+    /// order is exactly [`crate::lanes`]'s — entry `k` of a `(stage, row)`
+    /// run into lane `k % LANES`, [`reduce_lanes`], sequential tail,
+    /// stages added to the row in ascending order — whatever `W` is,
+    /// which is what makes every column bit-identical to its SpMV. At
+    /// `W = LANES` the 8-lane × 8-slice accumulator tile would fill all
+    /// sixteen XMM registers of the baseline x86-64 build and spill, so a
+    /// run is accumulated in two passes of four lanes, each half reduced
+    /// by its side of the tree before the next starts: lane `l` still
+    /// sees entries `l, l + 8, …` in order.
     ///
     /// Nothing between a run's first and last nonzero branches on data.
     /// Staging reads are *masked*, not checked: the buffer is sliced to a
@@ -658,100 +663,190 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// allocation in `run_partitions` and the `W = 1` loop spills
     /// (measured 10 % slower).
     #[inline(never)]
-    fn process_partition<const W: usize, O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]>(
+    fn process_partition<const W: usize, S: Slot<W>>(
         &self,
         p: usize,
         x: &[f32],
+        k: usize,
         s0: usize,
-        input: &mut [f32],
-        tile: &mut [f32],
-        sink: &mut Sink<'_, O, F>,
+        input: &mut [S],
+        rows: &mut [f32],
     ) {
-        let row0 = p * self.partsize;
-        let prows = self.partsize.min(self.nrows - row0);
-        let (input, _) = input.as_chunks_mut::<W>();
         let mask = self.buffsize.next_power_of_two() - 1;
         let input = &mut input[..=mask];
-        let (tile, _) = tile[..prows * W].as_chunks_mut::<W>();
-        tile.fill([0.0; W]);
-        // One bounds-checked view per slice: a map entry outside
-        // `0..ncols` panics instead of reading a neighbouring slice.
-        let xs: [&[f32]; W] = from_fn(|s| &x[(s0 + s) * self.ncols..][..self.ncols]);
+        // A block that is the whole batch (`k = W`, so `s0 = 0`) reads and
+        // writes whole rows: one bounds check a slot, none a row.
+        let (xw, _) = x.as_chunks::<W>();
+        if k == W {
+            rows.fill(0.0);
+        } else {
+            for row in rows.chunks_exact_mut(k) {
+                row[s0..s0 + W].fill(0.0);
+            }
+        }
         for stage in self.partdispl[p] as usize..self.partdispl[p + 1] as usize {
-            // Staging: the only irregular reads in the kernel, eight
-            // slots a step so the regular buffer writes vectorize (each
-            // slot is a pure write, so order is irrelevant here).
+            // Staging: the only irregular reads in the kernel. A map entry
+            // outside `0..ncols` panics instead of reading past `x`.
             let stage_map = &self.map[self.stagedispl[stage]..self.stagedispl[stage + 1]];
-            let (m8, mt) = stage_map.as_chunks::<LANES>();
-            let (d8, dt) = input[..stage_map.len()].as_chunks_mut::<LANES>();
-            for (d, g) in d8.iter_mut().zip(m8) {
-                *d = from_fn(|l| from_fn(|s| xs[s][g[l] as usize]));
+            let staged = &mut input[..stage_map.len()];
+            if k == W {
+                gather(staged, stage_map, |g| xw[g as usize]);
+            } else {
+                let xs = &x[s0..];
+                gather(staged, stage_map, |g| {
+                    let v = &xs[g as usize * k..][..W];
+                    from_fn(|s| v[s])
+                });
             }
-            for (slot, &g) in dt.iter_mut().zip(mt) {
-                *slot = from_fn(|s| xs[s][g as usize]);
-            }
+            let input = &*input;
             let dbase = stage * self.partsize;
-            for (j, row) in tile.iter_mut().enumerate() {
-                let (d0, d1) = (self.displ[dbase + j], self.displ[dbase + j + 1]);
-                let (c8s, left) = self.ind[d0..d1].as_chunks::<LANES>();
-                let (v8s, _) = self.val[d0..d1].as_chunks::<LANES>();
-                let mut acc = [[0f32; W]; LANES];
-                for (c8, v8) in c8s.iter().zip(v8s) {
-                    for l in 0..LANES {
-                        let xv = input[c8[l].to_usize() & mask];
-                        for s in 0..W {
-                            acc[l][s] += xv[s] * v8[l];
-                        }
-                    }
+            let run = |j: usize| self.run_sum::<W, S>(input, mask, dbase + j);
+            if k == W {
+                for (j, row) in rows.as_chunks_mut::<W>().0.iter_mut().enumerate() {
+                    add(row, run(j));
                 }
-                // At `W = 1` LLVM's SLP pass, seeing the tree below, pairs
-                // the loop's accumulators as the tree does: half-filled
-                // vectors, a shuffle per nonzero. Handed over opaquely, the
-                // loop keeps two full registers.
-                if W == 1 {
-                    acc = std::hint::black_box(acc);
-                }
-                let mut sum: [f32; W] = from_fn(|s| reduce_lanes(&from_fn(|l| acc[l][s])));
-                let (d8, live) = (d1 - left.len(), &TAIL_LIVE[TAIL - left.len()..][..TAIL]);
-                let (ct, vt) = (&self.ind[d8..d8 + TAIL], &self.val[d8..d8 + TAIL]);
-                for t in 0..TAIL {
-                    let xv = input[ct[t].to_usize() & mask];
-                    for s in 0..W {
-                        sum[s] += f32::from_bits((xv[s] * vt[t]).to_bits() & live[t]);
-                    }
-                }
-                for s in 0..W {
-                    row[s] += sum[s];
+            } else {
+                for (j, row) in rows.chunks_exact_mut(k).enumerate() {
+                    add(&mut row[s0..s0 + W], run(j));
                 }
             }
         }
-        for s in 0..W {
-            let dst = sink.rows(s0 + s, row0..row0 + prows);
-            for (d, row) in dst.iter_mut().zip(tile.iter()) {
-                *d = row[s];
+    }
+
+    /// The `W` sums of the `(stage, row)` run at `displ[d]`, against the
+    /// staged inputs: full lane groups, the reduction tree, then the
+    /// fixed-length tail (see [`BufferedCsrImpl::process_partition`]).
+    #[inline(always)]
+    fn run_sum<const W: usize, S: Slot<W>>(&self, input: &[S], mask: usize, d: usize) -> [f32; W] {
+        let (d0, d1) = (self.displ[d], self.displ[d + 1]);
+        let (c8s, left) = self.ind[d0..d1].as_chunks::<LANES>();
+        let (v8s, _) = self.val[d0..d1].as_chunks::<LANES>();
+        let mut sum: [f32; W] = if W == LANES {
+            // reduce_lanes's tree, ((a0+a1)+(a2+a3)) + ((a4+a5)+(a6+a7)),
+            // one half per pass.
+            let half = |acc: [[f32; W]; 4]| -> [f32; W] {
+                from_fn(|s| (acc[0][s] + acc[1][s]) + (acc[2][s] + acc[3][s]))
+            };
+            let lo = half(accumulate::<4, W, I, S>(c8s, v8s, input, mask, 0));
+            let hi = half(accumulate::<4, W, I, S>(c8s, v8s, input, mask, 4));
+            from_fn(|s| lo[s] + hi[s])
+        } else {
+            let mut acc = accumulate::<LANES, W, I, S>(c8s, v8s, input, mask, 0);
+            // At `W = 1` LLVM's SLP pass, seeing the tree below, pairs the
+            // loop's accumulators as the tree does: half-filled vectors, a
+            // shuffle per nonzero. Handed over opaquely, the loop keeps two
+            // full registers.
+            if W == 1 {
+                acc = std::hint::black_box(acc);
+            }
+            from_fn(|s| reduce_lanes(&from_fn(|l| acc[l][s])))
+        };
+        let (d8, live) = (d1 - left.len(), &TAIL_LIVE[TAIL - left.len()..][..TAIL]);
+        let (ct, vt) = (&self.ind[d8..d8 + TAIL], &self.val[d8..d8 + TAIL]);
+        for t in 0..TAIL {
+            let xv = input[ct[t].to_usize() & mask].get();
+            for s in 0..W {
+                sum[s] += f32::from_bits((xv[s] * vt[t]).to_bits() & live[t]);
+            }
+        }
+        sum
+    }
+}
+
+/// Stage one footprint: `staged[slot] = at(map[slot])`, eight slots a
+/// step so the regular buffer writes vectorize (each slot is a pure
+/// write, so order is irrelevant here).
+#[inline(always)]
+fn gather<const W: usize, S: Slot<W>>(staged: &mut [S], map: &[u32], at: impl Fn(u32) -> [f32; W]) {
+    let (m8, mt) = map.as_chunks::<LANES>();
+    let (d8, dt) = staged.as_chunks_mut::<LANES>();
+    for (d, g) in d8.iter_mut().zip(m8) {
+        for l in 0..LANES {
+            d[l].set(at(g[l]));
+        }
+    }
+    for (slot, &g) in dt.iter_mut().zip(mt) {
+        slot.set(at(g));
+    }
+}
+
+/// A staging slot holding one footprint column's `W` slices.
+trait Slot<const W: usize> {
+    fn get(&self) -> &[f32; W];
+    fn set(&mut self, v: [f32; W]);
+}
+
+impl Slot<1> for [f32; 1] {
+    #[inline(always)]
+    fn get(&self) -> &[f32; 1] {
+        self
+    }
+    #[inline(always)]
+    fn set(&mut self, v: [f32; 1]) {
+        *self = v;
+    }
+}
+
+/// A staging slot of up to [`LANES`] slices, 32-byte aligned: the
+/// kernel's 16-byte loads from it then fold into its multiplies on the
+/// baseline x86-64 build, which an `f32` buffer's 4-byte alignment does
+/// not allow.
+#[derive(Clone, Copy, Default)]
+#[repr(C, align(32))]
+struct Line([f32; LANES]);
+
+impl<const W: usize> Slot<W> for Line {
+    #[inline(always)]
+    fn get(&self) -> &[f32; W] {
+        self.0
+            .first_chunk()
+            .expect("a slice block is at most LANES wide")
+    }
+    #[inline(always)]
+    fn set(&mut self, v: [f32; W]) {
+        *self
+            .0
+            .first_chunk_mut()
+            .expect("a slice block is at most LANES wide") = v;
+    }
+}
+
+thread_local! {
+    /// This thread's staging lines for blocks of 4 and 8 slices, grown on
+    /// first use and kept for the thread's lifetime (pool workers live as
+    /// long as their pool), so steady-state calls allocate nothing.
+    static LINES: RefCell<Vec<Line>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Add a run's `W` sums to its row's values of the block's slices.
+#[inline(always)]
+fn add<const W: usize>(row: &mut [f32], sum: [f32; W]) {
+    for (r, s) in row.iter_mut().zip(sum) {
+        *r += s;
+    }
+}
+
+/// Lanes `lo..lo + N` of a run's full lane groups for `W` slices:
+/// `acc[l][s]` sums entries `lo + l`, `lo + l + 8`, … of the run, in
+/// order, against slice `s` of their staged inputs.
+#[inline(always)]
+fn accumulate<const N: usize, const W: usize, I: BufferIndex, S: Slot<W>>(
+    c8s: &[[I; LANES]],
+    v8s: &[[f32; LANES]],
+    input: &[S],
+    mask: usize,
+    lo: usize,
+) -> [[f32; W]; N] {
+    let mut acc = [[0f32; W]; N];
+    for (c8, v8) in c8s.iter().zip(v8s) {
+        for l in 0..N {
+            let xv = input[c8[lo + l].to_usize() & mask].get();
+            for s in 0..W {
+                acc[l][s] += xv[s] * v8[lo + l];
             }
         }
     }
-}
-
-/// Where a kernel call's results go: `block(out, s)` is slice `s`'s
-/// output rows from global row `row0` on — the whole slice-major output
-/// for the serial entry points, a worker's share of it for the pooled.
-struct Sink<'a, O: ?Sized, F> {
-    out: &'a mut O,
-    row0: usize,
-    block: F,
-}
-
-impl<'a, O: ?Sized, F: Fn(&mut O, usize) -> &mut [f32]> Sink<'a, O, F> {
-    fn new(out: &'a mut O, row0: usize, block: F) -> Self {
-        Sink { out, row0, block }
-    }
-
-    /// Global rows `rows` of slice `s`.
-    fn rows(&mut self, s: usize, rows: Range<usize>) -> &mut [f32] {
-        &mut (self.block)(self.out, s)[rows.start - self.row0..rows.end - self.row0]
-    }
+    acc
 }
 
 /// Steps of the kernel's fixed-length run tail, and pad entries that keep
@@ -766,16 +861,6 @@ const TAIL_LIVE: [u32; 2 * TAIL] = [!0, !0, !0, !0, !0, !0, !0, 0, 0, 0, 0, 0, 0
 fn pad_tail<I: BufferIndex>(ind: &mut Vec<I>, val: &mut Vec<f32>) {
     ind.resize(ind.len() + TAIL, I::default());
     val.resize(val.len() + TAIL, 0.0);
-}
-
-/// Slices the next kernel call takes out of `remaining`: a batch is cut
-/// into blocks of [`LANES`], then 4, then single slices.
-fn block_width(remaining: usize) -> usize {
-    match remaining {
-        LANES.. => LANES,
-        4.. => 4,
-        _ => 1,
-    }
 }
 
 #[cfg(test)]

@@ -21,16 +21,12 @@ use crate::lanes::LANES;
 /// order is still slot-ascending, exactly the unblocked kernel's order, so
 /// this is bit-identical to the scalar column-major sweep by construction.
 ///
-/// Accumulates into `out` (callers zero the target range first).
+/// `x` and `out` are one slice of `stride`-wide slice-interleaved slabs
+/// (`&slab[j..]`): input column `c` is `x[c · stride]`, row `j`'s sum is
+/// added to `out[j · stride]` (callers zero the target rows first).
 #[inline]
-fn ell_sweep(
-    rows: usize,
-    width: usize,
-    colind: &[u32],
-    values: &[f32],
-    x: &[f32],
-    out: &mut [f32],
-) {
+fn ell_sweep(p: &EllPartition, x: &[f32], out: &mut [f32], stride: usize) {
+    let (rows, width, colind, values) = (p.rows, p.width, &p.colind, &p.values);
     let full = rows / LANES * LANES;
     let mut j0 = 0;
     while j0 < full {
@@ -43,23 +39,23 @@ fn ell_sweep(
             for l in 0..LANES {
                 // Padded slots multiply x[0] by 0 — redundant on purpose,
                 // mirroring the divergence-free GPU kernel.
-                gat[l] = x[c8[l] as usize];
+                gat[l] = x[c8[l] as usize * stride];
             }
             for l in 0..LANES {
                 acc[l] += gat[l] * v8[l];
             }
         }
         for l in 0..LANES {
-            out[j0 + l] += acc[l];
+            out[(j0 + l) * stride] += acc[l];
         }
         j0 += LANES;
     }
     for j in full..rows {
         let mut a = 0f32;
         for s in 0..width {
-            a += x[colind[s * rows + j] as usize] * values[s * rows + j];
+            a += x[colind[s * rows + j] as usize * stride] * values[s * rows + j];
         }
-        out[j] += a;
+        out[j * stride] += a;
     }
 }
 
@@ -228,30 +224,21 @@ impl EllMatrix {
         self.spmm_into(x, y, 1);
     }
 
-    /// Sequential ELL SpMM into a caller-provided slice-major output
-    /// (overwritten): `y = A · [x₁ … xₖ]`. The slice loop runs inside
-    /// each partition, so the partition's column-major slots are streamed
-    /// once and re-read from cache for the remaining k-1 slices, and each
-    /// partition is swept column-major in 8-row blocks (the coalesced
-    /// access of consecutive CUDA threads); column `j` does not depend on
-    /// the batch width.
+    /// Sequential ELL SpMM into a caller-provided slice-interleaved
+    /// output (overwritten): `y = A · [x₁ … xₖ]`. The slice loop runs
+    /// inside each partition, so the partition's column-major slots are
+    /// streamed once and re-read from cache for the remaining k-1 slices,
+    /// and each partition is swept column-major in 8-row blocks (the
+    /// coalesced access of consecutive CUDA threads); column `j` does not
+    /// depend on the batch width.
     pub fn spmm_into(&self, x: &[f32], y: &mut [f32], batch: usize) {
         assert!(batch > 0, "batch width must be positive");
         assert_eq!(x.len(), self.ncols * batch, "x length");
         assert_eq!(y.len(), self.nrows * batch, "y length");
-        y.fill(0.0);
-        let mut base = 0usize;
-        for p in &self.partitions {
-            for j in 0..batch {
-                let xs = &x[j * self.ncols..(j + 1) * self.ncols];
-                let out = &mut y[j * self.nrows + base..j * self.nrows + base + p.rows];
-                ell_sweep(p.rows, p.width, &p.colind, &p.values, xs, out);
-            }
-            base += p.rows;
-        }
+        self.sweep_partitions(0..self.partitions.len(), x, y, batch);
     }
 
-    /// Pooled ELL SpMM into a caller-provided slice-major output
+    /// Pooled ELL SpMM into a caller-provided slice-interleaved output
     /// (overwritten): one dispatch computes all k columns, each worker
     /// sweeping its partition run once with the slice loop inside each
     /// partition. Column `j` is bit-identical to
@@ -269,22 +256,29 @@ impl EllMatrix {
         assert_eq!(y.len(), self.nrows * batch, "y length");
         assert_eq!(plan.rows(), self.nrows, "plan rows");
         assert_eq!(plan.num_partitions(), self.partitions.len(), "plan blocks");
-        let bounds = plan.bounds();
-        pool.run_batched(plan, y, batch, |parts, rows, mut out, _scratch| {
-            for j in 0..batch {
-                out.block(j).fill(0.0);
-            }
-            for pi in parts {
-                let p = &self.partitions[pi];
-                let base = bounds[pi] - rows.start;
-                for j in 0..batch {
-                    let xs = &x[j * self.ncols..(j + 1) * self.ncols];
-                    let block = out.block(j);
-                    let slice = &mut block[base..base + p.rows];
-                    ell_sweep(p.rows, p.width, &p.colind, &p.values, xs, slice);
-                }
-            }
+        pool.run_batched(plan, y, batch, |parts, _rows, out, _scratch| {
+            self.sweep_partitions(parts, x, out, batch)
         });
+    }
+
+    /// Partitions `parts` × all `k` slices into `out`, their rows' `k`
+    /// values each (overwritten).
+    fn sweep_partitions(
+        &self,
+        parts: std::ops::Range<usize>,
+        x: &[f32],
+        out: &mut [f32],
+        k: usize,
+    ) {
+        out.fill(0.0);
+        let mut base = 0;
+        for p in &self.partitions[parts] {
+            let rows = &mut out[base..base + p.rows * k];
+            for j in 0..k {
+                ell_sweep(p, &x[j..], &mut rows[j..], k);
+            }
+            base += p.rows * k;
+        }
     }
 
     /// A balanced [`xct_runtime::ExecPlan`] over the ELL partitions: each partition

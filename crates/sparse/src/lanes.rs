@@ -39,13 +39,15 @@
 pub const LANES: usize = 8;
 
 /// Lane-split dot product of a CSR row with the gathered input:
-/// `Σ x[cols[k]] * vals[k]` in the deterministic lane order.
+/// `Σ x[cols[k] · stride] * vals[k]` in the deterministic lane order.
+/// `stride` is the width of a slice-interleaved slab (pass `&slab[j..]`
+/// for slice `j`); 1 reads a plain vector.
 ///
-/// The gather (`x[c]`) and the multiply-add are split into two passes over
-/// a stack buffer so the bounds-checked gathers don't serialize the FMA
-/// chain — measured ~1.3× the scalar loop on ADS1-shaped rows.
+/// The gather and the multiply-add are split into two passes over a stack
+/// buffer so the bounds-checked gathers don't serialize the FMA chain —
+/// measured ~1.3× the scalar loop on ADS1-shaped rows.
 #[inline]
-pub fn row_dot(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
+pub fn row_dot(cols: &[u32], vals: &[f32], x: &[f32], stride: usize) -> f32 {
     let mut acc = [0f32; LANES];
     let mut gat = [0f32; LANES];
     let ci = cols.chunks_exact(LANES);
@@ -53,7 +55,7 @@ pub fn row_dot(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
     let (ct, vt) = (ci.remainder(), vi.remainder());
     for (c8, v8) in ci.zip(vi) {
         for l in 0..LANES {
-            gat[l] = x[c8[l] as usize];
+            gat[l] = x[c8[l] as usize * stride];
         }
         for l in 0..LANES {
             acc[l] += gat[l] * v8[l];
@@ -61,7 +63,7 @@ pub fn row_dot(cols: &[u32], vals: &[f32], x: &[f32]) -> f32 {
     }
     let mut s = reduce_lanes(&acc);
     for (c, v) in ct.iter().zip(vt) {
-        s += x[*c as usize] * v;
+        s += x[*c as usize * stride] * v;
     }
     s
 }
@@ -107,7 +109,7 @@ mod tests {
     fn row_dot_matches_reference_bitwise() {
         for n in [0, 1, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100, 257] {
             let (cols, vals, x) = row(n);
-            let a = row_dot(&cols, &vals, &x);
+            let a = row_dot(&cols, &vals, &x, 1);
             let b = row_dot_ref(&cols, &vals, &x);
             assert_eq!(a.to_bits(), b.to_bits(), "len {n}: {a} vs {b}");
         }
@@ -123,7 +125,7 @@ mod tests {
             .iter()
             .zip(&vals)
             .fold(0f32, |a, (&c, &v)| a + x[c as usize] * v);
-        let lane = row_dot(&cols, &vals, &x);
+        let lane = row_dot(&cols, &vals, &x, 1);
         assert!((seq - lane).abs() < 1e-4, "same sum to tolerance");
         assert_ne!(seq.to_bits(), lane.to_bits(), "expected a different order");
     }

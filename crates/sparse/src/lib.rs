@@ -21,9 +21,11 @@
 //!   entry point without a `pool` argument runs on the calling thread —
 //!   [`dot_f64_chunked`] is the pooled dot's summation order there;
 //! - [`spmm_into`] / [`spmm_pooled_into`] (plus SpMM methods on the
-//!   buffered/ELL layouts): batched right-hand sides as slice-major
-//!   slabs, `Y = A · [x₁ … xₖ]`, streaming the matrix once per k slices
-//!   with per-slice results bit-identical to the SpMV kernels;
+//!   buffered/ELL layouts): batched right-hand sides as slice-interleaved
+//!   slabs (element `i` of slice `j` at `i·k + j`; [`interleave`] /
+//!   [`deinterleave`] convert at the edges), `Y = A · [x₁ … xₖ]`,
+//!   streaming the matrix once per k slices with per-slice results
+//!   bit-identical to the SpMV kernels;
 //! - [`PartitionStats`]: footprint / data-reuse / staging statistics used
 //!   by Fig 6 and the bandwidth accounting of Fig 9;
 //! - [`lanes`]: the fixed-width lane-split row reduction every kernel
@@ -45,7 +47,7 @@ mod reduce;
 mod spmv;
 mod stats;
 
-pub use batch::{spmm, spmm_into, spmm_pooled_into, SPMM_ROW_TILE};
+pub use batch::{deinterleave, interleave, spmm, spmm_into, spmm_pooled_into};
 pub use buffered::{BufferIndex, BufferedCsr, BufferedCsr32, BufferedCsrImpl, LayoutError};
 pub use csr::CsrMatrix;
 pub use ell::{EllMatrix, EllPartitionView};
@@ -53,6 +55,6 @@ pub use pooled::{
     csr_plan, csr_plan_equal, dot_chunks, dot_f64_batched_pooled, dot_plan, spmv_pooled_into,
     DOT_CHUNK,
 };
-pub use reduce::{dot_f64, dot_f64_chunked, norm_f64};
+pub use reduce::{dot_f64, dot_f64_chunked, dot_f64_chunked_batch, norm_f64};
 pub use spmv::{spmv, spmv_into, spmv_scalar_into};
 pub use stats::{matrix_stats, partition_stats, MatrixStats, PartitionStats};

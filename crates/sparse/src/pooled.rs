@@ -14,7 +14,7 @@
 //! width-free plan per vector length serves every batch width.
 
 use crate::csr::CsrMatrix;
-use crate::reduce::dot_f64;
+use crate::reduce::{add_row_dots, chunk};
 use xct_runtime::{ExecPlan, WorkerPool};
 
 /// An nnz-balanced row plan for `a`: the CSR `rowptr` *is* the nonzero
@@ -61,13 +61,14 @@ pub fn dot_plan(len: usize, workers: usize) -> ExecPlan {
     ExecPlan::equal_rows(dot_chunks(len), workers)
 }
 
-/// Deterministic pooled dot of `batch` slice pairs (`a`, `b` slice-major,
-/// `batch × len`): one dispatch of [`dot_plan`]`(len, ..)` over `batch`
-/// blocks of partials, each worker filling the `f64` partials of its
-/// chunk run for every slice; then each slice's partials are summed in
-/// chunk order into `out[j]`. `out[j]` depends only on slice `j` and
-/// [`DOT_CHUNK`], so it is bit-identical for every worker count and
-/// every batch width (`batch = 1` is the single dot).
+/// Deterministic pooled dot of `batch` slice pairs (`a`, `b`
+/// slice-interleaved, `len × batch`): one dispatch of
+/// [`dot_plan`]`(len, ..)`, each worker filling the `f64` partials of its
+/// chunk run for every slice in one pass over the run; then each slice's
+/// partials are summed in chunk order into `out[j]`. `out[j]` depends
+/// only on slice `j` and [`DOT_CHUNK`], so it is bit-identical for every
+/// worker count and every batch width (`batch = 1` is the single dot),
+/// and to [`crate::dot_f64_chunked_batch`].
 ///
 /// `partials` is caller-owned scratch of `dot_chunks(len) * batch`
 /// slots, `out` of `batch` slots, so steady-state calls allocate
@@ -90,24 +91,31 @@ pub fn dot_f64_batched_pooled(
     assert_eq!(plan.rows(), chunks, "plan rows");
     assert_eq!(partials.len(), chunks * batch, "partials length");
     assert_eq!(out.len(), batch, "out length");
-    pool.run_batched(plan, partials, batch, |_parts, run, mut slots, _scratch| {
-        for j in 0..batch {
-            for (c, slot) in run.clone().zip(slots.block(j)) {
-                let lo = j * len + c * DOT_CHUNK;
-                let hi = j * len + ((c + 1) * DOT_CHUNK).min(len);
-                *slot = dot_f64(&a[lo..hi], &b[lo..hi]);
-            }
+    // Chunk-major partials: chunk `c`'s `batch` slots are one plan row.
+    pool.run_batched(plan, partials, batch, |_parts, run, slots, _scratch| {
+        slots.fill(-0.0);
+        for (c, slot) in run.zip(slots.chunks_exact_mut(batch)) {
+            add_row_dots(a, b, chunk(c, len), slot);
         }
     });
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = partials[j * chunks..(j + 1) * chunks].iter().sum();
+    out.fill(-0.0);
+    for slot in partials.chunks_exact(batch) {
+        for (o, p) in out.iter_mut().zip(slot) {
+            *o += p;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::dot_f64_chunked;
+    use crate::reduce::{dot_f64, dot_f64_chunked};
+
+    fn interleaved(x: &[f32], k: usize) -> Vec<f32> {
+        let mut out = vec![0f32; x.len()];
+        crate::interleave(x, &mut out, k);
+        out
+    }
     use crate::spmv::{spmv, spmv_into};
 
     fn skewed() -> CsrMatrix {
@@ -176,7 +184,8 @@ mod tests {
                     let plan = dot_plan(len, workers);
                     let mut partials = vec![0f64; dot_chunks(len) * batch];
                     let mut out = vec![f64::NAN; batch];
-                    dot_f64_batched_pooled(&pool, &plan, &a, &b, batch, &mut partials, &mut out);
+                    let (ai, bi) = (interleaved(&a, batch), interleaved(&b, batch));
+                    dot_f64_batched_pooled(&pool, &plan, &ai, &bi, batch, &mut partials, &mut out);
                     for (j, got) in out.iter().enumerate() {
                         let r = j * len..(j + 1) * len;
                         let want = dot_f64_chunked(&a[r.clone()], &b[r.clone()]);

@@ -29,7 +29,7 @@ pub fn spmv_into(a: &CsrMatrix, x: &[f32], y: &mut [f32]) {
     let values = a.values();
     for (i, out) in y.iter_mut().enumerate() {
         let (lo, hi) = (rowptr[i], rowptr[i + 1]);
-        *out = row_dot(&colind[lo..hi], &values[lo..hi], x);
+        *out = row_dot(&colind[lo..hi], &values[lo..hi], x, 1);
     }
 }
 

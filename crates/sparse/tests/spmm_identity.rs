@@ -9,8 +9,8 @@
 use xct_runtime::WorkerPool;
 use xct_sparse::lanes::row_dot_ref;
 use xct_sparse::{
-    csr_plan, spmm_into, spmm_pooled_into, spmv_into, BufferIndex, BufferedCsrImpl, CsrMatrix,
-    EllMatrix,
+    csr_plan, deinterleave, interleave, spmm_into, spmm_pooled_into, spmv_into, BufferIndex,
+    BufferedCsrImpl, CsrMatrix, EllMatrix,
 };
 
 /// A matrix with skewed row lengths (rows shorter and longer than the 8
@@ -44,6 +44,20 @@ fn rhs(ncols: usize, batch: usize) -> Vec<f32> {
         .collect()
 }
 
+/// The slice-interleaved form of the slice-major `x` (`batch` slices).
+fn interleaved(x: &[f32], batch: usize) -> Vec<f32> {
+    let mut out = vec![0f32; x.len()];
+    interleave(x, &mut out, batch);
+    out
+}
+
+/// The slice-major form of the slice-interleaved `y` (`batch` slices).
+fn slice_major(y: &[f32], batch: usize) -> Vec<f32> {
+    let mut out = vec![0f32; y.len()];
+    deinterleave(y, &mut out, batch);
+    out
+}
+
 fn assert_bitwise(got: &[f32], want: &[f32], tag: &str) {
     assert_eq!(got.len(), want.len(), "{tag}: length");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -66,13 +80,18 @@ fn csr_spmm_columns_equal_spmv_serial_and_pooled() {
             );
         }
         let mut y = vec![0f32; a.nrows() * batch];
-        spmm_into(&a, &x, &mut y, batch);
-        assert_bitwise(&y, &want, &format!("csr serial k={batch}"));
+        spmm_into(&a, &interleaved(&x, batch), &mut y, batch);
+        assert_bitwise(
+            &slice_major(&y, batch),
+            &want,
+            &format!("csr serial k={batch}"),
+        );
         for workers in [1usize, 2, 4] {
             let pool = WorkerPool::new(workers);
             let plan = csr_plan(&a, workers);
             let mut y = vec![0f32; a.nrows() * batch];
-            spmm_pooled_into(&a, &x, &mut y, batch, &plan, &pool);
+            spmm_pooled_into(&a, &interleaved(&x, batch), &mut y, batch, &plan, &pool);
+            let y = slice_major(&y, batch);
             assert_bitwise(&y, &want, &format!("csr pooled k={batch} w={workers}"));
         }
     }
@@ -150,13 +169,18 @@ fn buffered_columns_equal_spmv<I: BufferIndex>(tag: &str) {
             assert_bitwise(ws, &staged_ref(&b, xs), &format!("{tag} spmv vs ref s{j}"));
         }
         let mut y = vec![0f32; a.nrows() * batch];
-        b.spmm_into(&x, &mut y, batch);
-        assert_bitwise(&y, &want, &format!("{tag} serial k={batch}"));
+        b.spmm_into(&interleaved(&x, batch), &mut y, batch);
+        assert_bitwise(
+            &slice_major(&y, batch),
+            &want,
+            &format!("{tag} serial k={batch}"),
+        );
         for workers in [1usize, 2, 4] {
             let pool = WorkerPool::new(workers);
             let plan = b.exec_plan(workers);
             let mut y = vec![0f32; a.nrows() * batch];
-            b.spmm_pooled_into(&x, &mut y, batch, &plan, &pool);
+            b.spmm_pooled_into(&interleaved(&x, batch), &mut y, batch, &plan, &pool);
+            let y = slice_major(&y, batch);
             assert_bitwise(&y, &want, &format!("{tag} pooled k={batch} w={workers}"));
         }
     }
@@ -187,9 +211,11 @@ fn buffered_spmm_isolates_a_poisoned_slice() {
             }
             let want = looped_spmv(&b, &x, batch);
             let mut serial = vec![0f32; a.nrows() * batch];
-            b.spmm_into(&x, &mut serial, batch);
+            b.spmm_into(&interleaved(&x, batch), &mut serial, batch);
+            let serial = slice_major(&serial, batch);
             let mut pooled = vec![0f32; a.nrows() * batch];
-            b.spmm_pooled_into(&x, &mut pooled, batch, &plan, &pool);
+            b.spmm_pooled_into(&interleaved(&x, batch), &mut pooled, batch, &plan, &pool);
+            let pooled = slice_major(&pooled, batch);
             for j in 0..batch {
                 let col = j * a.nrows()..(j + 1) * a.nrows();
                 let tag = format!("k={batch} poisoned={poisoned} column {j}");
@@ -283,7 +309,8 @@ fn buffered_run_boundaries<I: BufferIndex>(tag: &str) {
             let x = boundary_rhs(a.ncols(), batch);
             let want = staged_ref_slices(&b, &x);
             let mut y = vec![0f32; a.nrows() * batch];
-            b.spmm_into(&x, &mut y, batch);
+            b.spmm_into(&interleaved(&x, batch), &mut y, batch);
+            let y = slice_major(&y, batch);
             assert_boundary_rows(&y, &want, a.nrows(), &format!("{tag} serial"));
             for workers in [1usize, 2, 4] {
                 let pool = WorkerPool::new(workers);
@@ -292,7 +319,8 @@ fn buffered_run_boundaries<I: BufferIndex>(tag: &str) {
                 // Twice: the second call's dead steps read slots the
                 // first one left behind.
                 for _ in 0..2 {
-                    b.spmm_pooled_into(&x, &mut y, batch, &plan, &pool);
+                    b.spmm_pooled_into(&interleaved(&x, batch), &mut y, batch, &plan, &pool);
+                    let y = slice_major(&y, batch);
                     assert_boundary_rows(&y, &want, a.nrows(), &format!("{tag} w={workers}"));
                 }
             }
@@ -322,7 +350,8 @@ fn buffered_rows_of_negative_zero_products_stay_positive_zero() {
         let want = staged_ref_slices(&b, &x);
         assert!(want.iter().all(|w| w.to_bits() == 0), "reference: +0.0");
         let mut y = vec![f32::NAN; a.nrows() * batch];
-        b.spmm_into(&x, &mut y, batch);
+        b.spmm_into(&interleaved(&x, batch), &mut y, batch);
+        let y = slice_major(&y, batch);
         assert_bitwise(&y, &want, &format!("negative zeros k={batch}"));
     }
 }
@@ -338,15 +367,18 @@ fn buffered_spmm_reuses_pool_scratch_across_widths() {
         let plan = b.exec_plan(workers);
         let used = WorkerPool::new(workers);
         let x8 = rhs(a.ncols(), 8);
+        let x8 = interleaved(&x8, 8);
         b.spmm_pooled_into(&x8, &mut vec![0f32; a.nrows() * 8], 8, &plan, &used);
         for batch in [1usize, 5] {
             // A right-hand side unlike the one the scratch last held.
             let x: Vec<f32> = rhs(a.ncols(), batch).iter().map(|v| 1.5 - v).collect();
+            let xi = interleaved(&x, batch);
             let mut fresh = vec![0f32; a.nrows() * batch];
-            b.spmm_pooled_into(&x, &mut fresh, batch, &plan, &WorkerPool::new(workers));
+            b.spmm_pooled_into(&xi, &mut fresh, batch, &plan, &WorkerPool::new(workers));
             let mut reused = vec![0f32; a.nrows() * batch];
-            b.spmm_pooled_into(&x, &mut reused, batch, &plan, &used);
+            b.spmm_pooled_into(&xi, &mut reused, batch, &plan, &used);
             assert_bitwise(&reused, &fresh, &format!("k={batch} w={workers} after k=8"));
+            let reused = slice_major(&reused, batch);
             assert_bitwise(&reused, &looped_spmv(&b, &x, batch), "vs spmv");
         }
     }
@@ -366,13 +398,18 @@ fn ell_spmm_columns_equal_spmv_serial_and_pooled() {
             );
         }
         let mut y = vec![0f32; a.nrows() * batch];
-        ell.spmm_into(&x, &mut y, batch);
-        assert_bitwise(&y, &want, &format!("ell serial k={batch}"));
+        ell.spmm_into(&interleaved(&x, batch), &mut y, batch);
+        assert_bitwise(
+            &slice_major(&y, batch),
+            &want,
+            &format!("ell serial k={batch}"),
+        );
         for workers in [1usize, 2, 4] {
             let pool = WorkerPool::new(workers);
             let plan = ell.exec_plan(workers);
             let mut y = vec![0f32; a.nrows() * batch];
-            ell.spmm_pooled_into(&x, &mut y, batch, &plan, &pool);
+            ell.spmm_pooled_into(&interleaved(&x, batch), &mut y, batch, &plan, &pool);
+            let y = slice_major(&y, batch);
             assert_bitwise(&y, &want, &format!("ell pooled k={batch} w={workers}"));
         }
     }

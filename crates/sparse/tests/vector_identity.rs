@@ -49,9 +49,17 @@ fn xvec(ncols: usize, slice: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Slice-major batched right-hand side built from `xvec` slices.
+/// Slice-interleaved batched right-hand side built from `xvec` slices.
 fn xbatch(ncols: usize, batch: usize) -> Vec<f32> {
-    (0..batch).flat_map(|j| xvec(ncols, j)).collect()
+    let slices: Vec<Vec<f32>> = (0..batch).map(|j| xvec(ncols, j)).collect();
+    (0..ncols * batch)
+        .map(|i| slices[i % batch][i / batch])
+        .collect()
+}
+
+/// Slice `j` of the slice-interleaved `batch`-wide slab `y`.
+fn column(y: &[f32], batch: usize, j: usize) -> Vec<f32> {
+    y.iter().skip(j).step_by(batch).copied().collect()
 }
 
 /// CSR reference: `row_dot_ref` over each row's stored entries.
@@ -152,7 +160,7 @@ fn csr_spmm_matches_lane_reference_across_batches_and_threads() {
         for j in 0..batch {
             let want = csr_ref(&a, &xvec(a.ncols(), j));
             assert_bits(
-                &y[j * a.nrows()..(j + 1) * a.nrows()],
+                &column(&y, batch, j),
                 &want,
                 &format!("csr serial spmm b{batch} s{j}"),
             );
@@ -165,7 +173,7 @@ fn csr_spmm_matches_lane_reference_across_batches_and_threads() {
             for j in 0..batch {
                 let want = csr_ref(&a, &xvec(a.ncols(), j));
                 assert_bits(
-                    &y[j * a.nrows()..(j + 1) * a.nrows()],
+                    &column(&y, batch, j),
                     &want,
                     &format!("csr pooled spmm w{workers} b{batch} s{j}"),
                 );
@@ -196,7 +204,7 @@ fn ell_kernels_match_slot_order_reference() {
             for j in 0..batch {
                 let want_j = ell_ref(&e, &xvec(a.ncols(), j));
                 assert_bits(
-                    &yb[j * e.nrows()..(j + 1) * e.nrows()],
+                    &column(&yb, batch, j),
                     &want_j,
                     &format!("ell pooled spmm w{workers} b{batch} s{j}"),
                 );
@@ -210,7 +218,7 @@ fn ell_kernels_match_slot_order_reference() {
         for j in 0..batch {
             let want_j = ell_ref(&e, &xvec(a.ncols(), j));
             assert_bits(
-                &yb[j * e.nrows()..(j + 1) * e.nrows()],
+                &column(&yb, batch, j),
                 &want_j,
                 &format!("ell serial spmm b{batch} s{j}"),
             );
@@ -247,7 +255,7 @@ fn buffered_kernels_match_staged_lane_reference() {
             for j in 0..batch {
                 let want_j = buffered_ref(&b, &xvec(a.ncols(), j));
                 assert_bits(
-                    &yb[j * b.nrows()..(j + 1) * b.nrows()],
+                    &column(&yb, batch, j),
                     &want_j,
                     &format!("buffered pooled spmm w{workers} b{batch} s{j}"),
                 );
@@ -261,7 +269,7 @@ fn buffered_kernels_match_staged_lane_reference() {
         for j in 0..batch {
             let want_j = buffered_ref(&b, &xvec(a.ncols(), j));
             assert_bits(
-                &yb[j * b.nrows()..(j + 1) * b.nrows()],
+                &column(&yb, batch, j),
                 &want_j,
                 &format!("buffered serial spmm b{batch} s{j}"),
             );
