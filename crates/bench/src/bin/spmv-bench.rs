@@ -460,12 +460,16 @@ fn run_dataset(
         "spmm variant", "threads", "batch", "median", "gflops", "GB/s", "KB/slice"
     );
     for &k in &BATCHES {
-        let mut xk = Vec::with_capacity(a.ncols() * k);
+        // Slice-major inputs, handed to the kernels slice-interleaved.
+        let mut xs = Vec::with_capacity(a.ncols() * k);
         for j in 0..k {
             let scale = 1.0 + 0.01 * j as f32;
-            xk.extend(x.iter().map(|&v| v * scale));
+            xs.extend(x.iter().map(|&v| v * scale));
         }
+        let mut xk = vec![0f32; xs.len()];
+        xct_sparse::interleave(&xs, &mut xk, k);
         let mut yk = vec![0f32; a.nrows() * k];
+        let mut ys = vec![0f32; yk.len()];
         let mut yj = vec![0f32; a.nrows()];
         let runs = [
             SpmmRun {
@@ -508,9 +512,10 @@ fn run_dataset(
                 times.push(t.elapsed().as_secs_f64());
             }
             // Every column must be bit-identical to its own serial SpMV.
+            xct_sparse::deinterleave(&yk, &mut ys, k);
             for j in 0..k {
-                (run.column_ref)(&xk[j * a.ncols()..(j + 1) * a.ncols()], &mut yj);
-                spmm_identical &= bits_match(&yk[j * a.nrows()..(j + 1) * a.nrows()], &yj);
+                (run.column_ref)(&xs[j * a.ncols()..(j + 1) * a.ncols()], &mut yj);
+                spmm_identical &= bits_match(&ys[j * a.nrows()..(j + 1) * a.nrows()], &yj);
             }
             let seconds = median(&mut times);
             let bps = bandwidth_gbs(run.bytes, seconds) * 1e9;

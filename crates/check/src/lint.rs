@@ -28,9 +28,10 @@
 //!   deprecated-shim ban, the retired kernels and dispatch twins, and the
 //!   second threading substrate (`rayon`, `par_iter`, `thread::scope`, …
 //!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`), the
-//!   ordered-subsets side driver `Solver::OsSirt` replaced, and the side
+//!   ordered-subsets side driver `Solver::OsSirt` replaced, the side
 //!   doors into the engine and the runtime (closure solvers, the
-//!   six-argument distributed entry, unused collectives).
+//!   six-argument distributed entry, unused collectives), and the ranks'
+//!   private block kernel.
 //!
 //! The scanner strips string literals and comments before matching (so doc
 //! examples and messages never fire a rule) and skips `target/` entirely.
@@ -194,6 +195,19 @@ const RETIRED: &[Retired] = &[
         message: "retired side door: a solve takes a `ProjectionOperator` (`run_engine`) or a \
             `ReconRequest` (`Reconstructor::run`, `ExecMode::Distributed` for ranks), and ranks \
             exchange through `try_alltoallv` alone",
+    },
+    Retired {
+        names: &[
+            "local_spmm",
+            "a_local_buf",
+            "at_local_buf",
+            "try_forward_batch",
+            "try_back_batch",
+        ],
+        scope: product_and_its_callers,
+        message: "retired private block kernel: a rank's column block runs through \
+            `KernelOperator` inside `DistOperator` (its buffered pair is `RankPlan::local_buf`), \
+            as an OS-SIRT subset's row block does",
     },
     Retired {
         names: &["BatchOut", "SPMM_ROW_TILE"],
@@ -643,6 +657,10 @@ mod tests {
         (
             "crates/memxct/tests/fault_tolerance.rs",
             "let out = try_reconstruct_distributed_ft(&ops, &y, &config, &ft, None, &m)?;\n",
+        ),
+        (
+            "crates/memxct/src/dist.rs",
+            "let y = plan.try_forward_batch(comm, &x, 1, &mut kb)?;\n",
         ),
         (
             "crates/sparse/src/batch.rs",

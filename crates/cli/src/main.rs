@@ -67,7 +67,7 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
   --noise I0     Poisson photon count per ray (default: noise-free)
   --solver       cg (default), sirt, os-sirt (8 subsets), fbp
   --ranks N      run cg or sirt distributed over N thread-ranks (os-sirt
-                 runs serially only and refuses it, as it does --pool)
+                 refuses it; it runs serially or with --pool)
   --out FILE     .pgm for images, .raw for sinograms
   --metrics FILE write the run's metrics snapshot as JSON
   --check        validate every memoized structure before reconstructing
@@ -76,9 +76,10 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
                  static partitions (threads from RAYON_NUM_THREADS)
   --pool-threads N  pool size override (implies --pool)
   --batch K      solve K slices together through the SpMM path (cg, sirt,
-                 os-sirt; also with --pool or --ranks; slice 0 is the
-                 measurement, slice j a copy scaled by 1 + 0.05 j; --out
-                 FILE.pgm holds slice 0 and FILE.j.pgm slice j)
+                 os-sirt; also with --pool, and cg or sirt with --ranks;
+                 slice 0 is the measurement, slice j a copy scaled by
+                 1 + 0.05 j; --out FILE.pgm holds slice 0 and FILE.j.pgm
+                 slice j)
   --checkpoint FILE  snapshot the solver state to FILE.0 (versioned,
                  checksummed) every --checkpoint-every iterations
   --checkpoint-every N  checkpoint cadence in iterations (default 1)
@@ -515,12 +516,10 @@ fn reconstruct(opts: &Options) {
         });
         let (mode, context) = match opts.ranks {
             Some(ranks) => {
-                let config = DistConfig {
-                    ranks,
-                    use_buffered: true,
-                    ..DistConfig::default()
+                let mode = ExecMode::Distributed {
+                    config: over_ranks(ranks),
+                    ft: None,
                 };
-                let mode = ExecMode::Distributed { config, ft: None };
                 (mode, "distributed reconstruction failed")
             }
             _ if opts.pool => (ExecMode::Pooled, "reconstruction failed"),
@@ -558,6 +557,16 @@ fn reconstruct(opts: &Options) {
     println!("image range: [{min:.4}, {max:.4}]");
 }
 
+/// The distributed configuration `--ranks N` runs, and `check --ranks N`
+/// validates the plans of: buffered ranks at the plan's sizes.
+fn over_ranks(ranks: usize) -> DistConfig {
+    DistConfig {
+        ranks,
+        use_buffered: true,
+        ..DistConfig::default()
+    }
+}
+
 /// The request an iterative solver name asks for over `input`, `iters`
 /// iterations in [`ExecMode::Serial`] — the one spelling `reconstruct` and
 /// `serve` job lines share: `cg`, `sirt` (relaxation 1) or `os-sirt` (8
@@ -582,8 +591,7 @@ fn solver_request(
 
 /// Parse one job-file line (`NAME DATASET SCALE cg|sirt|os-sirt ITERS
 /// PRIORITY [batch=K] [preempt@N] [pool] [deadline=SECS] [retries=N]`)
-/// into a job plus the image side length its outputs will have. A pooled
-/// os-sirt job parses and then fails typed, like its `reconstruct` twin.
+/// into a job plus the image side length its outputs will have.
 fn parse_job_line(line: &str) -> Result<(JobSpec, u32), String> {
     let mut tok = line.split_whitespace();
     let mut field = |name: &str| tok.next().ok_or_else(|| format!("missing {name}"));
@@ -946,11 +954,14 @@ fn check(opts: &Options) {
     });
     println!("preprocessing: {:.2}s", t.elapsed().as_secs_f64());
 
-    // Rank plans are derived before the fault is injected (deriving them
-    // from corrupted structures could crash instead of reporting).
-    let plans = opts
-        .ranks
-        .map(|ranks| memxct::dist::build_plans(&ops, ranks, true));
+    // The rank plans a `reconstruct --ranks N` request would run, built
+    // by the builder its requests use, before the fault is injected
+    // (deriving them from corrupted structures could crash instead of
+    // reporting).
+    let plans = opts.ranks.map(|ranks| {
+        let config = over_ranks(ranks);
+        memxct::dist::build_plans(&ops, config.ranks, config.use_buffered)
+    });
 
     if let Some(kind) = &opts.corrupt {
         inject_corruption(&mut ops, kind);

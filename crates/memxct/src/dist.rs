@@ -31,7 +31,10 @@
 
 use crate::checkpoint::{self, SolveState};
 use crate::errors::BuildError;
-use crate::operator::{Direction, KernelBreakdown, ProjectionOperator};
+use crate::operator::{
+    Block, Direction, Held, KernelBreakdown, KernelOperator, Layout, ProjectionOperator,
+};
+use crate::plan_check::dist_checker;
 use crate::preprocess::Operators;
 use crate::solvers::{EngineExit, IterationRecord, SolverWorkspace, Stint, StopRule};
 use std::cell::RefCell;
@@ -45,7 +48,7 @@ use xct_obs::{
 };
 use xct_runtime::{
     run_ranks_with, CommConfig, CommError, CommErrorKind, CommLedger, Communicator, FaultPlan,
-    KernelVolumes,
+    KernelVolumes, WorkerPool,
 };
 use xct_sparse::{BufferedCsr, CsrMatrix};
 
@@ -61,8 +64,9 @@ use crate::request::Solver;
 pub struct DistConfig {
     /// Number of ranks (threads standing in for MPI processes).
     pub ranks: usize,
-    /// Use the multi-stage buffered kernel for the local SpMVs
-    /// (falls back to plain CSR when `false`).
+    /// Use the multi-stage buffered kernel for the local SpMVs, at the
+    /// plan's sizes (plain CSR when `false` or the plan has no buffered
+    /// layout).
     pub use_buffered: bool,
     /// Termination policy — including early termination, which works
     /// because every rank observes the same allreduced residuals.
@@ -83,10 +87,11 @@ impl Default for DistConfig {
 }
 
 /// Everything one rank needs to execute its share of the factorized
-/// projections. Plans are constructed from the globally preprocessed
-/// operators; a production MPI deployment would exchange the interaction
-/// footprints with an index alltoallv instead, but building centrally
-/// keeps the threads-as-ranks harness deterministic.
+/// projections: its column block `A_p` of `A` and the halo schedule.
+/// Plans are constructed from the globally preprocessed operators, once
+/// per request and rank count; a production MPI deployment would exchange
+/// the interaction footprints with an index alltoallv instead, but
+/// building centrally keeps the threads-as-ranks harness deterministic.
 pub struct RankPlan {
     /// This rank.
     pub rank: usize,
@@ -101,10 +106,9 @@ pub struct RankPlan {
     pub a_local: CsrMatrix,
     /// Transpose of `a_local` (backprojection).
     pub at_local: CsrMatrix,
-    /// Buffered layouts (when enabled).
-    pub a_local_buf: Option<BufferedCsr>,
-    /// Buffered transpose.
-    pub at_local_buf: Option<BufferedCsr>,
+    /// The buffered layouts of `a_local` and `at_local` when the rank runs
+    /// the buffered kernel; `None` runs the CSR pair.
+    pub local_buf: Option<(BufferedCsr, BufferedCsr)>,
     /// Global sinogram rank of each interaction row, ascending.
     pub inter_rows: Vec<u32>,
     /// For each owner rank `q`: the sub-range of `inter_rows` lying in
@@ -132,7 +136,10 @@ fn partition_domain(total: u32, tiles: Option<&TileLayout>, ranks: usize) -> Vec
     }
 }
 
-/// Build all rank plans from globally preprocessed operators.
+/// Build all rank plans from globally preprocessed operators. With
+/// `use_buffered` and a buffered global layout, each rank runs its block
+/// buffered at the global layout's sizes (`ops.partsize` and its
+/// `buffsize()`); otherwise it runs the CSR pair.
 pub fn build_plans(ops: &Operators, ranks: usize, use_buffered: bool) -> Vec<RankPlan> {
     // lint: allow(no-panic) documented precondition; BuildError::ZeroRanks is the checked path
     assert!(ranks > 0);
@@ -140,6 +147,11 @@ pub fn build_plans(ops: &Operators, ranks: usize, use_buffered: bool) -> Vec<Ran
     let tomo_ranges = partition_domain(ops.a.ncols() as u32, ops.tomo_tiles.as_ref(), ranks);
     // in-range: domain sizes are u32 column/row counts of the CSR layout
     let sino_ranges = partition_domain(ops.a.nrows() as u32, ops.sino_tiles.as_ref(), ranks);
+    let buffsize = ops
+        .a_buf
+        .as_ref()
+        .filter(|_| use_buffered)
+        .map(|b| b.buffsize());
 
     // One sweep over the global matrix buckets every entry by the rank
     // owning its column (O(nnz·log P), not O(nnz·P)).
@@ -175,17 +187,8 @@ pub fn build_plans(ops: &Operators, ranks: usize, use_buffered: bool) -> Vec<Ran
             let inter_rows = std::mem::take(&mut rank_inter[rank]);
             let a_local = CsrMatrix::from_rows((thi - tlo) as usize, &rows);
             let at_local = a_local.transpose_scan();
-            let (a_local_buf, at_local_buf) = if use_buffered {
-                let partsize = ops.partsize;
-                // The buffer must address the largest local footprint the
-                // 16-bit indices allow; reuse the preprocessing default.
-                (
-                    Some(BufferedCsr::from_csr(&a_local, partsize, 2048)),
-                    Some(BufferedCsr::from_csr(&at_local, partsize, 2048)),
-                )
-            } else {
-                (None, None)
-            };
+            let buffer = |m: &CsrMatrix, b| BufferedCsr::from_csr(m, ops.partsize, b);
+            let local_buf = buffsize.map(|b| (buffer(&a_local, b), buffer(&at_local, b)));
             // Destination sub-ranges by owner.
             let dest_ranges: Vec<Range<usize>> = sino_ranges
                 .iter()
@@ -202,8 +205,7 @@ pub fn build_plans(ops: &Operators, ranks: usize, use_buffered: bool) -> Vec<Ran
                 sino_range: sino_ranges[rank].clone(),
                 a_local,
                 at_local,
-                a_local_buf,
-                at_local_buf,
+                local_buf,
                 inter_rows,
                 dest_ranges,
                 rows_from: Vec::new(),
@@ -223,154 +225,65 @@ pub fn build_plans(ops: &Operators, ranks: usize, use_buffered: bool) -> Vec<Ran
     plans
 }
 
-impl RankPlan {
-    /// Local SpMM over `batch` slice-interleaved slices (matrix streamed
-    /// once), on the calling thread: a rank is one thread.
-    fn local_spmm(csr: &CsrMatrix, buf: Option<&BufferedCsr>, x: &[f32], batch: usize) -> Vec<f32> {
-        let mut y = vec![0f32; csr.nrows() * batch];
-        match buf {
-            Some(b) => b.spmm_into(x, &mut y, batch),
-            None => xct_sparse::spmm_into(csr, x, &mut y, batch),
-        }
-        y
-    }
+/// One request's rank executor: its configuration, fault-tolerance
+/// policy and rank plans. A plan set is built at most once per rank
+/// count, under the `dist/build_plans` timer, when a stint first runs at
+/// that count; every later group, and every degrade to that count,
+/// reuses it. With `validate`, [`dist_checker`] passes a plan set before
+/// any rank runs it; a violation is [`BuildError::PlanCheck`].
+pub(crate) struct Ranks<'a> {
+    pub(crate) ops: &'a Operators,
+    pub(crate) config: DistConfig,
+    pub(crate) ft: &'a FaultTolerance,
+    pub(crate) validate: bool,
+    /// The plan sets built so far (a set's length is its rank count), each
+    /// with whether it has passed validation.
+    pub(crate) built: Vec<(Vec<RankPlan>, bool)>,
+}
 
-    /// Distributed forward projection — this rank's owned block of
-    /// `y = A·x`, adding kernel times into `kb` — the one body for every
-    /// width. A peer crash, timeout, or corrupt frame surfaces as a typed
-    /// [`CommError`]. `x_local` is this rank's tomogram subdomain as a
-    /// `batch`-wide slice-interleaved slab, and so is the returned owned
-    /// sinogram range. The alltoallv *schedule* (which rows go to which
-    /// peer) does not depend on the width — each scheduled row just
-    /// carries its `batch` contiguous f32 values — so one communication
-    /// round serves the whole batch, and slice `j` of the result is
-    /// bit-identical to the `batch = 1` call on slice `j`.
-    pub fn try_forward_batch(
-        &self,
-        comm: &Communicator,
-        x_local: &[f32],
-        batch: usize,
-        kb: &mut KernelBreakdown,
-    ) -> Result<Vec<f32>, CommError> {
-        // A_p: partial projection over the interaction rows, all slices.
-        let t = Instant::now();
-        let y_part = Self::local_spmm(&self.a_local, self.a_local_buf.as_ref(), x_local, batch);
-        kb.ap_s += t.elapsed().as_secs_f64();
-
-        // C: one collective routes every slice's partials to the owners.
-        let t = Instant::now();
-        let send: Vec<Vec<f32>> = self
-            .dest_ranges
-            .iter()
-            .map(|r| y_part[r.start * batch..r.end * batch].to_vec())
-            .collect();
-        let recv = comm.try_alltoallv(send)?;
-        kb.c_s += t.elapsed().as_secs_f64();
-
-        // R: reduce overlapping partials into the owned blocks, sources
-        // in rank order for every slice.
-        let t = Instant::now();
-        let slo = self.sino_range.start;
-        let own = (self.sino_range.end - slo) as usize;
-        let mut y_local = vec![0f32; own * batch];
-        for (src, vals) in recv.into_iter().enumerate() {
-            let rows = &self.rows_from[src];
-            debug_assert_eq!(rows.len() * batch, vals.len());
-            for (&row, v) in rows.iter().zip(vals.chunks_exact(batch)) {
-                let dst = &mut y_local[(row - slo) as usize * batch..][..batch];
-                for (d, v) in dst.iter_mut().zip(v) {
-                    *d += v;
-                }
+impl Ranks<'_> {
+    /// The plans over `ranks` ranks, built on first use (timed into
+    /// `metrics`).
+    fn plans(&mut self, ranks: usize, metrics: &Metrics) -> Result<&[RankPlan], BuildError> {
+        let at = match self.built.iter().position(|(p, _)| p.len() == ranks) {
+            Some(at) => at,
+            None => {
+                let _build = metrics.span("dist/build_plans");
+                let plans = build_plans(self.ops, ranks, self.config.use_buffered);
+                self.built.push((plans, false));
+                self.built.len() - 1
             }
+        };
+        let (plans, checked) = &mut self.built[at];
+        if self.validate && !*checked {
+            let report = dist_checker(self.ops, plans).run();
+            if !report.is_ok() {
+                return Err(BuildError::PlanCheck(report));
+            }
+            *checked = true;
         }
-        kb.r_s += t.elapsed().as_secs_f64();
-        Ok(y_local)
+        Ok(plans)
     }
+}
 
-    /// Distributed backprojection, the one body for every width: the
-    /// transpose of [`RankPlan::try_forward_batch`], the duplication
-    /// schedule carrying `batch` f32 values per scheduled row.
-    pub fn try_back_batch(
-        &self,
-        comm: &Communicator,
-        y_local: &[f32],
-        batch: usize,
-        kb: &mut KernelBreakdown,
-    ) -> Result<Vec<f32>, CommError> {
-        // Rᵀ: owners duplicate every slice's overlapped values per peer.
-        let t = Instant::now();
-        let slo = self.sino_range.start;
-        let send: Vec<Vec<f32>> = self
-            .rows_from
-            .iter()
-            .map(|rows| {
-                let mut payload = Vec::with_capacity(rows.len() * batch);
-                for &row in rows {
-                    payload.extend_from_slice(&y_local[(row - slo) as usize * batch..][..batch]);
-                }
-                payload
-            })
-            .collect();
-        kb.r_s += t.elapsed().as_secs_f64();
-
-        // Cᵀ: the transpose communication pattern, one round.
-        let t = Instant::now();
-        let recv = comm.try_alltoallv(send)?;
-        kb.c_s += t.elapsed().as_secs_f64();
-
-        // Assemble the gathered interaction-row slabs, then A_pᵀ.
-        let t = Instant::now();
-        let mut y_gather = vec![0f32; self.inter_rows.len() * batch];
-        for (q, vals) in recv.into_iter().enumerate() {
-            let range = self.dest_ranges[q].clone();
-            y_gather[range.start * batch..range.end * batch].copy_from_slice(&vals);
+impl RankPlan {
+    /// The block this rank's `A_p` / `A_pᵀ` run: `local_buf` when built,
+    /// else the CSR pair.
+    pub(crate) fn block(&self) -> Block<'_> {
+        match &self.local_buf {
+            Some((a, at)) => (Layout::Buffered(a), Layout::Buffered(at)),
+            None => (Layout::Csr(&self.a_local), Layout::Csr(&self.at_local)),
         }
-        kb.r_s += t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        let x_local =
-            Self::local_spmm(&self.at_local, self.at_local_buf.as_ref(), &y_gather, batch);
-        kb.ap_s += t.elapsed().as_secs_f64();
-        Ok(x_local)
     }
 
     /// Per-iteration work volumes of this rank for the machine model
     /// (one forward + one backprojection).
     pub fn volumes(&self) -> KernelVolumes {
         let nnz = self.a_local.nnz() as f64;
-        let regular_bytes = match &self.a_local_buf {
-            Some(b) => {
-                // lint: allow(no-panic) a_local_buf and at_local_buf are built together when use_buffered
-                (b.regular_bytes() + self.at_local_buf.as_ref().unwrap().regular_bytes()) as f64
-            }
-            None => 2.0 * nnz * 8.0,
-        };
-        let sent_fwd: usize = self
-            .dest_ranges
-            .iter()
-            .enumerate()
-            .filter(|(q, _)| *q != self.rank)
-            .map(|(_, r)| r.len())
-            .sum();
-        let sent_back: usize = self
-            .rows_from
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| *s != self.rank)
-            .map(|(_, rows)| rows.len())
-            .sum();
-        let peers_fwd = self
-            .dest_ranges
-            .iter()
-            .enumerate()
-            .filter(|(q, r)| *q != self.rank && !r.is_empty())
-            .count();
-        let peers_back = self
-            .rows_from
-            .iter()
-            .enumerate()
-            .filter(|(s, rows)| *s != self.rank && !rows.is_empty())
-            .count();
+        let (a, at) = self.block();
+        let regular_bytes = (a.traffic().1 + at.traffic().1) as f64;
+        let (sent_fwd, peers_fwd) = off_rank(self.rank, self.dest_ranges.iter().map(|r| r.len()));
+        let (sent_back, peers_back) = off_rank(self.rank, self.rows_from.iter().map(Vec::len));
         let recv_fwd: usize = self.rows_from.iter().map(|r| r.len()).sum();
         KernelVolumes {
             flops: 4.0 * nnz,
@@ -382,6 +295,15 @@ impl RankPlan {
             reduce_bytes: 4.0 * (recv_fwd + self.inter_rows.len()) as f64,
         }
     }
+}
+
+/// Rows to other ranks and how many other ranks get any, from a per-rank
+/// list of row counts (`rank`'s own excluded).
+fn off_rank(rank: usize, rows: impl Iterator<Item = usize>) -> (usize, usize) {
+    let off = rows.enumerate().filter(|&(q, _)| q != rank);
+    off.fold((0, 0), |(sum, peers), (_, n)| {
+        (sum + n, peers + usize::from(n > 0))
+    })
 }
 
 /// Result of a distributed reconstruction of `k` slices.
@@ -422,12 +344,19 @@ pub fn try_allreduce_f64(comm: &Communicator, v: f64) -> Result<f64, CommError> 
 
 /// One rank's view of the factorized operator `A = R·C·A_p` as a
 /// [`ProjectionOperator`]: `forward_into`/`back_into` run the three-kernel
-/// pipelines of [`RankPlan`], and `reduce_dot` is the rank-ordered
+/// pipelines of its [`RankPlan`], and `reduce_dot` is the rank-ordered
 /// allreduce — which is all the generic solver engine needs to run CG or
-/// SIRT distributed, early termination included.
+/// SIRT distributed, early termination included. Each scheduled row of a
+/// halo exchange carries its `batch` values, so one round serves a whole
+/// batch and slice `j` is bit-identical to the `batch = 1` product.
 pub struct DistOperator<'a> {
     plan: &'a RankPlan,
     comm: &'a Communicator,
+    /// `A_p` / `A_pᵀ`: the plan's block on a one-worker pool, whose worker
+    /// 0 is the rank's own thread.
+    local: KernelOperator<'a>,
+    /// The interaction-row slab: `A_p`'s partial sums, `A_pᵀ`'s input.
+    inter: RefCell<Vec<f32>>,
     kb: RefCell<KernelBreakdown>,
     calls: std::cell::Cell<(u64, u64)>,
     /// First communication failure absorbed by this operator. Once set,
@@ -445,6 +374,9 @@ impl<'a> DistOperator<'a> {
         DistOperator {
             plan,
             comm,
+            local: KernelOperator::on_pool(plan.block(), Held::Owned(WorkerPool::new(1)))
+                .with_metrics(Metrics::noop()),
+            inter: RefCell::new(Vec::new()),
             kb: RefCell::new(KernelBreakdown::default()),
             calls: std::cell::Cell::new((0, 0)),
             fault: RefCell::new(None),
@@ -479,20 +411,78 @@ impl<'a> DistOperator<'a> {
         if self.poisoned() {
             return out.fill(0.0);
         }
-        let result = {
-            let (plan, kb) = (self.plan, &mut self.kb.borrow_mut());
-            match direction {
-                Direction::Forward => plan.try_forward_batch(self.comm, input, batch, kb),
-                Direction::Back => plan.try_back_batch(self.comm, input, batch, kb),
-            }
+        let result = match direction {
+            Direction::Forward => self.try_forward(input, out, batch),
+            Direction::Back => self.try_back(input, out, batch),
         };
-        match result {
-            Ok(v) => out.copy_from_slice(&v),
-            Err(e) => {
-                self.poison(e);
-                out.fill(0.0);
-            }
+        if let Err(e) = result {
+            self.poison(e);
+            out.fill(0.0);
         }
+    }
+
+    /// This rank's owned block of `y = A·x`, from its tomogram subdomain
+    /// `x`; a peer crash, timeout, or corrupt frame surfaces as a typed
+    /// [`CommError`].
+    fn try_forward(&self, x: &[f32], y: &mut [f32], batch: usize) -> Result<(), CommError> {
+        let (plan, kb) = (self.plan, &mut *self.kb.borrow_mut());
+        let inter = &mut *self.inter.borrow_mut();
+        inter.resize(plan.inter_rows.len() * batch, 0.0);
+
+        // A_p: partial projection over the interaction rows, all slices.
+        timed(&mut kb.ap_s, || {
+            self.local.forward_batch_into(x, inter, batch)
+        });
+
+        // C: one collective routes every slice's partials to the owners.
+        let recv = timed(&mut kb.c_s, || {
+            let part = |r: &Range<usize>| inter[r.start * batch..r.end * batch].to_vec();
+            self.comm
+                .try_alltoallv(plan.dest_ranges.iter().map(part).collect())
+        })?;
+
+        // R: reduce overlapping partials into the owned blocks, sources
+        // in rank order for every slice.
+        timed(&mut kb.r_s, || {
+            let slo = plan.sino_range.start;
+            y.fill(0.0);
+            for (rows, vals) in plan.rows_from.iter().zip(recv) {
+                debug_assert_eq!(rows.len() * batch, vals.len());
+                for (&row, v) in rows.iter().zip(vals.chunks_exact(batch)) {
+                    let dst = &mut y[(row - slo) as usize * batch..][..batch];
+                    for (d, v) in dst.iter_mut().zip(v) {
+                        *d += v;
+                    }
+                }
+            }
+        });
+        Ok(())
+    }
+
+    /// The transpose of [`DistOperator::try_forward`].
+    fn try_back(&self, y: &[f32], x: &mut [f32], batch: usize) -> Result<(), CommError> {
+        let (plan, kb) = (self.plan, &mut *self.kb.borrow_mut());
+        // Rᵀ: owners duplicate every slice's overlapped values per peer.
+        let send = timed(&mut kb.r_s, || {
+            let slo = plan.sino_range.start;
+            let owned = |&row: &u32| &y[(row - slo) as usize * batch..][..batch];
+            let payload = |rows: &Vec<u32>| rows.iter().flat_map(owned).copied().collect();
+            plan.rows_from.iter().map(payload).collect()
+        });
+
+        // Cᵀ: the transpose communication pattern, one round.
+        let recv = timed(&mut kb.c_s, || self.comm.try_alltoallv(send))?;
+
+        // Assemble the gathered interaction-row slabs, then A_pᵀ.
+        let inter = &mut *self.inter.borrow_mut();
+        timed(&mut kb.r_s, || {
+            inter.resize(plan.inter_rows.len() * batch, 0.0);
+            for (r, vals) in plan.dest_ranges.iter().zip(recv) {
+                inter[r.start * batch..r.end * batch].copy_from_slice(&vals);
+            }
+        });
+        timed(&mut kb.ap_s, || self.local.back_batch_into(inter, x, batch));
+        Ok(())
     }
 }
 
@@ -581,6 +571,14 @@ impl FaultTolerance {
             ..FaultTolerance::default()
         }
     }
+}
+
+/// Run `f`, adding its wall-clock seconds to `acc`.
+fn timed<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let out = f();
+    *acc += t.elapsed().as_secs_f64();
+    out
 }
 
 /// A `Range<u32>` of ordered domain ranks as slab indices.
@@ -801,14 +799,8 @@ fn assemble_output(
         put_blocks(&mut ordered, ncols, span(&plan.tomo_range), &x_local);
         breakdown.push(kb);
         // Per-rank local SpMV volumes (the A_p / A_pᵀ kernel).
-        let fwd_bytes = match &plan.a_local_buf {
-            Some(b) => b.regular_bytes(),
-            None => plan.a_local.nnz() as u64 * 8,
-        };
-        let back_bytes = match &plan.at_local_buf {
-            Some(b) => b.regular_bytes(),
-            None => plan.at_local.nnz() as u64 * 8,
-        };
+        let (a, at) = plan.block();
+        let (fwd_bytes, back_bytes) = (a.traffic().1, at.traffic().1);
         metrics.counter_add("spmv/dist/calls", fwd + back);
         metrics.counter_add("spmv/dist/nnz", (fwd + back) * plan.a_local.nnz() as u64);
         metrics.counter_add("spmv/dist/bytes", fwd * fwd_bytes + back * back_bytes);
@@ -859,20 +851,21 @@ fn assemble_output(
 /// the `k` slices of the global slice-major slab `sino_ordered` (`k ×
 /// nrows` values in sinogram-ordered coordinates, see
 /// [`Operators::order_sinogram`]; `k` is read off its length) over
-/// `config.ranks` threads-as-ranks (`stint` names the solver and stop
-/// rule; `config`'s own are not read here). Each rank is an executor of
-/// the same [`Stint::run`] as the shared-memory path — at width `k`,
-/// through its [`DistOperator`] — so column `j` is bit-identical to slice
-/// `j` solved alone over the same ranks. What this body adds is only what
-/// ranks need: the plans, and the restart loop.
+/// `exec.config.ranks` threads-as-ranks (`stint` names the solver and
+/// stop rule; `config`'s own are not read here) over `exec`'s plans.
+/// Each rank is an executor of the same [`Stint::run`] as the
+/// shared-memory path — at width `k`, through its [`DistOperator`] — so
+/// column `j` is bit-identical to slice `j` solved alone over the same
+/// ranks. What this body adds is only what ranks need: the restart loop.
 ///
-/// - Every collective runs under `ft.comm`'s deadline/retry budget and
-///   consults `ft.faults`; failures surface as [`BuildError::Comm`] with
-///   the origin rank, peer and collective — never a hang or a panic.
-/// - On an unrecoverable rank loss the coordinator rebuilds the plans over
-///   one rank fewer, reloads the stint's latest snapshot (or restarts from
-///   scratch without a policy) and reruns, up to `ft.max_restarts` times
-///   and never below one rank. Snapshot failures
+/// - Every collective runs under `exec.ft.comm`'s deadline/retry budget
+///   and consults `exec.ft.faults`; failures surface as
+///   [`BuildError::Comm`] with the origin rank, peer and collective —
+///   never a hang or a panic.
+/// - On an unrecoverable rank loss the coordinator takes the plan set
+///   over one rank fewer, reloads the stint's latest snapshot (or
+///   restarts from scratch without a policy) and reruns, up to
+///   `ft.max_restarts` times and never below one rank. Snapshot failures
 ///   ([`CommErrorKind::Checkpoint`]) are not retried.
 /// - Ranks run unmetered (P interleaved series would not be
 ///   reproducible); after they join, the coordinator records into
@@ -884,17 +877,17 @@ fn assemble_output(
 /// recorded into `stint.metrics` (the resumed stint's records cover the
 /// whole trajectory, as after a crash). Errors before any rank starts:
 /// [`BuildError::ZeroRanks`], [`BuildError::InvalidRelaxation`],
-/// [`BuildError::SerialOnly`] for OS-SIRT (ranks have no subset kernel)
-/// and [`BuildError::SinogramLength`] when the slab is empty or not a
-/// whole number of slices.
+/// [`BuildError::SerialOnly`] for OS-SIRT (ranks have no per-subset halo
+/// schedules), [`BuildError::SinogramLength`] when the slab is empty or
+/// not a whole number of slices, and [`BuildError::PlanCheck`] when the
+/// plans fail validation.
 pub(crate) fn solve_distributed(
-    ops: &Operators,
     sino_ordered: &[f32],
-    config: &DistConfig,
-    ft: &FaultTolerance,
     stint: &Stint,
+    exec: &mut Ranks,
 ) -> Result<(DistOutput, EngineExit), BuildError> {
-    if config.ranks == 0 {
+    let (ops, ft) = (exec.ops, exec.ft);
+    if exec.config.ranks == 0 {
         return Err(BuildError::ZeroRanks);
     }
     if let Some(relax) = stint.solver.invalid_relaxation() {
@@ -913,13 +906,13 @@ pub(crate) fn solve_distributed(
     }
     let metrics = stint.metrics;
     let mut resume_state = stint.resume_state(nrows, ncols, batch)?;
-    let mut ranks = config.ranks;
+    let mut ranks = exec.config.ranks;
     let mut restarts = 0usize;
     loop {
-        let plans = build_plans(ops, ranks, config.use_buffered);
+        let plans = exec.plans(ranks, metrics)?;
         let volumes: Vec<KernelVolumes> = plans.iter().map(|p| p.volumes()).collect();
         let run = run_ranks_with(ranks, ft.comm, Arc::clone(&ft.faults), |comm| {
-            solve_rank(comm, &plans, sino_ordered, stint, resume_state.as_ref())
+            solve_rank(comm, plans, sino_ordered, stint, resume_state.as_ref())
         });
         match run {
             Ok((rank_results, ledger)) => {
@@ -929,7 +922,7 @@ pub(crate) fn solve_distributed(
                     EngineExit::Completed => metrics,
                     EngineExit::Stopped { .. } => &Metrics::noop(),
                 };
-                let out = assemble_output(ops, &plans, rank_results, ledger, volumes, record);
+                let out = assemble_output(ops, plans, rank_results, ledger, volumes, record);
                 return Ok((out, exit));
             }
             Err(err) => {
@@ -974,8 +967,14 @@ pub fn try_reconstruct_distributed(
         more: false,
         ctrl: None,
     };
-    let ft = FaultTolerance::disabled();
-    solve_distributed(ops, sino_ordered, config, &ft, &stint).map(|(out, _)| out)
+    let mut exec = Ranks {
+        ops,
+        config: *config,
+        ft: &FaultTolerance::disabled(),
+        validate: false,
+        built: Vec::new(),
+    };
+    solve_distributed(sino_ordered, &stint, &mut exec).map(|(out, _)| out)
 }
 
 #[cfg(test)]
@@ -1008,6 +1007,31 @@ mod tests {
             stop: StopRule::Fixed(iters),
             solver: Solver::Cg,
         }
+    }
+
+    /// This rank's block of one forward (`fwd`) or back product of the
+    /// `batch`-wide slab `input`, through its [`DistOperator`].
+    fn halo(
+        plan: &RankPlan,
+        comm: &Communicator,
+        fwd: bool,
+        input: &[f32],
+        batch: usize,
+    ) -> Vec<f32> {
+        let op = DistOperator::new(plan, comm);
+        let out = if fwd {
+            &plan.sino_range
+        } else {
+            &plan.tomo_range
+        };
+        let mut out = vec![0f32; out.len() * batch];
+        if fwd {
+            op.forward_batch_into(input, &mut out, batch);
+        } else {
+            op.back_batch_into(input, &mut out, batch);
+        }
+        assert!(op.fault().is_none());
+        out
     }
 
     /// `‖a − b‖ / ‖b‖` in f64.
@@ -1044,9 +1068,7 @@ mod tests {
                 let plan = &plans[comm.rank()];
                 let lo = plan.tomo_range.start as usize;
                 let hi = plan.tomo_range.end as usize;
-                let mut kb = KernelBreakdown::default();
-                plan.try_forward_batch(comm, &x[lo..hi], 1, &mut kb)
-                    .unwrap()
+                halo(plan, comm, true, &x[lo..hi], 1)
             });
             let mut got = vec![0f32; ops.a.nrows()];
             for (plan, block) in plans.iter().zip(results) {
@@ -1070,8 +1092,7 @@ mod tests {
                 let plan = &plans[comm.rank()];
                 let lo = plan.sino_range.start as usize;
                 let hi = plan.sino_range.end as usize;
-                let mut kb = KernelBreakdown::default();
-                plan.try_back_batch(comm, &y[lo..hi], 1, &mut kb).unwrap()
+                halo(plan, comm, false, &y[lo..hi], 1)
             });
             let mut got = vec![0f32; ops.a.ncols()];
             for (plan, block) in plans.iter().zip(results) {
@@ -1133,13 +1154,7 @@ mod tests {
                         .flat_map(|i| slices.iter().map(move |g| g[i]))
                         .collect();
                     assert_eq!(slab.len() % k, 0);
-                    let mut kb = KernelBreakdown::default();
-                    if fwd {
-                        plan.try_forward_batch(comm, &slab, slices.len(), &mut kb)
-                    } else {
-                        plan.try_back_batch(comm, &slab, slices.len(), &mut kb)
-                    }
-                    .unwrap()
+                    halo(plan, comm, fwd, &slab, k)
                 };
                 let (batched, _) = run_ranks(ranks, |comm| apply(comm, &global));
                 for (j, slice) in global.iter().enumerate() {
@@ -1357,6 +1372,78 @@ mod tests {
         let y = rec.operators().order_sinogram(&sino);
         let plain = try_reconstruct_distributed(rec.operators(), &y, &cfg).unwrap();
         assert_eq!(plain.images, out.images);
+    }
+
+    #[test]
+    fn rank_plans_use_the_plans_buffer_size() {
+        let (grid, scan, sino) = sinogram(24, 36);
+        let config = Config {
+            buffsize: 1024,
+            ..Config::default()
+        };
+        let rec = crate::Reconstructor::builder(grid, scan)
+            .config(config)
+            .validate_plan(true)
+            .build()
+            .unwrap();
+        // The builder every distributed request runs its plans through.
+        for plan in build_plans(rec.operators(), 2, true) {
+            let (a, at) = plan.local_buf.as_ref().expect("buffered rank");
+            assert_eq!((a.buffsize(), at.buffsize()), (1024, 1024));
+        }
+        let req = crate::ReconRequest::cg(crate::ReconInput::Slice(sino), StopRule::Fixed(10));
+        let serial = rec.run(&req).unwrap();
+        let config = DistConfig {
+            use_buffered: true,
+            ..cg(2, 10)
+        };
+        let mode = crate::ExecMode::Distributed { config, ft: None };
+        let dist = rec.run(&req.mode(mode)).unwrap();
+        let err = rel_err(&dist.images[0], &serial.images[0]);
+        assert!(err < 5e-3, "err {err}");
+    }
+
+    #[test]
+    fn corrupted_rank_plans_fail_typed_before_any_rank_runs() {
+        let (ops, y) = setup(16, 12);
+        let config = cg(3, 4);
+        let metrics = Metrics::collecting();
+        let stint = Stint {
+            solver: config.solver,
+            subsets: None,
+            stop: config.stop,
+            metrics: &metrics,
+            policy: None,
+            slot: 0,
+            plan_hash: checkpoint::plan_fingerprint(&ops),
+            more: false,
+            ctrl: None,
+        };
+        let ft = FaultTolerance::disabled();
+        let exec = || Ranks {
+            ops: &ops,
+            config,
+            ft: &ft,
+            validate: true,
+            built: Vec::new(),
+        };
+        let mut plans = build_plans(&ops, 3, false);
+        crate::plan_check::tests::drop_scheduled_row(&mut plans);
+        let mut handed = exec();
+        handed.built.push((plans, false));
+        let err = solve_distributed(&y, &stint, &mut handed).err();
+        let schedule = xct_check::Invariant::ScheduleSymmetry;
+        let typed = matches!(&err, Some(BuildError::PlanCheck(r)) if r.has(schedule));
+        assert!(typed, "{err:?}");
+        // No rank ran: nothing was exchanged, nothing iterated.
+        let snap = metrics.snapshot();
+        assert!(!snap.counters.contains_key("comm/collective_calls"));
+        assert!(!snap.counters.contains_key("solver/iterations"));
+        // The request's own plans pass, and are built once.
+        let mut built = exec();
+        solve_distributed(&y, &stint, &mut built).unwrap();
+        solve_distributed(&y, &stint, &mut built).unwrap();
+        assert_eq!(metrics.snapshot().timers["dist/build_plans"].count, 1);
     }
 
     #[test]

@@ -54,9 +54,10 @@ pub enum BuildError {
         /// Projections of the scan (the largest valid count).
         projections: usize,
     },
-    /// `Solver::OsSirt` was requested on the named executor (`"pooled"`
-    /// or `"distributed"`), which has no subset kernel: it runs in
-    /// `ExecMode::Serial` only, and is refused before anything runs.
+    /// `Solver::OsSirt` was requested on the named executor
+    /// (`"distributed"`), which has no subset kernel — ranks would need
+    /// per-subset halo schedules. It runs on the calling thread or the
+    /// worker pool only, and is refused before anything runs.
     SerialOnly(&'static str),
     /// A measurement vector's length does not match the operator's rows
     /// (for the distributed slab: is empty or not a whole number of
@@ -115,7 +116,10 @@ impl fmt::Display for BuildError {
                 projections,
             } => write!(f, "OS-SIRT needs 1..={projections} subsets, got {subsets}"),
             BuildError::SerialOnly(mode) => {
-                write!(f, "OS-SIRT has no {mode} subset kernel (serial only)")
+                write!(
+                    f,
+                    "OS-SIRT has no {mode} subset kernel (serial or pooled only)"
+                )
             }
             BuildError::SinogramLength { expected, got } => {
                 write!(

@@ -6,12 +6,14 @@
 //! [`crate::solvers`] is written exactly once.
 //!
 //! The memoized layouts share **one** implementation,
-//! [`KernelOperator`]: a layout (what [`Kernel`] names) driven through a
+//! [`KernelOperator`]: a *block* of `A` — a forward layout and its
+//! transpose, in the layout [`Kernel`] names — driven through a
 //! [`WorkerPool`] over precomputed [`PooledPlans`], with a single `apply`
 //! body. It always calls the layout's pooled SpMM entry point —
 //! `batch = 1` *is* the SpMV — and the serial operator is the one-worker
 //! pool, whose worker 0 is the calling thread: one executor, so one set
-//! of bits for every worker count.
+//! of bits for every worker count. The global `A`, a rank's column block
+//! `A_p` and an OS-SIRT subset's row block `Aₛ` are all blocks.
 //!
 //! The trait contract — four required methods (the two dims,
 //! `forward_into`, `back_into`); everything else has a default, so any
@@ -32,8 +34,7 @@
 //!   one code path (Fig 9 / Fig 11).
 //!
 //! Combinator: [`StackedOperator`] appends scaled regularization rows
-//! (Tikhonov / gradient smoothing). Ordered-subsets SIRT needs no
-//! operator of its own: its rule reads `A`'s rows directly.
+//! (Tikhonov / gradient smoothing).
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -269,19 +270,23 @@ fn per_slice(
 
 /// One memoized matrix in the layout a [`Kernel`] names.
 #[derive(Clone, Copy)]
-enum Layout<'a> {
+pub(crate) enum Layout<'a> {
     Csr(&'a CsrMatrix),
     Buffered(&'a BufferedCsr),
     Ell(&'a EllMatrix),
 }
 
-impl<'a> Layout<'a> {
-    /// The forward/transpose pair `kernel` selects from `ops` — the one
-    /// place a kernel choice meets the optional layouts.
+/// A block of `A` as the kernels run it: the forward layout and its
+/// transpose, whose dims are the block's.
+pub(crate) type Block<'a> = (Layout<'a>, Layout<'a>);
+
+impl Operators {
+    /// The global `A` in the layout `kernel` selects — the one place a
+    /// kernel choice meets the optional layouts.
     ///
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
-    fn pair(ops: &'a Operators, kernel: Kernel) -> (Self, Self) {
+    pub(crate) fn block(&self, kernel: Kernel) -> Block<'_> {
         fn built<'b, T>(layout: &'b Option<T>, missing: &str) -> &'b T {
             // lint: allow(no-panic) documented panic; the builder returns LayoutNotBuilt
             layout.as_ref().expect(missing)
@@ -289,20 +294,31 @@ impl<'a> Layout<'a> {
         const BUF: &str = "buffered layout not built; set Config::build_buffered";
         const ELL: &str = "ELL layout not built; set Config::build_ell";
         match kernel {
-            Kernel::Serial => (Layout::Csr(&ops.a), Layout::Csr(&ops.at)),
+            Kernel::Serial => (Layout::Csr(&self.a), Layout::Csr(&self.at)),
             Kernel::Buffered => (
-                Layout::Buffered(built(&ops.a_buf, BUF)),
-                Layout::Buffered(built(&ops.at_buf, BUF)),
+                Layout::Buffered(built(&self.a_buf, BUF)),
+                Layout::Buffered(built(&self.at_buf, BUF)),
             ),
             Kernel::Ell => (
-                Layout::Ell(built(&ops.a_ell, ELL)),
-                Layout::Ell(built(&ops.at_ell, ELL)),
+                Layout::Ell(built(&self.a_ell, ELL)),
+                Layout::Ell(built(&self.at_ell, ELL)),
             ),
+        }
+    }
+}
+
+impl<'a> Layout<'a> {
+    /// Rows and columns.
+    fn dims(self) -> (usize, usize) {
+        match self {
+            Layout::Csr(m) => (m.nrows(), m.ncols()),
+            Layout::Buffered(m) => (m.nrows(), m.ncols()),
+            Layout::Ell(m) => (m.nrows(), m.ncols()),
         }
     }
 
     /// Stored nonzeroes and the regular bytes one pass streams.
-    fn traffic(self) -> (u64, u64) {
+    pub(crate) fn traffic(self) -> (u64, u64) {
         match self {
             Layout::Csr(m) => (m.nnz() as u64, m.regular_bytes()),
             Layout::Buffered(m) => (m.nnz() as u64, m.regular_bytes()),
@@ -356,12 +372,17 @@ impl PooledPlans {
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
     pub fn new_batched(ops: &Operators, kernel: Kernel, workers: usize, batch: usize) -> Self {
-        let (a, at) = Layout::pair(ops, kernel);
+        Self::for_block(ops.block(kernel), workers, batch)
+    }
+
+    /// [`new_batched`](Self::new_batched) over any block of `A`.
+    pub(crate) fn for_block((a, at): Block, workers: usize, batch: usize) -> Self {
+        let (nrows, ncols) = a.dims();
         PooledPlans {
             forward: a.exec_plan(workers),
             back: at.exec_plan(workers),
-            dot_rows: xct_sparse::dot_plan(ops.a.nrows(), workers),
-            dot_cols: xct_sparse::dot_plan(ops.a.ncols(), workers),
+            dot_rows: xct_sparse::dot_plan(nrows, workers),
+            dot_cols: xct_sparse::dot_plan(ncols, workers),
             batch,
         }
     }
@@ -389,7 +410,7 @@ impl PooledPlans {
 
 /// A pool or its plans: borrowed from their owner (a reconstructor, a
 /// caller), or owned by a standalone operator.
-enum Held<'a, T> {
+pub(crate) enum Held<'a, T> {
     Borrowed(&'a T),
     Owned(T),
 }
@@ -404,8 +425,9 @@ impl<T> std::ops::Deref for Held<'_, T> {
     }
 }
 
-/// The [`ProjectionOperator`] over the memoized layouts: the matrices
-/// [`Kernel`] selects from an [`Operators`], driven through a
+/// The [`ProjectionOperator`] over the memoized layouts: a block of `A`
+/// (the matrices [`Kernel`] selects from an [`Operators`], a rank's column
+/// block, an OS-SIRT subset's row block), driven through a
 /// [`WorkerPool`] over precomputed [`PooledPlans`], with no thread spawns
 /// and no partitioning decisions inside the solve loop and (after the
 /// first application) no heap allocation. The serial operator
@@ -447,8 +469,7 @@ impl<'a> KernelOperator<'a> {
     /// # Panics
     /// Panics if the requested layout was not built (see `Config`).
     pub fn new(ops: &'a Operators, kernel: Kernel) -> Self {
-        let plans = Held::Owned(PooledPlans::new_batched(ops, kernel, 1, 1));
-        Self::build(ops, kernel, plans, Held::Owned(WorkerPool::new(1)))
+        Self::on_pool(ops.block(kernel), Held::Owned(WorkerPool::new(1)))
     }
 
     /// The `kernel` layouts of `ops` executing on `pool` over `plans`.
@@ -462,23 +483,29 @@ impl<'a> KernelOperator<'a> {
         plans: &'a PooledPlans,
         pool: &'a WorkerPool,
     ) -> Self {
-        Self::build(ops, kernel, Held::Borrowed(plans), Held::Borrowed(pool))
+        let (plans, pool) = (Held::Borrowed(plans), Held::Borrowed(pool));
+        Self::on_block(ops.block(kernel), plans, pool)
     }
 
-    fn build(
-        ops: &'a Operators,
-        kernel: Kernel,
+    /// `block` on `pool`, over plans of its own.
+    pub(crate) fn on_pool(block: Block<'a>, pool: Held<'a, WorkerPool>) -> Self {
+        let plans = PooledPlans::for_block(block, pool.num_threads(), 1);
+        Self::on_block(block, Held::Owned(plans), pool)
+    }
+
+    /// `block` executing on `pool` over `plans`.
+    pub(crate) fn on_block(
+        (a, at): Block<'a>,
         plans: Held<'a, PooledPlans>,
         pool: Held<'a, WorkerPool>,
     ) -> Self {
-        let (a, at) = Layout::pair(ops, kernel);
-        let (nrows, ncols) = (ops.a.nrows(), ops.a.ncols());
+        let (nrows, ncols) = a.dims();
         let slots =
             xct_sparse::dot_chunks(nrows).max(xct_sparse::dot_chunks(ncols)) * plans.batch.max(1);
-        let name = match kernel {
-            Kernel::Serial => "serial",
-            Kernel::Buffered => "buffered",
-            Kernel::Ell => "ell",
+        let name = match a {
+            Layout::Csr(_) => "serial",
+            Layout::Buffered(_) => "buffered",
+            Layout::Ell(_) => "ell",
         };
         KernelOperator {
             a,

@@ -113,13 +113,10 @@ pub fn dist_checker<'a>(ops: &Operators, plans: &'a [RankPlan]) -> Checker<'a> {
             &plan.a_local,
             &plan.at_local,
         ));
-        if let Some(b) = &plan.a_local_buf {
-            c.add(BufferedCheck::new(format!("buffered(A_p[{r}])"), b).with_source(&plan.a_local));
-        }
-        if let Some(b) = &plan.at_local_buf {
-            c.add(
-                BufferedCheck::new(format!("buffered(A_p[{r}]^T)"), b).with_source(&plan.at_local),
-            );
+        if let Some((a, at)) = &plan.local_buf {
+            let name = |t: &str| format!("buffered(A_p[{r}]{t})");
+            c.add(BufferedCheck::new(name(""), a).with_source(&plan.a_local));
+            c.add(BufferedCheck::new(name("^T"), at).with_source(&plan.at_local));
         }
     }
     // Backprojection-direction schedule (Rᵀ): the owner of each sinogram
@@ -173,7 +170,7 @@ pub fn ledger_check(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::dist::{build_plans, DistConfig};
     use crate::preprocess::{preprocess, Config};
@@ -193,6 +190,15 @@ mod tests {
         let ops = preprocess(grid, scan, &config);
         let y = ops.order_sinogram(&sino);
         (ops, y)
+    }
+
+    /// Corrupt `plans`' schedule: rank 0 plans to send one fewer row to
+    /// rank 1 than rank 1 expects.
+    pub(crate) fn drop_scheduled_row(plans: &mut [RankPlan]) {
+        let r = plans[0].dest_ranges[1].clone();
+        if r.len() > 1 {
+            plans[0].dest_ranges[1] = r.start..r.end - 1;
+        }
     }
 
     #[test]
@@ -259,12 +265,8 @@ mod tests {
         )
         .unwrap();
         let mut plans = build_plans(&ops, 3, false);
-        // Pretend rank 0 planned to send one fewer row to rank 1: the
-        // residual for that pair no longer matches the others.
-        let r = plans[0].dest_ranges[1].clone();
-        if r.len() > 1 {
-            plans[0].dest_ranges[1] = r.start..r.end - 1;
-        }
+        // The residual for the pair 0 → 1 no longer matches the others.
+        drop_scheduled_row(&mut plans);
         let check = ledger_check("ledger", &plans, out.ledger.byte_matrix(), 2, 3);
         let mut report = Report::new();
         xct_check::Check::run(&check, &mut report);

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use crate::checkpoint;
-use crate::dist::{solve_distributed, FaultTolerance};
+use crate::dist::{solve_distributed, FaultTolerance, Ranks};
 use crate::errors::BuildError;
 use crate::operator::{
     KernelBreakdown, KernelOperator, PooledPlans, ProjectionOperator, POOL_IMBALANCE_BACK,
@@ -182,8 +182,9 @@ impl ReconstructorBuilder {
     /// Run the `xct-check` invariant sweep ([`crate::plan_check`]) over
     /// every memoized structure after preprocessing (default false).
     /// [`build`](Self::build) then fails with [`BuildError::PlanCheck`] if
-    /// any invariant is violated. Validation is read-only — a validated
-    /// build is bit-identical to an unvalidated one.
+    /// any invariant is violated, as a distributed request does when its
+    /// rank plans do. Validation is read-only — a validated build is
+    /// bit-identical to an unvalidated one.
     pub fn validate_plan(mut self, validate: bool) -> Self {
         self.validate = validate;
         self
@@ -315,6 +316,7 @@ impl ReconstructorBuilder {
             serial,
             pooled,
             batch: self.batch,
+            validate: self.validate,
             ft: self.ft,
             checkpoint: self.checkpoint_sink.map(|sink| CheckpointPolicy {
                 every: self.checkpoint_every,
@@ -332,6 +334,13 @@ impl ReconstructorBuilder {
 struct ExecContext {
     pool: WorkerPool,
     plans: PooledPlans,
+}
+
+/// The executor one request's groups run on: the calling thread or the
+/// worker pool, or ranks.
+enum Executor<'r> {
+    Shared(&'r ExecContext),
+    Ranks(Ranks<'r>),
 }
 
 /// A preprocessed reconstructor bound to one geometry. Preprocessing cost
@@ -367,6 +376,8 @@ pub struct Reconstructor {
     pooled: Option<ExecContext>,
     /// Slices per engine run (the workspace's batch width).
     batch: usize,
+    /// Whether distributed requests validate their rank plans.
+    validate: bool,
     /// Fault-tolerance policy of distributed solves: chaos plan,
     /// collective deadlines, restart budget.
     ft: FaultTolerance,
@@ -515,7 +526,8 @@ impl Reconstructor {
     /// `Volume` one per chunk, a short tail padded — and every group is
     /// one [`Stint`] on the executor `req.mode` names, its snapshots in
     /// the slot of its index under the one effective policy (the
-    /// request's, else the builder's). Completed groups are appended to
+    /// request's, else the builder's), sharing the OS-SIRT subsets and
+    /// rank plans built once per request. Completed groups are appended to
     /// `resp`; a stop ends the request where it is.
     fn drive(
         &self,
@@ -526,14 +538,23 @@ impl Reconstructor {
         if let Some(relax) = req.solver.invalid_relaxation() {
             return Err(ReconError::InvalidRelaxation { relax });
         }
-        if matches!(req.mode, ExecMode::Pooled) && self.pooled.is_none() {
-            return Err(ReconError::PoolNotBuilt);
-        }
-        // OS-SIRT's subsets, built once for every group (ranks refuse it).
-        let subsets = match (req.solver, &req.mode) {
-            (Solver::OsSirt { .. }, ExecMode::Pooled) => Err(BuildError::SerialOnly("pooled"))?,
-            (Solver::OsSirt { subsets: s, .. }, ExecMode::Serial) => {
-                Some(Subsets::new(&self.ops, s)?)
+        let mut exec = match &req.mode {
+            ExecMode::Serial => Executor::Shared(&self.serial),
+            ExecMode::Pooled => {
+                Executor::Shared(self.pooled.as_ref().ok_or(ReconError::PoolNotBuilt)?)
+            }
+            ExecMode::Distributed { config, ft } => Executor::Ranks(Ranks {
+                ops: &self.ops,
+                config: *config,
+                ft: ft.as_ref().unwrap_or(&self.ft),
+                validate: self.validate,
+                built: Vec::new(),
+            }),
+        };
+        // OS-SIRT's subsets, on the shared-memory executor (ranks refuse it).
+        let subsets = match (req.solver, &exec) {
+            (Solver::OsSirt { subsets: s, .. }, Executor::Shared(ctx)) => {
+                Some(Subsets::new(&self.ops, s, &ctx.pool)?)
             }
             _ => None,
         };
@@ -558,7 +579,7 @@ impl Reconstructor {
                 more: slot + 1 < groups.len(),
                 ctrl,
             };
-            let exit = self.run_group(&y, group.len(), &req.mode, &stint, resp)?;
+            let exit = self.run_group(&y, group.len(), &mut exec, &stint, resp)?;
             if exit != EngineExit::Completed {
                 return Ok(exit);
             }
@@ -568,21 +589,20 @@ impl Reconstructor {
 
     /// One stint of an ordered measurement slab covering `visible` caller
     /// slices (a padded tail group solves extra columns that are dropped
-    /// here) on the executor `mode` names; a completed group's images,
-    /// records and timing are appended to `resp`.
+    /// here) on `exec`; a completed group's images, records and timing
+    /// are appended to `resp`.
     fn run_group(
         &self,
         y: &[f32],
         visible: usize,
-        mode: &ExecMode,
+        exec: &mut Executor,
         stint: &Stint,
         resp: &mut ReconResponse,
     ) -> Result<EngineExit, ReconError> {
         let t = std::time::Instant::now();
-        let (images, slice_records) = match mode {
-            ExecMode::Distributed { config, ft } => {
-                let ft = ft.as_ref().unwrap_or(&self.ft);
-                let (out, exit) = solve_distributed(&self.ops, y, config, ft, stint)?;
+        let (images, slice_records) = match exec {
+            Executor::Ranks(ranks) => {
+                let (out, exit) = solve_distributed(y, stint, ranks)?;
                 if exit != EngineExit::Completed {
                     return Ok(exit);
                 }
@@ -597,12 +617,8 @@ impl Reconstructor {
                 });
                 (out.images, out.slice_records)
             }
-            mode => {
-                let exec = match (&self.pooled, mode) {
-                    (Some(pooled), ExecMode::Pooled) => pooled,
-                    _ => &self.serial,
-                };
-                let op = KernelOperator::pooled(&self.ops, self.kernel, &exec.plans, &exec.pool)
+            Executor::Shared(ctx) => {
+                let op = KernelOperator::pooled(&self.ops, self.kernel, &ctx.plans, &ctx.pool)
                     .with_metrics(self.metrics.clone());
                 let mut ws = self.workspace.lock().unwrap_or_else(|p| p.into_inner());
                 let (nrows, ncols) = (self.ops.a.nrows(), self.ops.a.ncols());

@@ -66,8 +66,10 @@ pub enum Solver {
     },
     /// Ordered-subsets SIRT: one iteration is a relaxed SIRT sub-update
     /// per angle-interleaved row block of `A` (subset `s` holds the rays
-    /// of projections `p ≡ s (mod subsets)`). [`ExecMode::Serial`] only,
-    /// at every width; other modes return [`BuildError::SerialOnly`].
+    /// of projections `p ≡ s (mod subsets)`), each a block of `A` run on
+    /// the request's executor. [`ExecMode::Serial`] and
+    /// [`ExecMode::Pooled`], bit-identically, at every width;
+    /// [`ExecMode::Distributed`] returns [`BuildError::SerialOnly`].
     OsSirt {
         /// Subsets, `1..=` projections (else [`BuildError::InvalidSubsets`]).
         subsets: usize,

@@ -30,6 +30,7 @@ use crate::request::{CheckpointPolicy, RunControl, Solver};
 use crate::subsets::{OsSirtRule, Subsets};
 use xct_obs::Metrics;
 use xct_runtime::CheckpointError;
+use xct_sparse::batch::{for_each_block, SliceBlocks};
 
 /// Convergence record of one iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -660,7 +661,7 @@ impl Stint<'_> {
         mut preempt: impl FnMut(usize) -> bool,
         mut save: impl FnMut(usize, &SolverWorkspace, &dyn UpdateRule) -> Result<(), CheckpointError>,
     ) -> Result<EngineExit, CheckpointError> {
-        let mut rule = make_rule(self.solver, self.subsets);
+        let mut rule = make_rule(self.solver, self.subsets, self.metrics);
         let cap = self.stop.max_iters();
         let resume_point =
             resume.map(|st| ws.restore(op.nrows(), op.ncols(), cap, st, rule.as_mut()));
@@ -944,8 +945,8 @@ impl UpdateRule for SirtRule {
 /// `dst[i·k + j] = f(dst[i·k + j], src[i·k + j], coef[j] as f32)` over
 /// the slice-interleaved slabs, for the slices `j` whose `live[j]` is
 /// nonzero (`k = live.len()`); the other columns keep their bits. The
-/// slices go in blocks of 8, 4 and 1, as the SpMM kernel cuts them, so
-/// each block's row is one vector operation.
+/// slices go in the blocks of [`for_each_block`], as the SpMM kernel cuts
+/// them, so each block's row is one vector operation.
 fn update(
     dst: &mut [f32],
     src: &[f32],
@@ -953,41 +954,29 @@ fn update(
     coef: &[f64],
     f: impl Fn(f32, f32, f32) -> f32,
 ) {
-    let k = live.len();
-    let mut s0 = 0;
-    while s0 < k {
-        let (live, coef) = (&live[s0..], &coef[s0..]);
-        s0 += match k - s0 {
-            8.. => update_block::<8>(dst, src, k, s0, live, coef, &f),
-            4.. => update_block::<4>(dst, src, k, s0, live, coef, &f),
-            _ => update_block::<1>(dst, src, k, s0, live, coef, &f),
-        };
-    }
+    for_each_block(live.len(), &mut Update(dst, src, live, coef, f));
 }
 
-/// [`update`] for slices `s0..s0 + W`; returns `W`.
-fn update_block<const W: usize>(
-    dst: &mut [f32],
-    src: &[f32],
-    k: usize,
-    s0: usize,
-    live: &[f64],
-    coef: &[f64],
-    f: impl Fn(f32, f32, f32) -> f32,
-) -> usize {
-    let live: [bool; W] = std::array::from_fn(|s| live[s] != 0.0);
-    let coef: [f32; W] = std::array::from_fn(|s| coef[s] as f32);
-    for (d, s) in dst.chunks_exact_mut(k).zip(src.chunks_exact(k)) {
-        let (d, s) = (&mut d[s0..s0 + W], &s[s0..s0 + W]);
-        for j in 0..W {
-            d[j] = if live[j] {
-                f(d[j], s[j], coef[j])
-            } else {
-                d[j]
-            };
+/// One [`update`]'s `(dst, src, live, coef, f)`.
+struct Update<'a, F>(&'a mut [f32], &'a [f32], &'a [f64], &'a [f64], F);
+
+impl<F: Fn(f32, f32, f32) -> f32> SliceBlocks for Update<'_, F> {
+    fn block<const W: usize>(&mut self, s0: usize) {
+        let Update(dst, src, live, coef, f) = self;
+        let k = live.len();
+        let live: [bool; W] = std::array::from_fn(|s| live[s0 + s] != 0.0);
+        let coef: [f32; W] = std::array::from_fn(|s| coef[s0 + s] as f32);
+        for (d, s) in dst.chunks_exact_mut(k).zip(src.chunks_exact(k)) {
+            let (d, s) = (&mut d[s0..s0 + W], &s[s0..s0 + W]);
+            for j in 0..W {
+                d[j] = if live[j] {
+                    f(d[j], s[j], coef[j])
+                } else {
+                    d[j]
+                };
+            }
         }
     }
-    W
 }
 
 /// The update rule a request's [`Solver`] names — the one factory every
@@ -1001,11 +990,19 @@ fn update_block<const W: usize>(
 pub(crate) fn make_rule<'a>(
     solver: Solver,
     subsets: Option<&'a Subsets<'a>>,
+    metrics: &Metrics,
 ) -> Box<dyn UpdateRule + 'a> {
     match (solver, subsets) {
         (Solver::Cg, _) => Box::new(CgRule::new()),
         (Solver::Sirt { relax }, _) => Box::new(SirtRule::new(relax)),
-        (Solver::OsSirt { relax, .. }, Some(subsets)) => Box::new(OsSirtRule { subsets, relax }),
+        (Solver::OsSirt { relax, .. }, Some(subsets)) => {
+            let ops = subsets.operators(metrics);
+            Box::new(OsSirtRule {
+                subsets,
+                ops,
+                relax,
+            })
+        }
         // lint: allow(no-panic) documented driver precondition
         (Solver::OsSirt { .. }, None) => unreachable!("OS-SIRT on an executor without subsets"),
     }

@@ -8,23 +8,27 @@
 //! one more rule of the solve driver: the driver builds the [`Subsets`]
 //! once per request and every stint runs [`OsSirtRule`] over them, so
 //! batches, volumes, snapshots and preemption come from the group loop.
-//! Memory: one transposed copy of `A`'s entries and no forward copy — a
-//! subset's forward products read `A`'s own CSR rows through [`row_dot`],
-//! whose lane order depends only on a row's entries (and which reads one
-//! slice of a slice-interleaved slab at stride).
+//!
+//! A subset is a row block `Aₛ` of `A`: its products run through a
+//! [`KernelOperator`] over `Aₛ` / `Aₛᵀ` on the request's executor, so a
+//! pooled solve is the serial one bit for bit. Memory: one CSR copy of
+//! `A`'s entries (every `Aₛ`) and one transposed copy (every `Aₛᵀ`).
 
 use crate::errors::BuildError;
-use crate::operator::ProjectionOperator;
+use crate::operator::{Held, KernelOperator, Layout, ProjectionOperator};
 use crate::preprocess::Operators;
 use crate::solvers::{SolverWorkspace, UpdateRule};
-use xct_sparse::lanes::row_dot;
-use xct_sparse::{spmm_into, CsrMatrix};
+use xct_obs::Metrics;
+use xct_runtime::WorkerPool;
+use xct_sparse::CsrMatrix;
 
 /// One angle-interleaved subset of the rays.
 struct Subset {
     /// Rows of `A` (ordered coordinates) in this subset, increasing.
     rows: Vec<u32>,
-    /// `Aₛᵀ`, the transpose of the subset's row block.
+    /// `Aₛ`, the subset's row block of `A`.
+    block: CsrMatrix,
+    /// `Aₛᵀ`, its transpose.
     block_t: CsrMatrix,
     /// SIRT row weights (1/row sums).
     row_w: Vec<f32>,
@@ -32,18 +36,23 @@ struct Subset {
     col_w: Vec<f32>,
 }
 
-/// The subset decomposition of one plan: subset `s` of `count` holds the
-/// rays of projections `p ≡ s (mod count)`.
+/// The subset decomposition of one plan on one executor: subset `s` of
+/// `count` holds the rays of projections `p ≡ s (mod count)`.
 pub(crate) struct Subsets<'a> {
-    a: &'a CsrMatrix,
     subsets: Vec<Subset>,
+    pool: &'a WorkerPool,
 }
 
 impl<'a> Subsets<'a> {
     /// Split the memoized forward matrix of `ops` into `count` angle
-    /// interleaves; [`BuildError::InvalidSubsets`] unless `count` is in
-    /// `1..=` the scan's projection count.
-    pub(crate) fn new(ops: &'a Operators, count: usize) -> Result<Self, BuildError> {
+    /// interleaves whose products run on `pool`;
+    /// [`BuildError::InvalidSubsets`] unless `count` is in `1..=` the
+    /// scan's projection count.
+    pub(crate) fn new(
+        ops: &Operators,
+        count: usize,
+        pool: &'a WorkerPool,
+    ) -> Result<Self, BuildError> {
         let projections = ops.scan.num_projections() as usize;
         if count == 0 || count > projections {
             return Err(BuildError::InvalidSubsets {
@@ -65,11 +74,11 @@ impl<'a> Subsets<'a> {
             .map(|rows| {
                 let row_data: Vec<Vec<(u32, f32)>> =
                     rows.iter().map(|&r| a.row(r as usize).collect()).collect();
-                let block_t = CsrMatrix::from_rows(a.ncols(), &row_data).transpose_scan();
+                let block = CsrMatrix::from_rows(a.ncols(), &row_data);
+                let block_t = block.transpose_scan();
                 Subset {
-                    row_w: rows
-                        .iter()
-                        .map(|&r| inv_sum(&mut a.row(r as usize)))
+                    row_w: (0..block.nrows())
+                        .map(|i| inv_sum(&mut block.row(i)))
                         .collect(),
                     // `Aₛᵀ` lists a column's entries in increasing row
                     // order: the order a row-by-row pass adds them in.
@@ -77,36 +86,35 @@ impl<'a> Subsets<'a> {
                         .map(|c| inv_sum(&mut block_t.row(c)))
                         .collect(),
                     rows,
+                    block,
                     block_t,
                 }
             })
             .collect();
-        Ok(Subsets { a, subsets })
+        Ok(Subsets { subsets, pool })
     }
 
-    /// `(A·x_j)[row]` for slice `j` of the `k`-wide slice-interleaved
-    /// `x`, from `A`'s own CSR row.
-    fn row_dot(&self, row: u32, x: &[f32], k: usize, j: usize) -> f32 {
-        let (ptr, row) = (self.a.rowptr(), row as usize);
-        let span = ptr[row]..ptr[row + 1];
-        row_dot(
-            &self.a.colind()[span.clone()],
-            &self.a.values()[span],
-            &x[j..],
-            k,
-        )
+    /// One [`KernelOperator`] per subset, over its block on the
+    /// executor's pool, recording into `metrics`.
+    pub(crate) fn operators(&self, metrics: &Metrics) -> Vec<KernelOperator<'_>> {
+        let ops = self.subsets.iter().map(|s| {
+            let block = (Layout::Csr(&s.block), Layout::Csr(&s.block_t));
+            KernelOperator::on_pool(block, Held::Borrowed(self.pool))
+        });
+        ops.map(|op| op.with_metrics(metrics.clone())).collect()
     }
 }
 
 /// One OS-SIRT pass per step: for every subset in turn, a relaxed SIRT
 /// sub-update `x ← x + ω·Cₛ·Aₛᵀ·Rₛ·(yₛ − Aₛ·x)` of every active slice,
 /// then each slice's full residual norm. Column `j` of a width-`k` step
-/// is slice `j` stepped alone: the forward products are per slice, and
-/// the back products are one SpMM over the slice-interleaved slab. Carries no
-/// scalars, and `ws`'s residual and back slabs are scratch it overwrites
-/// before reading.
+/// is slice `j` stepped alone: both products are one SpMM over the
+/// slice-interleaved slab. Carries no scalars, and `ws`'s residual and
+/// back slabs are scratch it overwrites before reading.
 pub(crate) struct OsSirtRule<'a> {
     pub(crate) subsets: &'a Subsets<'a>,
+    /// Subset `s`'s `Aₛ` / `Aₛᵀ` ([`Subsets::operators`]).
+    pub(crate) ops: Vec<KernelOperator<'a>>,
     pub(crate) relax: f32,
 }
 
@@ -120,16 +128,17 @@ impl UpdateRule for OsSirtRule<'_> {
     ) {
         let (k, m) = (ws.batch(), op.nrows());
         let (x, resid, back, active) = (&mut ws.x, &mut ws.resid, &mut ws.back, &ws.active);
-        let os = self.subsets;
         let live = || (0..k).filter(|&j| active[j]);
-        for sub in &os.subsets {
+        let blocks = || self.subsets.subsets.iter().zip(&self.ops);
+        for (sub, a_s) in blocks() {
             let r = &mut resid[..k * sub.rows.len()];
+            a_s.forward_batch_into(x, r, k);
             for ((ri, &row), &w) in r.chunks_exact_mut(k).zip(&sub.rows).zip(&sub.row_w) {
                 for j in live() {
-                    ri[j] = (y[j * m + row as usize] - os.row_dot(row, x, k, j)) * w;
+                    ri[j] = (y[j * m + row as usize] - ri[j]) * w;
                 }
             }
-            spmm_into(&sub.block_t, r, back, k);
+            a_s.back_batch_into(r, back, k);
             for ((xi, ui), &w) in x
                 .chunks_exact_mut(k)
                 .zip(back.chunks_exact(k))
@@ -140,13 +149,22 @@ impl UpdateRule for OsSirtRule<'_> {
                 }
             }
         }
+        // Each live slice's squared residual, subsets and rows in order.
         for j in live() {
-            let mut res_sq = 0f64;
-            for &row in os.subsets.iter().flat_map(|sub| &sub.rows) {
-                let d = (y[j * m + row as usize] - os.row_dot(row, x, k, j)) as f64;
-                res_sq += d * d;
+            res[j] = 0.0;
+        }
+        for (sub, a_s) in blocks() {
+            let r = &mut resid[..k * sub.rows.len()];
+            a_s.forward_batch_into(x, r, k);
+            for (ri, &row) in r.chunks_exact(k).zip(&sub.rows) {
+                for j in live() {
+                    let d = (y[j * m + row as usize] - ri[j]) as f64;
+                    res[j] += d * d;
+                }
             }
-            res[j] = res_sq.sqrt();
+        }
+        for j in live() {
+            res[j] = res[j].sqrt();
         }
     }
 }
@@ -154,7 +172,6 @@ impl UpdateRule for OsSirtRule<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::operator::KernelOperator;
     use crate::preprocess::Kernel;
     use crate::solvers::make_rule;
     use crate::{rel_err, ReconError, ReconInput, ReconRequest, ReconResponse, Reconstructor};
@@ -183,19 +200,26 @@ mod tests {
         rec.run(&req.solver(solver))
     }
 
-    /// Most entries in one row of `A` or of any `Aₛᵀ`: the most f32
-    /// additions behind one product value.
+    /// The one-worker pool and the quiet registry the unit tests' subsets
+    /// run on.
+    fn serial() -> (WorkerPool, Metrics) {
+        (WorkerPool::new(1), Metrics::noop())
+    }
+
+    /// Most entries in one row of `A` (of any `Aₛ`) or of any `Aₛᵀ`: the
+    /// most f32 additions behind one product value.
     fn longest_row(s: &Subsets) -> usize {
         let longest = |m: &CsrMatrix| m.rowptr().windows(2).map(|w| w[1] - w[0]).max();
-        let blocks = s.subsets.iter().filter_map(|sub| longest(&sub.block_t));
-        blocks.chain(longest(s.a)).max().unwrap_or(0)
+        let blocks = s.subsets.iter().flat_map(|sub| [&sub.block, &sub.block_t]);
+        blocks.filter_map(longest).max().unwrap_or(0)
     }
 
     #[test]
     fn subsets_partition_all_rows() {
         let (rec, _, _) = setup();
         let a = &rec.operators().a;
-        let s = Subsets::new(rec.operators(), 6).unwrap();
+        let (pool, _) = serial();
+        let s = Subsets::new(rec.operators(), 6, &pool).unwrap();
         let mut rows: Vec<u32> = s.subsets.iter().flat_map(|sub| sub.rows.clone()).collect();
         rows.sort_unstable();
         assert!(rows.iter().copied().eq(0..a.nrows() as u32));
@@ -212,19 +236,25 @@ mod tests {
     #[test]
     fn every_subset_is_adjoint() {
         let (rec, _, _) = setup();
-        let s = Subsets::new(rec.operators(), 5).unwrap();
+        let (pool, quiet) = serial();
+        let s = Subsets::new(rec.operators(), 5, &pool).unwrap();
         let wave = |len: usize, w: f32| (0..len).map(move |i| (i as f32 * w).sin());
-        let x: Vec<f32> = wave(s.a.ncols(), 0.37).collect();
+        let x: Vec<f32> = wave(rec.operators().a.ncols(), 0.37).collect();
         let abs_x: Vec<f32> = x.iter().map(|v| v.abs()).collect();
         let unit = 2.0 * (longest_row(&s) + 8) as f64 * U;
-        for (k, sub) in s.subsets.iter().enumerate() {
+        for (k, (sub, a_s)) in s.subsets.iter().zip(s.operators(&quiet)).enumerate() {
             let y: Vec<f32> = wave(sub.rows.len(), 0.73).collect();
+            let (mut ax, mut a_abs_x) = (vec![0f32; y.len()], vec![0f32; y.len()]);
+            a_s.forward_into(&x, &mut ax);
+            a_s.forward_into(&abs_x, &mut a_abs_x);
             let (mut lhs, mut scale) = (0f64, 0f64);
-            for (&r, &yi) in sub.rows.iter().zip(&y) {
-                lhs += s.row_dot(r, &x, 1, 0) as f64 * yi as f64;
-                scale += s.row_dot(r, &abs_x, 1, 0) as f64 * yi.abs() as f64;
+            for ((&axi, &aai), &yi) in ax.iter().zip(&a_abs_x).zip(&y) {
+                lhs += axi as f64 * yi as f64;
+                scale += aai as f64 * yi.abs() as f64;
             }
-            let rhs = xct_sparse::dot_f64(&x, &xct_sparse::spmm(&sub.block_t, &y, 1));
+            let mut aty = vec![0f32; x.len()];
+            a_s.back_into(&y, &mut aty);
+            let rhs = xct_sparse::dot_f64(&x, &aty);
             let bound = unit * scale;
             assert!((lhs - rhs).abs() <= bound, "subset {k}: {lhs} vs {rhs}");
         }
@@ -243,11 +273,12 @@ mod tests {
         let x_true = ops.order_tomogram(&img);
         let mut y = vec![0f32; ops.a.nrows()];
         xct_sparse::spmv_scalar_into(&ops.a, &x_true, &mut y);
-        let s = Subsets::new(ops, count).unwrap();
+        let (pool, quiet) = serial();
+        let s = Subsets::new(ops, count, &pool).unwrap();
         let mut ws = SolverWorkspace::new(ops.a.nrows(), ops.a.ncols());
         ws.x.copy_from_slice(&x_true);
         let (op, mut res) = (KernelOperator::new(ops, Kernel::Serial), [f64::NAN]);
-        make_rule(os(count, 1.0), Some(&s)).step(&op, &y, &mut ws, &mut res);
+        make_rule(os(count, 1.0), Some(&s), &quiet).step(&op, &y, &mut ws, &mut res);
         let x_max = x_true.iter().fold(0f32, |m, v| m.max(v.abs())) as f64;
         let bound = 2.0 * count as f64 * (longest_row(&s) + 8) as f64 * U * x_max;
         let diff: Vec<f32> = ws.x.iter().zip(&x_true).map(|(a, b)| a - b).collect();

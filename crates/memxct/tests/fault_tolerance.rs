@@ -307,6 +307,33 @@ fn rank_crash_restarts_from_checkpoint_and_completes() {
     assert_eq!(snap.matrices["comm/bytes"].size, 2);
 }
 
+/// A volume's groups share one plan set per rank count: three groups at
+/// two ranks build once, and a crash in the first group adds one build,
+/// of the one-rank plans its degrade runs; the groups after it reuse the
+/// two-rank set.
+#[test]
+fn rank_plans_are_built_once_per_request_and_rank_count() {
+    let builds = |ft: Option<FaultTolerance>| {
+        let metrics = Metrics::collecting();
+        let (rec, sino) = metered(&metrics);
+        let volume = ReconInput::Volume(vec![sino; 3]);
+        let req = ReconRequest::cg(volume, StopRule::Fixed(4)).mode(over_ranks(2, ft));
+        let out = rec.run(&req).unwrap();
+        assert_eq!(out.images.len(), 3);
+        let snap = metrics.snapshot();
+        let restarts = snap.counters.get("fault/restarts").copied().unwrap_or(0);
+        (snap.timers["dist/build_plans"].count, restarts)
+    };
+    assert_eq!(builds(None), (1, 0));
+    let crash = FaultTolerance {
+        faults: Arc::new(FaultPlan::new().with(1, 3, FaultKind::Crash)),
+        max_restarts: 1,
+        ..FaultTolerance::default()
+    };
+    let (count, restarts) = builds(Some(crash));
+    assert_eq!((count, restarts), (2, 1));
+}
+
 #[test]
 fn rank_crash_without_restart_budget_is_a_typed_error() {
     let (grid, scan, sino) = geometry(24, 36);

@@ -108,8 +108,11 @@ proptest! {
             let plan = &plans[comm.rank()];
             let lo = plan.tomo_range.start as usize;
             let hi = plan.tomo_range.end as usize;
-            let mut kb = memxct::KernelBreakdown::default();
-            plan.try_forward_batch(comm, &x[lo..hi], 1, &mut kb).unwrap()
+            let op = DistOperator::new(plan, comm);
+            let mut y = vec![0f32; plan.sino_range.len()];
+            op.forward_into(&x[lo..hi], &mut y);
+            assert!(op.fault().is_none());
+            y
         });
         let mut got = vec![0f32; ops.a.nrows()];
         for (plan, block) in plans.iter().zip(results) {

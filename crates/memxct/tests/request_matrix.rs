@@ -3,8 +3,8 @@
 //! yield alike — a stop at a boundary inside the first, a middle or the
 //! last group of any input, on any executor, resumes to the bits of the
 //! uninterrupted run — and no request field may be silently ignored by
-//! any mode. OS-SIRT has a subset kernel on the calling thread only: it
-//! runs every serial cell and is refused, typed, in every other one.
+//! any mode. OS-SIRT's subset products run on the request's executor: it
+//! runs every serial and pooled cell, and is refused, typed, over ranks.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -162,9 +162,9 @@ fn memory_policy(every: usize) -> (Arc<MemoryCheckpointSink>, CheckpointPolicy) 
 /// slots `0..=g`, and the same request with `resume(true)` ends on the
 /// bits of the uninterrupted run. On the way: a controlled run nobody
 /// stops is the uncontrolled run, and consults the predicate exactly once
-/// per boundary on every executor. OS-SIRT off the calling thread is
-/// refused before anything runs: a typed error, and an empty sink even
-/// under a cadence policy.
+/// per boundary on every executor, and a pooled run is the serial run,
+/// bit for bit. OS-SIRT over ranks is refused before anything runs: a
+/// typed error, and an empty sink even under a cadence policy.
 #[test]
 fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
     let (single, wide) = (reconstructor(1), reconstructor(WIDTH));
@@ -179,21 +179,14 @@ fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
             for (solver_name, solver, stop) in solvers() {
                 let ctx = format!("{input_name} / {mode_name} / {solver_name}");
                 let req = request(input.clone(), solver, stop, &mode);
-                if let (Solver::OsSirt { .. }, ExecMode::Pooled | ExecMode::Distributed { .. }) =
-                    (solver, &mode)
-                {
+                if let (Solver::OsSirt { .. }, ExecMode::Distributed { .. }) = (solver, &mode) {
                     let (sink, policy) = memory_policy(1);
                     let watched = req.checkpoint(policy);
                     let refused = rec.run_controlled(&watched, &RunControl::new());
-                    let want = if mode_name == "pooled" {
-                        "pooled"
-                    } else {
-                        "distributed"
-                    };
                     assert!(
                         matches!(
                             refused,
-                            Err(ReconError::Build(BuildError::SerialOnly(mode))) if mode == want
+                            Err(ReconError::Build(BuildError::SerialOnly("distributed")))
                         ),
                         "{ctx}: {refused:?}"
                     );
@@ -210,6 +203,14 @@ fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
                     continue;
                 }
                 let golden = rec.run(&req).unwrap();
+                if let ExecMode::Pooled = mode {
+                    let serial = request(input.clone(), solver, stop, &ExecMode::Serial);
+                    assert_same(
+                        &golden,
+                        &rec.run(&serial).unwrap(),
+                        &format!("{ctx}: serial"),
+                    );
+                }
                 let calls = boundaries(&golden, rec.batch(), stop);
                 let groups = calls.len();
                 assert_eq!(groups, input.num_slices().div_ceil(rec.batch()), "{ctx}");

@@ -24,12 +24,12 @@
 //!
 //! The buffered layout — the production kernel, in `buffered.rs` — does
 //! not loop over slices at all. Its kernel is generic over a slice-block
-//! width `W` (a batch is cut into blocks of 8, then 4, then 1; `W = 1` is
-//! its SpMV): staging copies each slot's `W` contiguous values,
-//! `input[slot] = x[map[slot]·k + s₀ ..][..W]`, so the accumulation loads
-//! one contiguous `W`-vector per nonzero and the index, value and index
-//! mask are shared by the block; the sums land straight in the output
-//! rows. `W` decides which slices share a register, never the order in
+//! width `W` ([`for_each_block`] cuts a batch into blocks of 8, then 4,
+//! then 1; `W = 1` is its SpMV): staging copies each slot's `W`
+//! contiguous values, `input[slot] = x[map[slot]·k + s₀ ..][..W]`, so the
+//! accumulation loads one contiguous `W`-vector per nonzero and the
+//! index, value and index mask are shared by the block; the sums land
+//! straight in the output rows. `W` decides which slices share a register, never the order in
 //! which one slice is summed (lane `k % 8`, the fixed reduction tree,
 //! sequential tail, stages in order), which is why the bits hold. The
 //! cost is staging: `buffsize.next_power_of_two()` slots, one `f32` each
@@ -72,13 +72,29 @@ pub fn deinterleave(src: &[f32], dst: &mut [f32], k: usize) {
     }
 }
 
-/// Slices the next block takes out of `remaining`: a batch is cut into
-/// blocks of [`LANES`], then 4, then single slices.
-pub(crate) fn block_width(remaining: usize) -> usize {
-    match remaining {
-        LANES.. => LANES,
-        4.. => 4,
-        _ => 1,
+/// A body over one slice block of a batch, generic in the block's width.
+pub trait SliceBlocks {
+    /// Run on slices `s0..s0 + W`.
+    fn block<const W: usize>(&mut self, s0: usize);
+}
+
+/// The one slice-block cut: run `body` on the blocks of a `k`-wide
+/// batch, in slice order — blocks of [`LANES`], then 4, then single
+/// slices. Every batched kernel (the buffered SpMM, the batched dots, the
+/// solvers' slab updates) cuts its slices here, so a block's width only
+/// ever decides which slices share a register.
+pub fn for_each_block(k: usize, body: &mut impl SliceBlocks) {
+    let mut s0 = 0;
+    while k - s0 >= LANES {
+        body.block::<LANES>(s0);
+        s0 += LANES;
+    }
+    if k - s0 >= 4 {
+        body.block::<4>(s0);
+        s0 += 4;
+    }
+    for s in s0..k {
+        body.block::<1>(s);
     }
 }
 
@@ -90,13 +106,6 @@ pub fn spmm_into(a: &CsrMatrix, x: &[f32], y: &mut [f32], batch: usize) {
     assert_eq!(x.len(), a.ncols() * batch, "x length");
     assert_eq!(y.len(), a.nrows() * batch, "y length");
     csr_rows(a, x, y, batch, 0..a.nrows());
-}
-
-/// Allocating [`spmm_into`].
-pub fn spmm(a: &CsrMatrix, x: &[f32], batch: usize) -> Vec<f32> {
-    let mut y = vec![0f32; a.nrows() * batch];
-    spmm_into(a, x, &mut y, batch);
-    y
 }
 
 /// Pooled CSR SpMM into a caller-provided slice-interleaved output: one
@@ -188,7 +197,9 @@ mod tests {
         let a = skewed();
         for batch in [1, 2, 4, 7] {
             let x = rhs(a.ncols(), batch);
-            let y = slice_major(&spmm(&a, &interleaved(&x, batch), batch), batch);
+            let mut y = vec![0f32; a.nrows() * batch];
+            spmm_into(&a, &interleaved(&x, batch), &mut y, batch);
+            let y = slice_major(&y, batch);
             for j in 0..batch {
                 let mut want = vec![0f32; a.nrows()];
                 spmv_into(&a, &x[j * a.ncols()..(j + 1) * a.ncols()], &mut want);

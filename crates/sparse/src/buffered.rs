@@ -18,7 +18,7 @@
 //! per nonzero (index, value, mask) is paid once per block of `W` slices.
 //! `W = 1` is the SpMV.
 
-use crate::batch::block_width;
+use crate::batch::{for_each_block, SliceBlocks};
 use crate::csr::CsrMatrix;
 use crate::lanes::{reduce_lanes, LANES};
 use std::array::from_fn;
@@ -614,16 +614,8 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                 lines.resize(slots, Line::default());
             }
             for (p, rows) in parts.zip(out.chunks_mut(self.partsize * k)) {
-                let mut s0 = 0;
-                while s0 < k {
-                    let w = block_width(k - s0);
-                    match w {
-                        LANES => self.process_partition::<LANES, _>(p, x, k, s0, lines, rows),
-                        4 => self.process_partition::<4, _>(p, x, k, s0, lines, rows),
-                        _ => self.process_partition::<1, _>(p, x, k, s0, singles, rows),
-                    }
-                    s0 += w;
-                }
+                let mut part = Partition(self, p, x, k, &mut *singles, &mut lines[..], rows);
+                for_each_block(k, &mut part);
             }
         });
     }
@@ -750,6 +742,30 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             }
         }
         sum
+    }
+}
+
+/// Partition `p` of [`BufferedCsrImpl::run_partitions`] as a slice-block
+/// body, `(layout, p, x, k, singles, lines, rows)`: single slices stage
+/// through `singles`, wider blocks through `lines`.
+struct Partition<'a, I: BufferIndex>(
+    &'a BufferedCsrImpl<I>,
+    usize,
+    &'a [f32],
+    usize,
+    &'a mut [[f32; 1]],
+    &'a mut [Line],
+    &'a mut [f32],
+);
+
+impl<I: BufferIndex> SliceBlocks for Partition<'_, I> {
+    fn block<const W: usize>(&mut self, s0: usize) {
+        let Partition(m, p, x, k, singles, lines, rows) = self;
+        if W == 1 {
+            m.process_partition::<1, _>(*p, x, *k, s0, singles, rows);
+        } else {
+            m.process_partition::<W, _>(*p, x, *k, s0, lines, rows);
+        }
     }
 }
 

@@ -208,32 +208,6 @@ impl CsrMatrix {
             values: values_t,
         }
     }
-
-    /// Extract the row range `lo..hi` as a standalone matrix (used for
-    /// distributing row blocks across processes).
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> CsrMatrix {
-        assert!(lo <= hi && hi <= self.nrows);
-        let base = self.rowptr[lo];
-        let rowptr = self.rowptr[lo..=hi].iter().map(|&p| p - base).collect();
-        CsrMatrix {
-            nrows: hi - lo,
-            ncols: self.ncols,
-            rowptr,
-            colind: self.colind[base..self.rowptr[hi]].to_vec(),
-            values: self.values[base..self.rowptr[hi]].to_vec(),
-        }
-    }
-
-    /// Dense representation (tests/debugging only).
-    pub fn to_dense(&self) -> Vec<Vec<f32>> {
-        let mut d = vec![vec![0f32; self.ncols]; self.nrows];
-        for (i, di) in d.iter_mut().enumerate() {
-            for (c, v) in self.row(i) {
-                di[c as usize] += v;
-            }
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -256,6 +230,17 @@ mod tests {
         )
     }
 
+    /// Dense representation.
+    fn dense(m: &CsrMatrix) -> Vec<Vec<f32>> {
+        let mut d = vec![vec![0f32; m.ncols()]; m.nrows()];
+        for (i, di) in d.iter_mut().enumerate() {
+            for (c, v) in m.row(i) {
+                di[c as usize] += v;
+            }
+        }
+        d
+    }
+
     #[test]
     fn construction_and_access() {
         let m = sample();
@@ -273,11 +258,10 @@ mod tests {
         assert_eq!(t.nrows(), 3);
         assert_eq!(t.ncols(), 4);
         assert_eq!(t.nnz(), 6);
-        let dense = m.to_dense();
-        let dense_t = t.to_dense();
+        let (d, d_t) = (dense(&m), dense(&t));
         for i in 0..4 {
             for j in 0..3 {
-                assert_eq!(dense[i][j], dense_t[j][i]);
+                assert_eq!(d[i][j], d_t[j][i]);
             }
         }
     }
@@ -297,15 +281,6 @@ mod tests {
         let m = sample();
         let tt = m.transpose_scan().transpose_scan();
         assert_eq!(m, tt);
-    }
-
-    #[test]
-    fn slice_rows_extracts_block() {
-        let m = sample();
-        let s = m.slice_rows(2, 4);
-        assert_eq!(s.nrows(), 2);
-        assert_eq!(s.row(0).collect::<Vec<_>>(), vec![(0, 3.0), (1, 4.0)]);
-        assert_eq!(s.row(1).collect::<Vec<_>>(), vec![(1, 5.0), (2, 6.0)]);
     }
 
     #[test]

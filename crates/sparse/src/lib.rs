@@ -37,7 +37,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod batch;
+pub mod batch;
 mod buffered;
 mod csr;
 mod ell;
@@ -47,7 +47,7 @@ mod reduce;
 mod spmv;
 mod stats;
 
-pub use batch::{deinterleave, interleave, spmm, spmm_into, spmm_pooled_into};
+pub use batch::{deinterleave, interleave, spmm_into, spmm_pooled_into};
 pub use buffered::{BufferIndex, BufferedCsr, BufferedCsr32, BufferedCsrImpl, LayoutError};
 pub use csr::CsrMatrix;
 pub use ell::{EllMatrix, EllPartitionView};
@@ -57,4 +57,4 @@ pub use pooled::{
 };
 pub use reduce::{dot_f64, dot_f64_chunked, dot_f64_chunked_batch, norm_f64};
 pub use spmv::{spmv, spmv_into, spmv_scalar_into};
-pub use stats::{matrix_stats, partition_stats, MatrixStats, PartitionStats};
+pub use stats::{partition_stats, PartitionStats};

@@ -6,8 +6,7 @@
 //! residual records agree bit-for-bit on identical data; this module is
 //! the single home for that arithmetic.
 
-use crate::batch::block_width;
-use crate::lanes::LANES;
+use crate::batch::{for_each_block, SliceBlocks};
 use crate::pooled::{dot_chunks, DOT_CHUNK};
 use std::ops::Range;
 
@@ -51,38 +50,34 @@ pub(crate) fn chunk(c: usize, len: usize) -> Range<usize> {
 }
 
 /// Add to `out[j]` the [`dot_f64`] of slice `j` over elements `elems` of
-/// two `out.len()`-wide slice-interleaved slabs. The slices go in blocks
-/// of [`LANES`], 4 and 1 (as the SpMM kernels cut them), each block's
-/// chains side by side in registers; slice `j`'s products are summed in
-/// element order from `-0.0`, where `Iterator::sum` starts.
+/// two `out.len()`-wide slice-interleaved slabs. The slices go in the
+/// blocks of [`for_each_block`], each block's chains side by side in
+/// registers; slice `j`'s products are summed in element order from
+/// `-0.0`, where `Iterator::sum` starts.
 pub(crate) fn add_row_dots(a: &[f32], b: &[f32], elems: Range<usize>, out: &mut [f64]) {
     let k = out.len();
     let rows = elems.start * k..elems.end * k;
     let (a, b) = (&a[rows.clone()], &b[rows]);
-    let mut s0 = 0;
-    while s0 < k {
-        let w = block_width(k - s0);
-        let out = &mut out[s0..s0 + w];
-        match w {
-            LANES => add_block_dots::<LANES>(a, b, k, s0, out),
-            4 => add_block_dots::<4>(a, b, k, s0, out),
-            _ => add_block_dots::<1>(a, b, k, s0, out),
-        }
-        s0 += w;
-    }
+    for_each_block(k, &mut RowDots(a, b, out));
 }
 
-/// [`add_row_dots`] for slices `s0..s0 + W`.
-fn add_block_dots<const W: usize>(a: &[f32], b: &[f32], k: usize, s0: usize, out: &mut [f64]) {
-    let mut acc = [-0.0f64; W];
-    for (ar, br) in a.chunks_exact(k).zip(b.chunks_exact(k)) {
-        let (ar, br) = (&ar[s0..s0 + W], &br[s0..s0 + W]);
-        for s in 0..W {
-            acc[s] += ar[s] as f64 * br[s] as f64;
+/// One [`add_row_dots`]'s `(a, b, out)`, the slabs cut to its rows.
+struct RowDots<'a>(&'a [f32], &'a [f32], &'a mut [f64]);
+
+impl SliceBlocks for RowDots<'_> {
+    fn block<const W: usize>(&mut self, s0: usize) {
+        let RowDots(a, b, out) = self;
+        let k = out.len();
+        let mut acc = [-0.0f64; W];
+        for (ar, br) in a.chunks_exact(k).zip(b.chunks_exact(k)) {
+            let (ar, br) = (&ar[s0..s0 + W], &br[s0..s0 + W]);
+            for s in 0..W {
+                acc[s] += ar[s] as f64 * br[s] as f64;
+            }
         }
-    }
-    for (o, s) in out.iter_mut().zip(acc) {
-        *o += s;
+        for (o, s) in out[s0..s0 + W].iter_mut().zip(acc) {
+            *o += s;
+        }
     }
 }
 

@@ -7,7 +7,6 @@
 //! bottleneck the ordering and buffering optimizations attack.
 
 use crate::csr::CsrMatrix;
-use crate::lanes::row_dot;
 
 /// Sequential CSR SpMV: `y = A·x`.
 pub fn spmv(a: &CsrMatrix, x: &[f32]) -> Vec<f32> {
@@ -16,21 +15,14 @@ pub fn spmv(a: &CsrMatrix, x: &[f32]) -> Vec<f32> {
     y
 }
 
-/// Sequential CSR SpMV into a caller-provided output.
+/// Sequential CSR SpMV into a caller-provided output: the one-slice case
+/// of [`crate::spmm_into`].
 ///
 /// Rows are reduced in the deterministic lane order of [`crate::lanes`];
 /// every other CSR kernel (pooled, batched) uses the same order,
 /// so they are all bitwise equal to this one.
 pub fn spmv_into(a: &CsrMatrix, x: &[f32], y: &mut [f32]) {
-    assert_eq!(x.len(), a.ncols(), "x length");
-    assert_eq!(y.len(), a.nrows(), "y length");
-    let rowptr = a.rowptr();
-    let colind = a.colind();
-    let values = a.values();
-    for (i, out) in y.iter_mut().enumerate() {
-        let (lo, hi) = (rowptr[i], rowptr[i + 1]);
-        *out = row_dot(&colind[lo..hi], &values[lo..hi], x, 1);
-    }
+    crate::spmm_into(a, x, y, 1);
 }
 
 /// The original Listing 2 scalar kernel: one sequential accumulator chain

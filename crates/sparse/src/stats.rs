@@ -59,53 +59,6 @@ pub fn partition_stats(a: &CsrMatrix, partsize: usize, buffsize: usize) -> Vec<P
     out
 }
 
-/// Whole-matrix aggregates used by the Fig 9 bandwidth model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatrixStats {
-    /// Rows.
-    pub nrows: usize,
-    /// Columns.
-    pub ncols: usize,
-    /// Nonzeroes.
-    pub nnz: usize,
-    /// Mean nonzeroes per row.
-    pub mean_row_nnz: f64,
-    /// Max nonzeroes per row.
-    pub max_row_nnz: usize,
-    /// Sum of per-partition footprints (total buffer-map length).
-    pub total_footprint: usize,
-    /// Mean per-partition data reuse.
-    pub mean_reuse: f64,
-}
-
-/// Compute [`MatrixStats`] for partitions of `partsize` rows.
-pub fn matrix_stats(a: &CsrMatrix, partsize: usize) -> MatrixStats {
-    let parts = partition_stats(a, partsize, 1 << 30);
-    let total_footprint: usize = parts.iter().map(|p| p.footprint).sum();
-    let mean_reuse = if parts.is_empty() {
-        0.0
-    } else {
-        parts.iter().map(|p| p.reuse()).sum::<f64>() / parts.len() as f64
-    };
-    let max_row_nnz = (0..a.nrows())
-        .map(|i| a.rowptr()[i + 1] - a.rowptr()[i])
-        .max()
-        .unwrap_or(0);
-    MatrixStats {
-        nrows: a.nrows(),
-        ncols: a.ncols(),
-        nnz: a.nnz(),
-        mean_row_nnz: if a.nrows() == 0 {
-            0.0
-        } else {
-            a.nnz() as f64 / a.nrows() as f64
-        },
-        max_row_nnz,
-        total_footprint,
-        mean_reuse,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,22 +94,5 @@ mod tests {
         assert_eq!(stats[0].stages, 4);
         let stats = partition_stats(&sample(), 4, 3);
         assert_eq!(stats[0].stages, 2);
-    }
-
-    #[test]
-    fn matrix_stats_aggregates() {
-        let s = matrix_stats(&sample(), 2);
-        assert_eq!(s.nnz, 7);
-        assert_eq!(s.max_row_nnz, 2);
-        assert_eq!(s.total_footprint, 4);
-        assert!((s.mean_reuse - 1.75).abs() < 1e-12);
-        assert!((s.mean_row_nnz - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_matrix_stats() {
-        let s = matrix_stats(&CsrMatrix::zeros(0, 5), 4);
-        assert_eq!(s.nnz, 0);
-        assert_eq!(s.mean_reuse, 0.0);
     }
 }
