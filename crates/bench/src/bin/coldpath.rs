@@ -2,11 +2,16 @@
 //! the first-touch page faults no builder can avoid.
 //!
 //! Prints per-phase minima over N builds of the `cold_plans` geometry
-//! (seconds, ns per nonzero written), the seconds to first-touch as many
+//! (seconds, ns per nonzero written), each build's minor page faults
+//! (`/proc/self/stat`: whether a build faults in fresh pages or reuses
+//! freed ones, EXPERIMENTS.md C4), the bytes the plan streams per solve
+//! iteration and the bytes it holds resident (a layout that shares its
+//! CSR's value array counts it once), the seconds to first-touch as many
 //! fresh zeroed bytes as the plan streams — so "build − faults" is
 //! printed, not inferred — and the seconds of each `validate_plan` check
 //! that walks the nonzeroes. Panics if the plan fails a check or the
-//! phases exceed the total.
+//! phases exceed the total, or if the resident bytes are not the
+//! streamed bytes less Aᵀ's values (which Aᵀ's layout shares).
 //!
 //! ```text
 //! cargo run --release -p xct-bench --bin coldpath [--smoke]
@@ -17,11 +22,32 @@ use std::hint::black_box;
 use std::time::Instant;
 use xct_check::{BufferedCheck, Check, CsrCheck, Report, TransposeCheck};
 use xct_geometry::{Grid, ScanGeometry};
+use xct_sparse::{BufferedCsr, CsrMatrix};
 
 fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
     let t = Instant::now();
     let out = f();
     (t.elapsed().as_secs_f64(), out)
+}
+
+/// This process's minor page faults so far: field 10 of
+/// `/proc/self/stat`, 0 where there is no procfs.
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // Fields 3 on follow the parenthesised command name.
+    let after_name = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let minflt = after_name.split_whitespace().nth(7);
+    minflt.and_then(|f| f.parse().ok()).unwrap_or(0)
+}
+
+/// Bytes of `m`'s values that `b` holds through `m`'s own array.
+fn shared_value_bytes(b: &BufferedCsr, m: &CsrMatrix) -> u64 {
+    let shared = b.entry_val().as_ptr() == m.values().as_ptr();
+    if shared {
+        4 * m.nnz() as u64
+    } else {
+        0
+    }
 }
 
 /// Least seconds of `n` runs of `f`.
@@ -34,10 +60,12 @@ fn main() {
     let (m, n, builds) = if smoke { (90, 64, 2) } else { (180, 128, 7) };
     let build = || try_preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config::default());
     let (mut total, mut phases) = (f64::INFINITY, [f64::INFINITY; 4]);
-    let mut kept = None;
+    let (mut kept, mut build_faults) = (None, Vec::new());
     for _ in 0..builds {
         drop(kept.take()); // a miss builds into memory the last plan gave back
+        let before = minor_faults();
         let (wall, ops) = timed(build);
+        build_faults.push(minor_faults() - before);
         let ops = ops.expect("the default config is valid");
         let (t, sum) = (ops.timings, ops.timings.total());
         assert!(sum <= wall, "the phases sum to {sum} s of a {wall} s build");
@@ -51,6 +79,15 @@ fn main() {
     // Index + value per nonzero of A, Aᵀ and both layouts, plus the stage
     // maps: all of the plan but its row pointers and ordering tables.
     let bytes = 2 * ops.a.regular_bytes() + a_buf.regular_bytes() + at_buf.regular_bytes();
+    let resident = bytes - shared_value_bytes(a_buf, &ops.a) - shared_value_bytes(at_buf, &ops.at);
+    // Aᵀ's rows ascend, so its layout shares Aᵀ's values; A's traced rows
+    // do not, so its layout holds its own.
+    let at_values = 4 * ops.at.nnz() as u64;
+    assert_eq!(
+        resident,
+        bytes - at_values,
+        "Aᵀ's values held once, A's twice"
+    );
     // One write per 4 KiB page: the kernel zero-fills each on first touch.
     let faults = best(builds, || {
         let mut fresh = vec![0u8; bytes as usize];
@@ -60,6 +97,11 @@ fn main() {
 
     let (nnz, mb) = (ops.a.nnz(), bytes as f64 / 1e6);
     println!("cold path, {m}x{n}: {nnz} nnz, {mb:.1} MB streamed, min of {builds} builds");
+    println!(
+        "plan bytes: {bytes} streamed, {resident} resident ({:.1} MB)",
+        resident as f64 / 1e6
+    );
+    println!("minor faults per build: {build_faults:?}");
     let row = |name: &str, s: f64, written: usize| match written {
         0 => println!("{name:<28} {s:>8.4}"),
         w => println!("{name:<28} {s:>8.4} {:>7.2} ns/nnz", s * 1e9 / w as f64),

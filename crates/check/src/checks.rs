@@ -659,21 +659,24 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
                 );
             }
         }
-        // Buffer-local indices stay inside their stage's occupied window.
-        for s in 0..nstages {
-            let footprint = stagedispl[s + 1] - stagedispl[s];
-            let lo = displ[s * b.partsize()];
-            let hi = displ[(s + 1) * b.partsize()];
-            for k in lo..hi {
-                let local = b.entry_ind()[k].to_usize();
-                if local >= footprint {
-                    report.violation(
-                        name,
-                        Invariant::BufferLocalBounds,
-                        format!("stage {s}, entry {k}"),
-                        format!("buffer-local index {local} outside footprint {footprint}"),
-                        "rebuild; indices must address the gathered stage window",
-                    );
+        // Buffer-local indices stay inside their stage's occupied window:
+        // every run of every row slot of the stage's partition.
+        for p in 0..nparts {
+            for s in partdispl[p] as usize..partdispl[p + 1] as usize {
+                let footprint = stagedispl[s + 1] - stagedispl[s];
+                for row in p * b.partsize()..(p + 1) * b.partsize() {
+                    for k in b.run(s, row) {
+                        let local = b.entry_ind()[k].to_usize();
+                        if local >= footprint {
+                            report.violation(
+                                name,
+                                Invariant::BufferLocalBounds,
+                                format!("stage {s}, entry {k}"),
+                                format!("buffer-local index {local} outside footprint {footprint}"),
+                                "rebuild; indices must address the gathered stage window",
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -684,7 +687,7 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
             return;
         }
         if let Some(src) = self.source.filter(|s| csr_traversable(s)) {
-            let (ps, map, ind, val) = (b.partsize(), b.stage_map(), b.entry_ind(), b.entry_val());
+            let (map, ind, val) = (b.stage_map(), b.entry_ind(), b.entry_val());
             // Fast path: stamp the source row's columns (and value bits)
             // into dense tables, then tick each layout entry off its
             // column. With no surprise — repeated or out-of-range source
@@ -697,8 +700,7 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
             // One entry per column — (stamping row, value bits) — so an
             // entry is one cache line to look up, not two tables' two.
             let mut stamp = vec![(SPENT, 0u32); b.ncols()];
-            let mut ticks_off = |p: usize, j: usize| -> bool {
-                let row = p * ps + j;
+            let mut ticks_off = |p: usize, row: usize| -> bool {
                 let mut want = 0usize;
                 for (c, v) in src.row(row) {
                     match stamp.get_mut(c as usize) {
@@ -710,8 +712,8 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
                 let mut got = 0usize;
                 for s in partdispl[p] as usize..partdispl[p + 1] as usize {
                     let stage_map = &map[stagedispl[s]..stagedispl[s + 1]];
-                    let (lo, hi) = (displ[s * ps + j], displ[s * ps + j + 1]);
-                    for (local, v) in ind[lo..hi].iter().zip(&val[lo..hi]) {
+                    let run = b.run(s, row);
+                    for (local, v) in ind[run.clone()].iter().zip(&val[run]) {
                         let slot = &mut stamp[stage_map[local.to_usize()] as usize];
                         if *slot != (row, v.to_bits()) {
                             return false;
@@ -726,14 +728,14 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
                 let base = p * b.partsize();
                 let rows = b.partsize().min(b.nrows().saturating_sub(base));
                 for j in 0..rows {
-                    if ticks_off(p, j) {
+                    if ticks_off(p, base + j) {
                         continue;
                     }
                     let mut got: Vec<(u32, u32)> = Vec::new();
                     for s in partdispl[p] as usize..partdispl[p + 1] as usize {
-                        for k in displ[s * b.partsize() + j]..displ[s * b.partsize() + j + 1] {
-                            let col = b.stage_map()[stagedispl[s] + b.entry_ind()[k].to_usize()];
-                            got.push((col, b.entry_val()[k].to_bits()));
+                        let stage_map = &map[stagedispl[s]..stagedispl[s + 1]];
+                        for k in b.run(s, base + j) {
+                            got.push((stage_map[ind[k].to_usize()], val[k].to_bits()));
                         }
                     }
                     let mut want: Vec<(u32, u32)> =

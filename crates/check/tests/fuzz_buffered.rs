@@ -131,6 +131,7 @@ impl<I: BufferIndex> Arrays<I> {
             self.stagedispl,
             self.map,
             self.displ,
+            like.row_major_runs(),
             self.ind,
             self.val,
         )

@@ -62,6 +62,7 @@ struct BufParts {
     stagedispl: Vec<usize>,
     map: Vec<u32>,
     displ: Vec<usize>,
+    row_major: bool,
     ind: Vec<u16>,
     val: Vec<f32>,
 }
@@ -79,6 +80,7 @@ fn buf_parts() -> (CsrMatrix, BufParts) {
         stagedispl: b.stagedispl().to_vec(),
         map: b.stage_map().to_vec(),
         displ: b.entry_displ().to_vec(),
+        row_major: b.row_major_runs(),
         ind: b.entry_ind().to_vec(),
         val: b.entry_val().to_vec(),
     };
@@ -98,6 +100,7 @@ fn buffered_report(mutate: impl FnOnce(&mut BufParts)) -> Report {
         p.stagedispl,
         p.map,
         p.displ,
+        p.row_major,
         p.ind,
         p.val,
     );

@@ -71,6 +71,7 @@ fn corrupted_layout(mutate: impl FnOnce(&mut Entries)) -> BufferedCsr {
         b.stagedispl().to_vec(),
         b.stage_map().to_vec(),
         e.displ,
+        b.row_major_runs(),
         e.ind,
         e.val,
     )

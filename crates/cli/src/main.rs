@@ -819,6 +819,7 @@ fn rebuilt_buffered(
         b.stagedispl().to_vec(),
         b.stage_map().to_vec(),
         b.entry_displ().to_vec(),
+        b.row_major_runs(),
         b.entry_ind().to_vec(),
         val,
     )

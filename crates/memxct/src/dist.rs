@@ -1390,6 +1390,8 @@ mod tests {
         for plan in build_plans(rec.operators(), 2, true) {
             let (a, at) = plan.local_buf.as_ref().expect("buffered rank");
             assert_eq!((a.buffsize(), at.buffsize()), (1024, 1024));
+            // Aₚᵀ's layout holds the transpose's values, not a copy.
+            assert_eq!(at.entry_val().as_ptr(), plan.at_local.values().as_ptr());
         }
         let req = crate::ReconRequest::cg(crate::ReconInput::Slice(sino), StopRule::Fixed(10));
         let serial = rec.run(&req).unwrap();

@@ -588,6 +588,16 @@ mod tests {
     }
 
     #[test]
+    fn transposed_layout_shares_the_transposed_values() {
+        // Aᵀ's rows ascend, A's (in ray-traversal order) do not.
+        let o = ops(32, 24, &Config::default());
+        let (a_buf, at_buf) = (o.a_buf.as_ref().unwrap(), o.at_buf.as_ref().unwrap());
+        assert!(at_buf.row_major_runs() && !a_buf.row_major_runs());
+        assert_eq!(at_buf.entry_val().as_ptr(), o.at.values().as_ptr());
+        assert_ne!(a_buf.entry_val().as_ptr(), o.a.values().as_ptr());
+    }
+
+    #[test]
     fn try_preprocess_rejects_bad_configs() {
         let grid = Grid::new(8);
         let scan = ScanGeometry::new(6, 8);

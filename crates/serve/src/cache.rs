@@ -167,9 +167,11 @@ impl PlanCache {
 
     /// The reconstructor for `spec`: the cached one when the key is
     /// already present (a hit — no preprocessing runs), otherwise built,
-    /// validated, inserted (evicting the least-recently-used entry when
-    /// at capacity), and returned. The build happens under the cache
-    /// lock, so concurrent requests for the same new key build once.
+    /// validated, inserted and returned. A miss at capacity evicts the
+    /// least-recently-used entry *before* it builds, so the cache never
+    /// holds more than `capacity` plans at once; a build that fails has
+    /// still cost that entry. The build happens under the cache lock, so
+    /// concurrent requests for the same new key build once.
     pub fn get(&self, spec: &PlanSpec) -> Result<Arc<Reconstructor>, BuildError> {
         self.get_detailed(spec).map(|(rec, _)| rec)
     }
@@ -186,7 +188,6 @@ impl PlanCache {
             return Ok((entry.rec.clone(), true));
         }
         self.metrics.counter_add(CACHE_MISS, 1);
-        let rec = Arc::new(spec.build(&self.metrics)?);
         while state.map.len() >= self.capacity {
             // Evict the least-recently-used entry; in-flight borrowers
             // keep their Arc alive until they drop it.
@@ -201,6 +202,7 @@ impl PlanCache {
             state.map.remove(&oldest);
             self.metrics.counter_add(CACHE_EVICT, 1);
         }
+        let rec = Arc::new(spec.build(&self.metrics)?);
         state.map.insert(
             key,
             Entry {

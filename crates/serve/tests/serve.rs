@@ -90,6 +90,23 @@ fn eviction_respects_the_capacity_bound() {
 }
 
 #[test]
+fn a_miss_at_capacity_evicts_before_it_builds() {
+    let (grid, scan) = geometry(16, 12);
+    let cache = xct_serve::PlanCache::new(1);
+    let good = PlanSpec::new(grid, scan);
+    cache.get(&good).unwrap();
+    // A build that fails: the LRU entry is already gone, so the cache
+    // never held two plans, and the failure costs it.
+    let mut bad = PlanSpec::new(grid, scan);
+    bad.config.partsize = 0;
+    assert!(cache.get(&bad).is_err());
+    assert!(cache.is_empty(), "the victim went before the build");
+    let snap = cache.metrics();
+    assert_eq!(snap.counters[CACHE_EVICT], 1);
+    assert_eq!(snap.counters[CACHE_MISS], 2);
+}
+
+#[test]
 fn plan_key_distinguishes_kernel_partition_and_pool_configs() {
     let (grid, scan) = geometry(16, 12);
     let base = PlanSpec::new(grid, scan);

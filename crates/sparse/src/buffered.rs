@@ -25,6 +25,7 @@ use std::array::from_fn;
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Why a buffered layout could not be constructed from a CSR source.
 ///
@@ -168,14 +169,21 @@ pub struct BufferedCsrImpl<I: BufferIndex> {
     stagedispl: Vec<usize>,
     /// Global column gathered into each buffer slot, stage-concatenated.
     map: Vec<u32>,
-    /// Entry ranges per `(stage, local row)`: entries of local row `j`
-    /// during stage `s` are `displ[s * partsize + j] .. displ[s * partsize + j + 1]`.
+    /// Entry offsets of the `(stage, row)` runs: run `(s, j)` of a
+    /// partition with stages `s0..s1` is slot `s·partsize + j`
+    /// (stage-major) or `s0·partsize + j·(s1 − s0) + (s − s0)`
+    /// (row-major, see `row_major`), its entries
+    /// `displ[slot]..displ[slot + 1]` ([`BufferedCsrImpl::run`]).
     displ: Vec<usize>,
+    /// Whether each partition's runs are stored row-major — a row's runs
+    /// together, in ascending stage order — instead of stage-major.
+    row_major: bool,
     /// Buffer-local column indices, then [`TAIL`] pad entries so the
     /// kernel's fixed-length tail window of the last run stays in range.
     ind: Vec<I>,
-    /// Values, grouped to match `ind` (pad included).
-    val: Vec<f32>,
+    /// Values, grouped to match `ind` (pad included): the source's own
+    /// padded value array when the runs are row-major.
+    val: Arc<Vec<f32>>,
 }
 
 impl<I: BufferIndex> BufferedCsrImpl<I> {
@@ -218,6 +226,15 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     ///
     /// Linear in the source: `O(nnz)` table lookups plus one sort of each
     /// partition's *distinct* column set.
+    ///
+    /// A source whose every row ascends — every scan transpose — is laid
+    /// out row-major: stages are ascending chunks of the sorted footprint,
+    /// so such a row visits them in order and its runs, row after row,
+    /// are the source's entries in the source's order. The layout then
+    /// shares `a`'s value array instead of copying it. Any other source is
+    /// laid out stage-major, with its own copy: the kernel walks a
+    /// partition one stage at a time, and a stage's runs side by side
+    /// stream faster than runs strided by the row's other stages.
     pub fn try_from_csr(
         a: &CsrMatrix,
         partsize: usize,
@@ -240,7 +257,12 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         let mut map: Vec<u32> = Vec::new();
         let mut displ = vec![0usize];
         let mut ind: Vec<I> = Vec::with_capacity(a.nnz() + TAIL);
-        let mut val: Vec<f32> = Vec::with_capacity(a.nnz() + TAIL);
+        // Every row ascending (a scan over the columns that stops at the
+        // first row that does not): row-major runs, the source's values.
+        let row_major = rowptr.first() == Some(&0)
+            && rowptr.last() == Some(&values.len())
+            && rowptr.windows(2).all(|r| colind[r[0]..r[1]].is_sorted());
+        let mut val: Option<Vec<f32>> = (!row_major).then(|| Vec::with_capacity(a.nnz() + TAIL));
 
         // Dense per-column lookup of the current partition's (stage,
         // buffer-local index), so the count and scatter passes below are
@@ -250,8 +272,8 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         let mut stage_of = vec![UNSEEN; a.ncols()];
         let mut local_of = vec![I::default(); a.ncols()];
         let mut footprint: Vec<u32> = Vec::new();
-        // Per (stage, local row) entry counts, then turned in place into
-        // the scatter cursors.
+        // Per-run entry counts, then turned in place into the scatter
+        // cursors.
         let mut cursor: Vec<usize> = Vec::new();
         for base in (0..a.nrows().max(1)).step_by(partsize) {
             let rows = partsize.min(a.nrows().saturating_sub(base));
@@ -292,11 +314,14 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                 stagedispl.push(map.len());
             }
 
-            // Counting sort of the partition's entries by (stage, row).
-            // Both domains are Hilbert-ordered, so consecutive entries of
-            // a row almost always share a stage: each run of them is
-            // carried in registers and touches its `cursor` word once,
-            // not once per entry (a store-to-load chain per nonzero).
+            // Counting sort of the partition's entries by run slot
+            // (`Runs`; stages numbered within the partition, slots from its
+            // first). Both domains are Hilbert-ordered, so consecutive
+            // entries of a row almost always share a stage: each run of
+            // them is carried in registers and touches its `cursor` word
+            // once, not once per entry (a store-to-load chain per nonzero).
+            let runs = Runs::new(row_major, 0, nstages_here, partsize);
+            let slot = |j: usize, stage: u32| runs.slot(stage as usize, j);
             cursor.clear();
             cursor.resize(nstages_here * partsize, 0);
             for j in 0..rows {
@@ -306,12 +331,12 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                 for &c in cols {
                     let stage = stage_of[c as usize];
                     if stage != run_stage {
-                        cursor[run_stage as usize * partsize + j] += run;
+                        cursor[slot(j, run_stage)] += run;
                         (run_stage, run) = (stage, 0);
                     }
                     run += 1;
                 }
-                cursor[run_stage as usize * partsize + j] += run;
+                cursor[slot(j, run_stage)] += run;
             }
             let mut next = ind.len();
             for slot in &mut cursor {
@@ -321,7 +346,10 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                 displ.push(next);
             }
             ind.resize(next, I::default());
-            val.resize(next, 0.0);
+            let mut val_out = val.as_mut().map(|v| {
+                v.resize(next, 0.0);
+                &mut v[..]
+            });
             for j in 0..rows {
                 let (lo, hi) = (rowptr[base + j], rowptr[base + j + 1]);
                 let Some(&first) = colind[lo..hi].first() else {
@@ -330,15 +358,17 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                 // A row's slots are its own, so the last run of a row is
                 // never read back: only a stage change stores `dst`.
                 let mut run_stage = stage_of[first as usize];
-                let mut dst = cursor[run_stage as usize * partsize + j];
+                let mut dst = cursor[slot(j, run_stage)];
                 for (&c, &v) in colind[lo..hi].iter().zip(&values[lo..hi]) {
                     let stage = stage_of[c as usize];
                     if stage != run_stage {
-                        cursor[run_stage as usize * partsize + j] = dst;
-                        (run_stage, dst) = (stage, cursor[stage as usize * partsize + j]);
+                        cursor[slot(j, run_stage)] = dst;
+                        (run_stage, dst) = (stage, cursor[slot(j, stage)]);
                     }
                     ind[dst] = local_of[c as usize];
-                    val[dst] = v;
+                    if let Some(out) = &mut val_out {
+                        out[dst] = v;
+                    }
                     dst += 1;
                 }
             }
@@ -349,7 +379,14 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             // in-range: stage counts are bounded by nnz, which fits u32
             partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
         }
-        pad_tail(&mut ind, &mut val);
+        pad_tail(&mut ind);
+        let val = match val {
+            Some(mut owned) => {
+                pad_tail(&mut owned);
+                Arc::new(owned)
+            }
+            None => Arc::clone(a.shared_values()),
+        };
         // The plan keeps these arrays for its lifetime: drop the growth
         // slack (`ind`/`val` were reserved at exactly nnz + the pad).
         stagedispl.shrink_to_fit();
@@ -366,6 +403,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             stagedispl,
             map,
             displ,
+            row_major,
             ind,
             val,
         })
@@ -378,10 +416,11 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// [`BufferedCsrImpl::try_from_csr`].
     ///
     /// `ind`/`val` are the entries alone (the kernel's pad is appended
-    /// here). The kernel is memory-safe on any layout, but an
-    /// out-of-footprint buffer-local index reads some other staging slot
-    /// unreported (result unspecified): `xct-check`'s `BufferedCheck`
-    /// is what catches it.
+    /// here); `row_major` says how `displ` orders the runs
+    /// ([`BufferedCsrImpl::row_major_runs`]). The kernel is memory-safe
+    /// on any layout, but an out-of-footprint buffer-local index reads
+    /// some other staging slot unreported (result unspecified):
+    /// `xct-check`'s `BufferedCheck` is what catches it.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts_unchecked(
         nrows: usize,
@@ -393,10 +432,12 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         stagedispl: Vec<usize>,
         map: Vec<u32>,
         displ: Vec<usize>,
+        row_major: bool,
         mut ind: Vec<I>,
         mut val: Vec<f32>,
     ) -> Self {
-        pad_tail(&mut ind, &mut val);
+        pad_tail(&mut ind);
+        pad_tail(&mut val);
         BufferedCsrImpl {
             nrows,
             ncols,
@@ -407,8 +448,9 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             stagedispl,
             map,
             displ,
+            row_major,
             ind,
-            val,
+            val: Arc::new(val),
         }
     }
 
@@ -476,10 +518,47 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         &self.map
     }
 
-    /// Raw entry offsets per `(stage, local row)` (length
-    /// `num_stages * partsize + 1`). Read-only view for static analysis.
+    /// Raw entry offsets of the `(stage, row)` runs (length
+    /// `num_stages * partsize + 1`), in the order
+    /// [`BufferedCsrImpl::row_major_runs`] names: index them through
+    /// [`BufferedCsrImpl::run`]. Read-only view for static analysis.
     pub fn entry_displ(&self) -> &[usize] {
         &self.displ
+    }
+
+    /// Whether each partition's runs are stored row-major (a row's runs
+    /// together, in ascending stage order: the layout of a source whose
+    /// rows ascend, which shares that source's values) rather than
+    /// stage-major (a stage's runs together, in row order).
+    pub fn row_major_runs(&self) -> bool {
+        self.row_major
+    }
+
+    /// The entries of `row` staged through `stage`, one of the stages of
+    /// `row`'s partition: a range into [`BufferedCsrImpl::entry_ind`] and
+    /// [`BufferedCsrImpl::entry_val`].
+    ///
+    /// # Panics
+    /// Panics if the run's slot is outside [`BufferedCsrImpl::entry_displ`],
+    /// or (debug builds) if `stage` precedes the partition's first stage.
+    pub fn run(&self, stage: usize, row: usize) -> Range<usize> {
+        let p = row / self.partsize;
+        self.run_in(self.runs(p), stage, row - p * self.partsize)
+    }
+
+    /// Partition `p`'s runs.
+    #[inline(always)]
+    fn runs(&self, p: usize) -> Runs {
+        let (s0, s1) = (self.partdispl[p] as usize, self.partdispl[p + 1] as usize);
+        Runs::new(self.row_major, s0, s1 - s0, self.partsize)
+    }
+
+    /// The entries of local row `j` staged through `stage`, one of the
+    /// stages of the partition `runs` belongs to.
+    #[inline(always)]
+    fn run_in(&self, runs: Runs, stage: usize, j: usize) -> Range<usize> {
+        let slot = runs.slot(stage, j);
+        self.displ[slot]..self.displ[slot + 1]
     }
 
     /// Raw buffer-local column indices. Read-only view for static
@@ -526,9 +605,11 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         bounds.push(0usize);
         for p in 0..nparts {
             bounds.push(((p + 1) * self.partsize).min(self.nrows));
-            let s0 = self.partdispl[p] as usize;
-            let s1 = self.partdispl[p + 1] as usize;
-            let entries = self.displ[s1 * self.partsize] - self.displ[s0 * self.partsize];
+            let (s0, s1) = (self.partdispl[p] as usize, self.partdispl[p + 1] as usize);
+            let runs = self.runs(p);
+            let entries: usize = (s0..s1)
+                .flat_map(|s| (0..self.partsize).map(move |j| self.run_in(runs, s, j).len()))
+                .sum();
             let staged = self.stagedispl[s1] - self.stagedispl[s0];
             weights.push((entries + staged) as u64);
         }
@@ -666,6 +747,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     ) {
         let mask = self.buffsize.next_power_of_two() - 1;
         let input = &mut input[..=mask];
+        let runs = self.runs(p);
         // A block that is the whole batch (`k = W`, so `s0 = 0`) reads and
         // writes whole rows: one bounds check a slot, none a row.
         let (xw, _) = x.as_chunks::<W>();
@@ -691,8 +773,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                 });
             }
             let input = &*input;
-            let dbase = stage * self.partsize;
-            let run = |j: usize| self.run_sum::<W, S>(input, mask, dbase + j);
+            let run = |j: usize| self.run_sum::<W, S>(input, mask, self.run_in(runs, stage, j));
             if k == W {
                 for (j, row) in rows.as_chunks_mut::<W>().0.iter_mut().enumerate() {
                     add(row, run(j));
@@ -705,12 +786,16 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         }
     }
 
-    /// The `W` sums of the `(stage, row)` run at `displ[d]`, against the
-    /// staged inputs: full lane groups, the reduction tree, then the
-    /// fixed-length tail (see [`BufferedCsrImpl::process_partition`]).
+    /// The `W` sums of the `(stage, row)` run `d0..d1`, against the staged
+    /// inputs: full lane groups, the reduction tree, then the fixed-length
+    /// tail (see [`BufferedCsrImpl::process_partition`]).
     #[inline(always)]
-    fn run_sum<const W: usize, S: Slot<W>>(&self, input: &[S], mask: usize, d: usize) -> [f32; W] {
-        let (d0, d1) = (self.displ[d], self.displ[d + 1]);
+    fn run_sum<const W: usize, S: Slot<W>>(
+        &self,
+        input: &[S],
+        mask: usize,
+        Range { start: d0, end: d1 }: Range<usize>,
+    ) -> [f32; W] {
         let (c8s, left) = self.ind[d0..d1].as_chunks::<LANES>();
         let (v8s, _) = self.val[d0..d1].as_chunks::<LANES>();
         let mut sum: [f32; W] = if W == LANES {
@@ -742,6 +827,44 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             }
         }
         sum
+    }
+}
+
+/// Where a partition's `(stage, row)` runs sit in `displ`: the one place
+/// their order is spelled out. A partition with stages `s0..s1` owns slots
+/// `s0·partsize .. s1·partsize`, in stage-major or row-major order.
+#[derive(Clone, Copy)]
+struct Runs {
+    /// The partition's first stage.
+    s0: usize,
+    /// Slots from one stage's run of a row to the next stage's.
+    stage_step: usize,
+    /// Slots from one row's run of a stage to the next row's.
+    row_step: usize,
+    /// Number of rows in the partition.
+    partsize: usize,
+}
+
+impl Runs {
+    #[inline(always)]
+    fn new(row_major: bool, s0: usize, nstages: usize, partsize: usize) -> Self {
+        let (stage_step, row_step) = if row_major {
+            (1, nstages)
+        } else {
+            (partsize, 1)
+        };
+        Runs {
+            s0,
+            stage_step,
+            row_step,
+            partsize,
+        }
+    }
+
+    /// The `displ` slot of local row `j`'s run of `stage`.
+    #[inline(always)]
+    fn slot(self, stage: usize, j: usize) -> usize {
+        self.s0 * self.partsize + (stage - self.s0) * self.stage_step + j * self.row_step
     }
 }
 
@@ -866,17 +989,19 @@ fn accumulate<const N: usize, const W: usize, I: BufferIndex, S: Slot<W>>(
 }
 
 /// Steps of the kernel's fixed-length run tail, and pad entries that keep
-/// the last run's tail window inside `ind`/`val`.
-const TAIL: usize = LANES - 1;
+/// the last run's tail window inside `ind`/`val` (and, so a layout can
+/// share it, past the last value of every [`CsrMatrix`]).
+pub(crate) const TAIL: usize = LANES - 1;
 
 /// `TAIL_LIVE[TAIL - n..][t]` is all ones when `t < n` — tail step `t` is
 /// inside a run with `n` leftover entries — and zero past the run's end.
 const TAIL_LIVE: [u32; 2 * TAIL] = [!0, !0, !0, !0, !0, !0, !0, 0, 0, 0, 0, 0, 0, 0];
 
-/// Append the [`TAIL`] `(0, 0.0)` pad entries to a layout's entry arrays.
-fn pad_tail<I: BufferIndex>(ind: &mut Vec<I>, val: &mut Vec<f32>) {
-    ind.resize(ind.len() + TAIL, I::default());
-    val.resize(val.len() + TAIL, 0.0);
+/// Append the [`TAIL`] zero pad entries to an entry array, growing it by
+/// exactly that much.
+pub(crate) fn pad_tail<T: Copy + Default>(v: &mut Vec<T>) {
+    v.reserve_exact(TAIL);
+    v.resize(v.len() + TAIL, T::default());
 }
 
 #[cfg(test)]
@@ -904,10 +1029,11 @@ mod tests {
         (1..=8).map(|i| i as f32).collect()
     }
 
-    /// The pre-dense-table builder, kept verbatim as the reference the
-    /// production builder must match array for array: it sorts every
-    /// nonzero of a partition for the footprint and finds each entry's
-    /// stage by binary search.
+    /// The pre-dense-table builder, kept as the reference the production
+    /// builder must match array for array: it sorts every nonzero of a
+    /// partition for the footprint, finds each entry's stage by binary
+    /// search, and always copies the values. Runs are row-major when every
+    /// row ascends.
     fn reference_from_csr<I: BufferIndex>(
         a: &CsrMatrix,
         partsize: usize,
@@ -921,6 +1047,10 @@ mod tests {
         let mut displ = vec![0usize];
         let mut ind: Vec<I> = Vec::new();
         let mut val: Vec<f32> = Vec::new();
+        let row_major = (0..a.nrows()).all(|i| {
+            let cols: Vec<u32> = a.row(i).map(|(c, _)| c).collect();
+            cols.is_sorted()
+        });
 
         let mut footprint: Vec<u32> = Vec::new();
         for base in (0..a.nrows().max(1)).step_by(partsize) {
@@ -942,12 +1072,17 @@ mod tests {
                 ((rank / buffsize), rank % buffsize)
             };
 
-            // Counting sort of the partition's entries by (stage, row).
+            // Counting sort of the partition's entries by (row, stage) or
+            // (stage, row).
+            let slot_of = |j: usize, s: usize| match row_major {
+                true => j * nstages_here + s,
+                false => s * partsize + j,
+            };
             let mut counts = vec![0usize; nstages_here * partsize];
             for i in base..base + rows {
                 for (c, _) in a.row(i) {
                     let (s, _) = stage_of(c);
-                    counts[s * partsize + (i - base)] += 1;
+                    counts[slot_of(i - base, s)] += 1;
                 }
             }
             let entry_base = ind.len();
@@ -963,7 +1098,7 @@ mod tests {
             for i in base..base + rows {
                 for (c, v) in a.row(i) {
                     let (s, local) = stage_of(c);
-                    let slot = s * partsize + (i - base);
+                    let slot = slot_of(i - base, s);
                     let dst = cursor[slot];
                     cursor[slot] += 1;
                     // Checked narrowing: `local < buffsize <= MAX_BUFFER`
@@ -983,7 +1118,8 @@ mod tests {
             // in-range: stage counts are bounded by nnz, which fits u32
             partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
         }
-        pad_tail(&mut ind, &mut val);
+        pad_tail(&mut ind);
+        pad_tail(&mut val);
 
         Ok(BufferedCsrImpl {
             nrows: a.nrows(),
@@ -995,8 +1131,9 @@ mod tests {
             stagedispl,
             map,
             displ,
+            row_major,
             ind,
-            val,
+            val: Arc::new(val),
         })
     }
 
@@ -1038,6 +1175,7 @@ mod tests {
         assert_eq!(got.stagedispl, want.stagedispl, "stagedispl: {ctx}");
         assert_eq!(got.map, want.map, "map: {ctx}");
         assert_eq!(got.displ, want.displ, "displ: {ctx}");
+        assert_eq!(got.row_major, want.row_major, "row_major: {ctx}");
         let usizes = |v: &[I]| v.iter().map(|i| i.to_usize()).collect::<Vec<_>>();
         assert_eq!(usizes(&got.ind), usizes(&want.ind), "ind: {ctx}");
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1137,6 +1275,44 @@ mod tests {
             assert_eq!(b.ind.capacity(), b.ind.len(), "ind slack");
             assert_eq!(b.val.capacity(), b.val.len(), "val slack");
         }
+    }
+
+    #[test]
+    fn ascending_sources_lay_out_row_major_and_share_their_values() {
+        let shares = |b: &BufferedCsr, a: &CsrMatrix| Arc::ptr_eq(&b.val, a.shared_values());
+        // A transpose's rows ascend: every layout of it is row-major and
+        // shares, its entries the source's values, pad included.
+        let at = random_csr(3, 90, 70, 30).transpose_scan();
+        for (partsize, buffsize) in [(1, 1), (3, 5), (16, 8), (128, 2048)] {
+            let b = BufferedCsr::from_csr(&at, partsize, buffsize);
+            assert!(
+                b.row_major_runs() && shares(&b, &at),
+                "{partsize} {buffsize}"
+            );
+            assert_eq!(b.entry_val().as_ptr(), at.values().as_ptr());
+            assert_eq!(b.val.len(), at.nnz() + TAIL);
+            assert_same_layout::<u16>(&at, partsize, buffsize);
+        }
+        // One row out of order (the last one) and the layout is
+        // stage-major, with its own copy.
+        let late = CsrMatrix::from_rows(
+            8,
+            &[
+                vec![(0, 1.0), (5, 2.0)],
+                vec![(1, 3.0)],
+                vec![(6, 4.0), (2, 5.0)],
+            ],
+        );
+        let b = BufferedCsr::from_csr(&late, 2, 1);
+        assert!(!b.row_major_runs() && !shares(&b, &late));
+        assert_eq!(b.spmv(&x8()), spmv(&late, &x8()));
+        // Partition 0 of `late` has stages {0} {1} {5}: row 1's run of
+        // stage 0 follows row 0's. In a row-major layout a row's runs are
+        // the neighbours.
+        assert_eq!((b.run(0, 0), b.run(0, 1), b.run(1, 1)), (0..1, 1..1, 1..2));
+        let sorted = CsrMatrix::from_rows(8, &[vec![(0, 1.0), (3, 2.0), (6, 3.0)], vec![(1, 4.0)]]);
+        let b = BufferedCsr::from_csr(&sorted, 2, 2);
+        assert_eq!((b.run(0, 0), b.run(1, 0), b.run(0, 1)), (0..1, 1..3, 3..4));
     }
 
     #[test]

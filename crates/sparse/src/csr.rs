@@ -2,6 +2,9 @@
 //! (f32 values, u32 column indices) and the order-preserving scan-based
 //! transpose of §3.5.1.
 
+use crate::buffered::{pad_tail, TAIL};
+use std::sync::Arc;
+
 /// A sparse matrix in CSR format.
 ///
 /// Row `i`'s nonzeroes live at `rowptr[i]..rowptr[i+1]` in `colind` /
@@ -9,13 +12,25 @@
 /// inserts them in ray-traversal order, and all further transformations
 /// (including the transpose) preserve ordering, which the buffering
 /// optimizations rely on.
+///
+/// The value array carries the buffered kernel's zero pad past its last
+/// value and is reference-counted, so a buffered layout whose entries
+/// are this matrix's values in order (every transposed matrix's) holds
+/// them without a copy; a clone shares them too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
     rowptr: Vec<usize>,
     colind: Vec<u32>,
-    values: Vec<f32>,
+    /// The values, then [`TAIL`] `0.0` pad entries.
+    values: Arc<Vec<f32>>,
+}
+
+/// `values` with the kernel's pad appended, ready to be shared.
+fn padded(mut values: Vec<f32>) -> Arc<Vec<f32>> {
+    pad_tail(&mut values);
+    Arc::new(values)
 }
 
 impl CsrMatrix {
@@ -45,7 +60,7 @@ impl CsrMatrix {
             ncols,
             rowptr,
             colind,
-            values,
+            values: padded(values),
         }
     }
 
@@ -66,7 +81,7 @@ impl CsrMatrix {
         let nnz: usize = rows.iter().map(|r| r.len()).sum();
         let mut rowptr = Vec::with_capacity(nrows + 1);
         let mut colind = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz + TAIL);
         rowptr.push(0);
         for row in rows {
             for &(c, v) in row {
@@ -81,7 +96,7 @@ impl CsrMatrix {
             ncols,
             rowptr,
             colind,
-            values,
+            values: padded(values),
         }
     }
 
@@ -101,7 +116,7 @@ impl CsrMatrix {
             ncols,
             rowptr,
             colind,
-            values,
+            values: padded(values),
         }
     }
 
@@ -112,7 +127,7 @@ impl CsrMatrix {
             ncols,
             rowptr: vec![0; nrows + 1],
             colind: Vec::new(),
-            values: Vec::new(),
+            values: padded(Vec::new()),
         }
     }
 
@@ -149,6 +164,11 @@ impl CsrMatrix {
     /// Values, row-concatenated.
     #[inline]
     pub fn values(&self) -> &[f32] {
+        &self.values[..self.values.len() - TAIL]
+    }
+
+    /// The padded value array itself, for a buffered layout to share.
+    pub(crate) fn shared_values(&self) -> &Arc<Vec<f32>> {
         &self.values
     }
 
@@ -188,7 +208,7 @@ impl CsrMatrix {
         }
         let rowptr_t = counts.clone();
         let mut colind_t = vec![0u32; self.nnz()];
-        let mut values_t = vec![0f32; self.nnz()];
+        let mut values_t = vec![0f32; self.nnz() + TAIL];
         let mut cursor = counts; // running insert position per column
         for i in 0..self.nrows {
             for k in self.rowptr[i]..self.rowptr[i + 1] {
@@ -205,7 +225,7 @@ impl CsrMatrix {
             ncols: self.nrows,
             rowptr: rowptr_t,
             colind: colind_t,
-            values: values_t,
+            values: Arc::new(values_t),
         }
     }
 }

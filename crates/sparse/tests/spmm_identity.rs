@@ -128,16 +128,15 @@ fn staged_ref<I: BufferIndex>(b: &BufferedCsrImpl<I>, x: &[f32]) -> Vec<f32> {
     let partsize = b.partsize();
     (0..b.nrows())
         .map(|i| {
-            let (p, j) = (i / partsize, i % partsize);
+            let p = i / partsize;
             let stages = b.partdispl()[p] as usize..b.partdispl()[p + 1] as usize;
             stages.fold(0f32, |acc, stage| {
-                let d0 = b.entry_displ()[stage * partsize + j];
-                let d1 = b.entry_displ()[stage * partsize + j + 1];
-                let cols: Vec<u32> = b.entry_ind()[d0..d1]
+                let run = b.run(stage, i);
+                let cols: Vec<u32> = b.entry_ind()[run.clone()]
                     .iter()
                     .map(|ix| b.stage_map()[b.stagedispl()[stage] + ix.to_usize()])
                     .collect();
-                acc + row_dot_ref(&cols, &b.entry_val()[d0..d1], x)
+                acc + row_dot_ref(&cols, &b.entry_val()[run], x)
             })
         })
         .collect()

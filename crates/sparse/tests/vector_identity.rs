@@ -104,14 +104,13 @@ fn buffered_ref(b: &BufferedCsr, x: &[f32]) -> Vec<f32> {
             let i = p * partsize + j;
             let mut acc = 0f32;
             for stage in b.partdispl()[p] as usize..b.partdispl()[p + 1] as usize {
-                let d0 = b.entry_displ()[stage * partsize + j];
-                let d1 = b.entry_displ()[stage * partsize + j + 1];
+                let run = b.run(stage, i);
                 let mlo = b.stagedispl()[stage];
-                let cols: Vec<u32> = b.entry_ind()[d0..d1]
+                let cols: Vec<u32> = b.entry_ind()[run.clone()]
                     .iter()
                     .map(|&ix| b.stage_map()[mlo + ix as usize])
                     .collect();
-                acc += row_dot_ref(&cols, &b.entry_val()[d0..d1], x);
+                acc += row_dot_ref(&cols, &b.entry_val()[run], x);
             }
             y[i] = acc;
         }
