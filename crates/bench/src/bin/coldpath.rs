@@ -9,9 +9,11 @@
 //! CSR's value array counts it once), the seconds to first-touch as many
 //! fresh zeroed bytes as the plan streams — so "build − faults" is
 //! printed, not inferred — and the seconds of each `validate_plan` check
-//! that walks the nonzeroes. Panics if the plan fails a check or the
-//! phases exceed the total, or if the resident bytes are not the
-//! streamed bytes less Aᵀ's values (which Aᵀ's layout shares).
+//! that walks the nonzeroes, and the most stages any partition of each
+//! buffered layout takes. Panics if the plan fails a check or the phases
+//! exceed the total, or if the resident bytes are not the streamed bytes
+//! less both layouts' values: at the default buffer every partition is
+//! one stage, so `A`'s layout shares `A`'s values as `Aᵀ`'s shares `Aᵀ`'s.
 //!
 //! ```text
 //! cargo run --release -p xct-bench --bin coldpath [--smoke]
@@ -50,6 +52,12 @@ fn shared_value_bytes(b: &BufferedCsr, m: &CsrMatrix) -> u64 {
     }
 }
 
+/// The most stages any partition of `b` takes.
+fn max_stages(b: &BufferedCsr) -> usize {
+    let stages = (0..b.num_partitions()).map(|p| b.stages_of_partition(p));
+    stages.max().unwrap_or(0)
+}
+
 /// Least seconds of `n` runs of `f`.
 fn best(n: usize, f: impl Fn()) -> f64 {
     (0..n).map(|_| timed(&f).0).fold(f64::INFINITY, f64::min)
@@ -81,13 +89,9 @@ fn main() {
     let bytes = 2 * ops.a.regular_bytes() + a_buf.regular_bytes() + at_buf.regular_bytes();
     let resident = bytes - shared_value_bytes(a_buf, &ops.a) - shared_value_bytes(at_buf, &ops.at);
     // Aᵀ's rows ascend, so its layout shares Aᵀ's values; A's traced rows
-    // do not, so its layout holds its own.
-    let at_values = 4 * ops.at.nnz() as u64;
-    assert_eq!(
-        resident,
-        bytes - at_values,
-        "Aᵀ's values held once, A's twice"
-    );
+    // do not, but a one-stage partition stores them in A's order anyway.
+    let values = 4 * (ops.a.nnz() + ops.at.nnz()) as u64;
+    assert_eq!(resident, bytes - values, "each matrix's values held once");
     // One write per 4 KiB page: the kernel zero-fills each on first touch.
     let faults = best(builds, || {
         let mut fresh = vec![0u8; bytes as usize];
@@ -102,6 +106,8 @@ fn main() {
         resident as f64 / 1e6
     );
     println!("minor faults per build: {build_faults:?}");
+    let [a_stages, at_stages] = [a_buf, at_buf].map(max_stages);
+    println!("most stages a partition: {a_stages} (A), {at_stages} (At)");
     let row = |name: &str, s: f64, written: usize| match written {
         0 => println!("{name:<28} {s:>8.4}"),
         w => println!("{name:<28} {s:>8.4} {:>7.2} ns/nnz", s * 1e9 / w as f64),

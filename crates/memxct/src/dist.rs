@@ -1390,8 +1390,10 @@ mod tests {
         for plan in build_plans(rec.operators(), 2, true) {
             let (a, at) = plan.local_buf.as_ref().expect("buffered rank");
             assert_eq!((a.buffsize(), at.buffsize()), (1024, 1024));
-            // Aₚᵀ's layout holds the transpose's values, not a copy.
+            // Aₚᵀ's layout holds the transpose's values, not a copy, and so
+            // does Aₚ's: 576 columns fit each of its partitions in one stage.
             assert_eq!(at.entry_val().as_ptr(), plan.at_local.values().as_ptr());
+            assert_eq!(a.entry_val().as_ptr(), plan.a_local.values().as_ptr());
         }
         let req = crate::ReconRequest::cg(crate::ReconInput::Slice(sino), StopRule::Fixed(10));
         let serial = rec.run(&req).unwrap();

@@ -52,7 +52,10 @@ pub struct Config {
     /// Row-partition size (the paper tunes 128 on KNL, 512–1024 on GPU).
     pub partsize: usize,
     /// Input-buffer capacity in f32 elements (the paper tunes 2K f32 =
-    /// 8 KB on KNL, 12K–24K f32 = 48–96 KB on GPU).
+    /// 8 KB on KNL, 12K–24K f32 = 48–96 KB on GPU). The default, 8K f32 =
+    /// 32 KB, fits one slice's stage in a 48 KB L1 and holds the widest
+    /// partition footprint of every benchmark plan (and ADS1) in one
+    /// stage, so both buffered layouts share their CSR's values.
     pub buffsize: usize,
     /// Also build the buffered kernel layouts.
     pub build_buffered: bool,
@@ -66,7 +69,7 @@ impl Default for Config {
             ordering: DomainOrdering::TwoLevelHilbert(None),
             projector: Projector::Siddon,
             partsize: 128,
-            buffsize: 2048,
+            buffsize: 8192,
             build_buffered: true,
             build_ell: false,
         }
@@ -587,14 +590,55 @@ mod tests {
         assert!(o.timings.total() >= o.timings.tracing_s);
     }
 
+    /// Whether each of the plan's buffered layouts (`A`'s, `Aᵀ`'s) holds
+    /// its CSR's value array rather than a copy.
+    fn shared_values(o: &Operators) -> (bool, bool) {
+        let (a_buf, at_buf) = (o.a_buf.as_ref().unwrap(), o.at_buf.as_ref().unwrap());
+        (
+            a_buf.entry_val().as_ptr() == o.a.values().as_ptr(),
+            at_buf.entry_val().as_ptr() == o.at.values().as_ptr(),
+        )
+    }
+
+    fn max_stages(b: &BufferedCsr) -> usize {
+        (0..b.num_partitions())
+            .map(|p| b.stages_of_partition(p))
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
-    fn transposed_layout_shares_the_transposed_values() {
-        // Aᵀ's rows ascend, A's (in ray-traversal order) do not.
+    fn layouts_share_their_csr_values_until_a_partition_splits() {
+        // Aᵀ's rows ascend, A's (in ray-traversal order) do not; at the
+        // default buffer every partition is one stage, where stage-major
+        // runs are A's entries in A's order too.
         let o = ops(32, 24, &Config::default());
         let (a_buf, at_buf) = (o.a_buf.as_ref().unwrap(), o.at_buf.as_ref().unwrap());
         assert!(at_buf.row_major_runs() && !a_buf.row_major_runs());
-        assert_eq!(at_buf.entry_val().as_ptr(), o.at.values().as_ptr());
-        assert_ne!(a_buf.entry_val().as_ptr(), o.a.values().as_ptr());
+        assert_eq!(max_stages(a_buf), 1);
+        assert_eq!(shared_values(&o), (true, true));
+        // A buffer that splits A's partitions: A's layout holds a copy.
+        let split = ops(
+            32,
+            24,
+            &Config {
+                buffsize: 64,
+                ..Config::default()
+            },
+        );
+        assert!(max_stages(split.a_buf.as_ref().unwrap()) > 1);
+        assert_eq!(shared_values(&split), (false, true));
+    }
+
+    #[test]
+    fn default_buffer_holds_every_partition_of_a_benchmark_plan_in_one_stage() {
+        // 150×96 (`cold_plans`' second plan) split 2048-slot buffers into
+        // two stages; the default buffer holds each partition in one.
+        let o = ops(96, 150, &Config::default());
+        let (a_buf, at_buf) = (o.a_buf.as_ref().unwrap(), o.at_buf.as_ref().unwrap());
+        assert!(max_stages(&BufferedCsr::from_csr(&o.a, 128, 2048)) > 1);
+        assert_eq!((max_stages(a_buf), max_stages(at_buf)), (1, 1));
+        assert_eq!(shared_values(&o), (true, true));
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl ReconstructorBuilder {
         self
     }
 
-    /// Input-buffer capacity in f32 elements (default 2048; must fit the
+    /// Input-buffer capacity in f32 elements (default 8192; must fit the
     /// buffered kernel's 16-bit addressing when buffered layouts are
     /// built).
     pub fn buffer_size(mut self, buffsize: usize) -> Self {

@@ -182,8 +182,11 @@ pub struct BufferedCsrImpl<I: BufferIndex> {
     /// kernel's fixed-length tail window of the last run stays in range.
     ind: Vec<I>,
     /// Values, grouped to match `ind` (pad included): the source's own
-    /// padded value array when the runs are row-major.
+    /// padded value array when the runs are its entries in its order.
     val: Arc<Vec<f32>>,
+    /// Staging slots the kernel masks its reads into: the widest stage's
+    /// footprint rounded up to a power of two ([`staging_slots`]).
+    slots: usize,
 }
 
 impl<I: BufferIndex> BufferedCsrImpl<I> {
@@ -230,11 +233,18 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// A source whose every row ascends — every scan transpose — is laid
     /// out row-major: stages are ascending chunks of the sorted footprint,
     /// so such a row visits them in order and its runs, row after row,
-    /// are the source's entries in the source's order. The layout then
-    /// shares `a`'s value array instead of copying it. Any other source is
-    /// laid out stage-major, with its own copy: the kernel walks a
-    /// partition one stage at a time, and a stage's runs side by side
-    /// stream faster than runs strided by the row's other stages.
+    /// are the source's entries in the source's order. Any other source is
+    /// laid out stage-major: the kernel walks a partition one stage at a
+    /// time, and a stage's runs side by side stream faster than runs
+    /// strided by the row's other stages. A partition of one stage has
+    /// one run a row, so both orders store it as the source does.
+    ///
+    /// The layout shares `a`'s value array instead of copying it while its
+    /// entries are the source's in order: every partition when rows
+    /// ascend or none has two stages or more. Otherwise the first
+    /// partition of two stages or more copies the values before it and
+    /// the layout fills its own array from there, so the source's values
+    /// are never held twice in passing.
     pub fn try_from_csr(
         a: &CsrMatrix,
         partsize: usize,
@@ -257,12 +267,13 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         let mut map: Vec<u32> = Vec::new();
         let mut displ = vec![0usize];
         let mut ind: Vec<I> = Vec::with_capacity(a.nnz() + TAIL);
+        // Entry `e` of the layout can be entry `e` of the source.
+        let aligned = rowptr.first() == Some(&0) && rowptr.last() == Some(&values.len());
         // Every row ascending (a scan over the columns that stops at the
         // first row that does not): row-major runs, the source's values.
-        let row_major = rowptr.first() == Some(&0)
-            && rowptr.last() == Some(&values.len())
-            && rowptr.windows(2).all(|r| colind[r[0]..r[1]].is_sorted());
-        let mut val: Option<Vec<f32>> = (!row_major).then(|| Vec::with_capacity(a.nnz() + TAIL));
+        let row_major = aligned && rowptr.windows(2).all(|r| colind[r[0]..r[1]].is_sorted());
+        // `None` while the layout shares the source's values.
+        let mut val: Option<Vec<f32>> = (!aligned).then(|| Vec::with_capacity(a.nnz() + TAIL));
 
         // Dense per-column lookup of the current partition's (stage,
         // buffer-local index), so the count and scatter passes below are
@@ -297,6 +308,13 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             }
             footprint.sort_unstable();
             let nstages_here = footprint.len().div_ceil(buffsize);
+            if val.is_none() && !row_major && nstages_here > 1 {
+                // The first split: stage-major runs leave the source's
+                // order here, and everything before it is the source's.
+                let mut owned = Vec::with_capacity(a.nnz() + TAIL);
+                owned.extend_from_slice(&values[..rowptr[base]]);
+                val = Some(owned);
+            }
 
             // Stage buffer maps, and each footprint column's stage and
             // buffer-local index (its rank in the sorted footprint).
@@ -392,6 +410,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         stagedispl.shrink_to_fit();
         map.shrink_to_fit();
         displ.shrink_to_fit();
+        let slots = staging_slots(&stagedispl, map.len());
 
         Ok(BufferedCsrImpl {
             nrows: a.nrows(),
@@ -406,6 +425,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             row_major,
             ind,
             val,
+            slots,
         })
     }
 
@@ -438,6 +458,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     ) -> Self {
         pad_tail(&mut ind);
         pad_tail(&mut val);
+        let slots = staging_slots(&stagedispl, map.len());
         BufferedCsrImpl {
             nrows,
             ncols,
@@ -451,6 +472,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             row_major,
             ind,
             val: Arc::new(val),
+            slots,
         }
     }
 
@@ -673,10 +695,11 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// rows, `k` values each. Slice blocks are the inner loop, so a
     /// partition's matrix data is re-read from cache.
     ///
-    /// The staging buffer has `buffsize` rounded up to a power of two
-    /// slots, so the kernel can mask its indices instead of checking them.
-    /// Single slices stage through `scratch` (one `f32` a slot); wider
-    /// blocks through this thread's [`Line`]s. Both only ever grow.
+    /// The staging buffer has the layout's widest stage rounded up to a
+    /// power of two slots, so the kernel can mask its indices instead of
+    /// checking them. Single slices stage through `scratch` (one `f32` a
+    /// slot); wider blocks through this thread's [`Line`]s. Both only ever
+    /// grow.
     fn run_partitions(
         &self,
         parts: Range<usize>,
@@ -685,7 +708,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         scratch: &mut Vec<f32>,
         out: &mut [f32],
     ) {
-        let slots = self.buffsize.next_power_of_two();
+        let slots = self.slots;
         if scratch.len() < slots {
             scratch.resize(slots, 0.0);
         }
@@ -745,7 +768,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         input: &mut [S],
         rows: &mut [f32],
     ) {
-        let mask = self.buffsize.next_power_of_two() - 1;
+        let mask = self.slots - 1;
         let input = &mut input[..=mask];
         let runs = self.runs(p);
         // A block that is the whole batch (`k = W`, so `s0 = 0`) reads and
@@ -988,6 +1011,16 @@ fn accumulate<const N: usize, const W: usize, I: BufferIndex, S: Slot<W>>(
     acc
 }
 
+/// Staging slots for a layout's stages: the widest footprint in
+/// `stagedispl` rounded up to a power of two. A stage that would not fit
+/// `map` is counted at `map`'s length — the kernel panics slicing `map`
+/// for it before it stages anything — so a corrupted `stagedispl` cannot
+/// size the buffer past the map, and every stage the kernel stages fits.
+fn staging_slots(stagedispl: &[usize], map_len: usize) -> usize {
+    let widest = stagedispl.windows(2).map(|s| s[1].saturating_sub(s[0]));
+    widest.max().unwrap_or(0).min(map_len).next_power_of_two()
+}
+
 /// Steps of the kernel's fixed-length run tail, and pad entries that keep
 /// the last run's tail window inside `ind`/`val` (and, so a layout can
 /// share it, past the last value of every [`CsrMatrix`]).
@@ -1120,6 +1153,7 @@ mod tests {
         }
         pad_tail(&mut ind);
         pad_tail(&mut val);
+        let slots = staging_slots(&stagedispl, map.len());
 
         Ok(BufferedCsrImpl {
             nrows: a.nrows(),
@@ -1134,6 +1168,7 @@ mod tests {
             row_major,
             ind,
             val: Arc::new(val),
+            slots,
         })
     }
 
@@ -1313,6 +1348,109 @@ mod tests {
         let sorted = CsrMatrix::from_rows(8, &[vec![(0, 1.0), (3, 2.0), (6, 3.0)], vec![(1, 4.0)]]);
         let b = BufferedCsr::from_csr(&sorted, 2, 2);
         assert_eq!((b.run(0, 0), b.run(1, 0), b.run(0, 1)), (0..1, 1..3, 3..4));
+    }
+
+    /// A source of `nparts` partitions of `partsize` rows (the last one
+    /// partial) over `4·buffsize` columns, with chosen footprints: the
+    /// partitions before `first_split` fit one stage of `buffsize`, that
+    /// one needs two or more, and each one after it either, at random
+    /// (all of them one stage when there is no split). Rows ascend when
+    /// `ascending` and are in random order otherwise.
+    fn staged_source(
+        seed: u64,
+        (nparts, partsize, buffsize): (usize, usize, usize),
+        first_split: Option<usize>,
+        ascending: bool,
+    ) -> CsrMatrix {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let ncols = 4 * buffsize;
+        let shuffle = |v: &mut Vec<u32>, rng: &mut SmallRng| {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.gen_range(0..i + 1));
+            }
+        };
+        let nrows = nparts * partsize - rng.gen_range(0..partsize);
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); nrows];
+        for (p, part) in rows.chunks_mut(partsize).enumerate() {
+            let split = match first_split {
+                Some(f) if p == f => true,
+                Some(f) if p > f => rng.gen::<bool>(),
+                _ => false,
+            };
+            let width = match split {
+                true => rng.gen_range(buffsize + 1..ncols + 1),
+                false => rng.gen_range(0..buffsize + 1),
+            };
+            let mut cols: Vec<u32> = (0..ncols as u32).collect();
+            shuffle(&mut cols, &mut rng);
+            cols.truncate(width);
+            // Every footprint column in some row, then a few more in others.
+            for &c in &cols {
+                part[rng.gen_range(0..part.len())].push(c);
+            }
+            for _ in 0..width {
+                let (row, c) = (rng.gen_range(0..part.len()), cols[rng.gen_range(0..width)]);
+                if !part[row].contains(&c) {
+                    part[row].push(c);
+                }
+            }
+            for row in part.iter_mut() {
+                match ascending {
+                    true => row.sort_unstable(),
+                    false => shuffle(row, &mut rng),
+                }
+            }
+        }
+        let rows: Vec<Vec<(u32, f32)>> = rows
+            .into_iter()
+            .map(|r| {
+                r.into_iter()
+                    .map(|c| (c, rng.gen_range(-1.0f32..1.0)))
+                    .collect()
+            })
+            .collect();
+        CsrMatrix::from_rows(ncols, &rows)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn layouts_share_their_source_values_until_the_first_split(
+            seed in proptest::prelude::any::<u64>(),
+            nparts in 1usize..7,
+            partsize in 1usize..6,
+            buffsize in 1usize..9,
+            split in 0usize..4,
+            ascending in 0u8..2,
+        ) {
+            // No split, or the first one at partition 0, mid-matrix or the
+            // last partition.
+            let first_split = [None, Some(0), Some(nparts / 2), Some(nparts - 1)][split];
+            let shape = (nparts, partsize, buffsize);
+            let a = staged_source(seed, shape, first_split, ascending == 1);
+            let got = BufferedCsr::try_from_csr(&a, partsize, buffsize).unwrap();
+            let owned = reference_from_csr::<u16>(&a, partsize, buffsize).unwrap();
+            assert_same_layout::<u16>(&a, partsize, buffsize);
+            let ctx = format!("{shape:?} first split {first_split:?} ascending {ascending}");
+            let split_at = (0..got.num_partitions()).find(|&p| got.stages_of_partition(p) > 1);
+            assert_eq!(split_at, first_split, "{ctx}");
+
+            let shares = got.entry_val().as_ptr() == a.values().as_ptr();
+            assert_eq!(shares, got.row_major_runs() || split_at.is_none(), "{ctx}");
+            assert_eq!(got.val.len(), a.nnz() + TAIL, "{ctx}");
+            assert!(!Arc::ptr_eq(&owned.val, a.shared_values()));
+            let widest = (0..got.num_stages()).map(|s| got.stagedispl[s + 1] - got.stagedispl[s]);
+            assert_eq!(got.slots, widest.max().unwrap_or(0).next_power_of_two(), "{ctx}");
+
+            let bits = |y: &[f32]| y.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let x: Vec<f32> = (0..a.ncols() * 8).map(|i| 0.5 + 0.37 * i as f32).collect();
+            assert_eq!(bits(&got.spmv(&x[..a.ncols()])), bits(&owned.spmv(&x[..a.ncols()])));
+            let (mut y, mut want) = (vec![0f32; a.nrows() * 8], vec![0f32; a.nrows() * 8]);
+            got.spmm_into(&x, &mut y, 8);
+            owned.spmm_into(&x, &mut want, 8);
+            assert_eq!(bits(&y), bits(&want), "{ctx}");
+        }
     }
 
     #[test]
