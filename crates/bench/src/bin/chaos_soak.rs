@@ -166,7 +166,9 @@ fn main() {
     // Crash: rank 1 dies mid-solve, no inner restart budget; recovery is
     // the runtime's own seeded retry, resuming from the job checkpoint.
     let crash_sino = sino(grid_d, scan_d, 24, seed + 3);
-    let want_crash = direct_d.run(&dist_req(crash_sino.clone(), None)).unwrap();
+    let want_crash = direct_d
+        .run(&dist_req(crash_sino.clone(), FaultTolerance::disabled()))
+        .unwrap();
     let crash_ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 4, FaultKind::Crash)),
         max_restarts: 0,
@@ -174,7 +176,7 @@ fn main() {
     };
     let crash = runtime
         .submit(
-            JobSpec::new("crash", plan_d, dist_req(crash_sino, Some(crash_ft)))
+            JobSpec::new("crash", plan_d, dist_req(crash_sino, crash_ft))
                 .retry(
                     RetryPolicy::retries(2)
                         .base(Duration::from_millis(1))
@@ -188,24 +190,24 @@ fn main() {
     // Drop: the transport loses one delivery attempt; the communicator's
     // bounded resend recovers it transparently inside the attempt.
     let drop_sino = sino(grid_d, scan_d, 24, seed + 4);
-    let want_drop = direct_d.run(&dist_req(drop_sino.clone(), None)).unwrap();
+    let want_drop = direct_d
+        .run(&dist_req(drop_sino.clone(), FaultTolerance::disabled()))
+        .unwrap();
     let drop_ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 3, FaultKind::Drop { attempts: 1 })),
         ..FaultTolerance::default()
     };
     let dropped = runtime
-        .submit(JobSpec::new(
-            "drop",
-            plan_d,
-            dist_req(drop_sino, Some(drop_ft)),
-        ))
+        .submit(JobSpec::new("drop", plan_d, dist_req(drop_sino, drop_ft)))
         .unwrap();
     submitted += 1;
 
     // Delay: added delivery latency under the receive deadline is
     // invisible to the numerics.
     let delay_sino = sino(grid_d, scan_d, 24, seed + 5);
-    let want_delay = direct_d.run(&dist_req(delay_sino.clone(), None)).unwrap();
+    let want_delay = direct_d
+        .run(&dist_req(delay_sino.clone(), FaultTolerance::disabled()))
+        .unwrap();
     let delay_ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(0, 2, FaultKind::Delay { micros: 200 })),
         ..FaultTolerance::default()
@@ -214,7 +216,7 @@ fn main() {
         .submit(JobSpec::new(
             "delay",
             plan_d,
-            dist_req(delay_sino, Some(delay_ft)),
+            dist_req(delay_sino, delay_ft),
         ))
         .unwrap();
     submitted += 1;

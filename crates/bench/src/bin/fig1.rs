@@ -46,7 +46,7 @@ fn main() {
                         stop: memxct::StopRule::Fixed(30),
                         solver: memxct::Solver::Cg,
                     },
-                    ft: None,
+                    ft: memxct::FaultTolerance::disabled(),
                 }),
         )
         .expect("distributed reconstruction failed");

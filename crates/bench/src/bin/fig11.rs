@@ -131,7 +131,7 @@ fn main() {
                         stop: StopRule::Fixed(30),
                         solver: Solver::Cg,
                     },
-                    ft: None,
+                    ft: memxct::FaultTolerance::disabled(),
                 },
             ),
         )

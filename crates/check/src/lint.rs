@@ -30,8 +30,9 @@
 //!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`), the
 //!   ordered-subsets side driver `Solver::OsSirt` replaced, the side
 //!   doors into the engine and the runtime (closure solvers, the
-//!   six-argument distributed entry, unused collectives), and the ranks'
-//!   private block kernel.
+//!   six-argument distributed entry, unused collectives), the ranks'
+//!   private block kernel, the builder's second spelling of run policy
+//!   and `Config`, and the criterion benches.
 //!
 //! The scanner strips string literals and comments before matching (so doc
 //! examples and messages never fire a rule) and skips `target/` entirely.
@@ -112,6 +113,11 @@ fn product_and_its_callers(rel: &str) -> bool {
     ["crates/", "tests/", "examples/"]
         .iter()
         .any(|root| rel.starts_with(root))
+}
+
+/// Every manifest.
+fn manifests(rel: &str) -> bool {
+    rel.ends_with("Cargo.toml")
 }
 
 /// The retired names, one row per deletion that must not be undone.
@@ -215,6 +221,29 @@ const RETIRED: &[Retired] = &[
         message: "retired slice-major carving: batched slabs are slice-interleaved from the \
             engine to the kernel, so a pool worker's rows are one contiguous `&mut [T]` and \
             the CSR SpMM needs no row tile",
+    },
+    Retired {
+        names: &[
+            "checkpoint_sink",
+            "checkpoint_path",
+            "comm_config",
+            "fault_plan",
+            "partition_size",
+            "buffer_size",
+            "with_config",
+            "Reconstructor::builder",
+            "fn fault_tolerance",
+        ],
+        scope: product_and_its_callers,
+        message: "retired second spelling: `ReconstructorBuilder::new` builds the plan from a \
+            `Config`; checkpoints and fault tolerance are the request's \
+            (`ReconRequest::checkpoint`, `ExecMode::Distributed { ft }`)",
+    },
+    Retired {
+        names: &["criterion"],
+        scope: manifests,
+        message: "retired criterion benches: recon-bench reports what they timed \
+            (`hilbert.order_s`, `sparse.transpose_s`, `sparse.spmv_*_s`)",
     },
 ];
 
@@ -666,6 +695,11 @@ mod tests {
             "crates/sparse/src/batch.rs",
             "pool.run_batched(plan, y, k, |_p, rows, mut out: BatchOut<'_, f32>, _s| {});\n",
         ),
+        (
+            "crates/cli/src/main.rs",
+            "builder = builder.fault_plan(plan).max_restarts(1);\n",
+        ),
+        ("crates/bench/Cargo.toml", "criterion.workspace = true\n"),
     ];
 
     #[test]
@@ -704,6 +738,7 @@ mod tests {
         for live in [
             "pool.try_run_batched(&plan, &mut y, 1, kernel)?;\n",
             "let out = try_reconstruct_distributed(&ops, &y, &config)?;\n",
+            "fn rank_plans_use_the_plans_buffer_size() {\n",
             "std::env::var(\"RAYON_NUM_THREADS\")\n",
             "// the rayon shim is gone\n",
         ] {

@@ -16,6 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use memxct::prelude::*;
 use xct_geometry::{
@@ -66,8 +67,9 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
   --scale N      divide both sinogram dimensions by N (default 16)
   --noise I0     Poisson photon count per ray (default: noise-free)
   --solver       cg (default), sirt, os-sirt (8 subsets), fbp
-  --ranks N      run cg or sirt distributed over N thread-ranks (os-sirt
-                 refuses it; it runs serially or with --pool)
+  --ranks N      run cg or sirt distributed over N thread-ranks, one
+                 thread each, so not with --pool (os-sirt refuses it; it
+                 runs serially or with --pool)
   --out FILE     .pgm for images, .raw for sinograms
   --metrics FILE write the run's metrics snapshot as JSON
   --check        validate every memoized structure before reconstructing
@@ -82,7 +84,8 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
                  slice j)
   --checkpoint FILE  snapshot the solver state to FILE.0 (versioned,
                  checksummed) every --checkpoint-every iterations
-  --checkpoint-every N  checkpoint cadence in iterations (default 1)
+  --checkpoint-every N  checkpoint cadence in iterations (default 1;
+                 needs --checkpoint)
   --resume       resume from the latest snapshot under --checkpoint;
                  a resumed solve is bit-identical to an uninterrupted one
   --chaos SPEC   inject one deterministic fault (repeatable; cg/sirt
@@ -233,7 +236,7 @@ struct Options {
     pool_threads: Option<usize>,
     batch: usize,
     checkpoint: Option<PathBuf>,
-    checkpoint_every: usize,
+    checkpoint_every: Option<usize>,
     resume: bool,
     chaos: Vec<FaultSpec>,
     jobs: Option<PathBuf>,
@@ -259,7 +262,7 @@ impl Options {
             pool_threads: None,
             batch: 1,
             checkpoint: None,
-            checkpoint_every: 1,
+            checkpoint_every: None,
             resume: false,
             chaos: Vec::new(),
             jobs: None,
@@ -300,7 +303,7 @@ impl Options {
                 "--check" => o.check = true,
                 "--corrupt" => o.corrupt = Some(value("--corrupt")),
                 "--checkpoint" => o.checkpoint = Some(PathBuf::from(value("--checkpoint"))),
-                "--checkpoint-every" => o.checkpoint_every = positive(flag, &value(flag)),
+                "--checkpoint-every" => o.checkpoint_every = Some(positive(flag, &value(flag))),
                 "--resume" => o.resume = true,
                 "--chaos" => match FaultPlan::parse_spec(&value("--chaos")) {
                     Ok(spec) => o.chaos.push(spec),
@@ -429,8 +432,8 @@ fn reconstruct(opts: &Options) {
         }
     };
 
-    if opts.resume && opts.checkpoint.is_none() {
-        eprintln!("--resume requires --checkpoint FILE");
+    if opts.checkpoint.is_none() && (opts.resume || opts.checkpoint_every.is_some()) {
+        eprintln!("--resume and --checkpoint-every require --checkpoint FILE");
         exit(2);
     }
     if !opts.chaos.is_empty() && opts.ranks.is_none() {
@@ -443,6 +446,12 @@ fn reconstruct(opts: &Options) {
         eprintln!("--solver fbp is direct: --batch, --ranks, --pool and --checkpoint do not apply");
         exit(2);
     }
+    if opts.pool && opts.ranks.is_some() {
+        eprintln!(
+            "--ranks runs each rank on its own thread: --pool and --pool-threads do not apply"
+        );
+        exit(2);
+    }
     let t = std::time::Instant::now();
     let mut builder = ReconstructorBuilder::new(grid, scan)
         .validate_plan(opts.check)
@@ -450,19 +459,6 @@ fn reconstruct(opts: &Options) {
         .batch(opts.batch);
     if let Some(n) = opts.pool_threads {
         builder = builder.pool_threads(n);
-    }
-    if let Some(path) = &opts.checkpoint {
-        builder = builder
-            .checkpoint_path(path)
-            .checkpoint_every(opts.checkpoint_every)
-            .resume(opts.resume);
-    }
-    if !opts.chaos.is_empty() {
-        let mut plan = FaultPlan::new();
-        for spec in &opts.chaos {
-            plan.push(*spec);
-        }
-        builder = builder.fault_plan(plan).max_restarts(1);
     }
     let rec = builder.build().unwrap_or_else(|e| {
         if let BuildError::PlanCheck(report) = &e {
@@ -486,11 +482,12 @@ fn reconstruct(opts: &Options) {
     if let Some(threads) = rec.pool_threads() {
         println!("worker pool: {threads} persistent threads, nnz-balanced partitions");
     }
+    let every = opts.checkpoint_every.unwrap_or(1);
     if let Some(path) = &opts.checkpoint {
         println!(
             "checkpoint: {} every {} iteration(s){}",
             path.display(),
-            opts.checkpoint_every,
+            every,
             if opts.resume { ", resume enabled" } else { "" }
         );
     }
@@ -510,15 +507,32 @@ fn reconstruct(opts: &Options) {
     } else {
         let input = widened(sino, opts.batch);
         let req = solver_request(&opts.solver, input, opts.iters, ds.projections);
-        let req = req.unwrap_or_else(|e| {
+        let mut req = req.unwrap_or_else(|e| {
             eprintln!("{e}");
             exit(2);
         });
+        if let Some(path) = &opts.checkpoint {
+            req = req.checkpoint(CheckpointPolicy::at_path(path, every).resume(opts.resume));
+        }
         let (mode, context) = match opts.ranks {
             Some(ranks) => {
+                // `--chaos` runs supervised: collective deadlines and one
+                // degraded restart.
+                let ft = if opts.chaos.is_empty() {
+                    FaultTolerance::disabled()
+                } else {
+                    let mut faults = FaultPlan::new();
+                    for spec in &opts.chaos {
+                        faults.push(*spec);
+                    }
+                    FaultTolerance {
+                        faults: Arc::new(faults),
+                        ..FaultTolerance::default()
+                    }
+                };
                 let mode = ExecMode::Distributed {
                     config: over_ranks(ranks),
-                    ft: None,
+                    ft,
                 };
                 (mode, "distributed reconstruction failed")
             }

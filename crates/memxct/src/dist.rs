@@ -529,16 +529,17 @@ impl ProjectionOperator for DistOperator<'_> {
     }
 }
 
-/// Fault-tolerance policy for a distributed reconstruction: what is
-/// about *faults*. Durability — where snapshots go, how often, whether to
-/// resume — is the request's [`crate::CheckpointPolicy`], the same value every
-/// executor runs under.
+/// Fault-tolerance policy for a distributed reconstruction, carried by
+/// the request's [`ExecMode::Distributed`](crate::ExecMode::Distributed):
+/// what is about *faults*. Durability — where snapshots go, how often,
+/// whether to resume — is the request's [`crate::CheckpointPolicy`], the
+/// same value every executor runs under.
 ///
 /// The default policy enables the runtime's supervised execution (30 s
 /// collective deadline, bounded delivery retries) with no chaos and one
 /// degraded restart; [`FaultTolerance::disabled`] reproduces the
 /// historical fail-fast behaviour (unbounded waits, zero restarts) and is
-/// what [`try_reconstruct_distributed`] and the builder default use.
+/// what [`try_reconstruct_distributed`] uses.
 #[derive(Clone)]
 pub struct FaultTolerance {
     /// Deadline/retry/backoff configuration for every collective.
@@ -1323,14 +1324,14 @@ mod tests {
     fn instrumented_distributed_records_comm_matrix() {
         let (grid, scan, sino) = sinogram(16, 12);
         let m = Metrics::collecting();
-        let rec = crate::Reconstructor::builder(grid, scan)
+        let rec = crate::ReconstructorBuilder::new(grid, scan)
             .metrics(m.clone())
             .build()
             .unwrap();
         let cfg = cg(3, 4);
         let mode = crate::ExecMode::Distributed {
             config: cfg,
-            ft: None,
+            ft: FaultTolerance::disabled(),
         };
         let input = crate::ReconInput::Slice(sino.clone());
         let req = crate::ReconRequest::cg(input, cfg.stop).mode(mode);
@@ -1381,7 +1382,7 @@ mod tests {
             buffsize: 1024,
             ..Config::default()
         };
-        let rec = crate::Reconstructor::builder(grid, scan)
+        let rec = crate::ReconstructorBuilder::new(grid, scan)
             .config(config)
             .validate_plan(true)
             .build()
@@ -1401,7 +1402,10 @@ mod tests {
             use_buffered: true,
             ..cg(2, 10)
         };
-        let mode = crate::ExecMode::Distributed { config, ft: None };
+        let mode = crate::ExecMode::Distributed {
+            config,
+            ft: FaultTolerance::disabled(),
+        };
         let dist = rec.run(&req.mode(mode)).unwrap();
         let err = rel_err(&dist.images[0], &serial.images[0]);
         assert!(err < 5e-3, "err {err}");

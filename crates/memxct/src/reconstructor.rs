@@ -1,41 +1,40 @@
 //! High-level single-call reconstruction API, built through
 //! [`ReconstructorBuilder`].
 
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::checkpoint;
-use crate::dist::{solve_distributed, FaultTolerance, Ranks};
+use crate::dist::{solve_distributed, Ranks};
 use crate::errors::BuildError;
 use crate::operator::{
     KernelBreakdown, KernelOperator, PooledPlans, ProjectionOperator, POOL_IMBALANCE_BACK,
     POOL_IMBALANCE_FORWARD,
 };
-use crate::preprocess::{
-    try_preprocess_with_metrics, Config, DomainOrdering, Kernel, Operators, Projector,
-};
+use crate::preprocess::{try_preprocess_with_metrics, Config, Kernel, Operators};
 use crate::request::{
-    CheckpointPolicy, DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse,
-    RunControl, RunOutcome, Solver,
+    DistDetail, ExecMode, ReconError, ReconInput, ReconRequest, ReconResponse, RunControl,
+    RunOutcome, Solver,
 };
 use crate::solvers::{EngineExit, SolverWorkspace, Stint};
 use crate::subsets::Subsets;
 use xct_geometry::{Grid, ScanGeometry, Sinogram};
 use xct_obs::{Metrics, MetricsSnapshot};
-use xct_runtime::{CheckpointSink, CommConfig, FaultPlan, FileCheckpointSink, WorkerPool};
+use xct_runtime::WorkerPool;
 
-/// Step-by-step construction of a [`Reconstructor`] with validated
-/// defaults: geometry in, then optional ordering/projector/partition/
-/// buffer/kernel/metrics overrides, then [`build`](Self::build).
+/// Step-by-step construction of a [`Reconstructor`] — the plan — with
+/// validated defaults: geometry in, then optional preprocessing
+/// [`Config`], kernel, metrics and executor choices, then
+/// [`build`](Self::build). How a run goes (solver, stop rule, execution
+/// mode, fault tolerance, checkpoints) is the [`ReconRequest`]'s.
 ///
 /// ```
-/// use memxct::{Kernel, ReconInput, ReconRequest, ReconstructorBuilder, StopRule};
+/// use memxct::{Config, Kernel, ReconInput, ReconRequest, ReconstructorBuilder, StopRule};
 /// use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 ///
 /// let grid = Grid::new(32);
 /// let scan = ScanGeometry::new(48, 32);
 /// let rec = ReconstructorBuilder::new(grid, scan)
-///     .partition_size(64)
+///     .config(Config { partsize: 64, ..Config::default() })
 ///     .kernel(Kernel::Serial)
 ///     .build()
 ///     .unwrap();
@@ -58,10 +57,6 @@ pub struct ReconstructorBuilder {
     use_pool: bool,
     pool_threads: Option<usize>,
     batch: usize,
-    ft: FaultTolerance,
-    checkpoint_every: usize,
-    checkpoint_sink: Option<Arc<dyn CheckpointSink>>,
-    resume: bool,
 }
 
 impl ReconstructorBuilder {
@@ -78,54 +73,14 @@ impl ReconstructorBuilder {
             use_pool: false,
             pool_threads: None,
             batch: 1,
-            ft: FaultTolerance::disabled(),
-            checkpoint_every: 0,
-            checkpoint_sink: None,
-            resume: false,
         }
     }
 
-    /// Replace the whole preprocessing configuration at once.
+    /// The preprocessing configuration: ordering, projector, partition
+    /// and buffer sizes, which layouts to build (default
+    /// [`Config::default`]).
     pub fn config(mut self, config: Config) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Domain ordering (default: two-level pseudo-Hilbert).
-    pub fn ordering(mut self, ordering: DomainOrdering) -> Self {
-        self.config.ordering = ordering;
-        self
-    }
-
-    /// Ray-discretization model (default: Siddon).
-    pub fn projector(mut self, projector: Projector) -> Self {
-        self.config.projector = projector;
-        self
-    }
-
-    /// Row-partition size (default 128; must be positive).
-    pub fn partition_size(mut self, partsize: usize) -> Self {
-        self.config.partsize = partsize;
-        self
-    }
-
-    /// Input-buffer capacity in f32 elements (default 8192; must fit the
-    /// buffered kernel's 16-bit addressing when buffered layouts are
-    /// built).
-    pub fn buffer_size(mut self, buffsize: usize) -> Self {
-        self.config.buffsize = buffsize;
-        self
-    }
-
-    /// Whether to build the multi-stage buffered layouts (default true).
-    pub fn build_buffered(mut self, build: bool) -> Self {
-        self.config.build_buffered = build;
-        self
-    }
-
-    /// Whether to build the ELL (GPU-style) layouts (default false).
-    pub fn build_ell(mut self, build: bool) -> Self {
-        self.config.build_ell = build;
         self
     }
 
@@ -190,73 +145,6 @@ impl ReconstructorBuilder {
         self
     }
 
-    /// Replace the whole fault-tolerance policy (chaos plan, collective
-    /// deadlines, restart budget — see [`FaultTolerance`]) at once. The
-    /// builder default is [`FaultTolerance::disabled`] — the historical
-    /// fail-fast behaviour.
-    pub fn fault_tolerance(mut self, ft: FaultTolerance) -> Self {
-        self.ft = ft;
-        self
-    }
-
-    /// Take a snapshot of the solver state after every `every` iterations
-    /// (0 = never). With a sink ([`checkpoint_path`](Self::checkpoint_path)
-    /// or [`checkpoint_sink`](Self::checkpoint_sink)) this, the sink and
-    /// [`resume`](Self::resume) form the [`CheckpointPolicy`] of every
-    /// request that does not carry its own.
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every;
-        self
-    }
-
-    /// Store snapshots in files rooted at `base` (group `g` of a request
-    /// lands at `{base}.{g}`; a slice or batch is group 0), written
-    /// atomically via a temp file and a rename.
-    pub fn checkpoint_path(self, base: impl Into<PathBuf>) -> Self {
-        self.checkpoint_sink(Arc::new(FileCheckpointSink::new(base)))
-    }
-
-    /// Store snapshots in an arbitrary [`CheckpointSink`].
-    pub fn checkpoint_sink(mut self, sink: Arc<dyn CheckpointSink>) -> Self {
-        self.checkpoint_sink = Some(sink);
-        self
-    }
-
-    /// Resume solves from the sink's latest snapshot when one exists
-    /// (default false). A resumed solve is bit-identical to an
-    /// uninterrupted one.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Deterministic chaos plan consulted by every distributed collective
-    /// (default empty — injects nothing). Also switches the distributed
-    /// path onto the supervised runtime with the default collective
-    /// deadline; see [`comm_config`](Self::comm_config) to tune it.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.ft.faults = Arc::new(plan);
-        if self.ft.comm.deadline.is_none() {
-            self.ft.comm = CommConfig::default();
-        }
-        self
-    }
-
-    /// Deadline/retry/backoff configuration for the distributed
-    /// collectives (default: unbounded waits, matching the historical
-    /// behaviour).
-    pub fn comm_config(mut self, comm: CommConfig) -> Self {
-        self.ft.comm = comm;
-        self
-    }
-
-    /// How many degraded restarts (each over one rank fewer) a distributed
-    /// solve attempts after an unrecoverable rank loss (default 0).
-    pub fn max_restarts(mut self, restarts: usize) -> Self {
-        self.ft.max_restarts = restarts;
-        self
-    }
-
     /// Validate, preprocess, and produce the [`Reconstructor`].
     ///
     /// Rejects zero partition sizes, out-of-range buffer sizes, and kernel
@@ -317,12 +205,6 @@ impl ReconstructorBuilder {
             pooled,
             batch: self.batch,
             validate: self.validate,
-            ft: self.ft,
-            checkpoint: self.checkpoint_sink.map(|sink| CheckpointPolicy {
-                every: self.checkpoint_every,
-                sink,
-                resume: self.resume,
-            }),
             workspace: Mutex::new(SolverWorkspace::new_batched(0, 0, self.batch)),
         })
     }
@@ -378,11 +260,6 @@ pub struct Reconstructor {
     batch: usize,
     /// Whether distributed requests validate their rank plans.
     validate: bool,
-    /// Fault-tolerance policy of distributed solves: chaos plan,
-    /// collective deadlines, restart budget.
-    ft: FaultTolerance,
-    /// Checkpoint policy of requests that carry none.
-    checkpoint: Option<CheckpointPolicy>,
     /// Solver buffers reused across solves — after the first solve at
     /// this geometry, steady-state iterations allocate nothing.
     workspace: Mutex<SolverWorkspace>,
@@ -398,28 +275,6 @@ impl Reconstructor {
             // lint: allow(no-panic) documented panicking shim over the try_ API
             Err(e) => panic!("invalid reconstructor config: {e}"),
         }
-    }
-
-    /// Preprocess with an explicit configuration. Thin shim over
-    /// [`ReconstructorBuilder::config`].
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration; use the builder to get a
-    /// [`BuildError`] instead.
-    pub fn with_config(grid: Grid, scan: ScanGeometry, config: &Config) -> Self {
-        match ReconstructorBuilder::new(grid, scan)
-            .config(*config)
-            .build()
-        {
-            Ok(rec) => rec,
-            // lint: allow(no-panic) documented panicking shim over the try_ API
-            Err(e) => panic!("invalid reconstructor config: {e}"),
-        }
-    }
-
-    /// Start building a reconstructor for this geometry.
-    pub fn builder(grid: Grid, scan: ScanGeometry) -> ReconstructorBuilder {
-        ReconstructorBuilder::new(grid, scan)
     }
 
     /// The memoized operators (for custom solver loops).
@@ -525,8 +380,8 @@ impl Reconstructor {
     /// reconstructor's batch width — a `Slice` or `Batch` is one group, a
     /// `Volume` one per chunk, a short tail padded — and every group is
     /// one [`Stint`] on the executor `req.mode` names, its snapshots in
-    /// the slot of its index under the one effective policy (the
-    /// request's, else the builder's), sharing the OS-SIRT subsets and
+    /// the slot of its index under the request's checkpoint policy,
+    /// sharing the OS-SIRT subsets and
     /// rank plans built once per request. Completed groups are appended to
     /// `resp`; a stop ends the request where it is.
     fn drive(
@@ -546,7 +401,7 @@ impl Reconstructor {
             ExecMode::Distributed { config, ft } => Executor::Ranks(Ranks {
                 ops: &self.ops,
                 config: *config,
-                ft: ft.as_ref().unwrap_or(&self.ft),
+                ft,
                 validate: self.validate,
                 built: Vec::new(),
             }),
@@ -564,7 +419,6 @@ impl Reconstructor {
             ReconInput::Volume(sinos) => sinos.chunks(self.batch).collect(),
         };
         let pad = matches!(req.input, ReconInput::Volume(_));
-        let policy = req.checkpoint.as_ref().or(self.checkpoint.as_ref());
         let plan_hash = checkpoint::plan_fingerprint(&self.ops);
         for (slot, group) in groups.iter().enumerate() {
             let y = self.order_group(group, pad)?;
@@ -573,7 +427,7 @@ impl Reconstructor {
                 subsets: subsets.as_ref(),
                 stop: req.stop,
                 metrics: &self.metrics,
-                policy,
+                policy: req.checkpoint.as_ref(),
                 slot,
                 plan_hash,
                 more: slot + 1 < groups.len(),
@@ -677,18 +531,13 @@ impl Reconstructor {
         }
         Ok(y)
     }
-
-    /// The fault-tolerance policy this reconstructor runs under.
-    pub fn fault_tolerance(&self) -> &FaultTolerance {
-        &self.ft
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rel_err;
-    use crate::{DistConfig, StopRule};
+    use crate::{DistConfig, FaultTolerance, StopRule};
     use xct_geometry::{disk, shepp_logan, simulate_sinogram, NoiseModel};
 
     fn cg(sino: &Sinogram, stop: StopRule) -> ReconRequest {
@@ -701,7 +550,10 @@ mod tests {
             use_buffered,
             ..DistConfig::default()
         };
-        req.mode(ExecMode::Distributed { config, ft: None })
+        req.mode(ExecMode::Distributed {
+            config,
+            ft: FaultTolerance::disabled(),
+        })
     }
 
     #[test]
@@ -771,12 +623,13 @@ mod tests {
     fn builder_validates_kernel_layout_choices() {
         let grid = Grid::new(16);
         let scan = ScanGeometry::new(12, 16);
+        let with = |config| ReconstructorBuilder::new(grid, scan).config(config);
+        let unbuffered = Config {
+            build_buffered: false,
+            ..Config::default()
+        };
         assert!(matches!(
-            ReconstructorBuilder::new(grid, scan)
-                .build_buffered(false)
-                .kernel(Kernel::Buffered)
-                .build()
-                .err(),
+            with(unbuffered).kernel(Kernel::Buffered).build().err(),
             Some(BuildError::LayoutNotBuilt { layout: "buffered" })
         ));
         assert!(matches!(
@@ -787,27 +640,28 @@ mod tests {
             Some(BuildError::LayoutNotBuilt { layout: "ELL" })
         ));
         assert!(matches!(
-            ReconstructorBuilder::new(grid, scan)
-                .partition_size(0)
-                .build()
-                .err(),
+            with(Config {
+                partsize: 0,
+                ..Config::default()
+            })
+            .build()
+            .err(),
             Some(BuildError::ZeroPartitionSize)
         ));
         assert!(matches!(
-            ReconstructorBuilder::new(grid, scan)
-                .buffer_size(1 << 20)
-                .build()
-                .err(),
+            with(Config {
+                buffsize: 1 << 20,
+                ..Config::default()
+            })
+            .build()
+            .err(),
             Some(BuildError::InvalidBufferSize { .. })
         ));
         // Defaults pick the buffered kernel; disabling buffered layouts
         // falls back to plain CSR.
         let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
         assert_eq!(rec.kernel(), Kernel::Buffered);
-        let rec = ReconstructorBuilder::new(grid, scan)
-            .build_buffered(false)
-            .build()
-            .unwrap();
+        let rec = with(unbuffered).build().unwrap();
         assert_eq!(rec.kernel(), Kernel::Serial);
     }
 

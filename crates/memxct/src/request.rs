@@ -14,12 +14,15 @@
 //!   solved through the SpMM path, or a whole volume chunked by the
 //!   reconstructor's batch width,
 //! - **how**: an [`ExecMode`] — serial kernels, the persistent worker
-//!   pool, or the distributed threads-as-ranks path with an optional
-//!   fault-tolerance override,
+//!   pool, or the distributed threads-as-ranks path with its
+//!   fault-tolerance policy,
 //! - **with what durability**: an optional [`CheckpointPolicy`] — the
 //!   one spelling of where snapshots go, how often, and whether to
-//!   resume; the builder's `checkpoint_*` / `resume` methods only fill
-//!   the policy of requests that carry none.
+//!   resume.
+//!
+//! The [`ReconstructorBuilder`](crate::ReconstructorBuilder) builds the
+//! plan; everything that can differ from one run of it to the next is
+//! the request's.
 //!
 //! [`Reconstructor::run`] is the single entry point, and the axes do not
 //! interact: the driver splits the input into groups of the
@@ -154,8 +157,10 @@ pub enum ExecMode {
     Distributed {
         /// Rank count and local-kernel choice.
         config: DistConfig,
-        /// Fault-tolerance override; `None` uses the builder's policy.
-        ft: Option<FaultTolerance>,
+        /// Fault-tolerance policy of the ranks' collectives: chaos plan,
+        /// deadlines, restart budget. [`FaultTolerance::disabled`] is the
+        /// fail-fast run.
+        ft: FaultTolerance,
     },
 }
 
@@ -168,15 +173,15 @@ impl fmt::Debug for ExecMode {
                 .debug_struct("Distributed")
                 .field("ranks", &config.ranks)
                 .field("use_buffered", &config.use_buffered)
-                .field("ft_override", &ft.is_some())
-                .finish(),
+                .field("max_restarts", &ft.max_restarts)
+                .finish_non_exhaustive(),
         }
     }
 }
 
 /// Checkpoint/resume policy — the one spelling of durability, for every
-/// input and every mode. A request's policy replaces whatever the
-/// reconstructor was built with. Also the substrate for preemption: a
+/// input and every mode, carried by the [`ReconRequest`] (a
+/// reconstructor holds none). Also the substrate for preemption: a
 /// preempted run snapshots into `sink` regardless of `every`.
 #[derive(Clone)]
 pub struct CheckpointPolicy {
@@ -238,7 +243,7 @@ pub struct ReconRequest {
     pub input: ReconInput,
     /// Execution mode.
     pub mode: ExecMode,
-    /// Checkpoint/resume policy; `None` uses the builder's, if any.
+    /// Checkpoint/resume policy; `None` takes no snapshots.
     pub checkpoint: Option<CheckpointPolicy>,
 }
 
@@ -386,8 +391,8 @@ impl std::error::Error for ReconError {}
 /// [`RunOutcome::Preempted`]. Re-running the same request with
 /// `resume = true` continues from that snapshot, and the final image is
 /// bit-identical to an uninterrupted run — for every input and every
-/// [`ExecMode`]. Without a checkpoint policy (the request's or the
-/// builder's) there is nowhere to save the state, so nothing yields.
+/// [`ExecMode`]. Without the request's checkpoint policy there is
+/// nowhere to save the state, so nothing yields.
 ///
 /// [`Reconstructor::run_controlled`]: crate::Reconstructor::run_controlled
 #[derive(Default)]

@@ -42,7 +42,10 @@ fn over_ranks(req: ReconRequest, ranks: usize, use_buffered: bool) -> ReconReque
         use_buffered,
         ..DistConfig::default()
     };
-    req.mode(ExecMode::Distributed { config, ft: None })
+    req.mode(ExecMode::Distributed {
+        config,
+        ft: FaultTolerance::disabled(),
+    })
 }
 
 fn assert_slice_matches(out: &ReconResponse, j: usize, single: &ReconResponse, ctx: &str) {
@@ -309,26 +312,27 @@ fn batched_checkpoint_resume_is_bit_identical() {
         max_iters: 12,
         min_decrease: 5e-3,
     };
-    let batch3 = |b: ReconstructorBuilder, stop| {
-        let rec = b.batch(3).build().unwrap();
-        run(&rec, ReconRequest::cg(Batch(slices.clone()), stop)).unwrap()
+    let rec = ReconstructorBuilder::new(grid, scan)
+        .batch(3)
+        .build()
+        .unwrap();
+    let batch3 = |stop, policy: Option<CheckpointPolicy>| {
+        let mut req = ReconRequest::cg(Batch(slices.clone()), stop);
+        req.checkpoint = policy;
+        run(&rec, req).unwrap()
     };
-    let golden = batch3(ReconstructorBuilder::new(grid, scan), stop);
+    let golden = batch3(stop, None);
 
     // Interrupt after 4 iterations, snapshotting every boundary…
-    let sink = Arc::new(MemoryCheckpointSink::new());
-    let checkpointing = |sink: &Arc<MemoryCheckpointSink>| {
-        ReconstructorBuilder::new(grid, scan)
-            .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-            .checkpoint_every(1)
-    };
+    let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
+    let checkpointing = CheckpointPolicy::new(sink, 1);
     let first4 = StopRule::EarlyTermination {
         max_iters: 4,
         min_decrease: 5e-3,
     };
-    batch3(checkpointing(&sink), first4);
+    batch3(first4, Some(checkpointing.clone()));
     // …then resume to the full budget.
-    let resumed = batch3(checkpointing(&sink).resume(true), stop);
+    let resumed = batch3(stop, Some(checkpointing.resume(true)));
     for j in 0..3 {
         assert_eq!(
             golden.slice_records[j].len(),
@@ -358,24 +362,19 @@ fn resuming_across_batch_widths_is_a_typed_error() {
             Some(r) => over_ranks(req, r, true),
             None => req,
         };
-        let sink = Arc::new(MemoryCheckpointSink::new());
+        let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
+        let policy = CheckpointPolicy::new(sink, 1);
         let rec = ReconstructorBuilder::new(grid, scan)
             .batch(2)
-            .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-            .checkpoint_every(1)
             .build()
             .unwrap();
         let wide = ReconRequest::cg(Batch(slices.clone()), StopRule::Fixed(3));
-        rec.run(&mode(wide)).unwrap();
+        rec.run(&mode(wide.checkpoint(policy.clone()))).unwrap();
         // A batch-1 reconstructor must refuse the batch-2 snapshot with the
         // batch invariant, not a shape cascade or a silent partial resume.
-        let rec = ReconstructorBuilder::new(grid, scan)
-            .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
-            .checkpoint_every(1)
-            .resume(true)
-            .build()
-            .unwrap();
-        let narrow = ReconRequest::cg(Slice(slices[0].clone()), StopRule::Fixed(6));
+        let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+        let narrow = ReconRequest::cg(Slice(slices[0].clone()), StopRule::Fixed(6))
+            .checkpoint(policy.resume(true));
         match rec.run(&mode(narrow)) {
             Err(ReconError::Build(BuildError::PlanCheck(report))) => {
                 assert!(report.has(Invariant::CheckpointBatch), "{report}");
@@ -567,10 +566,7 @@ fn distributed_batched_rank_crash_completes_or_fails_typed() {
     };
     let policy = CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 1).resume(true);
     let req = ReconRequest::cg(Batch(slices), StopRule::Fixed(8))
-        .mode(ExecMode::Distributed {
-            config,
-            ft: Some(ft),
-        })
+        .mode(ExecMode::Distributed { config, ft })
         .checkpoint(policy);
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {

@@ -34,9 +34,13 @@ fn sirt(rec: &Reconstructor, sino: &Sinogram, iters: usize) -> Result<ReconRespo
     rec.run(&ReconRequest::sirt(ReconInput::Slice(sino.clone()), iters))
 }
 
-/// `ranks` buffered thread-ranks under `ft` (`None`: the reconstructor's
-/// policy, the fail-fast default).
-fn over_ranks(ranks: usize, ft: Option<FaultTolerance>) -> ExecMode {
+/// Snapshots into `sink` every `every` iterations, no resume.
+fn saving(sink: &Arc<MemoryCheckpointSink>, every: usize) -> CheckpointPolicy {
+    CheckpointPolicy::new(sink.clone() as Arc<dyn CheckpointSink>, every)
+}
+
+/// `ranks` buffered thread-ranks under `ft`.
+fn over_ranks(ranks: usize, ft: FaultTolerance) -> ExecMode {
     let config = DistConfig {
         ranks,
         ..DistConfig::default()
@@ -63,8 +67,8 @@ fn empty_fault_plan_is_bit_identical_distributed() {
     // Historical fail-fast path (unbounded waits, no fault machinery in
     // the policy) vs the supervised default (deadlines, retry budget,
     // empty fault plan): both must produce the exact same bits.
-    let baseline = rec.run(&cg_request(&sino, 8).mode(over_ranks(3, None)));
-    let supervised = over_ranks(3, Some(FaultTolerance::default()));
+    let baseline = rec.run(&cg_request(&sino, 8).mode(over_ranks(3, FaultTolerance::disabled())));
+    let supervised = over_ranks(3, FaultTolerance::default());
     let supervised = rec.run(&cg_request(&sino, 8).mode(supervised));
     assert_bits_equal(&baseline.unwrap(), &supervised.unwrap());
 }
@@ -72,16 +76,11 @@ fn empty_fault_plan_is_bit_identical_distributed() {
 #[test]
 fn checkpointing_is_bit_transparent_serial() {
     let (grid, scan, sino) = geometry(24, 36);
-    let plain = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
     let sink = Arc::new(MemoryCheckpointSink::new());
-    let checkpointed = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-        .checkpoint_every(2)
-        .build()
-        .unwrap();
-    let a = cg(&plain, &sino, 8).unwrap();
-    let b = cg(&checkpointed, &sino, 8).unwrap();
-    assert_bits_equal(&a, &b);
+    let a = cg(&rec, &sino, 8).unwrap();
+    let b = rec.run(&cg_request(&sino, 8).checkpoint(saving(&sink, 2)));
+    assert_bits_equal(&a, &b.unwrap());
     // …and snapshots were actually taken.
     assert!(sink.load(0).unwrap().is_some(), "no snapshot was saved");
 }
@@ -94,21 +93,12 @@ fn serial_cg_resume_is_bit_identical() {
 
     // Interrupt after 4 iterations, snapshotting every boundary…
     let sink = Arc::new(MemoryCheckpointSink::new());
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .build()
+    rec.run(&cg_request(&sino, 4).checkpoint(saving(&sink, 1)))
         .unwrap();
-    cg(&rec, &sino, 4).unwrap();
     // …then resume to the full budget: the restored loop state (x, resid,
     // dir, carried γ, prev_res) must reproduce the golden bits exactly.
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .resume(true)
-        .build()
-        .unwrap();
-    let resumed = cg(&rec, &sino, 10).unwrap();
+    let resume = saving(&sink, 1).resume(true);
+    let resumed = rec.run(&cg_request(&sino, 10).checkpoint(resume)).unwrap();
     assert_bits_equal(&golden, &resumed);
 }
 
@@ -119,21 +109,13 @@ fn serial_sirt_resume_is_bit_identical() {
     let golden = sirt(&rec, &sino, 10).unwrap();
 
     let sink = Arc::new(MemoryCheckpointSink::new());
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .build()
+    let sirt_request = |iters| ReconRequest::sirt(ReconInput::Slice(sino.clone()), iters);
+    rec.run(&sirt_request(4).checkpoint(saving(&sink, 1)))
         .unwrap();
-    sirt(&rec, &sino, 4).unwrap();
     // SIRT's weights are not stored in the snapshot — they are recomputed
     // from the operator on resume, bit-identically.
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .resume(true)
-        .build()
-        .unwrap();
-    let resumed = sirt(&rec, &sino, 10).unwrap();
+    let resume = saving(&sink, 1).resume(true);
+    let resumed = rec.run(&sirt_request(10).checkpoint(resume)).unwrap();
     assert_bits_equal(&golden, &resumed);
 }
 
@@ -141,11 +123,11 @@ fn serial_sirt_resume_is_bit_identical() {
 fn distributed_resume_is_bit_identical() {
     let (grid, scan, sino) = geometry(24, 36);
     let rec = Reconstructor::new(grid, scan);
-    let golden = rec.run(&cg_request(&sino, 8).mode(over_ranks(3, None)));
+    let golden = rec.run(&cg_request(&sino, 8).mode(over_ranks(3, FaultTolerance::disabled())));
 
     let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
     let save = CheckpointPolicy::new(sink, 1);
-    let mode = over_ranks(3, Some(FaultTolerance::default()));
+    let mode = over_ranks(3, FaultTolerance::default());
     let first = cg_request(&sino, 3).mode(mode.clone());
     rec.run(&first.checkpoint(save.clone())).unwrap();
     let resumed = cg_request(&sino, 8)
@@ -174,15 +156,21 @@ fn rule_section_is_the_same_for_every_driver() {
     };
     let shared = rule_section(ExecMode::Serial);
     assert_eq!(shared.len(), 1, "a batch-1 snapshot holds exactly one γ");
-    assert_eq!(rule_section(over_ranks(1, None)), shared);
-    assert_eq!(rule_section(over_ranks(3, None)).len(), 1);
+    assert_eq!(
+        rule_section(over_ranks(1, FaultTolerance::disabled())),
+        shared
+    );
+    assert_eq!(
+        rule_section(over_ranks(3, FaultTolerance::disabled())).len(),
+        1
+    );
 }
 
 #[test]
 fn snapshots_are_rank_count_independent() {
     let (grid, scan, sino) = geometry(24, 36);
     let rec = Reconstructor::new(grid, scan);
-    let ft = Some(FaultTolerance::default());
+    let ft = FaultTolerance::default();
     // Snapshot under 3 ranks…
     let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
     let save = CheckpointPolicy::new(sink, 1);
@@ -208,37 +196,28 @@ fn snapshots_are_rank_count_independent() {
 fn corrupted_and_truncated_snapshots_are_rejected_typed() {
     let (grid, scan, sino) = geometry(24, 36);
 
+    let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let resuming = |sink: &Arc<MemoryCheckpointSink>| {
+        rec.run(&cg_request(&sino, 4).checkpoint(saving(sink, 0).resume(true)))
+    };
+
     // Garbage bytes: decoding fails with a typed CheckpointError.
     let garbage = Arc::new(MemoryCheckpointSink::new());
     garbage.save(0, b"not a snapshot at all").unwrap();
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(garbage as Arc<dyn CheckpointSink>)
-        .resume(true)
-        .build()
-        .unwrap();
     assert!(matches!(
-        cg(&rec, &sino, 4).err(),
+        resuming(&garbage).err(),
         Some(ReconError::Build(BuildError::Checkpoint(_)))
     ));
 
     // Truncation: a valid snapshot cut short fails the checksum/length
     // checks, again typed — never deserialized garbage.
     let sink = Arc::new(MemoryCheckpointSink::new());
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink.clone() as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .build()
+    rec.run(&cg_request(&sino, 3).checkpoint(saving(&sink, 1)))
         .unwrap();
-    cg(&rec, &sino, 3).unwrap();
     let bytes = sink.load(0).unwrap().unwrap();
     sink.save(0, &bytes[..bytes.len() / 2]).unwrap();
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(sink as Arc<dyn CheckpointSink>)
-        .resume(true)
-        .build()
-        .unwrap();
     assert!(matches!(
-        cg(&rec, &sino, 4).err(),
+        resuming(&sink).err(),
         Some(ReconError::Build(BuildError::Checkpoint(_)))
     ));
 
@@ -246,19 +225,11 @@ fn corrupted_and_truncated_snapshots_are_rejected_typed() {
     // CheckpointHash invariant, surfaced as a PlanCheck report.
     let (grid2, scan2, sino2) = geometry(16, 24);
     let foreign = Arc::new(MemoryCheckpointSink::new());
-    let rec = ReconstructorBuilder::new(grid2, scan2)
-        .checkpoint_sink(foreign.clone() as Arc<dyn CheckpointSink>)
-        .checkpoint_every(1)
-        .build()
-        .unwrap();
-    cg(&rec, &sino2, 2).unwrap();
-    let rec = ReconstructorBuilder::new(grid, scan)
-        .checkpoint_sink(foreign as Arc<dyn CheckpointSink>)
-        .resume(true)
-        .build()
+    let rec2 = ReconstructorBuilder::new(grid2, scan2).build().unwrap();
+    rec2.run(&cg_request(&sino2, 2).checkpoint(saving(&foreign, 1)))
         .unwrap();
     assert!(matches!(
-        cg(&rec, &sino, 4).err(),
+        resuming(&foreign).err(),
         Some(ReconError::Build(BuildError::PlanCheck(_)))
     ));
 }
@@ -283,7 +254,7 @@ fn rank_crash_restarts_from_checkpoint_and_completes() {
         ..FaultTolerance::default()
     };
     let policy = CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 1).resume(true);
-    let req = cg_request(&sino, 8).mode(over_ranks(3, Some(ft)));
+    let req = cg_request(&sino, 8).mode(over_ranks(3, ft));
     let t = Instant::now();
     let out = rec.run(&req.checkpoint(policy)).unwrap();
     // The acceptance bound: a mid-solve crash ends in a completed,
@@ -313,7 +284,7 @@ fn rank_crash_restarts_from_checkpoint_and_completes() {
 /// two-rank set.
 #[test]
 fn rank_plans_are_built_once_per_request_and_rank_count() {
-    let builds = |ft: Option<FaultTolerance>| {
+    let builds = |ft: FaultTolerance| {
         let metrics = Metrics::collecting();
         let (rec, sino) = metered(&metrics);
         let volume = ReconInput::Volume(vec![sino; 3]);
@@ -324,13 +295,13 @@ fn rank_plans_are_built_once_per_request_and_rank_count() {
         let restarts = snap.counters.get("fault/restarts").copied().unwrap_or(0);
         (snap.timers["dist/build_plans"].count, restarts)
     };
-    assert_eq!(builds(None), (1, 0));
+    assert_eq!(builds(FaultTolerance::disabled()), (1, 0));
     let crash = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 3, FaultKind::Crash)),
         max_restarts: 1,
         ..FaultTolerance::default()
     };
-    let (count, restarts) = builds(Some(crash));
+    let (count, restarts) = builds(crash);
     assert_eq!((count, restarts), (2, 1));
 }
 
@@ -345,7 +316,7 @@ fn rank_crash_without_restart_budget_is_a_typed_error() {
     };
     let t = Instant::now();
     let err = rec
-        .run(&cg_request(&sino, 8).mode(over_ranks(2, Some(ft))))
+        .run(&cg_request(&sino, 8).mode(over_ranks(2, ft)))
         .expect_err("crash with no restart budget must fail");
     assert!(
         t.elapsed().as_secs() < 60,
@@ -387,7 +358,7 @@ fn checkpoint_faults_are_not_retried() {
         max_restarts: 2,
         ..FaultTolerance::default()
     };
-    let req = cg_request(&sino, 8).mode(over_ranks(3, Some(ft)));
+    let req = cg_request(&sino, 8).mode(over_ranks(3, ft));
     let err = rec
         .run(&req.checkpoint(CheckpointPolicy::new(Arc::new(BrokenSink), 1)))
         .expect_err("a failing sink must fail the solve");
@@ -407,12 +378,12 @@ fn checkpoint_faults_are_not_retried() {
 fn recoverable_drops_are_retried_transparently() {
     let metrics = Metrics::collecting();
     let (rec, sino) = metered(&metrics);
-    let baseline = rec.run(&cg_request(&sino, 6).mode(over_ranks(2, None)));
+    let baseline = rec.run(&cg_request(&sino, 6).mode(over_ranks(2, FaultTolerance::disabled())));
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 3, FaultKind::Drop { attempts: 1 })),
         ..FaultTolerance::default()
     };
-    let out = rec.run(&cg_request(&sino, 6).mode(over_ranks(2, Some(ft))));
+    let out = rec.run(&cg_request(&sino, 6).mode(over_ranks(2, ft)));
     // A dropped delivery inside the retry budget is invisible to the
     // numerics: the run completes with the exact baseline bits.
     assert_bits_equal(&baseline.unwrap(), &out.unwrap());

@@ -12,9 +12,9 @@
 
 use memxct::{
     cgls_smooth, gradient_operator, preprocess, run_engine, try_reconstruct_distributed,
-    BuildError, CgRule, Config, Constraint, DistConfig, ExecMode, IterationRecord, Kernel,
-    KernelOperator, Operators, PooledPlans, ProjectionOperator, ReconError, ReconInput,
-    ReconRequest, Reconstructor, SirtRule, Solver, StopRule, UpdateRule,
+    BuildError, CgRule, Config, Constraint, DistConfig, ExecMode, FaultTolerance, IterationRecord,
+    Kernel, KernelOperator, Operators, PooledPlans, ProjectionOperator, ReconError, ReconInput,
+    ReconRequest, Reconstructor, ReconstructorBuilder, SirtRule, Solver, StopRule, UpdateRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_runtime::WorkerPool;
@@ -509,7 +509,10 @@ fn over_ranks(req: &ReconRequest, ranks: usize) -> ReconRequest {
         ranks,
         ..DistConfig::default()
     };
-    req.clone().mode(ExecMode::Distributed { config, ft: None })
+    req.clone().mode(ExecMode::Distributed {
+        config,
+        ft: FaultTolerance::disabled(),
+    })
 }
 
 /// Acceptance: the distributed path is the same engine — for both CG and
@@ -602,7 +605,7 @@ fn distributed_sirt_honors_relaxation() {
     let (grid, scan) = (Grid::new(16), ScanGeometry::new(12, 16));
     let truth = disk(0.6, 1.0).rasterize(16);
     let sino = simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, 0);
-    let rec = Reconstructor::builder(grid, scan)
+    let rec = ReconstructorBuilder::new(grid, scan)
         .kernel(Kernel::Serial)
         .build()
         .unwrap();
@@ -623,7 +626,7 @@ fn distributed_sirt_honors_relaxation() {
         }
         let mode = ExecMode::Distributed {
             config: config(1.0, ranks),
-            ft: None,
+            ft: FaultTolerance::disabled(),
         };
         rec.run(&sirt(relax).mode(mode)).unwrap().images.remove(0)
     };
@@ -638,7 +641,7 @@ fn distributed_sirt_honors_relaxation() {
     for relax in [f32::NAN, 0.0, -1.0] {
         let mode = ExecMode::Distributed {
             config: config(relax, 2),
-            ft: None,
+            ft: FaultTolerance::disabled(),
         };
         assert!(matches!(
             rec.run(&sirt(relax).mode(mode)),

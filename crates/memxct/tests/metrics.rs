@@ -27,8 +27,11 @@ fn one_run_exports_all_required_metric_families() {
         ranks: 3,
         ..DistConfig::default()
     };
-    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(6))
-        .mode(ExecMode::Distributed { config, ft: None });
+    let req =
+        ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(6)).mode(ExecMode::Distributed {
+            config,
+            ft: FaultTolerance::disabled(),
+        });
     rec.run(&req).unwrap();
 
     let snap = rec.metrics();
@@ -107,8 +110,11 @@ fn exported_comm_matrix_matches_ledger_per_pair() {
         ranks,
         ..DistConfig::default()
     };
-    let req = ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(5))
-        .mode(ExecMode::Distributed { config, ft: None });
+    let req =
+        ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(5)).mode(ExecMode::Distributed {
+            config,
+            ft: FaultTolerance::disabled(),
+        });
     let out = rec.run(&req).unwrap();
     let ledger = &out.dist.expect("distributed detail").ledger;
 
@@ -134,13 +140,21 @@ fn exported_comm_matrix_matches_ledger_per_pair() {
 #[test]
 fn builder_surfaces_typed_build_errors() {
     let mk = || ReconstructorBuilder::new(Grid::new(16), ScanGeometry::new(12, 16));
+    let partsize = |partsize| Config {
+        partsize,
+        ..Config::default()
+    };
+    let buffsize = |buffsize| Config {
+        buffsize,
+        ..Config::default()
+    };
 
     assert!(matches!(
-        mk().partition_size(0).build(),
+        mk().config(partsize(0)).build(),
         Err(BuildError::ZeroPartitionSize)
     ));
     assert!(matches!(
-        mk().buffer_size(1 << 20).build(),
+        mk().config(buffsize(1 << 20)).build(),
         Err(BuildError::InvalidBufferSize { .. })
     ));
     assert!(matches!(

@@ -5,8 +5,8 @@
 //! executor, a one-worker pool, and one rank are the same bits again.
 
 use memxct::{
-    DistConfig, ExecMode, Kernel, ReconInput, ReconRequest, ReconResponse, ReconstructorBuilder,
-    Solver, StopRule,
+    Config, DistConfig, ExecMode, FaultTolerance, Kernel, ReconInput, ReconRequest, ReconResponse,
+    ReconstructorBuilder, Solver, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 
@@ -35,8 +35,11 @@ fn pooled_image(
     threads: usize,
 ) -> Vec<f32> {
     let rec = ReconstructorBuilder::new(grid, scan)
+        .config(Config {
+            build_ell: kernel == Kernel::Ell,
+            ..Config::default()
+        })
         .kernel(kernel)
-        .build_ell(kernel == Kernel::Ell)
         .use_pool(true)
         .pool_threads(threads)
         .build()
@@ -97,7 +100,7 @@ fn serial_pooled_and_one_rank_are_bit_identical_on_multi_chunk_vectors() {
             ranks: 1,
             ..DistConfig::default()
         },
-        ft: None,
+        ft: FaultTolerance::disabled(),
     };
     // Every pixel's bits and every record's norms' bits, slice by slice.
     let bits = |resp: &ReconResponse| -> (Vec<u32>, Vec<u64>) {

@@ -163,7 +163,10 @@ proptest! {
         let config = memxct::DistConfig { ranks, ..memxct::DistConfig::default() };
         let req = memxct::ReconRequest::cg(memxct::ReconInput::Slice(sino), stop)
             .solver(memxct::Solver::Sirt { relax: 1.0 })
-            .mode(memxct::ExecMode::Distributed { config, ft: None });
+            .mode(memxct::ExecMode::Distributed {
+                config,
+                ft: memxct::FaultTolerance::disabled(),
+            });
         let dist = rec.run(&req).unwrap();
         let (dist_image, dist_iters) = (&dist.images[0], dist.iterations());
         // The allreduced residual is identical on every rank, so the

@@ -51,7 +51,10 @@ fn over_ranks(ranks: usize, use_buffered: bool) -> ExecMode {
         use_buffered,
         ..DistConfig::default()
     };
-    ExecMode::Distributed { config, ft: None }
+    ExecMode::Distributed {
+        config,
+        ft: FaultTolerance::disabled(),
+    }
 }
 
 /// Serial, pooled (2 threads), and 1 / 2 / 3 ranks, buffered and not.
@@ -277,7 +280,7 @@ fn a_live_preemption_request_stops_all_ranks_at_one_boundary() {
     };
     let mode = ExecMode::Distributed {
         config,
-        ft: Some(FaultTolerance::default()),
+        ft: FaultTolerance::default(),
     };
     // SIRT never breaks down, so only the request can end this early.
     let sirt = |iters| ReconRequest::sirt(Slice(slice.clone()), iters).mode(mode.clone());
@@ -478,7 +481,7 @@ fn no_mode_ignores_a_request_field() {
                 let out = rec
                     .run(&base.clone().mode(ExecMode::Distributed {
                         config: flipped,
-                        ft: None,
+                        ft: FaultTolerance::disabled(),
                     }))
                     .unwrap();
                 let bytes = |r: &ReconResponse| r.dist.as_ref().unwrap().volumes[0].regular_bytes;
@@ -489,7 +492,7 @@ fn no_mode_ignores_a_request_field() {
                 };
                 let refused = rec.run(&base.clone().mode(ExecMode::Distributed {
                     config: none,
-                    ft: None,
+                    ft: FaultTolerance::disabled(),
                 }));
                 assert!(
                     matches!(
@@ -499,7 +502,7 @@ fn no_mode_ignores_a_request_field() {
                     "{}",
                     ctx("ranks")
                 );
-                // The fault-tolerance override is the policy in force.
+                // The request's fault tolerance is the policy in force.
                 let chaos = FaultTolerance {
                     faults: Arc::new(FaultPlan::new().with(0, 2, FaultKind::Crash)),
                     max_restarts: 0,
@@ -507,7 +510,7 @@ fn no_mode_ignores_a_request_field() {
                 };
                 let crashed = rec.run(&base.clone().mode(ExecMode::Distributed {
                     config: *config,
-                    ft: Some(chaos),
+                    ft: chaos,
                 }));
                 assert!(
                     matches!(crashed.err(), Some(ReconError::Build(BuildError::Comm(_)))),

@@ -198,8 +198,12 @@ fn urgent_job_preempts_a_running_volume_and_a_running_ranks_job() {
         (
             "ranks",
             PlanSpec::new(grid, scan),
-            ReconRequest::sirt(ReconInput::Slice(slices[0].clone()), 3000)
-                .mode(ExecMode::Distributed { config, ft: None }),
+            ReconRequest::sirt(ReconInput::Slice(slices[0].clone()), 3000).mode(
+                ExecMode::Distributed {
+                    config,
+                    ft: FaultTolerance::disabled(),
+                },
+            ),
         ),
     ];
     for (name, plan, request) in jobs {
@@ -362,8 +366,12 @@ fn retried_crash_job_is_bit_identical_to_an_unfaulted_run() {
         .unwrap();
     let want = fresh
         .run(
-            &ReconRequest::cg(ReconInput::Slice(s.clone()), StopRule::Fixed(8))
-                .mode(ExecMode::Distributed { config, ft: None }),
+            &ReconRequest::cg(ReconInput::Slice(s.clone()), StopRule::Fixed(8)).mode(
+                ExecMode::Distributed {
+                    config,
+                    ft: FaultTolerance::disabled(),
+                },
+            ),
         )
         .unwrap();
 
@@ -377,11 +385,8 @@ fn retried_crash_job_is_bit_identical_to_an_unfaulted_run() {
         max_restarts: 0,
         ..FaultTolerance::default()
     };
-    let request =
-        ReconRequest::cg(ReconInput::Slice(s), StopRule::Fixed(8)).mode(ExecMode::Distributed {
-            config,
-            ft: Some(chaos),
-        });
+    let request = ReconRequest::cg(ReconInput::Slice(s), StopRule::Fixed(8))
+        .mode(ExecMode::Distributed { config, ft: chaos });
     let runtime = JobRuntime::new(RuntimeConfig::default());
     let id = runtime
         .submit(
@@ -428,10 +433,7 @@ fn retry_backoff_parks_and_abort_stops_without_checkpoints() {
         ReconInput::Slice(sino(grid, scan, 24, 0)),
         StopRule::Fixed(8),
     )
-    .mode(ExecMode::Distributed {
-        config,
-        ft: Some(chaos),
-    });
+    .mode(ExecMode::Distributed { config, ft: chaos });
     // The first attempt crashes; the retry parks in a ~30s seeded
     // backoff. A bounded wait must give up while the job is non-terminal
     // (running or parked), leaving the result claimable.

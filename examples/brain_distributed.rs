@@ -56,7 +56,7 @@ fn main() {
                         stop: memxct::StopRule::Fixed(30),
                         solver: memxct::Solver::Cg,
                     },
-                    ft: None,
+                    ft: FaultTolerance::disabled(),
                 },
             ),
         )

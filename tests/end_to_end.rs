@@ -3,8 +3,8 @@
 //! compute-centric implementations, and serial/distributed agreement.
 
 use memxct::{
-    Config, DistConfig, DomainOrdering, ExecMode, Kernel, ReconInput, ReconRequest, Reconstructor,
-    StopRule,
+    Config, DistConfig, DomainOrdering, ExecMode, FaultTolerance, Kernel, ReconInput, ReconRequest,
+    Reconstructor, ReconstructorBuilder, StopRule,
 };
 use xct_compxct::CompXct;
 use xct_geometry::{
@@ -178,7 +178,7 @@ fn distributed_reconstruction_matches_serial_across_rank_counts() {
                             stop: StopRule::Fixed(8),
                             solver: memxct::Solver::Cg,
                         },
-                        ft: None,
+                        ft: FaultTolerance::disabled(),
                     },
                 ),
             )
@@ -196,10 +196,16 @@ fn distributed_reconstruction_matches_serial_across_rank_counts() {
             ranks: 3,
             ..DistConfig::default()
         };
-        ReconRequest::cg(input, StopRule::Fixed(8)).mode(ExecMode::Distributed { config, ft: None })
+        ReconRequest::cg(input, StopRule::Fixed(8)).mode(ExecMode::Distributed {
+            config,
+            ft: FaultTolerance::disabled(),
+        })
     };
     let scaled = xct_geometry::Sinogram::new(scan, sino.data().iter().map(|v| v * 1.5).collect());
-    let batched = Reconstructor::builder(grid, scan).batch(2).build().unwrap();
+    let batched = ReconstructorBuilder::new(grid, scan)
+        .batch(2)
+        .build()
+        .unwrap();
     let pair = ReconInput::Batch(vec![sino.clone(), scaled.clone()]);
     let pair = batched.run(&over3(pair)).unwrap();
     for (j, slice) in [sino, scaled].into_iter().enumerate() {

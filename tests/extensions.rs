@@ -4,7 +4,7 @@
 
 use memxct::{
     cgls_smooth, fbp, Config, FbpConfig, Kernel, Projector, ReconInput, ReconRequest,
-    Reconstructor, Solver, StopRule,
+    Reconstructor, ReconstructorBuilder, Solver, StopRule,
 };
 use xct_geometry::{
     correct_center, io, phantom_volume, remove_rings, shepp_logan, shift_sinogram,
@@ -215,14 +215,13 @@ fn joseph_projector_pipeline() {
     let scan = ScanGeometry::new(48, n);
     let truth = shepp_logan().rasterize(n);
     let sino = simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, 0);
-    let rec = Reconstructor::with_config(
-        grid,
-        scan,
-        &Config {
+    let rec = ReconstructorBuilder::new(grid, scan)
+        .config(Config {
             projector: Projector::Joseph,
             ..Config::default()
-        },
-    );
+        })
+        .build()
+        .unwrap();
     let out = rec
         .run(&ReconRequest::cg(
             ReconInput::Slice(sino),
