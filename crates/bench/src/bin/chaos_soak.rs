@@ -22,8 +22,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use memxct::{
-    CheckpointPolicy, DistConfig, ExecMode, FaultTolerance, ReconInput, ReconRequest,
-    ReconResponse, ReconstructorBuilder, Solver, StopRule,
+    CheckpointPolicy, ExecMode, FaultTolerance, ReconInput, ReconRequest, ReconResponse,
+    ReconstructorBuilder, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_obs::{
@@ -98,12 +98,6 @@ fn main() {
     let (grid_d, scan_d) = geometry(24, 36);
     let plan_s = PlanSpec::new(grid_s, scan_s);
     let plan_d = PlanSpec::new(grid_d, scan_d);
-    let dist = DistConfig {
-        ranks: 2,
-        use_buffered: true,
-        stop: StopRule::Fixed(8),
-        solver: Solver::Cg,
-    };
 
     // Direct unfaulted golden runs for every bit-identity check.
     let direct_s = ReconstructorBuilder::new(grid_s, scan_s)
@@ -118,7 +112,7 @@ fn main() {
         |s: Sinogram, iters| ReconRequest::cg(ReconInput::Slice(s), StopRule::Fixed(iters));
     let dist_req = |s: Sinogram, ft| {
         ReconRequest::cg(ReconInput::Slice(s), StopRule::Fixed(8))
-            .mode(ExecMode::Distributed { config: dist, ft })
+            .mode(ExecMode::Distributed { ranks: 2, ft })
     };
 
     let runtime = JobRuntime::new(RuntimeConfig {
@@ -174,15 +168,17 @@ fn main() {
         max_restarts: 0,
         ..FaultTolerance::default()
     };
+    let crash_req = dist_req(crash_sino, crash_ft).checkpoint(CheckpointPolicy::new(
+        Arc::new(MemoryCheckpointSink::new()),
+        1,
+    ));
     let crash = runtime
         .submit(
-            JobSpec::new("crash", plan_d, dist_req(crash_sino, crash_ft))
-                .retry(
-                    RetryPolicy::retries(2)
-                        .base(Duration::from_millis(1))
-                        .seed(seed),
-                )
-                .checkpoint_every(1),
+            JobSpec::new("crash", plan_d, crash_req).retry(
+                RetryPolicy::retries(2)
+                    .base(Duration::from_millis(1))
+                    .seed(seed),
+            ),
         )
         .unwrap();
     submitted += 1;
@@ -232,12 +228,10 @@ fn main() {
                 .checkpoint(CheckpointPolicy::new(seed_sink.clone(), 1)),
         )
         .unwrap();
+    let tight_req = serial_req(tight_sino.clone(), 8)
+        .checkpoint(CheckpointPolicy::new(seed_sink, 0).resume(true));
     let tight = runtime
-        .submit(
-            JobSpec::new("tight", plan_s, serial_req(tight_sino.clone(), 8))
-                .deadline(Duration::ZERO)
-                .resume_from(seed_sink),
-        )
+        .submit(JobSpec::new("tight", plan_s, tight_req).deadline(Duration::ZERO))
         .unwrap();
     submitted += 1;
 
@@ -297,7 +291,11 @@ fn main() {
     // its retained snapshot (bit-identical finish), then a final fresh
     // job.
     let resume = runtime
-        .submit(JobSpec::new("resume", plan_s, serial_req(tight_sino, 8)).resume_from(retained))
+        .submit(JobSpec::new(
+            "resume",
+            plan_s,
+            serial_req(tight_sino, 8).checkpoint(retained),
+        ))
         .unwrap();
     submitted += 1;
     let r_resume = must_finish(&runtime, "resume", resume);

@@ -11,7 +11,7 @@
 //! cargo run --release -p xct-bench --bin fig1 [scale_divisor] [ranks]
 //! ```
 
-use memxct::{DistConfig, ReconstructorBuilder};
+use memxct::ReconstructorBuilder;
 use xct_bench::{analytic_volumes, calibrate_comm, fmt_secs, simulate};
 use xct_geometry::{io, RDS2};
 use xct_runtime::{iteration_time, THETA};
@@ -40,12 +40,7 @@ fn main() {
         .run(
             &memxct::ReconRequest::cg(memxct::ReconInput::Slice(sino), memxct::StopRule::Fixed(30))
                 .mode(memxct::ExecMode::Distributed {
-                    config: DistConfig {
-                        ranks,
-                        use_buffered: true,
-                        stop: memxct::StopRule::Fixed(30),
-                        solver: memxct::Solver::Cg,
-                    },
+                    ranks,
                     ft: memxct::FaultTolerance::disabled(),
                 }),
         )

@@ -12,7 +12,7 @@
 //! cargo run --release -p xct-bench --bin fig11 [scale_divisor]
 //! ```
 
-use memxct::{DistConfig, ReconstructorBuilder, Solver, StopRule};
+use memxct::{ReconstructorBuilder, StopRule};
 use xct_bench::{analytic_volumes, calibrate_comm, scale_from_args, simulate};
 use xct_geometry::{Dataset, SampleKind, ADS2, ADS3, RDS1, RDS2};
 use xct_runtime::{iteration_time, MachineSpec, BLUE_WATERS, THETA};
@@ -125,12 +125,7 @@ fn main() {
         .run(
             &memxct::ReconRequest::cg(memxct::ReconInput::Slice(sino), StopRule::Fixed(30)).mode(
                 memxct::ExecMode::Distributed {
-                    config: DistConfig {
-                        ranks: 4,
-                        use_buffered: true,
-                        stop: StopRule::Fixed(30),
-                        solver: Solver::Cg,
-                    },
+                    ranks: 4,
                     ft: memxct::FaultTolerance::disabled(),
                 },
             ),

@@ -245,6 +245,12 @@ const RETIRED: &[Retired] = &[
         message: "retired criterion benches: recon-bench reports what they timed \
             (`hilbert.order_s`, `sparse.transpose_s`, `sparse.spmv_*_s`)",
     },
+    Retired {
+        names: &["resume_from"],
+        scope: product_and_its_callers,
+        message: "retired job-side durability: a served job checkpoints through its request's \
+            `CheckpointPolicy`; resubmit with `request.checkpoint(result.checkpoint.unwrap())`",
+    },
 ];
 
 /// The message of the first [`RETIRED`] row that polices `rel` and has a
@@ -700,6 +706,10 @@ mod tests {
             "builder = builder.fault_plan(plan).max_restarts(1);\n",
         ),
         ("crates/bench/Cargo.toml", "criterion.workspace = true\n"),
+        (
+            "crates/serve/tests/serve.rs",
+            "let spec = JobSpec::new(\"resume\", plan, request).resume_from(retained);\n",
+        ),
     ];
 
     #[test]

@@ -530,10 +530,7 @@ fn reconstruct(opts: &Options) {
                         ..FaultTolerance::default()
                     }
                 };
-                let mode = ExecMode::Distributed {
-                    config: over_ranks(ranks),
-                    ft,
-                };
+                let mode = ExecMode::Distributed { ranks, ft };
                 (mode, "distributed reconstruction failed")
             }
             _ if opts.pool => (ExecMode::Pooled, "reconstruction failed"),
@@ -569,16 +566,6 @@ fn reconstruct(opts: &Options) {
     let max = image.iter().cloned().fold(f32::MIN, f32::max);
     let min = image.iter().cloned().fold(f32::MAX, f32::min);
     println!("image range: [{min:.4}, {max:.4}]");
-}
-
-/// The distributed configuration `--ranks N` runs, and `check --ranks N`
-/// validates the plans of: buffered ranks at the plan's sizes.
-fn over_ranks(ranks: usize) -> DistConfig {
-    DistConfig {
-        ranks,
-        use_buffered: true,
-        ..DistConfig::default()
-    }
 }
 
 /// The request an iterative solver name asks for over `input`, `iters`
@@ -969,14 +956,13 @@ fn check(opts: &Options) {
     });
     println!("preprocessing: {:.2}s", t.elapsed().as_secs_f64());
 
-    // The rank plans a `reconstruct --ranks N` request would run, built
-    // by the builder its requests use, before the fault is injected
-    // (deriving them from corrupted structures could crash instead of
-    // reporting).
-    let plans = opts.ranks.map(|ranks| {
-        let config = over_ranks(ranks);
-        memxct::dist::build_plans(&ops, config.ranks, config.use_buffered)
-    });
+    // The rank plans a `reconstruct --ranks N` request would run — on
+    // the plan's kernel, which is buffered whenever `config` builds the
+    // buffered layouts — built before the fault is injected (deriving
+    // them from corrupted structures could crash instead of reporting).
+    let plans = opts
+        .ranks
+        .map(|ranks| memxct::dist::build_plans(&ops, ranks, config.build_buffered));
 
     if let Some(kind) = &opts.corrupt {
         inject_corruption(&mut ops, kind);

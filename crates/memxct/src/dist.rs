@@ -35,7 +35,7 @@ use crate::operator::{
     Block, Direction, Held, KernelBreakdown, KernelOperator, Layout, ProjectionOperator,
 };
 use crate::plan_check::dist_checker;
-use crate::preprocess::Operators;
+use crate::preprocess::{Kernel, Operators};
 use crate::solvers::{EngineExit, IterationRecord, SolverWorkspace, Stint, StopRule};
 use std::cell::RefCell;
 use std::ops::Range;
@@ -57,9 +57,9 @@ use xct_sparse::{BufferedCsr, CsrMatrix};
 pub use crate::request::Solver as DistSolver;
 use crate::request::Solver;
 
-/// Distributed-run configuration. `stop` and `solver` are read only by
-/// [`try_reconstruct_distributed`]: a request's own solver and stop rule
-/// are the ones its ranks run.
+/// [`try_reconstruct_distributed`]'s argument only (a request names its
+/// rank count, and its ranks run its solver and stop rule on the plan's
+/// kernel); it goes when that function does.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DistConfig {
     /// Number of ranks (threads standing in for MPI processes).
@@ -73,17 +73,6 @@ pub struct DistConfig {
     pub stop: StopRule,
     /// Solver choice (for SIRT, including its relaxation factor).
     pub solver: Solver,
-}
-
-impl Default for DistConfig {
-    fn default() -> Self {
-        DistConfig {
-            ranks: 4,
-            use_buffered: true,
-            stop: StopRule::Fixed(30),
-            solver: Solver::Cg,
-        }
-    }
 }
 
 /// Everything one rank needs to execute its share of the factorized
@@ -225,15 +214,17 @@ pub fn build_plans(ops: &Operators, ranks: usize, use_buffered: bool) -> Vec<Ran
     plans
 }
 
-/// One request's rank executor: its configuration, fault-tolerance
-/// policy and rank plans. A plan set is built at most once per rank
-/// count, under the `dist/build_plans` timer, when a stint first runs at
-/// that count; every later group, and every degrade to that count,
-/// reuses it. With `validate`, [`dist_checker`] passes a plan set before
+/// One request's rank executor: its rank count, the plan's kernel, its
+/// fault-tolerance policy and its rank plans. A plan set is built at
+/// most once per rank count, under the `dist/build_plans` timer, when a
+/// stint first runs at that count; every later group, and every degrade
+/// to that count, reuses it. With `validate`, [`dist_checker`] passes a plan set before
 /// any rank runs it; a violation is [`BuildError::PlanCheck`].
 pub(crate) struct Ranks<'a> {
     pub(crate) ops: &'a Operators,
-    pub(crate) config: DistConfig,
+    pub(crate) ranks: usize,
+    /// The plan's kernel ([`Kernel::Buffered`] ranks run buffered pairs).
+    pub(crate) kernel: Kernel,
     pub(crate) ft: &'a FaultTolerance,
     pub(crate) validate: bool,
     /// The plan sets built so far (a set's length is its rank count), each
@@ -249,7 +240,7 @@ impl Ranks<'_> {
             Some(at) => at,
             None => {
                 let _build = metrics.span("dist/build_plans");
-                let plans = build_plans(self.ops, ranks, self.config.use_buffered);
+                let plans = build_plans(self.ops, ranks, self.kernel == Kernel::Buffered);
                 self.built.push((plans, false));
                 self.built.len() - 1
             }
@@ -852,8 +843,8 @@ fn assemble_output(
 /// the `k` slices of the global slice-major slab `sino_ordered` (`k ×
 /// nrows` values in sinogram-ordered coordinates, see
 /// [`Operators::order_sinogram`]; `k` is read off its length) over
-/// `exec.config.ranks` threads-as-ranks (`stint` names the solver and
-/// stop rule; `config`'s own are not read here) over `exec`'s plans.
+/// `exec.ranks` threads-as-ranks (`stint` names the solver and stop
+/// rule) over `exec`'s plans.
 /// Each rank is an executor of the same [`Stint::run`] as the
 /// shared-memory path — at width `k`, through its [`DistOperator`] — so
 /// column `j` is bit-identical to slice `j` solved alone over the same
@@ -888,7 +879,7 @@ pub(crate) fn solve_distributed(
     exec: &mut Ranks,
 ) -> Result<(DistOutput, EngineExit), BuildError> {
     let (ops, ft) = (exec.ops, exec.ft);
-    if exec.config.ranks == 0 {
+    if exec.ranks == 0 {
         return Err(BuildError::ZeroRanks);
     }
     if let Some(relax) = stint.solver.invalid_relaxation() {
@@ -907,7 +898,7 @@ pub(crate) fn solve_distributed(
     }
     let metrics = stint.metrics;
     let mut resume_state = stint.resume_state(nrows, ncols, batch)?;
-    let mut ranks = exec.config.ranks;
+    let mut ranks = exec.ranks;
     let mut restarts = 0usize;
     loop {
         let plans = exec.plans(ranks, metrics)?;
@@ -970,7 +961,12 @@ pub fn try_reconstruct_distributed(
     };
     let mut exec = Ranks {
         ops,
-        config: *config,
+        ranks: config.ranks,
+        kernel: if config.use_buffered {
+            Kernel::Buffered
+        } else {
+            Kernel::Serial
+        },
         ft: &FaultTolerance::disabled(),
         validate: false,
         built: Vec::new(),
@@ -981,7 +977,7 @@ pub fn try_reconstruct_distributed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::preprocess::{preprocess, Config, Kernel};
+    use crate::preprocess::{preprocess, Config};
     use crate::solvers::{run_engine, Constraint, SirtRule};
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
     use xct_runtime::run_ranks;
@@ -1301,19 +1297,12 @@ mod tests {
     #[test]
     fn try_variant_rejects_bad_inputs() {
         let (ops, y) = setup(16, 12);
-        let zero_ranks = DistConfig {
-            ranks: 0,
-            ..DistConfig::default()
-        };
+        let zero_ranks = cg(0, 30);
         assert_eq!(
             try_reconstruct_distributed(&ops, &y, &zero_ranks).err(),
             Some(BuildError::ZeroRanks)
         );
-        let cfg = DistConfig {
-            ranks: 2,
-            stop: StopRule::Fixed(1),
-            ..DistConfig::default()
-        };
+        let cfg = cg(2, 1);
         assert!(matches!(
             try_reconstruct_distributed(&ops, &y[..y.len() - 1], &cfg).err(),
             Some(BuildError::SinogramLength { .. })
@@ -1324,13 +1313,15 @@ mod tests {
     fn instrumented_distributed_records_comm_matrix() {
         let (grid, scan, sino) = sinogram(16, 12);
         let m = Metrics::collecting();
+        // A CSR plan's ranks run what `cfg` (`use_buffered: false`) names.
         let rec = crate::ReconstructorBuilder::new(grid, scan)
+            .kernel(Kernel::Serial)
             .metrics(m.clone())
             .build()
             .unwrap();
         let cfg = cg(3, 4);
         let mode = crate::ExecMode::Distributed {
-            config: cfg,
+            ranks: cfg.ranks,
             ft: FaultTolerance::disabled(),
         };
         let input = crate::ReconInput::Slice(sino.clone());
@@ -1398,12 +1389,8 @@ mod tests {
         }
         let req = crate::ReconRequest::cg(crate::ReconInput::Slice(sino), StopRule::Fixed(10));
         let serial = rec.run(&req).unwrap();
-        let config = DistConfig {
-            use_buffered: true,
-            ..cg(2, 10)
-        };
         let mode = crate::ExecMode::Distributed {
-            config,
+            ranks: 2,
             ft: FaultTolerance::disabled(),
         };
         let dist = rec.run(&req.mode(mode)).unwrap();
@@ -1430,7 +1417,8 @@ mod tests {
         let ft = FaultTolerance::disabled();
         let exec = || Ranks {
             ops: &ops,
-            config,
+            ranks: config.ranks,
+            kernel: Kernel::Serial,
             ft: &ft,
             validate: true,
             built: Vec::new(),

@@ -398,9 +398,10 @@ impl Reconstructor {
             ExecMode::Pooled => {
                 Executor::Shared(self.pooled.as_ref().ok_or(ReconError::PoolNotBuilt)?)
             }
-            ExecMode::Distributed { config, ft } => Executor::Ranks(Ranks {
+            ExecMode::Distributed { ranks, ft } => Executor::Ranks(Ranks {
                 ops: &self.ops,
-                config: *config,
+                ranks: *ranks,
+                kernel: self.kernel,
                 ft,
                 validate: self.validate,
                 built: Vec::new(),
@@ -537,21 +538,16 @@ impl Reconstructor {
 mod tests {
     use super::*;
     use crate::rel_err;
-    use crate::{DistConfig, FaultTolerance, StopRule};
+    use crate::{FaultTolerance, StopRule};
     use xct_geometry::{disk, shepp_logan, simulate_sinogram, NoiseModel};
 
     fn cg(sino: &Sinogram, stop: StopRule) -> ReconRequest {
         ReconRequest::cg(ReconInput::Slice(sino.clone()), stop)
     }
 
-    fn over_ranks(req: ReconRequest, ranks: usize, use_buffered: bool) -> ReconRequest {
-        let config = DistConfig {
-            ranks,
-            use_buffered,
-            ..DistConfig::default()
-        };
+    fn over_ranks(req: ReconRequest, ranks: usize) -> ReconRequest {
         req.mode(ExecMode::Distributed {
-            config,
+            ranks,
             ft: FaultTolerance::disabled(),
         })
     }
@@ -611,7 +607,7 @@ mod tests {
         let rec = Reconstructor::new(grid, scan);
         let req = cg(&sino, StopRule::Fixed(10));
         let single = rec.run(&req).unwrap();
-        let dist = rec.run(&over_ranks(req, 4, true)).unwrap();
+        let dist = rec.run(&over_ranks(req, 4)).unwrap();
         assert!(
             rel_err(&dist.images[0], &single.images[0]) < 5e-3,
             "err {}",
@@ -675,7 +671,7 @@ mod tests {
         for req in [
             req.clone(),
             ReconRequest::sirt(ReconInput::Slice(short), 2),
-            over_ranks(req, 4, true),
+            over_ranks(req, 4),
         ] {
             assert!(matches!(
                 rec.run(&req).err(),
@@ -693,7 +689,7 @@ mod tests {
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
         let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
         rec.run(&cg(&sino, StopRule::Fixed(5))).unwrap();
-        rec.run(&over_ranks(cg(&sino, StopRule::Fixed(3)), 2, false))
+        rec.run(&over_ranks(cg(&sino, StopRule::Fixed(3)), 2))
             .unwrap();
         let snap = rec.metrics();
         // Preprocessing phases.

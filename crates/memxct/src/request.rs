@@ -48,7 +48,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::dist::{DistConfig, FaultTolerance};
+use crate::dist::FaultTolerance;
 use crate::errors::BuildError;
 use crate::operator::KernelBreakdown;
 use crate::solvers::{IterationRecord, StopRule};
@@ -148,15 +148,16 @@ pub enum ExecMode {
     Pooled,
     /// The distributed (threads-as-ranks) `R·C·A_p` path: the same solve
     /// driver with ranks as its executor, at the reconstructor's batch
-    /// width like every other mode. The request's `solver`/`stop` are the
-    /// source of truth — the `config`'s own `solver`/`stop` fields are
-    /// ignored. Under a [`RunControl`] and a checkpoint policy the ranks
-    /// agree at every iteration boundary on whether to yield (one extra
-    /// small collective there; a plain
+    /// width, running the request's solver and stop rule on the plan's
+    /// kernel: buffered pairs at the plan's sizes on a
+    /// [`Kernel::Buffered`](crate::Kernel::Buffered) plan, the CSR pair on
+    /// any other (there is no rank ELL layout). Under a [`RunControl`] and
+    /// a checkpoint policy the ranks agree at every iteration boundary on
+    /// whether to yield (one extra small collective there; a plain
     /// [`Reconstructor::run`](crate::Reconstructor::run) has none).
     Distributed {
-        /// Rank count and local-kernel choice.
-        config: DistConfig,
+        /// Number of ranks (threads standing in for MPI processes).
+        ranks: usize,
         /// Fault-tolerance policy of the ranks' collectives: chaos plan,
         /// deadlines, restart budget. [`FaultTolerance::disabled`] is the
         /// fail-fast run.
@@ -169,10 +170,9 @@ impl fmt::Debug for ExecMode {
         match self {
             ExecMode::Serial => write!(f, "Serial"),
             ExecMode::Pooled => write!(f, "Pooled"),
-            ExecMode::Distributed { config, ft } => f
+            ExecMode::Distributed { ranks, ft } => f
                 .debug_struct("Distributed")
-                .field("ranks", &config.ranks)
-                .field("use_buffered", &config.use_buffered)
+                .field("ranks", ranks)
                 .field("max_restarts", &ft.max_restarts)
                 .finish_non_exhaustive(),
         }
@@ -180,7 +180,7 @@ impl fmt::Debug for ExecMode {
 }
 
 /// Checkpoint/resume policy — the one spelling of durability, for every
-/// input and every mode, carried by the [`ReconRequest`] (a
+/// input, mode and served job, carried by the [`ReconRequest`] (a
 /// reconstructor holds none). Also the substrate for preemption: a
 /// preempted run snapshots into `sink` regardless of `every`.
 #[derive(Clone)]

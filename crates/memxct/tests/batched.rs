@@ -36,14 +36,9 @@ fn run(rec: &Reconstructor, req: ReconRequest) -> Result<ReconResponse, ReconErr
 }
 
 /// `req` over `ranks` thread-ranks.
-fn over_ranks(req: ReconRequest, ranks: usize, use_buffered: bool) -> ReconRequest {
-    let config = DistConfig {
-        ranks,
-        use_buffered,
-        ..DistConfig::default()
-    };
+fn over_ranks(req: ReconRequest, ranks: usize) -> ReconRequest {
     req.mode(ExecMode::Distributed {
-        config,
+        ranks,
         ft: FaultTolerance::disabled(),
     })
 }
@@ -287,10 +282,7 @@ fn batch_width_misuse_is_a_typed_error() {
     assert_eq!(err(ReconRequest::cg(one.clone(), stop)), width(1));
     assert_eq!(err(ReconRequest::sirt(one.clone(), 2)), width(1));
     // In every mode: ranks are an executor, not a different width rule.
-    assert_eq!(
-        err(over_ranks(ReconRequest::cg(one, stop), 2, true)),
-        width(1)
-    );
+    assert_eq!(err(over_ranks(ReconRequest::cg(one, stop), 2)), width(1));
     // Wrong slice count in a batch.
     assert_eq!(
         err(ReconRequest::cg(Batch(slices[..2].to_vec()), stop)),
@@ -359,7 +351,7 @@ fn resuming_across_batch_widths_is_a_typed_error() {
     // In-process and over ranks alike.
     for ranks in [None, Some(2)] {
         let mode = |req| match ranks {
-            Some(r) => over_ranks(req, r, true),
+            Some(r) => over_ranks(req, r),
             None => req,
         };
         let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
@@ -442,11 +434,13 @@ fn pooled_batched_solve_records_spmm_counters() {
 fn distributed_batched_columns_equal_single_slice_distributed_runs() {
     let (grid, scan) = geometry(24, 36);
     let slices = sinos(grid, scan, 24, 3);
-    let batched = ReconstructorBuilder::new(grid, scan)
-        .batch(3)
-        .build()
-        .unwrap();
-    let single = ReconstructorBuilder::new(grid, scan).build().unwrap();
+    let plan = |kernel, batch| {
+        ReconstructorBuilder::new(grid, scan)
+            .kernel(kernel)
+            .batch(batch)
+            .build()
+            .unwrap()
+    };
     let request = |name, input| match name {
         "cg" => {
             let early = StopRule::EarlyTermination {
@@ -457,10 +451,11 @@ fn distributed_batched_columns_equal_single_slice_distributed_runs() {
         }
         _ => ReconRequest::sirt(input, 10),
     };
-    for (ranks, use_buffered) in [1, 2, 3].into_iter().flat_map(|r| [(r, false), (r, true)]) {
-        for name in ["cg", "sirt"] {
-            let ctx = format!("{name} ranks={ranks} buffered={use_buffered}");
-            let dist = |input| over_ranks(request(name, input), ranks, use_buffered);
+    for kernel in [Kernel::Serial, Kernel::Buffered] {
+        let (batched, single) = (plan(kernel, 3), plan(kernel, 1));
+        for (ranks, name) in [1, 2, 3].into_iter().flat_map(|r| [(r, "cg"), (r, "sirt")]) {
+            let ctx = format!("{name} ranks={ranks} kernel={kernel:?}");
+            let dist = |input| over_ranks(request(name, input), ranks);
             let out = batched.run(&dist(Batch(slices.clone()))).unwrap();
             assert_eq!(out.images.len(), 3, "{ctx}");
             assert_eq!(out.dist.as_ref().unwrap().breakdowns.len(), ranks, "{ctx}");
@@ -493,7 +488,7 @@ fn distributed_volume_matches_slice_by_slice() {
         .batch(2)
         .build()
         .unwrap();
-    let dist = |input| over_ranks(ReconRequest::cg(input, StopRule::Fixed(6)), 2, true);
+    let dist = |input| over_ranks(ReconRequest::cg(input, StopRule::Fixed(6)), 2);
     let vol = batched.run(&dist(Volume(slices.clone()))).unwrap();
     assert_eq!(vol.images.len(), 5);
     assert_eq!(vol.per_slice_seconds.len(), 5);
@@ -526,9 +521,9 @@ fn distributed_batched_checkpoint_resumes_across_rank_counts() {
         let sink: Arc<dyn CheckpointSink> = Arc::new(MemoryCheckpointSink::new());
         let policy = CheckpointPolicy::new(sink, 1);
         let save = ReconRequest::cg(input.clone(), stop(4)).checkpoint(policy.clone());
-        rec.run(&over_ranks(save, 3, true)).unwrap();
+        rec.run(&over_ranks(save, 3)).unwrap();
         let resume = ReconRequest::cg(input, stop(12)).checkpoint(policy.resume(true));
-        rec.run(&over_ranks(resume, resume_ranks, true)).unwrap()
+        rec.run(&over_ranks(resume, resume_ranks)).unwrap()
     };
     for resume_ranks in [3, 2] {
         let ctx = format!("resume at {resume_ranks} ranks");
@@ -540,7 +535,7 @@ fn distributed_batched_checkpoint_resumes_across_rank_counts() {
         if resume_ranks == 3 {
             // Same rank count throughout: the uninterrupted run's bits.
             let golden = ReconRequest::cg(Batch(slices.clone()), stop(12));
-            let golden = batched.run(&over_ranks(golden, 3, true)).unwrap();
+            let golden = batched.run(&over_ranks(golden, 3)).unwrap();
             for j in 0..3 {
                 assert_columns_match(&out, j, &golden, j, "uninterrupted");
             }
@@ -555,10 +550,6 @@ fn distributed_batched_checkpoint_resumes_across_rank_counts() {
 fn distributed_batched_rank_crash_completes_or_fails_typed() {
     let (grid, scan) = geometry(24, 36);
     let slices = sinos(grid, scan, 24, 2);
-    let config = DistConfig {
-        ranks: 3,
-        ..DistConfig::default()
-    };
     let ft = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 5, FaultKind::Crash)),
         max_restarts: 1,
@@ -566,7 +557,7 @@ fn distributed_batched_rank_crash_completes_or_fails_typed() {
     };
     let policy = CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 1).resume(true);
     let req = ReconRequest::cg(Batch(slices), StopRule::Fixed(8))
-        .mode(ExecMode::Distributed { config, ft })
+        .mode(ExecMode::Distributed { ranks: 3, ft })
         .checkpoint(policy);
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -603,12 +594,13 @@ fn distributed_batched_ledger_reconciles_at_k_times_the_schedule() {
     let (grid, scan) = geometry(24, 36);
     let slices = sinos(grid, scan, 24, 3);
     let rec = ReconstructorBuilder::new(grid, scan)
+        .kernel(Kernel::Serial)
         .batch(3)
         .build()
         .unwrap();
     let (ranks, iters, k) = (3, 4, 3);
     let req = ReconRequest::cg(Batch(slices), StopRule::Fixed(iters));
-    rec.run(&over_ranks(req, ranks, false)).unwrap();
+    rec.run(&over_ranks(req, ranks)).unwrap();
     let observed = rec.metrics().matrices["comm/bytes"].clone();
     assert_eq!(observed.size, ranks);
     let plans = build_plans(rec.operators(), ranks, false);

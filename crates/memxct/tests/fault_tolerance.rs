@@ -39,13 +39,9 @@ fn saving(sink: &Arc<MemoryCheckpointSink>, every: usize) -> CheckpointPolicy {
     CheckpointPolicy::new(sink.clone() as Arc<dyn CheckpointSink>, every)
 }
 
-/// `ranks` buffered thread-ranks under `ft`.
+/// `ranks` thread-ranks (buffered, as the plan is) under `ft`.
 fn over_ranks(ranks: usize, ft: FaultTolerance) -> ExecMode {
-    let config = DistConfig {
-        ranks,
-        ..DistConfig::default()
-    };
-    ExecMode::Distributed { config, ft }
+    ExecMode::Distributed { ranks, ft }
 }
 
 fn assert_bits_equal(a: &ReconResponse, b: &ReconResponse) {

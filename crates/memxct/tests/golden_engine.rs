@@ -502,15 +502,10 @@ fn dist_setup(n: u32, m: u32) -> (Reconstructor, Sinogram) {
     (Reconstructor::new(grid, scan), sino)
 }
 
-/// `req` over `ranks` thread-ranks with buffered local kernels (the
-/// request's solver and stop rule override the config's).
+/// `req` over `ranks` thread-ranks (on the plan's kernel).
 fn over_ranks(req: &ReconRequest, ranks: usize) -> ReconRequest {
-    let config = DistConfig {
-        ranks,
-        ..DistConfig::default()
-    };
     req.clone().mode(ExecMode::Distributed {
-        config,
+        ranks,
         ft: FaultTolerance::disabled(),
     })
 }
@@ -597,9 +592,9 @@ fn distributed_equals_serial_sirt_with_early_termination() {
 }
 
 /// The request's relaxation factor reaches every rank's rule (it was once
-/// dropped on the way: ranks always solved at 1.0) — through the request,
-/// whose solver wins over the config's, and straight into the distributed
-/// body — and an invalid one is rejected before any rank starts.
+/// dropped on the way: ranks always solved at 1.0) — through the request
+/// and straight into the distributed body — and an invalid one is
+/// rejected before any rank starts.
 #[test]
 fn distributed_sirt_honors_relaxation() {
     let (grid, scan) = (Grid::new(16), ScanGeometry::new(12, 16));
@@ -625,7 +620,7 @@ fn distributed_sirt_honors_relaxation() {
             return out.unwrap().images.remove(0);
         }
         let mode = ExecMode::Distributed {
-            config: config(1.0, ranks),
+            ranks,
             ft: FaultTolerance::disabled(),
         };
         rec.run(&sirt(relax).mode(mode)).unwrap().images.remove(0)
@@ -640,7 +635,7 @@ fn distributed_sirt_honors_relaxation() {
     }
     for relax in [f32::NAN, 0.0, -1.0] {
         let mode = ExecMode::Distributed {
-            config: config(relax, 2),
+            ranks: 2,
             ft: FaultTolerance::disabled(),
         };
         assert!(matches!(

@@ -23,13 +23,9 @@ fn small_sinogram(n: u32) -> (Grid, ScanGeometry, Sinogram) {
 fn one_run_exports_all_required_metric_families() {
     let (grid, scan, sino) = small_sinogram(24);
     let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
-    let config = DistConfig {
-        ranks: 3,
-        ..DistConfig::default()
-    };
     let req =
         ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(6)).mode(ExecMode::Distributed {
-            config,
+            ranks: 3,
             ft: FaultTolerance::disabled(),
         });
     rec.run(&req).unwrap();
@@ -106,13 +102,9 @@ fn exported_comm_matrix_matches_ledger_per_pair() {
         .build()
         .unwrap();
     let ranks = 4;
-    let config = DistConfig {
-        ranks,
-        ..DistConfig::default()
-    };
     let req =
         ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(5)).mode(ExecMode::Distributed {
-            config,
+            ranks,
             ft: FaultTolerance::disabled(),
         });
     let out = rec.run(&req).unwrap();

@@ -5,7 +5,7 @@
 //! executor, a one-worker pool, and one rank are the same bits again.
 
 use memxct::{
-    Config, DistConfig, ExecMode, FaultTolerance, Kernel, ReconInput, ReconRequest, ReconResponse,
+    Config, ExecMode, FaultTolerance, Kernel, ReconInput, ReconRequest, ReconResponse,
     ReconstructorBuilder, Solver, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
@@ -96,10 +96,7 @@ fn serial_pooled_and_one_rank_are_bit_identical_on_multi_chunk_vectors() {
         })
         .collect();
     let one_rank = ExecMode::Distributed {
-        config: DistConfig {
-            ranks: 1,
-            ..DistConfig::default()
-        },
+        ranks: 1,
         ft: FaultTolerance::disabled(),
     };
     // Every pixel's bits and every record's norms' bits, slice by slice.

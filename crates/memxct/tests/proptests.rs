@@ -160,11 +160,10 @@ proptest! {
             stop,
         );
         let serial_image = ops.unorder_tomogram(&x);
-        let config = memxct::DistConfig { ranks, ..memxct::DistConfig::default() };
         let req = memxct::ReconRequest::cg(memxct::ReconInput::Slice(sino), stop)
             .solver(memxct::Solver::Sirt { relax: 1.0 })
             .mode(memxct::ExecMode::Distributed {
-                config,
+                ranks,
                 ft: memxct::FaultTolerance::disabled(),
             });
         let dist = rec.run(&req).unwrap();
@@ -225,8 +224,14 @@ proptest! {
             }
             // The factorized A = R·C·A_p through the halo bodies: each
             // rank contributes the inner products over what it owns.
-            for (ranks, use_buffered) in [(1, false), (2, true), (3, false), (3, true)] {
-                let plans = memxct::dist::build_plans(&ops, ranks, use_buffered);
+            let rank_kernels = [
+                (1, Kernel::Serial),
+                (2, Kernel::Buffered),
+                (3, Kernel::Serial),
+                (3, Kernel::Buffered),
+            ];
+            for (ranks, kernel) in rank_kernels {
+                let plans = memxct::dist::build_plans(&ops, ranks, kernel == Kernel::Buffered);
                 let (partials, _) = run_ranks(ranks, |comm| {
                     let plan = &plans[comm.rank()];
                     let own = |g: &[f32], len: usize, r: &std::ops::Range<u32>| -> Vec<f32> {
@@ -243,7 +248,7 @@ proptest! {
                 let total: Vec<(f64, f64)> = (0..batch)
                     .map(|j| partials.iter().fold((0.0, 0.0), |t, p| (t.0 + p[j].0, t.1 + p[j].1)))
                     .collect();
-                check(&format!("dist ranks={ranks} buffered={use_buffered} k={batch}"), &total, &scale);
+                check(&format!("dist ranks={ranks} kernel={kernel:?} k={batch}"), &total, &scale);
             }
         }
         // The combinator (single-slice by construction); OS-SIRT's subset

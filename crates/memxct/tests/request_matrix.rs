@@ -34,10 +34,12 @@ fn sinos(k: usize) -> Vec<Sinogram> {
         .collect()
 }
 
-/// A reconstructor of batch width `batch` that can serve every mode.
-fn reconstructor(batch: usize) -> Reconstructor {
+/// A reconstructor of batch width `batch` on `kernel` that can serve
+/// every mode.
+fn reconstructor(batch: usize, kernel: Kernel) -> Reconstructor {
     let (grid, scan) = geometry();
     ReconstructorBuilder::new(grid, scan)
+        .kernel(kernel)
         .batch(batch)
         .use_pool(true)
         .pool_threads(2)
@@ -45,28 +47,25 @@ fn reconstructor(batch: usize) -> Reconstructor {
         .unwrap()
 }
 
-fn over_ranks(ranks: usize, use_buffered: bool) -> ExecMode {
-    let config = DistConfig {
-        ranks,
-        use_buffered,
-        ..DistConfig::default()
-    };
+fn over_ranks(ranks: usize) -> ExecMode {
     ExecMode::Distributed {
-        config,
+        ranks,
         ft: FaultTolerance::disabled(),
     }
 }
 
-/// Serial, pooled (2 threads), and 1 / 2 / 3 ranks, buffered and not.
-fn modes() -> Vec<(String, ExecMode)> {
+/// Serial and pooled (2 threads) on the buffered kernel, and 1 / 2 / 3
+/// ranks on the buffered and the CSR kernel, each with the kernel its
+/// reconstructor is built on.
+fn modes() -> Vec<(String, Kernel, ExecMode)> {
     let mut modes = vec![
-        ("serial".to_string(), ExecMode::Serial),
-        ("pooled".to_string(), ExecMode::Pooled),
+        ("serial".to_string(), Kernel::Buffered, ExecMode::Serial),
+        ("pooled".to_string(), Kernel::Buffered, ExecMode::Pooled),
     ];
     for ranks in 1..=3 {
-        for buffered in [true, false] {
-            let name = format!("ranks={ranks} buffered={buffered}");
-            modes.push((name, over_ranks(ranks, buffered)));
+        for kernel in [Kernel::Buffered, Kernel::Serial] {
+            let name = format!("ranks={ranks} kernel={kernel:?}");
+            modes.push((name, kernel, over_ranks(ranks)));
         }
     }
     modes
@@ -170,15 +169,15 @@ fn memory_policy(every: usize) -> (Arc<MemoryCheckpointSink>, CheckpointPolicy) 
 /// typed error, and an empty sink even under a cadence policy.
 #[test]
 fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
-    let (single, wide) = (reconstructor(1), reconstructor(WIDTH));
     let slices = sinos(7);
-    let inputs = [
-        ("slice", &single, Slice(slices[0].clone())),
-        ("batch", &wide, Batch(slices[..WIDTH].to_vec())),
-        ("volume", &wide, Volume(slices.clone())),
-    ];
-    for (input_name, rec, input) in &inputs {
-        for (mode_name, mode) in modes() {
+    for (mode_name, kernel, mode) in modes() {
+        let (single, wide) = (reconstructor(1, kernel), reconstructor(WIDTH, kernel));
+        let inputs = [
+            ("slice", &single, Slice(slices[0].clone())),
+            ("batch", &wide, Batch(slices[..WIDTH].to_vec())),
+            ("volume", &wide, Volume(slices.clone())),
+        ];
+        for (input_name, rec, input) in &inputs {
             for (solver_name, solver, stop) in solvers() {
                 let ctx = format!("{input_name} / {mode_name} / {solver_name}");
                 let req = request(input.clone(), solver, stop, &mode);
@@ -194,8 +193,14 @@ fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
                         "{ctx}: {refused:?}"
                     );
                     // The distributed entry outside the request model too.
-                    if let ExecMode::Distributed { config, .. } = &mode {
-                        let config = DistConfig { solver, ..*config };
+                    if let ExecMode::Distributed { ranks, .. } = mode {
+                        let use_buffered = kernel == Kernel::Buffered;
+                        let config = DistConfig {
+                            ranks,
+                            use_buffered,
+                            stop,
+                            solver,
+                        };
                         let ops = rec.operators();
                         let y = vec![0f32; ops.a.nrows() * rec.batch()];
                         let direct = try_reconstruct_distributed(ops, &y, &config);
@@ -272,14 +277,10 @@ fn a_stop_in_any_group_resumes_bit_identically_everywhere() {
 /// bit-identical.
 #[test]
 fn a_live_preemption_request_stops_all_ranks_at_one_boundary() {
-    let rec = reconstructor(1);
+    let rec = reconstructor(1, Kernel::Buffered);
     let slice = sinos(1).remove(0);
-    let config = DistConfig {
-        ranks: 3,
-        ..DistConfig::default()
-    };
     let mode = ExecMode::Distributed {
-        config,
+        ranks: 3,
         ft: FaultTolerance::default(),
     };
     // SIRT never breaks down, so only the request can end this early.
@@ -326,12 +327,13 @@ fn a_live_preemption_request_stops_all_ranks_at_one_boundary() {
 /// that slice alone (the snapshot is rank-count independent).
 #[test]
 fn volume_snapshots_use_one_slot_per_group_and_any_executor_resumes_them() {
-    let (single, wide) = (reconstructor(1), reconstructor(WIDTH));
+    let single = reconstructor(1, Kernel::Buffered);
+    let wide = reconstructor(WIDTH, Kernel::Buffered);
     let slices = sinos(7);
     let stop = StopRule::Fixed(5);
 
     let (sink, policy) = memory_policy(2);
-    let req = ReconRequest::cg(Volume(slices.clone()), stop).mode(over_ranks(3, true));
+    let req = ReconRequest::cg(Volume(slices.clone()), stop).mode(over_ranks(3));
     wide.run(&req.checkpoint(policy)).unwrap();
     assert_eq!(sink.len(), 3, "one slot per group");
     let iteration = |slot| {
@@ -350,7 +352,7 @@ fn volume_snapshots_use_one_slot_per_group_and_any_executor_resumes_them() {
         if stops {
             // 5 boundaries in group 0, then the third of group 1.
             let (ctrl, _) = nth_boundary(if rec.batch() == 1 { 3 } else { 8 });
-            let outcome = rec.run_controlled(&req.clone().mode(over_ranks(3, true)), &ctrl);
+            let outcome = rec.run_controlled(&req.clone().mode(over_ranks(3)), &ctrl);
             assert!(matches!(
                 outcome.unwrap(),
                 RunOutcome::Preempted { iteration: 3 }
@@ -359,7 +361,7 @@ fn volume_snapshots_use_one_slot_per_group_and_any_executor_resumes_them() {
         let resumed = req.checkpoint(policy.resume(true)).mode(mode.clone());
         rec.run(&resumed).unwrap()
     };
-    for mode in [over_ranks(3, true), over_ranks(2, true), ExecMode::Serial] {
+    for mode in [over_ranks(3), over_ranks(2), ExecMode::Serial] {
         let ctx = format!("resume in {mode:?}");
         let out = sequence(&wide, Volume(slices.clone()), true, &mode);
         assert_eq!(out.images.len(), 7, "{ctx}");
@@ -367,7 +369,7 @@ fn volume_snapshots_use_one_slot_per_group_and_any_executor_resumes_them() {
             // Group 0 finished over 3 ranks before the stop, group 1 was
             // stopped there, group 2 only ever ran in `mode`.
             let want = match j / WIDTH {
-                0 => sequence(&single, Slice(s.clone()), false, &over_ranks(3, true)),
+                0 => sequence(&single, Slice(s.clone()), false, &over_ranks(3)),
                 1 => sequence(&single, Slice(s.clone()), true, &mode),
                 _ => sequence(&single, Slice(s.clone()), false, &mode),
             };
@@ -382,13 +384,13 @@ fn volume_snapshots_use_one_slot_per_group_and_any_executor_resumes_them() {
 /// run produces or is rejected with a typed error — in every mode.
 #[test]
 fn no_mode_ignores_a_request_field() {
-    let rec = reconstructor(1);
     let unpooled = {
         let (grid, scan) = geometry();
         ReconstructorBuilder::new(grid, scan).build().unwrap()
     };
     let slices = sinos(2);
-    for (mode_name, mode) in modes() {
+    for (mode_name, kernel, mode) in modes() {
+        let rec = reconstructor(1, kernel);
         let ctx = |field: &str| format!("{mode_name}: {field}");
         let base = request(
             Slice(slices[0].clone()),
@@ -470,30 +472,18 @@ fn no_mode_ignores_a_request_field() {
                     Some(ReconError::PoolNotBuilt)
                 ));
             }
-            ExecMode::Distributed { config, .. } => {
+            ExecMode::Distributed { ranks, .. } => {
                 let detail = golden.dist.as_ref().expect("distributed detail");
-                assert_eq!(detail.breakdowns.len(), config.ranks, "{}", ctx("ranks"));
-                // The local kernel choice shows in the modeled volumes.
-                let flipped = DistConfig {
-                    use_buffered: !config.use_buffered,
-                    ..*config
+                assert_eq!(detail.breakdowns.len(), *ranks, "{}", ctx("ranks"));
+                // The plan's kernel shows in the ranks' modeled volumes.
+                let flipped = match kernel {
+                    Kernel::Buffered => Kernel::Serial,
+                    _ => Kernel::Buffered,
                 };
-                let out = rec
-                    .run(&base.clone().mode(ExecMode::Distributed {
-                        config: flipped,
-                        ft: FaultTolerance::disabled(),
-                    }))
-                    .unwrap();
+                let out = reconstructor(1, flipped).run(&base).unwrap();
                 let bytes = |r: &ReconResponse| r.dist.as_ref().unwrap().volumes[0].regular_bytes;
-                assert_ne!(bytes(&out), bytes(&golden), "{}", ctx("use_buffered"));
-                let none = DistConfig {
-                    ranks: 0,
-                    ..*config
-                };
-                let refused = rec.run(&base.clone().mode(ExecMode::Distributed {
-                    config: none,
-                    ft: FaultTolerance::disabled(),
-                }));
+                assert_ne!(bytes(&out), bytes(&golden), "{}", ctx("kernel"));
+                let refused = rec.run(&base.clone().mode(over_ranks(0)));
                 assert!(
                     matches!(
                         refused.err(),
@@ -509,7 +499,7 @@ fn no_mode_ignores_a_request_field() {
                     ..FaultTolerance::default()
                 };
                 let crashed = rec.run(&base.clone().mode(ExecMode::Distributed {
-                    config: *config,
+                    ranks: *ranks,
                     ft: chaos,
                 }));
                 assert!(
@@ -558,9 +548,9 @@ fn no_mode_ignores_a_request_field() {
 fn only_a_controlled_distributed_run_pays_for_the_boundary_vote() {
     let (ranks, iters) = (3usize, 4usize);
     let slice = sinos(1).remove(0);
-    let req = ReconRequest::cg(Slice(slice), StopRule::Fixed(iters)).mode(over_ranks(ranks, false));
+    let req = ReconRequest::cg(Slice(slice), StopRule::Fixed(iters)).mode(over_ranks(ranks));
     let traffic = |controlled: bool, with_policy: bool| {
-        let rec = reconstructor(1);
+        let rec = reconstructor(1, Kernel::Serial);
         let (sink, policy) = memory_policy(0);
         let req = match with_policy {
             true => req.clone().checkpoint(policy),
@@ -610,5 +600,65 @@ fn only_a_controlled_distributed_run_pays_for_the_boundary_vote() {
             let at = src * ranks + dst;
             assert_eq!(voted[at], plain[at] + vote, "pair ({src}, {dst})");
         }
+    }
+}
+
+/// (f) Ranks run the plan's kernel. On a plan whose partitions split
+/// into several stages (so the buffered kernel and CSR round apart): one
+/// rank of a [`Kernel::Serial`] plan is that plan's serial solve, one
+/// rank of a buffered plan is the buffered plan's serial solve, and the
+/// ranks of an ELL plan (there is no rank ELL layout) are the ranks of
+/// the `Serial` plan, at every rank count.
+#[test]
+fn ranks_run_the_plans_kernel() {
+    let (grid, scan) = geometry();
+    let config = Config {
+        partsize: 32,
+        buffsize: 64,
+        build_ell: true,
+        ..Config::default()
+    };
+    let plan = |kernel| {
+        ReconstructorBuilder::new(grid, scan)
+            .config(config)
+            .kernel(kernel)
+            .build()
+            .unwrap()
+    };
+    let (csr, buffered, ell) = (
+        plan(Kernel::Serial),
+        plan(Kernel::Buffered),
+        plan(Kernel::Ell),
+    );
+    let ops = buffered.operators();
+    let a = ops.a_buf.as_ref().unwrap();
+    assert!(a.num_stages() >= 2 * a.num_partitions(), "stages split");
+    let rank = build_plans(ops, 1, true).remove(0);
+    let rank_a = &rank.local_buf.as_ref().unwrap().0;
+    assert!(rank_a.num_stages() >= 2 * rank_a.num_partitions());
+
+    let slice = sinos(1).remove(0);
+    let req = ReconRequest::cg(Slice(slice), StopRule::Fixed(8));
+    let run = |rec: &Reconstructor, mode| rec.run(&req.clone().mode(mode)).unwrap();
+    let csr_serial = run(&csr, ExecMode::Serial);
+    let buffered_serial = run(&buffered, ExecMode::Serial);
+    assert_ne!(
+        image_bits(&csr_serial),
+        image_bits(&buffered_serial),
+        "the plan tells the kernels apart"
+    );
+    assert_same(&run(&csr, over_ranks(1)), &csr_serial, "CSR plan, 1 rank");
+    assert_same(
+        &run(&buffered, over_ranks(1)),
+        &buffered_serial,
+        "buffered plan, 1 rank",
+    );
+    for ranks in 1..=3 {
+        let ctx = format!("ELL plan, {ranks} ranks");
+        assert_same(
+            &run(&ell, over_ranks(ranks)),
+            &run(&csr, over_ranks(ranks)),
+            &ctx,
+        );
     }
 }

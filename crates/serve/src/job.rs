@@ -5,12 +5,13 @@
 //! Scheduling policy: highest priority first, FIFO within a priority.
 //! When a job with strictly higher priority is submitted while a
 //! lower-priority job is running, the runtime requests preemption — the
-//! running solve snapshots into a job-private in-memory checkpoint at
-//! its next iteration boundary and goes back to the queue; when it is
-//! scheduled again it resumes from that snapshot, and its final output
-//! is bit-identical to an uninterrupted run (the PR 5 checkpoint
-//! guarantee). Admission control rejects submissions once the queued
-//! measurement bytes would exceed the configured bound.
+//! running solve snapshots into the job's checkpoint policy (its
+//! request's, or a private in-memory one) at its next iteration boundary
+//! and goes back to the queue; when it is scheduled again it resumes
+//! from that snapshot, and its final output is bit-identical to an
+//! uninterrupted run (the PR 5 checkpoint guarantee). Admission control
+//! rejects submissions once the queued measurement bytes would exceed
+//! the configured bound.
 //!
 //! Supervision (see DESIGN.md "Supervised serving"):
 //!
@@ -144,17 +145,17 @@ pub struct JobId(
 
 /// One unit of work for the runtime: which plan to solve on, the request
 /// itself, and how urgently — plus its supervision envelope (deadline,
-/// retry policy, checkpoint cadence).
+/// retry policy). Durability is the request's.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Human-readable label carried into the report.
     pub name: String,
     /// Plan the job solves on (cache key).
     pub plan: PlanSpec,
-    /// The reconstruction request. Its `checkpoint` field is replaced by
-    /// a job-private in-memory policy (the preemption/retry substrate);
-    /// route durable checkpointing through
-    /// [`memxct::Reconstructor::run`] directly if you need it.
+    /// The reconstruction request. Its checkpoint policy is the job's
+    /// preemption and retry substrate: its sink, cadence and resume flag
+    /// as given, and later attempts resume from the sink. Without one the
+    /// job snapshots into a private in-memory sink, only on preemption.
     pub request: ReconRequest,
     /// Scheduling priority (higher runs first; a strictly higher arrival
     /// preempts the running job).
@@ -168,15 +169,6 @@ pub struct JobSpec {
     /// Retry policy for transient communication failures; `None` fails
     /// fast.
     pub retry: Option<RetryPolicy>,
-    /// Checkpoint cadence in iterations for the job-private sink (0 =
-    /// snapshot only on preemption). A non-zero cadence gives failed
-    /// attempts a snapshot to resume from, so retries re-run only the
-    /// iterations after the last snapshot.
-    pub checkpoint_every: usize,
-    /// Resume substrate carried over from an earlier
-    /// [`JobResult::checkpoint`]: the job starts from this sink's latest
-    /// snapshot instead of iteration zero.
-    pub resume_from: Option<Arc<MemoryCheckpointSink>>,
     /// Deterministic self-preemption drill: checkpoint and yield at this
     /// iteration boundary on the first attempt (used by the serve-smoke
     /// CI job to exercise preempt/resume without timing races).
@@ -196,8 +188,6 @@ impl JobSpec {
             priority: 0,
             deadline: None,
             retry: None,
-            checkpoint_every: 0,
-            resume_from: None,
             preempt_at: None,
             chaos_panic: None,
         }
@@ -218,18 +208,6 @@ impl JobSpec {
     /// Attach a retry policy for transient communication failures.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
-        self
-    }
-
-    /// Set the job-private checkpoint cadence (0 = preemption only).
-    pub fn checkpoint_every(mut self, every: usize) -> Self {
-        self.checkpoint_every = every;
-        self
-    }
-
-    /// Start from an earlier job's retained checkpoint sink.
-    pub fn resume_from(mut self, sink: Arc<MemoryCheckpointSink>) -> Self {
-        self.resume_from = Some(sink);
         self
     }
 
@@ -377,11 +355,12 @@ pub struct JobResult {
     pub report: JobReport,
     /// The reconstruction output, or why it failed.
     pub outcome: Result<ReconResponse, JobError>,
-    /// The job's retained checkpoint sink, when its terminal state kept
-    /// one ([`JobStatus::TimedOut`], or [`JobStatus::Stopped`] under
-    /// [`Shutdown::CheckpointAndStop`]). Feed it back through
-    /// [`JobSpec::resume_from`] to continue the solve bit-identically.
-    pub checkpoint: Option<Arc<MemoryCheckpointSink>>,
+    /// The job's checkpoint policy with `resume` set, when its terminal
+    /// state kept a snapshot ([`JobStatus::TimedOut`], or
+    /// [`JobStatus::Stopped`] under [`Shutdown::CheckpointAndStop`]).
+    /// Resubmit with `request.checkpoint(policy)` to continue the solve
+    /// bit-identically.
+    pub checkpoint: Option<CheckpointPolicy>,
 }
 
 /// Runtime sizing and supervision knobs.
@@ -423,9 +402,7 @@ struct QueuedJob {
     run_seconds: f64,
     preemptions: usize,
     retries: u32,
-    resumed: bool,
     cache_hit: Option<bool>,
-    sink: Arc<MemoryCheckpointSink>,
 }
 
 impl QueuedJob {
@@ -443,6 +420,20 @@ impl QueuedJob {
     fn deadline_lapsed(&self) -> bool {
         self.deadline
             .is_some_and(|(since, budget)| since.elapsed() > budget)
+    }
+
+    /// Whether the job's sink holds slot 0, i.e. has a snapshot to resume
+    /// from.
+    fn resumable(&self) -> bool {
+        let policy = self.spec.request.checkpoint.as_ref();
+        policy.is_some_and(|p| matches!(p.sink.load(0), Ok(Some(_))))
+    }
+
+    /// Make every later attempt resume from the job's sink.
+    fn resume(&mut self) {
+        if let Some(policy) = &mut self.spec.request.checkpoint {
+            policy.resume = true;
+        }
     }
 }
 
@@ -532,7 +523,7 @@ impl JobRuntime {
     /// admission control, the circuit breaker, or shutdown refuses it. A
     /// submission with strictly higher priority than the running job
     /// asks it to preempt at its next iteration boundary.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobId, SubmitError> {
+    pub fn submit(&self, mut spec: JobSpec) -> Result<JobId, SubmitError> {
         {
             let st = self.shared.state.lock();
             if st.shutdown.is_some() {
@@ -583,11 +574,11 @@ impl JobRuntime {
             }
         }
         let now = Instant::now();
-        let sink = spec
-            .resume_from
-            .clone()
-            .unwrap_or_else(|| Arc::new(MemoryCheckpointSink::new()));
-        let resumed = !sink.is_empty();
+        // A request without a policy snapshots privately, on preemption
+        // only.
+        spec.request
+            .checkpoint
+            .get_or_insert_with(|| CheckpointPolicy::new(Arc::new(MemoryCheckpointSink::new()), 0));
         st.queued_bytes += bytes;
         st.statuses.insert(id.0, JobStatus::Queued);
         st.queue.push(QueuedJob {
@@ -602,9 +593,7 @@ impl JobRuntime {
             run_seconds: 0.0,
             preemptions: 0,
             retries: 0,
-            resumed,
             cache_hit: None,
-            sink,
         });
         self.shared.metrics.counter_add(JOB_SUBMITTED, 1);
         self.shared.work_cv.notify_all();
@@ -842,7 +831,7 @@ fn scheduler_loop(shared: &Shared) {
             Action::StopAll(jobs, mode) => {
                 for mut job in jobs {
                     job.queue_seconds += job.enqueued.elapsed().as_secs_f64();
-                    let checkpointed = mode == Shutdown::CheckpointAndStop && !job.sink.is_empty();
+                    let checkpointed = mode == Shutdown::CheckpointAndStop && job.resumable();
                     finish_job(
                         shared,
                         job,
@@ -855,7 +844,7 @@ fn scheduler_loop(shared: &Shared) {
             Action::Shed(mut job) => {
                 job.queue_seconds += job.enqueued.elapsed().as_secs_f64();
                 let deadline = job.deadline.map(|(_, d)| d).unwrap_or_default();
-                let checkpointed = !job.sink.is_empty();
+                let checkpointed = job.resumable();
                 finish_job(
                     shared,
                     job,
@@ -890,7 +879,8 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
             ctrl: ctrl.clone(),
         });
     }
-    if job.resumed {
+    let policy = job.spec.request.checkpoint.as_ref();
+    if policy.is_some_and(|p| p.resume) && job.resumable() {
         shared.metrics.counter_add(JOB_RESUMED, 1);
     }
 
@@ -929,23 +919,17 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
         job.cache_hit = Some(hit);
     }
 
-    // The job-private checkpoint is the preemption and retry substrate:
-    // cadence from the spec (0 = snapshot only on preemption), resume
-    // whenever a snapshot exists from an earlier stint. Every request
-    // yields and resumes through it alike — a volume keeps one slot per
-    // group in the sink, ranks agree on the boundary among themselves.
-    let mut req: ReconRequest = job.spec.request.clone();
-    let resume = job.resumed && !job.sink.is_empty();
-    req.checkpoint =
-        Some(CheckpointPolicy::new(job.sink.clone(), job.spec.checkpoint_every).resume(resume));
-
+    // The request's checkpoint policy is the preemption and retry
+    // substrate. Every request yields and resumes through it alike — a
+    // volume keeps one slot per group in the sink, ranks agree on the
+    // boundary among themselves.
     let t = Instant::now();
     let run = catch_unwind(AssertUnwindSafe(|| {
         if let Some(message) = &job.spec.chaos_panic {
             // lint: allow(no-panic) the chaos drill panics on purpose, caught just above
             panic!("{}", message.clone());
         }
-        rec.run_controlled(&req, &ctrl)
+        rec.run_controlled(&job.spec.request, &ctrl)
     }));
     job.run_seconds += t.elapsed().as_secs_f64();
 
@@ -986,7 +970,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
             }
             shared.metrics.counter_add(JOB_PREEMPTED, 1);
             job.preemptions += 1;
-            job.resumed = true;
+            job.resume();
             requeue(shared, job, None);
         }
         Ok(Err(e)) => {
@@ -1000,7 +984,7 @@ fn run_job(shared: &Shared, mut job: QueuedJob) {
                     let delay = policy.backoff(job.seq, job.retries + 1);
                     shared.metrics.counter_add(JOB_RETRIES, 1);
                     job.retries += 1;
-                    job.resumed = !job.sink.is_empty();
+                    job.resume();
                     requeue(shared, job, Some(delay));
                 }
                 None => finish_job(shared, job, Err(err), false),
@@ -1088,8 +1072,8 @@ fn finish_job(
     shared
         .metrics
         .timer_observe(JOB_RUN_SECONDS, report.run_seconds);
-    let checkpoint = if keep_checkpoint && !job.sink.is_empty() {
-        Some(job.sink.clone())
+    let checkpoint = if keep_checkpoint && job.resumable() {
+        job.spec.request.checkpoint.map(|p| p.resume(true))
     } else {
         None
     };

@@ -175,6 +175,55 @@ fn deadline_fires_during_preempt_drill_always_times_out() {
     report.assert_clean();
 }
 
+/// A deadline-stopped job whose request carries no policy hands its
+/// private snapshot back as a [`memxct::CheckpointPolicy`]; resubmitting
+/// the request with that policy resumes it to the bits of a run nobody
+/// stopped, in every interleaving.
+#[test]
+fn a_deadline_stopped_job_resumes_through_its_returned_policy() {
+    let (grid, scan) = geometry(8, 6);
+    let plan = PlanSpec::new(grid, scan);
+    let req = ReconRequest::cg(
+        ReconInput::Slice(sino(grid, scan, 8, 1)),
+        StopRule::Fixed(3),
+    );
+    let bits = |image: &[f32]| image.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let rec = memxct::ReconstructorBuilder::new(grid, scan)
+        .build()
+        .unwrap();
+    let want = bits(&rec.run(&req).unwrap().images[0]);
+    let report = explore(&Config::dfs().preemptions(0), move || {
+        let runtime = JobRuntime::new(RuntimeConfig::default());
+        let doomed = JobSpec::new("doomed", plan, req.clone()).deadline(Duration::ZERO);
+        let r = runtime
+            .wait(runtime.submit(doomed).unwrap())
+            .expect("result");
+        assert!(
+            matches!(
+                r.outcome,
+                Err(JobError::TimedOut {
+                    checkpointed: true,
+                    ..
+                })
+            ),
+            "the zero deadline stops the job at its first boundary: {:?}",
+            r.outcome
+        );
+        let policy = r.checkpoint.expect("snapshot available for resume");
+        assert!(policy.resume, "the returned policy resumes");
+        let resumed = JobSpec::new("resumed", plan, req.clone().checkpoint(policy));
+        let r = runtime
+            .wait(runtime.submit(resumed).unwrap())
+            .expect("result");
+        let resp = r.outcome.expect("the resumed job completes");
+        assert_eq!(bits(&resp.images[0]), want);
+        assert_eq!(resp.slice_records[0].len(), 3, "all iterations accounted");
+        drop(runtime);
+    });
+    report.assert_clean();
+    assert!(report.complete, "resume tree must be fully explored");
+}
+
 fn breaker_race_body() {
     let (grid, scan) = geometry(8, 6);
     let plan = PlanSpec::new(grid, scan);

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use memxct::preprocess::Kernel;
 use memxct::{
-    CheckpointPolicy, DistConfig, ExecMode, FaultTolerance, ReconInput, ReconRequest,
-    ReconstructorBuilder, Solver, StopRule,
+    CheckpointPolicy, ExecMode, FaultTolerance, ReconInput, ReconRequest, ReconstructorBuilder,
+    StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_obs::{
@@ -17,7 +17,7 @@ use xct_obs::{
     JOB_PANICS, JOB_PREEMPTED, JOB_REJECTED, JOB_RESUMED, JOB_RETRIES, JOB_SHED, JOB_STOPPED,
     JOB_SUBMITTED, JOB_TIMEOUTS,
 };
-use xct_runtime::{FaultKind, FaultPlan, MemoryCheckpointSink};
+use xct_runtime::{CheckpointSink, FaultKind, FaultPlan, MemoryCheckpointSink, Snapshot};
 use xct_serve::{
     BreakerConfig, JobError, JobId, JobRuntime, JobSpec, JobStatus, PlanSpec, RetryPolicy,
     RuntimeConfig, Shutdown, SubmitError,
@@ -174,6 +174,40 @@ fn preempted_job_resumes_bit_identically() {
     assert_eq!(snap.counters[JOB_COMPLETED], 1);
 }
 
+/// A served request's checkpoint policy is the job's: a preempted job
+/// snapshots into the caller's sink at the request's cadence, resumes
+/// from it, and leaves its snapshots there.
+#[test]
+fn a_served_request_checkpoints_through_its_own_policy() {
+    let (grid, scan) = geometry(16, 12);
+    let s = sino(grid, scan, 16, 1);
+    let request = ReconRequest::cg(ReconInput::Slice(s), StopRule::Fixed(8));
+    let want = ReconstructorBuilder::new(grid, scan)
+        .build()
+        .unwrap()
+        .run(&request)
+        .unwrap();
+
+    let sink = Arc::new(MemoryCheckpointSink::new());
+    let durable = request.checkpoint(CheckpointPolicy::new(sink.clone(), 2));
+    let runtime = JobRuntime::new(RuntimeConfig::default());
+    let id = runtime
+        .submit(JobSpec::new("durable", PlanSpec::new(grid, scan), durable).preempt_at(3))
+        .unwrap();
+    let result = runtime.wait(id).expect("job result");
+    assert_eq!(result.report.preemptions, 1, "the drill preempted once");
+    let resp = result.outcome.expect("job completed");
+    assert_eq!(bits(&resp.images[0]), bits(&want.images[0]));
+    // The preemption snapshot (iteration 3) was resumed, and the
+    // request's cadence of 2 saved the last boundary over it.
+    let bytes = sink
+        .load(0)
+        .unwrap()
+        .expect("the caller's sink holds the job's snapshots");
+    assert_eq!(Snapshot::decode(&bytes).unwrap().iteration(), 8);
+    assert_eq!(runtime.metrics().counters[JOB_RESUMED], 1);
+}
+
 /// An urgent arrival preempts whatever is running — a volume between or
 /// inside its groups, a solve spread over ranks — through the same
 /// checkpoint-and-requeue path as a single slice: one preemption, and the
@@ -184,10 +218,6 @@ fn urgent_job_preempts_a_running_volume_and_a_running_ranks_job() {
     let slices: Vec<Sinogram> = (0..5).map(|j| sino(grid, scan, 24, j)).collect();
     let mut wide = PlanSpec::new(grid, scan);
     wide.batch = 2;
-    let config = DistConfig {
-        ranks: 2,
-        ..DistConfig::default()
-    };
     // SIRT runs its whole budget, long enough for the urgent job to land.
     let jobs = [
         (
@@ -200,7 +230,7 @@ fn urgent_job_preempts_a_running_volume_and_a_running_ranks_job() {
             PlanSpec::new(grid, scan),
             ReconRequest::sirt(ReconInput::Slice(slices[0].clone()), 3000).mode(
                 ExecMode::Distributed {
-                    config,
+                    ranks: 2,
                     ft: FaultTolerance::disabled(),
                 },
             ),
@@ -352,12 +382,6 @@ fn retried_crash_job_is_bit_identical_to_an_unfaulted_run() {
     let (grid, scan) = geometry(24, 36);
     let plan = PlanSpec::new(grid, scan);
     let s = sino(grid, scan, 24, 2);
-    let config = DistConfig {
-        ranks: 2,
-        use_buffered: true,
-        stop: StopRule::Fixed(8),
-        solver: Solver::Cg,
-    };
 
     // Unfaulted golden run of the same distributed request.
     let fresh = ReconstructorBuilder::new(grid, scan)
@@ -368,7 +392,7 @@ fn retried_crash_job_is_bit_identical_to_an_unfaulted_run() {
         .run(
             &ReconRequest::cg(ReconInput::Slice(s.clone()), StopRule::Fixed(8)).mode(
                 ExecMode::Distributed {
-                    config,
+                    ranks: 2,
                     ft: FaultTolerance::disabled(),
                 },
             ),
@@ -378,7 +402,7 @@ fn retried_crash_job_is_bit_identical_to_an_unfaulted_run() {
     // Chaos: rank 1 crashes mid-solve, no inner restart budget — the
     // attempt fails with a typed CommError. The crash latches once per
     // fault-plan instance, so the runtime's retry (sharing the Arc'd
-    // plan) succeeds, resuming from the job-private checkpoint when the
+    // plan) succeeds, resuming from the request's checkpoint when the
     // crashed attempt left one.
     let chaos = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 4, FaultKind::Crash)),
@@ -386,13 +410,19 @@ fn retried_crash_job_is_bit_identical_to_an_unfaulted_run() {
         ..FaultTolerance::default()
     };
     let request = ReconRequest::cg(ReconInput::Slice(s), StopRule::Fixed(8))
-        .mode(ExecMode::Distributed { config, ft: chaos });
+        .mode(ExecMode::Distributed {
+            ranks: 2,
+            ft: chaos,
+        })
+        .checkpoint(CheckpointPolicy::new(
+            Arc::new(MemoryCheckpointSink::new()),
+            1,
+        ));
     let runtime = JobRuntime::new(RuntimeConfig::default());
     let id = runtime
         .submit(
             JobSpec::new("chaotic", plan, request)
-                .retry(RetryPolicy::retries(2).base(Duration::ZERO))
-                .checkpoint_every(1),
+                .retry(RetryPolicy::retries(2).base(Duration::ZERO)),
         )
         .unwrap();
     let result = runtime.wait(id).expect("result");
@@ -418,12 +448,6 @@ fn retry_backoff_parks_and_abort_stops_without_checkpoints() {
     assert!(runtime.wait(JobId(99)).is_none());
     assert!(runtime.wait_timeout(JobId(99), Duration::ZERO).is_none());
 
-    let config = DistConfig {
-        ranks: 2,
-        use_buffered: true,
-        stop: StopRule::Fixed(8),
-        solver: Solver::Cg,
-    };
     let chaos = FaultTolerance {
         faults: Arc::new(FaultPlan::new().with(1, 4, FaultKind::Crash)),
         max_restarts: 0,
@@ -433,7 +457,10 @@ fn retry_backoff_parks_and_abort_stops_without_checkpoints() {
         ReconInput::Slice(sino(grid, scan, 24, 0)),
         StopRule::Fixed(8),
     )
-    .mode(ExecMode::Distributed { config, ft: chaos });
+    .mode(ExecMode::Distributed {
+        ranks: 2,
+        ft: chaos,
+    });
     // The first attempt crashes; the retry parks in a ~30s seeded
     // backoff. A bounded wait must give up while the job is non-terminal
     // (running or parked), leaving the result claimable.
@@ -495,12 +522,11 @@ fn deadline_overrun_retains_a_checkpoint_that_resumes_bit_identically() {
         .unwrap();
 
     let runtime = JobRuntime::new(RuntimeConfig::default());
+    let seeded = request
+        .clone()
+        .checkpoint(CheckpointPolicy::new(sink, 0).resume(true));
     let id = runtime
-        .submit(
-            JobSpec::new("tight", plan, request.clone())
-                .deadline(Duration::ZERO)
-                .resume_from(sink),
-        )
+        .submit(JobSpec::new("tight", plan, seeded).deadline(Duration::ZERO))
         .unwrap();
     let result = runtime.wait(id).expect("result");
     match result.outcome {
@@ -519,7 +545,7 @@ fn deadline_overrun_retains_a_checkpoint_that_resumes_bit_identically() {
     // is bit-identical to an uninterrupted run.
     let retained = result.checkpoint.expect("retained checkpoint");
     let id2 = runtime
-        .submit(JobSpec::new("resume", plan, request).resume_from(retained))
+        .submit(JobSpec::new("resume", plan, request.checkpoint(retained)))
         .unwrap();
     let resumed = runtime.wait(id2).expect("resumed result");
     let resp = resumed.outcome.expect("resumed job completed");

@@ -50,12 +50,7 @@ fn main() {
         .run(
             &ReconRequest::cg(ReconInput::Slice(sino), StopRule::Fixed(30)).mode(
                 ExecMode::Distributed {
-                    config: DistConfig {
-                        ranks,
-                        use_buffered: true,
-                        stop: memxct::StopRule::Fixed(30),
-                        solver: memxct::Solver::Cg,
-                    },
+                    ranks,
                     ft: FaultTolerance::disabled(),
                 },
             ),

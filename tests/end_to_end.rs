@@ -3,7 +3,7 @@
 //! compute-centric implementations, and serial/distributed agreement.
 
 use memxct::{
-    Config, DistConfig, DomainOrdering, ExecMode, FaultTolerance, Kernel, ReconInput, ReconRequest,
+    Config, DomainOrdering, ExecMode, FaultTolerance, Kernel, ReconInput, ReconRequest,
     Reconstructor, ReconstructorBuilder, StopRule,
 };
 use xct_compxct::CompXct;
@@ -172,12 +172,7 @@ fn distributed_reconstruction_matches_serial_across_rank_counts() {
             .run(
                 &ReconRequest::cg(ReconInput::Slice(sino.clone()), StopRule::Fixed(8)).mode(
                     ExecMode::Distributed {
-                        config: DistConfig {
-                            ranks,
-                            use_buffered: false,
-                            stop: StopRule::Fixed(8),
-                            solver: memxct::Solver::Cg,
-                        },
+                        ranks,
                         ft: FaultTolerance::disabled(),
                     },
                 ),
@@ -192,12 +187,8 @@ fn distributed_reconstruction_matches_serial_across_rank_counts() {
     // Batch × ranks: one halo exchange per product carries both slices,
     // and each column keeps the bits of its own distributed solve.
     let over3 = |input| {
-        let config = DistConfig {
-            ranks: 3,
-            ..DistConfig::default()
-        };
         ReconRequest::cg(input, StopRule::Fixed(8)).mode(ExecMode::Distributed {
-            config,
+            ranks: 3,
             ft: FaultTolerance::disabled(),
         })
     };
