@@ -11,7 +11,7 @@
 //! cargo run --release -p xct-bench --bin ablation_addressing [scale_divisor]
 //! ```
 
-use memxct::{preprocess, Config};
+use memxct::{preprocess, Config, Kernel};
 use xct_bench::{bandwidth_gbs, gflops, scale_from_args, time_buffered_spmv};
 use xct_geometry::ADS2;
 use xct_runtime::WorkerPool;
@@ -28,7 +28,7 @@ fn main() {
         ds.grid(),
         ds.scan(),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

@@ -13,7 +13,7 @@
 //! ```
 
 use memxct::dist::build_plans;
-use memxct::{preprocess, Config, DomainOrdering};
+use memxct::{preprocess, Config, DomainOrdering, Kernel};
 use xct_bench::scale_from_args;
 use xct_cachesim::{spmv_irregular_miss_rate, CacheConfig};
 use xct_geometry::ADS2;
@@ -74,7 +74,7 @@ fn main() {
             ds.scan(),
             &Config {
                 ordering,
-                build_buffered: false,
+                kernel: Kernel::Serial,
                 ..Config::default()
             },
         );

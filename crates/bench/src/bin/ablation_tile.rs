@@ -10,7 +10,7 @@
 //! ```
 
 use memxct::dist::build_plans;
-use memxct::{preprocess, Config, DomainOrdering};
+use memxct::{preprocess, Config, DomainOrdering, Kernel};
 use std::time::Instant;
 use xct_bench::scale_from_args;
 use xct_geometry::ADS2;
@@ -52,7 +52,7 @@ fn main() {
             ds.scan(),
             &Config {
                 ordering: DomainOrdering::TwoLevelHilbert(Some(tile)),
-                build_buffered: false,
+                kernel: Kernel::Serial,
                 ..Config::default()
             },
         );

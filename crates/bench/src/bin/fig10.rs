@@ -9,7 +9,7 @@
 //! cargo run --release -p xct-bench --bin fig10 [scale_divisor]
 //! ```
 
-use memxct::{preprocess, Config};
+use memxct::{preprocess, Config, Kernel};
 use xct_bench::{gflops, scale_from_args, time_buffered_spmv};
 use xct_geometry::ADS2;
 use xct_runtime::WorkerPool;
@@ -27,7 +27,7 @@ fn main() {
         ds.grid(),
         ds.scan(),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

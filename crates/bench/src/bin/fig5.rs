@@ -11,7 +11,7 @@
 //! cargo run --release -p xct-bench --bin fig5
 //! ```
 
-use xct_bench::{preprocess, Config};
+use xct_bench::{preprocess, Config, Kernel};
 use xct_cachesim::{CacheConfig, CacheSim};
 use xct_geometry::{Grid, ScanGeometry};
 
@@ -37,7 +37,7 @@ fn main() {
         scan,
         &Config {
             ordering: memxct::preprocess::DomainOrdering::RowMajor,
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );
@@ -46,7 +46,7 @@ fn main() {
         scan,
         &Config {
             ordering: memxct::preprocess::DomainOrdering::TwoLevelHilbert(Some(4)),
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

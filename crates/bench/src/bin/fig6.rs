@@ -10,7 +10,7 @@
 //! cargo run --release -p xct-bench --bin fig6
 //! ```
 
-use xct_bench::{preprocess, Config};
+use xct_bench::{preprocess, Config, Kernel};
 use xct_geometry::{Grid, ScanGeometry};
 use xct_sparse::partition_stats;
 
@@ -22,7 +22,7 @@ fn main() {
         grid,
         scan,
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

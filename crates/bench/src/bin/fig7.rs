@@ -6,7 +6,7 @@
 //! ```
 
 use memxct::dist::build_plans;
-use xct_bench::{preprocess, Config};
+use xct_bench::{preprocess, Config, Kernel};
 use xct_geometry::{Grid, ScanGeometry};
 
 fn main() {
@@ -19,7 +19,7 @@ fn main() {
         Grid::new(n),
         ScanGeometry::new(n, n),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

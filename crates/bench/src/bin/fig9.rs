@@ -89,7 +89,7 @@ fn measure(ds: &Dataset, reps: usize) -> Vec<Variant> {
             ds.scan(),
             &Config {
                 ordering: DomainOrdering::RowMajor,
-                build_buffered: false,
+                kernel: Kernel::Serial,
                 ..Config::default()
             },
         );
@@ -107,7 +107,7 @@ fn measure(ds: &Dataset, reps: usize) -> Vec<Variant> {
             ds.grid(),
             ds.scan(),
             &Config {
-                build_buffered: false,
+                kernel: Kernel::Serial,
                 ..Config::default()
             },
         );

@@ -278,7 +278,7 @@ fn run_dataset(
         sds.grid(),
         sds.scan(),
         &xct_bench::Config {
-            build_buffered: false,
+            kernel: xct_bench::Kernel::Serial,
             ..xct_bench::Config::default()
         },
     );

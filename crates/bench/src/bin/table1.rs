@@ -11,7 +11,7 @@
 //! ```
 
 use memxct::dist::build_plans;
-use xct_bench::{preprocess, scale_from_args, Config};
+use xct_bench::{preprocess, scale_from_args, Config, Kernel};
 use xct_geometry::ADS2;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
         ds.grid(),
         ds.scan(),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

@@ -16,7 +16,7 @@
 //! cargo run --release -p xct-bench --bin table6 [scale_divisor]
 //! ```
 
-use memxct::{preprocess, Config, DomainOrdering};
+use memxct::{preprocess, Config, DomainOrdering, Kernel};
 use xct_bench::{
     gflops, scale_from_args, spmv_library, time_buffered_spmv, time_csr_spmv, time_median,
 };
@@ -39,7 +39,7 @@ fn main() {
         ds.scan(),
         &Config {
             ordering: DomainOrdering::RowMajor,
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

@@ -161,7 +161,7 @@ pub fn modeled_volumes(ds: &Dataset, divisor: u32, ranks: usize) -> ScaledVolume
         small.grid(),
         small.scan(),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );
@@ -280,7 +280,7 @@ pub fn calibrate_comm(ds: &Dataset, divisor: u32, p_ref: usize) -> CommCalibrati
         small.grid(),
         small.scan(),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );

@@ -32,7 +32,8 @@
 //!   doors into the engine and the runtime (closure solvers, the
 //!   six-argument distributed entry, unused collectives), the ranks'
 //!   private block kernel, the builder's second spelling of run policy
-//!   and `Config`, and the criterion benches.
+//!   and `Config`, the criterion benches, and the layout switches
+//!   `Config::kernel` replaced.
 //!
 //! The scanner strips string literals and comments before matching (so doc
 //! examples and messages never fire a rule) and skips `target/` entirely.
@@ -250,6 +251,14 @@ const RETIRED: &[Retired] = &[
         scope: product_and_its_callers,
         message: "retired job-side durability: a served job checkpoints through its request's \
             `CheckpointPolicy`; resubmit with `request.checkpoint(result.checkpoint.unwrap())`",
+    },
+    Retired {
+        names: &["build_buffered", "build_ell", "LayoutNotBuilt"],
+        scope: product_and_its_callers,
+        message: "retired layout switches: a plan builds the layouts of its one \
+            `Config::kernel`; attach another layout to the `Operators` by hand \
+            (`ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize))`) or build one plan \
+            per kernel",
     },
 ];
 
@@ -710,6 +719,10 @@ mod tests {
             "crates/serve/tests/serve.rs",
             "let spec = JobSpec::new(\"resume\", plan, request).resume_from(retained);\n",
         ),
+        (
+            "crates/memxct/tests/pooled.rs",
+            "let config = Config { build_ell: true, ..Config::default() };\n",
+        ),
     ];
 
     #[test]
@@ -749,6 +762,7 @@ mod tests {
             "pool.try_run_batched(&plan, &mut y, 1, kernel)?;\n",
             "let out = try_reconstruct_distributed(&ops, &y, &config)?;\n",
             "fn rank_plans_use_the_plans_buffer_size() {\n",
+            "let config = DistConfig { use_buffered: true, ..config };\n",
             "std::env::var(\"RAYON_NUM_THREADS\")\n",
             "// the rayon shim is gone\n",
         ] {

@@ -945,24 +945,25 @@ fn check(opts: &Options) {
         "checking {} at scale 1/{}: {}x{} sinogram",
         ds.name, opts.scale, ds.projections, ds.channels
     );
-    let config = Config {
-        build_ell: true,
-        ..Config::default()
-    };
+    // The default (buffered) plan, with the ELL pair attached so the
+    // sweep covers every layout a plan can hold.
+    let config = Config::default();
     let t = std::time::Instant::now();
     let mut ops = try_preprocess(ds.grid(), ds.scan(), &config).unwrap_or_else(|e| {
         eprintln!("cannot preprocess: {e}");
         exit(2);
     });
+    ops.a_ell = Some(xct_sparse::EllMatrix::from_csr(&ops.a, ops.partsize));
+    ops.at_ell = Some(xct_sparse::EllMatrix::from_csr(&ops.at, ops.partsize));
     println!("preprocessing: {:.2}s", t.elapsed().as_secs_f64());
 
     // The rank plans a `reconstruct --ranks N` request would run — on
-    // the plan's kernel, which is buffered whenever `config` builds the
-    // buffered layouts — built before the fault is injected (deriving
+    // the plan's kernel — built before the fault is injected (deriving
     // them from corrupted structures could crash instead of reporting).
+    let buffered = config.kernel == Kernel::Buffered;
     let plans = opts
         .ranks
-        .map(|ranks| memxct::dist::build_plans(&ops, ranks, config.build_buffered));
+        .map(|ranks| memxct::dist::build_plans(&ops, ranks, buffered));
 
     if let Some(kind) = &opts.corrupt {
         inject_corruption(&mut ops, kind);

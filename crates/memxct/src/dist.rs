@@ -1314,8 +1314,12 @@ mod tests {
         let (grid, scan, sino) = sinogram(16, 12);
         let m = Metrics::collecting();
         // A CSR plan's ranks run what `cfg` (`use_buffered: false`) names.
+        let config = crate::Config {
+            kernel: Kernel::Serial,
+            ..crate::Config::default()
+        };
         let rec = crate::ReconstructorBuilder::new(grid, scan)
-            .kernel(Kernel::Serial)
+            .config(config)
             .metrics(m.clone())
             .build()
             .unwrap();

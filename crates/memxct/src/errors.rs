@@ -68,12 +68,6 @@ pub enum BuildError {
         /// Length actually supplied.
         got: usize,
     },
-    /// The requested kernel layout was not built during preprocessing
-    /// (e.g. `Kernel::Ell` without `Config::build_ell`).
-    LayoutNotBuilt {
-        /// Name of the missing layout.
-        layout: &'static str,
-    },
     /// Plan validation (`ReconstructorBuilder::validate_plan`) found
     /// invariant violations in the memoized structures; the report lists
     /// every one.
@@ -126,9 +120,6 @@ impl fmt::Display for BuildError {
                     f,
                     "sinogram length {got} does not match matrix rows {expected}"
                 )
-            }
-            BuildError::LayoutNotBuilt { layout } => {
-                write!(f, "{layout} layout was not built during preprocessing")
             }
             BuildError::PlanCheck(report) => {
                 write!(f, "plan validation failed: {report}")

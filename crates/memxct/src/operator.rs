@@ -285,14 +285,15 @@ impl Operators {
     /// kernel choice meets the optional layouts.
     ///
     /// # Panics
-    /// Panics if the requested layout was not built (see `Config`).
+    /// Panics if the requested layout was not built: a preprocessed plan
+    /// holds the layouts of its own `Config::kernel` only.
     pub(crate) fn block(&self, kernel: Kernel) -> Block<'_> {
         fn built<'b, T>(layout: &'b Option<T>, missing: &str) -> &'b T {
-            // lint: allow(no-panic) documented panic; the builder returns LayoutNotBuilt
+            // lint: allow(no-panic) documented panic; a plan holds its own kernel's layouts
             layout.as_ref().expect(missing)
         }
-        const BUF: &str = "buffered layout not built; set Config::build_buffered";
-        const ELL: &str = "ELL layout not built; set Config::build_ell";
+        const BUF: &str = "buffered layout not built; set Config::kernel to Kernel::Buffered";
+        const ELL: &str = "ELL layout not built; set Config::kernel to Kernel::Ell";
         match kernel {
             Kernel::Serial => (Layout::Csr(&self.a), Layout::Csr(&self.at)),
             Kernel::Buffered => (
@@ -785,15 +786,13 @@ mod tests {
     use xct_geometry::{Grid, ScanGeometry};
     use xct_sparse::dot_f64;
 
+    /// The default (buffered) plan with the ELL pair attached, so one
+    /// `Operators` carries every kernel's layout.
     fn ops(n: u32, m: u32) -> Operators {
-        preprocess(
-            Grid::new(n),
-            ScanGeometry::new(m, n),
-            &Config {
-                build_ell: true,
-                ..Config::default()
-            },
-        )
+        let mut ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config::default());
+        ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
+        ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
+        ops
     }
 
     /// The one operator over its whole matrix: kernel × executor × batch

@@ -177,17 +177,20 @@ pub(crate) mod tests {
     use crate::request::Solver;
     use crate::solvers::StopRule;
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
+    use xct_sparse::EllMatrix;
 
-    fn setup(n: u32, m: u32, build_ell: bool) -> (Operators, Vec<f32>) {
+    /// The default (buffered) plan, with the ELL pair attached when
+    /// `with_ell`.
+    fn setup(n: u32, m: u32, with_ell: bool) -> (Operators, Vec<f32>) {
         let grid = Grid::new(n);
         let scan = ScanGeometry::new(m, n);
         let img = disk(0.6, 1.0).rasterize(n);
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
-        let config = Config {
-            build_ell,
-            ..Config::default()
-        };
-        let ops = preprocess(grid, scan, &config);
+        let mut ops = preprocess(grid, scan, &Config::default());
+        if with_ell {
+            ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
+            ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
+        }
         let y = ops.order_sinogram(&sino);
         (ops, y)
     }

@@ -7,10 +7,13 @@
 //! use memxct::prelude::*;
 //! use xct_geometry::{Grid, ScanGeometry};
 //!
-//! let rec = ReconstructorBuilder::new(Grid::new(16), ScanGeometry::new(12, 16))
-//!     .build()
-//!     .unwrap();
+//! let (grid, scan) = (Grid::new(16), ScanGeometry::new(12, 16));
+//! let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
 //! assert_eq!(rec.kernel(), Kernel::Buffered);
+//! // The kernel is the plan's: a CSR plan builds no buffered layout.
+//! let csr = Config { kernel: Kernel::Serial, ..Config::default() };
+//! let rec = ReconstructorBuilder::new(grid, scan).config(csr).build().unwrap();
+//! assert!(rec.operators().a_buf.is_none());
 //! ```
 
 pub use crate::checkpoint::{plan_fingerprint, validate_snapshot};

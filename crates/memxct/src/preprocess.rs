@@ -42,7 +42,9 @@ pub enum Projector {
     Joseph,
 }
 
-/// Preprocessing configuration.
+/// Preprocessing configuration: how a plan is ordered, traced and
+/// partitioned, and the one kernel it runs. Equal configurations build
+/// equal plans, which is what `xct-serve` keys its plan cache on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Config {
     /// Ordering applied to both domains.
@@ -57,10 +59,11 @@ pub struct Config {
     /// partition footprint of every benchmark plan (and ADS1) in one
     /// stage, so both buffered layouts share their CSR's values.
     pub buffsize: usize,
-    /// Also build the buffered kernel layouts.
-    pub build_buffered: bool,
-    /// Also build the ELL (GPU-style) layouts.
-    pub build_ell: bool,
+    /// The SpMV kernel the plan runs. Preprocessing builds the CSR pair
+    /// and this kernel's layouts only: the buffered pair for
+    /// [`Kernel::Buffered`] (the default), the ELL pair for
+    /// [`Kernel::Ell`], nothing more for [`Kernel::Serial`].
+    pub kernel: Kernel,
 }
 
 impl Default for Config {
@@ -70,13 +73,13 @@ impl Default for Config {
             projector: Projector::Siddon,
             partsize: 128,
             buffsize: 8192,
-            build_buffered: true,
-            build_ell: false,
+            kernel: Kernel::Buffered,
         }
     }
 }
 
-/// Which SpMV kernel executes the projections.
+/// Which SpMV kernel executes the projections: a plan's
+/// [`Config::kernel`], which also decides which layouts it builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Plain CSR (Listing 2; the reference every other layout is pinned
@@ -119,13 +122,13 @@ pub struct Operators {
     pub a: CsrMatrix,
     /// Backprojection matrix (scan transpose of `a`).
     pub at: CsrMatrix,
-    /// Buffered layout of `a` (if configured).
+    /// Buffered layout of `a` (a [`Kernel::Buffered`] plan's).
     pub a_buf: Option<BufferedCsr>,
-    /// Buffered layout of `at` (if configured).
+    /// Buffered layout of `at` (a [`Kernel::Buffered`] plan's).
     pub at_buf: Option<BufferedCsr>,
-    /// ELL layout of `a` (if configured).
+    /// ELL layout of `a` (a [`Kernel::Ell`] plan's).
     pub a_ell: Option<EllMatrix>,
-    /// ELL layout of `at` (if configured).
+    /// ELL layout of `at` (a [`Kernel::Ell`] plan's).
     pub at_ell: Option<EllMatrix>,
     /// Tomogram-domain ordering (N × N).
     pub tomo_ord: Ordering2D,
@@ -196,7 +199,7 @@ impl Config {
             return Err(BuildError::ZeroPartitionSize);
         }
         let max = <u16 as BufferIndex>::MAX_BUFFER;
-        if self.buffsize == 0 || (self.build_buffered && self.buffsize > max) {
+        if self.buffsize == 0 || (self.kernel == Kernel::Buffered && self.buffsize > max) {
             return Err(BuildError::InvalidBufferSize {
                 buffsize: self.buffsize,
                 max,
@@ -392,8 +395,8 @@ pub fn try_preprocess_with_metrics(
     let t = Instant::now();
     let buffer = |m: &CsrMatrix| BufferedCsr::from_csr(m, config.partsize, config.buffsize);
     let ell = |m: &CsrMatrix| EllMatrix::from_csr(m, config.partsize);
-    let [a_buf, at_buf] = [&a, &at].map(|m| config.build_buffered.then(|| buffer(m)));
-    let [a_ell, at_ell] = [&a, &at].map(|m| config.build_ell.then(|| ell(m)));
+    let [a_buf, at_buf] = [&a, &at].map(|m| (config.kernel == Kernel::Buffered).then(|| buffer(m)));
+    let [a_ell, at_ell] = [&a, &at].map(|m| (config.kernel == Kernel::Ell).then(|| ell(m)));
     timings.buffers_s = t.elapsed().as_secs_f64();
     metrics.timer_observe("preprocess/buffers", timings.buffers_s);
 
@@ -495,15 +498,14 @@ mod tests {
             DomainOrdering::Morton,
             DomainOrdering::TwoLevelHilbert(Some(4)),
         ] {
-            let config = Config {
-                ordering,
-                build_ell: true,
-                ..Config::default()
-            };
-            let o = preprocess(grid, scan, &config);
-            let x = o.order_tomogram(&img);
             for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
-                let y = o.forward(kernel, &x);
+                let config = Config {
+                    ordering,
+                    kernel,
+                    ..Config::default()
+                };
+                let o = preprocess(grid, scan, &config);
+                let y = o.forward(kernel, &o.order_tomogram(&img));
                 let y_rm = o.unorder_sinogram(&y);
                 for (got, want) in y_rm.iter().zip(direct.data()) {
                     assert!(
@@ -672,11 +674,11 @@ mod tests {
                 max: 65536,
             })
         ));
-        // Oversized buffers are fine when the buffered layout is skipped
-        // (nothing u16-addressed gets built).
+        // Oversized buffers are fine on a plan that builds no buffered
+        // layout (nothing u16-addressed gets built).
         let skipped = Config {
             buffsize: 70_000,
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         };
         assert!(try_preprocess(grid, scan, &skipped).is_ok());
@@ -748,7 +750,7 @@ mod tests {
             24,
             &Config {
                 ordering: DomainOrdering::RowMajor,
-                build_buffered: false,
+                kernel: Kernel::Serial,
                 ..Config::default()
             },
         );
@@ -756,7 +758,7 @@ mod tests {
             32,
             24,
             &Config {
-                build_buffered: false,
+                kernel: Kernel::Serial,
                 ..Config::default()
             },
         );

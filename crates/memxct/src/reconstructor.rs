@@ -23,7 +23,7 @@ use xct_runtime::WorkerPool;
 
 /// Step-by-step construction of a [`Reconstructor`] — the plan — with
 /// validated defaults: geometry in, then optional preprocessing
-/// [`Config`], kernel, metrics and executor choices, then
+/// [`Config`] (its kernel included), metrics and executor choices, then
 /// [`build`](Self::build). How a run goes (solver, stop rule, execution
 /// mode, fault tolerance, checkpoints) is the [`ReconRequest`]'s.
 ///
@@ -34,8 +34,7 @@ use xct_runtime::WorkerPool;
 /// let grid = Grid::new(32);
 /// let scan = ScanGeometry::new(48, 32);
 /// let rec = ReconstructorBuilder::new(grid, scan)
-///     .config(Config { partsize: 64, ..Config::default() })
-///     .kernel(Kernel::Serial)
+///     .config(Config { partsize: 64, kernel: Kernel::Serial, ..Config::default() })
 ///     .build()
 ///     .unwrap();
 /// let truth = disk(0.6, 1.0).rasterize(32);
@@ -51,7 +50,6 @@ pub struct ReconstructorBuilder {
     grid: Grid,
     scan: ScanGeometry,
     config: Config,
-    kernel: Option<Kernel>,
     metrics: Option<Metrics>,
     validate: bool,
     use_pool: bool,
@@ -67,7 +65,6 @@ impl ReconstructorBuilder {
             grid,
             scan,
             config: Config::default(),
-            kernel: None,
             metrics: None,
             validate: false,
             use_pool: false,
@@ -77,17 +74,10 @@ impl ReconstructorBuilder {
     }
 
     /// The preprocessing configuration: ordering, projector, partition
-    /// and buffer sizes, which layouts to build (default
-    /// [`Config::default`]).
+    /// and buffer sizes, and the kernel the plan runs — which decides the
+    /// layouts it builds (default [`Config::default`], buffered).
     pub fn config(mut self, config: Config) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Which SpMV kernel the reconstructor applies. Default: buffered if
-    /// buffered layouts are built, else [`Kernel::Serial`] (plain CSR).
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = Some(kernel);
         self
     }
 
@@ -145,28 +135,13 @@ impl ReconstructorBuilder {
         self
     }
 
-    /// Validate, preprocess, and produce the [`Reconstructor`].
+    /// Validate, preprocess, and produce the [`Reconstructor`], which
+    /// runs [`Config::kernel`] on the layouts built for it.
     ///
-    /// Rejects zero partition sizes, out-of-range buffer sizes, and kernel
-    /// choices whose layout is not being built ([`Kernel::Buffered`]
-    /// without buffered layouts, [`Kernel::Ell`] without ELL layouts).
+    /// Rejects zero partition sizes, out-of-range buffer sizes and a zero
+    /// batch width.
     pub fn build(self) -> Result<Reconstructor, BuildError> {
-        let kernel = match self.kernel {
-            Some(k) => {
-                match k {
-                    Kernel::Buffered if !self.config.build_buffered => {
-                        return Err(BuildError::LayoutNotBuilt { layout: "buffered" })
-                    }
-                    Kernel::Ell if !self.config.build_ell => {
-                        return Err(BuildError::LayoutNotBuilt { layout: "ELL" })
-                    }
-                    _ => {}
-                }
-                k
-            }
-            None if self.config.build_buffered => Kernel::Buffered,
-            None => Kernel::Serial,
-        };
+        let kernel = self.config.kernel;
         if self.batch == 0 {
             return Err(BuildError::ZeroBatch);
         }
@@ -620,21 +595,6 @@ mod tests {
         let grid = Grid::new(16);
         let scan = ScanGeometry::new(12, 16);
         let with = |config| ReconstructorBuilder::new(grid, scan).config(config);
-        let unbuffered = Config {
-            build_buffered: false,
-            ..Config::default()
-        };
-        assert!(matches!(
-            with(unbuffered).kernel(Kernel::Buffered).build().err(),
-            Some(BuildError::LayoutNotBuilt { layout: "buffered" })
-        ));
-        assert!(matches!(
-            ReconstructorBuilder::new(grid, scan)
-                .kernel(Kernel::Ell)
-                .build()
-                .err(),
-            Some(BuildError::LayoutNotBuilt { layout: "ELL" })
-        ));
         assert!(matches!(
             with(Config {
                 partsize: 0,
@@ -653,12 +613,42 @@ mod tests {
             .err(),
             Some(BuildError::InvalidBufferSize { .. })
         ));
-        // Defaults pick the buffered kernel; disabling buffered layouts
-        // falls back to plain CSR.
+        // Defaults pick the buffered kernel; a plain-CSR plan runs the
+        // serial kernel.
         let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
         assert_eq!(rec.kernel(), Kernel::Buffered);
-        let rec = with(unbuffered).build().unwrap();
+        let serial = Config {
+            kernel: Kernel::Serial,
+            ..Config::default()
+        };
+        let rec = with(serial).build().unwrap();
         assert_eq!(rec.kernel(), Kernel::Serial);
+    }
+
+    #[test]
+    fn a_plan_holds_only_its_kernels_layouts() {
+        let grid = Grid::new(16);
+        let scan = ScanGeometry::new(12, 16);
+        let layouts = |kernel| {
+            let config = Config {
+                kernel,
+                ..Config::default()
+            };
+            let rec = ReconstructorBuilder::new(grid, scan)
+                .config(config)
+                .build()
+                .unwrap();
+            let ops = rec.operators();
+            [
+                ops.a_buf.is_some(),
+                ops.at_buf.is_some(),
+                ops.a_ell.is_some(),
+                ops.at_ell.is_some(),
+            ]
+        };
+        assert_eq!(layouts(Kernel::Serial), [false; 4]);
+        assert_eq!(layouts(Kernel::Buffered), [true, true, false, false]);
+        assert_eq!(layouts(Kernel::Ell), [false, false, true, true]);
     }
 
     #[test]

@@ -436,7 +436,10 @@ fn distributed_batched_columns_equal_single_slice_distributed_runs() {
     let slices = sinos(grid, scan, 24, 3);
     let plan = |kernel, batch| {
         ReconstructorBuilder::new(grid, scan)
-            .kernel(kernel)
+            .config(Config {
+                kernel,
+                ..Config::default()
+            })
             .batch(batch)
             .build()
             .unwrap()
@@ -593,8 +596,12 @@ fn distributed_batched_rank_crash_completes_or_fails_typed() {
 fn distributed_batched_ledger_reconciles_at_k_times_the_schedule() {
     let (grid, scan) = geometry(24, 36);
     let slices = sinos(grid, scan, 24, 3);
+    let config = Config {
+        kernel: Kernel::Serial,
+        ..Config::default()
+    };
     let rec = ReconstructorBuilder::new(grid, scan)
-        .kernel(Kernel::Serial)
+        .config(config)
         .batch(3)
         .build()
         .unwrap();

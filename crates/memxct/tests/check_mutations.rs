@@ -6,7 +6,7 @@
 use memxct::prelude::*;
 use memxct::{dist_checker, Invariant};
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
-use xct_sparse::CsrMatrix;
+use xct_sparse::{CsrMatrix, EllMatrix};
 
 fn setup(n: u32, m: u32) -> (Grid, ScanGeometry, Operators) {
     let grid = Grid::new(n);
@@ -116,10 +116,11 @@ fn clean_plans_validate_across_configurations() {
         for ordering in [DomainOrdering::RowMajor, DomainOrdering::HilbertSquare] {
             let config = Config {
                 ordering,
-                build_ell: true,
                 ..Config::default()
             };
-            let ops = preprocess(grid, scan, &config);
+            let mut ops = preprocess(grid, scan, &config);
+            ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
+            ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
             let report = validate_plan(&ops);
             assert!(report.is_ok(), "{n}x{m} {ordering:?}: {report}");
         }

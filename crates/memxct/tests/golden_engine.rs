@@ -600,8 +600,12 @@ fn distributed_sirt_honors_relaxation() {
     let (grid, scan) = (Grid::new(16), ScanGeometry::new(12, 16));
     let truth = disk(0.6, 1.0).rasterize(16);
     let sino = simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, 0);
+    let config = Config {
+        kernel: Kernel::Serial,
+        ..Config::default()
+    };
     let rec = ReconstructorBuilder::new(grid, scan)
-        .kernel(Kernel::Serial)
+        .config(config)
         .build()
         .unwrap();
     let y = rec.operators().order_sinogram(&sino);

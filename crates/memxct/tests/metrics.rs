@@ -149,10 +149,6 @@ fn builder_surfaces_typed_build_errors() {
         mk().config(buffsize(1 << 20)).build(),
         Err(BuildError::InvalidBufferSize { .. })
     ));
-    assert!(matches!(
-        mk().kernel(Kernel::Ell).build(),
-        Err(BuildError::LayoutNotBuilt { .. })
-    ));
 
     // And the sinogram-length check on the built reconstructor.
     let rec = mk().build().unwrap();

@@ -36,10 +36,9 @@ fn pooled_image(
 ) -> Vec<f32> {
     let rec = ReconstructorBuilder::new(grid, scan)
         .config(Config {
-            build_ell: kernel == Kernel::Ell,
+            kernel,
             ..Config::default()
         })
-        .kernel(kernel)
         .use_pool(true)
         .pool_threads(threads)
         .build()

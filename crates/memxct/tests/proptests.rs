@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use xct_geometry::{disk, Sinogram};
 use xct_geometry::{simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 use xct_runtime::{run_ranks, WorkerPool};
-use xct_sparse::CsrMatrix;
+use xct_sparse::{CsrMatrix, EllMatrix};
 
 /// `(⟨A·x_j, y_j⟩, ⟨x_j, Aᵀ·y_j⟩)` per column `j` of the slice-major
 /// slabs, accumulated in f64 from the operator's f32 products.
@@ -127,7 +127,7 @@ proptest! {
     #[test]
     fn sinogram_permutation_roundtrips(n in 4u32..32, m in 2u32..24) {
         let ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         });
         let data: Vec<f32> = (0..(m * n)).map(|i| i as f32).collect();
@@ -189,10 +189,9 @@ proptest! {
     fn every_operator_is_adjoint_per_column(
         n in 6u32..20, m in 3u32..16, threads in 1usize..4, seed in any::<u64>()
     ) {
-        let ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config {
-            build_ell: true,
-            ..Config::default()
-        });
+        let mut ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config::default());
+        ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
+        ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
         let (rows, cols) = (ops.a.nrows(), ops.a.ncols());
         let unit = 2.0 * (longest_row(&ops.a).max(longest_row(&ops.at)) + 8) as f64
             * (f32::EPSILON as f64 / 2.0);

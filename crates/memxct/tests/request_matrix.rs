@@ -38,8 +38,12 @@ fn sinos(k: usize) -> Vec<Sinogram> {
 /// every mode.
 fn reconstructor(batch: usize, kernel: Kernel) -> Reconstructor {
     let (grid, scan) = geometry();
+    let config = Config {
+        kernel,
+        ..Config::default()
+    };
     ReconstructorBuilder::new(grid, scan)
-        .kernel(kernel)
+        .config(config)
         .batch(batch)
         .use_pool(true)
         .pool_threads(2)
@@ -615,13 +619,11 @@ fn ranks_run_the_plans_kernel() {
     let config = Config {
         partsize: 32,
         buffsize: 64,
-        build_ell: true,
         ..Config::default()
     };
     let plan = |kernel| {
         ReconstructorBuilder::new(grid, scan)
-            .config(config)
-            .kernel(kernel)
+            .config(Config { kernel, ..config })
             .build()
             .unwrap()
     };

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use xct_model::sync::{Arc, Mutex};
 
-use memxct::preprocess::{Config, Kernel};
+use memxct::preprocess::Config;
 use memxct::{BuildError, Reconstructor, ReconstructorBuilder};
 use xct_geometry::{Grid, ScanGeometry};
 use xct_obs::{Metrics, MetricsSnapshot, CACHE_EVICT, CACHE_HIT, CACHE_MISS};
@@ -22,10 +22,8 @@ pub struct PlanSpec {
     /// Scan geometry (projections × channels).
     pub scan: ScanGeometry,
     /// Preprocessing configuration (ordering, projector, partition and
-    /// buffer sizes, which layouts to build).
+    /// buffer sizes, and the kernel the plan runs).
     pub config: Config,
-    /// Kernel override; `None` picks the builder's default.
-    pub kernel: Option<Kernel>,
     /// Execute on the persistent worker pool.
     pub use_pool: bool,
     /// Worker count for the pool; `None` uses the environment default.
@@ -41,7 +39,6 @@ impl PlanSpec {
             grid,
             scan,
             config: Config::default(),
-            kernel: None,
             use_pool: false,
             pool_threads: None,
             batch: 1,
@@ -54,13 +51,7 @@ impl PlanSpec {
             grid_n: self.grid.n(),
             projections: self.scan.num_projections(),
             channels: self.scan.num_channels(),
-            ordering: self.config.ordering,
-            projector: self.config.projector,
-            partsize: self.config.partsize,
-            buffsize: self.config.buffsize,
-            build_buffered: self.config.build_buffered,
-            build_ell: self.config.build_ell,
-            kernel: self.kernel,
+            config: self.config,
             use_pool: self.use_pool,
             pool_threads: if self.use_pool {
                 self.pool_threads
@@ -80,9 +71,6 @@ impl PlanSpec {
             .use_pool(self.use_pool)
             .validate_plan(true)
             .metrics(metrics.clone());
-        if let Some(k) = self.kernel {
-            b = b.kernel(k);
-        }
         if let Some(t) = self.pool_threads {
             b = b.pool_threads(t);
         }
@@ -100,13 +88,9 @@ pub struct PlanKey {
     grid_n: u32,
     projections: u32,
     channels: u32,
-    ordering: memxct::DomainOrdering,
-    projector: memxct::Projector,
-    partsize: usize,
-    buffsize: usize,
-    build_buffered: bool,
-    build_ell: bool,
-    kernel: Option<Kernel>,
+    /// The whole preprocessing configuration, so no field of it can be
+    /// left out of the key.
+    config: Config,
     use_pool: bool,
     /// Only meaningful when `use_pool`; normalized to `None` otherwise so
     /// a thread-count hint on a serial spec cannot split the key.

@@ -3,13 +3,14 @@
 //! bit-identity, admission control, and the supervision layer — panic
 //! isolation, deadlines, deterministic retry, and the circuit breaker.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
 use memxct::preprocess::Kernel;
 use memxct::{
-    CheckpointPolicy, ExecMode, FaultTolerance, ReconInput, ReconRequest, ReconstructorBuilder,
-    StopRule,
+    CheckpointPolicy, DomainOrdering, ExecMode, FaultTolerance, Projector, ReconInput,
+    ReconRequest, ReconstructorBuilder, StopRule,
 };
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry, Sinogram};
 use xct_obs::{
@@ -112,32 +113,58 @@ fn plan_key_distinguishes_kernel_partition_and_pool_configs() {
     let base = PlanSpec::new(grid, scan);
     assert_eq!(base.key(), PlanSpec::new(grid, scan).key());
 
-    let mut kernel = base;
-    kernel.kernel = Some(Kernel::Serial);
-    assert_ne!(base.key(), kernel.key(), "kernel choice splits the key");
-
-    let mut part = base;
-    part.config.partsize = 64;
-    assert_ne!(base.key(), part.key(), "partition size splits the key");
-
+    // Changing any one plan input splits the key, from a pooled base so
+    // that the thread count counts too.
     let mut pooled = base;
     pooled.use_pool = true;
     pooled.pool_threads = Some(2);
     assert_ne!(base.key(), pooled.key(), "pool config splits the key");
-    let mut pooled4 = pooled;
-    pooled4.pool_threads = Some(4);
-    assert_ne!(pooled.key(), pooled4.key(), "thread count splits the key");
-
-    let mut batched = base;
-    batched.batch = 4;
-    assert_ne!(base.key(), batched.key(), "batch width splits the key");
+    type Edit = fn(&mut PlanSpec);
+    let edits: [(&str, Edit); 9] = [
+        ("ordering", |s| s.config.ordering = DomainOrdering::RowMajor),
+        ("projector", |s| s.config.projector = Projector::Joseph),
+        ("partsize", |s| s.config.partsize = 64),
+        ("buffsize", |s| s.config.buffsize = 4096),
+        ("kernel serial", |s| s.config.kernel = Kernel::Serial),
+        ("kernel ELL", |s| s.config.kernel = Kernel::Ell),
+        ("use_pool", |s| s.use_pool = false),
+        ("pool_threads", |s| s.pool_threads = Some(4)),
+        ("batch", |s| s.batch = 4),
+    ];
+    let mut keys = HashSet::from([pooled.key()]);
+    for (name, edit) in edits {
+        let mut spec = pooled;
+        edit(&mut spec);
+        assert_ne!(pooled.key(), spec.key(), "{name} splits the key");
+        assert!(keys.insert(spec.key()), "{name} collides with another edit");
+    }
 
     // A thread-count hint without the pool is normalized away.
     let mut hint = base;
     hint.pool_threads = Some(8);
     assert_eq!(base.key(), hint.key());
 
+    let mut kernel = base;
+    kernel.config.kernel = Kernel::Serial;
     assert_ne!(base.key().fingerprint(), kernel.key().fingerprint());
+}
+
+/// One plan, one key: spelling the default kernel out hits the default
+/// spec's entry instead of building the same plan a second time.
+#[test]
+fn explicit_default_kernel_hits_the_default_entry() {
+    let (grid, scan) = geometry(16, 12);
+    let cache = xct_serve::PlanCache::new(2);
+    let default = PlanSpec::new(grid, scan);
+    let mut explicit = default;
+    explicit.config.kernel = Kernel::Buffered;
+    let first = cache.get(&default).unwrap();
+    let (second, hit) = cache.get_detailed(&explicit).unwrap();
+    assert!(hit, "the explicit spelling hits");
+    assert!(Arc::ptr_eq(&first, &second));
+    let snap = cache.metrics();
+    assert_eq!(snap.counters[CACHE_MISS], 1);
+    assert_eq!(snap.timers["preprocess"].count, 1, "one build");
 }
 
 #[test]

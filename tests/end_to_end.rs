@@ -130,17 +130,14 @@ fn all_kernels_and_orderings_agree_on_the_projection() {
         DomainOrdering::TwoLevelHilbert(None),
         DomainOrdering::TwoLevelHilbert(Some(2)),
     ] {
-        let ops = memxct::preprocess(
-            grid,
-            scan,
-            &Config {
-                ordering,
-                build_ell: true,
-                ..Config::default()
-            },
-        );
-        let x = ops.order_tomogram(&truth);
         for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
+            let config = Config {
+                ordering,
+                kernel,
+                ..Config::default()
+            };
+            let ops = memxct::preprocess(grid, scan, &config);
+            let x = ops.order_tomogram(&truth);
             let y = ops.unorder_sinogram(&ops.forward(kernel, &x));
             for (got, want) in y.iter().zip(reference.data()) {
                 assert!(

@@ -4,7 +4,7 @@
 //! super-linear speedup mechanism.
 
 use memxct::dist::build_plans;
-use memxct::{preprocess, Config, DomainOrdering};
+use memxct::{preprocess, Config, DomainOrdering, Kernel};
 use xct_cachesim::{spmv_irregular_miss_rate, CacheConfig};
 use xct_geometry::{ADS1, ADS2, RDS2};
 use xct_runtime::{iteration_time, KernelVolumes, BLUE_WATERS, THETA};
@@ -42,7 +42,7 @@ fn fig6_reuse_numbers_match_paper() {
         xct_geometry::Grid::new(256),
         xct_geometry::ScanGeometry::new(256, 256),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );
@@ -71,7 +71,7 @@ fn table1_comm_scales_as_sqrt_p() {
         ds.grid(),
         ds.scan(),
         &Config {
-            build_buffered: false,
+            kernel: Kernel::Serial,
             ..Config::default()
         },
     );
@@ -99,7 +99,7 @@ fn fig5_hilbert_halves_the_miss_rate() {
             ds.scan(),
             &Config {
                 ordering,
-                build_buffered: false,
+                kernel: Kernel::Serial,
                 ..Config::default()
             },
         )
