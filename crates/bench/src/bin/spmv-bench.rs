@@ -34,10 +34,10 @@
 //!     bytes_per_second, fraction_of_peak, speedup_vs_serial, imbalance}`
 //!     with `variant` ∈ `serial | vector | pooled_equal | pooled_nnz |
 //!     pooled_buf`. `bytes_per_second` is the variant's
-//!     regular-data stream (8 B/nnz CSR, 6 B/nnz + 4 B/slot buffered, ELL
-//!     padding excluded here) over the median time; `fraction_of_peak` is
-//!     that rate over the triad ceiling, clamped to 1.0 (cache-resident
-//!     matrices can stream faster than DRAM).
+//!     regular-data stream (8 B/nnz CSR, 6 B/nnz + 4 B/slot buffered)
+//!     over the median time; `fraction_of_peak` is that rate over the
+//!     triad ceiling, clamped to 1.0 (cache-resident matrices can stream
+//!     faster than DRAM).
 //!   - `spmm_results`: the batched sweep, batch ∈ 1/4/8/16/64, with
 //!     `variant` ∈ `serial | pooled_nnz` (CSR) and `buffered |
 //!     pooled_buf` (the production layout, serial and pooled):

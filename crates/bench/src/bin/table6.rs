@@ -18,7 +18,8 @@
 
 use memxct::{preprocess, Config, DomainOrdering, Kernel};
 use xct_bench::{
-    gflops, scale_from_args, spmv_library, time_buffered_spmv, time_csr_spmv, time_median,
+    gflops, partition_padded_slots, scale_from_args, spmv_library, time_buffered_spmv,
+    time_csr_spmv, time_median,
 };
 use xct_geometry::ADS2;
 use xct_runtime::WorkerPool;
@@ -81,7 +82,7 @@ fn main() {
         );
     }
     println!("\nGPU column (cuSPARSE ELL vs partition-padded ELL): the padding economics —");
-    let ell_part = xct_sparse::EllMatrix::from_csr(&hl.a, 128);
+    let partition_padded = partition_padded_slots(&hl.a, 128);
     let max_row = (0..hl.a.nrows())
         .map(|i| hl.a.rowptr()[i + 1] - hl.a.rowptr()[i])
         .max()
@@ -94,7 +95,7 @@ fn main() {
     );
     println!(
         "  partition-level padding (MemXCT):      {:>12} slots ({:.2}x nnz)",
-        ell_part.padded_nnz(),
-        ell_part.padded_nnz() as f64 / nnz as f64
+        partition_padded,
+        partition_padded as f64 / nnz as f64
     );
 }

@@ -328,10 +328,46 @@ pub fn spmv_library(a: &CsrMatrix, x: &[f32], pool: &WorkerPool) -> Vec<f32> {
     y
 }
 
+/// Slots a partition-padded ELL layout of `a` would store (§3.1.4): each
+/// block of `partsize` rows is padded to its own longest row, so this is
+/// Σ over partitions of rows × longest row. Table 6 sets it against
+/// matrix-level padding (`nrows × longest row`, cuSPARSE's ELL).
+pub fn partition_padded_slots(a: &CsrMatrix, partsize: usize) -> usize {
+    assert!(partsize > 0, "partsize must be positive");
+    let rowptr = a.rowptr();
+    (0..a.nrows())
+        .step_by(partsize)
+        .map(|lo| {
+            let hi = (lo + partsize).min(a.nrows());
+            let longest = (lo..hi).map(|i| rowptr[i + 1] - rowptr[i]).max();
+            (hi - lo) * longest.unwrap_or(0)
+        })
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use xct_geometry::ADS1;
+
+    #[test]
+    fn partition_level_padding_is_tighter_than_matrix_level() {
+        let a = CsrMatrix::from_rows(
+            5,
+            &[
+                vec![(0, 1.0), (3, 2.0), (4, 1.5)],
+                vec![(1, -1.0)],
+                vec![],
+                vec![(0, 0.5), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5)],
+                vec![(2, 3.0)],
+            ],
+        );
+        // Matrix-level padding would cost nrows * max_width = 5*5 = 25.
+        let per_matrix = 25;
+        let padded = partition_padded_slots(&a, 2);
+        assert!(padded < per_matrix, "{padded}");
+        assert!(padded >= a.nnz());
+    }
 
     #[test]
     fn fmt_bytes_matches_table3_style() {

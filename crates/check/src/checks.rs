@@ -7,7 +7,7 @@
 use crate::violation::{Invariant, Report};
 use std::ops::Range;
 use xct_hilbert::Ordering2D;
-use xct_sparse::{BufferIndex, BufferedCsrImpl, CsrMatrix, EllMatrix};
+use xct_sparse::{BufferIndex, BufferedCsrImpl, CsrMatrix};
 
 /// One static invariant check.
 pub trait Check {
@@ -247,7 +247,7 @@ impl Check for CsrCheck<'_> {
 }
 
 /// Whether `a`'s structural arrays are sound enough to iterate rows
-/// without panicking. Relation checks (transpose pair, buffered/ELL
+/// without panicking. Relation checks (transpose pair, buffered
 /// sources) skip their entry comparisons for non-traversable matrices —
 /// the [`CsrCheck`] that every plan sweep also runs pinpoints the
 /// structural breakage instead.
@@ -763,163 +763,6 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
                     }
                 }
             }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ELL padding consistency
-// ---------------------------------------------------------------------------
-
-/// ELL partitions must mirror their CSR source: per-partition width is the
-/// max row length, payload entries match the source in order, and every
-/// padding slot is the (column 0, value 0) sentinel the divergence-free
-/// kernel multiplies redundantly (§3.1.4).
-pub struct EllCheck<'a> {
-    name: String,
-    ell: &'a EllMatrix,
-    source: &'a CsrMatrix,
-    partsize: usize,
-}
-
-impl<'a> EllCheck<'a> {
-    /// Check `ell` against the CSR matrix and partition size it was built
-    /// from.
-    pub fn new(
-        name: impl Into<String>,
-        ell: &'a EllMatrix,
-        source: &'a CsrMatrix,
-        partsize: usize,
-    ) -> Self {
-        EllCheck {
-            name: name.into(),
-            ell,
-            source,
-            partsize,
-        }
-    }
-}
-
-impl Check for EllCheck<'_> {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn run(&self, report: &mut Report) {
-        let (ell, src) = (self.ell, self.source);
-        let name = &self.name;
-        if !csr_traversable(src) {
-            return; // CsrCheck pinpoints the structural breakage
-        }
-        if self.partsize == 0 {
-            report.violation(
-                name,
-                Invariant::EllShape,
-                "partsize",
-                "partition size is zero",
-                "rebuild with a positive partsize",
-            );
-            return;
-        }
-        let expected_parts = src.nrows().div_ceil(self.partsize);
-        if ell.nrows() != src.nrows()
-            || ell.ncols() != src.ncols()
-            || ell.nnz() != src.nnz()
-            || ell.num_partitions() != expected_parts
-        {
-            report.violation(
-                name,
-                Invariant::EllShape,
-                "shape",
-                format!(
-                    "ELL is {}x{} ({} nnz, {} partitions) but source implies {}x{} ({} nnz, {} partitions)",
-                    ell.nrows(),
-                    ell.ncols(),
-                    ell.nnz(),
-                    ell.num_partitions(),
-                    src.nrows(),
-                    src.ncols(),
-                    src.nnz(),
-                    expected_parts
-                ),
-                "rebuild with EllMatrix::from_csr",
-            );
-            return;
-        }
-        let mut padded = 0usize;
-        for p in 0..expected_parts {
-            let base = p * self.partsize;
-            let rows = self.partsize.min(src.nrows() - base);
-            let want_width = (0..rows)
-                .map(|j| src.rowptr()[base + j + 1] - src.rowptr()[base + j])
-                .max()
-                .unwrap_or(0);
-            let part = ell.partition_view(p);
-            padded += part.rows * part.width;
-            if part.rows != rows || part.width != want_width {
-                report.violation(
-                    name,
-                    Invariant::EllShape,
-                    format!("partition {p}"),
-                    format!(
-                        "{} rows x width {} but source implies {} rows x width {}",
-                        part.rows, part.width, rows, want_width
-                    ),
-                    "pad each partition to its own max row length",
-                );
-                continue;
-            }
-            if part.colind.len() != rows * want_width || part.values.len() != rows * want_width {
-                report.violation(
-                    name,
-                    Invariant::EllShape,
-                    format!("partition {p}"),
-                    format!(
-                        "column-major arrays hold {} / {} slots, expected {}",
-                        part.colind.len(),
-                        part.values.len(),
-                        rows * want_width
-                    ),
-                    "rebuild with EllMatrix::from_csr",
-                );
-                continue;
-            }
-            for j in 0..rows {
-                let lo = src.rowptr()[base + j];
-                let hi = src.rowptr()[base + j + 1];
-                for s in 0..part.width {
-                    let (col, val) = (part.colind[s * rows + j], part.values[s * rows + j]);
-                    if s < hi - lo {
-                        let (want_col, want_val) = (src.colind()[lo + s], src.values()[lo + s]);
-                        if col != want_col || val.to_bits() != want_val.to_bits() {
-                            report.violation(
-                                name,
-                                Invariant::EllEntries,
-                                format!("partition {p}, row {}, slot {s}", base + j),
-                                format!("({col}, {val}) but source has ({want_col}, {want_val})"),
-                                "rebuild with EllMatrix::from_csr",
-                            );
-                        }
-                    } else if col != 0 || val.to_bits() != 0 {
-                        report.violation(
-                            name,
-                            Invariant::EllPadding,
-                            format!("partition {p}, row {}, slot {s}", base + j),
-                            format!("padding slot holds ({col}, {val}), expected (0, 0.0)"),
-                            "padding must be the redundant-multiply sentinel",
-                        );
-                    }
-                }
-            }
-        }
-        if padded != ell.padded_nnz() {
-            report.violation(
-                name,
-                Invariant::EllShape,
-                "padded_nnz",
-                format!("{} cached but slots sum to {padded}", ell.padded_nnz()),
-                "rebuild with EllMatrix::from_csr",
-            );
         }
     }
 }
@@ -1678,14 +1521,12 @@ mod tests {
         let a = sample_csr();
         let at = a.transpose_scan();
         let buf = xct_sparse::BufferedCsr::from_csr(&a, 2, 4);
-        let ell = EllMatrix::from_csr(&a, 2);
         let ord = Ordering2D::two_level_hilbert(5, 4, 2);
         let report = Checker::new()
             .with(CsrCheck::new("csr(A)", &a))
             .with(CsrCheck::new("csr(At)", &at))
             .with(TransposeCheck::new("pair(A,At)", &a, &at))
             .with(BufferedCheck::new("buffered(A)", &buf).with_source(&a))
-            .with(EllCheck::new("ell(A)", &ell, &a, 2))
             .with(PermutationCheck::of_ordering("ordering", &ord))
             .run();
         assert!(report.is_ok(), "{report}");

@@ -13,7 +13,7 @@
 //!   never panics;
 //! - concrete checks for every memoized artifact: [`CsrCheck`],
 //!   [`TransposeCheck`], [`PermutationCheck`], [`BufferedCheck`],
-//!   [`EllCheck`], [`PartitionCheck`], [`ScheduleCheck`], [`LedgerCheck`];
+//!   [`PartitionCheck`], [`ScheduleCheck`], [`LedgerCheck`];
 //! - [`lint`]: the repo-tuned source lint driver behind the `xct-lint`
 //!   binary (narrowing casts, panics in public API paths, unsafe policy).
 //!
@@ -29,8 +29,7 @@ pub mod lint;
 mod violation;
 
 pub use checks::{
-    BufferedCheck, Check, Checker, CheckpointCheck, CheckpointSection, CsrCheck, EllCheck,
-    ExecPlanCheck, LedgerCheck, LockOrderCheck, PartitionCheck, PermutationCheck, ScheduleCheck,
-    TransposeCheck,
+    BufferedCheck, Check, Checker, CheckpointCheck, CheckpointSection, CsrCheck, ExecPlanCheck,
+    LedgerCheck, LockOrderCheck, PartitionCheck, PermutationCheck, ScheduleCheck, TransposeCheck,
 };
 pub use violation::{CheckViolation, Invariant, Report};

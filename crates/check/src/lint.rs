@@ -24,7 +24,7 @@
 //!   every preemption point. Waive with
 //!   `// lint: allow(sync-facade) <why>`.
 //! - **retired-name** — names that earlier changes deleted must not come
-//!   back: one table ([`RETIRED`]: names, path scope, message) holds the
+//!   back: one table (`RETIRED`: names, path scope, message) holds the
 //!   deprecated-shim ban, the retired kernels and dispatch twins, and the
 //!   second threading substrate (`rayon`, `par_iter`, `thread::scope`, …
 //!   outside `xct-runtime` / `xct-model`, and in every `Cargo.toml`), the
@@ -32,8 +32,8 @@
 //!   doors into the engine and the runtime (closure solvers, the
 //!   six-argument distributed entry, unused collectives), the ranks'
 //!   private block kernel, the builder's second spelling of run policy
-//!   and `Config`, the criterion benches, and the layout switches
-//!   `Config::kernel` replaced.
+//!   and `Config`, the criterion benches, the layout switches
+//!   `Config::kernel` replaced, and the ELL layout.
 //!
 //! The scanner strips string literals and comments before matching (so doc
 //! examples and messages never fire a rule) and skips `target/` entirely.
@@ -57,7 +57,7 @@ pub enum LintRule {
     /// Raw `std::sync` / `parking_lot` primitive in a crate that must use
     /// the `xct_model::sync` facade.
     SyncFacade,
-    /// A name from the [`RETIRED`] table in a path its row polices.
+    /// A name from the `RETIRED` table in a path its row polices.
     RetiredName,
 }
 
@@ -256,9 +256,21 @@ const RETIRED: &[Retired] = &[
         names: &["build_buffered", "build_ell", "LayoutNotBuilt"],
         scope: product_and_its_callers,
         message: "retired layout switches: a plan builds the layouts of its one \
-            `Config::kernel`; attach another layout to the `Operators` by hand \
-            (`ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize))`) or build one plan \
-            per kernel",
+            `Config::kernel`; build one plan per kernel to compare kernels",
+    },
+    Retired {
+        names: &[
+            "EllMatrix",
+            "EllPartitionView",
+            "EllCheck",
+            "Kernel::Ell",
+            "EllShape",
+            "EllPadding",
+            "EllEntries",
+        ],
+        scope: product_and_its_callers,
+        message: "retired ELL layout: it lost to the buffered kernel (`Kernel::Buffered`) in \
+            every measured cell; `Kernel::Serial` is the CSR reference",
     },
 ];
 
@@ -723,6 +735,10 @@ mod tests {
             "crates/memxct/tests/pooled.rs",
             "let config = Config { build_ell: true, ..Config::default() };\n",
         ),
+        (
+            "crates/bench/src/bin/table6.rs",
+            "let ell = xct_sparse::EllMatrix::from_csr(&a, 128);\n",
+        ),
     ];
 
     #[test]
@@ -765,6 +781,10 @@ mod tests {
             "let config = DistConfig { use_buffered: true, ..config };\n",
             "std::env::var(\"RAYON_NUM_THREADS\")\n",
             "// the rayon shim is gone\n",
+            "pub a_ell: Option<std::convert::Infallible>,\n",
+            "let (a_ell, at_ell) = (None, None);\n",
+            "let (chan, proj) = sino.cell(rank);\n",
+            "let cells = grid.cells();\n",
         ] {
             let f = lint_file("crates/memxct/src/dist.rs", live, only);
             assert!(f.is_empty(), "must not fire on: {live} -> {f:?}");

@@ -54,12 +54,6 @@ pub enum Invariant {
     BufferLocalBounds,
     /// The buffered layout does not reproduce the source rows' entries.
     BufferedEntries,
-    /// ELL partition structure disagrees with its CSR source.
-    EllShape,
-    /// An ELL padding slot is not the (column 0, value 0) sentinel.
-    EllPadding,
-    /// ELL payload entries do not match the CSR source in order.
-    EllEntries,
     /// Partition ranges do not cover the domain contiguously and
     /// disjointly.
     PartitionCoverage,
@@ -117,9 +111,6 @@ impl Invariant {
         Invariant::StageMapBounds,
         Invariant::BufferLocalBounds,
         Invariant::BufferedEntries,
-        Invariant::EllShape,
-        Invariant::EllPadding,
-        Invariant::EllEntries,
         Invariant::PartitionCoverage,
         Invariant::ScheduleSymmetry,
         Invariant::ScheduleRows,

@@ -6,14 +6,11 @@
 //! [`Invariant::ALL`].
 
 use xct_check::{
-    BufferedCheck, Check, CheckpointCheck, CsrCheck, EllCheck, ExecPlanCheck, Invariant,
-    LedgerCheck, LockOrderCheck, PartitionCheck, PermutationCheck, Report, ScheduleCheck,
-    TransposeCheck,
+    BufferedCheck, Check, CheckpointCheck, CsrCheck, ExecPlanCheck, Invariant, LedgerCheck,
+    LockOrderCheck, PartitionCheck, PermutationCheck, Report, ScheduleCheck, TransposeCheck,
 };
-use xct_sparse::{BufferedCsr, BufferedCsrImpl, CsrMatrix, EllMatrix};
+use xct_sparse::{BufferedCsr, BufferedCsrImpl, CsrMatrix};
 
-/// Owned form of one ELL partition: (rows, width, colind, values).
-type EllPart = (usize, usize, Vec<u32>, Vec<f32>);
 /// Per-rank × per-peer row-index tables of a communication schedule.
 type RowTables = Vec<Vec<Vec<u32>>>;
 
@@ -105,26 +102,6 @@ fn buffered_report(mutate: impl FnOnce(&mut BufParts)) -> Report {
         p.val,
     );
     run(BufferedCheck::new("buffered(A)", &b).with_source(&a))
-}
-
-/// Owned partition triples of the specimen's ELL layout (partsize 2).
-fn ell_parts() -> (CsrMatrix, Vec<EllPart>) {
-    let a = specimen();
-    let ell = EllMatrix::from_csr(&a, 2);
-    let parts = (0..ell.num_partitions())
-        .map(|p| {
-            let v = ell.partition_view(p);
-            (v.rows, v.width, v.colind.to_vec(), v.values.to_vec())
-        })
-        .collect();
-    (a, parts)
-}
-
-fn ell_report(mutate: impl FnOnce(&mut Vec<EllPart>)) -> Report {
-    let (a, mut parts) = ell_parts();
-    mutate(&mut parts);
-    let ell = EllMatrix::from_raw_parts_unchecked(a.nrows(), a.ncols(), a.nnz(), parts);
-    run(EllCheck::new("ell(A)", &ell, &a, 2))
 }
 
 /// Consistent 2-rank schedule tables over a 6-row sinogram.
@@ -263,22 +240,6 @@ fn m_buffer_local_bounds() -> Report {
 fn m_buffered_entries() -> Report {
     // Structurally sound, numerically wrong: one stored value drifts.
     buffered_report(|p| p.val[0] += 1.0)
-}
-
-fn m_ell_shape() -> Report {
-    // Claim partition 0 is one slot wider than its source rows imply.
-    ell_report(|parts| parts[0].1 += 1)
-}
-
-fn m_ell_padding() -> Report {
-    // Partition 0, row 1 has width 3 but one entry; poison a padding slot
-    // (column-major slot s=1, row j=1 -> index s*rows+j = 3).
-    ell_report(|parts| parts[0].3[3] = 1.0)
-}
-
-fn m_ell_entries() -> Report {
-    // Perturb a payload slot (s=0, j=0).
-    ell_report(|parts| parts[0].3[0] += 1.0)
 }
 
 fn m_partition_coverage() -> Report {
@@ -479,13 +440,6 @@ static MUTATIONS: &[Mutation] = &[
         Invariant::BufferedEntries,
         m_buffered_entries,
     ),
-    ("ELL width inflated", Invariant::EllShape, m_ell_shape),
-    (
-        "padding slot poisoned",
-        Invariant::EllPadding,
-        m_ell_padding,
-    ),
-    ("payload slot drifts", Invariant::EllEntries, m_ell_entries),
     (
         "partition gap",
         Invariant::PartitionCoverage,
@@ -572,7 +526,6 @@ fn unmutated_specimens_are_clean() {
     let a = specimen();
     let at = a.transpose_scan();
     let buf = BufferedCsr::from_csr(&a, 2, 4);
-    let ell = EllMatrix::from_csr(&a, 2);
     let (owners, sends, recvs) = schedule_tables();
     let mut report = Report::new();
     CsrCheck::new("csr(A)", &a).run(&mut report);
@@ -583,7 +536,6 @@ fn unmutated_specimens_are_clean() {
     BufferedCheck::new("buffered(A)", &buf)
         .with_source(&a)
         .run(&mut report);
-    EllCheck::new("ell(A)", &ell, &a, 2).run(&mut report);
     PartitionCheck::new("partition", 6, owners.clone()).run(&mut report);
     ScheduleCheck::new("schedule", owners, sends, recvs).run(&mut report);
     LedgerCheck::new("ledger", 2, vec![0, 124, 84, 0], vec![0, 100, 60, 0], 8).run(&mut report);

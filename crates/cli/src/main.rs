@@ -945,16 +945,14 @@ fn check(opts: &Options) {
         "checking {} at scale 1/{}: {}x{} sinogram",
         ds.name, opts.scale, ds.projections, ds.channels
     );
-    // The default (buffered) plan, with the ELL pair attached so the
-    // sweep covers every layout a plan can hold.
+    // The default (buffered) plan: the sweep covers its CSR and buffered
+    // pairs.
     let config = Config::default();
     let t = std::time::Instant::now();
     let mut ops = try_preprocess(ds.grid(), ds.scan(), &config).unwrap_or_else(|e| {
         eprintln!("cannot preprocess: {e}");
         exit(2);
     });
-    ops.a_ell = Some(xct_sparse::EllMatrix::from_csr(&ops.a, ops.partsize));
-    ops.at_ell = Some(xct_sparse::EllMatrix::from_csr(&ops.at, ops.partsize));
     println!("preprocessing: {:.2}s", t.elapsed().as_secs_f64());
 
     // The rank plans a `reconstruct --ranks N` request would run — on

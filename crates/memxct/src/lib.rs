@@ -17,7 +17,7 @@
 //!    overlap reduction) and backprojection is its transpose — no domain
 //!    duplication, no atomics.
 //!
-//! Every projection path — the memoized CSR / buffered / ELL layouts
+//! Every projection path — the memoized CSR and buffered layouts
 //! (one [`KernelOperator`] on a worker pool of one or more), the
 //! distributed `R·C·A_p` factorization, and the CompXCT baseline —
 //! implements the [`ProjectionOperator`] trait ([`operator`]), and every

@@ -1,5 +1,5 @@
-//! The operator layer: every projection path — the memoized layouts (CSR,
-//! multi-stage buffered, ELL; on the calling thread or through the worker
+//! The operator layer: every projection path — the memoized layouts (CSR
+//! and multi-stage buffered; on the calling thread or through the worker
 //! pool), the distributed `RankPlan`/`Communicator` factorization, and
 //! the compute-centric CompXCT baseline — behind one
 //! [`ProjectionOperator`] trait, so the solver engine in
@@ -42,7 +42,7 @@ use std::time::Instant;
 use xct_compxct::CompXct;
 use xct_obs::{Metrics, KERNEL_AP_SECONDS, KERNEL_C_SECONDS, KERNEL_R_SECONDS};
 use xct_runtime::{ExecPlan, WorkerPool};
-use xct_sparse::{spmv_into, BufferedCsr, CsrMatrix, EllMatrix};
+use xct_sparse::{spmv_into, BufferedCsr, CsrMatrix};
 
 use crate::preprocess::{Kernel, Operators};
 
@@ -273,7 +273,6 @@ fn per_slice(
 pub(crate) enum Layout<'a> {
     Csr(&'a CsrMatrix),
     Buffered(&'a BufferedCsr),
-    Ell(&'a EllMatrix),
 }
 
 /// A block of `A` as the kernels run it: the forward layout and its
@@ -288,22 +287,15 @@ impl Operators {
     /// Panics if the requested layout was not built: a preprocessed plan
     /// holds the layouts of its own `Config::kernel` only.
     pub(crate) fn block(&self, kernel: Kernel) -> Block<'_> {
-        fn built<'b, T>(layout: &'b Option<T>, missing: &str) -> &'b T {
+        fn buffered(layout: &Option<BufferedCsr>) -> Layout<'_> {
+            const MISSING: &str =
+                "buffered layout not built; set Config::kernel to Kernel::Buffered";
             // lint: allow(no-panic) documented panic; a plan holds its own kernel's layouts
-            layout.as_ref().expect(missing)
+            Layout::Buffered(layout.as_ref().expect(MISSING))
         }
-        const BUF: &str = "buffered layout not built; set Config::kernel to Kernel::Buffered";
-        const ELL: &str = "ELL layout not built; set Config::kernel to Kernel::Ell";
         match kernel {
             Kernel::Serial => (Layout::Csr(&self.a), Layout::Csr(&self.at)),
-            Kernel::Buffered => (
-                Layout::Buffered(built(&self.a_buf, BUF)),
-                Layout::Buffered(built(&self.at_buf, BUF)),
-            ),
-            Kernel::Ell => (
-                Layout::Ell(built(&self.a_ell, ELL)),
-                Layout::Ell(built(&self.at_ell, ELL)),
-            ),
+            Kernel::Buffered => (buffered(&self.a_buf), buffered(&self.at_buf)),
         }
     }
 }
@@ -314,7 +306,6 @@ impl<'a> Layout<'a> {
         match self {
             Layout::Csr(m) => (m.nrows(), m.ncols()),
             Layout::Buffered(m) => (m.nrows(), m.ncols()),
-            Layout::Ell(m) => (m.nrows(), m.ncols()),
         }
     }
 
@@ -323,7 +314,6 @@ impl<'a> Layout<'a> {
         match self {
             Layout::Csr(m) => (m.nnz() as u64, m.regular_bytes()),
             Layout::Buffered(m) => (m.nnz() as u64, m.regular_bytes()),
-            Layout::Ell(m) => (m.nnz() as u64, m.regular_bytes()),
         }
     }
 
@@ -332,7 +322,6 @@ impl<'a> Layout<'a> {
         match self {
             Layout::Csr(m) => xct_sparse::csr_plan(m, workers),
             Layout::Buffered(m) => m.exec_plan(workers),
-            Layout::Ell(m) => m.exec_plan(workers),
         }
     }
 
@@ -342,7 +331,6 @@ impl<'a> Layout<'a> {
         match self {
             Layout::Csr(m) => xct_sparse::spmm_pooled_into(m, x, y, batch, plan, pool),
             Layout::Buffered(m) => m.spmm_pooled_into(x, y, batch, plan, pool),
-            Layout::Ell(m) => m.spmm_pooled_into(x, y, batch, plan, pool),
         }
     }
 }
@@ -441,7 +429,7 @@ impl<T> std::ops::Deref for Held<'_, T> {
 /// count, serial included, and for one rank.
 ///
 /// Counters land under `spmv/<kernel>/…` (`batch = 1`) or
-/// `spmm/<kernel>/…`, `<kernel>` = `serial` / `buffered` / `ell`, on
+/// `spmm/<kernel>/…`, `<kernel>` = `serial` / `buffered`, on
 /// every pool.
 pub struct KernelOperator<'a> {
     a: Layout<'a>,
@@ -506,7 +494,6 @@ impl<'a> KernelOperator<'a> {
         let name = match a {
             Layout::Csr(_) => "serial",
             Layout::Buffered(_) => "buffered",
-            Layout::Ell(_) => "ell",
         };
         KernelOperator {
             a,
@@ -786,13 +773,10 @@ mod tests {
     use xct_geometry::{Grid, ScanGeometry};
     use xct_sparse::dot_f64;
 
-    /// The default (buffered) plan with the ELL pair attached, so one
-    /// `Operators` carries every kernel's layout.
+    /// The default (buffered) plan, which carries both kernels' layouts:
+    /// the CSR pair and the buffered pair.
     fn ops(n: u32, m: u32) -> Operators {
-        let mut ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config::default());
-        ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
-        ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
-        ops
+        preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config::default())
     }
 
     /// The one operator over its whole matrix: kernel × executor × batch
@@ -807,13 +791,12 @@ mod tests {
         let ops = ops(16, 22);
         let (m, n) = (ops.a.nrows(), ops.a.ncols());
         let (a_buf, at_buf) = (ops.a_buf.as_ref().unwrap(), ops.at_buf.as_ref().unwrap());
-        let (a_ell, at_ell) = (ops.a_ell.as_ref().unwrap(), ops.at_ell.as_ref().unwrap());
         let slab = |len: usize, batch: usize, salt: usize| -> Vec<f32> {
             (0..len * batch)
                 .map(|i| ((i * 7 + salt) as f32 * 0.37).sin())
                 .collect()
         };
-        for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
+        for kernel in [Kernel::Serial, Kernel::Buffered] {
             // (name, nnz + bytes of A and Aᵀ, stages) one call pair meters.
             let (name, traffic, stages) = match kernel {
                 Kernel::Serial => (
@@ -821,14 +804,6 @@ mod tests {
                     [
                         ops.a.nnz() as u64 + ops.at.nnz() as u64,
                         ops.a.regular_bytes() + ops.at.regular_bytes(),
-                    ],
-                    None,
-                ),
-                Kernel::Ell => (
-                    "ell",
-                    [
-                        a_ell.nnz() as u64 + at_ell.nnz() as u64,
-                        a_ell.regular_bytes() + at_ell.regular_bytes(),
                     ],
                     None,
                 ),
@@ -846,8 +821,6 @@ mod tests {
                 match (kernel, fwd) {
                     (Kernel::Serial, true) => spmv_into(&ops.a, v, &mut out),
                     (Kernel::Serial, false) => spmv_into(&ops.at, v, &mut out),
-                    (Kernel::Ell, true) => a_ell.spmv_into(v, &mut out),
-                    (Kernel::Ell, false) => at_ell.spmv_into(v, &mut out),
                     (Kernel::Buffered, true) => a_buf.spmv_into(v, &mut out),
                     (Kernel::Buffered, false) => at_buf.spmv_into(v, &mut out),
                 }

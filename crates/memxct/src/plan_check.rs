@@ -3,7 +3,7 @@
 //! `xct-check` knows how to validate one structure at a time; this module
 //! knows which structures a preprocessed plan actually holds and how they
 //! relate. [`plan_checker`] sweeps every memoized artifact in an
-//! [`Operators`] (matrices, transpose pair, buffered/ELL layouts,
+//! [`Operators`] (matrices, transpose pair, buffered layouts,
 //! orderings); [`dist_checker`] extends the sweep to distributed
 //! [`RankPlan`]s (domain partitions, local operators, the alltoallv
 //! schedule); [`ledger_check`] reconciles an observed `comm/bytes` matrix
@@ -17,14 +17,14 @@ use crate::dist::RankPlan;
 use crate::operator::PooledPlans;
 use crate::preprocess::Operators;
 use xct_check::{
-    BufferedCheck, Checker, CsrCheck, EllCheck, ExecPlanCheck, LedgerCheck, PartitionCheck,
-    PermutationCheck, Report, ScheduleCheck, TransposeCheck,
+    BufferedCheck, Checker, CsrCheck, ExecPlanCheck, LedgerCheck, PartitionCheck, PermutationCheck,
+    Report, ScheduleCheck, TransposeCheck,
 };
 
 /// A [`Checker`] over every memoized structure the plan holds: CSR
 /// well-formedness of `A` and `At`, the transpose-pair relation, buffered
-/// layouts against their sources, ELL layouts against their sources, and
-/// both domain orderings as bijections.
+/// layouts against their sources, and both domain orderings as
+/// bijections.
 pub fn plan_checker(ops: &Operators) -> Checker<'_> {
     let mut c = Checker::new();
     c.add(CsrCheck::new("csr(A)", &ops.a));
@@ -45,12 +45,6 @@ pub fn plan_checker(ops: &Operators) -> Checker<'_> {
     }
     if let Some(b) = &ops.at_buf {
         c.add(BufferedCheck::new("buffered(At)", b).with_source(&ops.at));
-    }
-    if let Some(e) = &ops.a_ell {
-        c.add(EllCheck::new("ell(A)", e, &ops.a, ops.partsize));
-    }
-    if let Some(e) = &ops.at_ell {
-        c.add(EllCheck::new("ell(At)", e, &ops.at, ops.partsize));
     }
     c
 }
@@ -177,20 +171,14 @@ pub(crate) mod tests {
     use crate::request::Solver;
     use crate::solvers::StopRule;
     use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
-    use xct_sparse::EllMatrix;
 
-    /// The default (buffered) plan, with the ELL pair attached when
-    /// `with_ell`.
-    fn setup(n: u32, m: u32, with_ell: bool) -> (Operators, Vec<f32>) {
+    /// The default (buffered) plan and its ordered sinogram.
+    fn setup(n: u32, m: u32) -> (Operators, Vec<f32>) {
         let grid = Grid::new(n);
         let scan = ScanGeometry::new(m, n);
         let img = disk(0.6, 1.0).rasterize(n);
         let sino = simulate_sinogram(&img, &grid, &scan, NoiseModel::None, 0);
-        let mut ops = preprocess(grid, scan, &Config::default());
-        if with_ell {
-            ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
-            ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
-        }
+        let ops = preprocess(grid, scan, &Config::default());
         let y = ops.order_sinogram(&sino);
         (ops, y)
     }
@@ -206,16 +194,16 @@ pub(crate) mod tests {
 
     #[test]
     fn preprocessed_plan_is_clean() {
-        let (ops, _) = setup(16, 12, true);
+        let (ops, _) = setup(16, 12);
         let report = validate_plan(&ops);
         assert!(report.is_ok(), "{report}");
         // The sweep actually covered every memoized structure.
-        assert_eq!(plan_checker(&ops).len(), 9);
+        assert_eq!(plan_checker(&ops).len(), 7);
     }
 
     #[test]
     fn dist_plans_are_clean() {
-        let (ops, _) = setup(16, 12, false);
+        let (ops, _) = setup(16, 12);
         for ranks in [1, 3] {
             let plans = build_plans(&ops, ranks, true);
             let report = dist_checker(&ops, &plans).run();
@@ -225,7 +213,7 @@ pub(crate) mod tests {
 
     #[test]
     fn ledger_reconciles_a_real_run() {
-        let (ops, y) = setup(16, 12, false);
+        let (ops, y) = setup(16, 12);
         let iters = 4;
         let out = crate::dist::try_reconstruct_distributed(
             &ops,
@@ -255,7 +243,7 @@ pub(crate) mod tests {
 
     #[test]
     fn ledger_detects_a_corrupted_schedule() {
-        let (ops, y) = setup(16, 12, false);
+        let (ops, y) = setup(16, 12);
         let out = crate::dist::try_reconstruct_distributed(
             &ops,
             &y,

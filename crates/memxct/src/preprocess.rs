@@ -10,7 +10,7 @@ use xct_geometry::{trace_ray, trace_ray_joseph, Grid, Ray, ScanGeometry, Sinogra
 use xct_hilbert::{Ordering2D, TwoLevelOrdering};
 use xct_obs::Metrics;
 use xct_runtime::{ExecPlan, WorkerPool};
-use xct_sparse::{BufferIndex, BufferedCsr, CsrMatrix, EllMatrix};
+use xct_sparse::{BufferIndex, BufferedCsr, CsrMatrix};
 
 use crate::errors::BuildError;
 
@@ -61,8 +61,8 @@ pub struct Config {
     pub buffsize: usize,
     /// The SpMV kernel the plan runs. Preprocessing builds the CSR pair
     /// and this kernel's layouts only: the buffered pair for
-    /// [`Kernel::Buffered`] (the default), the ELL pair for
-    /// [`Kernel::Ell`], nothing more for [`Kernel::Serial`].
+    /// [`Kernel::Buffered`] (the default), nothing more for
+    /// [`Kernel::Serial`].
     pub kernel: Kernel,
 }
 
@@ -82,11 +82,9 @@ impl Default for Config {
 /// [`Config::kernel`], which also decides which layouts it builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Kernel {
-    /// Plain CSR (Listing 2; the reference every other layout is pinned
+    /// Plain CSR (Listing 2; the reference the buffered layout is pinned
     /// to).
     Serial,
-    /// Column-major ELL with partition-level padding (GPU analog).
-    Ell,
     /// Multi-stage input-buffered kernel (Listing 3).
     Buffered,
 }
@@ -126,10 +124,15 @@ pub struct Operators {
     pub a_buf: Option<BufferedCsr>,
     /// Buffered layout of `at` (a [`Kernel::Buffered`] plan's).
     pub at_buf: Option<BufferedCsr>,
-    /// ELL layout of `a` (a [`Kernel::Ell`] plan's).
-    pub a_ell: Option<EllMatrix>,
-    /// ELL layout of `at` (a [`Kernel::Ell`] plan's).
-    pub at_ell: Option<EllMatrix>,
+    /// Always `None`, and read by nothing: the ELL layout is deleted.
+    /// `recon-bench` still writes this field in an `Operators` literal;
+    /// delete both fields once `benchmark/` stops naming them (ROADMAP
+    /// item 1).
+    #[doc(hidden)]
+    pub a_ell: Option<std::convert::Infallible>,
+    /// Always `None`; see `a_ell`.
+    #[doc(hidden)]
+    pub at_ell: Option<std::convert::Infallible>,
     /// Tomogram-domain ordering (N × N).
     pub tomo_ord: Ordering2D,
     /// Sinogram-domain ordering (channels × projections).
@@ -394,9 +397,7 @@ pub fn try_preprocess_with_metrics(
     // (4) Partitioning and buffer construction.
     let t = Instant::now();
     let buffer = |m: &CsrMatrix| BufferedCsr::from_csr(m, config.partsize, config.buffsize);
-    let ell = |m: &CsrMatrix| EllMatrix::from_csr(m, config.partsize);
     let [a_buf, at_buf] = [&a, &at].map(|m| (config.kernel == Kernel::Buffered).then(|| buffer(m)));
-    let [a_ell, at_ell] = [&a, &at].map(|m| (config.kernel == Kernel::Ell).then(|| ell(m)));
     timings.buffers_s = t.elapsed().as_secs_f64();
     metrics.timer_observe("preprocess/buffers", timings.buffers_s);
 
@@ -407,8 +408,8 @@ pub fn try_preprocess_with_metrics(
         at,
         a_buf,
         at_buf,
-        a_ell,
-        at_ell,
+        a_ell: None,
+        at_ell: None,
         tomo_ord,
         sino_ord,
         tomo_tiles,
@@ -498,7 +499,7 @@ mod tests {
             DomainOrdering::Morton,
             DomainOrdering::TwoLevelHilbert(Some(4)),
         ] {
-            for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
+            for kernel in [Kernel::Serial, Kernel::Buffered] {
                 let config = Config {
                     ordering,
                     kernel,

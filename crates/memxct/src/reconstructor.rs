@@ -639,16 +639,10 @@ mod tests {
                 .build()
                 .unwrap();
             let ops = rec.operators();
-            [
-                ops.a_buf.is_some(),
-                ops.at_buf.is_some(),
-                ops.a_ell.is_some(),
-                ops.at_ell.is_some(),
-            ]
+            [ops.a_buf.is_some(), ops.at_buf.is_some()]
         };
-        assert_eq!(layouts(Kernel::Serial), [false; 4]);
-        assert_eq!(layouts(Kernel::Buffered), [true, true, false, false]);
-        assert_eq!(layouts(Kernel::Ell), [false, false, true, true]);
+        assert_eq!(layouts(Kernel::Serial), [false; 2]);
+        assert_eq!(layouts(Kernel::Buffered), [true; 2]);
     }
 
     #[test]

@@ -151,10 +151,11 @@ pub enum ExecMode {
     /// width, running the request's solver and stop rule on the plan's
     /// kernel: buffered pairs at the plan's sizes on a
     /// [`Kernel::Buffered`](crate::Kernel::Buffered) plan, the CSR pair on
-    /// any other (there is no rank ELL layout). Under a [`RunControl`] and
-    /// a checkpoint policy the ranks agree at every iteration boundary on
-    /// whether to yield (one extra small collective there; a plain
-    /// [`Reconstructor::run`](crate::Reconstructor::run) has none).
+    /// a [`Kernel::Serial`](crate::Kernel::Serial) one. Under a
+    /// [`RunControl`] and a checkpoint policy the ranks agree at every
+    /// iteration boundary on whether to yield (one extra small collective
+    /// there; a plain [`Reconstructor::run`](crate::Reconstructor::run)
+    /// has none).
     Distributed {
         /// Number of ranks (threads standing in for MPI processes).
         ranks: usize,

@@ -6,7 +6,7 @@
 //! [`ProjectionOperator`] backend, and a [`SolverWorkspace`] whose batch
 //! width says how many slices advance together.
 //!
-//! Every projection path — serial, parallel, buffered, ELL, distributed,
+//! Every projection path — serial, pooled, buffered, distributed,
 //! and the compute-centric baseline — and every batch width, 1 included,
 //! runs through this single loop and one [`UpdateRule::step`] per rule;
 //! the operator's `reduce_dot` hook is the only place the shared-memory

@@ -6,7 +6,7 @@
 use memxct::prelude::*;
 use memxct::{dist_checker, Invariant};
 use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
-use xct_sparse::{CsrMatrix, EllMatrix};
+use xct_sparse::CsrMatrix;
 
 fn setup(n: u32, m: u32) -> (Grid, ScanGeometry, Operators) {
     let grid = Grid::new(n);
@@ -118,9 +118,7 @@ fn clean_plans_validate_across_configurations() {
                 ordering,
                 ..Config::default()
             };
-            let mut ops = preprocess(grid, scan, &config);
-            ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
-            ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
+            let ops = preprocess(grid, scan, &config);
             let report = validate_plan(&ops);
             assert!(report.is_ok(), "{n}x{m} {ordering:?}: {report}");
         }

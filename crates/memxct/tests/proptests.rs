@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use xct_geometry::{disk, Sinogram};
 use xct_geometry::{simulate_sinogram, Grid, NoiseModel, ScanGeometry};
 use xct_runtime::{run_ranks, WorkerPool};
-use xct_sparse::{CsrMatrix, EllMatrix};
+use xct_sparse::CsrMatrix;
 
 /// `(⟨A·x_j, y_j⟩, ⟨x_j, Aᵀ·y_j⟩)` per column `j` of the slice-major
 /// slabs, accumulated in f64 from the operator's f32 products.
@@ -189,9 +189,7 @@ proptest! {
     fn every_operator_is_adjoint_per_column(
         n in 6u32..20, m in 3u32..16, threads in 1usize..4, seed in any::<u64>()
     ) {
-        let mut ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config::default());
-        ops.a_ell = Some(EllMatrix::from_csr(&ops.a, ops.partsize));
-        ops.at_ell = Some(EllMatrix::from_csr(&ops.at, ops.partsize));
+        let ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config::default());
         let (rows, cols) = (ops.a.nrows(), ops.a.ncols());
         let unit = 2.0 * (longest_row(&ops.a).max(longest_row(&ops.at)) + 8) as f64
             * (f32::EPSILON as f64 / 2.0);
@@ -211,8 +209,8 @@ proptest! {
             let scale: Vec<f64> = (0..batch)
                 .map(|j| abs_inner(&ops.a, &x[j * cols..][..cols], &y[j * rows..][..rows]))
                 .collect();
-            // The kernel operator: 3 layouts × inline / pooled.
-            for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
+            // The kernel operator: 2 layouts × inline / pooled.
+            for kernel in [Kernel::Serial, Kernel::Buffered] {
                 let inline = KernelOperator::new(&ops, kernel);
                 check(&format!("{kernel:?} inline k={batch}"),
                     &inner_products(&inline, &x, &y, batch), &scale);

@@ -609,10 +609,8 @@ fn only_a_controlled_distributed_run_pays_for_the_boundary_vote() {
 
 /// (f) Ranks run the plan's kernel. On a plan whose partitions split
 /// into several stages (so the buffered kernel and CSR round apart): one
-/// rank of a [`Kernel::Serial`] plan is that plan's serial solve, one
-/// rank of a buffered plan is the buffered plan's serial solve, and the
-/// ranks of an ELL plan (there is no rank ELL layout) are the ranks of
-/// the `Serial` plan, at every rank count.
+/// rank of a [`Kernel::Serial`] plan is that plan's serial solve, and one
+/// rank of a buffered plan is the buffered plan's serial solve.
 #[test]
 fn ranks_run_the_plans_kernel() {
     let (grid, scan) = geometry();
@@ -627,11 +625,7 @@ fn ranks_run_the_plans_kernel() {
             .build()
             .unwrap()
     };
-    let (csr, buffered, ell) = (
-        plan(Kernel::Serial),
-        plan(Kernel::Buffered),
-        plan(Kernel::Ell),
-    );
+    let (csr, buffered) = (plan(Kernel::Serial), plan(Kernel::Buffered));
     let ops = buffered.operators();
     let a = ops.a_buf.as_ref().unwrap();
     assert!(a.num_stages() >= 2 * a.num_partitions(), "stages split");
@@ -655,12 +649,4 @@ fn ranks_run_the_plans_kernel() {
         &buffered_serial,
         "buffered plan, 1 rank",
     );
-    for ranks in 1..=3 {
-        let ctx = format!("ELL plan, {ranks} ranks");
-        assert_same(
-            &run(&ell, over_ranks(ranks)),
-            &run(&csr, over_ranks(ranks)),
-            &ctx,
-        );
-    }
 }

@@ -11,7 +11,7 @@
 //! Recording is steady-state allocation-free: class interning, edge
 //! insertion, and held-stack growth all allocate only on first occurrence,
 //! which a warmup pass covers. Release builds compile the recording out
-//! entirely (every class maps to [`ANON`]).
+//! entirely (every class maps to `ANON`).
 
 #[cfg(debug_assertions)]
 use std::cell::RefCell;

@@ -16,7 +16,7 @@
 //!   callers can give poisoning a *typed* meaning (e.g. the pool's
 //!   `PoolPoisoned`) instead of unwrapping.
 //! * **Named locks** — [`Mutex::named`] assigns a lock class for the
-//!   [`lockdep`](crate::lockdep) acquisition-order graph.
+//!   [`lockdep`] acquisition-order graph.
 
 use std::sync::atomic::Ordering;
 use std::sync::{

@@ -12,7 +12,7 @@
 //!   thread spawns, no heap allocation.
 //! - [`ExecPlan`] is the static partitioning: a greedy prefix split over
 //!   a weight prefix sum (the CSR `rowptr` for row kernels, per-block
-//!   footprints for buffered/ELL layouts) computed once at plan time and
+//!   footprints for buffered layouts) computed once at plan time and
 //!   reused every iteration. Each worker owns one contiguous run of
 //!   partitions, so output slices are disjoint and per-row accumulation
 //!   order — and hence the floating-point result — is independent of the
@@ -111,11 +111,10 @@ impl ExecPlan {
         }
     }
 
-    /// A plan over pre-existing blocks (buffered partitions, ELL
-    /// partitions): block `p` covers rows `block_bounds[p]..block_bounds
-    /// [p + 1]` at cost `block_weights[p]`, and workers get contiguous
-    /// block runs balanced by a greedy prefix split over the block
-    /// weights.
+    /// A plan over pre-existing blocks (buffered partitions): block `p`
+    /// covers rows `block_bounds[p]..block_bounds[p + 1]` at cost
+    /// `block_weights[p]`, and workers get contiguous block runs balanced
+    /// by a greedy prefix split over the block weights.
     ///
     /// # Panics
     /// If the bounds array is empty, lengths disagree, or `workers` is

@@ -120,13 +120,12 @@ fn plan_key_distinguishes_kernel_partition_and_pool_configs() {
     pooled.pool_threads = Some(2);
     assert_ne!(base.key(), pooled.key(), "pool config splits the key");
     type Edit = fn(&mut PlanSpec);
-    let edits: [(&str, Edit); 9] = [
+    let edits: [(&str, Edit); 8] = [
         ("ordering", |s| s.config.ordering = DomainOrdering::RowMajor),
         ("projector", |s| s.config.projector = Projector::Joseph),
         ("partsize", |s| s.config.partsize = 64),
         ("buffsize", |s| s.config.buffsize = 4096),
         ("kernel serial", |s| s.config.kernel = Kernel::Serial),
-        ("kernel ELL", |s| s.config.kernel = Kernel::Ell),
         ("use_pool", |s| s.use_pool = false),
         ("pool_threads", |s| s.pool_threads = Some(4)),
         ("batch", |s| s.batch = 4),

@@ -16,7 +16,7 @@
 //! `spmm_pooled_into`, and `spmv_pooled_into` is that body's one-slice
 //! call.
 //!
-//! The CSR kernels here (and the ELL methods) run the single-slice row
+//! The CSR kernels here run the single-slice row
 //! kernel once per slice on each row, reading the slice at stride `k`:
 //! the row's matrix data is read from cache for slices 2..k, but each
 //! nonzero's index load, bounds check and gather are still paid per

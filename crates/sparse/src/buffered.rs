@@ -654,7 +654,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// output: `y = A · [x₁ … xₖ]`, `x` slice-interleaved too. Slices go
     /// through the kernel in blocks of [`LANES`], then 4, then single
     /// slices; a block of `W` slices pays each nonzero's index, value and
-    /// index mask once (see [`BufferedCsrImpl::process_partition`]). Each
+    /// index mask once (see `BufferedCsrImpl::process_partition`). Each
     /// slice's per-row accumulation order does not depend on the block it
     /// lands in, so column `j` is bit-identical to
     /// [`BufferedCsrImpl::spmv_into`] on slice `j` for every batch width.

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xct_sparse::{spmv, BufferedCsr, CsrMatrix, EllMatrix};
+use xct_sparse::{spmv, BufferedCsr, CsrMatrix};
 
 /// Random sparse matrix with ~`density` fill, deterministic in `seed`.
 fn random_csr(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix {
@@ -39,20 +39,6 @@ fn assert_close(a: &[f32], b: &[f32], tol: f32) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn ell_spmv_matches(
-        nrows in 1usize..50, ncols in 1usize..50,
-        density in 0.0f64..0.5, seed in any::<u64>(),
-        partsize in 1usize..24,
-    ) {
-        let a = random_csr(nrows, ncols, density, seed);
-        let x = random_x(ncols, seed);
-        let ell = EllMatrix::from_csr(&a, partsize);
-        prop_assert_eq!(ell.nnz(), a.nnz());
-        prop_assert!(ell.padded_nnz() >= ell.nnz());
-        assert_close(&ell.spmv(&x), &spmv(&a, &x), 1e-5);
-    }
 
     #[test]
     fn buffered_spmv_matches(

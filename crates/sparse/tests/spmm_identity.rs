@@ -1,6 +1,6 @@
 //! Batched vs. looped-single-slice bit-identity: column `j` of
-//! `A · [x₁ … xₖ]` must equal `A · xⱼ` bitwise for all three kernel
-//! families (CSR, buffered u16/u32, ELL), serial and pooled, at 1/2/4
+//! `A · [x₁ … xₖ]` must equal `A · xⱼ` bitwise for both kernel
+//! families (CSR, buffered u16/u32), serial and pooled, at 1/2/4
 //! worker threads. The buffered kernel cuts a batch into slice blocks of
 //! 8, 4 and 1, so its widths cover every decomposition up to two full
 //! blocks, and its columns are also pinned to a plainly-written staged
@@ -10,7 +10,7 @@ use xct_runtime::WorkerPool;
 use xct_sparse::lanes::row_dot_ref;
 use xct_sparse::{
     csr_plan, deinterleave, interleave, spmm_into, spmm_pooled_into, spmv_into, BufferIndex,
-    BufferedCsrImpl, CsrMatrix, EllMatrix,
+    BufferedCsrImpl, CsrMatrix,
 };
 
 /// A matrix with skewed row lengths (rows shorter and longer than the 8
@@ -379,37 +379,6 @@ fn buffered_spmm_reuses_pool_scratch_across_widths() {
             assert_bitwise(&reused, &fresh, &format!("k={batch} w={workers} after k=8"));
             let reused = slice_major(&reused, batch);
             assert_bitwise(&reused, &looped_spmv(&b, &x, batch), "vs spmv");
-        }
-    }
-}
-
-#[test]
-fn ell_spmm_columns_equal_spmv_serial_and_pooled() {
-    let a = matrix();
-    let ell = EllMatrix::from_csr(&a, 32);
-    for batch in [1usize, 2, 4] {
-        let x = rhs(a.ncols(), batch);
-        let mut want = vec![0f32; a.nrows() * batch];
-        for j in 0..batch {
-            ell.spmv_into(
-                &x[j * a.ncols()..(j + 1) * a.ncols()],
-                &mut want[j * a.nrows()..(j + 1) * a.nrows()],
-            );
-        }
-        let mut y = vec![0f32; a.nrows() * batch];
-        ell.spmm_into(&interleaved(&x, batch), &mut y, batch);
-        assert_bitwise(
-            &slice_major(&y, batch),
-            &want,
-            &format!("ell serial k={batch}"),
-        );
-        for workers in [1usize, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            let plan = ell.exec_plan(workers);
-            let mut y = vec![0f32; a.nrows() * batch];
-            ell.spmm_pooled_into(&interleaved(&x, batch), &mut y, batch, &plan, &pool);
-            let y = slice_major(&y, batch);
-            assert_bitwise(&y, &want, &format!("ell pooled k={batch} w={workers}"));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! tail. This suite recomputes every kernel family's expected output with
 //! `row_dot_ref` — the plainly-written scalar model of that order — and
 //! requires bitwise equality from the real kernels across
-//! CSR/ELL/buffered × spmv/spmm × serial/pooled, thread counts 1/2/4,
+//! CSR/buffered × spmv/spmm × serial/pooled, thread counts 1/2/4,
 //! and batch widths 1/4/16.
 //!
 //! Values are rounding-sensitive (irrational trig values), so any drift
@@ -16,7 +16,7 @@ use xct_runtime::WorkerPool;
 use xct_sparse::lanes::row_dot_ref;
 use xct_sparse::{
     csr_plan, spmm_into, spmm_pooled_into, spmv_into, spmv_pooled_into, BufferedCsr, BufferedCsr32,
-    CsrMatrix, EllMatrix,
+    CsrMatrix,
 };
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -70,26 +70,6 @@ fn csr_ref(a: &CsrMatrix, x: &[f32]) -> Vec<f32> {
             row_dot_ref(&a.colind()[lo..hi], &a.values()[lo..hi], x)
         })
         .collect()
-}
-
-/// ELL reference: per row, slot-ascending sequential accumulation over the
-/// padded width (padding multiplies x[0] by 0, as the kernel does). The
-/// 8-row-blocked kernel must preserve exactly this per-row order.
-fn ell_ref(e: &EllMatrix, x: &[f32]) -> Vec<f32> {
-    let mut y = vec![0f32; e.nrows()];
-    let mut base = 0usize;
-    for p in 0..e.num_partitions() {
-        let v = e.partition_view(p);
-        for j in 0..v.rows {
-            let mut acc = 0f32;
-            for s in 0..v.width {
-                acc += x[v.colind[s * v.rows + j] as usize] * v.values[s * v.rows + j];
-            }
-            y[base + j] = acc;
-        }
-        base += v.rows;
-    }
-    y
 }
 
 /// Buffered reference: per row, stages ascending; each stage's entry run
@@ -182,50 +162,6 @@ fn csr_spmm_matches_lane_reference_across_batches_and_threads() {
 }
 
 #[test]
-fn ell_kernels_match_slot_order_reference() {
-    let a = matrix();
-    let e = EllMatrix::from_csr(&a, 24);
-    let x = xvec(a.ncols(), 0);
-    let want = ell_ref(&e, &x);
-    let mut y = vec![0f32; e.nrows()];
-    e.spmv_into(&x, &mut y);
-    assert_bits(&y, &want, "ell serial spmv");
-    for workers in THREADS {
-        let pool = WorkerPool::new(workers);
-        let plan = e.exec_plan(workers);
-        let mut y = vec![0f32; e.nrows()];
-        e.spmv_pooled_into(&x, &mut y, &plan, &pool);
-        assert_bits(&y, &want, &format!("ell pooled spmv w{workers}"));
-        for batch in BATCHES {
-            let xb = xbatch(a.ncols(), batch);
-            let mut yb = vec![0f32; e.nrows() * batch];
-            e.spmm_pooled_into(&xb, &mut yb, batch, &plan, &pool);
-            for j in 0..batch {
-                let want_j = ell_ref(&e, &xvec(a.ncols(), j));
-                assert_bits(
-                    &column(&yb, batch, j),
-                    &want_j,
-                    &format!("ell pooled spmm w{workers} b{batch} s{j}"),
-                );
-            }
-        }
-    }
-    for batch in BATCHES {
-        let xb = xbatch(a.ncols(), batch);
-        let mut yb = vec![0f32; e.nrows() * batch];
-        e.spmm_into(&xb, &mut yb, batch);
-        for j in 0..batch {
-            let want_j = ell_ref(&e, &xvec(a.ncols(), j));
-            assert_bits(
-                &column(&yb, batch, j),
-                &want_j,
-                &format!("ell serial spmm b{batch} s{j}"),
-            );
-        }
-    }
-}
-
-#[test]
 fn buffered_kernels_match_staged_lane_reference() {
     let a = matrix();
     // A buffer smaller than most partition footprints forces multi-stage
@@ -285,13 +221,6 @@ fn single_slice_spmm_is_the_spmv_bitwise_for_all_families() {
     let mut spmm_y = vec![0f32; a.nrows()];
     spmm_into(&a, &x, &mut spmm_y, 1);
     assert_bits(&spmm_y, &spmv_y, "csr spmm(1) == spmv");
-
-    let e = EllMatrix::from_csr(&a, 24);
-    let mut ev = vec![0f32; e.nrows()];
-    e.spmv_into(&x, &mut ev);
-    let mut em = vec![0f32; e.nrows()];
-    e.spmm_into(&x, &mut em, 1);
-    assert_bits(&em, &ev, "ell spmm(1) == spmv");
 
     let b = BufferedCsr::from_csr(&a, 24, 64);
     let mut bv = vec![0f32; b.nrows()];

@@ -223,7 +223,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification accepted by [`vec`].
+    /// Length specification accepted by [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -246,7 +246,7 @@ pub mod collection {
         }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: SizeRange,

@@ -130,7 +130,7 @@ fn all_kernels_and_orderings_agree_on_the_projection() {
         DomainOrdering::TwoLevelHilbert(None),
         DomainOrdering::TwoLevelHilbert(Some(2)),
     ] {
-        for kernel in [Kernel::Serial, Kernel::Ell, Kernel::Buffered] {
+        for kernel in [Kernel::Serial, Kernel::Buffered] {
             let config = Config {
                 ordering,
                 kernel,
