@@ -370,6 +370,49 @@ mod tests {
     }
 
     #[test]
+    fn partition_padding_pads_each_block_to_its_longest_row() {
+        // Row lengths 3, 1, 0, 5, 1.
+        let a = CsrMatrix::from_rows(
+            5,
+            &[
+                vec![(0, 1.0), (3, 2.0), (4, 1.5)],
+                vec![(1, -1.0)],
+                vec![],
+                vec![(0, 0.5), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5)],
+                vec![(2, 3.0)],
+            ],
+        );
+        // Blocks {3, 1}, {0, 5}, {1}: 2·3 + 2·5 + 1·1.
+        assert_eq!(partition_padded_slots(&a, 2), 17);
+        // Blocks {3, 1, 0}, {5, 1}: 3·3 + 2·5.
+        assert_eq!(partition_padded_slots(&a, 3), 19);
+    }
+
+    #[test]
+    fn partition_padding_spans_nnz_to_matrix_level() {
+        let a = CsrMatrix::from_rows(
+            4,
+            &[
+                vec![(0, 1.0), (2, 1.0)],
+                vec![],
+                vec![(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)],
+                vec![(3, 1.0)],
+            ],
+        );
+        // One-row blocks carry no padding at all.
+        assert_eq!(partition_padded_slots(&a, 1), a.nnz());
+        // A block as tall as the matrix (or taller) is matrix-level ELL.
+        assert_eq!(partition_padded_slots(&a, 4), 4 * 4);
+        assert_eq!(partition_padded_slots(&a, 9), 4 * 4);
+    }
+
+    #[test]
+    fn partition_padding_of_empty_matrices_is_zero() {
+        assert_eq!(partition_padded_slots(&CsrMatrix::zeros(0, 3), 2), 0);
+        assert_eq!(partition_padded_slots(&CsrMatrix::zeros(5, 3), 2), 0);
+    }
+
+    #[test]
     fn fmt_bytes_matches_table3_style() {
         assert_eq!(fmt_bytes(256 * 1024), "256 KB");
         assert_eq!(fmt_bytes(1024 * 1024 * 1024 * 5 + 1024), "5.00 GB");

@@ -792,6 +792,41 @@ mod tests {
     }
 
     #[test]
+    fn every_ell_name_is_retired_in_the_product_and_its_callers() {
+        let only = &[LintRule::RetiredName];
+        let row = RETIRED
+            .iter()
+            .find(|r| r.names.contains(&"EllMatrix"))
+            .expect("the ELL row");
+        for name in row.names {
+            let src = format!("let layout = {name};\n");
+            for path in [
+                "crates/sparse/src/lib.rs",
+                "crates/memxct/tests/pooled.rs",
+                "tests/end_to_end.rs",
+                "examples/quickstart.rs",
+            ] {
+                let f = lint_file(path, &src, only);
+                assert_eq!(f.len(), 1, "{name} in {path}: {f:?}");
+                assert_eq!(f[0].message, row.message);
+            }
+            // Outside the product (the harness crate at the root) the
+            // name is not policed.
+            assert!(lint_file("benchmark/src/main.rs", &src, only).is_empty());
+        }
+        // Prose and the partition-padding model that replaced the layout
+        // in Table 6 stay legal.
+        for live in [
+            "// the ELL layout lost to Kernel::Buffered\n",
+            "let ell_padding = partition_padded_slots(&a, 128);\n",
+            "let kernel = Kernel::Serial;\n",
+        ] {
+            let f = lint_file("crates/bench/src/bin/table6.rs", live, only);
+            assert!(f.is_empty(), "must not fire on: {live} -> {f:?}");
+        }
+    }
+
+    #[test]
     fn every_rule_fires_exactly_once_on_its_fixture() {
         let covered: std::collections::HashSet<LintRule> =
             FIXTURES.iter().map(|(r, _)| *r).collect();

@@ -267,6 +267,19 @@ mod tests {
     }
 
     #[test]
+    fn every_invariant_class_is_listed_once_under_its_own_name() {
+        let names: std::collections::HashSet<String> =
+            Invariant::ALL.iter().map(|i| i.to_string()).collect();
+        assert_eq!(
+            names.len(),
+            Invariant::ALL.len(),
+            "duplicate in Invariant::ALL"
+        );
+        assert!(names.contains("LockOrderAcyclic"), "{names:?}");
+        assert!(names.iter().all(|n| !n.starts_with("Ell")), "{names:?}");
+    }
+
+    #[test]
     fn empty_report_is_ok() {
         let r = Report::new();
         assert!(r.is_ok());

@@ -1,8 +1,9 @@
 //! Property tests for the core pipeline: the memoized operators agree
 //! with direct ray tracing, the factorized distributed product agrees
 //! with the monolithic one, every operator's backprojection is the
-//! adjoint of its projection, and permutations round-trip — for
-//! arbitrary geometries and rank counts.
+//! adjoint of its projection, the buffered kernel projects what the CSR
+//! reference does at any partition and buffer size, and permutations
+//! round-trip — for arbitrary geometries and rank counts.
 
 use memxct::{
     preprocess, Config, DistOperator, Kernel, KernelOperator, PooledPlans, ProjectionOperator,
@@ -91,6 +92,29 @@ proptest! {
         let y_rm = ops.unorder_sinogram(&y);
         for (got, want) in y_rm.iter().zip(direct.data()) {
             prop_assert!((got - want).abs() < 1e-3, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn buffered_plan_projects_like_the_serial_plan(
+        n in 6u32..24, m in 3u32..20, partsize in 1usize..64, buffsize in 1usize..96,
+        seed in any::<u64>(),
+    ) {
+        let ops = preprocess(Grid::new(n), ScanGeometry::new(m, n), &Config {
+            partsize,
+            buffsize,
+            ..Config::default()
+        });
+        let (x, y) = (slab(ops.a.ncols(), 1, seed), slab(ops.a.nrows(), 1, seed ^ 1));
+        let pairs = [
+            (ops.forward(Kernel::Buffered, &x), ops.forward(Kernel::Serial, &x)),
+            (ops.back(Kernel::Buffered, &y), ops.back(Kernel::Serial, &y)),
+        ];
+        for (got, want) in pairs {
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert!((g - w).abs() < 1e-3, "{g} vs {w}");
+            }
         }
     }
 

@@ -1545,6 +1545,51 @@ mod tests {
     }
 
     #[test]
+    fn shape_accessors() {
+        let a = sample(); // 6 rows, 8 columns, 13 nonzeroes
+        let b = BufferedCsr::from_csr(&a, 4, 3);
+        assert_eq!((b.nrows(), b.ncols(), b.nnz()), (6, 8, a.nnz()));
+        assert_eq!((b.partsize(), b.buffsize()), (4, 3));
+        assert_eq!(b.num_partitions(), 2);
+        assert_eq!(b.partdispl().len(), b.num_partitions() + 1);
+        assert_eq!(b.stagedispl().len(), b.num_stages() + 1);
+        assert_eq!(*b.stagedispl().last().unwrap(), b.map_len());
+        assert_eq!(b.entry_ind().len(), b.nnz());
+        assert_eq!(b.entry_val().len(), b.nnz());
+    }
+
+    #[test]
+    fn regular_bytes_counts_the_index_width() {
+        // 32-bit addressing pays 8 bytes per nonzero, plus the same map.
+        let a = sample();
+        let b = BufferedCsr32::from_csr(&a, 6, 64);
+        assert_eq!(
+            b.regular_bytes(),
+            a.nnz() as u64 * 8 + b.map_len() as u64 * 4
+        );
+    }
+
+    #[test]
+    fn pooled_handles_empty_matrices() {
+        for a in [CsrMatrix::zeros(0, 4), CsrMatrix::zeros(5, 4)] {
+            let b = BufferedCsr::from_csr(&a, 2, 2);
+            for workers in [1, 3] {
+                let pool = xct_runtime::WorkerPool::new(workers);
+                let plan = b.exec_plan(workers);
+                assert!(plan.is_well_formed());
+                let mut y = vec![f32::NAN; b.nrows()];
+                b.spmv_pooled_into(&[1.0; 4], &mut y, &plan, &pool);
+                assert_eq!(
+                    y,
+                    vec![0.0; a.nrows()],
+                    "{} rows, {workers} workers",
+                    a.nrows()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn empty_matrix_works() {
         let a = CsrMatrix::zeros(0, 4);
         let b = BufferedCsr::from_csr(&a, 4, 4);

@@ -1,11 +1,14 @@
 //! Property tests: every SpMV kernel variant computes the same product as
 //! the sequential reference on random sparse matrices, the scan transpose
-//! is a stable involution, and buffered re-layout conserves nonzeroes.
+//! is a stable involution, buffered re-layout conserves nonzeroes, and
+//! the pooled and batched kernels repeat the serial single-slice product
+//! bit for bit.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use xct_sparse::{spmv, BufferedCsr, CsrMatrix};
+use xct_runtime::WorkerPool;
+use xct_sparse::{deinterleave, interleave, spmv, BufferedCsr, CsrMatrix};
 
 /// Random sparse matrix with ~`density` fill, deterministic in `seed`.
 fn random_csr(nrows: usize, ncols: usize, density: f64, seed: u64) -> CsrMatrix {
@@ -89,5 +92,51 @@ proptest! {
         // Each partition's footprint is at most min(ncols, its nnz).
         prop_assert!(b.map_len() <= a.nnz());
         prop_assert!(b.map_len() <= b.num_partitions() * ncols);
+    }
+
+    #[test]
+    fn buffered_pooled_spmv_is_the_serial_spmv_bitwise(
+        nrows in 1usize..50, ncols in 1usize..50,
+        density in 0.0f64..0.5, seed in any::<u64>(),
+        partsize in 1usize..24, buffsize in 1usize..32, workers in 1usize..5,
+    ) {
+        let a = random_csr(nrows, ncols, density, seed);
+        let x = random_x(ncols, seed);
+        let b = BufferedCsr::from_csr(&a, partsize, buffsize);
+        let want = b.spmv(&x);
+        let pool = WorkerPool::new(workers);
+        let plan = b.exec_plan(workers);
+        prop_assert!(plan.is_well_formed());
+        let mut y = vec![f32::NAN; nrows];
+        b.spmv_pooled_into(&x, &mut y, &plan, &pool);
+        let (got, want): (Vec<u32>, Vec<u32>) =
+            (y.iter().map(|v| v.to_bits()).collect(), want.iter().map(|v| v.to_bits()).collect());
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn buffered_spmm_columns_are_the_spmv_bitwise(
+        nrows in 1usize..40, ncols in 1usize..40,
+        density in 0.0f64..0.5, seed in any::<u64>(),
+        partsize in 1usize..16, buffsize in 1usize..24, batch in 1usize..12,
+    ) {
+        let a = random_csr(nrows, ncols, density, seed);
+        let b = BufferedCsr::from_csr(&a, partsize, buffsize);
+        let x: Vec<f32> = (0..batch)
+            .flat_map(|j| random_x(ncols, seed.wrapping_add(j as u64)))
+            .collect();
+        let mut xi = vec![0f32; x.len()];
+        interleave(&x, &mut xi, batch);
+        let mut yi = vec![f32::NAN; nrows * batch];
+        b.spmm_into(&xi, &mut yi, batch);
+        let mut y = vec![0f32; yi.len()];
+        deinterleave(&yi, &mut y, batch);
+        for j in 0..batch {
+            let want = b.spmv(&x[j * ncols..(j + 1) * ncols]);
+            let got = &y[j * nrows..(j + 1) * nrows];
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "slice {} row {}", j, i);
+            }
+        }
     }
 }
