@@ -7,7 +7,8 @@
 use crate::violation::{Invariant, Report};
 use std::ops::Range;
 use xct_hilbert::Ordering2D;
-use xct_sparse::{BufferIndex, BufferedCsrImpl, CsrMatrix};
+use xct_runtime::prefetch;
+use xct_sparse::{BufferIndex, BufferedCsrImpl, CsrMatrix, TRANSPOSE_LOOKAHEAD};
 
 /// One static invariant check.
 pub trait Check {
@@ -321,20 +322,30 @@ impl Check for TransposeCheck<'_> {
         // once, at the end, not once per entry: cursors only advance, so
         // one that ran past its row (`get` keeps it in bounds) ends past
         // it. Only a mismatch pays for materialising the transpose to
-        // name the row.
+        // name the row. The walk reads `At` where the scan transpose
+        // wrote it, one open stream per column, so it prefetches the slots
+        // of the entry `TRANSPOSE_LOOKAHEAD` ahead as the transpose does.
         let mut cursor = at.rowptr()[..at.nrows()].to_vec();
         let row_ends = &at.rowptr()[1..];
+        let (cols, values) = (a.colind(), a.values());
         let (rows_t, values_t) = (at.colind(), at.values());
         let in_order = (0..a.nrows()).all(|i| {
-            a.row(i).all(|(c, v)| {
-                let Some(k) = cursor.get_mut(c as usize) else {
+            (a.rowptr()[i]..a.rowptr()[i + 1]).all(|e| {
+                if let Some(&slot) = cols
+                    .get(e + TRANSPOSE_LOOKAHEAD)
+                    .and_then(|&c| cursor.get(c as usize))
+                {
+                    prefetch(rows_t, slot);
+                    prefetch(values_t, slot);
+                }
+                let Some(k) = cursor.get_mut(cols[e] as usize) else {
                     return false;
                 };
                 let (Some(&row), Some(&value)) = (rows_t.get(*k), values_t.get(*k)) else {
                     return false;
                 };
                 *k += 1;
-                row as usize == i && value == v
+                row as usize == i && value == values[e]
             })
         });
         if in_order && cursor.iter().eq(row_ends) {

@@ -83,7 +83,8 @@ DATASETS: ads1 ads2 ads3 ads4 rds1 rds2 (see `info`)
                  1 + 0.05 j; --out FILE.pgm holds slice 0 and FILE.j.pgm
                  slice j)
   --checkpoint FILE  snapshot the solver state to FILE.0 (versioned,
-                 checksummed) every --checkpoint-every iterations
+                 checksummed) every --checkpoint-every iterations;
+                 FILE's directory must exist
   --checkpoint-every N  checkpoint cadence in iterations (default 1;
                  needs --checkpoint)
   --resume       resume from the latest snapshot under --checkpoint;

@@ -10,6 +10,7 @@ use xct_geometry::{trace_ray, trace_ray_joseph, Grid, Ray, ScanGeometry, Sinogra
 use xct_hilbert::{Ordering2D, TwoLevelOrdering};
 use xct_obs::Metrics;
 use xct_runtime::{ExecPlan, WorkerPool};
+use xct_sparse::lanes::LANES;
 use xct_sparse::{BufferIndex, BufferedCsr, CsrMatrix};
 
 use crate::errors::BuildError;
@@ -321,7 +322,12 @@ fn trace_csr(
         rowptr[r + 1] += rowptr[r];
     }
     let nnz = rowptr[num_rays];
-    let (mut colind, mut values) = (vec![0u32; nnz], vec![0f32; nnz]);
+    let mut colind = vec![0u32; nnz];
+    // `values` is allocated with room for the kernel's pad, which
+    // `CsrMatrix::from_raw` appends: at exactly `nnz` the pad would
+    // reallocate and copy the whole array.
+    let mut values = vec![0f32; nnz + LANES];
+    values.truncate(nnz);
     const RAY_BLOCK: usize = 256;
     let (mut blocks, mut block_ptr) = (Vec::new(), vec![0usize]);
     let (mut cols_rest, mut vals_rest) = (&mut colind[..], &mut values[..]);

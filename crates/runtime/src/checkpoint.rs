@@ -466,7 +466,8 @@ pub trait CheckpointSink: Send + Sync {
 }
 
 /// File-backed sink: slot `s` lives at `{base}.{s}`, written via a temp
-/// file and an atomic rename.
+/// file and an atomic rename. `base`'s directory must exist: a save into
+/// a missing one fails with [`CheckpointError::Io`] and creates nothing.
 #[derive(Debug, Clone)]
 pub struct FileCheckpointSink {
     base: PathBuf,
@@ -496,15 +497,14 @@ fn io_err(e: std::io::Error) -> CheckpointError {
 impl CheckpointSink for FileCheckpointSink {
     fn save(&self, slot: usize, bytes: &[u8]) -> Result<(), CheckpointError> {
         let path = self.slot_path(slot);
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).map_err(io_err)?;
-            }
-        }
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, bytes).map_err(io_err)?;
+        // No directory is created: a missing parent is a mistyped path,
+        // and fails here as one.
+        std::fs::write(&tmp, bytes).map_err(|e| CheckpointError::Io {
+            message: format!("{}: {e}", tmp.display()),
+        })?;
         std::fs::rename(&tmp, &path).map_err(io_err)
     }
 
@@ -704,6 +704,7 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let sink = FileCheckpointSink::new(dir.join("ck"));
         assert_eq!(sink.load(0).unwrap(), None, "empty slot loads as None");
         let bytes = sample().encode();
@@ -715,6 +716,21 @@ mod tests {
         assert_eq!(sink.load(0).unwrap(), Some(bytes2));
         assert!(!sink.slot_path(0).with_extension("0.tmp").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_sink_creates_no_directory() {
+        let missing = std::env::temp_dir().join(format!(
+            "xct-ckpt-missing-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&missing);
+        let sink = FileCheckpointSink::new(missing.join("deeper").join("ck"));
+        let err = sink.save(0, &sample().encode()).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io { .. }), "{err:?}");
+        assert!(!missing.exists(), "a failed save left a directory behind");
+        assert_eq!(sink.load(0).unwrap(), None, "nothing to load either");
     }
 
     #[test]

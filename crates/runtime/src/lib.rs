@@ -19,15 +19,19 @@
 //! - [`WorkerPool`] / [`ExecPlan`]: the in-node execution layer — a
 //!   persistent worker pool (spawned once, parked between dispatches)
 //!   driving static nnz-balanced row partitions, mirroring the paper's
-//!   `partsize` load balancing (§3.2). The two `unsafe` sites in
-//!   `pool.rs` (lifetime-erased job pointer, disjoint output slicing)
-//!   are the only ones in the workspace and carry `SAFETY` arguments.
+//!   `partsize` load balancing (§3.2).
+//! - [`prefetch`]: a cache hint for the plan build's scatter passes.
+//!
+//! The workspace's `unsafe` lives here and nowhere else, each site with a
+//! `SAFETY` argument: the two in `pool.rs` (lifetime-erased job pointer,
+//! disjoint output slicing) and the prefetch intrinsic in `hint.rs`.
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
 mod comm;
 pub mod fault;
+mod hint;
 mod model;
 mod pool;
 
@@ -39,6 +43,7 @@ pub use comm::{fnv1a64, run_ranks, run_ranks_with, CollectiveStats, CommLedger, 
 pub use fault::{
     CommConfig, CommError, CommErrorKind, FaultKind, FaultPlan, FaultSpec, FaultStats,
 };
+pub use hint::prefetch;
 pub use model::{
     iteration_time, KernelTimes, KernelVolumes, MachineSpec, BLUE_WATERS, COOLEY, THETA,
 };

@@ -227,8 +227,14 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
     /// [`LayoutError`] instead of panicking (or, in release mode,
     /// silently truncating buffer-local indices).
     ///
-    /// Linear in the source: `O(nnz)` table lookups plus one sort of each
-    /// partition's *distinct* column set.
+    /// Linear in the source, one partition at a time. A partition's
+    /// footprint is a bitmap over the columns, read back in ascending
+    /// order, so nothing is sorted. A footprint that fits one stage (every
+    /// partition of a plan at the default buffer) has one run a row:
+    /// its runs are its rows and its indices are each entry's rank in the
+    /// footprint, written in one pass in the source's order. A partition
+    /// of two stages or more counting-sorts its entries into their
+    /// `(stage, row)` runs: one pass counts, one scatters.
     ///
     /// A source whose every row ascends — every scan transpose — is laid
     /// out row-major: stages are ascending chunks of the sorted footprint,
@@ -260,6 +266,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             });
         }
         let (rowptr, colind, values) = (a.rowptr(), a.colind(), a.values());
+        let ncols = a.ncols();
         let nparts = a.nrows().div_ceil(partsize).max(1);
         let mut partdispl = Vec::with_capacity(nparts + 1);
         partdispl.push(0u32);
@@ -275,61 +282,89 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         // `None` while the layout shares the source's values.
         let mut val: Option<Vec<f32>> = (!aligned).then(|| Vec::with_capacity(a.nnz() + TAIL));
 
-        // Dense per-column lookup of the current partition's (stage,
-        // buffer-local index), so the count and scatter passes below are
-        // O(1) per nonzero. Only the partition's footprint is ever live;
-        // it is reset by walking the footprint, never the whole table.
-        const UNSEEN: u32 = u32::MAX;
-        let mut stage_of = vec![UNSEEN; a.ncols()];
-        let mut local_of = vec![I::default(); a.ncols()];
-        let mut footprint: Vec<u32> = Vec::new();
+        // The current partition's footprint, one bit a column. Reading it
+        // back clears it, so only the words between the partition's
+        // lowest and highest column are ever read or reset.
+        let mut seen = vec![0u64; ncols.div_ceil(64)];
+        // Each footprint column's buffer-local index, and — built for the
+        // first partition of two stages or more — its stage. Only the
+        // current footprint's entries are ever read.
+        let mut local_of = vec![I::default(); ncols];
+        let mut stage_of: Vec<u32> = Vec::new();
         // Per-run entry counts, then turned in place into the scatter
         // cursors.
         let mut cursor: Vec<usize> = Vec::new();
         for base in (0..a.nrows().max(1)).step_by(partsize) {
             let rows = partsize.min(a.nrows().saturating_sub(base));
-            // Distinct columns touched by this partition, ascending —
-            // ascending rank order *is* Hilbert traversal order. Collected
-            // by first touch, so only the distinct set is sorted.
-            footprint.clear();
+            let (mut min_col, mut max_col) = (usize::MAX, 0);
             for i in base..base + rows {
                 for &c in &colind[rowptr[i]..rowptr[i + 1]] {
-                    let Some(seen) = stage_of.get_mut(c as usize) else {
-                        return Err(LayoutError::ColumnOutOfRange {
-                            column: c,
-                            ncols: a.ncols(),
-                        });
-                    };
-                    if *seen == UNSEEN {
-                        *seen = 0; // placeholder until the footprint is sorted
-                        footprint.push(c);
+                    let col = c as usize;
+                    if col >= ncols {
+                        return Err(LayoutError::ColumnOutOfRange { column: c, ncols });
+                    }
+                    seen[col / 64] |= 1 << (col % 64);
+                    (min_col, max_col) = (min_col.min(col), max_col.max(col));
+                }
+            }
+            // The distinct columns, ascending — ascending rank order *is*
+            // Hilbert traversal order — appended to `map` as they are read.
+            let first = map.len();
+            if min_col <= max_col {
+                let words = min_col / 64..=max_col / 64;
+                for (w, word) in seen[words.clone()].iter_mut().enumerate() {
+                    let mut bits = std::mem::take(word);
+                    // in-range: a bit of the word holding a u32 column
+                    let word_base = ((words.start() + w) * 64) as u32;
+                    while bits != 0 {
+                        map.push(word_base + bits.trailing_zeros());
+                        bits &= bits - 1;
                     }
                 }
             }
-            footprint.sort_unstable();
-            let nstages_here = footprint.len().div_ceil(buffsize);
+            let nstages_here = (map.len() - first).div_ceil(buffsize);
+            if nstages_here > 1 && stage_of.is_empty() {
+                stage_of = vec![0; ncols];
+            }
+            // Stage boundaries, and each footprint column's buffer-local
+            // index (its rank in its stage's chunk of the footprint).
+            for (s, chunk) in map[first..].chunks(buffsize).enumerate() {
+                for (local, &c) in chunk.iter().enumerate() {
+                    // Checked narrowing: `local < buffsize <= MAX_BUFFER`
+                    // holds by construction, but the plan-build path never
+                    // trusts that silently.
+                    local_of[c as usize] = I::try_from_usize(local)?;
+                }
+                if nstages_here > 1 {
+                    // in-range: s < footprint length, a count of distinct u32 columns
+                    let s = s as u32;
+                    chunk.iter().for_each(|&c| stage_of[c as usize] = s);
+                }
+                stagedispl.push(first + s * buffsize + chunk.len());
+            }
+
+            // in-range: stage counts are bounded by nnz, which fits u32
+            partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
+
+            if nstages_here == 1 {
+                // One stage: run `j` is row `j`, its entries in the
+                // source's order.
+                let (lo, hi, at) = (rowptr[base], rowptr[base + rows], ind.len());
+                let ends = rowptr[base + 1..=base + rows].iter();
+                displ.extend(ends.map(|&e| at + e - lo));
+                displ.resize(displ.len() + partsize - rows, at + hi - lo);
+                ind.extend(colind[lo..hi].iter().map(|&c| local_of[c as usize]));
+                if let Some(v) = &mut val {
+                    v.extend_from_slice(&values[lo..hi]);
+                }
+                continue;
+            }
             if val.is_none() && !row_major && nstages_here > 1 {
                 // The first split: stage-major runs leave the source's
                 // order here, and everything before it is the source's.
                 let mut owned = Vec::with_capacity(a.nnz() + TAIL);
                 owned.extend_from_slice(&values[..rowptr[base]]);
                 val = Some(owned);
-            }
-
-            // Stage buffer maps, and each footprint column's stage and
-            // buffer-local index (its rank in the sorted footprint).
-            for (s, chunk) in footprint.chunks(buffsize).enumerate() {
-                // in-range: s < footprint.len(), a count of distinct u32 columns
-                let s = s as u32;
-                for (local, &c) in chunk.iter().enumerate() {
-                    stage_of[c as usize] = s;
-                    // Checked narrowing: `local < buffsize <= MAX_BUFFER`
-                    // holds by construction, but the plan-build path never
-                    // trusts that silently (satellite of ISSUE 3).
-                    local_of[c as usize] = I::try_from_usize(local)?;
-                }
-                map.extend_from_slice(chunk);
-                stagedispl.push(map.len());
             }
 
             // Counting sort of the partition's entries by run slot
@@ -390,12 +425,6 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
                     dst += 1;
                 }
             }
-
-            for &c in &footprint {
-                stage_of[c as usize] = UNSEEN;
-            }
-            // in-range: stage counts are bounded by nnz, which fits u32
-            partdispl.push(partdispl.last().unwrap() + nstages_here as u32);
         }
         pad_tail(&mut ind);
         let val = match val {
@@ -414,7 +443,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
 
         Ok(BufferedCsrImpl {
             nrows: a.nrows(),
-            ncols: a.ncols(),
+            ncols,
             partsize,
             buffsize,
             nnz: a.nnz(),
@@ -1264,6 +1293,70 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0],
         );
         assert_same_layout::<u16>(&dup, 2, 1);
+        // A source whose entries do not start at 0 and stop short of its
+        // arrays' end (owned values from the first entry), with rows of
+        // 1 to 6 columns out of 12: at buffsize 4 some partitions fit one
+        // stage and the others split.
+        let lens = [1usize, 2, 6, 1, 1, 5, 2, 1, 6, 3];
+        let mut rowptr = vec![3];
+        for len in lens {
+            rowptr.push(rowptr[rowptr.len() - 1] + len);
+        }
+        let n = rowptr[lens.len()] + 2;
+        let colind = (0..n).map(|k| (k * 7 % 12) as u32).collect();
+        let values = (0..n).map(|k| k as f32 - 8.5).collect();
+        let offset = CsrMatrix::from_raw_unchecked(lens.len(), 12, rowptr, colind, values);
+        for partsize in [1, 2, 3] {
+            let b = BufferedCsr::from_csr(&offset, partsize, 4);
+            let stages: Vec<usize> = (0..b.num_partitions())
+                .map(|p| b.stages_of_partition(p))
+                .collect();
+            assert!(
+                stages.contains(&1) && stages.iter().any(|&s| s > 1),
+                "{stages:?}"
+            );
+            assert_same_layout::<u16>(&offset, partsize, 4);
+            assert_same_layout::<u32>(&offset, partsize, 4);
+        }
+    }
+
+    /// `A` of a `grid`² image scanned at `projections` × `grid` channels,
+    /// rows and columns in two-level Hilbert order, as a plan traces it.
+    fn traced(grid: u32, projections: u32) -> CsrMatrix {
+        use xct_geometry::{trace_ray, Grid, ScanGeometry};
+        use xct_hilbert::{default_tile_size, Ordering2D};
+        let (g, scan) = (Grid::new(grid), ScanGeometry::new(projections, grid));
+        let tomo = Ordering2D::two_level_hilbert(grid, grid, default_tile_size(grid, grid));
+        let sino =
+            Ordering2D::two_level_hilbert(grid, projections, default_tile_size(grid, projections));
+        let rows: Vec<Vec<(u32, f32)>> = (0..scan.num_rays())
+            .map(|rank| {
+                let (chan, proj) = sino.cell(rank as u32);
+                let mut row = Vec::new();
+                trace_ray(&g, &scan.ray(proj, chan), |pixel, len| {
+                    let (i, j) = g.pixel_coords(pixel);
+                    row.push((tomo.rank(i, j), len));
+                });
+                row
+            })
+            .collect();
+        CsrMatrix::from_rows(g.num_pixels(), &rows)
+    }
+
+    #[test]
+    fn a_benchmark_plans_layouts_match_the_reference() {
+        // 150 projections of a 96² grid, the smaller of `cold_plans`' two
+        // plans: one stage a partition at the default 8 192-slot buffer,
+        // and split into two at 2 048.
+        let a = traced(96, 150);
+        let at = a.transpose_scan();
+        for m in [&a, &at] {
+            for buffsize in [8192, 2048] {
+                assert_same_layout::<u16>(m, 128, buffsize);
+            }
+        }
+        let split = BufferedCsr::from_csr(&a, 128, 2048);
+        assert!((0..split.num_partitions()).any(|p| split.stages_of_partition(p) > 1));
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod stats;
 
 pub use batch::{deinterleave, interleave, spmm_into, spmm_pooled_into};
 pub use buffered::{BufferIndex, BufferedCsr, BufferedCsr32, BufferedCsrImpl, LayoutError};
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, TRANSPOSE_LOOKAHEAD};
 pub use pooled::{
     csr_plan, csr_plan_equal, dot_chunks, dot_f64_batched_pooled, dot_plan, spmv_pooled_into,
     DOT_CHUNK,
