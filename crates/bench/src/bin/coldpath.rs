@@ -8,8 +8,8 @@
 //! iteration and the bytes it holds resident (a layout that shares its
 //! CSR's value array counts it once), the seconds to first-touch as many
 //! fresh zeroed bytes as the plan streams — so "build − faults" is
-//! printed, not inferred — and the seconds of each `validate_plan` check
-//! that walks the nonzeroes, and the most stages any partition of each
+//! printed, not inferred — the seconds of `validate_plan` and, below it,
+//! of each check of its sweep alone, and the most stages any partition of each
 //! buffered layout takes. Panics if the plan fails a check or the phases
 //! exceed the total, or if the resident bytes are not the streamed bytes
 //! less both layouts' values: at the default buffer every partition is
@@ -19,10 +19,10 @@
 //! cargo run --release -p xct-bench --bin coldpath [--smoke]
 //! ```
 
-use memxct::{try_preprocess, validate_plan, Config};
+use memxct::{plan_checker, try_preprocess, validate_plan, Config};
 use std::hint::black_box;
 use std::time::Instant;
-use xct_check::{BufferedCheck, Check, CsrCheck, Report, TransposeCheck};
+use xct_check::Report;
 use xct_geometry::{Grid, ScanGeometry};
 use xct_sparse::{BufferedCsr, CsrMatrix};
 
@@ -122,24 +122,18 @@ fn main() {
     row(&format!("first touch ({per_page:.2} us/page)"), faults, 0);
     row("build - faults", total - faults, 0);
 
-    // `plan_checker`'s checks that walk the nonzeroes, one at a time, on a
-    // plan the earlier runs left in whatever cache holds it.
-    let checks: [Box<dyn Check>; 5] = [
-        Box::new(CsrCheck::new("csr(A)", &ops.a)),
-        Box::new(CsrCheck::new("csr(At)", &ops.at).require_sorted_columns()),
-        Box::new(TransposeCheck::new("pair(A,At)", &ops.a, &ops.at)),
-        Box::new(BufferedCheck::new("buffered(A)", a_buf).with_source(&ops.a)),
-        Box::new(BufferedCheck::new("buffered(At)", at_buf).with_source(&ops.at)),
-    ];
-    for check in &checks {
-        let s = best(builds, || check.run(&mut Report::new()));
-        row(&check.name(), s, nnz);
-    }
+    // The sweep, then each of its checks alone, on a plan the earlier
+    // runs left in whatever cache holds it.
     row(
         "validate_plan",
         best(builds, || drop(validate_plan(&ops))),
         nnz,
     );
+    let checker = plan_checker(&ops);
+    for (check, name) in checker.checks().zip(checker.names()) {
+        let s = best(builds, || check.run(&mut Report::new()));
+        row(&format!("  {name}"), s, nnz);
+    }
     let report = validate_plan(&ops);
     assert!(report.is_ok(), "the plan fails validate_plan: {report:?}");
 }

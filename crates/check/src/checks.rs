@@ -41,9 +41,15 @@ impl<'a> Checker<'a> {
         self.checks.push(Box::new(check));
     }
 
+    /// The registered checks, in execution order (to run or time one
+    /// alone).
+    pub fn checks(&self) -> impl Iterator<Item = &(dyn Check + 'a)> {
+        self.checks.iter().map(|c| c.as_ref())
+    }
+
     /// Names of the registered checks, in execution order.
     pub fn names(&self) -> Vec<String> {
-        self.checks.iter().map(|c| c.name()).collect()
+        self.checks().map(|c| c.name()).collect()
     }
 
     /// Number of registered checks.
@@ -104,6 +110,65 @@ impl<'a> CsrCheck<'a> {
         self.require_sorted_columns = true;
         self
     }
+
+    /// The clean-case screen: one pass over the rows that proves every
+    /// invariant [`Check::run`] reports on — `rowptr` shape and order,
+    /// column bounds, finite values, strict ascent where required, no
+    /// duplicate — or answers "don't know" at the first doubt. Where
+    /// ascent is required it also rules out a repeat; elsewhere each entry
+    /// stamps its column with its row's index, and a column that already
+    /// holds the row's stamp is a repeat (or, missing from the table, out
+    /// of bounds).
+    fn proven_clean(&self) -> bool {
+        let a = self.a;
+        let (rowptr, cols, vals) = (a.rowptr(), a.colind(), a.values());
+        // Row `i` stamps `i`; `u32::MAX` is no row's stamp.
+        if a.nrows() >= u32::MAX as usize
+            || rowptr.len() != a.nrows() + 1
+            || rowptr.first() != Some(&0)
+            || rowptr.last() != Some(&cols.len())
+            || cols.len() != vals.len()
+        {
+            return false;
+        }
+        let ncols = a.ncols();
+        let sorted = self.require_sorted_columns;
+        let mut stamp = if sorted {
+            Vec::new()
+        } else {
+            vec![u32::MAX; ncols]
+        };
+        (0u32..).zip(rowptr.windows(2)).all(|(i, w)| {
+            // `get` answers `None` for a row that ends before it starts
+            // or past the entries: `rowptr` is not monotone.
+            let (Some(row_cols), Some(row_vals)) = (cols.get(w[0]..w[1]), vals.get(w[0]..w[1]))
+            else {
+                return false;
+            };
+            // No early exit inside a row: each test is a straight loop.
+            let finite = row_vals.iter().fold(true, |ok, v| ok & v.is_finite());
+            if sorted {
+                // A strictly ascending row repeats no column, and its
+                // columns are in bounds when its last one is.
+                let next = row_cols.get(1..).unwrap_or_default();
+                let ascending = row_cols
+                    .iter()
+                    .zip(next)
+                    .fold(true, |ok, (c, d)| ok & (c < d));
+                let in_bounds = row_cols.last().is_none_or(|&c| (c as usize) < ncols);
+                return finite & ascending & in_bounds;
+            }
+            let mut ok = finite;
+            for &c in row_cols {
+                let Some(s) = stamp.get_mut(c as usize) else {
+                    return false;
+                };
+                ok &= *s != i;
+                *s = i;
+            }
+            ok
+        })
+    }
 }
 
 impl Check for CsrCheck<'_> {
@@ -112,6 +177,11 @@ impl Check for CsrCheck<'_> {
     }
 
     fn run(&self, report: &mut Report) {
+        if self.proven_clean() {
+            return;
+        }
+        // The screen found a doubt: the passes below decide the verdict
+        // and write every line of the report.
         let a = self.a;
         let name = &self.name;
         let rowptr = a.rowptr();
@@ -659,6 +729,14 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
             );
             return;
         }
+        // Fast path: one walk of the runs against the source proves the
+        // three checks below clean, or leaves them to decide alone.
+        let source = self.source.filter(|s| csr_traversable(s));
+        if let Some(src) = source.filter(|_| report.len() == before) {
+            if reproduces_in_order(b, src, nparts) {
+                return;
+            }
+        }
         for (k, &v) in b.entry_val().iter().enumerate() {
             if !v.is_finite() {
                 report.violation(
@@ -697,7 +775,7 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
         if report.len() > before {
             return;
         }
-        if let Some(src) = self.source.filter(|s| csr_traversable(s)) {
+        if let Some(src) = source {
             let (map, ind, val) = (b.stage_map(), b.entry_ind(), b.entry_val());
             // Fast path: stamp the source row's columns (and value bits)
             // into dense tables, then tick each layout entry off its
@@ -776,6 +854,63 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
             }
         }
     }
+}
+
+/// The clean-case screen of [`BufferedCheck`]'s entry checks, run once
+/// the layout's tables are sound: walk every row's runs, stage by stage,
+/// against the source row in its order. Each entry must gather the
+/// source entry's column through a local index inside its stage's
+/// footprint and hold its value bits, finite; each row's runs must end
+/// where the source row does, and a padding row past the last must have
+/// none. The runs of all rows tile the entries, so a walk that gets
+/// through proves every entry finite and in its footprint, and every row
+/// equal to its source row — what the finiteness, local-bounds and
+/// stamp passes check. One-stage partitions and row-major runs of
+/// ascending rows are their source's entries in its order, read front to
+/// back; a stage-major row that leaves stage order answers "don't know".
+fn reproduces_in_order<I: BufferIndex>(
+    b: &BufferedCsrImpl<I>,
+    src: &CsrMatrix,
+    nparts: usize,
+) -> bool {
+    let (partdispl, stagedispl, map) = (b.partdispl(), b.stagedispl(), b.stage_map());
+    let (ind, val) = (b.entry_ind(), b.entry_val());
+    let (rowptr, cols, vals) = (src.rowptr(), src.colind(), src.values());
+    for p in 0..nparts {
+        let stages = partdispl[p] as usize..partdispl[p + 1] as usize;
+        for row in p * b.partsize()..(p + 1) * b.partsize() {
+            let (mut e, end) = rowptr.get(row..row + 2).map_or((0, 0), |r| (r[0], r[1]));
+            for s in stages.clone() {
+                let stage_map = &map[stagedispl[s]..stagedispl[s + 1]];
+                let run = b.run(s, row);
+                if end - e < run.len() {
+                    return false;
+                }
+                let n = run.len();
+                // No early exit inside a run: each test is a straight loop.
+                let columns = ind[run.clone()]
+                    .iter()
+                    .zip(&cols[e..e + n])
+                    .fold(true, |ok, (l, c)| {
+                        ok & stage_map.get(l.to_usize()).is_some_and(|m| m == c)
+                    });
+                let values = val[run]
+                    .iter()
+                    .zip(&vals[e..e + n])
+                    .fold(true, |ok, (v, w)| {
+                        ok & (v.to_bits() == w.to_bits()) & v.is_finite()
+                    });
+                if !(columns & values) {
+                    return false;
+                }
+                e += n;
+            }
+            if e != end {
+                return false;
+            }
+        }
+    }
+    true
 }
 
 // ---------------------------------------------------------------------------

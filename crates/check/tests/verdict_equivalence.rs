@@ -1,13 +1,15 @@
 //! Verdict equivalence of the linear-time fast paths.
 //!
-//! `CsrCheck`, `TransposeCheck` and `BufferedCheck` decide the clean case
-//! with dense tables and cursors, and hand anything suspicious to the
-//! sort-based comparison that decided every case before. The expected
-//! lines below were recorded from that sort-based implementation: each
+//! `CsrCheck` and `BufferedCheck` prove the clean case in one pass over
+//! their structure, `TransposeCheck` with one cursor walk; anything
+//! suspicious falls through to the passes that decided every case
+//! before, which alone write the report. The expected lines below were
+//! recorded from those passes, before each screen existed: each
 //! corruption must still produce exactly the same report — invariant,
-//! location and message — and the odd inputs the fast paths cannot prove
-//! clean (a duplicated source column that the layout reproduces faithfully)
-//! must still come out clean.
+//! location and message — and the odd inputs the screens cannot prove
+//! clean (a duplicated source column that the layout reproduces
+//! faithfully, a stage-major row out of stage order) must still come out
+//! clean.
 
 use xct_check::{BufferedCheck, Check, CsrCheck, Report, TransposeCheck};
 use xct_sparse::{BufferedCsr, BufferedCsrImpl, CsrMatrix};
@@ -51,10 +53,8 @@ struct Entries {
     val: Vec<f32>,
 }
 
-/// The specimen's layout (partsize 2, buffsize 2: partition 0 spans two
-/// stages) after `mutate`.
-fn corrupted_layout(mutate: impl FnOnce(&mut Entries)) -> BufferedCsr {
-    let b = BufferedCsr::from_csr(&specimen(), 2, 2);
+/// `b` after `mutate` changes its entry arrays.
+fn with_entries(b: &BufferedCsr, mutate: impl FnOnce(&mut Entries)) -> BufferedCsr {
     let mut e = Entries {
         displ: b.entry_displ().to_vec(),
         ind: b.entry_ind().to_vec(),
@@ -75,6 +75,12 @@ fn corrupted_layout(mutate: impl FnOnce(&mut Entries)) -> BufferedCsr {
         e.ind,
         e.val,
     )
+}
+
+/// The specimen's layout (partsize 2, buffsize 2: partition 0 spans two
+/// stages) after `mutate`.
+fn corrupted_layout(mutate: impl FnOnce(&mut Entries)) -> BufferedCsr {
+    with_entries(&BufferedCsr::from_csr(&specimen(), 2, 2), mutate)
 }
 
 /// Report of [`corrupted_layout`] against the specimen.
@@ -182,6 +188,30 @@ fn out_of_range_column_skips_the_transpose_pair() {
         lines(CsrCheck::new("csr(A)", &a)),
         [
             "CheckViolation[ColumnBounds] csr(A) at entry 2: column 9 out of 0..6 \
+             (fix: re-trace the geometry; columns must index the input domain)"
+        ]
+    );
+}
+
+#[test]
+fn out_of_range_column_in_an_ascending_row() {
+    // At's row 0 is [0, 3]; make it [0, 7]: still ascending, so only the
+    // last column's bound tells.
+    let t = specimen().transpose_scan();
+    let mut colind = t.colind().to_vec();
+    assert_eq!(&colind[..2], [0, 3], "specimen transpose changed");
+    colind[1] = 7;
+    let at = CsrMatrix::from_raw_unchecked(
+        t.nrows(),
+        t.ncols(),
+        t.rowptr().to_vec(),
+        colind,
+        t.values().to_vec(),
+    );
+    assert_eq!(
+        lines(CsrCheck::new("csr(At)", &at).require_sorted_columns()),
+        [
+            "CheckViolation[ColumnBounds] csr(At) at entry 1: column 7 out of 0..5 \
              (fix: re-trace the geometry; columns must index the input domain)"
         ]
     );
@@ -348,6 +378,122 @@ fn nan_in_both_matrices_still_fails_the_pair() {
         [
             "CheckViolation[TransposeEntries] pair(A,At) at transposed row 0: At differs from \
           the scan transpose of A (fix: rebuild At with CsrMatrix::transpose_scan)"
+        ]
+    );
+}
+
+/// The specimen's layout at a buffer that holds every partition's
+/// footprint in one stage, so each row is one run in the source's order.
+fn in_order_layout(a: &CsrMatrix) -> BufferedCsr {
+    let b = BufferedCsr::from_csr(a, 2, 8);
+    assert!((0..b.num_partitions()).all(|p| b.stages_of_partition(p) == 1));
+    b
+}
+
+#[test]
+fn in_order_layout_with_a_local_index_past_its_footprint() {
+    // Partition 0 (rows 0 and 1) gathers columns {0, 1, 3, 5}: local
+    // index 4 is one past its footprint but inside the 8-slot buffer.
+    let corrupted = with_entries(&in_order_layout(&specimen()), |e| {
+        assert_eq!(&e.ind[..4], [0, 2, 3, 1], "specimen layout changed");
+        e.ind[1] = 4;
+    });
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &corrupted).with_source(&specimen())),
+        [
+            "CheckViolation[BufferLocalBounds] buffered(A) at stage 0, entry 1: \
+          buffer-local index 4 outside footprint 4 \
+          (fix: rebuild; indices must address the gathered stage window)"
+        ]
+    );
+}
+
+#[test]
+fn non_finite_layout_value_with_its_sources_bits() {
+    // The layout reproduces the source bit for bit, infinity included:
+    // the entry comparison would pass, the finiteness check must not.
+    let a = csr_with(|_, _, values| values[4] = f32::INFINITY);
+    let b = in_order_layout(&a);
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &b).with_source(&a)),
+        [
+            "CheckViolation[ValueFinite] buffered(A) at entry 4: value inf is not finite \
+          (fix: check the source matrix values)"
+        ]
+    );
+    // Two stages: the same entry, first of partition 1's stage-0 runs.
+    let b = BufferedCsr::from_csr(&a, 2, 2);
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &b).with_source(&a)),
+        [
+            "CheckViolation[ValueFinite] buffered(A) at entry 4: value inf is not finite \
+          (fix: check the source matrix values)"
+        ]
+    );
+}
+
+#[test]
+fn multi_stage_layout_out_of_stage_order() {
+    // Row 0 visits column 3 (stage 1 of a two-slot buffer) before
+    // columns 0 and 1 (stage 0): its runs, stage by stage, are not the
+    // source's order, and the rows do not ascend, so the runs are
+    // stage-major.
+    let a = CsrMatrix::from_rows(4, &[vec![(3, 1.0), (0, 2.0), (1, 3.0)], vec![(2, 4.0)]]);
+    let b = BufferedCsr::from_csr(&a, 2, 2);
+    assert_eq!(b.stages_of_partition(0), 2);
+    assert!(!b.row_major_runs());
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &b).with_source(&a)),
+        Vec::<String>::new()
+    );
+    // One flipped bit in it is still named by its row.
+    let corrupted = with_entries(&b, |e| e.val[2] = f32::from_bits(e.val[2].to_bits() ^ 1));
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &corrupted).with_source(&a)),
+        [
+            "CheckViolation[BufferedEntries] buffered(A) at row 0: layout reproduces 3 \
+          entries, source row has 3 (same count, different content) \
+          (fix: rebuild with BufferedCsrImpl::try_from_csr)"
+        ]
+    );
+}
+
+#[test]
+fn out_of_range_column_and_nan_in_different_rows() {
+    // Entry 3 is row 1's only entry, entry 6 row 3's last.
+    let a = csr_with(|_, colind, values| {
+        colind[3] = 60;
+        values[6] = f32::NAN;
+    });
+    assert_eq!(
+        lines(CsrCheck::new("csr(A)", &a)),
+        [
+            "CheckViolation[ColumnBounds] csr(A) at entry 3: column 60 out of 0..6 \
+             (fix: re-trace the geometry; columns must index the input domain)",
+            "CheckViolation[ValueFinite] csr(A) at entry 6: value NaN is not finite \
+             (fix: check intersection-length computation for degenerate rays)",
+        ]
+    );
+}
+
+#[test]
+fn non_monotone_rowptr() {
+    // The specimen's rowptr is [0, 3, 4, 4, 7, 9]. Row 0 ending past
+    // nnz, and row 2 ending before it starts.
+    let a = csr_with(|rowptr, _, _| rowptr[1] = 100);
+    assert_eq!(
+        lines(CsrCheck::new("csr(A)", &a)),
+        [
+            "CheckViolation[RowPtrMonotone] csr(A) at row 1: rowptr[1]=100 > rowptr[2]=4 \
+          (fix: recompute the row pointer prefix sums)"
+        ]
+    );
+    let a = csr_with(|rowptr, _, _| rowptr[3] = 2);
+    assert_eq!(
+        lines(CsrCheck::new("csr(A)", &a).require_sorted_columns()),
+        [
+            "CheckViolation[RowPtrMonotone] csr(A) at row 2: rowptr[2]=4 > rowptr[3]=2 \
+          (fix: recompute the row pointer prefix sums)"
         ]
     );
 }

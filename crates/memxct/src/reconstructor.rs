@@ -128,7 +128,8 @@ impl ReconstructorBuilder {
     /// [`build`](Self::build) then fails with [`BuildError::PlanCheck`] if
     /// any invariant is violated, as a distributed request does when its
     /// rank plans do. Validation is read-only — a validated build is
-    /// bit-identical to an unvalidated one.
+    /// bit-identical to an unvalidated one. Its seconds land in the
+    /// `preprocess/validate` timer of the builder's [`Metrics`].
     pub fn validate_plan(mut self, validate: bool) -> Self {
         self.validate = validate;
         self
@@ -163,10 +164,7 @@ impl ReconstructorBuilder {
             None
         };
         if self.validate {
-            let mut report = crate::plan_check::validate_plan(&ops);
-            if let Some(exec) = &pooled {
-                crate::plan_check::exec_checker(&exec.plans).run_into(&mut report);
-            }
+            let report = validate(&ops, pooled.as_ref(), &metrics);
             if !report.is_ok() {
                 return Err(BuildError::PlanCheck(report));
             }
@@ -182,6 +180,17 @@ impl ReconstructorBuilder {
             workspace: Mutex::new(SolverWorkspace::new_batched(0, 0, self.batch)),
         })
     }
+}
+
+/// The plan sweep, then the execution plans of `pooled` when there is
+/// one, timed into `metrics`' `preprocess/validate` timer.
+fn validate(ops: &Operators, pooled: Option<&ExecContext>, metrics: &Metrics) -> xct_check::Report {
+    let _span = metrics.span("preprocess/validate");
+    let mut report = crate::plan_check::validate_plan(ops);
+    if let Some(exec) = pooled {
+        crate::plan_check::exec_checker(&exec.plans).run_into(&mut report);
+    }
+    report
 }
 
 /// One executor of a reconstructor: a persistent worker pool and the
@@ -259,13 +268,10 @@ impl Reconstructor {
     /// Re-run the `xct-check` invariant sweep over the memoized structures
     /// at any time (see [`crate::plan_check::validate_plan`]); for a
     /// pooled reconstructor the sweep also covers the execution plans
-    /// ([`crate::plan_check::exec_checker`]).
+    /// ([`crate::plan_check::exec_checker`]). Each sweep adds one
+    /// observation to the `preprocess/validate` timer.
     pub fn validate_plan(&self) -> xct_check::Report {
-        let mut report = crate::plan_check::validate_plan(&self.ops);
-        if let Some(exec) = &self.pooled {
-            crate::plan_check::exec_checker(&exec.plans).run_into(&mut report);
-        }
-        report
+        validate(&self.ops, self.pooled.as_ref(), &self.metrics)
     }
 
     /// The thread count of the [`ExecMode::Pooled`] worker pool, if one
@@ -701,5 +707,32 @@ mod tests {
         assert!(rec.metrics().is_empty(), "noop records nothing");
         assert_eq!(out.breakdown, KernelBreakdown::default());
         assert_eq!(out.slice_records[0].len(), 3, "solve itself unaffected");
+    }
+
+    #[test]
+    fn plan_validation_is_timed_where_it_runs() {
+        let (grid, scan) = (Grid::new(16), ScanGeometry::new(12, 16));
+        let count = |rec: &Reconstructor| {
+            let snap = rec.metrics();
+            snap.timers.get("preprocess/validate").map(|t| t.count)
+        };
+        let plain = ReconstructorBuilder::new(grid, scan).build().unwrap();
+        assert_eq!(count(&plain), None, "an unvalidated build runs no sweep");
+        let rec = ReconstructorBuilder::new(grid, scan)
+            .use_pool(true)
+            .pool_threads(2)
+            .validate_plan(true)
+            .build()
+            .unwrap();
+        assert_eq!(count(&rec), Some(1));
+        assert!(rec.validate_plan().is_ok());
+        assert_eq!(count(&rec), Some(2));
+        let quiet = ReconstructorBuilder::new(grid, scan)
+            .validate_plan(true)
+            .metrics(Metrics::noop())
+            .build()
+            .unwrap();
+        assert!(quiet.validate_plan().is_ok());
+        assert!(quiet.metrics().is_empty(), "noop records nothing");
     }
 }

@@ -124,3 +124,78 @@ fn clean_plans_validate_across_configurations() {
         }
     }
 }
+
+/// A plan whose partitions split into stages: a 64-slot buffer against
+/// 128-row partitions of a 24×36 geometry. `A`'s traced rows do not
+/// ascend, so its layout is stage-major; `Aᵀ`'s is row-major.
+fn multi_stage_plan() -> Operators {
+    let config = Config {
+        buffsize: 64,
+        ..Config::default()
+    };
+    let ops = preprocess(Grid::new(24), ScanGeometry::new(36, 24), &config);
+    for b in [&ops.a_buf, &ops.at_buf] {
+        let b = b.as_ref().expect("a buffered plan");
+        let most = (0..b.num_partitions()).map(|p| b.stages_of_partition(p));
+        assert!(most.max() > Some(1), "some partition must split");
+    }
+    assert!(!ops.a_buf.as_ref().unwrap().row_major_runs());
+    assert!(ops.at_buf.as_ref().unwrap().row_major_runs());
+    ops
+}
+
+#[test]
+fn multi_stage_plan_validates_and_pinpoints_corruptions() {
+    let ops = multi_stage_plan();
+    let report = validate_plan(&ops);
+    assert!(report.is_ok(), "{report}");
+
+    // A column repeated inside one unsorted row of A.
+    let mut dup = multi_stage_plan();
+    let rowptr = dup.a.rowptr().to_vec();
+    let mut colind = dup.a.colind().to_vec();
+    let row = (0..dup.a.nrows())
+        .find(|&i| {
+            let cols = &colind[rowptr[i]..rowptr[i + 1]];
+            cols.len() >= 3 && cols.windows(2).any(|w| w[0] > w[1])
+        })
+        .expect("an unsorted row of at least 3 entries");
+    colind[rowptr[row] + 2] = colind[rowptr[row]];
+    dup.a = CsrMatrix::from_raw_unchecked(
+        dup.a.nrows(),
+        dup.a.ncols(),
+        rowptr,
+        colind,
+        dup.a.values().to_vec(),
+    );
+    let report = validate_plan(&dup);
+    assert!(report.has(Invariant::DuplicateColumn), "{report}");
+    assert!(!report.has(Invariant::RowPtrMonotone), "{report}");
+
+    // One mantissa bit of one stored weight of each layout.
+    for at in [false, true] {
+        let mut ops = multi_stage_plan();
+        let slot = if at { &mut ops.at_buf } else { &mut ops.a_buf };
+        let b = slot.take().unwrap();
+        let mut val = b.entry_val().to_vec();
+        let mid = val.len() / 2;
+        val[mid] = f32::from_bits(val[mid].to_bits() ^ 1);
+        *slot = Some(xct_sparse::BufferedCsrImpl::from_raw_parts_unchecked(
+            b.nrows(),
+            b.ncols(),
+            b.partsize(),
+            b.buffsize(),
+            b.nnz(),
+            b.partdispl().to_vec(),
+            b.stagedispl().to_vec(),
+            b.stage_map().to_vec(),
+            b.entry_displ().to_vec(),
+            b.row_major_runs(),
+            b.entry_ind().to_vec(),
+            val,
+        ));
+        let report = validate_plan(&ops);
+        assert!(report.has(Invariant::BufferedEntries), "At {at}: {report}");
+        assert_eq!(report.len(), 1, "At {at}: {report}");
+    }
+}
