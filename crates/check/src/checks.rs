@@ -271,11 +271,8 @@ impl Check for CsrCheck<'_> {
             return; // per-row slicing below would be out of bounds
         }
         // Per-row duplicate / sortedness scan. A strictly ascending row
-        // cannot hold a duplicate; any other row is screened against a
-        // table stamped with the row index, and only a row that fails the
-        // screen (repeated or out-of-range column) pays for the sort that
-        // names the duplicated column.
-        let mut stamp = vec![usize::MAX; a.ncols()];
+        // cannot hold a duplicate; any other row is sorted to name its
+        // duplicated column.
         let mut seen: Vec<u32> = Vec::new();
         for i in 0..a.nrows() {
             let cols = &a.colind()[rowptr[i]..rowptr[i + 1]];
@@ -290,16 +287,6 @@ impl Check for CsrCheck<'_> {
                     format!("columns {} then {} at slot {j}", cols[j], cols[j + 1]),
                     "sort row entries by column",
                 );
-            }
-            let distinct = cols.iter().all(|&c| match stamp.get_mut(c as usize) {
-                Some(s) if *s != i => {
-                    *s = i;
-                    true
-                }
-                _ => false,
-            });
-            if distinct {
-                continue;
             }
             seen.clear();
             seen.extend_from_slice(cols);
@@ -776,80 +763,38 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
             return;
         }
         if let Some(src) = source {
+            // Each row's entries against its source row's, as sorted
+            // `(column, value bits)` multisets.
             let (map, ind, val) = (b.stage_map(), b.entry_ind(), b.entry_val());
-            // Fast path: stamp the source row's columns (and value bits)
-            // into dense tables, then tick each layout entry off its
-            // column. With no surprise — repeated or out-of-range source
-            // column, a layout column the row lacks or already ticked,
-            // different value bits, different counts — the two rows are
-            // equal as multisets. Any surprise proves nothing: that row
-            // falls through to the sorted comparison below, which alone
-            // decides the verdict and its text.
-            const SPENT: usize = usize::MAX;
-            // One entry per column — (stamping row, value bits) — so an
-            // entry is one cache line to look up, not two tables' two.
-            let mut stamp = vec![(SPENT, 0u32); b.ncols()];
-            let mut ticks_off = |p: usize, row: usize| -> bool {
-                let mut want = 0usize;
-                for (c, v) in src.row(row) {
-                    match stamp.get_mut(c as usize) {
-                        Some(s) if s.0 != row => *s = (row, v.to_bits()),
-                        _ => return false,
-                    }
-                    want += 1;
-                }
-                let mut got = 0usize;
+            for row in 0..b.nrows() {
+                let p = row / b.partsize();
+                let mut got: Vec<(u32, u32)> = Vec::new();
                 for s in partdispl[p] as usize..partdispl[p + 1] as usize {
                     let stage_map = &map[stagedispl[s]..stagedispl[s + 1]];
-                    let run = b.run(s, row);
-                    for (local, v) in ind[run.clone()].iter().zip(&val[run]) {
-                        let slot = &mut stamp[stage_map[local.to_usize()] as usize];
-                        if *slot != (row, v.to_bits()) {
-                            return false;
-                        }
-                        slot.0 = SPENT;
-                        got += 1;
-                    }
+                    let entries = b.run(s, row).map(|k| (ind[k].to_usize(), val[k].to_bits()));
+                    got.extend(entries.map(|(l, v)| (stage_map[l], v)));
                 }
-                got == want
-            };
-            for p in 0..nparts {
-                let base = p * b.partsize();
-                let rows = b.partsize().min(b.nrows().saturating_sub(base));
-                for j in 0..rows {
-                    if ticks_off(p, base + j) {
-                        continue;
-                    }
-                    let mut got: Vec<(u32, u32)> = Vec::new();
-                    for s in partdispl[p] as usize..partdispl[p + 1] as usize {
-                        let stage_map = &map[stagedispl[s]..stagedispl[s + 1]];
-                        for k in b.run(s, base + j) {
-                            got.push((stage_map[ind[k].to_usize()], val[k].to_bits()));
-                        }
-                    }
-                    let mut want: Vec<(u32, u32)> =
-                        src.row(base + j).map(|(c, v)| (c, v.to_bits())).collect();
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    if got != want {
-                        report.violation(
-                            name,
-                            Invariant::BufferedEntries,
-                            format!("row {}", base + j),
-                            format!(
-                                "layout reproduces {} entries, source row has {}{}",
-                                got.len(),
-                                want.len(),
-                                if got.len() == want.len() {
-                                    " (same count, different content)"
-                                } else {
-                                    ""
-                                }
-                            ),
-                            "rebuild with BufferedCsrImpl::try_from_csr",
-                        );
-                        return;
-                    }
+                let mut want: Vec<_> = src.row(row).map(|(c, v)| (c, v.to_bits())).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                if got != want {
+                    report.violation(
+                        name,
+                        Invariant::BufferedEntries,
+                        format!("row {row}"),
+                        format!(
+                            "layout reproduces {} entries, source row has {}{}",
+                            got.len(),
+                            want.len(),
+                            if got.len() == want.len() {
+                                " (same count, different content)"
+                            } else {
+                                ""
+                            }
+                        ),
+                        "rebuild with BufferedCsrImpl::try_from_csr",
+                    );
+                    return;
                 }
             }
         }
@@ -857,17 +802,17 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
 }
 
 /// The clean-case screen of [`BufferedCheck`]'s entry checks, run once
-/// the layout's tables are sound: walk every row's runs, stage by stage,
-/// against the source row in its order. Each entry must gather the
-/// source entry's column through a local index inside its stage's
-/// footprint and hold its value bits, finite; each row's runs must end
-/// where the source row does, and a padding row past the last must have
-/// none. The runs of all rows tile the entries, so a walk that gets
-/// through proves every entry finite and in its footprint, and every row
-/// equal to its source row — what the finiteness, local-bounds and
-/// stamp passes check. One-stage partitions and row-major runs of
-/// ascending rows are their source's entries in its order, read front to
-/// back; a stage-major row that leaves stage order answers "don't know".
+/// the layout's tables are sound and each partition's footprint ascends
+/// in bounds: every row against its source row, in source order. Each
+/// entry must gather its source entry's column through a local index
+/// inside its stage's footprint and hold its value bits, finite, and each
+/// row's runs must hold the whole source row (a padding row's, none). The
+/// runs tile the entries, so a walk that gets through proves what the
+/// finiteness, local-bounds and entry passes check. One-stage partitions
+/// and row-major runs hold each row in source order: two straight loops a
+/// run read them faster than [`walks_stages`] does (EXPERIMENTS.md "Why
+/// the screen keeps two walks"), which takes stage-major partitions of
+/// two stages or more.
 fn reproduces_in_order<I: BufferIndex>(
     b: &BufferedCsrImpl<I>,
     src: &CsrMatrix,
@@ -878,6 +823,12 @@ fn reproduces_in_order<I: BufferIndex>(
     let (rowptr, cols, vals) = (src.rowptr(), src.colind(), src.values());
     for p in 0..nparts {
         let stages = partdispl[p] as usize..partdispl[p + 1] as usize;
+        if stages.len() > 1 && !b.row_major_runs() {
+            if !walks_stages(b, src, p) {
+                return false;
+            }
+            continue;
+        }
         for row in p * b.partsize()..(p + 1) * b.partsize() {
             let (mut e, end) = rowptr.get(row..row + 2).map_or((0, 0), |r| (r[0], r[1]));
             for s in stages.clone() {
@@ -911,6 +862,59 @@ fn reproduces_in_order<I: BufferIndex>(
         }
     }
     true
+}
+
+/// [`reproduces_in_order`] for partition `p`, stage-major and of two
+/// stages or more: for each row, one cursor a stage over the row's run,
+/// and the source row walked once. Each entry goes to the last stage whose
+/// footprint starts at or before its column (the footprint ascends), the
+/// only one that can gather it, and must match the next entry of that
+/// stage's run; every run must then be used up, so each is exactly its
+/// stage's subsequence of the source row.
+fn walks_stages<I: BufferIndex>(b: &BufferedCsrImpl<I>, src: &CsrMatrix, p: usize) -> bool {
+    let (stagedispl, map, ind, val) = (b.stagedispl(), b.stage_map(), b.entry_ind(), b.entry_val());
+    let stages = b.partdispl()[p] as usize..b.partdispl()[p + 1] as usize;
+    let firsts = stages
+        .clone()
+        .map(|s| map[stagedispl[s]..stagedispl[s + 1]].first().copied());
+    let Some(firsts) = firsts.collect::<Option<Vec<u32>>>() else {
+        return false; // an empty stage: "don't know"
+    };
+    let window = |t: usize| firsts[t] as u64..firsts.get(t + 1).map_or(u64::MAX, |&f| f as u64);
+    let footprint = |t: usize| &map[stagedispl[stages.start + t]..stagedispl[stages.start + t + 1]];
+    let run = |s: usize, row: usize| {
+        let r = b.run(s, row);
+        ind[r.clone()].iter().zip(&val[r])
+    };
+    let mut cursors = Vec::with_capacity(firsts.len());
+    (p * b.partsize()..(p + 1) * b.partsize()).all(|row| {
+        let source = src.rowptr().get(row..row + 2).map_or(0..0, |r| r[0]..r[1]);
+        let (cols, vals) = (&src.colind()[source.clone()], &src.values()[source]);
+        cursors.clear();
+        cursors.extend(stages.clone().map(|s| run(s, row)));
+        // The current stage's window, footprint and cursor live in
+        // registers: Hilbert-ordered rows change stage seldom.
+        let (mut t, mut ok, mut cursor) = (0, true, cursors[0].clone());
+        let (mut columns, mut stage_map) = (window(0), footprint(0));
+        for (&c, &w) in cols.iter().zip(vals) {
+            if !columns.contains(&(c as u64)) {
+                cursors[t] = cursor;
+                let Some(next) = firsts.partition_point(|&f| f <= c).checked_sub(1) else {
+                    return false; // before the footprint
+                };
+                (t, cursor) = (next, cursors[next].clone());
+                (columns, stage_map) = (window(t), footprint(t));
+            }
+            let Some((l, v)) = cursor.next() else {
+                return false; // past the run's end
+            };
+            // Equal bits: the entry is finite when its source is.
+            let (gathered, bits) = (stage_map.get(l.to_usize()), v.to_bits());
+            ok &= (gathered == Some(&c)) & (bits == w.to_bits()) & w.is_finite();
+        }
+        cursors[t] = cursor;
+        ok && cursors.iter().all(|run| run.len() == 0)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1561,11 +1565,6 @@ impl LockOrderCheck {
             edges,
         }
     }
-
-    /// The check over the process-global graph recorded by the facade.
-    pub fn from_recorded(name: impl Into<String>) -> Self {
-        LockOrderCheck::new(name, xct_model::lockdep::edges())
-    }
 }
 
 impl Check for LockOrderCheck {
@@ -1676,6 +1675,58 @@ mod tests {
             .with(PermutationCheck::of_ordering("ordering", &ord))
             .run();
         assert!(report.is_ok(), "{report}");
+    }
+
+    /// The screen alone, not the verdict: a layout `try_from_csr` builds
+    /// must be proven in one pass whatever its stage count and run order,
+    /// a repeated source column and rows that leave stage order included,
+    /// so no clean plan ever reaches the reporter.
+    #[test]
+    fn built_layouts_are_proven_in_one_pass() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut sources = vec![sample_csr(), sample_csr().transpose_scan()];
+        for _ in 0..40 {
+            let (nrows, ncols) = (1 + next(9) as usize, 1 + next(12) as u32);
+            let rows: Vec<Vec<(u32, f32)>> = (0..nrows)
+                .map(|_| {
+                    (0..next(8))
+                        .map(|_| (next(ncols as u64) as u32, next(5) as f32))
+                        .collect()
+                })
+                .collect();
+            let (mut rowptr, mut colind, mut values) = (vec![0], Vec::new(), Vec::new());
+            for row in &rows {
+                colind.extend(row.iter().map(|e| e.0));
+                values.extend(row.iter().map(|e| e.1));
+                rowptr.push(colind.len());
+            }
+            let a = CsrMatrix::from_raw_unchecked(nrows, ncols as usize, rowptr, colind, values);
+            sources.push(a.transpose_scan());
+            sources.push(a);
+        }
+        let mut stage_major = 0;
+        for a in &sources {
+            for (partsize, buffsize) in [(1, 1), (2, 2), (3, 2), (2, 3), (4, 5), (8, 64)] {
+                let b = xct_sparse::BufferedCsr::from_csr(a, partsize, buffsize);
+                let nparts = b.num_partitions();
+                assert!(
+                    reproduces_in_order(&b, a, nparts),
+                    "{partsize}x{buffsize}: {a:?}"
+                );
+                let split = (0..nparts).any(|p| b.stages_of_partition(p) > 1);
+                stage_major += usize::from(split && !b.row_major_runs());
+            }
+        }
+        assert!(
+            stage_major > 100,
+            "only {stage_major} stage-major layouts split"
+        );
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! before, which alone write the report. The expected lines below were
 //! recorded from those passes, before each screen existed: each
 //! corruption must still produce exactly the same report — invariant,
-//! location and message — and the odd inputs the screens cannot prove
-//! clean (a duplicated source column that the layout reproduces
-//! faithfully, a stage-major row out of stage order) must still come out
-//! clean.
+//! location and message — and odd inputs that are clean (a duplicated
+//! source column that the layout reproduces faithfully, a stage-major
+//! row out of stage order, two entries swapped within one stage's run,
+//! which only the reporter's multiset comparison proves) must still come
+//! out clean.
 
 use xct_check::{BufferedCheck, Check, CsrCheck, Report, TransposeCheck};
 use xct_sparse::{BufferedCsr, BufferedCsrImpl, CsrMatrix};
@@ -295,8 +296,8 @@ fn dropped_entry() {
 
 #[test]
 fn duplicated_source_column_reproduced_faithfully_is_clean() {
-    // The fast path cannot tick a repeated column off twice; the sorted
-    // comparison it falls through to sees equal multisets.
+    // Row 4 repeats column 2, and the layout holds it twice in order:
+    // the screen meets both, as the reporter's multisets would.
     let a = csr_with(|_, colind, _| colind[8] = 2);
     let b = BufferedCsr::from_csr(&a, 2, 2);
     assert_eq!(
@@ -494,6 +495,139 @@ fn non_monotone_rowptr() {
         [
             "CheckViolation[RowPtrMonotone] csr(A) at row 2: rowptr[2]=4 > rowptr[3]=2 \
           (fix: recompute the row pointer prefix sums)"
+        ]
+    );
+}
+
+/// `rows` laid out at partitions of two rows and a two-slot buffer, from
+/// raw arrays (a repeated column included): every partition whose
+/// footprint passes two columns splits, and a row that does not ascend
+/// makes the runs stage-major.
+fn stage_major_layout(ncols: usize, rows: &[Vec<(u32, f32)>]) -> (CsrMatrix, BufferedCsr) {
+    let mut rowptr = vec![0];
+    let (mut colind, mut values) = (Vec::new(), Vec::new());
+    for row in rows {
+        colind.extend(row.iter().map(|e| e.0));
+        values.extend(row.iter().map(|e| e.1));
+        rowptr.push(colind.len());
+    }
+    let a = CsrMatrix::from_raw_unchecked(rows.len(), ncols, rowptr, colind, values);
+    let b = BufferedCsr::from_csr(&a, 2, 2);
+    assert!(b.stages_of_partition(0) >= 2 && !b.row_major_runs());
+    (a, b)
+}
+
+#[test]
+fn stage_major_row_repeating_a_column_reproduced_faithfully_is_clean() {
+    // Row 0 visits column 3 (stage 1) twice, around column 0 (stage 0).
+    let (a, b) = stage_major_layout(
+        4,
+        &[vec![(3, 1.0), (0, 2.0), (3, 5.0), (1, 3.0)], vec![(2, 4.0)]],
+    );
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &b).with_source(&a)),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
+fn two_entries_of_a_stage_run_swapped_is_clean() {
+    // Row 0's stage-0 run holds columns 0 and 1, entries 0 and 1: the row
+    // still holds the same entries, only their order within the run moved.
+    let (a, b) = stage_major_layout(4, &[vec![(3, 1.0), (0, 2.0), (1, 3.0)], vec![(2, 4.0)]]);
+    let swapped = with_entries(&b, |e| {
+        assert_eq!(&e.displ[..2], [0, 2], "layout changed");
+        e.ind.swap(0, 1);
+        e.val.swap(0, 1);
+    });
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &swapped).with_source(&a)),
+        Vec::<String>::new()
+    );
+}
+
+#[test]
+fn nan_with_its_sources_bits_in_a_later_stages_run() {
+    // Row 0's stage-1 run is columns 3 then 2 (entries 2 and 3), the NaN
+    // second; the layout reproduces the source bit for bit.
+    let (a, b) = stage_major_layout(
+        4,
+        &[
+            vec![(3, 1.0), (0, 2.0), (2, f32::NAN), (1, 3.0)],
+            vec![(2, 4.0)],
+        ],
+    );
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &b).with_source(&a)),
+        [
+            "CheckViolation[ValueFinite] buffered(A) at entry 3: value NaN is not finite \
+          (fix: check the source matrix values)"
+        ]
+    );
+}
+
+#[test]
+fn stage_major_entry_moved_into_another_rows_run() {
+    // Stages {0, 1} and {3}: row 0's stage-1 run is column 3 (entry 3),
+    // row 1 has no stage-1 entry. End row 0's run one early, so row 1's
+    // swallows it: each row still meets its own entries in order, and
+    // only the runs' ends tell.
+    let (a, b) = stage_major_layout(4, &[vec![(3, 1.0), (0, 2.0), (1, 3.0)], vec![(0, 4.0)]]);
+    let moved = with_entries(&b, |e| {
+        assert_eq!(e.displ, [0, 2, 3, 4, 4], "layout changed");
+        e.displ[3] = 3;
+    });
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &moved).with_source(&a)),
+        [
+            "CheckViolation[BufferedEntries] buffered(A) at row 0: layout reproduces 2 \
+          entries, source row has 3 \
+          (fix: rebuild with BufferedCsrImpl::try_from_csr)"
+        ]
+    );
+}
+
+#[test]
+fn local_index_past_a_last_stage_reads_the_next_partitions_column() {
+    // One-row partitions, a one-slot buffer: partition 0 (row 0, columns
+    // 1 then 0) gathers column 0, then column 1; partition 1 gathers
+    // column 1 again. Row 0's stage-1 index 1 is past its footprint, and
+    // the map slot it names holds the very column it should gather.
+    let a = CsrMatrix::from_rows(2, &[vec![(1, 1.0), (0, 2.0)], vec![(1, 3.0)]]);
+    let b = BufferedCsr::from_csr(&a, 1, 1);
+    assert!(!b.row_major_runs());
+    let corrupted = with_entries(&b, |e| {
+        assert_eq!(b.stage_map(), [0, 1, 1], "layout changed");
+        assert_eq!(e.ind, [0, 0, 0], "layout changed");
+        e.ind[1] = 1;
+    });
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &corrupted).with_source(&a)),
+        [
+            "CheckViolation[BufferLocalBounds] buffered(A) at stage 1, entry 1: \
+          buffer-local index 1 outside footprint 1 \
+          (fix: rebuild; indices must address the gathered stage window)"
+        ]
+    );
+}
+
+#[test]
+fn stage_major_run_with_an_extra_entry() {
+    // Row 1's stage-1 run, the last of the layout, holds its one entry
+    // twice: every source entry is met, and only the run's end tells.
+    let (a, b) = stage_major_layout(4, &[vec![(3, 1.0), (0, 2.0), (1, 3.0)], vec![(2, 4.0)]]);
+    let extra = with_entries(&b, |e| {
+        assert_eq!(e.displ, [0, 2, 2, 3, 4], "layout changed");
+        e.ind.push(e.ind[3]);
+        e.val.push(e.val[3]);
+        e.displ[4] = 5;
+    });
+    assert_eq!(
+        lines(BufferedCheck::new("buffered(A)", &extra).with_source(&a)),
+        [
+            "CheckViolation[BufferedEntries] buffered(A) at row 1: layout reproduces 2 \
+          entries, source row has 1 \
+          (fix: rebuild with BufferedCsrImpl::try_from_csr)"
         ]
     );
 }

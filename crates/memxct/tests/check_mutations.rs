@@ -198,4 +198,65 @@ fn multi_stage_plan_validates_and_pinpoints_corruptions() {
         assert!(report.has(Invariant::BufferedEntries), "At {at}: {report}");
         assert_eq!(report.len(), 1, "At {at}: {report}");
     }
+
+    // One entry of a stage ≥ 1 run of A's layout, in a row that visits a
+    // later stage before an earlier one: a flipped value bit, then a
+    // local index moved to the next slot of the same footprint.
+    let b = ops.a_buf.as_ref().unwrap();
+    let (partdispl, stagedispl, map) = (b.partdispl(), b.stagedispl(), b.stage_map());
+    let stage_of = |p: usize, c: u32| {
+        let stages = partdispl[p] as usize..partdispl[p + 1] as usize;
+        stages
+            .clone()
+            .find(|&s| map[stagedispl[s]..stagedispl[s + 1]].contains(&c))
+            .unwrap()
+    };
+    let (k, s) = (0..b.nrows())
+        .find_map(|row| {
+            let p = row / b.partsize();
+            let stages: Vec<usize> = ops.a.row(row).map(|(c, _)| stage_of(p, c)).collect();
+            let run = b.run(partdispl[p] as usize + 1, row);
+            (!stages.is_sorted() && !run.is_empty())
+                .then_some((run.start, partdispl[p] as usize + 1))
+        })
+        .expect("a row of A out of stage order, with a stage-1 run");
+    let footprint = stagedispl[s + 1] - stagedispl[s];
+    for moved_index in [false, true] {
+        let mut ops = multi_stage_plan();
+        let b = ops.a_buf.take().unwrap();
+        let (mut ind, mut val) = (b.entry_ind().to_vec(), b.entry_val().to_vec());
+        if moved_index {
+            ind[k] = ((ind[k] as usize + 1) % footprint) as u16;
+        } else {
+            val[k] = f32::from_bits(val[k].to_bits() ^ 1);
+        }
+        ops.a_buf = Some(xct_sparse::BufferedCsrImpl::from_raw_parts_unchecked(
+            b.nrows(),
+            b.ncols(),
+            b.partsize(),
+            b.buffsize(),
+            b.nnz(),
+            b.partdispl().to_vec(),
+            b.stagedispl().to_vec(),
+            b.stage_map().to_vec(),
+            b.entry_displ().to_vec(),
+            b.row_major_runs(),
+            ind,
+            val,
+        ));
+        let lines: Vec<String> = validate_plan(&ops)
+            .violations()
+            .iter()
+            .map(|v| v.to_string())
+            .collect();
+        assert_eq!(
+            lines,
+            [
+                "CheckViolation[BufferedEntries] buffered(A) at row 16: layout reproduces 24 \
+                 entries, source row has 24 (same count, different content) \
+                 (fix: rebuild with BufferedCsrImpl::try_from_csr)"
+            ],
+            "moved index {moved_index}"
+        );
+    }
 }
