@@ -764,9 +764,10 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
         }
         if let Some(src) = source {
             // Each row's entries against its source row's, as sorted
-            // `(column, value bits)` multisets.
+            // `(column, value bits)` multisets; the last partition's
+            // padding rows (past `nrows`) against none.
             let (map, ind, val) = (b.stage_map(), b.entry_ind(), b.entry_val());
-            for row in 0..b.nrows() {
+            for row in 0..nparts * b.partsize() {
                 let p = row / b.partsize();
                 let mut got: Vec<(u32, u32)> = Vec::new();
                 for s in partdispl[p] as usize..partdispl[p + 1] as usize {
@@ -774,7 +775,11 @@ impl<I: BufferIndex> Check for BufferedCheck<'_, I> {
                     let entries = b.run(s, row).map(|k| (ind[k].to_usize(), val[k].to_bits()));
                     got.extend(entries.map(|(l, v)| (stage_map[l], v)));
                 }
-                let mut want: Vec<_> = src.row(row).map(|(c, v)| (c, v.to_bits())).collect();
+                let mut want: Vec<_> = if row < src.nrows() {
+                    src.row(row).map(|(c, v)| (c, v.to_bits())).collect()
+                } else {
+                    Vec::new()
+                };
                 got.sort_unstable();
                 want.sort_unstable();
                 if got != want {
@@ -1474,7 +1479,8 @@ impl Check for CheckpointCheck {
                     "snapshot plan hash {:#018x} != resuming plan hash {:#018x}",
                     self.snapshot_plan_hash, self.expected_plan_hash
                 ),
-                "resume with the geometry/partitioning the checkpoint was taken under",
+                "resume on the plan the checkpoint was taken under \
+                 (same geometry, ordering, partitioning and kernel)",
             );
         }
         let batch_mismatch = match self.batch {

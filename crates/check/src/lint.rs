@@ -33,7 +33,8 @@
 //!   six-argument distributed entry, unused collectives), the ranks'
 //!   private block kernel, the builder's second spelling of run policy
 //!   and `Config`, the criterion benches, the layout switches
-//!   `Config::kernel` replaced, and the ELL layout.
+//!   `Config::kernel` replaced, the ELL layout, and the snapshot
+//!   container's version-1 reader and scalar section kinds.
 //!
 //! The scanner strips string literals and comments before matching (so doc
 //! examples and messages never fire a rule) and skips `target/` entirely.
@@ -278,6 +279,19 @@ const RETIRED: &[Retired] = &[
         message: "retired wrapper error: `Reconstructor::run` / `run_controlled` return \
             `BuildError` (`PoolNotBuilt` and `InvalidRelaxation` included), and a served job's \
             `JobError::Recon` holds it",
+    },
+    Retired {
+        names: &[
+            "SNAPSHOT_MIN_VERSION",
+            "push_f64",
+            "push_u64",
+            "f64_scalar",
+            "u64_scalar",
+        ],
+        scope: product_and_its_callers,
+        message: "retired second snapshot format: a snapshot is container version 2 of f32, f64 \
+            and u64 vector sections (a scalar is a one-element `push_f64s` / `f64s`), and the \
+            solver's batch sections are required",
     },
     Retired {
         names: &["CgRule::regularized"],
@@ -758,6 +772,10 @@ mod tests {
             "JobError::Recon(ReconError::Build(BuildError::Comm(e))) => true,\n",
         ),
         (
+            "crates/memxct/src/checkpoint.rs",
+            "snap.push_f64(SECTION_PREV_RES, st.prev_res[0]);\n",
+        ),
+        (
             "crates/memxct/tests/golden_engine.rs",
             "let rule = &mut CgRule::regularized(0.3);\n",
         ),
@@ -811,6 +829,9 @@ mod tests {
             "// Tikhonov-regularized CGLS is CGLS on a stacked operator\n",
             "let (x, r) = reference::cgls_regularized(&y, n, f, b, 0.3, stop);\n",
             "let regularized = |lambda: f32| run(&mut CgRule::new(), lambda);\n",
+            "snap.push_f64s(SECTION_RULE, &st.scalars);\n",
+            "let gammas = snap.f64s(SECTION_RULE)?;\n",
+            "snap.push_u64s(SECTION_BATCH, &[st.batch as u64]);\n",
         ] {
             let f = lint_file("crates/memxct/src/dist.rs", live, only);
             assert!(f.is_empty(), "must not fire on: {live} -> {f:?}");

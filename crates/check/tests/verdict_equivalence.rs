@@ -631,3 +631,24 @@ fn stage_major_run_with_an_extra_entry() {
         ]
     );
 }
+
+#[test]
+fn padding_row_with_an_entry() {
+    // The specimen's last partition holds row 4 and padding row 5, whose
+    // run ends the layout: append a copy of row 4's last entry to it.
+    let lines = buffered_lines(|e| {
+        let (&k, last) = (e.displ.last().unwrap(), e.displ.len() - 1);
+        assert_eq!(e.displ[last - 1], k, "padding row's run is not empty");
+        e.ind.push(e.ind[k - 1]);
+        e.val.push(e.val[k - 1]);
+        e.displ[last] = k + 1;
+    });
+    assert_eq!(
+        lines,
+        [
+            "CheckViolation[BufferedEntries] buffered(A) at row 5: layout reproduces 1 \
+          entries, source row has 0 \
+          (fix: rebuild with BufferedCsrImpl::try_from_csr)"
+        ]
+    );
+}

@@ -1,5 +1,5 @@
 //! Solver checkpoint/resume: serialize a mid-solve engine state into the
-//! versioned, checksummed [`Snapshot`] container of `xct-runtime`, and
+//! checksummed [`Snapshot`] container of `xct-runtime`, and
 //! validate + restore it for a **bit-identical** continuation.
 //!
 //! A snapshot captures everything iteration `k+1` reads from iteration
@@ -14,15 +14,18 @@
 //!
 //! **Batched solves** extend the layout rather than fork it: the carried
 //! vectors become slice-major slabs (`batch × ncols` / `batch × nrows`),
-//! `prev_res` becomes a per-slice vector, and three sections are added —
-//! the batch width, the per-slice activity flags, and the per-slice
-//! record counts (the record arrays are the per-slice lists
-//! concatenated). A batch-1 snapshot written by the current code carries
-//! all of these; snapshots from the pre-batch format (no batch section,
-//! scalar `prev_res`) still decode as batch 1.
+//! `prev_res` is a per-slice vector, and three sections are required at
+//! every width, 1 included — the batch width, the per-slice activity
+//! flags, and the per-slice record counts (the record arrays are the
+//! per-slice lists concatenated). A snapshot without one of them is a
+//! typed [`Invariant::CheckpointShape`] violation: the container has one
+//! format (version 2) and this module reads only what `encode_state`
+//! writes.
 //!
 //! Snapshots are validated before use through [`xct_check::CheckpointCheck`]:
-//! plan-hash match ([`Invariant::CheckpointHash`]), batch-width match
+//! plan-hash match against [`plan_fingerprint`], which covers the
+//! orderings and layouts as well as the matrix's shape
+//! ([`Invariant::CheckpointHash`]), batch-width match
 //! ([`Invariant::CheckpointBatch`]), vector lengths
 //! ([`Invariant::CheckpointShape`]), and iteration consistency
 //! ([`Invariant::CheckpointMonotone`]).
@@ -36,7 +39,9 @@ use crate::errors::BuildError;
 use crate::preprocess::Operators;
 use crate::solvers::IterationRecord;
 use xct_check::{Check, CheckpointCheck, Report};
+use xct_hilbert::{Ordering2D, OrderingKind};
 use xct_runtime::{fnv1a64, CheckpointError, CheckpointSink, Snapshot};
+use xct_sparse::BufferedCsr;
 
 /// Section name of the iterate `x` (tomogram domain).
 pub const SECTION_X: &str = "solve/x";
@@ -54,8 +59,7 @@ pub const SECTION_REC_RESIDUAL: &str = "records/residual";
 pub const SECTION_REC_SOLUTION: &str = "records/solution";
 /// Section name of the per-iteration wall-clock seconds.
 pub const SECTION_REC_SECONDS: &str = "records/seconds";
-/// Section name of the batch width (one `u64`); absent in pre-batch
-/// snapshots, which are read as batch 1.
+/// Section name of the batch width (one `u64`).
 pub const SECTION_BATCH: &str = "solve/batch";
 /// Section name of the per-slice activity flags (`u64` 0/1 per slice).
 pub const SECTION_ACTIVE: &str = "solve/active";
@@ -64,19 +68,41 @@ pub const SECTION_ACTIVE: &str = "solve/active";
 pub const SECTION_REC_COUNTS: &str = "records/counts";
 
 /// Deterministic fingerprint of the preprocessed plan a snapshot belongs
-/// to. Any geometry or configuration change that alters the projection
-/// matrix's shape, population, or partitioning changes the fingerprint,
-/// so a stale snapshot is rejected at [`Invariant::CheckpointHash`]
-/// validation instead of silently resuming into the wrong plan.
+/// to: the projection matrix's shape and population (`nrows`, `ncols`,
+/// `nnz`), the partition size, both domain orderings (kind and two-level
+/// tile size), and each buffered layout's presence and `buffsize`. A plan
+/// that differs in any of them — another geometry, ordering or kernel —
+/// fingerprints differently, so a stale snapshot is rejected at
+/// [`Invariant::CheckpointHash`] validation instead of silently resuming
+/// into the wrong plan. Reads no array: O(1) per request.
 ///
 /// [`Invariant::CheckpointHash`]: xct_check::Invariant
 pub fn plan_fingerprint(ops: &Operators) -> u64 {
-    let mut bytes = [0u8; 32];
-    bytes[..8].copy_from_slice(&(ops.a.nrows() as u64).to_le_bytes());
-    bytes[8..16].copy_from_slice(&(ops.a.ncols() as u64).to_le_bytes());
-    bytes[16..24].copy_from_slice(&(ops.a.nnz() as u64).to_le_bytes());
-    bytes[24..].copy_from_slice(&(ops.partsize as u64).to_le_bytes());
-    fnv1a64(&bytes)
+    let ordering = |o: &Ordering2D| match o.kind() {
+        OrderingKind::RowMajor => [0, 0],
+        OrderingKind::ColumnMajor => [1, 0],
+        OrderingKind::Morton => [2, 0],
+        OrderingKind::HilbertSquare => [3, 0],
+        OrderingKind::Gilbert => [4, 0],
+        OrderingKind::TwoLevelHilbert { tile } => [5, u64::from(tile)],
+    };
+    // 0 = no layout: a built one has `buffsize() >= 1`.
+    let buffsize = |b: &Option<BufferedCsr>| b.as_ref().map_or(0, |b| b.buffsize() as u64);
+    let [tomo_kind, tomo_tile] = ordering(&ops.tomo_ord);
+    let [sino_kind, sino_tile] = ordering(&ops.sino_ord);
+    let fields = [
+        ops.a.nrows() as u64,
+        ops.a.ncols() as u64,
+        ops.a.nnz() as u64,
+        ops.partsize as u64,
+        tomo_kind,
+        tomo_tile,
+        sino_kind,
+        sino_tile,
+        buffsize(&ops.a_buf),
+        buffsize(&ops.at_buf),
+    ];
+    fnv1a64(fields.map(u64::to_le_bytes).as_flattened())
 }
 
 /// A mid-solve state: the one exchange type between a workspace + rule
@@ -91,7 +117,7 @@ pub(crate) struct SolveState {
     /// The iteration the resumed loop starts at (iterations `0..iteration`
     /// are committed in `slice_records`).
     pub(crate) iteration: usize,
-    /// Batch width the solve was running at (1 for pre-batch snapshots).
+    /// Batch width the solve was running at.
     pub(crate) batch: usize,
     /// Per-slice `prev_res` as of the last committed iteration.
     pub(crate) prev_res: Vec<f64>,
@@ -138,14 +164,10 @@ pub(crate) fn encode_state(plan_hash: u64, st: &SolveState) -> Snapshot {
 
 /// Validate a decoded snapshot against the plan it will resume into:
 /// plan-hash match, batch width against the resuming configuration,
-/// vector lengths against the operator's dimensions scaled by the batch
-/// width, iteration counter within the stop rule's cap and consistent
-/// with the record sections. Returns the (possibly empty) violation
-/// report.
-///
-/// A pre-batch snapshot (no [`SECTION_BATCH`]) is treated as batch 1 and
-/// skips the batch-only section checks, so old checkpoints remain
-/// resumable.
+/// presence and lengths of every section `encode_state` writes against
+/// the operator's dimensions scaled by the batch width, iteration counter
+/// within the stop rule's cap and consistent with the record sections.
+/// Returns the (possibly empty) violation report.
 pub fn validate_snapshot(
     snap: &Snapshot,
     expected_plan_hash: u64,
@@ -157,115 +179,92 @@ pub fn validate_snapshot(
     let found = |name: &str| snap.f32s(name).ok().map(<[f32]>::len);
     let found64 = |name: &str| snap.f64s(name).ok().map(<[f64]>::len);
     let found_u64 = |name: &str| snap.u64s(name).ok().map(<[u64]>::len);
-    let iteration = snap.iteration();
-    let batched = snap.has(SECTION_BATCH);
-    let found_batch = snap
-        .u64s(SECTION_BATCH)
-        .ok()
-        .and_then(|v| v.first().copied())
-        .unwrap_or(1);
-    let counts: Option<Vec<u64>> = snap.u64s(SECTION_REC_COUNTS).ok().map(<[u64]>::to_vec);
+    let counts = snap.u64s(SECTION_REC_COUNTS).unwrap_or_default();
     // At checkpoint time every still-active slice has one record per
     // committed iteration, so the longest per-slice list must equal the
-    // iteration counter (retired slices may be shorter). Pre-batch
-    // snapshots have a single implicit slice: the array length itself.
-    let records_len = match &counts {
-        Some(c) => c.iter().copied().max().unwrap_or(0),
-        None => found64(SECTION_REC_RESIDUAL).unwrap_or(0) as u64,
-    };
+    // iteration counter (retired slices may be shorter).
+    let records_len = counts.iter().copied().max().unwrap_or(0);
     // The concatenated record arrays carry sum(counts) entries; saturate
-    // rather than truncate if a corrupt header claims more iterations
-    // than usize holds.
-    let rec_expect = match &counts {
-        Some(c) => usize::try_from(c.iter().sum::<u64>()).unwrap_or(usize::MAX),
-        None => usize::try_from(iteration).unwrap_or(usize::MAX),
-    };
+    // rather than overflow if corrupt counts claim more than usize holds.
+    let rec_expect = counts
+        .iter()
+        .try_fold(0usize, |sum, &c| sum.checked_add(usize::try_from(c).ok()?))
+        .unwrap_or(usize::MAX);
     let b = expected_batch.max(1);
     let mut check = CheckpointCheck::new(
         "solve checkpoint",
         expected_plan_hash,
         snap.plan_hash(),
         max_iters as u64,
-        iteration,
+        snap.iteration(),
         records_len,
-    )
-    .batch(b as u64, found_batch)
-    .section(SECTION_X, ncols * b, found(SECTION_X))
-    .section(SECTION_RESID, nrows * b, found(SECTION_RESID))
-    .section(SECTION_DIR, ncols * b, found(SECTION_DIR))
-    .section(
-        SECTION_REC_RESIDUAL,
-        rec_expect,
-        found64(SECTION_REC_RESIDUAL),
-    )
-    .section(
-        SECTION_REC_SOLUTION,
-        rec_expect,
-        found64(SECTION_REC_SOLUTION),
-    )
-    .section(
-        SECTION_REC_SECONDS,
-        rec_expect,
-        found64(SECTION_REC_SECONDS),
     );
-    if batched {
-        check = check
-            .section(SECTION_PREV_RES, b, found64(SECTION_PREV_RES))
-            .section(SECTION_ACTIVE, b, found_u64(SECTION_ACTIVE))
-            .section(SECTION_REC_COUNTS, b, found_u64(SECTION_REC_COUNTS));
+    // A missing batch section is a shape violation below, not a width.
+    if let Ok(&[found_batch]) = snap.u64s(SECTION_BATCH) {
+        check = check.batch(b as u64, found_batch);
     }
+    let check = check
+        .section(SECTION_BATCH, 1, found_u64(SECTION_BATCH))
+        .section(SECTION_X, ncols * b, found(SECTION_X))
+        .section(SECTION_RESID, nrows * b, found(SECTION_RESID))
+        .section(SECTION_DIR, ncols * b, found(SECTION_DIR))
+        .section(SECTION_PREV_RES, b, found64(SECTION_PREV_RES))
+        .section(SECTION_ACTIVE, b, found_u64(SECTION_ACTIVE))
+        .section(SECTION_REC_COUNTS, b, found_u64(SECTION_REC_COUNTS))
+        .section(
+            SECTION_REC_RESIDUAL,
+            rec_expect,
+            found64(SECTION_REC_RESIDUAL),
+        )
+        .section(
+            SECTION_REC_SOLUTION,
+            rec_expect,
+            found64(SECTION_REC_SOLUTION),
+        )
+        .section(
+            SECTION_REC_SECONDS,
+            rec_expect,
+            found64(SECTION_REC_SECONDS),
+        );
     let mut report = Report::new();
     check.run(&mut report);
     report
 }
 
-/// Decode a validated snapshot into a [`SolveState`]. Pre-batch
-/// snapshots (no batch section, scalar `prev_res`) decode as batch 1
-/// with every slice active.
+/// Decode a snapshot that [`validate_snapshot`] passed into a
+/// [`SolveState`].
 pub(crate) fn decode_state(snap: &Snapshot) -> Result<SolveState, CheckpointError> {
     // in-range: validate_snapshot bounded iteration by the stop rule's cap
     let iteration = snap.iteration() as usize;
-    let batch = snap
-        .u64s(SECTION_BATCH)
-        .ok()
-        .and_then(|v| v.first().copied())
-        .unwrap_or(1) as usize;
     let residuals = snap.f64s(SECTION_REC_RESIDUAL)?;
     let solutions = snap.f64s(SECTION_REC_SOLUTION)?;
     let seconds = snap.f64s(SECTION_REC_SECONDS)?;
-    let counts: Vec<usize> = match snap.u64s(SECTION_REC_COUNTS) {
-        Ok(c) => c.iter().map(|&v| v as usize).collect(),
-        Err(_) => vec![residuals.len()],
-    };
-    let mut slice_records = Vec::with_capacity(counts.len());
     let mut off = 0usize;
-    for &count in &counts {
-        // in-range: validate_snapshot pinned the record arrays to
-        // sum(counts) entries
-        let recs = (0..count)
-            .map(|i| IterationRecord {
-                iter: i,
-                residual_norm: residuals[off + i],
-                solution_norm: solutions[off + i],
-                seconds: seconds[off + i],
-            })
-            .collect();
-        off += count;
-        slice_records.push(recs);
-    }
-    let prev_res: Vec<f64> = match snap.f64s(SECTION_PREV_RES) {
-        Ok(v) => v.to_vec(),
-        // Pre-batch snapshots stored prev_res as a scalar section.
-        Err(_) => vec![snap.f64_scalar(SECTION_PREV_RES)?],
-    };
-    let active: Vec<bool> = match snap.u64s(SECTION_ACTIVE) {
-        Ok(v) => v.iter().map(|&f| f != 0).collect(),
-        Err(_) => vec![true; batch],
-    };
+    let slice_records = snap
+        .u64s(SECTION_REC_COUNTS)?
+        .iter()
+        .map(|&count| {
+            // in-range: validate_snapshot pinned the record arrays to
+            // sum(counts) entries
+            let count = count as usize;
+            let recs = (0..count)
+                .map(|i| IterationRecord {
+                    iter: i,
+                    residual_norm: residuals[off + i],
+                    solution_norm: solutions[off + i],
+                    seconds: seconds[off + i],
+                })
+                .collect();
+            off += count;
+            recs
+        })
+        .collect();
+    // validate_snapshot pinned the flags to one per slice of the batch.
+    let active: Vec<bool> = snap.u64s(SECTION_ACTIVE)?.iter().map(|&f| f != 0).collect();
     Ok(SolveState {
         iteration,
-        batch,
-        prev_res,
+        batch: active.len(),
+        prev_res: snap.f64s(SECTION_PREV_RES)?.to_vec(),
         x: snap.f32s(SECTION_X)?.to_vec(),
         resid: snap.f32s(SECTION_RESID)?.to_vec(),
         dir: snap.f32s(SECTION_DIR)?.to_vec(),
@@ -411,6 +410,29 @@ mod tests {
         // Iteration past the run's cap.
         let r = validate_snapshot(&snap, 0xFEED, 2, 3, 2, 1);
         assert!(r.has(Invariant::CheckpointMonotone), "{r}");
+        // No batch section: a shape violation, not a width or a default.
+        let mut unbatched = Snapshot::new(0xFEED, 3);
+        for name in snap.section_names() {
+            if let Ok(v) = snap.f32s(name) {
+                unbatched.push_f32s(name, v);
+            } else if let Ok(v) = snap.f64s(name) {
+                unbatched.push_f64s(name, v);
+            } else if name != SECTION_BATCH {
+                unbatched.push_u64s(name, snap.u64s(name).unwrap());
+            }
+        }
+        let r = validate_snapshot(&unbatched, 0xFEED, 10, 3, 2, 1);
+        assert_eq!(
+            r.violations()
+                .iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>(),
+            [
+                "CheckViolation[CheckpointShape] solve checkpoint at section `solve/batch`: \
+                 required section is missing \
+                 (fix: the snapshot was written by a different solver configuration)"
+            ]
+        );
     }
 
     #[test]
@@ -463,11 +485,44 @@ mod tests {
     #[test]
     fn fingerprint_tracks_plan_shape() {
         use crate::preprocess::{preprocess, Config};
+        use crate::Kernel;
         use xct_geometry::{Grid, ScanGeometry};
         let a = preprocess(Grid::new(16), ScanGeometry::new(12, 16), &Config::default());
         let b = preprocess(Grid::new(16), ScanGeometry::new(12, 16), &Config::default());
         assert_eq!(plan_fingerprint(&a), plan_fingerprint(&b), "deterministic");
         let c = preprocess(Grid::new(24), ScanGeometry::new(12, 24), &Config::default());
         assert_ne!(plan_fingerprint(&a), plan_fingerprint(&c));
+        // Same matrix shape and population, another plan: each differs.
+        use crate::preprocess::DomainOrdering::{RowMajor, TwoLevelHilbert};
+        let with = |config: Config| {
+            plan_fingerprint(&preprocess(
+                Grid::new(16),
+                ScanGeometry::new(12, 16),
+                &config,
+            ))
+        };
+        let variants = [
+            Config {
+                ordering: RowMajor,
+                ..Config::default()
+            },
+            Config {
+                ordering: TwoLevelHilbert(Some(2)),
+                ..Config::default()
+            },
+            Config {
+                kernel: Kernel::Serial,
+                ..Config::default()
+            },
+            Config {
+                buffsize: 16,
+                ..Config::default()
+            },
+        ];
+        let mut prints: Vec<u64> = variants.into_iter().map(with).collect();
+        prints.push(plan_fingerprint(&a));
+        prints.sort_unstable();
+        prints.dedup();
+        assert_eq!(prints.len(), 5, "every plan fingerprints apart");
     }
 }

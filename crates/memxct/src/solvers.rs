@@ -1291,7 +1291,7 @@ mod tests {
         let bytes = encode_state(hash, &solve(None, 4)).encode();
         assert_eq!(
             (bytes.len(), fnv1a64(&bytes)),
-            (11_466, 11_499_524_369_428_506_145),
+            (11_466, 17_165_200_400_398_959_362),
             "v2 bytes moved"
         );
         let sink = MemoryCheckpointSink::new();

@@ -230,6 +230,49 @@ fn corrupted_and_truncated_snapshots_are_rejected_typed() {
     ));
 }
 
+/// A snapshot resumes only on the plan that wrote it. A row-major plan
+/// and the default two-level Hilbert one, or a CSR plan and the default
+/// buffered one, share the matrix's shape, population and partition size;
+/// the fingerprint also covers orderings and layouts, so either resume is
+/// refused at `CheckpointHash` instead of continuing garbage.
+#[test]
+fn a_snapshot_resumes_only_on_the_plan_that_wrote_it() {
+    let (grid, scan, sino) = geometry(24, 36);
+    let built = |config: Config| {
+        ReconstructorBuilder::new(grid, scan)
+            .config(config)
+            .build()
+            .unwrap()
+    };
+    let hilbert = built(Config::default());
+    for config in [
+        Config {
+            ordering: DomainOrdering::RowMajor,
+            ..Config::default()
+        },
+        Config {
+            kernel: Kernel::Serial,
+            ..Config::default()
+        },
+    ] {
+        let other = built(config);
+        let sink = Arc::new(MemoryCheckpointSink::new());
+        other
+            .run(&cg_request(&sino, 3).checkpoint(saving(&sink, 1)))
+            .unwrap();
+        let resumed = hilbert.run(&cg_request(&sino, 8).checkpoint(saving(&sink, 0).resume(true)));
+        match resumed {
+            Err(BuildError::PlanCheck(r)) => {
+                assert!(
+                    r.has(xct_check::Invariant::CheckpointHash),
+                    "{config:?}: {r}"
+                )
+            }
+            other => panic!("{config:?} resumed: {:?}", other.map(|_| ())),
+        }
+    }
+}
+
 /// A reconstructor recording into `metrics`, for `geometry(24, 36)`.
 fn metered(metrics: &Metrics) -> (Reconstructor, Sinogram) {
     let (grid, scan, sino) = geometry(24, 36);

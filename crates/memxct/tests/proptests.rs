@@ -3,16 +3,20 @@
 //! with the monolithic one, every operator's backprojection is the
 //! adjoint of its projection, the buffered kernel projects what the CSR
 //! reference does at any partition and buffer size, and permutations
-//! round-trip — for arbitrary geometries and rank counts.
+//! round-trip — for arbitrary geometries and rank counts. A corrupted
+//! solver snapshot is refused typed, or resumes, and never panics.
+
+use std::sync::{Arc, OnceLock};
 
 use memxct::{
-    preprocess, Config, DistOperator, Kernel, KernelOperator, PooledPlans, ProjectionOperator,
-    StackedOperator,
+    plan_fingerprint, preprocess, validate_snapshot, BuildError, CheckpointPolicy, Config,
+    DistOperator, Kernel, KernelOperator, PooledPlans, ProjectionOperator, ReconInput,
+    ReconRequest, Reconstructor, ReconstructorBuilder, StackedOperator, StopRule,
 };
 use proptest::prelude::*;
 use xct_geometry::{disk, Sinogram};
 use xct_geometry::{simulate_sinogram, Grid, NoiseModel, ScanGeometry};
-use xct_runtime::{run_ranks, WorkerPool};
+use xct_runtime::{fnv1a64, run_ranks, CheckpointSink, MemoryCheckpointSink, Snapshot, WorkerPool};
 use xct_sparse::CsrMatrix;
 
 /// `(⟨A·x_j, y_j⟩, ⟨x_j, Aᵀ·y_j⟩)` per column `j` of the slice-major
@@ -282,5 +286,95 @@ proptest! {
         let y_aug = slab(stack.nrows(), 1, seed ^ 2);
         let scale = abs_inner(&ops.a, &x, &y_aug[..rows]) + 0.5 * abs_inner(&d, &x, &y_aug[rows..]);
         check("stacked", &inner_products(&stack, &x, &y_aug, 1), &[scale]);
+    }
+}
+
+/// A width-2 reconstructor on a 16 × 16 grid, a 4-iteration CG request
+/// of two slices, and the snapshot its first 2 iterations leave.
+fn width2_cg() -> &'static (Reconstructor, ReconRequest, Vec<u8>) {
+    static FIXTURE: OnceLock<(Reconstructor, ReconRequest, Vec<u8>)> = OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let (grid, scan) = (Grid::new(16), ScanGeometry::new(12, 16));
+        let slices: Vec<_> = (0..2)
+            .map(|j| {
+                let truth = disk(0.4 + 0.2 * j as f64, 1.0).rasterize(16);
+                simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, j)
+            })
+            .collect();
+        let rec = ReconstructorBuilder::new(grid, scan)
+            .batch(2)
+            .build()
+            .unwrap();
+        let cg =
+            |iters| ReconRequest::cg(ReconInput::Batch(slices.clone()), StopRule::Fixed(iters));
+        let sink = Arc::new(MemoryCheckpointSink::new());
+        rec.run(&cg(2).checkpoint(CheckpointPolicy::new(sink.clone(), 1)))
+            .unwrap();
+        let bytes = sink.load(0).unwrap().unwrap();
+        assert_eq!(Snapshot::decode(&bytes).unwrap().iteration(), 2);
+        let req = cg(4);
+        (rec, req, bytes)
+    })
+}
+
+/// The offsets of each section's kind byte and length field in a clean
+/// snapshot.
+fn section_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let word = |at: usize, n: usize| {
+        bytes[at..at + n]
+            .iter()
+            .rev()
+            .fold(0usize, |v, &b| v << 8 | b as usize)
+    };
+    let mut pos = 28;
+    (0..word(24, 4))
+        .map(|_| {
+            let kind_at = pos + 4 + word(pos, 4);
+            let width = if bytes[kind_at] == 0 { 4 } else { 8 };
+            pos = kind_at + 9 + word(kind_at + 1, 8) * width;
+            (kind_at, kind_at + 1)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn corrupted_snapshots_are_refused_typed_or_resume(
+        edit in 0u8..5,
+        at in any::<u64>(),
+        value in any::<u64>(),
+    ) {
+        let (rec, req, clean) = width2_cg();
+        let fields = section_fields(clean);
+        let (kind_at, len_at) = fields[at as usize % fields.len()];
+        let mut bytes = clean.clone();
+        match edit {
+            0 => bytes.truncate(at as usize % clean.len()),
+            // Flip bits of any byte before the checksum.
+            1 => bytes[at as usize % (clean.len() - 8)] ^= (value as u8) | 1,
+            2 => bytes[len_at..len_at + 8].copy_from_slice(&(value >> (at % 64)).to_le_bytes()),
+            3 => bytes[kind_at] = value as u8,
+            _ => bytes[7] = value as u8,
+        }
+        if edit != 0 {
+            let body = bytes.len() - 8;
+            let checksum = fnv1a64(&bytes[..body]);
+            bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+        }
+        if let Ok(snap) = Snapshot::decode(&bytes) {
+            let ops = rec.operators();
+            let (m, n) = (ops.a.nrows(), ops.a.ncols());
+            validate_snapshot(&snap, plan_fingerprint(ops), 4, m, n, 2);
+        }
+        let sink = Arc::new(MemoryCheckpointSink::new());
+        sink.save(0, &bytes).unwrap();
+        let resumed = rec.run(&req.clone().checkpoint(CheckpointPolicy::new(sink, 0).resume(true)));
+        match resumed {
+            Ok(out) => prop_assert_eq!(out.slice_records.len(), 2),
+            Err(BuildError::Checkpoint(_) | BuildError::PlanCheck(_)) => {}
+            Err(e) => prop_assert!(false, "untyped refusal: {}", e),
+        }
     }
 }

@@ -1,20 +1,23 @@
-//! Versioned, checksummed solver snapshots and the sinks that store them.
+//! Checksummed solver snapshots and the sinks that store them.
 //!
-//! A [`Snapshot`] is a named-section container: magic + format version,
-//! a plan hash binding the snapshot to the geometry/partitioning it was
-//! taken under, the iteration counter, a list of typed named sections
-//! (f32 vectors for solver state, f64/u64 scalars and f64 vectors for
-//! metadata), and a trailing FNV-1a 64 checksum over everything before
-//! it. Decoding validates magic, version, and checksum before touching
-//! any section, so a truncated or corrupted file is rejected with a
-//! typed [`CheckpointError`] instead of deserializing garbage.
+//! A [`Snapshot`] is a named-section container with one format, version
+//! 2: magic + version byte, a plan hash binding the snapshot to the plan
+//! it was taken under, the iteration counter, a list of named sections,
+//! and a trailing FNV-1a 64 checksum over everything before it. A section
+//! is a vector of one of three kinds: f32 (kind byte 0: solver state),
+//! f64 (kind 3: scalars and series) or u64 (kind 4: widths, flags,
+//! counts); any other kind byte decodes as [`CheckpointError::UnknownKind`].
+//! Decoding validates magic, version, and checksum before touching any
+//! section, and every length it reads is checked against the bytes left,
+//! so a truncated or corrupted file is rejected with a typed
+//! [`CheckpointError`] instead of deserializing garbage.
 //!
 //! Storage is abstracted behind [`CheckpointSink`]: [`FileCheckpointSink`]
 //! writes `{base}.{slot}` via a temp file + atomic rename (a crash
 //! mid-save leaves the previous snapshot intact), and
 //! [`MemoryCheckpointSink`] backs tests.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use xct_model::sync::Mutex;
@@ -24,13 +27,9 @@ use crate::comm::fnv1a64;
 /// Magic prefix of every snapshot: `XCTCKPT` + the format version byte.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"XCTCKPT\x02";
 
-/// The current snapshot format version (the last magic byte). Version 2
-/// added the u64-vector section kind (batched solver state); readers
-/// accept every version back to [`SNAPSHOT_MIN_VERSION`].
+/// The snapshot format version (the last magic byte), the only one this
+/// build writes or reads.
 pub const SNAPSHOT_VERSION: u8 = 2;
-
-/// The oldest snapshot format version this build can still read.
-pub const SNAPSHOT_MIN_VERSION: u8 = 1;
 
 /// Why a snapshot could not be read, written, or interpreted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,27 +106,18 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// One typed section payload.
+/// One section payload: a vector of one of the three kinds.
 #[derive(Debug, Clone, PartialEq)]
 enum SectionData {
-    F32Vec(Vec<f32>),
-    F64(f64),
-    U64(u64),
-    F64Vec(Vec<f64>),
-    U64Vec(Vec<u64>),
+    F32(Vec<f32>),
+    F64(Vec<f64>),
+    U64(Vec<u64>),
 }
 
-impl SectionData {
-    fn kind(&self) -> u8 {
-        match self {
-            SectionData::F32Vec(_) => 0,
-            SectionData::F64(_) => 1,
-            SectionData::U64(_) => 2,
-            SectionData::F64Vec(_) => 3,
-            SectionData::U64Vec(_) => 4,
-        }
-    }
-}
+/// The kind bytes of [`SectionData`]'s variants on disk.
+const KIND_F32: u8 = 0;
+const KIND_F64: u8 = 3;
+const KIND_U64: u8 = 4;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Section {
@@ -135,8 +125,14 @@ struct Section {
     data: SectionData,
 }
 
-/// A versioned, checksummed solver snapshot: plan hash + iteration +
-/// named typed sections. See the module docs for the byte layout.
+fn wrong_kind(name: &str) -> CheckpointError {
+    CheckpointError::WrongKind {
+        name: name.to_string(),
+    }
+}
+
+/// A checksummed solver snapshot: plan hash + iteration + named typed
+/// sections. See the module docs for the byte layout.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     plan_hash: u64,
@@ -179,100 +175,50 @@ impl Snapshot {
             })
     }
 
+    fn push(&mut self, name: &str, data: SectionData) {
+        self.sections.push(Section {
+            name: name.to_string(),
+            data,
+        });
+    }
+
     /// Append an f32 vector section (solver vectors: x, residual, …).
     pub fn push_f32s(&mut self, name: &str, data: &[f32]) {
-        self.sections.push(Section {
-            name: name.to_string(),
-            data: SectionData::F32Vec(data.to_vec()),
-        });
+        self.push(name, SectionData::F32(data.to_vec()));
     }
 
-    /// Append an f64 scalar section (CG gamma, residual norms, …).
-    pub fn push_f64(&mut self, name: &str, value: f64) {
-        self.sections.push(Section {
-            name: name.to_string(),
-            data: SectionData::F64(value),
-        });
-    }
-
-    /// Append a u64 scalar section (rank counts, ranges, flags, …).
-    pub fn push_u64(&mut self, name: &str, value: u64) {
-        self.sections.push(Section {
-            name: name.to_string(),
-            data: SectionData::U64(value),
-        });
-    }
-
-    /// Append an f64 vector section (per-iteration series, …).
+    /// Append an f64 vector section (rule scalars, per-iteration series, …).
     pub fn push_f64s(&mut self, name: &str, data: &[f64]) {
-        self.sections.push(Section {
-            name: name.to_string(),
-            data: SectionData::F64Vec(data.to_vec()),
-        });
+        self.push(name, SectionData::F64(data.to_vec()));
     }
 
-    /// Append a u64 vector section (per-slice lengths, flags, …). Readers
-    /// older than format version 2 reject snapshots containing one.
+    /// Append a u64 vector section (batch width, per-slice flags, counts, …).
     pub fn push_u64s(&mut self, name: &str, data: &[u64]) {
-        self.sections.push(Section {
-            name: name.to_string(),
-            data: SectionData::U64Vec(data.to_vec()),
-        });
+        self.push(name, SectionData::U64(data.to_vec()));
     }
 
     /// Read an f32 vector section.
     pub fn f32s(&self, name: &str) -> Result<&[f32], CheckpointError> {
         match self.find(name)? {
-            SectionData::F32Vec(v) => Ok(v),
-            _ => Err(CheckpointError::WrongKind {
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    /// Read an f64 scalar section.
-    pub fn f64_scalar(&self, name: &str) -> Result<f64, CheckpointError> {
-        match self.find(name)? {
-            SectionData::F64(v) => Ok(*v),
-            _ => Err(CheckpointError::WrongKind {
-                name: name.to_string(),
-            }),
-        }
-    }
-
-    /// Read a u64 scalar section.
-    pub fn u64_scalar(&self, name: &str) -> Result<u64, CheckpointError> {
-        match self.find(name)? {
-            SectionData::U64(v) => Ok(*v),
-            _ => Err(CheckpointError::WrongKind {
-                name: name.to_string(),
-            }),
+            SectionData::F32(v) => Ok(v),
+            _ => Err(wrong_kind(name)),
         }
     }
 
     /// Read an f64 vector section.
     pub fn f64s(&self, name: &str) -> Result<&[f64], CheckpointError> {
         match self.find(name)? {
-            SectionData::F64Vec(v) => Ok(v),
-            _ => Err(CheckpointError::WrongKind {
-                name: name.to_string(),
-            }),
+            SectionData::F64(v) => Ok(v),
+            _ => Err(wrong_kind(name)),
         }
     }
 
     /// Read a u64 vector section.
     pub fn u64s(&self, name: &str) -> Result<&[u64], CheckpointError> {
         match self.find(name)? {
-            SectionData::U64Vec(v) => Ok(v),
-            _ => Err(CheckpointError::WrongKind {
-                name: name.to_string(),
-            }),
+            SectionData::U64(v) => Ok(v),
+            _ => Err(wrong_kind(name)),
         }
-    }
-
-    /// True when `name` exists (any kind).
-    pub fn has(&self, name: &str) -> bool {
-        self.sections.iter().any(|s| s.name == name)
     }
 
     /// Serialize to the on-disk byte layout (magic, header, sections,
@@ -288,34 +234,10 @@ impl Snapshot {
             // in-range: section names are short static identifiers
             out.extend_from_slice(&(s.name.len() as u32).to_le_bytes());
             out.extend_from_slice(s.name.as_bytes());
-            out.push(s.data.kind());
             match &s.data {
-                SectionData::F32Vec(v) => {
-                    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                SectionData::F64(x) => {
-                    out.extend_from_slice(&1u64.to_le_bytes());
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-                SectionData::U64(x) => {
-                    out.extend_from_slice(&1u64.to_le_bytes());
-                    out.extend_from_slice(&x.to_le_bytes());
-                }
-                SectionData::F64Vec(v) => {
-                    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
-                SectionData::U64Vec(v) => {
-                    out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-                    for x in v {
-                        out.extend_from_slice(&x.to_le_bytes());
-                    }
-                }
+                SectionData::F32(v) => put(&mut out, KIND_F32, v.iter().map(|x| x.to_le_bytes())),
+                SectionData::F64(v) => put(&mut out, KIND_F64, v.iter().map(|x| x.to_le_bytes())),
+                SectionData::U64(v) => put(&mut out, KIND_U64, v.iter().map(|x| x.to_le_bytes())),
             }
         }
         let checksum = fnv1a64(&out);
@@ -332,17 +254,15 @@ impl Snapshot {
         if bytes[..7] != SNAPSHOT_MAGIC[..7] {
             return Err(CheckpointError::BadMagic);
         }
-        if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&bytes[7]) {
+        if bytes[7] != SNAPSHOT_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: bytes[7] });
         }
-        if bytes.len() < 8 + 8 {
+        let Some((body, tail)) = bytes.split_last_chunk::<8>().filter(|(b, _)| b.len() >= 8) else {
             return Err(CheckpointError::Truncated {
                 context: "checksum",
             });
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte tail"));
-        if fnv1a64(body) != stored {
+        };
+        if fnv1a64(body) != u64::from_le_bytes(*tail) {
             return Err(CheckpointError::ChecksumMismatch);
         }
 
@@ -350,59 +270,36 @@ impl Snapshot {
             bytes: body,
             pos: 8,
         };
-        let plan_hash = r.u64("plan hash")?;
-        let iteration = r.u64("iteration")?;
-        let count = r.u32("section count")? as usize;
-        let mut sections = Vec::with_capacity(count);
-        let mut seen: HashMap<String, ()> = HashMap::with_capacity(count);
+        let plan_hash = u64::from_le_bytes(r.array("plan hash")?);
+        let iteration = u64::from_le_bytes(r.array("iteration")?);
+        let count = u32::from_le_bytes(r.array("section count")?);
+        // No capacity from the header: a forged count must not allocate.
+        let mut sections = Vec::new();
+        let mut seen = HashSet::new();
         for _ in 0..count {
-            let name_len = r.u32("section name length")? as usize;
+            let name_len = u32::from_le_bytes(r.array("section name length")?) as usize;
             let name_bytes = r.take(name_len, "section name")?;
             let name = String::from_utf8_lossy(name_bytes).into_owned();
-            if seen.insert(name.clone(), ()).is_some() {
+            if !seen.insert(name.clone()) {
                 return Err(CheckpointError::DuplicateSection { name });
             }
-            let kind = r.u8("section kind")?;
-            let len = r.u64("section length")? as usize;
+            let [kind] = r.array("section kind")?;
             let data = match kind {
-                0 => {
-                    let raw = r.take(len * 4, "f32 section payload")?;
-                    SectionData::F32Vec(
-                        raw.chunks_exact(4)
-                            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                            .collect(),
-                    )
-                }
-                1 => SectionData::F64(f64::from_le_bytes(
-                    r.take(8, "f64 section payload")?
-                        .try_into()
-                        .expect("8-byte take"),
-                )),
-                2 => SectionData::U64(u64::from_le_bytes(
-                    r.take(8, "u64 section payload")?
-                        .try_into()
-                        .expect("8-byte take"),
-                )),
-                3 => {
-                    let raw = r.take(len * 8, "f64 section payload")?;
-                    SectionData::F64Vec(
-                        raw.chunks_exact(8)
-                            .map(|c| {
-                                f64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-                            })
-                            .collect(),
-                    )
-                }
-                4 => {
-                    let raw = r.take(len * 8, "u64 section payload")?;
-                    SectionData::U64Vec(
-                        raw.chunks_exact(8)
-                            .map(|c| {
-                                u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])
-                            })
-                            .collect(),
-                    )
-                }
+                KIND_F32 => SectionData::F32(
+                    r.words("f32 section payload")?
+                        .map(f32::from_le_bytes)
+                        .collect(),
+                ),
+                KIND_F64 => SectionData::F64(
+                    r.words("f64 section payload")?
+                        .map(f64::from_le_bytes)
+                        .collect(),
+                ),
+                KIND_U64 => SectionData::U64(
+                    r.words("u64 section payload")?
+                        .map(u64::from_le_bytes)
+                        .collect(),
+                ),
                 other => return Err(CheckpointError::UnknownKind { kind: other }),
             };
             sections.push(Section { name, data });
@@ -412,6 +309,17 @@ impl Snapshot {
             iteration,
             sections,
         })
+    }
+}
+
+/// Write one vector section's kind byte, element count, and elements of
+/// `W` little-endian bytes each.
+fn put<const W: usize>(out: &mut Vec<u8>, kind: u8, words: impl ExactSizeIterator<Item = [u8; W]>) {
+    out.push(kind);
+    out.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    out.reserve(words.len() * W);
+    for w in words {
+        out.extend_from_slice(&w);
     }
 }
 
@@ -433,20 +341,23 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    fn u8(&mut self, context: &'static str) -> Result<u8, CheckpointError> {
-        Ok(self.take(1, context)?[0])
+    fn array<const N: usize>(&mut self, context: &'static str) -> Result<[u8; N], CheckpointError> {
+        Ok(self.take(N, context)?.as_chunks::<N>().0[0])
     }
 
-    fn u32(&mut self, context: &'static str) -> Result<u32, CheckpointError> {
-        let b = self.take(4, context)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, CheckpointError> {
-        let b = self.take(8, context)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    /// A vector payload: its u64 element count, then that many elements
+    /// of `W` bytes. The byte length is one checked multiply, so a count
+    /// no file can hold is a truncation, never an overflow.
+    fn words<const W: usize>(
+        &mut self,
+        context: &'static str,
+    ) -> Result<impl Iterator<Item = [u8; W]> + 'a, CheckpointError> {
+        let len = u64::from_le_bytes(self.array("section length")?);
+        let n = usize::try_from(len)
+            .ok()
+            .and_then(|len| len.checked_mul(W))
+            .ok_or(CheckpointError::Truncated { context })?;
+        Ok(self.take(n, context)?.as_chunks::<W>().0.iter().copied())
     }
 }
 
@@ -559,8 +470,8 @@ mod tests {
         let mut s = Snapshot::new(0xDEAD_BEEF, 7);
         s.push_f32s("x", &[1.0, -2.5, 3.25]);
         s.push_f32s("resid", &[0.5; 4]);
-        s.push_f64("gamma", 1.0e-3);
-        s.push_u64("ranks", 4);
+        s.push_f64s("gamma", &[1.0e-3]);
+        s.push_u64s("batch", &[4]);
         s.push_f64s("residual_series", &[9.0, 4.0, 1.0]);
         s.push_u64s("active", &[1, 0, 1]);
         s
@@ -575,44 +486,73 @@ mod tests {
         assert_eq!(d.plan_hash(), 0xDEAD_BEEF);
         assert_eq!(d.iteration(), 7);
         assert_eq!(d.f32s("x").unwrap(), &[1.0, -2.5, 3.25]);
-        assert_eq!(d.f64_scalar("gamma").unwrap(), 1.0e-3);
-        assert_eq!(d.u64_scalar("ranks").unwrap(), 4);
+        assert_eq!(d.f64s("gamma").unwrap(), &[1.0e-3]);
+        assert_eq!(d.u64s("batch").unwrap(), &[4]);
         assert_eq!(d.f64s("residual_series").unwrap(), &[9.0, 4.0, 1.0]);
         assert_eq!(d.u64s("active").unwrap(), &[1, 0, 1]);
         assert_eq!(
             d.section_names(),
-            vec!["x", "resid", "gamma", "ranks", "residual_series", "active"]
+            vec!["x", "resid", "gamma", "batch", "residual_series", "active"]
         );
     }
 
-    #[test]
-    fn version_1_snapshots_still_decode() {
-        // A v1 writer never emitted u64-vector sections; craft its byte
-        // stream by rewriting the version byte and re-checksumming.
-        let mut s = Snapshot::new(0xFEED, 3);
-        s.push_f32s("x", &[1.0, 2.0]);
-        s.push_f64("gamma", 0.25);
-        let mut bytes = s.encode();
-        bytes[7] = 1;
+    /// `bytes` with a fresh trailing checksum over the edited body.
+    fn rechecksummed(mut bytes: Vec<u8>) -> Vec<u8> {
         let body_len = bytes.len() - 8;
         let checksum = fnv1a64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        let d = Snapshot::decode(&bytes).unwrap();
-        assert_eq!(d.plan_hash(), 0xFEED);
-        assert_eq!(d.f32s("x").unwrap(), &[1.0, 2.0]);
-        assert_eq!(d.f64_scalar("gamma").unwrap(), 0.25);
+        bytes
     }
 
     #[test]
     fn version_0_is_rejected() {
-        let mut bytes = sample().encode();
-        bytes[7] = 0;
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a64(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
+        // Version 1 (the pre-batch format) is no longer read either.
+        for version in [0, 1] {
+            let mut bytes = sample().encode();
+            bytes[7] = version;
+            assert_eq!(
+                Snapshot::decode(&rechecksummed(bytes)),
+                Err(CheckpointError::UnsupportedVersion { found: version })
+            );
+        }
+    }
+
+    #[test]
+    fn scalar_kind_bytes_are_unknown() {
+        // A one-element f64 section: name length, `g`, kind byte at 33.
+        let mut s = Snapshot::new(5, 1);
+        s.push_f64s("g", &[0.25]);
+        for kind in [1, 2, 5, 255] {
+            let mut bytes = s.encode();
+            assert_eq!(bytes[33], KIND_F64, "layout changed");
+            bytes[33] = kind;
+            assert_eq!(
+                Snapshot::decode(&rechecksummed(bytes)),
+                Err(CheckpointError::UnknownKind { kind })
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_section_length_is_truncated() {
+        // A one-element f32 section whose length field (bytes 34..42)
+        // claims 2^62 + 1 elements: `len * 4` wraps to 4 on 64 bits.
+        let bytes: [u8; 54] = [
+            b'X', b'C', b'T', b'C', b'K', b'P', b'T', 2, // magic
+            7, 0, 0, 0, 0, 0, 0, 0, // plan hash
+            3, 0, 0, 0, 0, 0, 0, 0, // iteration
+            1, 0, 0, 0, // section count
+            1, 0, 0, 0, b'x', // name
+            0,    // kind: f32
+            1, 0, 0, 0, 0, 0, 0, 0x40, // length: 2^62 + 1
+            0, 0, 0x80, 0x3f, // 1.0f32
+            0x88, 0x9e, 0x62, 0x29, 0x33, 0xdd, 0xf7, 0x72, // checksum
+        ];
         assert_eq!(
             Snapshot::decode(&bytes),
-            Err(CheckpointError::UnsupportedVersion { found: 0 })
+            Err(CheckpointError::Truncated {
+                context: "f32 section payload"
+            })
         );
     }
 
@@ -687,13 +627,11 @@ mod tests {
             })
         );
         assert_eq!(
-            d.f64_scalar("x"),
+            d.f64s("x"),
             Err(CheckpointError::WrongKind {
                 name: "x".to_string()
             })
         );
-        assert!(d.has("x"));
-        assert!(!d.has("nope"));
     }
 
     #[test]

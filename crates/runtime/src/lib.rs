@@ -37,7 +37,7 @@ mod pool;
 
 pub use checkpoint::{
     CheckpointError, CheckpointSink, FileCheckpointSink, MemoryCheckpointSink, Snapshot,
-    SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
+    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use comm::{fnv1a64, run_ranks, run_ranks_with, CollectiveStats, CommLedger, Communicator};
 pub use fault::{

@@ -1,9 +1,61 @@
-//! Property tests for the communicator: collective semantics must hold
-//! for arbitrary rank counts and message sizes, and the traffic ledger
-//! must account every byte exactly.
+//! Property tests for the communicator and the snapshot container:
+//! collective semantics must hold for arbitrary rank counts and message
+//! sizes, the traffic ledger must account every byte exactly, and a
+//! corrupted snapshot decodes to a typed error (or a snapshot), never a
+//! panic.
 
 use proptest::prelude::*;
-use xct_runtime::run_ranks;
+use xct_runtime::{fnv1a64, run_ranks, CheckpointError, Snapshot};
+
+/// The sections, kinds and lengths `memxct` writes for a width-2 CG
+/// solve of a 6 × 4 plan paused before iteration 3, slice 1 retired
+/// after two iterations.
+fn cg_width2() -> Vec<u8> {
+    let mut s = Snapshot::new(0x5eed_0fc0_ffee, 3);
+    s.push_u64s("solve/batch", &[2]);
+    s.push_f32s(
+        "solve/x",
+        &[0.5, -1.25, 2.0, f32::NAN, 0.0, -0.0, 1e-40, 3.5],
+    );
+    s.push_f32s("solve/resid", &[0.25; 12]);
+    s.push_f32s("solve/dir", &[-0.75; 8]);
+    s.push_f64s("solve/prev_res", &[0.5, 0.25]);
+    s.push_u64s("solve/active", &[1, 0]);
+    s.push_f64s("solve/rule_scalars", &[0.125, 0.0625]);
+    s.push_u64s("records/counts", &[3, 2]);
+    s.push_f64s("records/residual", &[9.0, 4.0, 1.0, 8.0, 2.0]);
+    s.push_f64s("records/solution", &[1.0, 2.0, 3.0, 1.5, 2.5]);
+    s.push_f64s("records/seconds", &[0.01; 5]);
+    s.encode()
+}
+
+/// `bytes` with a fresh trailing checksum over the edited body.
+fn rechecksummed(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let checksum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    bytes
+}
+
+/// The offsets of each section's kind byte and length field in a clean
+/// snapshot.
+fn section_fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let word = |at: usize, n: usize| {
+        bytes[at..at + n]
+            .iter()
+            .rev()
+            .fold(0usize, |v, &b| v << 8 | b as usize)
+    };
+    let mut pos = 28;
+    (0..word(24, 4))
+        .map(|_| {
+            let kind_at = pos + 4 + word(pos, 4);
+            let width = if bytes[kind_at] == 0 { 4 } else { 8 };
+            pos = kind_at + 9 + word(kind_at + 1, 8) * width;
+            (kind_at, kind_at + 1)
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -128,5 +180,66 @@ proptest! {
         let recvd: u64 = (0..size).map(|r| ledger.received_by(r)).sum();
         prop_assert_eq!(sent, recvd);
         prop_assert_eq!(sent, ledger.total());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn corrupted_snapshots_decode_typed(
+        edit in 0u8..6,
+        at in any::<u64>(),
+        value in any::<u64>(),
+    ) {
+        let clean = cg_width2();
+        let fields = section_fields(&clean);
+        prop_assert_eq!(fields.len(), 11);
+        let (kind_at, len_at) = fields[at as usize % fields.len()];
+        let mut bytes = clean.clone();
+        match edit {
+            // Cut anywhere: the checksum or a length runs out.
+            0 => bytes.truncate(at as usize % clean.len()),
+            // Flip bits of any byte before the checksum, then re-checksum.
+            1 => bytes[at as usize % (clean.len() - 8)] ^= (value as u8) | 1,
+            // A section length of any magnitude.
+            2 => {
+                let len = value >> (at % 64);
+                bytes[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
+            }
+            3 => bytes[kind_at] = value as u8,
+            4 => bytes[7] = value as u8,
+            // A section count of any size: it must not size an allocation.
+            _ => bytes[24..28].copy_from_slice(&(value as u32).to_le_bytes()),
+        }
+        if edit != 0 {
+            bytes = rechecksummed(bytes);
+        }
+        let decoded = Snapshot::decode(&bytes);
+        if let Ok(snap) = &decoded {
+            // Whatever decodes, encodes and decodes again.
+            prop_assert!(Snapshot::decode(&snap.encode()).is_ok());
+        }
+        match edit {
+            0 => prop_assert!(decoded.is_err()),
+            2 => {
+                let len = value >> (at % 64);
+                let width = if clean[kind_at] == 0 { 4 } else { 8 };
+                if u128::from(len) * width > bytes.len() as u128 {
+                    let truncated = matches!(decoded, Err(CheckpointError::Truncated { .. }));
+                    prop_assert!(truncated, "length {}: {:?}", len, decoded);
+                }
+            }
+            3 if ![0, 3, 4].contains(&(value as u8)) => {
+                let kind = value as u8;
+                prop_assert_eq!(decoded, Err(CheckpointError::UnknownKind { kind }));
+            }
+            4 if value as u8 != 2 => {
+                let found = value as u8;
+                prop_assert_eq!(decoded, Err(CheckpointError::UnsupportedVersion { found }));
+            }
+            5 if value as u32 > 11 => prop_assert!(decoded.is_err()),
+            _ => {}
+        }
     }
 }
