@@ -11,9 +11,12 @@
 //! printed, not inferred — the seconds of `validate_plan` and, below it,
 //! of each check of its sweep alone, and the most stages any partition of each
 //! buffered layout takes. Panics if the plan fails a check or the phases
-//! exceed the total, or if the resident bytes are not the streamed bytes
-//! less both layouts' values: at the default buffer every partition is
-//! one stage, so `A`'s layout shares `A`'s values as `Aᵀ`'s shares `Aᵀ`'s.
+//! exceed the total, if the resident bytes are not the streamed bytes
+//! less both layouts' values (at the default buffer every partition is
+//! one stage, so `A`'s layout shares `A`'s values as `Aᵀ`'s shares
+//! `Aᵀ`'s), or if a build after the first faults more than a tenth of the
+//! first build's pages: each rebuild fills the arrays the plan before it
+//! gave back (DESIGN.md "Plan storage").
 //!
 //! ```text
 //! cargo run --release -p xct-bench --bin coldpath [--smoke]
@@ -81,6 +84,15 @@ fn main() {
         let steps = [t.ordering_s, t.tracing_s, t.transpose_s, t.buffers_s];
         phases = std::array::from_fn(|i| phases[i].min(steps[i]));
         kept = Some(ops);
+    }
+    // Where procfs is missing every count reads 0, and there is no gate.
+    for (i, &faults) in build_faults.iter().enumerate().skip(1) {
+        assert!(
+            10 * faults <= build_faults[0],
+            "build {i} faulted {faults} pages, more than a tenth of the first build's \
+             {}: the rebuild did not recycle the last plan's arrays",
+            build_faults[0]
+        );
     }
     let ops = kept.expect("at least one build");
     let [a_buf, at_buf] = [&ops.a_buf, &ops.at_buf].map(|b| b.as_ref().expect("built by default"));

@@ -130,15 +130,11 @@ EXIT CODES
 /// communication/checkpoint faults exit 4, invariant violations exit 3,
 /// everything else is a configuration error (2).
 fn die(context: &str, e: BuildError) -> ! {
-    eprintln!("{context}: {e}");
+    // A `PlanCheck`'s message is its report, one violation a line.
+    eprintln!("{context}: {}", e.to_string().trim_end());
     match e {
         BuildError::Comm(_) | BuildError::Checkpoint(_) => exit(4),
-        BuildError::PlanCheck(report) => {
-            for v in report.violations() {
-                eprintln!("  {v}");
-            }
-            exit(3);
-        }
+        BuildError::PlanCheck(_) => exit(3),
         _ => exit(2),
     }
 }

@@ -37,6 +37,7 @@
 
 use crate::errors::BuildError;
 use crate::preprocess::Operators;
+use crate::request::Solver;
 use crate::solvers::IterationRecord;
 use xct_check::{Check, CheckpointCheck, Report};
 use xct_hilbert::{Ordering2D, OrderingKind};
@@ -168,6 +169,17 @@ pub(crate) fn encode_state(plan_hash: u64, st: &SolveState) -> Snapshot {
 /// the operator's dimensions scaled by the batch width, iteration counter
 /// within the stop rule's cap and consistent with the record sections.
 /// Returns the (possibly empty) violation report.
+///
+/// `solver` is the solve that resumes: its rule's carried scalars
+/// ([`SECTION_RULE`]) must be what that rule writes. CG carries one `γ`
+/// per slice once it has stepped — exactly `batch` past iteration 0, and
+/// none or `batch` at iteration 0 (a snapshot taken before any step, or
+/// after a first step every slice broke down in); SIRT and OS-SIRT carry
+/// none. Any other length is a [`Invariant::CheckpointShape`] violation:
+/// a CG solve resumed without its `γ` would silently restart its
+/// directions and land on another image.
+///
+/// [`Invariant::CheckpointShape`]: xct_check::Invariant
 pub fn validate_snapshot(
     snap: &Snapshot,
     expected_plan_hash: u64,
@@ -175,6 +187,7 @@ pub fn validate_snapshot(
     nrows: usize,
     ncols: usize,
     expected_batch: usize,
+    solver: Solver,
 ) -> Report {
     let found = |name: &str| snap.f32s(name).ok().map(<[f32]>::len);
     let found64 = |name: &str| snap.f64s(name).ok().map(<[f64]>::len);
@@ -191,6 +204,11 @@ pub fn validate_snapshot(
         .try_fold(0usize, |sum, &c| sum.checked_add(usize::try_from(c).ok()?))
         .unwrap_or(usize::MAX);
     let b = expected_batch.max(1);
+    let carried = if matches!(solver, Solver::Cg) { b } else { 0 };
+    let rule_expect = match found64(SECTION_RULE) {
+        Some(0) if snap.iteration() == 0 => 0,
+        _ => carried,
+    };
     let mut check = CheckpointCheck::new(
         "solve checkpoint",
         expected_plan_hash,
@@ -209,6 +227,7 @@ pub fn validate_snapshot(
         .section(SECTION_RESID, nrows * b, found(SECTION_RESID))
         .section(SECTION_DIR, ncols * b, found(SECTION_DIR))
         .section(SECTION_PREV_RES, b, found64(SECTION_PREV_RES))
+        .section(SECTION_RULE, rule_expect, found64(SECTION_RULE))
         .section(SECTION_ACTIVE, b, found_u64(SECTION_ACTIVE))
         .section(SECTION_REC_COUNTS, b, found_u64(SECTION_REC_COUNTS))
         .section(
@@ -280,7 +299,9 @@ pub(crate) fn decode_state(snap: &Snapshot) -> Result<SolveState, CheckpointErro
 /// before any checkpoint was written starts from scratch), a typed
 /// [`BuildError::Checkpoint`] for container-level corruption (bad magic,
 /// checksum mismatch, truncation), and [`BuildError::PlanCheck`] when the
-/// container is intact but inconsistent with the plan being resumed.
+/// container is intact but inconsistent with the `solver` solve of the
+/// plan being resumed.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn load_state(
     sink: &dyn CheckpointSink,
     slot: usize,
@@ -289,6 +310,7 @@ pub(crate) fn load_state(
     nrows: usize,
     ncols: usize,
     expected_batch: usize,
+    solver: Solver,
 ) -> Result<Option<SolveState>, BuildError> {
     let Some(bytes) = sink.load(slot).map_err(BuildError::Checkpoint)? else {
         return Ok(None);
@@ -301,6 +323,7 @@ pub(crate) fn load_state(
         nrows,
         ncols,
         expected_batch,
+        solver,
     );
     if !report.is_ok() {
         return Err(BuildError::PlanCheck(report));
@@ -314,6 +337,9 @@ mod tests {
     use super::*;
     use xct_check::Invariant;
     use xct_runtime::MemoryCheckpointSink;
+
+    /// A solve whose rule carries no scalars.
+    const SIRT: Solver = Solver::Sirt { relax: 1.0 };
 
     fn records(n: usize) -> Vec<IterationRecord> {
         (0..n)
@@ -362,7 +388,7 @@ mod tests {
                 ..state(3, recs.to_vec())
             },
         );
-        assert!(validate_snapshot(&snap, 0xFEED, 10, 3, 2, 1).is_ok());
+        assert!(validate_snapshot(&snap, 0xFEED, 10, 3, 2, 1, Solver::Cg).is_ok());
         let st = decode_state(&snap).unwrap();
         assert_eq!(st.iteration, 3);
         assert_eq!(st.batch, 1);
@@ -388,7 +414,7 @@ mod tests {
                 ..state(3, slice_records.clone())
             },
         );
-        let r = validate_snapshot(&snap, 0xFEED, 10, 3, 2, 2);
+        let r = validate_snapshot(&snap, 0xFEED, 10, 3, 2, 2, Solver::Cg);
         assert!(r.is_ok(), "{r}");
         let st = decode_state(&snap).unwrap();
         assert_eq!(st.batch, 2);
@@ -402,13 +428,13 @@ mod tests {
     fn validation_pinpoints_each_mismatch() {
         let snap = one_slice(0xFEED, 3, 3);
         // Wrong plan hash.
-        let r = validate_snapshot(&snap, 0xBEEF, 10, 3, 2, 1);
+        let r = validate_snapshot(&snap, 0xBEEF, 10, 3, 2, 1, SIRT);
         assert!(r.has(Invariant::CheckpointHash), "{r}");
         // Wrong vector lengths (snapshot from a different geometry).
-        let r = validate_snapshot(&snap, 0xFEED, 10, 4, 5, 1);
+        let r = validate_snapshot(&snap, 0xFEED, 10, 4, 5, 1, SIRT);
         assert!(r.has(Invariant::CheckpointShape), "{r}");
         // Iteration past the run's cap.
-        let r = validate_snapshot(&snap, 0xFEED, 2, 3, 2, 1);
+        let r = validate_snapshot(&snap, 0xFEED, 2, 3, 2, 1, SIRT);
         assert!(r.has(Invariant::CheckpointMonotone), "{r}");
         // No batch section: a shape violation, not a width or a default.
         let mut unbatched = Snapshot::new(0xFEED, 3);
@@ -421,7 +447,7 @@ mod tests {
                 unbatched.push_u64s(name, snap.u64s(name).unwrap());
             }
         }
-        let r = validate_snapshot(&unbatched, 0xFEED, 10, 3, 2, 1);
+        let r = validate_snapshot(&unbatched, 0xFEED, 10, 3, 2, 1, SIRT);
         assert_eq!(
             r.violations()
                 .iter()
@@ -440,17 +466,17 @@ mod tests {
         let snap = encode_state(7, &state(1, vec![records(1), records(1)]));
         // Resuming a batch-2 snapshot at batch 4: the batch invariant
         // fires as the root cause, not a cascade of shape violations.
-        let r = validate_snapshot(&snap, 7, 10, 3, 2, 4);
+        let r = validate_snapshot(&snap, 7, 10, 3, 2, 4, SIRT);
         assert!(r.has(Invariant::CheckpointBatch), "{r}");
         assert!(!r.has(Invariant::CheckpointShape), "root cause only: {r}");
         // The matching width validates cleanly.
-        assert!(validate_snapshot(&snap, 7, 10, 3, 2, 2).is_ok());
+        assert!(validate_snapshot(&snap, 7, 10, 3, 2, 2, SIRT).is_ok());
     }
 
     #[test]
     fn records_disagreeing_with_iteration_are_rejected() {
         let snap = one_slice(1, 5, 3);
-        let r = validate_snapshot(&snap, 1, 10, 3, 2, 1);
+        let r = validate_snapshot(&snap, 1, 10, 3, 2, 1, SIRT);
         assert!(r.has(Invariant::CheckpointMonotone), "{r}");
     }
 
@@ -458,28 +484,136 @@ mod tests {
     fn load_state_surfaces_typed_errors() {
         let sink = MemoryCheckpointSink::new();
         // Empty slot: clean None.
-        assert!(load_state(&sink, 0, 1, 10, 3, 2, 1).unwrap().is_none());
+        assert!(load_state(&sink, 0, 1, 10, 3, 2, 1, SIRT)
+            .unwrap()
+            .is_none());
         // Garbage bytes: container-level checkpoint error.
         sink.save(0, b"not a snapshot").unwrap();
         assert!(matches!(
-            load_state(&sink, 0, 1, 10, 3, 2, 1),
+            load_state(&sink, 0, 1, 10, 3, 2, 1, SIRT),
             Err(BuildError::Checkpoint(_))
         ));
         // Intact container, mismatched plan: invariant report.
         let snap = one_slice(2, 1, 1);
         sink.save(0, &snap.encode()).unwrap();
-        match load_state(&sink, 0, 1, 10, 3, 2, 1) {
+        match load_state(&sink, 0, 1, 10, 3, 2, 1, SIRT) {
             Err(BuildError::PlanCheck(r)) => assert!(r.has(Invariant::CheckpointHash)),
             other => panic!("expected PlanCheck, got {:?}", other.map(|_| ())),
         }
         // Mismatched batch width: typed CheckpointBatch violation.
-        match load_state(&sink, 0, 2, 10, 3, 2, 4) {
+        match load_state(&sink, 0, 2, 10, 3, 2, 4, SIRT) {
             Err(BuildError::PlanCheck(r)) => assert!(r.has(Invariant::CheckpointBatch), "{r}"),
             other => panic!("expected PlanCheck, got {:?}", other.map(|_| ())),
         }
         // Matching plan loads.
-        let st = load_state(&sink, 0, 2, 10, 3, 2, 1).unwrap().unwrap();
+        let st = load_state(&sink, 0, 2, 10, 3, 2, 1, SIRT).unwrap().unwrap();
         assert_eq!(st.iteration, 1);
+    }
+
+    /// `snap` with section `name` holding `data` instead, every other
+    /// section as it was.
+    fn with_f64s(snap: &Snapshot, name: &str, data: &[f64]) -> Snapshot {
+        let mut out = Snapshot::new(snap.plan_hash(), snap.iteration());
+        for section in snap.section_names() {
+            if section == name {
+                out.push_f64s(name, data);
+            } else if let Ok(v) = snap.f32s(section) {
+                out.push_f32s(section, v);
+            } else if let Ok(v) = snap.f64s(section) {
+                out.push_f64s(section, v);
+            } else {
+                out.push_u64s(section, snap.u64s(section).unwrap());
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn rule_scalars_are_what_the_resuming_rule_writes() {
+        let shape = |snap: &Snapshot, solver| {
+            let r = validate_snapshot(snap, 1, 10, 3, 2, 2, solver);
+            assert!(r
+                .violations()
+                .iter()
+                .all(|v| v.invariant == Invariant::CheckpointShape));
+            r.has(Invariant::CheckpointShape)
+        };
+        let two = |iteration, scalars: &[f64]| {
+            let recs = vec![records(iteration), records(iteration)];
+            with_f64s(
+                &encode_state(1, &state(iteration, recs)),
+                SECTION_RULE,
+                scalars,
+            )
+        };
+        // CG: one γ a slice past iteration 0; none or all of them at 0.
+        for (iteration, scalars, refused) in [
+            (3, &[0.5, 0.25][..], false),
+            (3, &[], true),
+            (3, &[0.5], true),
+            (3, &[0.5, 0.25, 1.0], true),
+            (0, &[], false),
+            (0, &[0.5, 0.25], false),
+            (0, &[0.5], true),
+        ] {
+            let snap = two(iteration, scalars);
+            assert_eq!(
+                shape(&snap, Solver::Cg),
+                refused,
+                "CG {iteration} {scalars:?}"
+            );
+        }
+        // SIRT and OS-SIRT: none, at every iteration.
+        let os_sirt = Solver::OsSirt {
+            subsets: 2,
+            relax: 1.0,
+        };
+        for solver in [SIRT, os_sirt] {
+            assert!(!shape(&two(3, &[]), solver));
+            assert!(shape(&two(3, &[0.5, 0.25]), solver));
+            assert!(shape(&two(0, &[0.5, 0.25]), solver));
+        }
+    }
+
+    /// A 24 × 36 CG solve checkpointed at iteration 3 and rewritten
+    /// without its γ used to resume with a fresh γ into another image.
+    #[test]
+    fn a_cg_snapshot_without_its_gammas_is_refused() {
+        use crate::{CheckpointPolicy, ReconInput, ReconRequest, ReconstructorBuilder, StopRule};
+        use std::sync::Arc;
+        use xct_geometry::{disk, simulate_sinogram, Grid, NoiseModel, ScanGeometry};
+        let (grid, scan) = (Grid::new(24), ScanGeometry::new(36, 24));
+        let truth = disk(0.5, 1.0).rasterize(24);
+        let sino = simulate_sinogram(&truth, &grid, &scan, NoiseModel::None, 0);
+        let rec = ReconstructorBuilder::new(grid, scan).build().unwrap();
+        let cg = |iters| ReconRequest::cg(ReconInput::Slice(sino.clone()), StopRule::Fixed(iters));
+        let sink = Arc::new(MemoryCheckpointSink::new());
+        let policy = CheckpointPolicy::new(sink.clone(), 1);
+        rec.run(&cg(3).checkpoint(policy.clone())).unwrap();
+        let snap = Snapshot::decode(&sink.load(0).unwrap().unwrap()).unwrap();
+        assert_eq!(
+            (snap.iteration(), snap.f64s(SECTION_RULE).unwrap().len()),
+            (3, 1)
+        );
+        sink.save(0, &with_f64s(&snap, SECTION_RULE, &[]).encode())
+            .unwrap();
+        match rec.run(&cg(8).checkpoint(policy.resume(true))) {
+            Err(BuildError::PlanCheck(r)) => {
+                let found = r
+                    .violations()
+                    .iter()
+                    .map(|v| (v.invariant, v.location.as_str()));
+                let at = format!("section `{SECTION_RULE}`");
+                assert_eq!(
+                    found.collect::<Vec<_>>(),
+                    [(Invariant::CheckpointShape, &at[..])]
+                );
+            }
+            other => panic!(
+                "expected a CheckpointShape refusal, got {:?}",
+                other.map(|_| ())
+            ),
+        }
     }
 
     #[test]

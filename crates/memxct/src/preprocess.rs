@@ -10,7 +10,6 @@ use xct_geometry::{trace_ray, trace_ray_joseph, Grid, Ray, ScanGeometry, Sinogra
 use xct_hilbert::{Ordering2D, TwoLevelOrdering};
 use xct_obs::Metrics;
 use xct_runtime::{ExecPlan, WorkerPool};
-use xct_sparse::lanes::LANES;
 use xct_sparse::{BufferIndex, BufferedCsr, CsrMatrix};
 
 use crate::errors::BuildError;
@@ -321,40 +320,41 @@ fn trace_csr(
     for r in 0..num_rays {
         rowptr[r + 1] += rowptr[r];
     }
-    let nnz = rowptr[num_rays];
-    let mut colind = vec![0u32; nnz];
-    // `values` is allocated with room for the kernel's pad, which
-    // `CsrMatrix::from_raw` appends: at exactly `nnz` the pad would
-    // reallocate and copy the whole array.
-    let mut values = vec![0f32; nnz + LANES];
-    values.truncate(nnz);
     const RAY_BLOCK: usize = 256;
-    let (mut blocks, mut block_ptr) = (Vec::new(), vec![0usize]);
-    let (mut cols_rest, mut vals_rest) = (&mut colind[..], &mut values[..]);
-    for lo in (0..num_rays).step_by(RAY_BLOCK) {
-        let hi = num_rays.min(lo + RAY_BLOCK);
-        let (cols, c) = cols_rest.split_at_mut(rowptr[hi] - rowptr[lo]);
-        let (vals, v) = vals_rest.split_at_mut(cols.len());
-        (cols_rest, vals_rest) = (c, v);
-        blocks.push((lo..hi, cols, vals));
-        block_ptr.push(rowptr[hi]);
-    }
-    let by_nnz = ExecPlan::nnz_balanced(&block_ptr, workers);
-    pool.run(&by_nnz, &mut blocks, |_, _, blocks| {
-        let angles = &mut AngleMemo::new();
-        for (rays, cols, vals) in blocks {
-            let mut k = 0;
-            for rank in rays.clone() {
-                let ray = ray_at(scan, sino_ord, angles, rank);
-                trace(grid, projector, &ray, |pixel, len| {
-                    cols[k] = rank_of[pixel as usize];
-                    vals[k] = len;
-                    k += 1;
-                });
+    // The arrays come from the plan-storage spare: a rebuild traces into
+    // the pages the last plan gave back.
+    CsrMatrix::from_rowptr(
+        num_rays,
+        grid.num_pixels(),
+        rowptr,
+        |rowptr, colind, values| {
+            let (mut blocks, mut block_ptr) = (Vec::new(), vec![0usize]);
+            let (mut cols_rest, mut vals_rest) = (colind, values);
+            for lo in (0..num_rays).step_by(RAY_BLOCK) {
+                let hi = num_rays.min(lo + RAY_BLOCK);
+                let (cols, c) = cols_rest.split_at_mut(rowptr[hi] - rowptr[lo]);
+                let (vals, v) = vals_rest.split_at_mut(cols.len());
+                (cols_rest, vals_rest) = (c, v);
+                blocks.push((lo..hi, cols, vals));
+                block_ptr.push(rowptr[hi]);
             }
-        }
-    });
-    CsrMatrix::from_raw(num_rays, grid.num_pixels(), rowptr, colind, values)
+            let by_nnz = ExecPlan::nnz_balanced(&block_ptr, workers);
+            pool.run(&by_nnz, &mut blocks, |_, _, blocks| {
+                let angles = &mut AngleMemo::new();
+                for (rays, cols, vals) in blocks {
+                    let mut k = 0;
+                    for rank in rays.clone() {
+                        let ray = ray_at(scan, sino_ord, angles, rank);
+                        trace(grid, projector, &ray, |pixel, len| {
+                            cols[k] = rank_of[pixel as usize];
+                            vals[k] = len;
+                            k += 1;
+                        });
+                    }
+                }
+            });
+        },
+    )
 }
 
 /// [`try_preprocess`] with observability: each pipeline phase records its

@@ -619,6 +619,7 @@ impl Stint<'_> {
             nrows,
             ncols,
             batch,
+            self.solver,
         )
     }
 
@@ -1296,7 +1297,10 @@ mod tests {
         );
         let sink = MemoryCheckpointSink::new();
         sink.save(0, &bytes).unwrap();
-        let resumed = solve(load_state(&sink, 0, hash, 8, m, n, 3).unwrap(), usize::MAX);
+        let resumed = solve(
+            load_state(&sink, 0, hash, 8, m, n, 3, Solver::Cg).unwrap(),
+            usize::MAX,
+        );
         let whole = solve(None, usize::MAX);
         let bits = |st: &SolveState| encode_state(hash, st).encode();
         assert_eq!(bits(&resumed), bits(&whole), "resume is bit-identical");

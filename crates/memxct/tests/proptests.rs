@@ -366,7 +366,7 @@ proptest! {
         if let Ok(snap) = Snapshot::decode(&bytes) {
             let ops = rec.operators();
             let (m, n) = (ops.a.nrows(), ops.a.ncols());
-            validate_snapshot(&snap, plan_fingerprint(ops), 4, m, n, 2);
+            validate_snapshot(&snap, plan_fingerprint(ops), 4, m, n, 2, memxct::Solver::Cg);
         }
         let sink = Arc::new(MemoryCheckpointSink::new());
         sink.save(0, &bytes).unwrap();

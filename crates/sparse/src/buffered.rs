@@ -21,6 +21,7 @@
 use crate::batch::{for_each_block, SliceBlocks};
 use crate::csr::CsrMatrix;
 use crate::lanes::{reduce_lanes, LANES};
+use crate::spare;
 use std::array::from_fn;
 use std::cell::RefCell;
 use std::fmt;
@@ -154,6 +155,10 @@ pub type BufferedCsr = BufferedCsrImpl<u16>;
 pub type BufferedCsr32 = BufferedCsrImpl<u32>;
 
 /// A CSR matrix re-laid-out for the multi-stage buffered kernel.
+///
+/// Like a [`CsrMatrix`]'s, its large index and value arrays go to the
+/// plan-storage spare when it is dropped (the values from their last
+/// owner), for the next layout or matrix to fill.
 #[derive(Debug, Clone)]
 pub struct BufferedCsrImpl<I: BufferIndex> {
     nrows: usize,
@@ -187,6 +192,15 @@ pub struct BufferedCsrImpl<I: BufferIndex> {
     /// Staging slots the kernel masks its reads into: the widest stage's
     /// footprint rounded up to a power of two ([`staging_slots`]).
     slots: usize,
+}
+
+impl<I: BufferIndex> Drop for BufferedCsrImpl<I> {
+    fn drop(&mut self) {
+        spare::give(std::mem::take(&mut self.ind));
+        if let Some(val) = Arc::into_inner(std::mem::take(&mut self.val)) {
+            spare::give(val);
+        }
+    }
 }
 
 impl<I: BufferIndex> BufferedCsrImpl<I> {
@@ -273,14 +287,14 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
         let mut stagedispl = vec![0usize];
         let mut map: Vec<u32> = Vec::new();
         let mut displ = vec![0usize];
-        let mut ind: Vec<I> = Vec::with_capacity(a.nnz() + TAIL);
+        let mut ind: Vec<I> = spare::draw(a.nnz() + TAIL);
         // Entry `e` of the layout can be entry `e` of the source.
         let aligned = rowptr.first() == Some(&0) && rowptr.last() == Some(&values.len());
         // Every row ascending (a scan over the columns that stops at the
         // first row that does not): row-major runs, the source's values.
         let row_major = aligned && rowptr.windows(2).all(|r| colind[r[0]..r[1]].is_sorted());
         // `None` while the layout shares the source's values.
-        let mut val: Option<Vec<f32>> = (!aligned).then(|| Vec::with_capacity(a.nnz() + TAIL));
+        let mut val: Option<Vec<f32>> = (!aligned).then(|| spare::draw(a.nnz() + TAIL));
 
         // The current partition's footprint, one bit a column. Reading it
         // back clears it, so only the words between the partition's
@@ -362,7 +376,7 @@ impl<I: BufferIndex> BufferedCsrImpl<I> {
             if val.is_none() && !row_major && nstages_here > 1 {
                 // The first split: stage-major runs leave the source's
                 // order here, and everything before it is the source's.
-                let mut owned = Vec::with_capacity(a.nnz() + TAIL);
+                let mut owned = spare::draw(a.nnz() + TAIL);
                 owned.extend_from_slice(&values[..rowptr[base]]);
                 val = Some(owned);
             }
@@ -1347,7 +1361,8 @@ mod tests {
     fn a_benchmark_plans_layouts_match_the_reference() {
         // 150 projections of a 96² grid, the smaller of `cold_plans`' two
         // plans: one stage a partition at the default 8 192-slot buffer,
-        // and split into two at 2 048.
+        // and split into two at 2 048. Its arrays pass through the spare.
+        let _one_at_a_time = crate::spare::tests::exclusive();
         let a = traced(96, 150);
         let at = a.transpose_scan();
         for m in [&a, &at] {

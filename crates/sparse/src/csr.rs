@@ -3,6 +3,7 @@
 //! transpose of §3.5.1.
 
 use crate::buffered::{pad_tail, TAIL};
+use crate::spare;
 use std::sync::Arc;
 use xct_runtime::prefetch;
 
@@ -18,6 +19,11 @@ use xct_runtime::prefetch;
 /// value and is reference-counted, so a buffered layout whose entries
 /// are this matrix's values in order (every transposed matrix's) holds
 /// them without a copy; a clone shares them too.
+///
+/// Dropping a matrix hands its large index and value arrays (the values
+/// from their last owner) to the plan-storage spare, which the next
+/// [`CsrMatrix::from_rowptr`], [`CsrMatrix::transpose_scan`] or buffered
+/// layout draws from: a rebuild fills pages the last plan gave back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -63,6 +69,39 @@ impl CsrMatrix {
             colind,
             values: padded(values),
         }
+    }
+
+    /// Build from row pointers, filling the entries in place: `fill` gets
+    /// `rowptr` and the column and value arrays, `rowptr[nrows]` entries
+    /// each and zeroed, and writes every entry. The arrays come from the
+    /// plan-storage spare, so a rebuild writes into pages an earlier plan
+    /// gave back instead of faulting in fresh ones.
+    ///
+    /// ```
+    /// use xct_sparse::CsrMatrix;
+    /// let a = CsrMatrix::from_rowptr(2, 3, vec![0, 2, 3], |_, cols, vals| {
+    ///     cols.copy_from_slice(&[0, 2, 1]);
+    ///     vals.copy_from_slice(&[1.0, 2.0, 3.0]);
+    /// });
+    /// assert_eq!(a, CsrMatrix::from_rows(3, &[vec![(0, 1.0), (2, 2.0)], vec![(1, 3.0)]]));
+    /// ```
+    ///
+    /// # Panics
+    /// Panics like [`CsrMatrix::from_raw`] if `rowptr` or the filled
+    /// column indices are inconsistent.
+    pub fn from_rowptr(
+        nrows: usize,
+        ncols: usize,
+        rowptr: Vec<usize>,
+        fill: impl FnOnce(&[usize], &mut [u32], &mut [f32]),
+    ) -> Self {
+        let nnz = rowptr.last().copied().unwrap_or(0);
+        let mut colind = spare::draw_zeroed(nnz);
+        // Room for the kernel's pad, which `from_raw` appends in place.
+        let mut values = spare::draw_zeroed(nnz + TAIL);
+        values.truncate(nnz);
+        fill(&rowptr, &mut colind, &mut values);
+        Self::from_raw(nrows, ncols, rowptr, colind, values)
     }
 
     /// Build row-by-row: `rows[i]` is the (column, value) list of row `i`,
@@ -215,8 +254,8 @@ impl CsrMatrix {
             counts[i] += counts[i - 1];
         }
         let rowptr_t = counts.clone();
-        let mut colind_t = vec![0u32; self.nnz()];
-        let mut values_t = vec![0f32; self.nnz() + TAIL];
+        let mut colind_t = spare::draw_zeroed(self.nnz());
+        let mut values_t = spare::draw_zeroed(self.nnz() + TAIL);
         let mut cursor = counts; // running insert position per column
         for i in 0..self.nrows {
             for k in self.rowptr[i]..self.rowptr[i + 1] {
@@ -242,6 +281,15 @@ impl CsrMatrix {
             rowptr: rowptr_t,
             colind: colind_t,
             values: Arc::new(values_t),
+        }
+    }
+}
+
+impl Drop for CsrMatrix {
+    fn drop(&mut self) {
+        spare::give(std::mem::take(&mut self.colind));
+        if let Some(values) = Arc::into_inner(std::mem::take(&mut self.values)) {
+            spare::give(values);
         }
     }
 }

@@ -41,6 +41,7 @@ mod csr;
 pub mod lanes;
 mod pooled;
 mod reduce;
+mod spare;
 mod spmv;
 mod stats;
 
